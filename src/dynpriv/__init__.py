@@ -4,7 +4,6 @@ continuous-time multiagent dynamics."""
 from .adversary import (
     EavesdropperView,
     ReconstructionResult,
-    covering_pairs,
     make_linear_row_field,
     reconstruct_initial,
 )
@@ -42,8 +41,6 @@ from .masks import (
     MaskParams,
     check_mask_axioms,
     choose_params,
-    eval_mask,
-    invert_mask,
     mask_norm_bounds,
     privacy_metric,
 )

@@ -131,14 +131,3 @@ def reconstruct_initial(
         missing_channels=tuple(missing),
     )
 
-
-def covering_pairs(g: Digraph):
-    """Ordered (observer, target) pairs where the attack is information-complete,
-    i.e. the target's closed in-neighborhood sits inside the observer's."""
-    closed = [g.closed_in_neighborhood(i) for i in range(g.n)]
-    return [
-        (j, i)
-        for j in range(g.n)
-        for i in range(g.n)
-        if i != j and closed[i] <= closed[j]
-    ]

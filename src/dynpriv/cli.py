@@ -14,7 +14,7 @@ from pathlib import Path
 from . import adversary as adv
 from . import analysis
 from . import scenario as scn
-from .solver import BlowUpError
+from .solver import BlowUpError, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,14 +59,24 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_artifacts(outdir: Path, sc, traj, report) -> None:
     traj.to_csv(outdir / "trajectory.csv")
-    nu = getattr(sc.system, "nu", None)
-    header, table = analysis.series_table(traj, nu)
-    with open(outdir / "series.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header, table = analysis.series_table(traj, getattr(sc.system, "nu", None))
+    write_csv(outdir / "series.csv", header, table)
     report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
     _write_json(outdir / "report.json", report.as_dict())
+
+
+def _simulate(args, sc, name: str):
+    """Run sc and write its artifacts under name.
+
+    Returns (report, None), or (None, message) on a numerical blow-up.
+    """
+    outdir = _outdir(args, name)
+    try:
+        traj, report = scn.run_simulation(sc, tol_override=args.tol)
+    except BlowUpError as exc:
+        return None, f"numerical failure: {exc}"
+    _write_artifacts(outdir, sc, traj, report)
+    return report, None
 
 
 def cmd_check(args) -> int:
@@ -109,13 +119,10 @@ def cmd_simulate(args) -> int:
             if "no_covering" in bad:
                 print(f"covering pairs: {sorted(scn.covering_violations(sc))}", file=sys.stderr)
             return EXIT_ASSUMPTION
-    outdir = _outdir(args, sc.name)
-    try:
-        traj, report = scn.run_simulation(sc, tol_override=args.tol)
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    report, failure = _simulate(args, sc, sc.name)
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_NUMERIC
-    _write_artifacts(outdir, sc, traj, report)
     for name, ok in sorted(report.verdicts.items()):
         print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if report.all_pass else EXIT_VERDICT
@@ -163,7 +170,7 @@ def cmd_adversary(args) -> int:
     payload = {
         "scenario": sc.name,
         "config_hash": sc.hash,
-        "covering_pairs": [list(v) for v in adv.covering_pairs(sc.graph)],
+        "covering_pairs": sorted([j, i] for i, j in scn.covering_violations(sc)),
         "attempts": attempts,
     }
     _write_json(outdir / "attack.json", payload)
@@ -175,46 +182,22 @@ def cmd_suite(args) -> int:
     rows = []
     worst = EXIT_OK
     for name in names:
-        config = scn.load_bundled(name)
-        sc = scn.build_scenario(config)
+        sc = scn.build_scenario(scn.load_bundled(name))
         graph_results = scn.run_graph_checks(sc)
         if not all(graph_results.values()):
-            rows.append(
-                {
-                    "scenario": name,
-                    "config_hash": sc.hash,
-                    "status": "assumption-failed",
-                    "verdicts": graph_results,
-                }
-            )
-            worst = max(worst, EXIT_VERDICT)
-            continue
-        outdir = _outdir(args, name)
-        try:
-            traj, report = scn.run_simulation(sc, tol_override=args.tol)
-        except BlowUpError as exc:
-            rows.append(
-                {
-                    "scenario": name,
-                    "config_hash": sc.hash,
-                    "status": f"numerical failure: {exc}",
-                    "verdicts": {},
-                }
-            )
-            worst = max(worst, EXIT_NUMERIC)
-            continue
-        _write_artifacts(outdir, sc, traj, report)
-        ok = report.all_pass
+            status, verdicts, code = "assumption-failed", graph_results, EXIT_VERDICT
+        else:
+            report, failure = _simulate(args, sc, name)
+            if failure:
+                status, verdicts, code = failure, {}, EXIT_NUMERIC
+            elif report.all_pass:
+                status, verdicts, code = "pass", report.verdicts, EXIT_OK
+            else:
+                status, verdicts, code = "verdict-failed", report.verdicts, EXIT_VERDICT
         rows.append(
-            {
-                "scenario": name,
-                "config_hash": sc.hash,
-                "status": "pass" if ok else "verdict-failed",
-                "verdicts": report.verdicts,
-            }
+            {"scenario": name, "config_hash": sc.hash, "status": status, "verdicts": verdicts}
         )
-        if not ok:
-            worst = max(worst, EXIT_VERDICT)
+        worst = max(worst, code)
     width = max(len(r["scenario"]) for r in rows) + 2
     print(f"{'scenario':<{width}}status           verdicts")
     for row in rows:

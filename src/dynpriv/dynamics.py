@@ -58,25 +58,18 @@ DriftKind = Union[TanhDrift, LorenzDrift]
 
 def exosystem_field(drift: DriftKind, s: np.ndarray) -> np.ndarray:
     """Drift value ds/dt at a single exosystem state."""
-    s = np.asarray(s, dtype=float)
-    if isinstance(drift, TanhDrift):
-        return drift.a @ s + drift.b @ np.tanh(s)
-    if isinstance(drift, LorenzDrift):
-        x, y, z = s
-        return np.array(
-            [drift.sigma * (y - x), x * (drift.rho - z) - y, x * y - drift.beta * z]
-        )
-    raise TypeError(f"unknown drift {type(drift).__name__}")
+    return _drift_batch(drift, np.asarray(s, dtype=float))
 
 
 def _drift_batch(drift: DriftKind, states: np.ndarray) -> np.ndarray:
-    """Drift applied rowwise to an (n, nu) block of agent states."""
+    """Drift at one (nu,) state, or rowwise on an (n, nu) block of agent states."""
     if isinstance(drift, TanhDrift):
         return states @ drift.a.T + np.tanh(states) @ drift.b.T
-    x, y, z = states[:, 0], states[:, 1], states[:, 2]
-    return np.column_stack(
-        [drift.sigma * (y - x), x * (drift.rho - z) - y, x * y - drift.beta * z]
-    )
+    if isinstance(drift, LorenzDrift):
+        x, y, z = states.T
+        rows = np.array([drift.sigma * (y - x), x * (drift.rho - z) - y, x * y - drift.beta * z])
+        return np.ascontiguousarray(rows.T)
+    raise TypeError(f"unknown drift {type(drift).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +197,6 @@ class PinnedSync:
 SystemSpec = Union[SaturatedNet, FriedkinJohnsen, AverageConsensus, PinnedSync]
 
 
-def state_dim(spec: SystemSpec) -> int:
-    return spec.dim
-
-
 def field_unmasked(
     spec: SystemSpec, t: float, x: np.ndarray, s: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -245,9 +234,9 @@ class MaskedSystem:
     frozen_anchor: bool = False
 
     def __post_init__(self):
-        if self.bank.dim != state_dim(self.base):
+        if self.bank.dim != self.base.dim:
             raise ValueError(
-                f"mask bank has {self.bank.dim} channels, system needs {state_dim(self.base)}"
+                f"mask bank has {self.bank.dim} channels, system needs {self.base.dim}"
             )
         if self.frozen_anchor and not isinstance(self.base, FriedkinJohnsen):
             raise ValueError("frozen_anchor only applies to Friedkin-Johnsen")

@@ -153,10 +153,7 @@ class MaskBank:
     def eval_series(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Vectorized eval over a (len(times), dim) array of states."""
         times = np.asarray(times, dtype=float)[:, None]
-        states = np.asarray(states, dtype=float)
-        scale = self._c * (1.0 + self._phi * np.exp(-self._sigma * times))
-        offset = self._gamma * np.exp(-self._delta * times)
-        return scale * (states + offset)
+        return self._scale(times) * (np.asarray(states, dtype=float) + self._offset(times))
 
     def invert(self, t: float, y: np.ndarray) -> np.ndarray:
         """Exact inverse x = h^{-1}(t, y); every kind is bijective in x."""
@@ -194,14 +191,6 @@ class MaskBank:
                 (kind, MaskParams(phi=phi, sigma=p.sigma, gamma=gamma, delta=p.delta, c=p.c))
             )
         return MaskBank(channels)
-
-
-def eval_mask(bank: MaskBank, t: float, x: np.ndarray) -> np.ndarray:
-    return bank.eval(t, x)
-
-
-def invert_mask(bank: MaskBank, t: float, y: np.ndarray) -> np.ndarray:
-    return bank.invert(t, y)
 
 
 def privacy_metric(bank: MaskBank, x0: np.ndarray):
@@ -363,8 +352,8 @@ def check_mask_axioms(
 
     # uniform vanishing: sup-over-states gap per channel, strictly decreasing
     # and below the tail threshold at the final grid time
-    scale_t = bank._c[None, :] * (1.0 + bank._phi[None, :] * np.exp(-bank._sigma[None, :] * times[:, None]))
-    offset_t = bank._gamma[None, :] * np.exp(-bank._delta[None, :] * times[:, None])
+    scale_t = bank._scale(times[:, None])
+    offset_t = bank._offset(times[:, None])
     # gaps: (times, channels, states)
     gaps = np.abs(
         scale_t[:, :, None] * (probes[None, :, :] + offset_t[:, :, None]) - probes[None, :, :]

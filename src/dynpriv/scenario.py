@@ -383,24 +383,17 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
 
     system = sc.system
     verdicts = {}
+    x_star = None
     if isinstance(system, SaturatedNet):
         x_star = np.zeros(system.dim)
         report.x_star = x_star.tolist()
-        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
-        report.final_error = check.final_error
-        verdicts["converged"] = check.converged
     elif isinstance(system, FriedkinJohnsen):
         x_star = analysis.fj_equilibrium(system.laplacian, system.theta, system.anchor)
         report.x_star = x_star.tolist()
-        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
-        report.final_error = check.final_error
-        verdicts["converged"] = check.converged
     elif isinstance(system, AverageConsensus):
         eta = analysis.consensus_value(sc.x0)
         report.eta = eta
-        check = analysis.attractor_verdicts(traj, np.full(system.dim, eta), tol_conv)
-        report.final_error = check.final_error
-        verdicts["converged"] = check.converged
+        x_star = np.full(system.dim, eta)
         mean_x, mean_y = analysis.conservation_series(traj)
         report.conservation_dev = float(np.max(np.abs(mean_x - eta)))
         report.output_mean_range = float(mean_y.max() - mean_y.min())
@@ -416,6 +409,10 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
         if margin is not None:
             report.lmi_margin = margin
             verdicts["lmi_margin_negative"] = margin < 0
+    if x_star is not None:
+        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
+        report.final_error = check.final_error
+        verdicts["converged"] = check.converged
 
     if sc.privacy_level is not None:
         verdicts["privacy_floor"] = rho > sc.privacy_level

@@ -19,7 +19,6 @@ from .dynamics import (
     exosystem_field,
     field_masked,
     field_unmasked,
-    state_dim,
 )
 
 BLOWUP_LIMIT = 1e12
@@ -82,42 +81,49 @@ class Trajectory:
         if self.s is not None:
             header += [f"s_{i}" for i in range(self.s.shape[1])]
             blocks.append(self.s)
-        data = np.hstack(blocks)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header, np.hstack(blocks))
 
 
-def _make_field(system: Union[MaskedSystem, SystemSpec]):
-    """Normalize to (joint field fn, state dim, exo dim, bank)."""
-    if isinstance(system, MaskedSystem):
-        base, bank = system.base, system.bank
+def write_csv(path, header, data) -> None:
+    """One header line, then one row per line of data at 17 significant digits
+    (enough to round-trip every double)."""
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
-        def fieldfn(t, x, s):
-            return field_masked(system, t, x, s)
 
-    else:
-        base, bank = system, None
+def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None):
+    """Fixed-step RK4/Euler of dz/dt = f(t, z) from z at t=0.
 
-        def fieldfn(t, x, s):
-            return field_unmasked(system, t, x, s)
-
-    d = state_dim(base)
-    if isinstance(base, PinnedSync):
-        nu = base.nu
-        drift = base.drift
-
-        def joint(t, z):
-            x, s = z[:d], z[d:]
-            return np.concatenate([fieldfn(t, x, s), exosystem_field(drift, s)])
-
-        return joint, d, nu, bank
-
-    def plain(t, z):
-        return fieldfn(t, z, None)
-
-    return plain, d, 0, bank
+    z is an array or a scalar; floor, if given, clamps a scalar state from
+    below after every step. Returns the recorded (times, states) arrays.
+    Raises BlowUpError carrying the state at the last step that stayed
+    finite if the state leaves the finite range.
+    """
+    dt = cfg.dt
+    n_steps = cfg.n_steps
+    rec_times = [0.0]
+    rec_states = [z]
+    last_ok_t, last_ok_z = 0.0, z
+    rk4 = cfg.method == "rk4"
+    for k in range(n_steps):
+        t = k * dt
+        if rk4:
+            k1 = f(t, z)
+            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+            k4 = f(t + dt, z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            z = z + dt * f(t, z)
+        if floor is not None:
+            z = max(z, floor)
+        t_next = (k + 1) * dt
+        if not np.abs(z).max() <= BLOWUP_LIMIT:  # also true for nan and inf
+            raise BlowUpError(t_next, last_ok_t, np.atleast_1d(last_ok_z))
+        last_ok_t, last_ok_z = t_next, z
+        if (k + 1) % cfg.record_stride == 0 or (k + 1) == n_steps:
+            rec_times.append(t_next)
+            rec_states.append(z)
+    return np.array(rec_times), np.array(rec_states)
 
 
 def integrate(
@@ -133,53 +139,41 @@ def integrate(
     the finite range. Given identical inputs the recorded samples are
     bit-identical across runs.
     """
-    joint, d, nu, bank = _make_field(system)
+    if isinstance(system, MaskedSystem):
+        base, bank, fieldfn = system.base, system.bank, field_masked
+    else:
+        base, bank, fieldfn = system, None, field_unmasked
+    d = base.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
         raise ValueError(f"x0 has shape {x0.shape}, system needs ({d},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    if nu:
+    pinned = isinstance(base, PinnedSync)
+    if pinned:
         if s0 is None:
             raise ValueError("pinned synchronization needs an exosystem initial state")
         s0 = np.asarray(s0, dtype=float)
-        if s0.shape != (nu,):
-            raise ValueError(f"s0 has shape {s0.shape}, exosystem needs ({nu},)")
+        if s0.shape != (base.nu,):
+            raise ValueError(f"s0 has shape {s0.shape}, exosystem needs ({base.nu},)")
+        drift = base.drift
         z = np.concatenate([x0, s0])
+
+        def joint(t, z):
+            x, s = z[:d], z[d:]
+            return np.concatenate([fieldfn(system, t, x, s), exosystem_field(drift, s)])
+
     else:
         if s0 is not None:
             raise ValueError("s0 only applies to pinned synchronization")
         z = x0.copy()
 
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    rec_times = [0.0]
-    rec_states = [z.copy()]
-    last_ok_t, last_ok_z = 0.0, z.copy()
-    rk4 = cfg.method == "rk4"
-    for k in range(n_steps):
-        t = k * dt
-        if rk4:
-            k1 = joint(t, z)
-            k2 = joint(t + 0.5 * dt, z + (0.5 * dt) * k1)
-            k3 = joint(t + 0.5 * dt, z + (0.5 * dt) * k2)
-            k4 = joint(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            z = z + dt * joint(t, z)
-        t_next = (k + 1) * dt
-        peak = np.max(np.abs(z))
-        if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
-            raise BlowUpError(t_next, last_ok_t, last_ok_z)
-        last_ok_t, last_ok_z = t_next, z
-        if (k + 1) % cfg.record_stride == 0 or (k + 1) == n_steps:
-            rec_times.append(t_next)
-            rec_states.append(z.copy())
+        def joint(t, z):
+            return fieldfn(system, t, z)
 
-    times = np.array(rec_times)
-    states = np.array(rec_states)
+    times, states = _march(joint, z, cfg)
     x_part = states[:, :d]
-    s_part = states[:, d:] if nu else None
+    s_part = states[:, d:] if pinned else None
     y_part = bank.eval_series(times, x_part) if bank is not None else x_part.copy()
     return Trajectory(times=times, x=x_part, y=y_part, s=s_part, meta=dict(meta or {}))
 
@@ -209,26 +203,4 @@ def solve_comparison_ode(
     def f(t, v):
         return -a * v * v + b * v * np.exp(-delta1 * t) + c * np.exp(-delta2 * t)
 
-    dt = cfg.dt
-    n_steps = cfg.n_steps
-    v = float(v0)
-    rec_t = [0.0]
-    rec_v = [v]
-    rk4 = cfg.method == "rk4"
-    for k in range(n_steps):
-        t = k * dt
-        if rk4:
-            k1 = f(t, v)
-            k2 = f(t + 0.5 * dt, v + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, v + 0.5 * dt * k2)
-            k4 = f(t + dt, v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            v = v + dt * f(t, v)
-        v = max(v, 0.0)
-        if not np.isfinite(v) or v > BLOWUP_LIMIT:
-            raise BlowUpError((k + 1) * dt, k * dt, np.array([rec_v[-1]]))
-        if (k + 1) % cfg.record_stride == 0 or (k + 1) == n_steps:
-            rec_t.append((k + 1) * dt)
-            rec_v.append(v)
-    return np.array(rec_t), np.array(rec_v)
+    return _march(f, float(v0), cfg, floor=0.0)

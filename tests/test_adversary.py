@@ -4,13 +4,12 @@ import pytest
 from dynpriv.adversary import (
     SUBSTITUTION_POLICIES,
     EavesdropperView,
-    covering_pairs,
     make_linear_row_field,
     reconstruct_initial,
 )
 from dynpriv.dynamics import AverageConsensus, MaskedSystem
 from dynpriv.masks import MaskBank, MaskKind, choose_params
-from dynpriv.netgraph import build_graph, check_no_covering, complete_graph, cycle_graph, erdos_renyi, laplacian
+from dynpriv.netgraph import build_graph, cycle_graph, laplacian
 from dynpriv.solver import IntegratorConfig, integrate
 
 # balanced 6-node cycle with one extra edge 5 -> 1, so observer 1 covers target 0
@@ -40,25 +39,6 @@ def _consensus_run(graph, x0, bank, t_final=50.0):
     ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=bank)
     cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=10)
     return integrate(ms, x0, cfg), lap
-
-
-def test_covering_pairs_enumeration():
-    assert sorted(covering_pairs(complete_graph(3))) == [
-        (i, j) for i in range(3) for j in range(3) if i != j
-    ]
-    assert covering_pairs(cycle_graph(3)) == []
-    hub = build_graph(4, [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)])
-    assert sorted(covering_pairs(hub)) == [(0, 1), (0, 2), (0, 3)]
-
-
-def test_covering_pairs_agree_with_no_covering_check():
-    for seed in range(15):
-        g = erdos_renyi(6, 0.45, seed=seed, require_no_covering=False)
-        pairs = covering_pairs(g)
-        rep = check_no_covering(g)
-        assert (len(pairs) == 0) == rep.no_covering_holds
-        # same set up to the (observer, target) vs (target, observer) ordering
-        assert sorted((i, j) for j, i in pairs) == sorted(rep.covering_violations)
 
 
 def test_view_carries_only_observed_outputs():

@@ -1,0 +1,39 @@
+"""The CLI's deterministic artifacts against their recorded SHA-256 digests.
+
+The digests live in bench/golden.json (recorded by `python3 bench/golden.py
+--write`); this test only reads them. A change to the numerics, the CSV
+format or the report layout shows up here as a digest mismatch, which a
+run compared with itself cannot catch.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dynpriv.cli import main
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+FILES = {"simulate": ("trajectory.csv", "report.json"), "check": ("check_report.json",)}
+
+# desk-scale simulations of all four systems (Lorenz drift at paper scale),
+# and the assumption checks of the four paper-scale configs
+CASES = [
+    ("simulate", "example1_satnet_n10"),
+    ("simulate", "example2_fj_n10"),
+    ("simulate", "example3_consensus_n3"),
+    ("simulate", "example4_pinning"),
+    ("check", "example1_satnet"),
+    ("check", "example2_fj"),
+    ("check", "example3_consensus"),
+    ("check", "example4_pinning"),
+]
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_artifacts_match_golden_digests(tmp_path, command, name):
+    assert main([command, "--bundled", name, "--out", str(tmp_path)]) == 0
+    for fname in FILES[command]:
+        digest = hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
+        assert digest == GOLDEN[command][name][fname], f"{command} {name}: {fname}"

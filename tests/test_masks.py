@@ -7,8 +7,6 @@ from dynpriv.masks import (
     MaskParams,
     check_mask_axioms,
     choose_params,
-    eval_mask,
-    invert_mask,
     mask_norm_bounds,
     privacy_metric,
 )
@@ -22,17 +20,17 @@ def single(kind, **kwargs):
 
 def test_eval_additive():
     bank = single(MaskKind.ADDITIVE, gamma=2.0, delta=1.0)
-    assert eval_mask(bank, 0.0, np.array([5.0])) == pytest.approx([7.0])
+    assert bank.eval(0.0, np.array([5.0])) == pytest.approx([7.0])
 
 
 def test_eval_affine():
     bank = single(MaskKind.AFFINE, c=2.0, gamma=1.0, delta=1.0)
-    assert eval_mask(bank, 0.0, np.array([3.0])) == pytest.approx([8.0])
+    assert bank.eval(0.0, np.array([3.0])) == pytest.approx([8.0])
 
 
 def test_eval_vanishing_affine():
     bank = single(MaskKind.VANISHING_AFFINE, phi=1.0, sigma=1.0, gamma=1.0, delta=1.0)
-    assert eval_mask(bank, 0.0, np.array([0.0])) == pytest.approx([2.0])
+    assert bank.eval(0.0, np.array([0.0])) == pytest.approx([2.0])
 
 
 def test_eval_rejects_dimension_mismatch():
@@ -43,13 +41,13 @@ def test_eval_rejects_dimension_mismatch():
 
 def test_invert_additive():
     bank = single(MaskKind.ADDITIVE, gamma=2.0, delta=1.0)
-    assert invert_mask(bank, 0.0, np.array([7.0])) == pytest.approx([5.0])
+    assert bank.invert(0.0, np.array([7.0])) == pytest.approx([5.0])
 
 
 def test_invert_identity():
     bank = MaskBank.identity(4)
     y = np.array([1.0, -2.0, 0.0, 9.0])
-    assert np.array_equal(invert_mask(bank, 3.0, y), y)
+    assert np.array_equal(bank.invert(3.0, y), y)
 
 
 def _random_bank(kind, rng, dim=4, lam=1.0):

@@ -94,12 +94,21 @@ def test_irreducibility():
 
 
 def test_no_covering_cycle_and_complete():
-    assert check_no_covering(cycle_graph(3)).no_covering_holds
+    rep = check_no_covering(cycle_graph(3))
+    assert rep.no_covering_holds
+    assert rep.covering_violations == ()
     rep = check_no_covering(complete_graph(3))
     # every closed neighborhood equals the full node set
     assert sorted(rep.covering_violations) == [
         (i, j) for i in range(3) for j in range(3) if i != j
     ]
+
+
+def test_no_covering_hub_covers_every_leaf():
+    # the hub 0 hears every leaf, so each leaf's closed neighborhood {i}
+    # sits inside the hub's; violations are (target, observer) pairs
+    hub = build_graph(4, [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0)])
+    assert sorted(check_no_covering(hub).covering_violations) == [(1, 0), (2, 0), (3, 0)]
 
 
 def test_two_node_irreducible_always_covers():

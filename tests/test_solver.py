@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynpriv.analysis import series_table
 from dynpriv.dynamics import (
     AverageConsensus,
     MaskedSystem,
@@ -11,10 +12,12 @@ from dynpriv.dynamics import (
 from dynpriv.masks import MaskBank, MaskKind, MaskParams
 from dynpriv.netgraph import cycle_graph, laplacian
 from dynpriv.solver import (
+    BLOWUP_LIMIT,
     BlowUpError,
     IntegratorConfig,
     integrate,
     solve_comparison_ode,
+    write_csv,
 )
 
 
@@ -168,6 +171,30 @@ def test_comparison_ode_long_horizon_trend():
     assert values[-1] < 0.05
 
 
+def _blowup_witness(run, cfg):
+    with pytest.raises(BlowUpError) as info:
+        run(cfg)
+    exc = info.value
+    return exc.t, exc.last_time, exc.last_state.tolist()
+
+
+def test_blowup_witness_independent_of_record_stride():
+    # the witness is the state at the last finite step, not the last recorded row
+    unstable = AverageConsensus(laplacian=np.array([[-10.0, 10.0], [10.0, -10.0]]))
+    for run in (
+        lambda cfg: solve_comparison_ode(1e-15, 10.0, 0.0, 1e-9, 1.0, 1.0, cfg),
+        lambda cfg: integrate(unstable, np.array([1.0, -1.0]), cfg),
+    ):
+        w1, w4 = (
+            _blowup_witness(run, IntegratorConfig(dt=0.1, t_final=10.0, record_stride=k))
+            for k in (1, 4)
+        )
+        assert w1 == w4
+        t, last_time, last_state = w1
+        assert last_time == pytest.approx(t - 0.1)
+        assert 0 < np.max(np.abs(last_state)) <= BLOWUP_LIMIT
+
+
 def test_comparison_ode_validation():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     with pytest.raises(ValueError):
@@ -192,6 +219,20 @@ def test_csv_export_format(tmp_path):
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(parsed[:, 1], traj.x[:, 0])
     assert np.array_equal(parsed[:, 2], traj.y[:, 0])
+    # series.csv goes through the same writer
+    header, table = series_table(traj)
+    series = tmp_path / "series.csv"
+    write_csv(series, header, table)
+    lines = series.read_text().splitlines()
+    assert lines[0] == "t,mean_x,mean_y,spread_x,gap_min,gap_max"
+    assert len(lines) == 1 + len(traj.times)
+    assert lines[1] == ",".join(f"{v:.17g}" for v in table[0])
+    assert np.array_equal(np.loadtxt(series, delimiter=",", skiprows=1), table)
+    # doubles that need all 17 digits survive the round trip
+    exact = tmp_path / "exact.csv"
+    write_csv(exact, ["a", "b"], np.array([[0.1 + 0.2, 1.0 / 3.0]]))
+    assert exact.read_text() == "a,b\n0.30000000000000004,0.33333333333333331\n"
+    assert np.array_equal(np.loadtxt(exact, delimiter=",", skiprows=1), [0.1 + 0.2, 1.0 / 3.0])
 
 
 def test_csv_includes_exosystem_columns(tmp_path):
