@@ -215,18 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify output-masked multiagent dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("check", cmd_check),
-        ("adversary", cmd_adversary),
+    # each subcommand declares only the flags its command reads
+    for name, fn, strict, tol in (
+        ("simulate", cmd_simulate, True, True),
+        ("check", cmd_check, True, False),
+        ("adversary", cmd_adversary, False, False),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a scenario JSON file")
         p.add_argument("--bundled", help="name of a bundled scenario")
         p.add_argument("--out", help="artifact output directory (default ./out)")
-        p.add_argument("--strict", action="store_true", help="fail on assumption violations")
+        if strict:
+            p.add_argument("--strict", action="store_true", help="fail on assumption violations")
         p.add_argument("--seed", type=int, help="override the top-level config seed")
-        p.add_argument("--tol", type=float, help="override the convergence tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, help="override the convergence tolerance")
         p.set_defaults(fn=fn)
     p = sub.add_parser("suite")
     p.add_argument("--names", nargs="*", help="bundled scenario subset (default: full suite)")

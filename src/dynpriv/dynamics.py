@@ -18,6 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .masks import MaskBank
+from .netgraph import BALANCE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +142,10 @@ class AverageConsensus:
         lap = np.asarray(self.laplacian, dtype=float)
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError("Laplacian must be square")
-        if np.max(np.abs(lap.sum(axis=1))) > 1e-9 or np.max(np.abs(lap.sum(axis=0))) > 1e-9:
+        if (
+            np.max(np.abs(lap.sum(axis=1))) > BALANCE_TOL
+            or np.max(np.abs(lap.sum(axis=0))) > BALANCE_TOL
+        ):
             raise ValueError("consensus needs a weight-balanced Laplacian")
         object.__setattr__(self, "laplacian", lap)
 

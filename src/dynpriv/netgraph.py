@@ -13,6 +13,8 @@ import numpy as np
 
 STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
+#: Column/row-sum tolerance under which a Laplacian counts as weight-balanced.
+BALANCE_TOL = 1e-9
 
 
 class GraphConstructionError(ValueError):
@@ -27,12 +29,6 @@ class Digraph:
     edges: tuple[tuple[int, int, float], ...]
     in_nbrs: tuple[frozenset, ...]
     out_nbrs: tuple[frozenset, ...]
-
-    def in_neighbors(self, i: int) -> frozenset:
-        return self.in_nbrs[i]
-
-    def out_neighbors(self, i: int) -> frozenset:
-        return self.out_nbrs[i]
 
     def closed_in_neighborhood(self, i: int) -> frozenset:
         return self.in_nbrs[i] | {i}
@@ -154,7 +150,7 @@ def check_no_covering(g: Digraph) -> AssumptionReport:
                 violations.append((i, j))
     return AssumptionReport(
         irreducible=is_irreducible(g),
-        weight_balanced=is_weight_balanced(laplacian(g), tol=1e-9),
+        weight_balanced=is_weight_balanced(laplacian(g), tol=BALANCE_TOL),
         covering_violations=tuple(violations),
     )
 
@@ -230,11 +226,9 @@ def erdos_renyi(
                     if i != j and rng.random() < p:
                         edges.append((i, j, rng.uniform(lo, hi)))
         g = build_graph(n, edges)
-        if not is_irreducible(g):
-            continue
-        if require_no_covering and check_no_covering(g).covering_violations:
-            continue
-        return g
+        report = check_no_covering(g)
+        if report.irreducible and not (require_no_covering and report.covering_violations):
+            return g
     raise RuntimeError(
         f"no admissible random graph found in {max_retries} retries (n={n}, p={p})"
     )

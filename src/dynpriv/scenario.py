@@ -30,7 +30,7 @@ from .dynamics import (
     estimate_lipschitz_q,
 )
 from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
-from .netgraph import Digraph, laplacian
+from .netgraph import AssumptionReport, Digraph, laplacian
 from .solver import IntegratorConfig, integrate
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
@@ -84,6 +84,7 @@ class Scenario:
     config: dict
     hash: str
     graph: Digraph
+    assumptions: AssumptionReport
     system: object
     bank: MaskBank
     x0: np.ndarray
@@ -253,6 +254,7 @@ def build_scenario(config: dict) -> Scenario:
             config=config,
             hash=config_hash(config),
             graph=graph,
+            assumptions=netgraph.check_no_covering(graph),
             system=system,
             bank=bank,
             x0=x0,
@@ -303,7 +305,7 @@ def load_bundled(name: str) -> dict:
 
 def run_graph_checks(sc: Scenario) -> dict:
     """Structural validations; keys are the graph check names."""
-    report = netgraph.check_no_covering(sc.graph)
+    report = sc.assumptions
     results = {
         "irreducible": report.irreducible,
         "weight_balanced": report.weight_balanced,
@@ -313,7 +315,7 @@ def run_graph_checks(sc: Scenario) -> dict:
 
 
 def covering_violations(sc: Scenario):
-    return netgraph.check_no_covering(sc.graph).covering_violations
+    return sc.assumptions.covering_violations
 
 
 def run_mask_check(sc: Scenario) -> dict:
@@ -364,13 +366,7 @@ def _pinning_margin(sc: Scenario):
 def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     """Integrate the masked scenario and assemble the diagnostics report."""
     tol_conv = tol_override if tol_override is not None else sc.tol_conv
-    traj = integrate(
-        sc.masked(),
-        sc.x0,
-        sc.integrator,
-        s0=sc.s0,
-        meta={"scenario": sc.name, "seed": sc.config.get("seed"), "config_hash": sc.hash},
-    )
+    traj = integrate(sc.masked(), sc.x0, sc.integrator, s0=sc.s0)
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
     report.privacy_level = sc.privacy_level
     rho_i, rho = privacy_metric(sc.bank, sc.x0)

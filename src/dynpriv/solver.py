@@ -7,7 +7,7 @@ the recorded states through the mask bank, never integrated separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -67,7 +67,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     s: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -131,7 +130,6 @@ def integrate(
     x0: np.ndarray,
     cfg: IntegratorConfig,
     s0: Optional[np.ndarray] = None,
-    meta: Optional[dict] = None,
 ) -> Trajectory:
     """Fixed-step integration from x0 (and s0 for pinned systems).
 
@@ -175,7 +173,7 @@ def integrate(
     x_part = states[:, :d]
     s_part = states[:, d:] if pinned else None
     y_part = bank.eval_series(times, x_part) if bank is not None else x_part.copy()
-    return Trajectory(times=times, x=x_part, y=y_part, s=s_part, meta=dict(meta or {}))
+    return Trajectory(times=times, x=x_part, y=y_part, s=s_part)
 
 
 def solve_comparison_ode(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpriv.masks import (
     MaskBank,
@@ -144,17 +146,45 @@ def _axiom_grid(bank):
     return np.linspace(0.0, horizon, 121), STATE_GRID
 
 
+ALL_AXIOMS_HOLD = {
+    "local": True,
+    "fixed_point_free": True,
+    "escapes_neighborhoods": True,
+    "strictly_increasing": True,
+    "vanishing": True,
+}
+EXPECTED_AXIOMS = {
+    MaskKind.IDENTITY: {
+        **ALL_AXIOMS_HOLD,
+        "fixed_point_free": False,
+        "escapes_neighborhoods": False,
+    },
+    MaskKind.LINEAR: {**ALL_AXIOMS_HOLD, "fixed_point_free": False},
+    MaskKind.ADDITIVE: ALL_AXIOMS_HOLD,
+    MaskKind.AFFINE: {**ALL_AXIOMS_HOLD, "vanishing": False},
+    MaskKind.VANISHING_AFFINE: ALL_AXIOMS_HOLD,
+}
+
+
+# Parameters come from a seeded draw rather than from hypothesis floats:
+# "simple" floats such as phi=1, gamma=2.5 put an exact fixed point of a
+# privacy mask on the probe grid, where the axiom rightly fails.
+@settings(deadline=None)
+@given(kind=st.sampled_from(list(MaskKind)), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
+def test_axiom_verdicts_per_kind(kind, seed, dim):
+    bank = _random_bank(kind, np.random.default_rng(seed), dim=dim)
+    rep = check_mask_axioms(bank, *_axiom_grid(bank))
+    assert rep.as_dict() == EXPECTED_AXIOMS[kind]
+    if kind is MaskKind.LINEAR:
+        # x = 0 is a fixed point of every gain-only mask
+        assert rep.witnesses["fixed_point_free"] == {"channel": 0, "state": 0.0}
+
+
 def test_axioms_vanishing_affine_all_pass():
     rng = np.random.default_rng(11)
     bank = _random_bank(MaskKind.VANISHING_AFFINE, rng)
     rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert rep.as_dict() == {
-        "local": True,
-        "fixed_point_free": True,
-        "escapes_neighborhoods": True,
-        "strictly_increasing": True,
-        "vanishing": True,
-    }
+    assert rep.as_dict() == ALL_AXIOMS_HOLD
 
 
 def test_axioms_linear_fails_fixed_point_at_origin():
@@ -179,6 +209,27 @@ def test_axioms_additive_all_pass():
     bank = _random_bank(MaskKind.ADDITIVE, rng)
     rep = check_mask_axioms(bank, *_axiom_grid(bank))
     assert all(rep.as_dict().values())
+
+
+class _LeakyBank(MaskBank):
+    """Output channel 1 also reads 1e-3 * x[0], so the bank is not local."""
+
+    def eval(self, t, x):
+        y = super().eval(t, x)
+        y[1] += 1e-3 * x[0]
+        return y
+
+    def eval_series(self, times, states):
+        y = super().eval_series(times, states)
+        y[:, 1] += 1e-3 * states[:, 0]
+        return y
+
+
+def test_axioms_detect_non_local_bank():
+    bank = _LeakyBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))] * 3)
+    rep = check_mask_axioms(bank, *_axiom_grid(bank))
+    assert rep.local is False
+    assert rep.witnesses["local"] == {"channel": 0, "t": 0.0}
 
 
 def test_axioms_identity_fails_masking_properties():

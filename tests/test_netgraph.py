@@ -18,16 +18,16 @@ from dynpriv.netgraph import (
 
 def test_build_cycle_neighborhoods():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-    assert g.in_neighbors(1) == {0}
-    assert g.in_neighbors(2) == {1}
-    assert g.in_neighbors(0) == {2}
-    assert g.out_neighbors(0) == {1}
+    assert g.in_nbrs[1] == {0}
+    assert g.in_nbrs[2] == {1}
+    assert g.in_nbrs[0] == {2}
+    assert g.out_nbrs[0] == {1}
 
 
 def test_build_single_node():
     g = build_graph(1, [])
     assert g.n == 1
-    assert g.in_neighbors(0) == frozenset()
+    assert g.in_nbrs[0] == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -125,8 +125,8 @@ def _covering_oracle(g):
         for j in range(g.n):
             if i == j:
                 continue
-            closed_i = set(g.in_neighbors(i)) | {i}
-            closed_j = set(g.in_neighbors(j)) | {j}
+            closed_i = set(g.in_nbrs[i]) | {i}
+            closed_j = set(g.in_nbrs[j]) | {j}
             if all(k in closed_j for k in closed_i):
                 pairs.append((i, j))
     return pairs

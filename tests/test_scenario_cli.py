@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dynpriv import netgraph
 from dynpriv.cli import main
 from dynpriv.scenario import (
     ScenarioError,
@@ -150,6 +151,35 @@ def test_cli_strict_check_flags_covering(tmp_path, capsys):
     assert "covering pairs" in captured.out
     # without --strict the same config reports but exits clean
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
+    edges = [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(_consensus_config(graph={"kind": "inline", "n": 3, "edges": edges})))
+    calls = []
+    scan = netgraph.check_no_covering
+
+    def counting_scan(g):
+        calls.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(netgraph, "check_no_covering", counting_scan)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bundled", "example3_consensus_n3", "--tol", "1"],
+        ["adversary", "--bundled", "adversary_covering", "--strict"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_cli_simulate_writes_artifacts(tmp_path):
