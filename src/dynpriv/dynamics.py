@@ -12,7 +12,7 @@ unmasked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -230,31 +230,43 @@ class MaskedSystem:
 
     frozen_anchor selects the (incorrect) Friedkin-Johnsen variant that keeps
     the anchor masked at its t=0 value instead of letting the anchor mask
-    decay; it demonstrates convergence to a shifted attractor.
+    decay; it demonstrates convergence to a shifted attractor. That masked
+    anchor is computed once, here, as frozen_y_anchor.
     """
 
     base: SystemSpec
     bank: MaskBank
     frozen_anchor: bool = False
+    frozen_y_anchor: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.bank.dim != self.base.dim:
             raise ValueError(
                 f"mask bank has {self.bank.dim} channels, system needs {self.base.dim}"
             )
-        if self.frozen_anchor and not isinstance(self.base, FriedkinJohnsen):
-            raise ValueError("frozen_anchor only applies to Friedkin-Johnsen")
+        if self.frozen_anchor:
+            if not isinstance(self.base, FriedkinJohnsen):
+                raise ValueError("frozen_anchor only applies to Friedkin-Johnsen")
+            object.__setattr__(self, "frozen_y_anchor", self.bank.eval(0.0, self.base.anchor))
 
 
 def field_masked(
-    ms: MaskedSystem, t: float, x: np.ndarray, s: Optional[np.ndarray] = None
+    ms: MaskedSystem,
+    t: float,
+    x: np.ndarray,
+    s: Optional[np.ndarray] = None,
+    factors: Optional[tuple] = None,
 ) -> np.ndarray:
-    """Masked vector field: the base field evaluated on y = h(t, x)."""
-    y = ms.bank.eval(t, np.asarray(x, dtype=float))
+    """Masked vector field: the base field evaluated on y = h(t, x).
+
+    factors is the bank's (scale, offset) pair at t, as the solver's table
+    holds it; without it the pair is computed from t.
+    """
+    scale, offset = ms.bank.factors(t) if factors is None else factors
+    y = scale * (np.asarray(x, dtype=float) + offset)
     if isinstance(ms.base, FriedkinJohnsen):
         spec = ms.base
-        anchor_t = 0.0 if ms.frozen_anchor else t
-        y_anchor = ms.bank.eval(anchor_t, spec.anchor)
+        y_anchor = ms.frozen_y_anchor if ms.frozen_anchor else scale * (spec.anchor + offset)
         return -(spec.laplacian @ y) - spec.theta * y + spec.theta * y_anchor
     return field_unmasked(ms.base, t, y, s)
 

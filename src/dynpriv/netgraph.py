@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 #: Column/row-sum tolerance under which a Laplacian counts as weight-balanced.
 BALANCE_TOL = 1e-9
@@ -109,11 +108,9 @@ def laplacian(g: Digraph) -> np.ndarray:
     return lap
 
 
-def is_weight_balanced(lap: np.ndarray, tol: float = STRUCT_TOL) -> bool:
-    """True iff every column sum of the Laplacian has magnitude <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(np.max(np.abs(lap.sum(axis=0))) <= tol)
+def is_weight_balanced(lap: np.ndarray) -> bool:
+    """True iff every column sum of the Laplacian has magnitude <= BALANCE_TOL."""
+    return bool(np.max(np.abs(lap.sum(axis=0))) <= BALANCE_TOL)
 
 
 def _reachable(n: int, fwd: tuple, start: int) -> set:
@@ -150,7 +147,7 @@ def check_no_covering(g: Digraph) -> AssumptionReport:
                 violations.append((i, j))
     return AssumptionReport(
         irreducible=is_irreducible(g),
-        weight_balanced=is_weight_balanced(laplacian(g), tol=BALANCE_TOL),
+        weight_balanced=is_weight_balanced(laplacian(g)),
         covering_violations=tuple(violations),
     )
 
@@ -192,6 +189,12 @@ def complete_graph(n: int, weight: float = 1.0) -> Digraph:
     return build_graph(n, [(i, j, weight) for i in range(n) for j in range(n) if i != j])
 
 
+def _doubles(rng, chunk: int):
+    """The rng's stream of uniform doubles in [0, 1), drawn chunk at a time."""
+    while True:
+        yield from rng.random(chunk).tolist()
+
+
 def erdos_renyi(
     n: int,
     p: float,
@@ -209,22 +212,26 @@ def erdos_renyi(
     """
     if not (0 < p <= 1):
         raise ValueError("edge probability must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    lo, hi = weight_range
+    # Each pair takes one double and each edge's weight the next one, in
+    # pair order; lo + span * u is what rng.uniform(lo, hi) computes from u,
+    # so a seed's graph does not depend on the chunk size of the stream.
+    draw = _doubles(np.random.default_rng(seed), n * n).__next__
+    lo = float(weight_range[0])
+    span = float(weight_range[1]) - lo
     for _ in range(max_retries):
         edges = []
         if symmetric:
             for i in range(n):
                 for j in range(i + 1, n):
-                    if rng.random() < p:
-                        w = rng.uniform(lo, hi)
+                    if draw() < p:
+                        w = lo + span * draw()
                         edges.append((i, j, w))
                         edges.append((j, i, w))
         else:
             for i in range(n):
                 for j in range(n):
-                    if i != j and rng.random() < p:
-                        edges.append((i, j, rng.uniform(lo, hi)))
+                    if i != j and draw() < p:
+                        edges.append((i, j, lo + span * draw()))
         g = build_graph(n, edges)
         report = check_no_covering(g)
         if report.irreducible and not (require_no_covering and report.covering_violations):

@@ -3,6 +3,10 @@
 Fixed-step RK4 (default) or explicit Euler; no adaptivity, so identical
 inputs reproduce bit-identical samples. Masked outputs are recomputed from
 the recorded states through the mask bank, never integrated separately.
+
+The mask's factors depend on time alone, so a masked integration computes
+them for every distinct stage time of a block of TABLE_STEPS steps in one
+MaskBank.factors call, and each stage looks its row up by time.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ from .dynamics import (
 )
 
 BLOWUP_LIMIT = 1e12
+#: Largest relative miss |n_steps * dt - t_final| / t_final of a time grid.
+HORIZON_RTOL = 1e-9
+#: Steps per mask-factor table; small, so the table stays a few rows of
+#: the state dimension.
+TABLE_STEPS = 16
 
 
 class BlowUpError(RuntimeError):
@@ -49,6 +58,12 @@ class IntegratorConfig:
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
+        end = self.n_steps * self.dt
+        if abs(end - self.t_final) > HORIZON_RTOL * self.t_final:
+            raise ValueError(
+                f"dt={self.dt!r} does not divide t_final={self.t_final!r}: "
+                f"{self.n_steps} steps end at t={end!r}"
+            )
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.n_steps > self.max_steps:
@@ -89,21 +104,42 @@ def write_csv(path, header, data) -> None:
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
-def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None):
+def _stage_times(k0: int, k1: int, dt: float, rk4: bool) -> list:
+    """Distinct stage times of steps k0..k1-1, ascending, each computed by
+    the expression _march evaluates f at."""
+    times = set()
+    for k in range(k0, k1):
+        t = k * dt
+        times.add(t)
+        if rk4:
+            times.update((t + 0.5 * dt, t + dt))
+    return sorted(times)
+
+
+def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):
     """Fixed-step RK4/Euler of dz/dt = f(t, z) from z at t=0.
 
     z is an array or a scalar; floor, if given, clamps a scalar state from
-    below after every step. Returns the recorded (times, states) arrays.
-    Raises BlowUpError carrying the state at the last step that stayed
-    finite if the state leaves the finite range.
+    below after every step. tabulate, if given, receives the distinct stage
+    times of each block of TABLE_STEPS steps before the block runs. Returns
+    the recorded (times, states) arrays, allocated up front so that no
+    allocation made inside the loop outlives its step and fragments the
+    heap. Raises BlowUpError carrying the state at the last step that
+    stayed finite if the state leaves the finite range.
     """
     dt = cfg.dt
     n_steps = cfg.n_steps
-    rec_times = [0.0]
-    rec_states = [z]
+    stride = cfg.record_stride
+    n_rec = 1 + n_steps // stride + (n_steps % stride > 0)
+    rec_times = np.empty(n_rec)
+    rec_states = np.empty((n_rec,) + np.shape(z))
+    rec_times[0], rec_states[0] = 0.0, z
+    row = 1
     last_ok_t, last_ok_z = 0.0, z
     rk4 = cfg.method == "rk4"
     for k in range(n_steps):
+        if tabulate is not None and k % TABLE_STEPS == 0:
+            tabulate(_stage_times(k, min(k + TABLE_STEPS, n_steps), dt, rk4))
         t = k * dt
         if rk4:
             k1 = f(t, z)
@@ -119,10 +155,10 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None):
         if not np.abs(z).max() <= BLOWUP_LIMIT:  # also true for nan and inf
             raise BlowUpError(t_next, last_ok_t, np.atleast_1d(last_ok_z))
         last_ok_t, last_ok_z = t_next, z
-        if (k + 1) % cfg.record_stride == 0 or (k + 1) == n_steps:
-            rec_times.append(t_next)
-            rec_states.append(z)
-    return np.array(rec_times), np.array(rec_states)
+        if (k + 1) % stride == 0 or (k + 1) == n_steps:
+            rec_times[row], rec_states[row] = t_next, z
+            row += 1
+    return rec_times, rec_states
 
 
 def integrate(
@@ -138,9 +174,23 @@ def integrate(
     bit-identical across runs.
     """
     if isinstance(system, MaskedSystem):
-        base, bank, fieldfn = system.base, system.bank, field_masked
+        base, bank = system.base, system.bank
+        table = {}  # stage time -> (scale, offset) of the current block
+
+        def tabulate(times):
+            scale, offset = bank.factors(times)
+            table.clear()
+            table.update(zip(times, zip(scale, offset)))
+
+        def field(t, x, s=None):
+            return field_masked(system, t, x, s, table[t])
+
     else:
-        base, bank, fieldfn = system, None, field_unmasked
+        base, bank, tabulate = system, None, None
+
+        def field(t, x, s=None):
+            return field_unmasked(system, t, x, s)
+
     d = base.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -159,17 +209,15 @@ def integrate(
 
         def joint(t, z):
             x, s = z[:d], z[d:]
-            return np.concatenate([fieldfn(system, t, x, s), exosystem_field(drift, s)])
+            return np.concatenate([field(t, x, s), exosystem_field(drift, s)])
 
     else:
         if s0 is not None:
             raise ValueError("s0 only applies to pinned synchronization")
         z = x0.copy()
+        joint = field
 
-        def joint(t, z):
-            return fieldfn(system, t, z)
-
-    times, states = _march(joint, z, cfg)
+    times, states = _march(joint, z, cfg, tabulate=tabulate)
     x_part = states[:, :d]
     s_part = states[:, d:] if pinned else None
     y_part = bank.eval_series(times, x_part) if bank is not None else x_part.copy()

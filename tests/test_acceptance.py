@@ -351,7 +351,8 @@ def test_comparison_decay_reaches_threshold_at_capped_horizon():
         a, b, c = rng.uniform(0.1, 5.0, 3)
         d1, d2 = rng.uniform(0.2, 2.0, 2)
         v0 = rng.uniform(0.0, 10.0)
-        horizon = min(50.0 / min(d1, d2, a * v0 + 1e-6), 500.0)
+        # on the dt grid: the integrator rejects a horizon dt does not divide
+        horizon = round(min(50.0 / min(d1, d2, a * v0 + 1e-6), 500.0) / 1e-2) * 1e-2
         cfg = IntegratorConfig(dt=1e-2, t_final=horizon, record_stride=1000)
         _, values = solve_comparison_ode(a, b, c, d1, d2, v0, cfg)
         assert values[-1] < 1e-3, f"v({horizon:.0f})={values[-1]:.3e} for a={a:.2f}, v0={v0:.2f}"

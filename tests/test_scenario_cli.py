@@ -141,6 +141,15 @@ def test_cli_invalid_config_exits_2(tmp_path):
     assert main(["simulate"]) == 2
 
 
+def test_cli_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
+    # 3 steps of 0.3 would integrate to 0.9, not to the requested 1.0
+    cfg = _consensus_config(integrator={"dt": 0.3, "t_final": 1.0})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "does not divide t_final=1.0" in capsys.readouterr().err
+
+
 def test_cli_strict_check_flags_covering(tmp_path, capsys):
     cfg = _consensus_config(graph={"kind": "complete", "n": 3}, checks=["no_covering"])
     path = tmp_path / "k3.json"

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpriv.analysis import series_table
 from dynpriv.dynamics import (
     AverageConsensus,
+    FriedkinJohnsen,
     MaskedSystem,
     PinnedSync,
     SaturatedNet,
     TanhDrift,
+    exosystem_field,
+    field_unmasked,
 )
-from dynpriv.masks import MaskBank, MaskKind, MaskParams
-from dynpriv.netgraph import cycle_graph, laplacian
+from dynpriv.masks import MaskBank, MaskKind, MaskParams, choose_params
+from dynpriv.netgraph import adjacency, build_graph, cycle_graph, is_weight_balanced, laplacian
+from dynpriv.scenario import CONSERVATION_TOL
 from dynpriv.solver import (
     BLOWUP_LIMIT,
+    TABLE_STEPS,
     BlowUpError,
     IntegratorConfig,
     integrate,
@@ -84,9 +91,9 @@ def test_determinism_bit_identical():
 
 
 def test_record_stride_and_final_sample():
-    cfg = IntegratorConfig(dt=0.1, t_final=1.05, record_stride=4)
+    cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=4)
     traj = integrate(_decay_system(), np.array([1.0]), cfg)
-    # 10 steps of 0.105; recorded at 0, 4, 8, and the final step 10
+    # 10 steps of 0.1; recorded at 0, 4, 8, and the final step 10
     assert np.allclose(np.diff(traj.times) > 0, True)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(cfg.n_steps * cfg.dt)
@@ -119,6 +126,144 @@ def test_blowup_raises_with_last_sample():
     assert np.all(np.isfinite(err.last_state))
 
 
+def _mixed_bank(dim, rng):
+    """Channels cycle through the five mask kinds from a random start, so a
+    bank of five or more channels holds every kind."""
+    kinds = list(MaskKind)
+    start = int(rng.integers(len(kinds)))
+    channels = []
+    for i in range(dim):
+        kind = kinds[(start + i) % len(kinds)]
+        if kind is MaskKind.IDENTITY:
+            params = MaskParams()
+        elif kind is MaskKind.LINEAR:
+            params = MaskParams(phi=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0))
+        else:
+            params = choose_params(kind, 1.0, rng.uniform(-3.0, 3.0), rng)
+        channels.append((kind, params))
+    return MaskBank(channels)
+
+
+def _masked_case(system, n, rng):
+    """A masked system of n agents on a cycle, its x0 and its s0."""
+    lap = laplacian(cycle_graph(n))
+    x0 = rng.uniform(-3.0, 3.0, n)
+    s0 = None
+    if system == "saturated":
+        base = SaturatedNet(a=adjacency(cycle_graph(n)), kappa=0.4)
+    elif system in ("fj_live", "fj_frozen"):
+        base = FriedkinJohnsen(laplacian=lap, theta=rng.uniform(0.1, 1.0, n), anchor=x0)
+    elif system == "consensus":
+        base = AverageConsensus(laplacian=lap)
+    else:
+        drift = TanhDrift(a=-np.eye(2), b=0.5 * np.eye(2))
+        gains = np.zeros(n)
+        gains[0] = 1.0
+        base = PinnedSync(laplacian=lap, r=np.eye(2), pin_gains=gains, drift=drift, nu=2)
+        x0 = rng.uniform(-3.0, 3.0, 2 * n)
+        s0 = rng.uniform(-1.0, 1.0, 2)
+    bank = _mixed_bank(base.dim, rng)
+    return MaskedSystem(base=base, bank=bank, frozen_anchor=system == "fj_frozen"), x0, s0
+
+
+def _reference_run(ms, x0, cfg, s0=None):
+    """RK4/Euler that masks through bank.eval at every stage; recorded
+    (times, states) as integrate records them."""
+    base, bank, d, dt = ms.base, ms.bank, ms.base.dim, cfg.dt
+
+    def f(t, z):
+        x, s = z[:d], z[d:]
+        y = bank.eval(t, x)
+        if isinstance(base, FriedkinJohnsen):
+            y_anchor = bank.eval(0.0 if ms.frozen_anchor else t, base.anchor)
+            return -(base.laplacian @ y) - base.theta * y + base.theta * y_anchor
+        if isinstance(base, PinnedSync):
+            return np.concatenate([field_unmasked(base, t, y, s), exosystem_field(base.drift, s)])
+        return field_unmasked(base, t, y)
+
+    z = x0 if s0 is None else np.concatenate([x0, s0])
+    times, states = [0.0], [z]
+    for k in range(cfg.n_steps):
+        t = k * dt
+        if cfg.method == "rk4":
+            k1 = f(t, z)
+            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+            k4 = f(t + dt, z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            z = z + dt * f(t, z)
+        if (k + 1) % cfg.record_stride == 0 or (k + 1) == cfg.n_steps:
+            times.append((k + 1) * dt)
+            states.append(z)
+    return np.array(times), np.array(states)
+
+
+@settings(deadline=None)
+@given(
+    system=st.sampled_from(["saturated", "fj_live", "fj_frozen", "consensus", "pinned"]),
+    method=st.sampled_from(["rk4", "euler"]),
+    n_agents=st.integers(2, 6),
+    dt=st.sampled_from([0.01, 0.05, 0.1]),
+    n_steps=st.integers(1, 3 * TABLE_STEPS + 5),
+    stride=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_integrate_matches_per_stage_eval(
+    system, method, n_agents, dt, n_steps, stride, seed
+):
+    # the block table must hand every stage the factors bank.eval uses at
+    # its time, including at times where k*dt + dt != (k+1)*dt
+    ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
+    cfg = IntegratorConfig(method=method, dt=dt, t_final=n_steps * dt, record_stride=stride)
+    traj = integrate(ms, x0, cfg, s0=s0)
+    times, states = _reference_run(ms, x0, cfg, s0)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.x, states[:, : ms.base.dim])
+    if s0 is not None:
+        assert np.array_equal(traj.s, states[:, ms.base.dim :])
+
+
+def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
+    calls = {"eval": 0, "factors": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _original=getattr(MaskBank, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(MaskBank, name, counted)
+    ms, x0, _ = _masked_case("consensus", 4, np.random.default_rng(5))
+    n_steps = 3 * TABLE_STEPS + 1
+    integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
+    # no per-stage eval: one factors call per block, one for the outputs
+    assert calls == {"eval": 0, "factors": 4 + 1}
+
+
+def _balanced_digraph(n, rng):
+    """Sum of one to three weighted directed Hamiltonian cycles: every node
+    gains as much in-weight as out-weight from each."""
+    weights = {}
+    for _ in range(int(rng.integers(1, 4))):
+        order = rng.permutation(n).tolist()
+        w = rng.uniform(0.2, 2.0)
+        for src, dst in zip(order, order[1:] + order[:1]):
+            weights[(src, dst)] = weights.get((src, dst), 0.0) + w
+    return build_graph(n, [(src, dst, w) for (src, dst), w in weights.items()])
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
+    rng = np.random.default_rng(seed)
+    lap = laplacian(_balanced_digraph(n, rng))
+    assert is_weight_balanced(lap)
+    x0 = rng.uniform(-3.0, 3.0, n)
+    ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=_mixed_bank(n, rng))
+    traj = integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=5.0, record_stride=50))
+    assert np.max(np.abs(traj.x.mean(axis=1) - x0.mean())) <= CONSERVATION_TOL
+
+
 def test_x0_validation():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     with pytest.raises(ValueError, match="shape"):
@@ -136,6 +281,9 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=2.0, t_final=1.0)
     with pytest.raises(ValueError, match="maximum"):
         IntegratorConfig(dt=1e-9, t_final=100.0)
+    # 3 steps of 0.3 would stop at t=0.9, 4 would overshoot
+    with pytest.raises(ValueError, match="does not divide"):
+        IntegratorConfig(dt=0.3, t_final=1.0)
 
 
 def test_comparison_ode_closed_form():
