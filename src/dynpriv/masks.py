@@ -134,12 +134,9 @@ class MaskBank:
         seed,
         rate_range: tuple = DEFAULT_RATE_RANGE,
     ) -> "MaskBank":
-        """One choose_params draw per channel of x0, all of the same kind."""
-        rng = np.random.default_rng(seed)
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        return cls(
-            [(kind, choose_params(kind, privacy_level, xi, rng, rate_range)) for xi in x0]
-        )
+        """choose_params drawn for every channel of x0, all of the same kind."""
+        params = _draw_params(kind, privacy_level, x0, np.random.default_rng(seed), rate_range)
+        return cls([(kind, p) for p in params])
 
     def factors(self, times):
         """Gain c(1 + phi e^{-sigma t}) and offset gamma e^{-delta t} per channel.
@@ -223,6 +220,42 @@ def privacy_metric(bank: MaskBank, x0: np.ndarray):
     return rho_i, float(np.min(rho_i))
 
 
+#: Uniform doubles drawn per channel, in draw order: delta, the offset
+#: magnitude, then the offset sign (additive), c (affine) or phi and sigma
+#: (vanishing_affine).
+_DRAWS = {MaskKind.ADDITIVE: 3, MaskKind.AFFINE: 3, MaskKind.VANISHING_AFFINE: 4}
+
+
+def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> list:
+    """choose_params for every entry of x0, from one (len(x0), k) block of
+    uniform doubles; each uniform draw on [a, b) is a + (b - a) * u, which
+    is what rng.uniform(a, b) computes from u."""
+    if privacy_level <= 0:
+        raise ValueError("privacy level must be positive")
+    if kind not in PRIVACY_KINDS:
+        raise ValueError(f"{kind.value} is not a privacy mask")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    u = rng.random((x0.size, _DRAWS[kind]))
+    lo, hi = rate_range
+    drawn = {"delta": lo + (hi - lo) * u[:, 0]}
+    gamma_mag = (2.0 + (4.0 - 2.0) * u[:, 1]) * privacy_level
+    if kind is MaskKind.ADDITIVE:
+        sign = np.where(u[:, 2] < 0.5, 1.0, -1.0)
+    else:
+        # aligned with the agent's own x0_i, so the terms of the gap cannot cancel
+        sign = np.where(x0 != 0, np.sign(x0), 1.0)
+    drawn["gamma"] = sign * gamma_mag
+    if kind is MaskKind.AFFINE:
+        # gap |(c-1) x0 + c gamma| >= c |gamma| >= 2 * privacy_level when aligned
+        drawn["c"] = 1.2 + (2.5 - 1.2) * u[:, 2]
+    elif kind is MaskKind.VANISHING_AFFINE:
+        # gap |phi x0 + (1 + phi) gamma| >= (1 + phi) |gamma| when aligned
+        drawn["phi"] = 0.5 + (2.0 - 0.5) * u[:, 2]
+        drawn["sigma"] = lo + (hi - lo) * u[:, 3]
+    rows = zip(*(col.tolist() for col in drawn.values()))
+    return [MaskParams(**dict(zip(drawn, row))) for row in rows]
+
+
 def choose_params(
     kind: MaskKind,
     privacy_level: float,
@@ -237,26 +270,8 @@ def choose_params(
     state, the offset sign is aligned with the agent's own x0_i so the terms
     cannot cancel.
     """
-    if privacy_level <= 0:
-        raise ValueError("privacy level must be positive")
-    if kind not in PRIVACY_KINDS:
-        raise ValueError(f"{kind.value} is not a privacy mask")
     rng = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    lo, hi = rate_range
-    delta = float(rng.uniform(lo, hi))
-    gamma_mag = float(rng.uniform(2.0, 4.0)) * privacy_level
-    if kind is MaskKind.ADDITIVE:
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return MaskParams(gamma=sign * gamma_mag, delta=delta)
-    sign = np.sign(x0_i) if x0_i != 0 else 1.0
-    if kind is MaskKind.AFFINE:
-        c = float(rng.uniform(1.2, 2.5))
-        # gap |(c-1) x0 + c gamma| >= c |gamma| >= 2 * privacy_level when aligned
-        return MaskParams(c=c, gamma=sign * gamma_mag, delta=delta)
-    phi = float(rng.uniform(0.5, 2.0))
-    sigma = float(rng.uniform(lo, hi))
-    # gap |phi x0 + (1 + phi) gamma| >= (1 + phi) |gamma| when aligned
-    return MaskParams(phi=phi, sigma=sigma, gamma=sign * gamma_mag, delta=delta)
+    return _draw_params(kind, privacy_level, x0_i, rng, rate_range)[0]
 
 
 @dataclass(frozen=True)
@@ -339,23 +354,24 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
             }
             break
 
-    # h[time, channel, state]: the template on the whole grid
+    # the template's factors on the whole grid, h = scale * (x + offset)
     scale, offset = bank.factors(times)
-    h = scale[:, :, None] * (states + offset[:, :, None])
 
-    # strict monotonicity in x at sampled times
-    order = np.argsort(states)
+    # strict monotonicity in x at sampled times, over the sorted states
     sampled = np.arange(0, times.size, max(1, times.size // 8))
-    rising = np.all(np.diff(h[sampled][:, :, order], axis=2) > 0, axis=(1, 2))
+    h = scale[sampled, None, :] * (np.sort(states)[:, None] + offset[sampled, None, :])
+    rising = np.all(np.diff(h, axis=1) > 0, axis=(1, 2))
     increasing = bool(rising.all())
     if not increasing:
         witnesses["strictly_increasing"] = {"t": float(times[sampled[np.argmin(rising)]])}
 
-    # from here on h holds the gap |h(t, x) - x|
-    h -= states
-    np.abs(h, out=h)
+    # gap[time, state, channel] = |h(t, x) - x|
+    gap = states[:, None] + offset[:, None, :]
+    gap *= scale[:, None, :]
+    gap -= states[:, None]
+    np.abs(gap, out=gap)
 
-    fixed = h[0] <= 1e-12 * np.maximum(1.0, np.abs(states))
+    fixed = gap[0].T <= 1e-12 * np.maximum(1.0, np.abs(states))
     fixed_point_free = not bool(fixed.any())
     if not fixed_point_free:
         ch, st = np.argwhere(fixed)[0]
@@ -363,7 +379,7 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
 
     # uniform vanishing: sup-over-states gap per channel, strictly decreasing
     # and below the tail threshold at the final grid time
-    sup_gap = h.max(axis=2)
+    sup_gap = gap.max(axis=1)
     tail_ok = sup_gap[-1] < TAIL_REL * sup_gap[0] + TAIL_ABS
     diffs = np.diff(sup_gap, axis=0)
     decreasing = np.all((diffs < 0) | (sup_gap[1:] < TAIL_ABS), axis=0)

@@ -8,6 +8,7 @@ follow that convention: the adjacency entry A[i, j] is the weight of j -> i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,14 +21,33 @@ class GraphConstructionError(ValueError):
     """An edge list violates the digraph preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Digraph:
-    """Immutable weighted digraph with derived neighborhood structure."""
+    """Immutable weighted digraph backed by its in-adjacency weight matrix.
+
+    a[i, j] is the weight of edge j -> i (zero where there is none); src and
+    dst list the edge endpoints in the order the edges were given. The edge
+    tuples and neighborhood sets are derived from these arrays on first use.
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    in_nbrs: tuple[frozenset, ...]
-    out_nbrs: tuple[frozenset, ...]
+    a: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(src, dst, weight) triples of Python ints and floats, in input order."""
+        w = self.a[self.dst, self.src]
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), w.tolist()))
+
+    @cached_property
+    def in_nbrs(self) -> tuple:
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.a)
+
+    @cached_property
+    def out_nbrs(self) -> tuple:
+        return tuple(frozenset(np.flatnonzero(col).tolist()) for col in self.a.T)
 
     def closed_in_neighborhood(self, i: int) -> frozenset:
         return self.in_nbrs[i] | {i}
@@ -51,49 +71,64 @@ class AssumptionReport:
         return not self.covering_violations
 
 
+def _edge_text(edge) -> str:
+    """An edge as (src, dst, w), node ids printed as ints where integral."""
+    src, dst, w = (float(v) for v in edge)
+    ids = (int(v) if v.is_integer() else v for v in (src, dst))
+    return "({}, {}, {})".format(*ids, w)
+
+
 def build_graph(n: int, edges) -> Digraph:
     """Validate an edge list and construct a Digraph.
 
-    Raises GraphConstructionError naming the offending edge on self-loops,
-    duplicate (src, dst) pairs, out-of-range endpoints, or non-positive
-    weights.
+    Raises GraphConstructionError naming the first offending edge on
+    non-integer node ids, self-loops, out-of-range endpoints, non-positive
+    or non-finite weights, or duplicate (src, dst) pairs; an edge that
+    breaks several rules is reported under the first in that order.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise GraphConstructionError(f"node count must be a positive integer, got {n!r}")
-    seen = set()
-    clean = []
-    for edge in edges:
-        src, dst, w = edge
-        src, dst, w = int(src), int(dst), float(w)
-        if src == dst:
-            raise GraphConstructionError(f"self-loop on edge ({src}, {dst}, {w})")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise GraphConstructionError(f"node out of range on edge ({src}, {dst}, {w})")
-        if w <= 0:
-            raise GraphConstructionError(f"non-positive weight on edge ({src}, {dst}, {w})")
-        if (src, dst) in seen:
-            raise GraphConstructionError(f"duplicate edge ({src}, {dst}, {w})")
-        seen.add((src, dst))
-        clean.append((src, dst, w))
-    in_nbrs = [set() for _ in range(n)]
-    out_nbrs = [set() for _ in range(n)]
-    for src, dst, _ in clean:
-        in_nbrs[dst].add(src)
-        out_nbrs[src].add(dst)
-    return Digraph(
-        n=int(n),
-        edges=tuple(clean),
-        in_nbrs=tuple(frozenset(s) for s in in_nbrs),
-        out_nbrs=tuple(frozenset(s) for s in out_nbrs),
-    )
+    n = int(n)
+    e = np.asarray(edges, dtype=float)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise GraphConstructionError("edges must be (src, dst, weight) triples")
+    ends, w = e[:, :2], e[:, 2]
+    integral = np.isfinite(ends) & (ends == np.trunc(ends))
+    fails = [
+        ("non-integer node id on edge", ~integral.all(axis=1)),
+        ("self-loop on edge", ends[:, 0] == ends[:, 1]),
+        ("node out of range on edge", ((ends < 0) | (ends >= n)).any(axis=1)),
+        ("non-positive weight on edge", w <= 0),
+        ("non-finite weight on edge", ~np.isfinite(w)),
+    ]
+    bad = np.logical_or.reduce([mask for _, mask in fails])
+    # Duplicates are keyed among the edges that pass every other rule, so an
+    # invalid edge can neither hide one nor fake one.
+    key = -1.0 - np.arange(len(e))
+    key[~bad] = ends[~bad, 0] * n + ends[~bad, 1]
+    _, keep = np.unique(key, return_index=True)
+    dup = np.ones(len(e), bool)
+    dup[keep] = False
+    fails.append(("duplicate edge", dup))
+    bad |= dup
+    if bad.any():
+        k = int(np.argmax(bad))
+        label = next(label for label, mask in fails if mask[k])
+        raise GraphConstructionError(f"{label} {_edge_text(e[k])}")
+    src = ends[:, 0].astype(np.intp)
+    dst = ends[:, 1].astype(np.intp)
+    a = np.zeros((n, n))
+    a[dst, src] = w
+    for arr in (a, src, dst):
+        arr.setflags(write=False)
+    return Digraph(n=n, a=a, src=src, dst=dst)
 
 
 def adjacency(g: Digraph) -> np.ndarray:
     """In-adjacency matrix: A[i, j] = weight of edge j -> i, zero diagonal."""
-    a = np.zeros((g.n, g.n))
-    for src, dst, w in g.edges:
-        a[dst, src] = w
-    return a
+    return g.a.copy()
 
 
 def laplacian(g: Digraph) -> np.ndarray:
@@ -102,7 +137,7 @@ def laplacian(g: Digraph) -> np.ndarray:
     The diagonal is set to the negated off-diagonal row sum, so L @ 1 = 0
     holds exactly in floating point.
     """
-    lap = -adjacency(g)
+    lap = -g.a
     np.fill_diagonal(lap, 0.0)
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
@@ -113,42 +148,40 @@ def is_weight_balanced(lap: np.ndarray) -> bool:
     return bool(np.max(np.abs(lap.sum(axis=0))) <= BALANCE_TOL)
 
 
-def _reachable(n: int, fwd: tuple, start: int) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in fwd[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _reaches_all(b: np.ndarray) -> bool:
+    """True iff node 0 reaches every node when b[i, j] marks an edge j -> i."""
+    reached = np.zeros(len(b), bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = b[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 def is_irreducible(g: Digraph) -> bool:
     """True iff the digraph is strongly connected (the standard matrix
-    irreducibility proxy). Single-node graphs count as irreducible."""
-    if g.n == 1:
-        return True
-    fwd = _reachable(g.n, g.out_nbrs, 0)
-    if len(fwd) != g.n:
-        return False
-    bwd = _reachable(g.n, g.in_nbrs, 0)
-    return len(bwd) == g.n
+    irreducibility proxy): node 0 reaches every node and every node reaches
+    node 0. Single-node graphs count as irreducible."""
+    b = g.a != 0
+    return _reaches_all(b) and _reaches_all(b.T)
 
 
 def check_no_covering(g: Digraph) -> AssumptionReport:
-    """Exhaustively test all ordered pairs for covering closed neighborhoods."""
-    closed = [g.closed_in_neighborhood(i) for i in range(g.n)]
-    violations = []
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j and closed[i] <= closed[j]:
-                violations.append((i, j))
+    """Test all ordered pairs for covering closed neighborhoods at once.
+
+    With M the 0/1 matrix of closed in-neighborhoods, M @ (1 - M).T counts
+    |N_i u {i} minus N_j u {j}| exactly in float64, and (i, j) covers iff
+    that count is zero; pairs are listed in row-major order.
+    """
+    m = (g.a != 0).astype(float)
+    np.fill_diagonal(m, 1.0)
+    missing = m @ (1.0 - m).T
+    np.fill_diagonal(missing, 1.0)
     return AssumptionReport(
         irreducible=is_irreducible(g),
         weight_balanced=is_weight_balanced(laplacian(g)),
-        covering_violations=tuple(violations),
+        covering_violations=tuple(map(tuple, np.argwhere(missing == 0).tolist())),
     )
 
 
@@ -189,12 +222,6 @@ def complete_graph(n: int, weight: float = 1.0) -> Digraph:
     return build_graph(n, [(i, j, weight) for i in range(n) for j in range(n) if i != j])
 
 
-def _doubles(rng, chunk: int):
-    """The rng's stream of uniform doubles in [0, 1), drawn chunk at a time."""
-    while True:
-        yield from rng.random(chunk).tolist()
-
-
 def erdos_renyi(
     n: int,
     p: float,
@@ -212,27 +239,41 @@ def erdos_renyi(
     """
     if not (0 < p <= 1):
         raise ValueError("edge probability must be in (0, 1]")
-    # Each pair takes one double and each edge's weight the next one, in
-    # pair order; lo + span * u is what rng.uniform(lo, hi) computes from u,
-    # so a seed's graph does not depend on the chunk size of the stream.
-    draw = _doubles(np.random.default_rng(seed), n * n).__next__
+    # The candidates read one stream of uniform doubles: each pair, in
+    # row-major order, takes one double and is an edge when it is below p;
+    # an edge's weight is lo + span * u of the next double, which is what
+    # rng.uniform(lo, hi) computes from u. A candidate of P pairs with m
+    # edges reads P + m <= 2P doubles, so it is decoded from a block of 2P,
+    # and the next candidate resumes right after them.
+    if symmetric:
+        pair_src, pair_dst = np.triu_indices(n, 1)
+    else:
+        pair_src, pair_dst = np.nonzero(~np.eye(n, dtype=bool))
+    pairs = len(pair_src)
+    rng = np.random.default_rng(seed)
     lo = float(weight_range[0])
     span = float(weight_range[1]) - lo
+    stream = np.empty(0)
     for _ in range(max_retries):
-        edges = []
+        if len(stream) < 2 * pairs:
+            stream = np.concatenate([stream, rng.random(2 * pairs)])
+        block = stream[: 2 * pairs]
+        # In a run of consecutive hits, pair draws and weights alternate,
+        # starting with a pair draw; the k-th pair draw that hits sits k
+        # weights past its pair index.
+        hits = np.flatnonzero(block < p)
+        k = np.arange(len(hits))
+        run_start = np.maximum.accumulate(np.where(np.diff(hits, prepend=-2) != 1, k, 0))
+        at = hits[(k - run_start) % 2 == 0]
+        index = at - np.arange(len(at))
+        m = int(np.searchsorted(index, pairs))
+        index, weight = index[:m], lo + span * block[at[:m] + 1]
+        src, dst = pair_src[index], pair_dst[index]
         if symmetric:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if draw() < p:
-                        w = lo + span * draw()
-                        edges.append((i, j, w))
-                        edges.append((j, i, w))
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and draw() < p:
-                        edges.append((i, j, lo + span * draw()))
-        g = build_graph(n, edges)
+            src, dst = np.column_stack([src, dst]).ravel(), np.column_stack([dst, src]).ravel()
+            weight = np.repeat(weight, 2)
+        stream = stream[pairs + m :]
+        g = build_graph(n, np.column_stack([src, dst, weight]))
         report = check_no_covering(g)
         if report.irreducible and not (require_no_covering and report.covering_violations):
             return g

@@ -58,6 +58,86 @@ class ScenarioError(ValueError):
     """Config file is inconsistent or incomplete."""
 
 
+class _ByKind(dict):
+    """Schema of a section whose keys depend on its "kind" value."""
+
+
+_VECTOR = _ByKind(
+    inline={"values": None},
+    uniform={"low": None, "high": None, "seed": None},
+    gaussian={"mean": None, "std": None, "seed": None},
+)
+#: Every key a scenario config may hold, nested as the config is; None marks
+#: a value whose inner structure is not a keyed section, and a one-item list
+#: the schema of each item of a list.
+_SCHEMA = {
+    "name": None,
+    "seed": None,
+    "graph": _ByKind(
+        inline={"n": None, "edges": None},
+        cycle={"n": None, "weight": None},
+        complete={"n": None, "weight": None},
+        erdos_renyi=dict.fromkeys(
+            ("n", "p", "seed", "symmetric", "weight_range", "require_no_covering", "max_retries")
+        ),
+    ),
+    "system": _ByKind(
+        saturated_net=dict.fromkeys(("kappa", "kappa_over_radius", "enforce_stable")),
+        friedkin_johnsen={"theta": _VECTOR, "frozen_anchor": None},
+        average_consensus={},
+        pinned_sync={
+            "nu": None,
+            "r": {"kind": None, "rows": None},
+            "pin_gains": None,
+            "pinned_count": None,
+            "pin_gain": None,
+            "drift": _ByKind(
+                tanh={"a": None, "b": None},
+                lorenz=dict.fromkeys(("sigma", "rho", "beta")),
+            ),
+            "s0": _VECTOR,
+        },
+    ),
+    "x0": _VECTOR,
+    "mask": _ByKind(
+        identity={"privacy_level": None},
+        auto=dict.fromkeys(("mask_kind", "privacy_level", "seed", "rate_range")),
+        explicit={
+            "privacy_level": None,
+            "channels": [dict.fromkeys(("kind", "phi", "sigma", "gamma", "delta", "c"))],
+        },
+    ),
+    "integrator": dict.fromkeys(("method", "dt", "t_final", "record_stride")),
+    "checks": None,
+    "tolerances": {"tol_conv": None},
+    "sync_condition": dict.fromkeys(("box", "samples", "seed")),
+    "adversary": dict.fromkeys(("observer", "target", "policies", "settle_tol")),
+}
+
+
+def _check_keys(spec, schema, path: str = "") -> None:
+    """Raise ScenarioError naming the first key path the schema does not know.
+
+    A section of a kind the schema does not list is left to its builder,
+    which rejects the kind itself.
+    """
+    if isinstance(schema, list):
+        for i, item in enumerate(spec if isinstance(spec, list) else ()):
+            _check_keys(item, schema[0], f"{path}[{i}]")
+        return
+    if schema is None or not isinstance(spec, dict):
+        return
+    if isinstance(schema, _ByKind):
+        if spec.get("kind") not in schema:
+            return
+        schema = {"kind": None, **schema[spec["kind"]]}
+    for key, value in spec.items():
+        where = f"{path}.{key}" if path else key
+        if key not in schema:
+            raise ScenarioError(f"unknown config key {where!r}")
+        _check_keys(value, schema[key], where)
+
+
 def config_hash(config: dict) -> str:
     """SHA-256 of the canonicalized config bytes."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
@@ -104,7 +184,7 @@ class Scenario:
 def _build_graph(config: dict, spec: dict) -> Digraph:
     kind = spec.get("kind")
     if kind == "inline":
-        return netgraph.build_graph(spec["n"], [tuple(e) for e in spec["edges"]])
+        return netgraph.build_graph(spec["n"], spec["edges"])
     if kind == "cycle":
         return netgraph.cycle_graph(spec["n"], spec.get("weight", 1.0))
     if kind == "complete":
@@ -223,6 +303,7 @@ def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
 def build_scenario(config: dict) -> Scenario:
     """Validate a config dict and build every run ingredient deterministically."""
     try:
+        _check_keys(config, _SCHEMA)
         name = config.get("name", "scenario")
         graph = _build_graph(config, config["graph"])
         system_kind = config["system"]["kind"]

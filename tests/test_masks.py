@@ -134,6 +134,42 @@ def test_choose_params_handles_zero_initial_state():
             assert rho > 1.0
 
 
+def _choose_params_scalar(kind, lam, x0_i, rng, rate_range):
+    """Reference draw: one rng call per parameter, in the library's order."""
+    lo, hi = rate_range
+    delta = float(rng.uniform(lo, hi))
+    gamma_mag = float(rng.uniform(2.0, 4.0)) * lam
+    if kind is MaskKind.ADDITIVE:
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        return MaskParams(gamma=sign * gamma_mag, delta=delta)
+    sign = float(np.sign(x0_i)) if x0_i != 0 else 1.0
+    if kind is MaskKind.AFFINE:
+        return MaskParams(c=float(rng.uniform(1.2, 2.5)), gamma=sign * gamma_mag, delta=delta)
+    phi = float(rng.uniform(0.5, 2.0))
+    sigma = float(rng.uniform(lo, hi))
+    return MaskParams(phi=phi, sigma=sigma, gamma=sign * gamma_mag, delta=delta)
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from([MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE]),
+    lam=st.floats(0.01, 50.0),
+    x0=st.lists(st.sampled_from([0.0, -0.0, 1e-300]) | st.floats(-20.0, 20.0), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    rate_range=st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 3.0)),
+)
+def test_auto_bank_equals_per_channel_choose_params(kind, lam, x0, seed, rate_range):
+    bank = MaskBank.auto(kind, lam, np.array(x0), seed=seed, rate_range=rate_range)
+    rng = np.random.default_rng(seed)
+    expected = [_choose_params_scalar(kind, lam, xi, rng, rate_range) for xi in x0]
+    assert bank.params == tuple(expected)
+    rng = np.random.default_rng(seed)
+    assert [choose_params(kind, lam, xi, rng, rate_range) for xi in x0] == expected
+    assert all(
+        type(v) is float for p in bank.params for v in vars(p).values() if v is not None
+    )
+
+
 @pytest.mark.parametrize("kind", [MaskKind.LINEAR, MaskKind.IDENTITY])
 def test_choose_params_rejects_non_privacy_kinds(kind):
     with pytest.raises(ValueError, match="not a privacy mask"):

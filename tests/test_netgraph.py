@@ -1,5 +1,10 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpriv.netgraph import (
     GraphConstructionError,
@@ -38,11 +43,66 @@ def test_build_single_node():
         ([(0, 3, 1.0)], "out of range"),
         ([(0, 1, 0.0)], "non-positive weight"),
         ([(0, 1, -2.0)], "non-positive weight"),
+        ([(0, 1, float("nan"))], r"non-finite weight on edge \(0, 1, nan\)"),
+        ([(0, 1, float("inf"))], "non-finite weight"),
+        ([(1.7, 0, 1.0)], r"non-integer node id on edge \(1.7, 0, 1.0\)"),
+        ([(0, 1, 1.0), (2, float("nan"), 1.0)], "non-integer node id"),
+        ([(0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)], r"duplicate edge \(0, 1, 1.0\)"),
     ],
 )
 def test_build_rejects_bad_edges(edges, msg):
     with pytest.raises(GraphConstructionError, match=msg):
         build_graph(3, edges)
+
+
+def _first_bad_edge(n, edges):
+    """Scalar reference of build_graph's validation: the message for the
+    first offending edge, or None."""
+    seen = set()
+    for src, dst, w in edges:
+        src, dst, w = float(src), float(dst), float(w)
+        ids = [int(v) if v.is_integer() else v for v in (src, dst)]
+        text = f"({ids[0]}, {ids[1]}, {w})"
+        if not all(math.isfinite(v) and v == int(v) for v in (src, dst)):
+            return f"non-integer node id on edge {text}"
+        if src == dst:
+            return f"self-loop on edge {text}"
+        if not (0 <= src < n and 0 <= dst < n):
+            return f"node out of range on edge {text}"
+        if w <= 0:
+            return f"non-positive weight on edge {text}"
+        if not math.isfinite(w):
+            return f"non-finite weight on edge {text}"
+        if (src, dst) in seen:
+            return f"duplicate edge {text}"
+        seen.add((src, dst))
+    return None
+
+
+_node_ids = st.one_of(
+    st.integers(-1, 5), st.sampled_from([0.5, 1.7, 2.0, -0.0, float("nan"), float("inf")])
+)
+_weights = st.one_of(
+    st.floats(0.1, 3.0),
+    st.sampled_from([0.0, -1.0, float("nan"), float("inf"), -float("inf")]),
+)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 5),
+    edges=st.lists(st.tuples(_node_ids, _node_ids, _weights), max_size=12),
+)
+def test_build_reports_first_bad_edge_like_scalar_reference(n, edges):
+    expected = _first_bad_edge(n, edges)
+    if expected is None:
+        g = build_graph(n, edges)
+        assert g.edges == tuple((int(s), int(d), float(w)) for s, d, w in edges)
+        assert all(type(s) is int and type(d) is int and type(w) is float for s, d, w in g.edges)
+    else:
+        with pytest.raises(GraphConstructionError) as exc:
+            build_graph(n, edges)
+        assert str(exc.value) == expected
 
 
 def test_laplacian_cycle():
@@ -118,26 +178,58 @@ def test_two_node_irreducible_always_covers():
     assert not rep.no_covering_holds
 
 
-def _covering_oracle(g):
+def _closed_neighborhoods(n, edges):
+    closed = [{i} for i in range(n)]
+    for src, dst, _ in edges:
+        closed[dst].add(src)
+    return [frozenset(c) for c in closed]
+
+
+def _covering_oracle(n, edges):
     # literal subset enumeration over the ordered pairs
-    pairs = []
-    for i in range(g.n):
-        for j in range(g.n):
-            if i == j:
-                continue
-            closed_i = set(g.in_nbrs[i]) | {i}
-            closed_j = set(g.in_nbrs[j]) | {j}
-            if all(k in closed_j for k in closed_i):
-                pairs.append((i, j))
-    return pairs
+    closed = _closed_neighborhoods(n, edges)
+    return [(i, j) for i in range(n) for j in range(n) if i != j and closed[i] <= closed[j]]
 
 
-def test_no_covering_matches_bruteforce_on_random_graphs():
-    for seed in range(20):
-        n = 3 + seed % 6
-        g = erdos_renyi(n, 0.45, seed=seed, require_no_covering=False)
-        rep = check_no_covering(g)
-        assert sorted(rep.covering_violations) == sorted(_covering_oracle(g))
+def _strongly_connected_oracle(n, edges):
+    # breadth-first search from every node over the edge list
+    out = [[] for _ in range(n)]
+    for src, dst, _ in edges:
+        out[src].append(dst)
+    for start in range(n):
+        seen, queue = {start}, deque([start])
+        while queue:
+            for v in out[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(seen) != n:
+            return False
+    return True
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weights = draw(st.lists(st.floats(0.1, 5.0), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(i, j, w) for (i, j), w in zip(chosen, weights)]
+
+
+@settings(deadline=None)
+@given(_digraphs())
+def test_no_covering_matches_bruteforce_on_random_graphs(graph):
+    n, edges = graph
+    g = build_graph(n, edges)
+    rep = check_no_covering(g)
+    assert list(rep.covering_violations) == _covering_oracle(n, edges)
+    assert rep.irreducible == is_irreducible(g) == _strongly_connected_oracle(n, edges)
+    assert [g.closed_in_neighborhood(i) for i in range(n)] == _closed_neighborhoods(n, edges)
+    assert g.out_nbrs == tuple(
+        frozenset(d for s, d, _ in edges if s == i) for i in range(n)
+    )
+    assert g.edges == tuple(edges)
 
 
 def test_left_null_vector_balanced_graphs():
@@ -211,3 +303,60 @@ def test_adjacency_matches_edges():
     assert a[0, 1] == 2.5
     assert a[1, 2] == 0.5
     assert a.sum() == 3.0
+
+
+def _erdos_renyi_walk(n, p, seed, symmetric, weight_range, require_no_covering, max_retries):
+    """Reference sampler: one rng double per ordered (or unordered) pair in
+    row-major order, and one more for each edge's weight."""
+    rng = np.random.default_rng(seed)
+    stream = iter(())
+
+    def draw():
+        nonlocal stream
+        for u in stream:
+            return u
+        stream = iter(rng.random(n * n).tolist())
+        return next(stream)
+
+    lo, span = float(weight_range[0]), float(weight_range[1]) - float(weight_range[0])
+    for _ in range(max_retries):
+        edges = []
+        for i in range(n):
+            for j in range(i + 1 if symmetric else 0, n):
+                if i != j and draw() < p:
+                    w = lo + span * draw()
+                    edges.append((i, j, w))
+                    if symmetric:
+                        edges.append((j, i, w))
+        rep = check_no_covering(build_graph(n, edges))
+        if rep.irreducible and not (require_no_covering and rep.covering_violations):
+            return tuple(edges)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 16),
+    p=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    weight_range=st.sampled_from([(1.0, 1.0), (0.5, 2.5), (10.0, 14.0), (0.1, 0.3)]),
+    require_no_covering=st.booleans(),
+    max_retries=st.integers(1, 6),
+)
+def test_erdos_renyi_matches_per_pair_walk(
+    n, p, seed, symmetric, weight_range, require_no_covering, max_retries
+):
+    args = (n, p, seed, symmetric, weight_range, require_no_covering, max_retries)
+    expected = _erdos_renyi_walk(*args)
+    if expected is None:
+        with pytest.raises(RuntimeError, match="retries"):
+            erdos_renyi(*args)
+    else:
+        assert erdos_renyi(*args).edges == expected
+
+
+def test_erdos_renyi_paper_scale_matches_per_pair_walk():
+    for seed, symmetric in ((3, False), (61, True)):
+        args = (100, 0.12, seed, symmetric, (0.5, 1.5), True, 100)
+        assert erdos_renyi(*args).edges == _erdos_renyi_walk(*args)

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynpriv import netgraph
 from dynpriv.cli import main
@@ -11,6 +14,7 @@ from dynpriv.scenario import (
     bundled_names,
     config_hash,
     load_bundled,
+    override_seed,
     run_graph_checks,
     run_mask_check,
     run_simulation,
@@ -150,6 +154,37 @@ def test_cli_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
     assert "does not divide t_final=1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "over,key",
+    [
+        ({"integrator": {"dt": 1e-2, "t_finl": 30.0}}, "integrator.t_finl"),
+        ({"graph": {"kind": "cycle", "n": 3, "weigth": 2.0}}, "graph.weigth"),
+        ({"bogus": 1}, "bogus"),
+        # keys of another kind of the same section are unknown too
+        ({"graph": {"kind": "cycle", "n": 3, "p": 0.5}}, "graph.p"),
+        (
+            {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gama": 1.0}] * 3}},
+            "mask.channels[0].gama",
+        ),
+    ],
+)
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys, over, key):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(_consensus_config(**over)))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("weight,node", [(float("nan"), 2), (float("inf"), 2), (1.0, 1.7)])
+def test_cli_non_finite_weight_or_fractional_node_exits_2(tmp_path, capsys, command, weight, node):
+    edges = [[0, 1, 1.0], [1, node, 1.0], [2, 0, weight]]
+    path = tmp_path / "bad_edge.json"
+    path.write_text(json.dumps(_consensus_config(graph={"kind": "inline", "n": 3, "edges": edges})))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "on edge" in capsys.readouterr().err
+
+
 def test_cli_strict_check_flags_covering(tmp_path, capsys):
     cfg = _consensus_config(graph={"kind": "complete", "n": 3}, checks=["no_covering"])
     path = tmp_path / "k3.json"
@@ -269,3 +304,53 @@ def test_cli_suite_fast_subset(tmp_path, capsys):
     summary = json.loads((tmp_path / "suite_summary.json").read_text())
     assert len(summary["results"]) == 2
     assert all(r["status"] == "pass" for r in summary["results"])
+
+
+RESEEDABLE = ["example1_satnet_n10", "example2_fj_n10", "example4_pinning_n10"]
+
+
+def _built(config):
+    try:
+        sc = build_scenario(config)
+    except RuntimeError as exc:  # a few seeds find no admissible graph
+        return repr(exc)
+    system = sc.system
+    return {
+        "hash": sc.hash,
+        "edges": sc.graph.edges,
+        "x0": sc.x0.tolist(),
+        "bank": sc.bank.params,
+        "s0": None if sc.s0 is None else sc.s0.tolist(),
+        "theta": getattr(system, "theta", np.zeros(0)).tolist(),
+    }
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(RESEEDABLE), seed=st.integers(0, 2**63 - 1))
+def test_override_seed_equals_removing_element_seeds_by_hand(name, seed):
+    config = load_bundled(name)
+    by_hand = copy.deepcopy(config)
+    by_hand["seed"] = seed
+    system = by_hand["system"]
+    for element in (
+        by_hand["graph"],
+        by_hand["x0"],
+        by_hand["mask"],
+        by_hand.get("sync_condition", {}),
+        system.get("theta", {}),
+        system.get("s0", {}),
+    ):
+        element.pop("seed", None)
+    assert _built(override_seed(config, seed)) == _built(by_hand)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    name=st.sampled_from(RESEEDABLE),
+    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2, unique=True),
+)
+def test_override_seed_redraws_graph_states_and_masks(name, seeds):
+    a, b = (_built(override_seed(load_bundled(name), s)) for s in seeds)
+    assume(isinstance(a, dict) and isinstance(b, dict))
+    for key in ("edges", "x0", "bank"):
+        assert a[key] != b[key], key
