@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from . import adversary as adv
 from . import analysis
@@ -182,6 +183,7 @@ def cmd_suite(args) -> int:
     rows = []
     worst = EXIT_OK
     for name in names:
+        start = perf_counter()
         sc = scn.build_scenario(scn.load_bundled(name))
         graph_results = scn.run_graph_checks(sc)
         if not all(graph_results.values()):
@@ -195,7 +197,14 @@ def cmd_suite(args) -> int:
             else:
                 status, verdicts, code = "verdict-failed", report.verdicts, EXIT_VERDICT
         rows.append(
-            {"scenario": name, "config_hash": sc.hash, "status": status, "verdicts": verdicts}
+            {
+                "scenario": name,
+                "config_hash": sc.hash,
+                "status": status,
+                "verdicts": verdicts,
+                "n_steps": sc.integrator.n_steps,
+                "wall_s": perf_counter() - start,
+            }
         )
         worst = max(worst, code)
     width = max(len(r["scenario"]) for r in rows) + 2

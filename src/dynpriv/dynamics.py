@@ -8,10 +8,17 @@ every transmitted state with its masked output; for Friedkin-Johnsen the
 anchor term is masked too (the neighbors only ever see outputs), and for
 pinned synchronization the exosystem sample enters the pinning term
 unmasked.
+
+field_unmasked, field_masked and exosystem_field are the readable reference.
+compile_stage binds one run's joint field once, as the solver's stage
+function: preallocated blocks and views, then only ufunc and matmul calls
+with out= per stage, equal to the reference bit for bit. For a pinned
+system the exosystem state is the last row of the (n+1, nu) drift block.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -269,6 +276,168 @@ def field_masked(
         y_anchor = ms.frozen_y_anchor if ms.frozen_anchor else scale * (spec.anchor + offset)
         return -(spec.laplacian @ y) - spec.theta * y + spec.theta * y_anchor
     return field_unmasked(ms.base, t, y, s)
+
+
+#: Output arrays a compiled stage rotates through; RK4 holds k1..k4 at once.
+STAGE_BUFFERS = 4
+
+
+def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
+    """The joint field of a run as one stage function f(t, z).
+
+    z is the joint state: the agents' states, then the exosystem's for a
+    pinned system. factors maps a stage time to the bank's (scale, offset)
+    pair (the solver passes its table lookup); by default it is computed
+    from t. Everything the field needs is bound here once: L, the pin-gain
+    column, the drift coefficients, the frozen masked anchor, and
+    preallocated blocks with all their views, so a stage runs only ufunc
+    and matmul calls with out=. The result equals field_masked (or
+    field_unmasked) with exosystem_field appended, bit for bit: every
+    element is formed by the same operations in the same order.
+
+    Buffer contract: results rotate through STAGE_BUFFERS preallocated
+    arrays, so a returned array stays valid for STAGE_BUFFERS - 1 further
+    calls and is overwritten by the next one; copy it to keep it longer.
+    """
+    masked = isinstance(system, MaskedSystem)
+    spec = system.base if masked else system
+    if masked and factors is None:
+        factors = system.bank.factors
+    d = spec.dim
+    pinned = isinstance(spec, PinnedSync)
+    size = d + spec.nu if pinned else d
+    y = np.empty(size)  # the masked agent states, then the raw exosystem state
+    agents = y[:d]
+    tmp = np.empty(d)
+    views = _flat
+
+    if isinstance(spec, AverageConsensus):
+        lap = spec.laplacian
+
+        def body(y, f, o):
+            np.matmul(lap, y, out=o)
+            np.negative(o, out=o)
+
+    elif isinstance(spec, SaturatedNet):
+        a, kappa = spec.a, spec.kappa
+
+        def body(y, f, o):
+            np.tanh(y, out=tmp)
+            np.matmul(a, tmp, out=o)
+            np.multiply(kappa, o, out=o)
+            np.subtract(o, y, out=o)
+
+    elif isinstance(spec, FriedkinJohnsen):
+        lap, theta, anchor = spec.laplacian, spec.theta, spec.anchor
+        if not masked:
+            anchor_term = theta * anchor
+        elif system.frozen_anchor:
+            anchor_term = theta * system.frozen_y_anchor
+        else:
+            anchor_term = None  # theta * h(t, anchor), formed at every stage
+
+        def body(y, f, o):
+            np.matmul(lap, y, out=o)
+            np.negative(o, out=o)
+            np.multiply(theta, y, out=tmp)
+            np.subtract(o, tmp, out=o)
+            if anchor_term is None:
+                scale, offset = f
+                np.add(anchor, offset, out=tmp)
+                np.multiply(scale, tmp, out=tmp)
+                np.multiply(theta, tmp, out=tmp)
+                np.add(o, tmp, out=o)
+            else:
+                np.add(o, anchor_term, out=o)
+
+    elif pinned:
+        body, views = _pinned_body(spec, y.reshape(spec.n_agents + 1, spec.nu))
+    else:
+        raise TypeError(f"unknown system {type(spec).__name__}")
+
+    outs = itertools.cycle([views(np.empty(size)) for _ in range(STAGE_BUFFERS)])
+
+    def stage(t, z):
+        if pinned:
+            np.copyto(y, z)
+            z = y
+        f = None
+        if factors is not None:
+            f = scale, offset = factors(t)
+            np.add(agents if pinned else z, offset, out=agents)
+            np.multiply(scale, agents, out=agents)
+            z = y
+        o = next(outs)
+        body(z, f, *o)
+        return o[0]
+
+    return stage
+
+
+def _flat(o: np.ndarray) -> tuple:
+    return (o,)
+
+
+def _pinned_body(spec: PinnedSync, block: np.ndarray):
+    """Stage body of a pinned system over the (n+1, nu) input block, and the
+    views of an output array that it writes through."""
+    n, nu, drift = spec.n_agents, spec.nu, spec.drift
+    lap, r, gains = spec.laplacian, spec.r, spec.pin_gains[:, None]
+    states, s = block[:n], block[n]
+    work, prod = np.empty((n, nu)), np.empty((n, nu))
+    if isinstance(drift, LorenzDrift):
+        # Elementwise, so the agent rows and the exosystem row take one pass.
+        sigma, rho, beta = drift.sigma, drift.rho, drift.beta
+        bx, by, bz = block.T
+        col = np.empty(n + 1)
+
+        def drift_rows(agent_rows, exo_row, ox, oy, oz):
+            np.subtract(by, bx, out=ox)
+            np.multiply(sigma, ox, out=ox)
+            np.subtract(rho, bz, out=oy)
+            np.multiply(bx, oy, out=oy)
+            np.subtract(oy, by, out=oy)
+            np.multiply(bx, by, out=oz)
+            np.multiply(beta, bz, out=col)
+            np.subtract(oz, col, out=oz)
+
+    elif isinstance(drift, TanhDrift):
+        # A row of a matrix product need not round as the vector product
+        # does, so the exosystem row is evaluated on its own.
+        a_t, b_t = drift.a.T, drift.b.T
+        th = np.empty((n + 1, nu))
+        th_states, th_s = th[:n], th[n]
+        row = np.empty(nu)
+
+        def drift_rows(agent_rows, exo_row):
+            np.tanh(block, out=th)
+            np.matmul(states, a_t, out=agent_rows)
+            np.matmul(th_states, b_t, out=prod)
+            np.add(agent_rows, prod, out=agent_rows)
+            np.matmul(s, a_t, out=exo_row)
+            np.matmul(th_s, b_t, out=row)
+            np.add(exo_row, row, out=exo_row)
+
+    else:
+        raise TypeError(f"unknown drift {type(drift).__name__}")
+    columns = isinstance(drift, LorenzDrift)
+
+    def views(o):
+        rows = o.reshape(n + 1, nu)
+        return (o, rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
+
+    def body(y, f, o, agent_rows, *drift_views):
+        drift_rows(agent_rows, *drift_views)
+        # (drift - coupling) - pinning, as field_unmasked subtracts them
+        np.matmul(lap, states, out=work)
+        np.matmul(work, r, out=prod)
+        np.subtract(agent_rows, prod, out=agent_rows)
+        np.subtract(states, s, out=work)
+        np.matmul(work, r, out=prod)
+        np.multiply(gains, prod, out=prod)
+        np.subtract(agent_rows, prod, out=agent_rows)
+
+    return body, views
 
 
 def estimate_lipschitz_q(

@@ -190,15 +190,18 @@ def _build_graph(config: dict, spec: dict) -> Digraph:
     if kind == "complete":
         return netgraph.complete_graph(spec["n"], spec.get("weight", 1.0))
     if kind == "erdos_renyi":
-        return netgraph.erdos_renyi(
-            spec["n"],
-            spec["p"],
-            seed=_element_seed(config, spec, "graph"),
-            symmetric=spec.get("symmetric", False),
-            weight_range=tuple(spec.get("weight_range", (1.0, 1.0))),
-            require_no_covering=spec.get("require_no_covering", True),
-            max_retries=spec.get("max_retries", 100),
-        )
+        try:
+            return netgraph.erdos_renyi(
+                spec["n"],
+                spec["p"],
+                seed=_element_seed(config, spec, "graph"),
+                symmetric=spec.get("symmetric", False),
+                weight_range=tuple(spec.get("weight_range", (1.0, 1.0))),
+                require_no_covering=spec.get("require_no_covering", True),
+                max_retries=spec.get("max_retries", 100),
+            )
+        except RuntimeError as exc:  # retries exhausted; the message names n, p and the count
+            raise ScenarioError(f"graph: {exc}") from exc
     raise ScenarioError(f"unknown graph kind {kind!r}")
 
 

@@ -4,6 +4,12 @@ Fixed-step RK4 (default) or explicit Euler; no adaptivity, so identical
 inputs reproduce bit-identical samples. Masked outputs are recomputed from
 the recorded states through the mask bank, never integrated separately.
 
+integrate compiles the run's joint field (agents, then the exosystem of a
+pinned system) once with dynamics.compile_stage and checks it bit for bit
+against the reference fields at the initial state before the first step.
+The compiled stage's results rotate through STAGE_BUFFERS arrays, which
+covers the four slopes RK4 holds within one step.
+
 The mask's factors depend on time alone, so a masked integration computes
 them for every distinct stage time of a block of TABLE_STEPS steps in one
 MaskBank.factors call, and each stage looks its row up by time.
@@ -20,6 +26,7 @@ from .dynamics import (
     MaskedSystem,
     PinnedSync,
     SystemSpec,
+    compile_stage,
     exosystem_field,
     field_masked,
     field_unmasked,
@@ -173,24 +180,8 @@ def integrate(
     the finite range. Given identical inputs the recorded samples are
     bit-identical across runs.
     """
-    if isinstance(system, MaskedSystem):
-        base, bank = system.base, system.bank
-        table = {}  # stage time -> (scale, offset) of the current block
-
-        def tabulate(times):
-            scale, offset = bank.factors(times)
-            table.clear()
-            table.update(zip(times, zip(scale, offset)))
-
-        def field(t, x, s=None):
-            return field_masked(system, t, x, s, table[t])
-
-    else:
-        base, bank, tabulate = system, None, None
-
-        def field(t, x, s=None):
-            return field_unmasked(system, t, x, s)
-
+    masked = isinstance(system, MaskedSystem)
+    base = system.base if masked else system
     d = base.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -204,20 +195,47 @@ def integrate(
         s0 = np.asarray(s0, dtype=float)
         if s0.shape != (base.nu,):
             raise ValueError(f"s0 has shape {s0.shape}, exosystem needs ({base.nu},)")
-        drift = base.drift
         z = np.concatenate([x0, s0])
-
-        def joint(t, z):
-            x, s = z[:d], z[d:]
-            return np.concatenate([field(t, x, s), exosystem_field(drift, s)])
-
     else:
         if s0 is not None:
             raise ValueError("s0 only applies to pinned synchronization")
         z = x0.copy()
-        joint = field
 
-    times, states = _march(joint, z, cfg, tabulate=tabulate)
+    table = {}  # stage time -> (scale, offset) of the current block
+    stage = compile_stage(system, table.__getitem__ if masked else None)
+
+    def check(row):
+        """The compiled stage must reproduce the reference fields bit for
+        bit; checked once, at the initial state with the same factor row."""
+        x, s = z[:d], (z[d:] if pinned else None)
+        if masked:
+            want = field_masked(system, 0.0, x, s, row)
+        else:
+            want = field_unmasked(base, 0.0, x, s)
+        if pinned:
+            want = np.concatenate([want, exosystem_field(base.drift, s)])
+        got = stage(0.0, z)
+        if got.tobytes() != want.tobytes():
+            raise RuntimeError(
+                "compiled stage differs from the reference field at t=0 by up to "
+                f"{np.max(np.abs(got - want)):.3g}"
+            )
+
+    bank = tabulate = None
+    if masked:
+        bank = system.bank
+
+        def tabulate(times):
+            scale, offset = bank.factors(times)
+            table.clear()
+            table.update(zip(times, zip(scale, offset)))
+            if times[0] == 0.0:  # the first block, before its first stage
+                check(table[0.0])
+
+    else:
+        check(None)
+
+    times, states = _march(stage, z, cfg, tabulate=tabulate)
     x_part = states[:, :d]
     s_part = states[:, d:] if pinned else None
     y_part = bank.eval_series(times, x_part) if bank is not None else x_part.copy()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpriv.dynamics import (
+    STAGE_BUFFERS,
     AverageConsensus,
     FriedkinJohnsen,
     LorenzDrift,
@@ -9,12 +12,13 @@ from dynpriv.dynamics import (
     PinnedSync,
     SaturatedNet,
     TanhDrift,
+    compile_stage,
     estimate_lipschitz_q,
     exosystem_field,
     field_masked,
     field_unmasked,
 )
-from dynpriv.masks import MaskBank, MaskKind, choose_params
+from dynpriv.masks import MaskBank, MaskKind, MaskParams, choose_params
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian
 
 
@@ -290,3 +294,119 @@ def test_pinned_validation():
             drift=_tanh_drift(),
             nu=3,
         )
+
+
+STAGE_KINDS = ["saturated", "fj_live", "fj_frozen", "consensus", "pinned_lorenz", "pinned_tanh"]
+
+
+def _mixed_bank(dim, rng):
+    """Channels of every mask kind, the kind of each drawn at random."""
+    channels = []
+    for kind in rng.choice(list(MaskKind), dim):
+        if kind is MaskKind.IDENTITY:
+            params = MaskParams()
+        elif kind is MaskKind.LINEAR:
+            params = MaskParams(phi=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0))
+        else:
+            params = choose_params(kind, 1.0, rng.uniform(-3.0, 3.0), rng)
+        channels.append((kind, params))
+    return MaskBank(channels)
+
+
+def _stage_case(kind, bank, n, nu, rng):
+    """A random system of one kind on n agents (masked by a mixed or an
+    identity bank, or bare) and a random joint state for it."""
+    w = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(w, 0.0)
+    lap = np.diag(w.sum(axis=1)) - w
+    if kind == "saturated":
+        spec = SaturatedNet(a=w, kappa=rng.uniform(0.1, 2.0))
+    elif kind in ("fj_live", "fj_frozen"):
+        spec = FriedkinJohnsen(
+            laplacian=lap, theta=rng.uniform(0.1, 1.0, n), anchor=rng.uniform(-3, 3, n)
+        )
+    elif kind == "consensus":
+        sym = w + w.T
+        spec = AverageConsensus(laplacian=np.diag(sym.sum(axis=1)) - sym)
+    else:
+        if kind == "pinned_lorenz":
+            nu = 3
+            drift = LorenzDrift(*rng.uniform([5.0, 20.0, 1.0], [15.0, 35.0, 4.0]))
+        else:
+            drift = TanhDrift(a=rng.normal(size=(nu, nu)), b=rng.normal(size=(nu, nu)))
+        m = rng.normal(size=(nu, nu))
+        r = m @ m.T + nu * np.eye(nu)
+        gains = rng.uniform(0.5, 3.0, n) * (rng.random(n) < 0.7)
+        spec = PinnedSync(laplacian=lap, r=(r + r.T) / 2, pin_gains=gains, drift=drift, nu=nu)
+    z = rng.uniform(-10.0, 10.0, spec.dim + (spec.nu if isinstance(spec, PinnedSync) else 0))
+    if bank == "none":
+        return spec, z
+    bank = MaskBank.identity(spec.dim) if bank == "identity" else _mixed_bank(spec.dim, rng)
+    return MaskedSystem(base=spec, bank=bank, frozen_anchor=kind == "fj_frozen"), z
+
+
+def _reference_stage(system, t, z, row):
+    """field_masked (or field_unmasked) on the agents, then exosystem_field."""
+    masked = isinstance(system, MaskedSystem)
+    spec = system.base if masked else system
+    d = spec.dim
+    s = z[d:] if isinstance(spec, PinnedSync) else None
+    if masked:
+        f = field_masked(system, t, z[:d], s, row)
+    else:
+        f = field_unmasked(spec, t, z[:d], s)
+    return f if s is None else np.concatenate([f, exosystem_field(spec.drift, s)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(STAGE_KINDS),
+    bank=st.sampled_from(["mixed", "identity", "none"]),
+    tabulated=st.booleans(),
+    n=st.integers(1, 12),
+    nu=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, seed):
+    if kind == "fj_frozen" and bank == "none":
+        bank = "mixed"  # the frozen anchor is a masked variant
+    rng = np.random.default_rng(seed)
+    system, z = _stage_case(kind, bank, n, nu, rng)
+    times = np.sort(rng.uniform(0.0, 20.0, 2 * STAGE_BUFFERS))
+    table = {}
+    if bank != "none" and tabulated:  # else the stage computes factors from t
+        scale, offset = system.bank.factors(times)
+        table = dict(zip(times, zip(scale, offset)))
+    stage = compile_stage(system, table.__getitem__ if table else None)
+    for t in times:
+        z = z + rng.uniform(-1.0, 1.0, z.size)
+        got = stage(t, z)
+        assert np.array_equal(got, _reference_stage(system, t, z, table.get(t)))
+
+
+def test_compiled_stage_rotates_its_output_buffers():
+    rng = np.random.default_rng(4)
+    system, z = _stage_case("pinned_lorenz", "mixed", 4, 3, rng)
+    stage = compile_stage(system)
+    states = [z + k for k in range(STAGE_BUFFERS + 1)]
+    results = [stage(0.1 * k, states[k]) for k in range(STAGE_BUFFERS)]
+    # each result stays valid through STAGE_BUFFERS - 1 further calls ...
+    for k, got in enumerate(results):
+        assert np.array_equal(got, _reference_stage(system, 0.1 * k, states[k], None))
+    assert len({id(r) for r in results}) == STAGE_BUFFERS
+    # ... and the next call overwrites the oldest
+    assert stage(0.5, states[-1]) is results[0]
+
+
+def test_compile_stage_rejects_unknown_kinds():
+    class Unknown:
+        dim = 2
+
+    with pytest.raises(TypeError, match="unknown system"):
+        compile_stage(Unknown())
+    spec = PinnedSync(
+        laplacian=_cycle_lap(), r=np.eye(3), pin_gains=np.ones(3), drift=_tanh_drift(), nu=3
+    )
+    object.__setattr__(spec, "drift", object())
+    with pytest.raises(TypeError, match="unknown drift"):
+        compile_stage(spec)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynpriv.masks import (
+    ROUNDTRIP_TOL,
     MaskBank,
     MaskKind,
     MaskParams,
@@ -67,15 +68,31 @@ def _random_bank(kind, rng, dim=4, lam=1.0):
     )
 
 
+RATE = st.floats(0.01, 10.0)
+OFFSET = st.floats(-50.0, 50.0).filter(bool)
+POSITIVE_PHI = st.floats(0.0, 10.0, exclude_min=True)
+PARAMS = {
+    MaskKind.IDENTITY: st.just(MaskParams()),
+    MaskKind.LINEAR: st.builds(MaskParams, phi=st.floats(0.0, 10.0), sigma=RATE),
+    MaskKind.ADDITIVE: st.builds(MaskParams, gamma=OFFSET, delta=RATE),
+    MaskKind.AFFINE: st.builds(
+        MaskParams, c=st.floats(1.0, 10.0, exclude_min=True), gamma=OFFSET, delta=RATE
+    ),
+    MaskKind.VANISHING_AFFINE: st.builds(
+        MaskParams, phi=POSITIVE_PHI, sigma=RATE, gamma=OFFSET, delta=RATE
+    ),
+}
+
+
 @pytest.mark.parametrize("kind", list(MaskKind))
-def test_roundtrip_every_kind(kind):
-    rng = np.random.default_rng(hash(kind.value) % 2**32)
-    for _ in range(30):
-        bank = _random_bank(kind, rng)
-        x = rng.uniform(-10, 10, bank.dim)
-        t = rng.uniform(0.0, 100.0)
-        back = bank.invert(t, bank.eval(t, x))
-        assert np.max(np.abs(back - x)) <= 1e-12
+@settings(deadline=None)
+@given(data=st.data(), t=st.floats(0.0, 1e3))
+def test_roundtrip_every_kind(kind, data, t):
+    params = data.draw(st.lists(PARAMS[kind], min_size=1, max_size=6))
+    bank = MaskBank([(kind, p) for p in params])
+    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=bank.dim, max_size=bank.dim)))
+    back = bank.invert(t, bank.eval(t, x))
+    assert np.max(np.abs(back - x)) <= ROUNDTRIP_TOL
 
 
 @pytest.mark.parametrize("kind", list(MaskKind))

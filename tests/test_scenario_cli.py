@@ -306,13 +306,31 @@ def test_cli_suite_fast_subset(tmp_path, capsys):
     assert all(r["status"] == "pass" for r in summary["results"])
 
 
+def test_cli_suite_rows_record_wall_time_and_steps(tmp_path):
+    name = "example3_consensus_n3"
+    assert main(["suite", "--names", name, "--out", str(tmp_path)]) == 0
+    (row,) = json.loads((tmp_path / "suite_summary.json").read_text())["results"]
+    assert set(row) == {"scenario", "config_hash", "status", "verdicts", "n_steps", "wall_s"}
+    assert row["n_steps"] == build_scenario(load_bundled(name)).integrator.n_steps
+    assert row["wall_s"] > 0
+
+
+def test_cli_graph_retry_exhaustion_exits_2(tmp_path, capsys):
+    # this seed finds no admissible graph for example1_satnet_n10 in 100 candidates
+    argv = ["check", "--bundled", "example1_satnet_n10", "--seed", "3390588"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "100 retries" in err and "n=10" in err and "p=0.35" in err
+
+
 RESEEDABLE = ["example1_satnet_n10", "example2_fj_n10", "example4_pinning_n10"]
 
 
 def _built(config):
     try:
         sc = build_scenario(config)
-    except RuntimeError as exc:  # a few seeds find no admissible graph
+    except ScenarioError as exc:  # a few seeds find no admissible graph
+        assert "retries" in str(exc)
         return repr(exc)
     system = sc.system
     return {

@@ -11,6 +11,7 @@ from dynpriv.dynamics import (
     PinnedSync,
     SaturatedNet,
     TanhDrift,
+    compile_stage,
     exosystem_field,
     field_unmasked,
 )
@@ -63,6 +64,30 @@ def test_rk4_order_via_step_halving():
 
     ratio = err(0.02) / err(0.01)
     assert 12.0 <= ratio <= 20.0
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_rk4_error_falls_16x_per_halving_on_random_consensus(n, seed):
+    # random symmetric Laplacian (a weighted path plus random chords),
+    # scaled so its fastest mode has rate 1; exact flow from eigh
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.5), 2)
+    w += np.diag(rng.uniform(0.1, 1.0, n - 1), 1)
+    w += w.T
+    lap = np.diag(w.sum(axis=1)) - w
+    lap /= np.linalg.eigvalsh(lap)[-1]
+    x0 = rng.uniform(-3.0, 3.0, n)
+    t_final = 2.0
+    lam, v = np.linalg.eigh(lap)
+    exact = v @ (np.exp(-lam * t_final) * (v.T @ x0))
+
+    def err(dt):
+        cfg = IntegratorConfig(dt=dt, t_final=t_final)
+        traj = integrate(AverageConsensus(laplacian=lap), x0, cfg)
+        return np.max(np.abs(traj.x[-1] - exact))
+
+    assert 15.0 <= err(0.1) / err(0.05) <= 17.5
 
 
 def test_euler_first_order():
@@ -416,3 +441,18 @@ def test_pinned_s0_required_and_shape_checked():
         integrate(spec, np.zeros(6), cfg, s0=np.zeros(3))
     with pytest.raises(ValueError, match="s0"):
         integrate(_decay_system(), np.zeros(1), cfg, s0=np.zeros(1))
+
+
+def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
+    from dynpriv import solver
+
+    def off_by_one_ulp(system, factors=None):
+        stage = compile_stage(system, factors)
+        return lambda t, z: np.nextafter(stage(t, z), np.inf)
+
+    monkeypatch.setattr(solver, "compile_stage", off_by_one_ulp)
+    ms, x0, s0 = _masked_case("pinned", 3, np.random.default_rng(2))
+    with pytest.raises(RuntimeError, match="compiled stage differs"):
+        integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
+    with pytest.raises(RuntimeError, match="compiled stage differs"):
+        integrate(ms.base, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
