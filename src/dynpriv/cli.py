@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -31,6 +32,14 @@ SUITE_SCENARIOS = (
     "example4_pinning_n10",
     "example4_pinning",
 )
+
+
+def _tolerance(text: str) -> float:
+    """Type of --tol: a finite positive float, else a usage error (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _load(args) -> dict:
@@ -238,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true", help="fail on assumption violations")
         p.add_argument("--seed", type=int, help="override the top-level config seed")
         if tol:
-            p.add_argument("--tol", type=float, help="override the convergence tolerance")
+            p.add_argument("--tol", type=_tolerance, help="override the convergence tolerance")
         p.set_defaults(fn=fn)
     p = sub.add_parser("suite")
     p.add_argument("--names", nargs="*", help="bundled scenario subset (default: full suite)")
     p.add_argument("--out", help="artifact output directory (default ./out)")
-    p.add_argument("--tol", type=float, help="override the convergence tolerance")
+    p.add_argument("--tol", type=_tolerance, help="override the convergence tolerance")
     p.set_defaults(fn=cmd_suite)
     return parser
 

@@ -11,9 +11,10 @@ unmasked.
 
 field_unmasked, field_masked and exosystem_field are the readable reference.
 compile_stage binds one run's joint field once, as the solver's stage
-function: preallocated blocks and views, then only ufunc and matmul calls
-with out= per stage, equal to the reference bit for bit. For a pinned
-system the exosystem state is the last row of the (n+1, nu) drift block.
+function: preallocated blocks and views, 0-d coefficients, then only bound
+ufunc and np.dot calls with the output passed positionally per stage, equal
+to the reference bit for bit. For a pinned system the exosystem state is the
+last row of the (n+1, nu) drift block.
 """
 
 from __future__ import annotations
@@ -281,6 +282,14 @@ def field_masked(
 #: Output arrays a compiled stage rotates through; RK4 holds k1..k4 at once.
 STAGE_BUFFERS = 4
 
+# Ufuncs bound once as module names: a stage calls them with out passed
+# positionally, which skips the attribute lookup and the keyword parse.
+# Scalar coefficients are bound as 0-d float64 arrays, which a ufunc takes
+# as they are, where it converts a Python float on every call.
+_add, _sub, _mul, _neg, _tanh, _dot, _copyto = (
+    np.add, np.subtract, np.multiply, np.negative, np.tanh, np.dot, np.copyto
+)
+
 
 def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
     """The joint field of a run as one stage function f(t, z).
@@ -289,9 +298,11 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
     pinned system. factors maps a stage time to the bank's (scale, offset)
     pair (the solver passes its table lookup); by default it is computed
     from t. Everything the field needs is bound here once: L, the pin-gain
-    column, the drift coefficients, the frozen masked anchor, and
-    preallocated blocks with all their views, so a stage runs only ufunc
-    and matmul calls with out=. The result equals field_masked (or
+    column, the drift coefficients and the scalar gains (kappa, sigma, rho,
+    beta as 0-d float64 arrays), the frozen masked anchor, and preallocated
+    blocks with all their views. A stage then runs only bound ufuncs and
+    np.dot with out passed positionally; np.dot makes the same BLAS gemv or
+    gemm call as np.matmul. The result equals field_masked (or
     field_unmasked) with exosystem_field appended, bit for bit: every
     element is formed by the same operations in the same order.
 
@@ -315,17 +326,17 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
         lap = spec.laplacian
 
         def body(y, f, o):
-            np.matmul(lap, y, out=o)
-            np.negative(o, out=o)
+            _dot(lap, y, o)
+            _neg(o, o)
 
     elif isinstance(spec, SaturatedNet):
-        a, kappa = spec.a, spec.kappa
+        a, kappa = spec.a, np.array(float(spec.kappa))
 
         def body(y, f, o):
-            np.tanh(y, out=tmp)
-            np.matmul(a, tmp, out=o)
-            np.multiply(kappa, o, out=o)
-            np.subtract(o, y, out=o)
+            _tanh(y, tmp)
+            _dot(a, tmp, o)
+            _mul(kappa, o, o)
+            _sub(o, y, o)
 
     elif isinstance(spec, FriedkinJohnsen):
         lap, theta, anchor = spec.laplacian, spec.theta, spec.anchor
@@ -337,18 +348,18 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
             anchor_term = None  # theta * h(t, anchor), formed at every stage
 
         def body(y, f, o):
-            np.matmul(lap, y, out=o)
-            np.negative(o, out=o)
-            np.multiply(theta, y, out=tmp)
-            np.subtract(o, tmp, out=o)
+            _dot(lap, y, o)
+            _neg(o, o)
+            _mul(theta, y, tmp)
+            _sub(o, tmp, o)
             if anchor_term is None:
                 scale, offset = f
-                np.add(anchor, offset, out=tmp)
-                np.multiply(scale, tmp, out=tmp)
-                np.multiply(theta, tmp, out=tmp)
-                np.add(o, tmp, out=o)
+                _add(anchor, offset, tmp)
+                _mul(scale, tmp, tmp)
+                _mul(theta, tmp, tmp)
+                _add(o, tmp, o)
             else:
-                np.add(o, anchor_term, out=o)
+                _add(o, anchor_term, o)
 
     elif pinned:
         body, views = _pinned_body(spec, y.reshape(spec.n_agents + 1, spec.nu))
@@ -359,13 +370,13 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
 
     def stage(t, z):
         if pinned:
-            np.copyto(y, z)
+            _copyto(y, z)
             z = y
         f = None
         if factors is not None:
             f = scale, offset = factors(t)
-            np.add(agents if pinned else z, offset, out=agents)
-            np.multiply(scale, agents, out=agents)
+            _add(agents if pinned else z, offset, agents)
+            _mul(scale, agents, agents)
             z = y
         o = next(outs)
         body(z, f, *o)
@@ -387,19 +398,19 @@ def _pinned_body(spec: PinnedSync, block: np.ndarray):
     work, prod = np.empty((n, nu)), np.empty((n, nu))
     if isinstance(drift, LorenzDrift):
         # Elementwise, so the agent rows and the exosystem row take one pass.
-        sigma, rho, beta = drift.sigma, drift.rho, drift.beta
+        sigma, rho, beta = (np.array(float(c)) for c in (drift.sigma, drift.rho, drift.beta))
         bx, by, bz = block.T
         col = np.empty(n + 1)
 
         def drift_rows(agent_rows, exo_row, ox, oy, oz):
-            np.subtract(by, bx, out=ox)
-            np.multiply(sigma, ox, out=ox)
-            np.subtract(rho, bz, out=oy)
-            np.multiply(bx, oy, out=oy)
-            np.subtract(oy, by, out=oy)
-            np.multiply(bx, by, out=oz)
-            np.multiply(beta, bz, out=col)
-            np.subtract(oz, col, out=oz)
+            _sub(by, bx, ox)
+            _mul(sigma, ox, ox)
+            _sub(rho, bz, oy)
+            _mul(bx, oy, oy)
+            _sub(oy, by, oy)
+            _mul(bx, by, oz)
+            _mul(beta, bz, col)
+            _sub(oz, col, oz)
 
     elif isinstance(drift, TanhDrift):
         # A row of a matrix product need not round as the vector product
@@ -410,13 +421,13 @@ def _pinned_body(spec: PinnedSync, block: np.ndarray):
         row = np.empty(nu)
 
         def drift_rows(agent_rows, exo_row):
-            np.tanh(block, out=th)
-            np.matmul(states, a_t, out=agent_rows)
-            np.matmul(th_states, b_t, out=prod)
-            np.add(agent_rows, prod, out=agent_rows)
-            np.matmul(s, a_t, out=exo_row)
-            np.matmul(th_s, b_t, out=row)
-            np.add(exo_row, row, out=exo_row)
+            _tanh(block, th)
+            _dot(states, a_t, agent_rows)
+            _dot(th_states, b_t, prod)
+            _add(agent_rows, prod, agent_rows)
+            _dot(s, a_t, exo_row)
+            _dot(th_s, b_t, row)
+            _add(exo_row, row, exo_row)
 
     else:
         raise TypeError(f"unknown drift {type(drift).__name__}")
@@ -429,13 +440,13 @@ def _pinned_body(spec: PinnedSync, block: np.ndarray):
     def body(y, f, o, agent_rows, *drift_views):
         drift_rows(agent_rows, *drift_views)
         # (drift - coupling) - pinning, as field_unmasked subtracts them
-        np.matmul(lap, states, out=work)
-        np.matmul(work, r, out=prod)
-        np.subtract(agent_rows, prod, out=agent_rows)
-        np.subtract(states, s, out=work)
-        np.matmul(work, r, out=prod)
-        np.multiply(gains, prod, out=prod)
-        np.subtract(agent_rows, prod, out=agent_rows)
+        _dot(lap, states, work)
+        _dot(work, r, prod)
+        _sub(agent_rows, prod, agent_rows)
+        _sub(states, s, work)
+        _dot(work, r, prod)
+        _mul(gains, prod, prod)
+        _sub(agent_rows, prod, agent_rows)
 
     return body, views
 

@@ -181,6 +181,15 @@ class Scenario:
         return MaskedSystem(base=self.system, bank=self.bank, frozen_anchor=self.frozen_anchor)
 
 
+def _finite_positive(value, key: str) -> float:
+    """value as a float; a non-finite or non-positive one is a ScenarioError
+    naming key."""
+    value = float(value)
+    if not np.isfinite(value) or value <= 0:
+        raise ScenarioError(f"{key} must be finite and positive, got {value!r}")
+    return value
+
+
 def _build_graph(config: dict, spec: dict) -> Digraph:
     kind = spec.get("kind")
     if kind == "inline":
@@ -314,6 +323,9 @@ def build_scenario(config: dict) -> Scenario:
         dim = graph.n * nu
         x0 = _sample_vector(config, config["x0"], dim, "x0")
         system = _build_system(config, graph, x0)
+        lam = config.get("mask", {}).get("privacy_level")
+        if lam is not None:
+            lam = _finite_positive(lam, "mask.privacy_level")
         bank = _build_bank(config, dim, x0)
         s0 = None
         if system_kind == "pinned_sync":
@@ -329,8 +341,6 @@ def build_scenario(config: dict) -> Scenario:
         for chk in checks:
             if chk not in KNOWN_CHECKS:
                 raise ScenarioError(f"unknown check {chk!r}")
-        mask_spec = config.get("mask", {})
-        lam = mask_spec.get("privacy_level")
         tols = config.get("tolerances", {})
         default_tol = 1e-2 if system_kind == "pinned_sync" else 1e-3
         return Scenario(
@@ -345,8 +355,8 @@ def build_scenario(config: dict) -> Scenario:
             s0=s0,
             integrator=cfg,
             checks=checks,
-            privacy_level=float(lam) if lam is not None else None,
-            tol_conv=float(tols.get("tol_conv", default_tol)),
+            privacy_level=lam,
+            tol_conv=_finite_positive(tols.get("tol_conv", default_tol), "tolerances.tol_conv"),
             frozen_anchor=bool(config["system"].get("frozen_anchor", False)),
             sync_condition=config.get("sync_condition"),
             adversary=config.get("adversary"),

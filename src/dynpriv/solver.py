@@ -10,9 +10,13 @@ against the reference fields at the initial state before the first step.
 The compiled stage's results rotate through STAGE_BUFFERS arrays, which
 covers the four slopes RK4 holds within one step.
 
-The mask's factors depend on time alone, so a masked integration computes
-them for every distinct stage time of a block of TABLE_STEPS steps in one
-MaskBank.factors call, and each stage looks its row up by time.
+_march is the one stepper. It runs TABLE_STEPS steps at a time into the
+rows of a preallocated block, with the stage inputs and the RK4 slope sum
+formed in two scratch arrays by bound ufuncs and the step constants held as
+0-d arrays, and checks finiteness once per block. The mask's factors depend
+on time alone, so a masked integration computes them for every distinct
+stage time of a block in one MaskBank.factors call, and each stage looks
+its row up by time.
 """
 
 from __future__ import annotations
@@ -126,46 +130,93 @@ def _stage_times(k0: int, k1: int, dt: float, rk4: bool) -> list:
 def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):
     """Fixed-step RK4/Euler of dz/dt = f(t, z) from z at t=0.
 
-    z is an array or a scalar; floor, if given, clamps a scalar state from
-    below after every step. tabulate, if given, receives the distinct stage
-    times of each block of TABLE_STEPS steps before the block runs. Returns
-    the recorded (times, states) arrays, allocated up front so that no
-    allocation made inside the loop outlives its step and fragments the
-    heap. Raises BlowUpError carrying the state at the last step that
-    stayed finite if the state leaves the finite range.
+    z is a 1-d array or a scalar, which runs as a (1,) state; floor, if
+    given, clamps the state from below after every step. tabulate, if
+    given, receives the distinct stage times of each block of TABLE_STEPS
+    steps before the block runs. Returns the recorded (times, states)
+    arrays; for a scalar z the states are (n_rec,) values.
+
+    The march fills a preallocated (TABLE_STEPS+1, d) block one step per
+    row, row 0 holding the block's start state. Stage inputs and the RK4
+    slope sum are formed in two scratch arrays by ufuncs bound once, with
+    out passed positionally and the step constants held as 0-d arrays, so
+    a step allocates nothing beyond what f returns, and every element sees
+    the same operations in the same order as z + (dt/6)(k1 + 2k2 + 2k3 + k4).
+    The recording arrays are allocated up front, so that no allocation made
+    inside the loop outlives its block and fragments the heap, and each
+    block copies its recorded rows with one slice assignment.
+
+    Finiteness is checked once per block, on all its rows. The steps after
+    a blow-up (up to TABLE_STEPS - 1 of them) run on non-finite values with
+    overflow and invalid warnings silenced; the check then finds the first
+    bad step and raises BlowUpError carrying the state of the step before
+    it, and no later block is tabulated.
     """
     dt = cfg.dt
     n_steps = cfg.n_steps
     stride = cfg.record_stride
+    rk4 = cfg.method == "rk4"
+    scalar = np.ndim(z) == 0
+    z = np.array(z, dtype=float, ndmin=1)
     n_rec = 1 + n_steps // stride + (n_steps % stride > 0)
     rec_times = np.empty(n_rec)
-    rec_states = np.empty((n_rec,) + np.shape(z))
-    rec_times[0], rec_states[0] = 0.0, z
+    rec_times[: 1 + n_steps // stride] = np.arange(0, n_steps + 1, stride) * dt
+    rec_times[-1] = n_steps * dt  # the final step, on the stride or not
+    rec_states = np.empty((n_rec,) + z.shape)
+    rec_states[0] = z
     row = 1
-    last_ok_t, last_ok_z = 0.0, z
-    rk4 = cfg.method == "rk4"
-    for k in range(n_steps):
-        if tabulate is not None and k % TABLE_STEPS == 0:
-            tabulate(_stage_times(k, min(k + TABLE_STEPS, n_steps), dt, rk4))
-        t = k * dt
-        if rk4:
-            k1 = f(t, z)
-            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
-            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
-            k4 = f(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            z = z + dt * f(t, z)
-        if floor is not None:
-            z = max(z, floor)
-        t_next = (k + 1) * dt
-        if not np.abs(z).max() <= BLOWUP_LIMIT:  # also true for nan and inf
-            raise BlowUpError(t_next, last_ok_t, np.atleast_1d(last_ok_z))
-        last_ok_t, last_ok_z = t_next, z
-        if (k + 1) % stride == 0 or (k + 1) == n_steps:
-            rec_times[row], rec_states[row] = t_next, z
-            row += 1
-    return rec_times, rec_states
+    block = np.empty((TABLE_STEPS + 1,) + z.shape)
+    rows = list(block)
+    arg, acc = np.empty_like(z), np.empty_like(z)
+    add, mul, maximum = np.add, np.multiply, np.maximum
+    half_dt = 0.5 * dt
+    half, step, two, sixth = (np.array(c) for c in (half_dt, dt, 2.0, dt / 6.0))
+    if floor is not None:
+        floor = np.array(floor, dtype=float)
+    for k0 in range(0, n_steps, TABLE_STEPS):
+        n = min(TABLE_STEPS, n_steps - k0)
+        if tabulate is not None:
+            tabulate(_stage_times(k0, k0 + n, dt, rk4))
+        block[0] = z
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                t = (k0 + j) * dt
+                cur, nxt = rows[j], rows[j + 1]
+                if rk4:
+                    k1 = f(t, cur)
+                    mul(half, k1, arg)
+                    add(cur, arg, arg)
+                    k2 = f(t + half_dt, arg)
+                    mul(half, k2, arg)
+                    add(cur, arg, arg)
+                    k3 = f(t + half_dt, arg)
+                    mul(step, k3, arg)
+                    add(cur, arg, arg)
+                    k4 = f(t + dt, arg)
+                    mul(two, k2, acc)
+                    add(k1, acc, acc)
+                    mul(two, k3, arg)
+                    add(acc, arg, acc)
+                    add(acc, k4, acc)
+                    mul(sixth, acc, acc)
+                    add(cur, acc, nxt)
+                else:
+                    mul(step, f(t, cur), arg)
+                    add(cur, arg, nxt)
+                if floor is not None:
+                    maximum(nxt, floor, out=nxt)  # takes no positional out
+        peaks = np.abs(block[1 : n + 1]).max(axis=1)
+        bad = np.flatnonzero(~(peaks <= BLOWUP_LIMIT))  # also true for nan and inf
+        if bad.size:
+            j = int(bad[0])
+            raise BlowUpError((k0 + j + 1) * dt, (k0 + j) * dt, block[j].copy())
+        done = block[stride - k0 % stride : n + 1 : stride]
+        rec_states[row : row + len(done)] = done
+        row += len(done)
+        z = rows[n]
+    if n_steps % stride:
+        rec_states[-1] = z
+    return rec_times, (rec_states.reshape(-1) if scalar else rec_states)
 
 
 def integrate(

@@ -226,6 +226,45 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bundled", "example3_consensus_n3"],
+        ["suite", "--names", "example3_consensus_n3"],
+    ],
+)
+def test_cli_non_finite_or_non_positive_tol_exits_2(argv, tol, tmp_path, capsys):
+    # --tol inf would pass converged trivially; nan, 0 and -1 would fail it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", tol, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_cli_non_finite_or_non_positive_tol_conv_exits_2(tol, tmp_path, capsys):
+    # json.dump writes Infinity and NaN, which json.load reads back
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(_consensus_config(tolerances={"tol_conv": tol})))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "tolerances.tol_conv must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mask_kind", ["identity", "auto"])
+@pytest.mark.parametrize("level", [-1.0, 0.0, float("inf"), float("nan")])
+def test_cli_non_finite_or_non_positive_privacy_level_exits_2(mask_kind, level, tmp_path, capsys):
+    # an identity mask with level -1 would pass privacy_floor and mask_gap_visible
+    mask = {"kind": mask_kind, "privacy_level": level}
+    if mask_kind == "auto":
+        mask["mask_kind"] = "vanishing_affine"
+    cfg = _consensus_config(mask=mask, checks=["privacy_floor", "mask_gap_visible"])
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "mask.privacy_level must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_simulate_writes_artifacts(tmp_path):
     cfg = _consensus_config()
     path = tmp_path / "c.json"

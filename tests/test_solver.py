@@ -23,6 +23,7 @@ from dynpriv.solver import (
     TABLE_STEPS,
     BlowUpError,
     IntegratorConfig,
+    _march,
     integrate,
     solve_comparison_ode,
     write_csv,
@@ -191,20 +192,26 @@ def _masked_case(system, n, rng):
     return MaskedSystem(base=base, bank=bank, frozen_anchor=system == "fj_frozen"), x0, s0
 
 
-def _reference_run(ms, x0, cfg, s0=None):
-    """RK4/Euler that masks through bank.eval at every stage; recorded
-    (times, states) as integrate records them."""
-    base, bank, d, dt = ms.base, ms.bank, ms.base.dim, cfg.dt
+def _reference_run(system, x0, cfg, s0=None):
+    """RK4/Euler that masks through bank.eval at every stage (a bare system
+    runs its field_unmasked); recorded (times, states) as integrate records
+    them."""
+    masked = isinstance(system, MaskedSystem)
+    base = system.base if masked else system
+    d, dt = base.dim, cfg.dt
+    pinned = isinstance(base, PinnedSync)
 
     def f(t, z):
-        x, s = z[:d], z[d:]
-        y = bank.eval(t, x)
-        if isinstance(base, FriedkinJohnsen):
-            y_anchor = bank.eval(0.0 if ms.frozen_anchor else t, base.anchor)
-            return -(base.laplacian @ y) - base.theta * y + base.theta * y_anchor
-        if isinstance(base, PinnedSync):
-            return np.concatenate([field_unmasked(base, t, y, s), exosystem_field(base.drift, s)])
-        return field_unmasked(base, t, y)
+        x, s = z[:d], (z[d:] if pinned else None)
+        if not masked:
+            dx = field_unmasked(base, t, x, s)
+        elif isinstance(base, FriedkinJohnsen):
+            y = system.bank.eval(t, x)
+            y_anchor = system.bank.eval(0.0 if system.frozen_anchor else t, base.anchor)
+            dx = -(base.laplacian @ y) - base.theta * y + base.theta * y_anchor
+        else:
+            dx = field_unmasked(base, t, system.bank.eval(t, x), s)
+        return np.concatenate([dx, exosystem_field(base.drift, s)]) if pinned else dx
 
     z = x0 if s0 is None else np.concatenate([x0, s0])
     times, states = [0.0], [z]
@@ -233,16 +240,19 @@ def _reference_run(ms, x0, cfg, s0=None):
     n_steps=st.integers(1, 3 * TABLE_STEPS + 5),
     stride=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
+    masked=st.booleans(),
 )
 def test_masked_integrate_matches_per_stage_eval(
-    system, method, n_agents, dt, n_steps, stride, seed
+    system, method, n_agents, dt, n_steps, stride, seed, masked
 ):
     # the block table must hand every stage the factors bank.eval uses at
-    # its time, including at times where k*dt + dt != (k+1)*dt
+    # its time, including at times where k*dt + dt != (k+1)*dt; a bare
+    # system runs the same block march with no table
     ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
+    run = ms if masked else ms.base
     cfg = IntegratorConfig(method=method, dt=dt, t_final=n_steps * dt, record_stride=stride)
-    traj = integrate(ms, x0, cfg, s0=s0)
-    times, states = _reference_run(ms, x0, cfg, s0)
+    traj = integrate(run, x0, cfg, s0=s0)
+    times, states = _reference_run(run, x0, cfg, s0)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.x, states[:, : ms.base.dim])
     if s0 is not None:
@@ -366,6 +376,71 @@ def test_blowup_witness_independent_of_record_stride():
         t, last_time, last_state = w1
         assert last_time == pytest.approx(t - 0.1)
         assert 0 < np.max(np.abs(last_state)) <= BLOWUP_LIMIT
+
+
+def _naive_witness(f, z, cfg):
+    """Per-step march that checks finiteness after every step; the
+    (t, last_time, last_state) of the first bad step, or None."""
+    dt = cfg.dt
+    last_t, last_z = 0.0, np.atleast_1d(z)
+    for k in range(cfg.n_steps):
+        t = k * dt
+        if cfg.method == "rk4":
+            k1 = f(t, z)
+            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+            k4 = f(t + dt, z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            z = z + dt * f(t, z)
+        if not np.abs(z).max() <= BLOWUP_LIMIT:
+            return (k + 1) * dt, last_t, last_z
+        last_t, last_z = (k + 1) * dt, np.atleast_1d(z)
+    return None
+
+
+_EDGES = [j * TABLE_STEPS + e for j in range(4) for e in (-1, 0, 1) if j * TABLE_STEPS + e >= 0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    bad_step=st.one_of(st.integers(0, 4 * TABLE_STEPS), st.sampled_from(_EDGES)),
+    extra=st.integers(0, 2 * TABLE_STEPS),
+    method=st.sampled_from(["rk4", "euler"]),
+    dt=st.sampled_from([0.01, 0.05, 0.1]),
+    stride=st.integers(1, 5),
+    dim=st.sampled_from([None, 1, 3]),
+    bad_value=st.sampled_from([np.inf, -np.inf, np.nan, 1e20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_march_blowup_witness_matches_per_step_march(
+    bad_step, extra, method, dt, stride, dim, bad_value, seed
+):
+    # the slope turns bad_value from the first stage time past step bad_step's
+    # start (RK4) or at its start (Euler), so the state after that step is
+    # the first one out of range; dim None runs a scalar state
+    rng = np.random.default_rng(seed)
+    z0 = float(rng.uniform(-3.0, 3.0)) if dim is None else rng.uniform(-3.0, 3.0, dim)
+    onset = (bad_step + (0.25 if method == "rk4" else -0.5)) * dt
+
+    def f(t, z):
+        return np.full_like(z, bad_value) if t > onset else -z
+
+    cfg = IntegratorConfig(
+        method=method, dt=dt, t_final=(bad_step + 1 + extra) * dt, record_stride=stride
+    )
+    want = _naive_witness(f, z0, cfg)
+    assert want is not None and want[0] == (bad_step + 1) * dt
+    blocks = []
+    errors = np.geterr()
+    with pytest.raises(BlowUpError) as info:
+        _march(f, z0, cfg, tabulate=lambda times: blocks.append(times[0]))
+    exc = info.value
+    assert (exc.t, exc.last_time) == want[:2]
+    assert np.array_equal(exc.last_state, want[2])
+    assert np.geterr() == errors
+    # one table per block up to and including the failing one, none after
+    assert len(blocks) == bad_step // TABLE_STEPS + 1
 
 
 def test_comparison_ode_validation():
