@@ -7,6 +7,7 @@ assumption violated under --strict; 4 numerical failure; 5 verdict failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -227,7 +228,11 @@ def cmd_suite(args) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and then shared:
+    parse_args keeps nothing in it, and each add_argument would otherwise
+    pay for a fresh help formatter on every main call."""
     parser = argparse.ArgumentParser(
         prog="dynpriv",
         description="Simulate and verify output-masked multiagent dynamics.",
@@ -258,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except scn.ScenarioError as exc:

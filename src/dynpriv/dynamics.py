@@ -297,14 +297,14 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
     z is the joint state: the agents' states, then the exosystem's for a
     pinned system. factors maps a stage time to the bank's (scale, offset)
     pair (the solver passes its table lookup); by default it is computed
-    from t. Everything the field needs is bound here once: L, the pin-gain
-    column, the drift coefficients and the scalar gains (kappa, sigma, rho,
-    beta as 0-d float64 arrays), the frozen masked anchor, and preallocated
-    blocks with all their views. A stage then runs only bound ufuncs and
-    np.dot with out passed positionally; np.dot makes the same BLAS gemv or
-    gemm call as np.matmul. The result equals field_masked (or
-    field_unmasked) with exosystem_field appended, bit for bit: every
-    element is formed by the same operations in the same order.
+    from t. Everything the field needs is bound here once: L, the pin gains
+    as a contiguous (n, nu) block, the drift coefficients and the scalar
+    gains (kappa, sigma, rho, beta as 0-d float64 arrays), the frozen masked
+    anchor, and preallocated blocks with all their views. A stage then runs
+    only bound ufuncs and np.dot with out passed positionally; np.dot makes
+    the same BLAS gemv or gemm call as np.matmul. The result equals
+    field_masked (or field_unmasked) with exosystem_field appended, bit for
+    bit: every element is formed by the same operations in the same order.
 
     Buffer contract: results rotate through STAGE_BUFFERS preallocated
     arrays, so a returned array stays valid for STAGE_BUFFERS - 1 further
@@ -393,7 +393,10 @@ def _pinned_body(spec: PinnedSync, block: np.ndarray):
     """Stage body of a pinned system over the (n+1, nu) input block, and the
     views of an output array that it writes through."""
     n, nu, drift = spec.n_agents, spec.nu, spec.drift
-    lap, r, gains = spec.laplacian, spec.r, spec.pin_gains[:, None]
+    lap, r = spec.laplacian, spec.r
+    # each agent's gain repeated along its row: a contiguous operand costs
+    # the multiply less than the broadcast column, with the same products
+    gains = np.repeat(spec.pin_gains[:, None], nu, axis=1)
     states, s = block[:n], block[n]
     work, prod = np.empty((n, nu)), np.empty((n, nu))
     if isinstance(drift, LorenzDrift):

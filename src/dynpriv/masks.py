@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,58 +65,111 @@ _REQUIRED = {
     MaskKind.AFFINE: ("c", "gamma", "delta"),
     MaskKind.VANISHING_AFFINE: ("phi", "sigma", "gamma", "delta"),
 }
+#: MaskParams fields in declaration order, which is also the order in which
+#: a channel's missing or extra parameter is reported.
+_FIELDS = ("phi", "sigma", "gamma", "delta", "c")
+#: Per field, the value that keeps an unused term inert.
+_NEUTRAL = (0.0, 1.0, 0.0, 1.0, 1.0)
+_KINDS = tuple(MaskKind)
+_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
+#: _TAKES[kind index, field index]: the kind requires that field.
+_TAKES = np.array([[f in _REQUIRED[kind] for f in _FIELDS] for kind in _KINDS])
+_RANGE_MESSAGES = {
+    MaskKind.LINEAR: "linear mask needs phi >= 0 and sigma > 0",
+    MaskKind.ADDITIVE: "additive mask needs gamma != 0 and delta > 0",
+    MaskKind.AFFINE: "affine mask needs c > 1, gamma != 0, delta > 0",
+    MaskKind.VANISHING_AFFINE: (
+        "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0"
+    ),
+}
 
 
-def _validate(kind: MaskKind, p: MaskParams) -> None:
-    required = _REQUIRED[kind]
-    for name in ("phi", "sigma", "gamma", "delta", "c"):
-        val = getattr(p, name)
-        if name in required:
-            if val is None:
-                raise ValueError(f"{kind.value} mask requires parameter {name}")
-        elif val is not None:
-            raise ValueError(f"{kind.value} mask does not take parameter {name}")
-    if kind is MaskKind.LINEAR:
-        if p.phi < 0 or p.sigma <= 0:
-            raise ValueError("linear mask needs phi >= 0 and sigma > 0")
-    elif kind is MaskKind.ADDITIVE:
-        if p.gamma == 0 or p.delta <= 0:
-            raise ValueError("additive mask needs gamma != 0 and delta > 0")
-    elif kind is MaskKind.AFFINE:
-        if p.c <= 1 or p.gamma == 0 or p.delta <= 0:
-            raise ValueError("affine mask needs c > 1, gamma != 0, delta > 0")
-    elif kind is MaskKind.VANISHING_AFFINE:
-        if p.phi <= 0 or p.sigma <= 0 or p.gamma == 0 or p.delta <= 0:
-            raise ValueError(
-                "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0"
-            )
+def _validate(kind_index: np.ndarray, given: np.ndarray, values: np.ndarray) -> None:
+    """Raise ValueError for the first channel whose parameters do not fit its
+    kind: a missing or extra parameter (the first in field order), else an
+    out-of-range value.
+
+    kind_index holds each channel's index into _KINDS; given and values are
+    (field, channel) arrays of which parameters are set and their values.
+    """
+    phi, sigma, gamma, delta, c = values
+    # The comparisons as written, never negated: a NaN passes them as it
+    # passes the scalar comparison.
+    out_of_range = {
+        MaskKind.LINEAR: (phi < 0) | (sigma <= 0),
+        MaskKind.ADDITIVE: (gamma == 0) | (delta <= 0),
+        MaskKind.AFFINE: (c <= 1) | (gamma == 0) | (delta <= 0),
+        MaskKind.VANISHING_AFFINE: (phi <= 0) | (sigma <= 0) | (gamma == 0) | (delta <= 0),
+    }
+    wrong = given != _TAKES[kind_index].T
+    bad = wrong.any(axis=0)
+    for kind, flagged in out_of_range.items():
+        bad |= (kind_index == _KIND_INDEX[kind]) & flagged
+    if not bad.any():
+        return
+    ch = int(np.argmax(bad))
+    kind = _KINDS[kind_index[ch]]
+    if wrong[:, ch].any():
+        f = int(np.argmax(wrong[:, ch]))
+        if given[f, ch]:
+            raise ValueError(f"{kind.value} mask does not take parameter {_FIELDS[f]}")
+        raise ValueError(f"{kind.value} mask requires parameter {_FIELDS[f]}")
+    raise ValueError(_RANGE_MESSAGES[kind])
 
 
 class MaskBank:
     """One mask kind + parameter set per scalar state channel.
 
-    The bank is immutable after construction and evaluates all channels in a
-    single vectorized pass.
+    The bank holds one array per parameter over the channels, with a neutral
+    value wherever a channel's kind takes no such parameter. MaskBank(channels)
+    stacks its (kind, MaskParams) pairs into those arrays and auto() draws
+    them directly; either way one array validator checks them and raises for
+    the first offending channel. params and min_decay_rate are derived from
+    the arrays. The bank is immutable after construction and evaluates all
+    channels in a single vectorized pass.
     """
 
     def __init__(self, channels) -> None:
-        channels = list(channels)
-        if not channels:
+        raw = [(kind, (p.phi, p.sigma, p.gamma, p.delta, p.c)) for kind, p in channels]
+        given = np.array([[v is not None for v in row] for _, row in raw], dtype=bool)
+        values = np.array(
+            [[n if v is None else v for v, n in zip(row, _NEUTRAL)] for _, row in raw]
+        )
+        if values.dtype.kind not in "biuf":
+            raise TypeError("mask parameters must be real numbers")
+        kinds = tuple(kind for kind, _ in raw)
+        kind_index = np.array([_KIND_INDEX[kind] for kind in kinds], dtype=np.intp)
+        self._setup(kinds, kind_index, given.T, values.T.astype(float))
+
+    @classmethod
+    def _from_columns(cls, kind: MaskKind, columns: dict) -> "MaskBank":
+        """A bank of one kind from one float array per parameter it takes."""
+        d = len(next(iter(columns.values())))
+        given = np.array([np.full(d, f in columns) for f in _FIELDS])
+        values = np.array([columns.get(f, np.full(d, n)) for f, n in zip(_FIELDS, _NEUTRAL)])
+        bank = cls.__new__(cls)
+        bank._setup((kind,) * d, np.full(d, _KIND_INDEX[kind]), given, values)
+        return bank
+
+    def _setup(self, kinds: tuple, kind_index, given: np.ndarray, values: np.ndarray) -> None:
+        """Validate and bind the channels' kinds, their indices into _KINDS,
+        and (field, channel) arrays of set flags and values."""
+        if not kinds:
             raise ValueError("mask bank needs at least one channel")
-        kinds = []
-        params = []
-        for kind, p in channels:
-            _validate(kind, p)
-            kinds.append(kind)
-            params.append(p)
-        self.kinds: tuple = tuple(kinds)
-        self.params: tuple = tuple(params)
+        _validate(kind_index, given, values)
+        self.kinds: tuple = kinds
+        self._given = given
+        self._values = values
         # Compiled coefficient arrays; neutral values keep inactive terms inert.
-        self._c = np.array([p.c if p.c is not None else 1.0 for p in params])
-        self._phi = np.array([p.phi if p.phi is not None else 0.0 for p in params])
-        self._sigma = np.array([p.sigma if p.sigma is not None else 1.0 for p in params])
-        self._gamma = np.array([p.gamma if p.gamma is not None else 0.0 for p in params])
-        self._delta = np.array([p.delta if p.delta is not None else 1.0 for p in params])
+        self._phi, self._sigma, self._gamma, self._delta, self._c = values
+
+    @cached_property
+    def params(self) -> tuple:
+        """Per-channel MaskParams of Python floats; unset fields stay None."""
+        return tuple(
+            MaskParams(*(v if g else None for v, g in zip(row, flags)))
+            for row, flags in zip(self._values.T.tolist(), self._given.T.tolist())
+        )
 
     @property
     def dim(self) -> int:
@@ -135,8 +189,8 @@ class MaskBank:
         rate_range: tuple = DEFAULT_RATE_RANGE,
     ) -> "MaskBank":
         """choose_params drawn for every channel of x0, all of the same kind."""
-        params = _draw_params(kind, privacy_level, x0, np.random.default_rng(seed), rate_range)
-        return cls([(kind, p) for p in params])
+        columns = _draw_params(kind, privacy_level, x0, np.random.default_rng(seed), rate_range)
+        return cls._from_columns(kind, columns)
 
     def factors(self, times):
         """Gain c(1 + phi e^{-sigma t}) and offset gamma e^{-delta t} per channel.
@@ -186,13 +240,10 @@ class MaskBank:
 
     def min_decay_rate(self) -> float:
         """Slowest active decay rate across channels (inf for static banks)."""
-        rates = []
-        for kind, p in zip(self.kinds, self.params):
-            if p.sigma is not None:
-                rates.append(p.sigma)
-            if p.delta is not None:
-                rates.append(p.delta)
-        return min(rates) if rates else np.inf
+        # the set rates of rows 1 (sigma) and 3 (delta), channel by channel:
+        # Python's min then meets a NaN rate where the per-channel scan did
+        rates = self._values[[1, 3]].T[self._given[[1, 3]].T]
+        return min(rates.tolist(), default=np.inf)
 
     def translated(self, t0: float) -> "MaskBank":
         """Bank whose clock starts at t0, i.e. h'(t, x) = h(t + t0, x).
@@ -226,10 +277,10 @@ def privacy_metric(bank: MaskBank, x0: np.ndarray):
 _DRAWS = {MaskKind.ADDITIVE: 3, MaskKind.AFFINE: 3, MaskKind.VANISHING_AFFINE: 4}
 
 
-def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> list:
-    """choose_params for every entry of x0, from one (len(x0), k) block of
-    uniform doubles; each uniform draw on [a, b) is a + (b - a) * u, which
-    is what rng.uniform(a, b) computes from u."""
+def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> dict:
+    """choose_params for every entry of x0 as one array per parameter, from
+    one (len(x0), k) block of uniform doubles; each uniform draw on [a, b)
+    is a + (b - a) * u, which is what rng.uniform(a, b) computes from u."""
     if privacy_level <= 0:
         raise ValueError("privacy level must be positive")
     if kind not in PRIVACY_KINDS:
@@ -252,8 +303,7 @@ def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> l
         # gap |phi x0 + (1 + phi) gamma| >= (1 + phi) |gamma| when aligned
         drawn["phi"] = 0.5 + (2.0 - 0.5) * u[:, 2]
         drawn["sigma"] = lo + (hi - lo) * u[:, 3]
-    rows = zip(*(col.tolist() for col in drawn.values()))
-    return [MaskParams(**dict(zip(drawn, row))) for row in rows]
+    return drawn
 
 
 def choose_params(
@@ -271,7 +321,8 @@ def choose_params(
     cannot cancel.
     """
     rng = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    return _draw_params(kind, privacy_level, x0_i, rng, rate_range)[0]
+    drawn = _draw_params(kind, privacy_level, x0_i, rng, rate_range)
+    return MaskParams(**{name: float(col[0]) for name, col in drawn.items()})
 
 
 @dataclass(frozen=True)
@@ -312,6 +363,12 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     grid, which is the uniform-convergence quantity that makes the masked
     dynamics collapse onto the unmasked ones; the pointwise gap need not be
     monotone when a state and its channel offset have opposite signs.
+
+    The factors are tabulated once over the time grid, and the gap is never
+    held for the whole (time, state, channel) grid: the fixed-point test
+    reads its t=0 slice, and the vanishing test folds the states one at a
+    time into a running (time, channel) max, which is exact. Locality
+    compares one factor row per probe time with the bank's own eval.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -323,11 +380,13 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     witnesses: dict = {}
 
     # locality: perturbing channel k (row k of the probes) moves output
-    # channel k only
+    # channel k only, against the bank's own eval of the unperturbed state
     base = np.full(d, 0.37)
+    probes = base + 1.234 * np.eye(d)
     local = True
     for t in (0.0, float(times[-1])):
-        moved = bank.eval_series(np.full(d, t), base + 1.234 * np.eye(d)) != bank.eval(t, base)
+        scale, offset = bank.factors(t)
+        moved = scale * (probes + offset) != bank.eval(t, base)
         bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
         if bad.size:
             local = False
@@ -365,13 +424,12 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     if not increasing:
         witnesses["strictly_increasing"] = {"t": float(times[sampled[np.argmin(rising)]])}
 
-    # gap[time, state, channel] = |h(t, x) - x|
-    gap = states[:, None] + offset[:, None, :]
-    gap *= scale[:, None, :]
-    gap -= states[:, None]
-    np.abs(gap, out=gap)
-
-    fixed = gap[0].T <= 1e-12 * np.maximum(1.0, np.abs(states))
+    # gap[state, channel] = |h(0, x) - x|
+    gap0 = states[:, None] + offset[0]
+    gap0 *= scale[0]
+    gap0 -= states[:, None]
+    np.abs(gap0, out=gap0)
+    fixed = gap0.T <= 1e-12 * np.maximum(1.0, np.abs(states))
     fixed_point_free = not bool(fixed.any())
     if not fixed_point_free:
         ch, st = np.argwhere(fixed)[0]
@@ -379,7 +437,14 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
 
     # uniform vanishing: sup-over-states gap per channel, strictly decreasing
     # and below the tail threshold at the final grid time
-    sup_gap = gap.max(axis=1)
+    sup_gap = np.zeros_like(scale)
+    gap = np.empty_like(scale)
+    for x in states.tolist():
+        np.add(offset, x, out=gap)
+        gap *= scale
+        gap -= x
+        np.abs(gap, out=gap)
+        np.maximum(sup_gap, gap, out=sup_gap)
     tail_ok = sup_gap[-1] < TAIL_REL * sup_gap[0] + TAIL_ABS
     diffs = np.diff(sup_gap, axis=0)
     decreasing = np.all((diffs < 0) | (sup_gap[1:] < TAIL_ABS), axis=0)

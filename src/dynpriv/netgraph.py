@@ -52,6 +52,12 @@ class Digraph:
     def closed_in_neighborhood(self, i: int) -> frozenset:
         return self.in_nbrs[i] | {i}
 
+    @cached_property
+    def assumptions(self) -> "AssumptionReport":
+        """check_no_covering of this graph, scanned once on first use;
+        erdos_renyi fills it while it tests the candidate it accepts."""
+        return check_no_covering(self)
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -274,7 +280,9 @@ def erdos_renyi(
             weight = np.repeat(weight, 2)
         stream = stream[pairs + m :]
         g = build_graph(n, np.column_stack([src, dst, weight]))
-        report = check_no_covering(g)
+        # The property calls check_no_covering by its module name and keeps
+        # the report, so the accepted graph is never scanned again.
+        report = g.assumptions
         if report.irreducible and not (require_no_covering and report.covering_violations):
             return g
     raise RuntimeError(

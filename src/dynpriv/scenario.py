@@ -341,6 +341,9 @@ def build_scenario(config: dict) -> Scenario:
         for chk in checks:
             if chk not in KNOWN_CHECKS:
                 raise ScenarioError(f"unknown check {chk!r}")
+        adversary = config.get("adversary")
+        if adversary is not None and "settle_tol" in adversary:
+            _finite_positive(adversary["settle_tol"], "adversary.settle_tol")
         tols = config.get("tolerances", {})
         default_tol = 1e-2 if system_kind == "pinned_sync" else 1e-3
         return Scenario(
@@ -348,7 +351,7 @@ def build_scenario(config: dict) -> Scenario:
             config=config,
             hash=config_hash(config),
             graph=graph,
-            assumptions=netgraph.check_no_covering(graph),
+            assumptions=graph.assumptions,
             system=system,
             bank=bank,
             x0=x0,
@@ -359,7 +362,7 @@ def build_scenario(config: dict) -> Scenario:
             tol_conv=_finite_positive(tols.get("tol_conv", default_tol), "tolerances.tol_conv"),
             frozen_anchor=bool(config["system"].get("frozen_anchor", False)),
             sync_condition=config.get("sync_condition"),
-            adversary=config.get("adversary"),
+            adversary=adversary,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

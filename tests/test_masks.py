@@ -373,3 +373,206 @@ def test_params_validation_per_kind():
         MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=0.0, delta=1.0))])
     with pytest.raises(ValueError, match="c > 1"):
         MaskBank([(MaskKind.AFFINE, MaskParams(c=1.0, gamma=1.0, delta=1.0))])
+
+
+_REQUIRED_REF = {
+    MaskKind.IDENTITY: (),
+    MaskKind.LINEAR: ("phi", "sigma"),
+    MaskKind.ADDITIVE: ("gamma", "delta"),
+    MaskKind.AFFINE: ("c", "gamma", "delta"),
+    MaskKind.VANISHING_AFFINE: ("phi", "sigma", "gamma", "delta"),
+}
+FIELDS = ("phi", "sigma", "gamma", "delta", "c")
+
+
+def _validate_channel(kind, p):
+    """Reference: the per-channel validator MaskBank ran before its array one."""
+    required = _REQUIRED_REF[kind]
+    for name in ("phi", "sigma", "gamma", "delta", "c"):
+        val = getattr(p, name)
+        if name in required:
+            if val is None:
+                raise ValueError(f"{kind.value} mask requires parameter {name}")
+        elif val is not None:
+            raise ValueError(f"{kind.value} mask does not take parameter {name}")
+    if kind is MaskKind.LINEAR:
+        if p.phi < 0 or p.sigma <= 0:
+            raise ValueError("linear mask needs phi >= 0 and sigma > 0")
+    elif kind is MaskKind.ADDITIVE:
+        if p.gamma == 0 or p.delta <= 0:
+            raise ValueError("additive mask needs gamma != 0 and delta > 0")
+    elif kind is MaskKind.AFFINE:
+        if p.c <= 1 or p.gamma == 0 or p.delta <= 0:
+            raise ValueError("affine mask needs c > 1, gamma != 0, delta > 0")
+    elif kind is MaskKind.VANISHING_AFFINE:
+        if p.phi <= 0 or p.sigma <= 0 or p.gamma == 0 or p.delta <= 0:
+            raise ValueError(
+                "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0"
+            )
+
+
+def _error(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+VALID_CHANNEL = st.sampled_from(list(MaskKind)).flatmap(lambda k: PARAMS[k].map(lambda p: (k, p)))
+#: Values at and beyond every parameter bound (0 for rates, gains and
+#: offsets, 1 for the affine gain c), NaN and the infinities.
+EDGE_VALUES = (-1.0, -0.0, 0.0, 1.0, float("nan"), float("inf"), -float("inf"))
+
+
+@st.composite
+def planted_channels(draw, kind, fault):
+    """A valid channel of kind with one fault planted, in every variant: a
+    parameter it takes set to each edge value ("edge") or left out
+    ("missing"), or one it does not take set to each edge value ("extra")."""
+    params = {f: v for f, v in vars(draw(PARAMS[kind])).items() if v is not None}
+    if fault == "missing":
+        del params[draw(st.sampled_from(_REQUIRED_REF[kind]))]
+        return [MaskParams(**params)]
+    fields = _REQUIRED_REF[kind] if fault == "edge" else [f for f in FIELDS if f not in params]
+    field = draw(st.sampled_from(fields))
+    return [MaskParams(**{**params, field: v}) for v in EDGE_VALUES]
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        (kind, fault)
+        for kind in MaskKind
+        for fault in ("edge", "missing", "extra")
+        if _REQUIRED_REF[kind] or fault == "extra"
+    ],
+)
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), channels=st.lists(VALID_CHANNEL, max_size=6), at=st.integers(0, 6))
+def test_array_validator_matches_per_channel_validator(kind, fault, data, channels, at):
+    for planted in data.draw(planted_channels(kind, fault)):
+        bank_channels = channels.copy()
+        bank_channels.insert(at, (kind, planted))
+        expected = _error(lambda: [_validate_channel(k, p) for k, p in bank_channels])
+        assert _error(lambda: MaskBank(bank_channels)) == expected
+        if expected is None:
+            bank = MaskBank(bank_channels)
+            assert bank.kinds == tuple(k for k, _ in bank_channels)
+            # repr, so that a NaN parameter (which passes validation) compares equal
+            assert repr(bank.params) == repr(tuple(p for _, p in bank_channels))
+
+
+def test_bank_rejects_non_numeric_parameters():
+    with pytest.raises(TypeError, match="real numbers"):
+        MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma="2", delta=1.0))])
+    with pytest.raises(ValueError, match="at least one channel"):
+        MaskBank([])
+
+
+def test_bank_params_and_decay_rate_follow_the_channels():
+    channels = [
+        (MaskKind.LINEAR, MaskParams(phi=0.5, sigma=3)),
+        (MaskKind.IDENTITY, MaskParams()),
+        (MaskKind.AFFINE, MaskParams(c=2, gamma=-1.5, delta=0.25)),
+    ]
+    bank = MaskBank(channels)
+    assert bank.params == tuple(p for _, p in channels)
+    assert all(type(v) is float for p in bank.params for v in vars(p).values() if v is not None)
+    assert bank.min_decay_rate() == 0.25
+    assert MaskBank.identity(3).min_decay_rate() == np.inf
+
+
+def _check_mask_axioms_cube(bank, times, states):
+    """Reference: the axiom grid as it was built before streaming, with the
+    whole (time, state, channel) gap cube and eval_series for locality."""
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=float)
+    d = bank.dim
+    witnesses = {}
+    base = np.full(d, 0.37)
+    local = True
+    for t in (0.0, float(times[-1])):
+        moved = bank.eval_series(np.full(d, t), base + 1.234 * np.eye(d)) != bank.eval(t, base)
+        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
+        if bad.size:
+            local = False
+            witnesses["local"] = {"channel": int(bad[0]), "t": t}
+            break
+    escapes = True
+    for r in (0.01, 0.1):
+        ends = np.concatenate([states - 0.999 * r, states + 0.999 * r])
+        img = bank.eval_series(np.zeros(ends.size), np.broadcast_to(ends[:, None], (ends.size, d)))
+        inside = np.abs(img.reshape(2, states.size, d) - states[:, None]) < r
+        preserved = (inside[0] & inside[1]).T
+        if preserved.any():
+            escapes = False
+            ch, st_ = np.argwhere(preserved)[0]
+            witnesses["escapes_neighborhoods"] = {
+                "channel": int(ch),
+                "state": float(states[st_]),
+                "radius": float(r),
+            }
+            break
+    scale, offset = bank.factors(times)
+    sampled = np.arange(0, times.size, max(1, times.size // 8))
+    h = scale[sampled, None, :] * (np.sort(states)[:, None] + offset[sampled, None, :])
+    rising = np.all(np.diff(h, axis=1) > 0, axis=(1, 2))
+    increasing = bool(rising.all())
+    if not increasing:
+        witnesses["strictly_increasing"] = {"t": float(times[sampled[np.argmin(rising)]])}
+    gap = states[:, None] + offset[:, None, :]
+    gap *= scale[:, None, :]
+    gap -= states[:, None]
+    np.abs(gap, out=gap)
+    fixed = gap[0].T <= 1e-12 * np.maximum(1.0, np.abs(states))
+    fixed_point_free = not bool(fixed.any())
+    if not fixed_point_free:
+        ch, st_ = np.argwhere(fixed)[0]
+        witnesses["fixed_point_free"] = {"channel": int(ch), "state": float(states[st_])}
+    sup_gap = gap.max(axis=1)
+    tail_ok = sup_gap[-1] < 1e-8 * sup_gap[0] + 1e-12
+    diffs = np.diff(sup_gap, axis=0)
+    decreasing = np.all((diffs < 0) | (sup_gap[1:] < 1e-12), axis=0)
+    vanishing = bool(np.all(tail_ok & decreasing))
+    if not vanishing:
+        bad = int(np.argmin(tail_ok & decreasing))
+        witnesses["vanishing"] = {
+            "channel": bad,
+            "initial_sup_gap": float(sup_gap[0, bad]),
+            "final_sup_gap": float(sup_gap[-1, bad]),
+        }
+    return (local, fixed_point_free, escapes, increasing, vanishing, witnesses)
+
+
+class _FlippedBank(MaskBank):
+    """Gains negated on odd channels, so h(t, .) decreases there."""
+
+    def factors(self, times):
+        scale, offset = super().factors(times)
+        scale[..., 1::2] *= -1.0
+        return scale, offset
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    channels=st.lists(VALID_CHANNEL, min_size=2, max_size=6),
+    variant=st.sampled_from([MaskBank, _LeakyBank, _FlippedBank]),
+    horizon=st.floats(0.0, 300.0),
+    steps=st.integers(0, 130),
+    later=st.lists(st.floats(0.0, 300.0), max_size=4),
+    states=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+)
+def test_streamed_axiom_grid_equals_cube_reference(channels, variant, horizon, steps, later, states):
+    bank = variant(channels)
+    times = np.concatenate([np.linspace(0.0, horizon, steps + 1), later])
+    rep = check_mask_axioms(bank, times, np.array(states))
+    ref = _check_mask_axioms_cube(bank, times, np.array(states))
+    assert (
+        rep.local,
+        rep.fixed_point_free,
+        rep.escapes_neighborhoods,
+        rep.strictly_increasing,
+        rep.vanishing,
+        rep.witnesses,
+    ) == ref

@@ -193,8 +193,10 @@ def test_cli_strict_check_flags_covering(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "covering pairs" in captured.out
-    # without --strict the same config reports but exits clean
+    # without --strict the same config reports but exits clean, and the
+    # parser that main shares across calls keeps neither flag for the next
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["check", "--config", str(path), "--out", str(tmp_path), "--strict"]) == 3
 
 
 def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
@@ -211,6 +213,57 @@ def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
     monkeypatch.setattr(netgraph, "check_no_covering", counting_scan)
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
+    candidates, scans = [], []
+    build, scan = netgraph.build_graph, netgraph.check_no_covering
+
+    def counting_build(n, edges):
+        g = build(n, edges)
+        candidates.append(g)
+        return g
+
+    def counting_scan(g):
+        scans.append(g)
+        return scan(g)
+
+    monkeypatch.setattr(netgraph, "build_graph", counting_build)
+    monkeypatch.setattr(netgraph, "check_no_covering", counting_scan)
+    # seed 1 of the n=10 satnet config rejects candidates before it accepts one
+    sc = build_scenario(override_seed(load_bundled("example1_satnet_n10"), 1))
+    assert len(candidates) > 1
+    assert sc.graph is candidates[-1]
+    assert sc.assumptions is sc.graph.assumptions
+    assert run_graph_checks(sc) and run_mask_check(sc)["ok"]
+    assert [id(g) for g in scans] == [id(g) for g in candidates]
+
+
+def test_cli_non_numeric_mask_parameter_exits_2(tmp_path, capsys):
+    # a string would otherwise first fail inside numpy, when the mask is evaluated
+    channels = [{"kind": "additive", "gamma": "2", "delta": 1.0}] * 3
+    path = tmp_path / "str_mask.json"
+    path.write_text(json.dumps(_consensus_config(mask={"kind": "explicit", "channels": channels})))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "mask parameters must be real numbers" in capsys.readouterr().err
+
+
+def test_main_works_after_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--bundled", "example3_consensus_n3", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["check", "--bundled", "example3_consensus_n3", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_cli_non_finite_or_non_positive_settle_tol_exits_2(tol, tmp_path, capsys):
+    # inf or nan would disable the settle guard; 0 or -1 would fail it on every run
+    cfg = load_bundled("adversary_covering")
+    cfg["adversary"]["settle_tol"] = tol
+    path = tmp_path / "settle.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "adversary.settle_tol must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
