@@ -13,12 +13,12 @@ Jacobi sweep so the same routine can audit the unreduced Kronecker matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dynamics import field_unmasked
-from .solver import Trajectory
+if TYPE_CHECKING:  # dynamics imports this module, and solver imports dynamics
+    from .solver import Trajectory
 
 
 def consensus_value(x0: np.ndarray) -> float:
@@ -222,7 +222,7 @@ class DiagnosticsReport:
 
 def stationarity_residual(spec, x_star: np.ndarray) -> float:
     """Infinity norm of the unmasked field at a candidate rest point."""
-    return float(np.max(np.abs(field_unmasked(spec, 0.0, x_star))))
+    return float(np.max(np.abs(spec.field(np.asarray(x_star, dtype=float)))))
 
 
 def series_table(traj: Trajectory, nu: Optional[int] = None):

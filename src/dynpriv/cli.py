@@ -17,6 +17,7 @@ from time import perf_counter
 from . import adversary as adv
 from . import analysis
 from . import scenario as scn
+from .netgraph import laplacian
 from .solver import BlowUpError, write_csv
 
 EXIT_OK = 0
@@ -70,7 +71,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_artifacts(outdir: Path, sc, traj, report) -> None:
     traj.to_csv(outdir / "trajectory.csv")
-    header, table = analysis.series_table(traj, getattr(sc.system, "nu", None))
+    header, table = analysis.series_table(traj, sc.system.nu)
     write_csv(outdir / "series.csv", header, table)
     report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
     _write_json(outdir / "report.json", report.as_dict())
@@ -144,24 +145,21 @@ def cmd_adversary(args) -> int:
     sc = scn.build_scenario(config)
     if sc.adversary is None:
         raise scn.ScenarioError("scenario config has no adversary block")
-    observer = int(sc.adversary["observer"])
-    target = int(sc.adversary["target"])
-    policies = sc.adversary.get("policies", list(adv.SUBSTITUTION_POLICIES))
-    settle_tol = float(sc.adversary.get("settle_tol", 1e-6))
+    observer, target = sc.adversary["observer"], sc.adversary["target"]
     outdir = _outdir(args, sc.name)
     try:
         traj, _report = scn.run_simulation(sc)
     except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    lap = scn.laplacian(sc.graph)
+    lap = laplacian(sc.graph)
     row_field, needed = adv.make_linear_row_field(lap, target)
     view = adv.EavesdropperView.from_trajectory(sc.graph, observer, traj)
     true_x0 = float(sc.x0[target])
     attempts = []
-    for policy in policies:
+    for policy in sc.adversary["policies"]:
         result = adv.reconstruct_initial(
-            view, target, row_field, needed, policy=policy, settle_tol=settle_tol
+            view, target, row_field, needed, policy=policy, settle_tol=sc.adversary["settle_tol"]
         )
         attempts.append(
             {

@@ -1,32 +1,71 @@
-"""Case-study vector fields and their masked wrappers.
+"""Case-study vector fields, their masked wrappers, and the kind registry.
 
-Four base systems are provided: a saturated interaction network, the
+Four model families, one class each: a saturated interaction network, the
 continuous-time Friedkin-Johnsen opinion model, average consensus on a
-weight-balanced digraph, and pinned synchronization of identical
-vector-valued agents driven by an exosystem. The masked wrapper replaces
-every transmitted state with its masked output; for Friedkin-Johnsen the
-anchor term is masked too (the neighbors only ever see outputs), and for
-pinned synchronization the exosystem sample enters the pinning term
-unmasked.
+weight-balanced digraph, and pinned synchronization of identical vector
+agents driven by an exosystem with a TanhDrift or LorenzDrift. The masked
+wrapper replaces every transmitted state with its masked output; for
+Friedkin-Johnsen the anchor term is masked too, and for pinned
+synchronization the exosystem sample enters the pinning term unmasked.
 
-field_unmasked, field_masked and exosystem_field are the readable reference.
-compile_stage binds one run's joint field once, as the solver's stage
-function: preallocated blocks and views, 0-d coefficients, then only bound
-ufunc and np.dot calls with the output passed positionally per stage, equal
-to the reference bit for bit. For a pinned system the exosystem state is the
-last row of the (n+1, nu) drift block.
+Each class owns all that varies by kind: its config name `kind`, config
+schema `keys` and builder `from_config`; `nu` (1 for scalar agents), `drift`
+(None without an exosystem) and default `tol_conv`; its reference `field`
+and `through_mask` (the system that the masked outputs drive); its compiled
+`stage_body`; its `attractor` and `verdicts`. A drift owns `kind`, `keys`,
+`from_config`, its rowwise value `rows` and `stage_rows`. SYSTEMS and DRIFTS
+are the only maps from a kind to its class.
+
+field_unmasked, field_masked and exosystem_field are the readable reference;
+compile_stage binds one run's joint field once as the solver's stage, equal
+to the reference bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
+from . import analysis, netgraph
 from .masks import MaskBank
-from .netgraph import BALANCE_TOL
+
+#: Thresholds of the consensus verdicts.
+CONSERVATION_TOL = 1e-8
+OUTPUT_MEAN_FLOOR = 1e-3
+VMM_RISE_FLOOR = 1e-6
+
+
+class ScenarioError(ValueError):
+    """Config file is inconsistent or incomplete."""
+
+
+class ByKind(dict):
+    """Schema of a config section whose keys depend on its "kind" value."""
+
+
+#: Keys of a vector section (x0, theta, s0): inline values or a seeded draw.
+VECTOR = ByKind(
+    inline={"values": None},
+    uniform={"low": None, "high": None, "seed": None},
+    gaussian={"mean": None, "std": None, "seed": None},
+)
+
+
+def lookup_kind(registry: dict, kind, what: str):
+    """The class that a config section names by its kind."""
+    if kind not in registry:
+        raise ScenarioError(f"unknown {what} kind {kind!r}")
+    return registry[kind]
+
+
+def _registered(obj, registry: dict, what: str):
+    """obj, if its class is registered; else a TypeError naming the class."""
+    if not isinstance(obj, tuple(registry.values())):
+        raise TypeError(f"unknown {what} {type(obj).__name__}")
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +75,10 @@ class TanhDrift:
     a: np.ndarray
     b: np.ndarray
 
+    kind = "tanh"
+    keys = {"a": None, "b": None}
+    columns = False  # stage_rows writes whole rows
+
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
@@ -44,9 +87,38 @@ class TanhDrift:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def from_config(cls, spec: dict) -> "TanhDrift":
+        return cls(a=np.asarray(spec["a"], dtype=float), b=np.asarray(spec["b"], dtype=float))
+
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        return states @ self.a.T + np.tanh(states) @ self.b.T
+
+    def stage_rows(self, block: np.ndarray, prod: np.ndarray):
+        """The drift of the (n+1, nu) block into the output's agent rows and
+        exosystem row. A row of a matrix product need not round as the
+        vector product does, so the exosystem row is evaluated on its own."""
+        n, nu = block.shape[0] - 1, block.shape[1]
+        states, s = block[:n], block[n]
+        a_t, b_t = self.a.T, self.b.T
+        th = np.empty((n + 1, nu))
+        th_states, th_s = th[:n], th[n]
+        row = np.empty(nu)
+
+        def drift_rows(agent_rows, exo_row):
+            _tanh(block, th)
+            _dot(states, a_t, agent_rows)
+            _dot(th_states, b_t, prod)
+            _add(agent_rows, prod, agent_rows)
+            _dot(s, a_t, exo_row)
+            _dot(th_s, b_t, row)
+            _add(exo_row, row, exo_row)
+
+        return drift_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,37 +129,88 @@ class LorenzDrift:
     rho: float = 28.0
     beta: float = 8.0 / 3.0
 
+    kind = "lorenz"
+    keys = dict.fromkeys(("sigma", "rho", "beta"))
+    columns = True  # stage_rows writes the x, y and z columns
+
+    @classmethod
+    def from_config(cls, spec: dict) -> "LorenzDrift":
+        return cls(**{key: spec[key] for key in cls.keys if key in spec})
+
     @property
     def dim(self) -> int:
         return 3
 
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        x, y, z = states.T
+        rows = np.array([self.sigma * (y - x), x * (self.rho - z) - y, x * y - self.beta * z])
+        return np.ascontiguousarray(rows.T)
+
+    def stage_rows(self, block: np.ndarray, prod: np.ndarray):
+        """The drift of the (n+1, nu) block into the output's columns.
+        Elementwise, so the agent rows and the exosystem row take one pass."""
+        sigma, rho, beta = (np.array(float(c)) for c in (self.sigma, self.rho, self.beta))
+        bx, by, bz = block.T
+        col = np.empty(block.shape[0])
+
+        def drift_rows(agent_rows, exo_row, ox, oy, oz):
+            _sub(by, bx, ox)
+            _mul(sigma, ox, ox)
+            _sub(rho, bz, oy)
+            _mul(bx, oy, oy)
+            _sub(oy, by, oy)
+            _mul(bx, by, oz)
+            _mul(beta, bz, col)
+            _sub(oz, col, oz)
+
+        return drift_rows
+
 
 DriftKind = Union[TanhDrift, LorenzDrift]
+DRIFTS = {cls.kind: cls for cls in (TanhDrift, LorenzDrift)}
 
 
 def exosystem_field(drift: DriftKind, s: np.ndarray) -> np.ndarray:
-    """Drift value ds/dt at a single exosystem state."""
-    return _drift_batch(drift, np.asarray(s, dtype=float))
+    """Drift value ds/dt at one (nu,) state, or rowwise on an (n, nu) block."""
+    return _registered(drift, DRIFTS, "drift").rows(np.asarray(s, dtype=float))
 
 
-def _drift_batch(drift: DriftKind, states: np.ndarray) -> np.ndarray:
-    """Drift at one (nu,) state, or rowwise on an (n, nu) block of agent states."""
-    if isinstance(drift, TanhDrift):
-        return states @ drift.a.T + np.tanh(states) @ drift.b.T
-    if isinstance(drift, LorenzDrift):
-        x, y, z = states.T
-        rows = np.array([drift.sigma * (y - x), x * (drift.rho - z) - y, x * y - drift.beta * z])
-        return np.ascontiguousarray(rows.T)
-    raise TypeError(f"unknown drift {type(drift).__name__}")
+class SystemSpec:
+    """Base of the system classes, with the defaults of scalar agents that
+    have no exosystem and no anchor."""
+
+    keys = {}
+    nu = 1
+    drift = None  # the exosystem's drift, if the system has one
+    tol_conv = 1e-3
+    anchored = False  # whether frozen_anchor has an anchor term to freeze
+
+    def through_mask(self, ms: "MaskedSystem", scale, offset):
+        return self
+
+    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
+        """Convergence to attractor(x0), in the infinity norm."""
+        x_star = self.attractor(sc.x0)
+        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
+        report.x_star = x_star.tolist()
+        report.final_error = check.final_error
+        return {"converged": check.converged}
+
+
+def _flat(o: np.ndarray) -> tuple:
+    return (o,)
 
 
 @dataclass(frozen=True, eq=False)
-class SaturatedNet:
+class SaturatedNet(SystemSpec):
     """dx/dt = -x + kappa * A @ tanh(x), A nonnegative with zero diagonal."""
 
     a: np.ndarray
     kappa: float
     enforce_stable: bool = False
+
+    kind = "saturated_net"
+    keys = dict.fromkeys(("kappa", "kappa_over_radius", "enforce_stable"))
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -107,18 +230,50 @@ class SaturatedNet:
                 raise ValueError("stability requires kappa < 1 / spectral_radius(a)")
         object.__setattr__(self, "a", a)
 
+    @classmethod
+    def from_config(cls, spec: dict, graph, x0, vector) -> "SaturatedNet":
+        a = netgraph.adjacency(graph)
+        if "kappa" in spec:
+            kappa = float(spec["kappa"])
+        elif "kappa_over_radius" in spec:
+            kappa = float(spec["kappa_over_radius"]) / netgraph.spectral_radius(a)
+        else:
+            raise ScenarioError("saturated_net needs kappa or kappa_over_radius")
+        return cls(a=a, kappa=kappa, enforce_stable=spec.get("enforce_stable", False))
+
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
+    def field(self, x: np.ndarray, s=None) -> np.ndarray:
+        return -x + self.kappa * (self.a @ np.tanh(x))
+
+    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+        a, kappa = self.a, np.array(float(self.kappa))
+
+        def body(y, f, o):
+            _tanh(y, tmp)
+            _dot(a, tmp, o)
+            _mul(kappa, o, o)
+            _sub(o, y, o)
+
+        return body, _flat
+
+    def attractor(self, x0: np.ndarray) -> np.ndarray:
+        return np.zeros(self.dim)
+
 
 @dataclass(frozen=True, eq=False)
-class FriedkinJohnsen:
+class FriedkinJohnsen(SystemSpec):
     """dx/dt = -(L + Theta) x + Theta anchor; anchor is the initial opinion."""
 
     laplacian: np.ndarray
     theta: np.ndarray
     anchor: np.ndarray
+
+    kind = "friedkin_johnsen"
+    keys = {"theta": VECTOR, "frozen_anchor": None}
+    anchored = True
 
     def __post_init__(self):
         lap = np.asarray(self.laplacian, dtype=float)
@@ -135,35 +290,115 @@ class FriedkinJohnsen:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "anchor", anchor)
 
+    @classmethod
+    def from_config(cls, spec: dict, graph, x0, vector) -> "FriedkinJohnsen":
+        theta = spec["theta"]
+        if isinstance(theta, (int, float)):
+            theta = np.full(graph.n, float(theta))
+        else:
+            theta = vector(theta, graph.n, "theta")
+        return cls(laplacian=netgraph.laplacian(graph), theta=theta, anchor=x0)
+
     @property
     def dim(self) -> int:
         return self.laplacian.shape[0]
 
+    def field(self, x: np.ndarray, s=None) -> np.ndarray:
+        return -(self.laplacian @ x) - self.theta * x + self.theta * self.anchor
+
+    def through_mask(self, ms: "MaskedSystem", scale, offset) -> "FriedkinJohnsen":
+        """The anchor is transmitted too: masked at t, or frozen at t=0."""
+        anchor = ms.frozen_y_anchor if ms.frozen_anchor else scale * (self.anchor + offset)
+        return replace(self, anchor=anchor)
+
+    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+        lap, theta, anchor = self.laplacian, self.theta, self.anchor
+        if ms is None:
+            anchor_term = theta * anchor
+        elif ms.frozen_anchor:
+            anchor_term = theta * ms.frozen_y_anchor
+        else:
+            anchor_term = None  # theta * h(t, anchor), formed at every stage
+
+        def body(y, f, o):
+            _dot(lap, y, o)
+            _neg(o, o)
+            _mul(theta, y, tmp)
+            _sub(o, tmp, o)
+            if anchor_term is None:
+                scale, offset = f
+                _add(anchor, offset, tmp)
+                _mul(scale, tmp, tmp)
+                _mul(theta, tmp, tmp)
+                _add(o, tmp, o)
+            else:
+                _add(o, anchor_term, o)
+
+        return body, _flat
+
+    def attractor(self, x0: np.ndarray) -> np.ndarray:
+        return analysis.fj_equilibrium(self.laplacian, self.theta, self.anchor)
+
 
 @dataclass(frozen=True, eq=False)
-class AverageConsensus:
+class AverageConsensus(SystemSpec):
     """dx/dt = -L x with a weight-balanced Laplacian (conservation of the mean)."""
 
     laplacian: np.ndarray
+
+    kind = "average_consensus"
 
     def __post_init__(self):
         lap = np.asarray(self.laplacian, dtype=float)
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError("Laplacian must be square")
         if (
-            np.max(np.abs(lap.sum(axis=1))) > BALANCE_TOL
-            or np.max(np.abs(lap.sum(axis=0))) > BALANCE_TOL
+            np.max(np.abs(lap.sum(axis=1))) > netgraph.BALANCE_TOL
+            or np.max(np.abs(lap.sum(axis=0))) > netgraph.BALANCE_TOL
         ):
             raise ValueError("consensus needs a weight-balanced Laplacian")
         object.__setattr__(self, "laplacian", lap)
+
+    @classmethod
+    def from_config(cls, spec: dict, graph, x0, vector) -> "AverageConsensus":
+        return cls(laplacian=netgraph.laplacian(graph))
 
     @property
     def dim(self) -> int:
         return self.laplacian.shape[0]
 
+    def field(self, x: np.ndarray, s=None) -> np.ndarray:
+        return -(self.laplacian @ x)
+
+    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+        lap = self.laplacian
+
+        def body(y, f, o):
+            _dot(lap, y, o)
+            _neg(o, o)
+
+        return body, _flat
+
+    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
+        """Convergence to the initial mean, which the states conserve while
+        the outputs' mean moves and the spread need not shrink monotonically."""
+        report.eta = eta = analysis.consensus_value(sc.x0)
+        check = analysis.attractor_verdicts(traj, np.full(self.dim, eta), tol_conv)
+        report.final_error = check.final_error
+        mean_x, mean_y = analysis.conservation_series(traj)
+        report.conservation_dev = float(np.max(np.abs(mean_x - eta)))
+        report.output_mean_range = float(mean_y.max() - mean_y.min())
+        report.vmm_max_increase = analysis.max_increase(analysis.vmm_series(traj))
+        return {
+            "converged": check.converged,
+            "conservation": report.conservation_dev <= CONSERVATION_TOL,
+            "output_mean_hidden": report.output_mean_range > OUTPUT_MEAN_FLOOR,
+            "vmm_non_monotone": report.vmm_max_increase > VMM_RISE_FLOOR,
+        }
+
 
 @dataclass(frozen=True, eq=False)
-class PinnedSync:
+class PinnedSync(SystemSpec):
     """Diffusively coupled identical agents, some pinned to an exosystem.
 
     dx_i/dt = f(x_i) - sum_j L[i,j] R x_j - p_i R (x_i - s), with R symmetric
@@ -173,8 +408,17 @@ class PinnedSync:
     laplacian: np.ndarray
     r: np.ndarray
     pin_gains: np.ndarray
-    drift: DriftKind
-    nu: int
+    drift: DriftKind = field()  # field() keeps both required over SystemSpec's defaults
+    nu: int = field()
+
+    kind = "pinned_sync"
+    keys = {
+        **dict.fromkeys(("nu", "pin_gains", "pinned_count", "pin_gain")),
+        "r": {"kind": None, "rows": None},
+        "drift": ByKind({kind: cls.keys for kind, cls in DRIFTS.items()}),
+        "s0": VECTOR,
+    }
+    tol_conv = 1e-2
 
     def __post_init__(self):
         lap = np.asarray(self.laplacian, dtype=float)
@@ -197,6 +441,23 @@ class PinnedSync:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "pin_gains", p)
 
+    @classmethod
+    def from_config(cls, spec: dict, graph, x0, vector) -> "PinnedSync":
+        nu = int(spec["nu"])
+        r_spec = spec.get("r", {"kind": "identity"})
+        if r_spec.get("kind") == "identity":
+            r = np.eye(nu)
+        else:
+            r = np.asarray(r_spec["rows"], dtype=float)
+        if "pin_gains" in spec:
+            gains = np.asarray(spec["pin_gains"], dtype=float)
+        else:
+            gains = np.zeros(graph.n)
+            gains[: int(spec["pinned_count"])] = float(spec["pin_gain"])
+        drift_spec = spec["drift"]
+        drift = lookup_kind(DRIFTS, drift_spec.get("kind"), "drift").from_config(drift_spec)
+        return cls(laplacian=netgraph.laplacian(graph), r=r, pin_gains=gains, drift=drift, nu=nu)
+
     @property
     def n_agents(self) -> int:
         return self.laplacian.shape[0]
@@ -205,31 +466,76 @@ class PinnedSync:
     def dim(self) -> int:
         return self.n_agents * self.nu
 
+    def field(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        states = x.reshape(self.n_agents, self.nu)
+        coupling = (self.laplacian @ states) @ self.r
+        pinning = self.pin_gains[:, None] * ((states - s[None, :]) @ self.r)
+        return (exosystem_field(self.drift, states) - coupling - pinning).reshape(-1)
 
-SystemSpec = Union[SaturatedNet, FriedkinJohnsen, AverageConsensus, PinnedSync]
+    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+        """Stage body over y as the (n+1, nu) input block, and the views of
+        an output array that it writes through."""
+        n, nu = self.n_agents, self.nu
+        lap, r, block = self.laplacian, self.r, y.reshape(n + 1, nu)
+        # each agent's gain repeated along its row: a contiguous operand costs
+        # the multiply less than the broadcast column, with the same products
+        gains = np.repeat(self.pin_gains[:, None], nu, axis=1)
+        states, s = block[:n], block[n]
+        work, prod = np.empty((n, nu)), np.empty((n, nu))
+        drift = _registered(self.drift, DRIFTS, "drift")
+        drift_rows, columns = drift.stage_rows(block, prod), drift.columns
+
+        def views(o):
+            rows = o.reshape(n + 1, nu)
+            return (o, rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
+
+        def body(y, f, o, agent_rows, *drift_views):
+            drift_rows(agent_rows, *drift_views)
+            # (drift - coupling) - pinning, as field subtracts them
+            _dot(lap, states, work)
+            _dot(work, r, prod)
+            _sub(agent_rows, prod, agent_rows)
+            _sub(states, s, work)
+            _dot(work, r, prod)
+            _mul(gains, prod, prod)
+            _sub(agent_rows, prod, agent_rows)
+
+        return body, views
+
+    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
+        """Synchronization with the exosystem, and the sign of the pinning
+        condition's feasibility margin when the config asks for it."""
+        max_err, _full = analysis.sync_error_series(traj, self.nu)
+        report.sync_error_final = float(max_err[-1])
+        verdicts = {"converged": report.sync_error_final < tol_conv}
+        cond = sc.sync_condition
+        if cond is not None:
+            lo, hi = cond["box"]
+            box = (np.full(self.nu, float(lo)), np.full(self.nu, float(hi)))
+            samples, seed = int(cond.get("samples", 4000)), sc.element_seed(cond, "sync_condition")
+            q = estimate_lipschitz_q(self.drift, self.r, box, samples, seed)
+            xi = netgraph.left_null_vector(self.laplacian)
+            report.lmi_margin = analysis.check_pinning_condition(
+                self.laplacian, self.r, self.pin_gains, xi, q
+            )
+            verdicts["lmi_margin_negative"] = report.lmi_margin < 0
+        return verdicts
+
+
+SYSTEMS = {cls.kind: cls for cls in (SaturatedNet, FriedkinJohnsen, AverageConsensus, PinnedSync)}
 
 
 def field_unmasked(
     spec: SystemSpec, t: float, x: np.ndarray, s: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Vector field of the bare system; s is required iff the system is pinned."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, PinnedSync):
-        if s is None:
-            raise ValueError("pinned synchronization needs the exosystem state")
-        states = x.reshape(spec.n_agents, spec.nu)
-        coupling = (spec.laplacian @ states) @ spec.r
-        pinning = spec.pin_gains[:, None] * ((states - s[None, :]) @ spec.r)
-        return (_drift_batch(spec.drift, states) - coupling - pinning).reshape(-1)
-    if s is not None:
-        raise ValueError("exosystem state only applies to pinned synchronization")
-    if isinstance(spec, SaturatedNet):
-        return -x + spec.kappa * (spec.a @ np.tanh(x))
-    if isinstance(spec, FriedkinJohnsen):
-        return -(spec.laplacian @ x) - spec.theta * x + spec.theta * spec.anchor
-    if isinstance(spec, AverageConsensus):
-        return -(spec.laplacian @ x)
-    raise TypeError(f"unknown system {type(spec).__name__}")
+    _registered(spec, SYSTEMS, "system")
+    if spec.drift is None:
+        if s is not None:
+            raise ValueError("exosystem state only applies to pinned synchronization")
+    elif s is None:
+        raise ValueError("pinned synchronization needs the exosystem state")
+    return spec.field(np.asarray(x, dtype=float), s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +559,7 @@ class MaskedSystem:
                 f"mask bank has {self.bank.dim} channels, system needs {self.base.dim}"
             )
         if self.frozen_anchor:
-            if not isinstance(self.base, FriedkinJohnsen):
+            if not self.base.anchored:
                 raise ValueError("frozen_anchor only applies to Friedkin-Johnsen")
             object.__setattr__(self, "frozen_y_anchor", self.bank.eval(0.0, self.base.anchor))
 
@@ -272,11 +578,7 @@ def field_masked(
     """
     scale, offset = ms.bank.factors(t) if factors is None else factors
     y = scale * (np.asarray(x, dtype=float) + offset)
-    if isinstance(ms.base, FriedkinJohnsen):
-        spec = ms.base
-        y_anchor = ms.frozen_y_anchor if ms.frozen_anchor else scale * (spec.anchor + offset)
-        return -(spec.laplacian @ y) - spec.theta * y + spec.theta * y_anchor
-    return field_unmasked(ms.base, t, y, s)
+    return field_unmasked(ms.base.through_mask(ms, scale, offset), t, y, s)
 
 
 #: Output arrays a compiled stage rotates through; RK4 holds k1..k4 at once.
@@ -297,75 +599,28 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
     z is the joint state: the agents' states, then the exosystem's for a
     pinned system. factors maps a stage time to the bank's (scale, offset)
     pair (the solver passes its table lookup); by default it is computed
-    from t. Everything the field needs is bound here once: L, the pin gains
-    as a contiguous (n, nu) block, the drift coefficients and the scalar
-    gains (kappa, sigma, rho, beta as 0-d float64 arrays), the frozen masked
-    anchor, and preallocated blocks with all their views. A stage then runs
-    only bound ufuncs and np.dot with out passed positionally; np.dot makes
-    the same BLAS gemv or gemm call as np.matmul. The result equals
-    field_masked (or field_unmasked) with exosystem_field appended, bit for
-    bit: every element is formed by the same operations in the same order.
+    from t. The system's stage_body binds everything its field needs once,
+    with preallocated blocks and 0-d gains; a stage then runs only bound
+    ufuncs and np.dot (the same BLAS call as np.matmul) with out passed
+    positionally. The result equals field_masked (or field_unmasked) with
+    exosystem_field appended, bit for bit: every element is formed by the
+    same operations in the same order.
 
     Buffer contract: results rotate through STAGE_BUFFERS preallocated
     arrays, so a returned array stays valid for STAGE_BUFFERS - 1 further
     calls and is overwritten by the next one; copy it to keep it longer.
     """
     masked = isinstance(system, MaskedSystem)
-    spec = system.base if masked else system
+    spec = _registered(system.base if masked else system, SYSTEMS, "system")
     if masked and factors is None:
         factors = system.bank.factors
     d = spec.dim
-    pinned = isinstance(spec, PinnedSync)
+    pinned = spec.drift is not None
     size = d + spec.nu if pinned else d
     y = np.empty(size)  # the masked agent states, then the raw exosystem state
     agents = y[:d]
     tmp = np.empty(d)
-    views = _flat
-
-    if isinstance(spec, AverageConsensus):
-        lap = spec.laplacian
-
-        def body(y, f, o):
-            _dot(lap, y, o)
-            _neg(o, o)
-
-    elif isinstance(spec, SaturatedNet):
-        a, kappa = spec.a, np.array(float(spec.kappa))
-
-        def body(y, f, o):
-            _tanh(y, tmp)
-            _dot(a, tmp, o)
-            _mul(kappa, o, o)
-            _sub(o, y, o)
-
-    elif isinstance(spec, FriedkinJohnsen):
-        lap, theta, anchor = spec.laplacian, spec.theta, spec.anchor
-        if not masked:
-            anchor_term = theta * anchor
-        elif system.frozen_anchor:
-            anchor_term = theta * system.frozen_y_anchor
-        else:
-            anchor_term = None  # theta * h(t, anchor), formed at every stage
-
-        def body(y, f, o):
-            _dot(lap, y, o)
-            _neg(o, o)
-            _mul(theta, y, tmp)
-            _sub(o, tmp, o)
-            if anchor_term is None:
-                scale, offset = f
-                _add(anchor, offset, tmp)
-                _mul(scale, tmp, tmp)
-                _mul(theta, tmp, tmp)
-                _add(o, tmp, o)
-            else:
-                _add(o, anchor_term, o)
-
-    elif pinned:
-        body, views = _pinned_body(spec, y.reshape(spec.n_agents + 1, spec.nu))
-    else:
-        raise TypeError(f"unknown system {type(spec).__name__}")
-
+    body, views = spec.stage_body(system if masked else None, y, tmp)
     outs = itertools.cycle([views(np.empty(size)) for _ in range(STAGE_BUFFERS)])
 
     def stage(t, z):
@@ -383,75 +638,6 @@ def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
         return o[0]
 
     return stage
-
-
-def _flat(o: np.ndarray) -> tuple:
-    return (o,)
-
-
-def _pinned_body(spec: PinnedSync, block: np.ndarray):
-    """Stage body of a pinned system over the (n+1, nu) input block, and the
-    views of an output array that it writes through."""
-    n, nu, drift = spec.n_agents, spec.nu, spec.drift
-    lap, r = spec.laplacian, spec.r
-    # each agent's gain repeated along its row: a contiguous operand costs
-    # the multiply less than the broadcast column, with the same products
-    gains = np.repeat(spec.pin_gains[:, None], nu, axis=1)
-    states, s = block[:n], block[n]
-    work, prod = np.empty((n, nu)), np.empty((n, nu))
-    if isinstance(drift, LorenzDrift):
-        # Elementwise, so the agent rows and the exosystem row take one pass.
-        sigma, rho, beta = (np.array(float(c)) for c in (drift.sigma, drift.rho, drift.beta))
-        bx, by, bz = block.T
-        col = np.empty(n + 1)
-
-        def drift_rows(agent_rows, exo_row, ox, oy, oz):
-            _sub(by, bx, ox)
-            _mul(sigma, ox, ox)
-            _sub(rho, bz, oy)
-            _mul(bx, oy, oy)
-            _sub(oy, by, oy)
-            _mul(bx, by, oz)
-            _mul(beta, bz, col)
-            _sub(oz, col, oz)
-
-    elif isinstance(drift, TanhDrift):
-        # A row of a matrix product need not round as the vector product
-        # does, so the exosystem row is evaluated on its own.
-        a_t, b_t = drift.a.T, drift.b.T
-        th = np.empty((n + 1, nu))
-        th_states, th_s = th[:n], th[n]
-        row = np.empty(nu)
-
-        def drift_rows(agent_rows, exo_row):
-            _tanh(block, th)
-            _dot(states, a_t, agent_rows)
-            _dot(th_states, b_t, prod)
-            _add(agent_rows, prod, agent_rows)
-            _dot(s, a_t, exo_row)
-            _dot(th_s, b_t, row)
-            _add(exo_row, row, exo_row)
-
-    else:
-        raise TypeError(f"unknown drift {type(drift).__name__}")
-    columns = isinstance(drift, LorenzDrift)
-
-    def views(o):
-        rows = o.reshape(n + 1, nu)
-        return (o, rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
-
-    def body(y, f, o, agent_rows, *drift_views):
-        drift_rows(agent_rows, *drift_views)
-        # (drift - coupling) - pinning, as field_unmasked subtracts them
-        _dot(lap, states, work)
-        _dot(work, r, prod)
-        _sub(agent_rows, prod, agent_rows)
-        _sub(states, s, work)
-        _dot(work, r, prod)
-        _mul(gains, prod, prod)
-        _sub(agent_rows, prod, agent_rows)
-
-    return body, views
 
 
 def estimate_lipschitz_q(
@@ -483,8 +669,8 @@ def estimate_lipschitz_q(
     z[near] = np.clip(
         x[near] + 1e-4 * rng.standard_normal((int(near.sum()), nu)), lo, hi
     )
-    fx = _drift_batch(drift, x)
-    fz = _drift_batch(drift, z)
+    fx = exosystem_field(drift, x)
+    fz = exosystem_field(drift, z)
     d = x - z
     num = np.einsum("ij,ij->i", d, fx - fz)
     den = np.einsum("ij,ij->i", d @ np.asarray(r, dtype=float), d)

@@ -6,10 +6,16 @@ channel or auto-drawn against a privacy level), the initial states, the
 integrator grid, and the named verdict checks to enforce. Every randomized
 element is seeded, either directly or derived from the top-level seed, so a
 config reproduces its artifacts byte for byte.
+
+Nothing here depends on the system kind: the system section is checked
+against, built by and judged by the class that dynamics.SYSTEMS names for
+its kind (its keys, from_config and verdicts); the checks common to every
+run (privacy, mask gap, boundedness, graph) are decided here.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -18,19 +24,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import adversary as adv
 from . import analysis, netgraph
-from .dynamics import (
-    AverageConsensus,
-    FriedkinJohnsen,
-    LorenzDrift,
-    MaskedSystem,
-    PinnedSync,
-    SaturatedNet,
-    TanhDrift,
-    estimate_lipschitz_q,
-)
+from .dynamics import SYSTEMS, VECTOR, ByKind, MaskedSystem, ScenarioError, lookup_kind
 from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
-from .netgraph import AssumptionReport, Digraph, laplacian
+from .netgraph import AssumptionReport, Digraph
 from .solver import IntegratorConfig, integrate
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
@@ -47,33 +45,17 @@ RUN_CHECKS = (
 )
 KNOWN_CHECKS = GRAPH_CHECKS + RUN_CHECKS
 
-CONSERVATION_TOL = 1e-8
-OUTPUT_MEAN_FLOOR = 1e-3
-VMM_RISE_FLOOR = 1e-6
 MASK_GAP_TAIL = 1e-6
 BOUNDED_LIMIT = 1e3
 
 
-class ScenarioError(ValueError):
-    """Config file is inconsistent or incomplete."""
-
-
-class _ByKind(dict):
-    """Schema of a section whose keys depend on its "kind" value."""
-
-
-_VECTOR = _ByKind(
-    inline={"values": None},
-    uniform={"low": None, "high": None, "seed": None},
-    gaussian={"mean": None, "std": None, "seed": None},
-)
 #: Every key a scenario config may hold, nested as the config is; None marks
 #: a value whose inner structure is not a keyed section, and a one-item list
 #: the schema of each item of a list.
 _SCHEMA = {
     "name": None,
     "seed": None,
-    "graph": _ByKind(
+    "graph": ByKind(
         inline={"n": None, "edges": None},
         cycle={"n": None, "weight": None},
         complete={"n": None, "weight": None},
@@ -81,25 +63,9 @@ _SCHEMA = {
             ("n", "p", "seed", "symmetric", "weight_range", "require_no_covering", "max_retries")
         ),
     ),
-    "system": _ByKind(
-        saturated_net=dict.fromkeys(("kappa", "kappa_over_radius", "enforce_stable")),
-        friedkin_johnsen={"theta": _VECTOR, "frozen_anchor": None},
-        average_consensus={},
-        pinned_sync={
-            "nu": None,
-            "r": {"kind": None, "rows": None},
-            "pin_gains": None,
-            "pinned_count": None,
-            "pin_gain": None,
-            "drift": _ByKind(
-                tanh={"a": None, "b": None},
-                lorenz=dict.fromkeys(("sigma", "rho", "beta")),
-            ),
-            "s0": _VECTOR,
-        },
-    ),
-    "x0": _VECTOR,
-    "mask": _ByKind(
+    "system": ByKind({kind: cls.keys for kind, cls in SYSTEMS.items()}),
+    "x0": VECTOR,
+    "mask": ByKind(
         identity={"privacy_level": None},
         auto=dict.fromkeys(("mask_kind", "privacy_level", "seed", "rate_range")),
         explicit={
@@ -127,7 +93,7 @@ def _check_keys(spec, schema, path: str = "") -> None:
         return
     if schema is None or not isinstance(spec, dict):
         return
-    if isinstance(schema, _ByKind):
+    if isinstance(schema, ByKind):
         if spec.get("kind") not in schema:
             return
         schema = {"kind": None, **schema[spec["kind"]]}
@@ -175,10 +141,14 @@ class Scenario:
     tol_conv: float
     frozen_anchor: bool
     sync_condition: Optional[dict]
-    adversary: Optional[dict]
+    adversary: Optional[dict]  # the adversary block, its defaults filled in
 
     def masked(self) -> MaskedSystem:
         return MaskedSystem(base=self.system, bank=self.bank, frozen_anchor=self.frozen_anchor)
+
+    def element_seed(self, element: dict, role: str):
+        """Seed of a randomized config element: its own, else derived."""
+        return _element_seed(self.config, element, role)
 
 
 def _finite_positive(value, key: str) -> float:
@@ -229,64 +199,6 @@ def _sample_vector(config: dict, spec: dict, size: int, role: str) -> np.ndarray
     raise ScenarioError(f"unknown {role} kind {kind!r}")
 
 
-def _build_theta(config: dict, spec: dict, n: int) -> np.ndarray:
-    if isinstance(spec, (int, float)):
-        return np.full(n, float(spec))
-    return _sample_vector(config, spec, n, "theta")
-
-
-def _build_drift(spec: dict):
-    kind = spec.get("kind")
-    if kind == "tanh":
-        return TanhDrift(a=np.asarray(spec["a"], dtype=float), b=np.asarray(spec["b"], dtype=float))
-    if kind == "lorenz":
-        return LorenzDrift(
-            sigma=spec.get("sigma", 10.0),
-            rho=spec.get("rho", 28.0),
-            beta=spec.get("beta", 8.0 / 3.0),
-        )
-    raise ScenarioError(f"unknown drift kind {kind!r}")
-
-
-def _build_system(config: dict, graph: Digraph, x0: np.ndarray):
-    spec = config["system"]
-    kind = spec.get("kind")
-    if kind == "saturated_net":
-        a = netgraph.adjacency(graph)
-        if "kappa" in spec:
-            kappa = float(spec["kappa"])
-        elif "kappa_over_radius" in spec:
-            kappa = float(spec["kappa_over_radius"]) / netgraph.spectral_radius(a)
-        else:
-            raise ScenarioError("saturated_net needs kappa or kappa_over_radius")
-        return SaturatedNet(a=a, kappa=kappa, enforce_stable=spec.get("enforce_stable", False))
-    if kind == "friedkin_johnsen":
-        theta = _build_theta(config, spec["theta"], graph.n)
-        return FriedkinJohnsen(laplacian=laplacian(graph), theta=theta, anchor=x0)
-    if kind == "average_consensus":
-        return AverageConsensus(laplacian=laplacian(graph))
-    if kind == "pinned_sync":
-        nu = int(spec["nu"])
-        r_spec = spec.get("r", {"kind": "identity"})
-        if r_spec.get("kind") == "identity":
-            r = np.eye(nu)
-        else:
-            r = np.asarray(r_spec["rows"], dtype=float)
-        if "pin_gains" in spec:
-            gains = np.asarray(spec["pin_gains"], dtype=float)
-        else:
-            gains = np.zeros(graph.n)
-            gains[: int(spec["pinned_count"])] = float(spec["pin_gain"])
-        return PinnedSync(
-            laplacian=laplacian(graph),
-            r=r,
-            pin_gains=gains,
-            drift=_build_drift(spec["drift"]),
-            nu=nu,
-        )
-    raise ScenarioError(f"unknown system kind {kind!r}")
-
-
 def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
     spec = config.get("mask", {"kind": "identity"})
     kind = spec.get("kind")
@@ -312,24 +224,45 @@ def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
     raise ScenarioError(f"unknown mask kind {kind!r}")
 
 
+def _build_adversary(block, graph: Digraph) -> dict:
+    """The adversary block with its defaults filled in. observer and target
+    must be integer nodes, the target must lie in the observer's closed
+    in-neighborhood, and every policy must be a substitution policy."""
+    spec = {key: block[key] for key in _SCHEMA["adversary"] if key in block}
+    settle_tol = _finite_positive(spec.get("settle_tol", 1e-6), "adversary.settle_tol")
+    for key in ("observer", "target"):
+        node = spec.get(key)
+        if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < graph.n:
+            raise ScenarioError(f"adversary.{key} must be an integer in [0, {graph.n}), got {node!r}")
+    observer, target = spec["observer"], spec["target"]
+    if target not in graph.closed_in_neighborhood(observer):
+        raise ScenarioError(
+            f"adversary.target {target} is not in the closed in-neighborhood of observer {observer}"
+        )
+    policies = tuple(spec.get("policies", adv.SUBSTITUTION_POLICIES))
+    for policy in policies:
+        if policy not in adv.SUBSTITUTION_POLICIES:
+            raise ScenarioError(f"adversary.policies: unknown substitution policy {policy!r}")
+    return {"observer": observer, "target": target, "policies": policies, "settle_tol": settle_tol}
+
+
 def build_scenario(config: dict) -> Scenario:
     """Validate a config dict and build every run ingredient deterministically."""
     try:
         _check_keys(config, _SCHEMA)
         name = config.get("name", "scenario")
         graph = _build_graph(config, config["graph"])
-        system_kind = config["system"]["kind"]
-        nu = int(config["system"]["nu"]) if system_kind == "pinned_sync" else 1
-        dim = graph.n * nu
-        x0 = _sample_vector(config, config["x0"], dim, "x0")
-        system = _build_system(config, graph, x0)
+        spec = config["system"]
+        kind = spec["kind"]
+        dim = graph.n * int(spec.get("nu", 1))  # only a kind of vector agents takes nu
+        vector = functools.partial(_sample_vector, config)
+        x0 = vector(config["x0"], dim, "x0")
+        system = lookup_kind(SYSTEMS, kind, "system").from_config(spec, graph, x0, vector)
         lam = config.get("mask", {}).get("privacy_level")
         if lam is not None:
             lam = _finite_positive(lam, "mask.privacy_level")
         bank = _build_bank(config, dim, x0)
-        s0 = None
-        if system_kind == "pinned_sync":
-            s0 = _sample_vector(config, config["system"]["s0"], nu, "s0")
+        s0 = None if system.drift is None else vector(spec["s0"], system.nu, "s0")
         integ = config.get("integrator", {})
         cfg = IntegratorConfig(
             method=integ.get("method", "rk4"),
@@ -342,10 +275,9 @@ def build_scenario(config: dict) -> Scenario:
             if chk not in KNOWN_CHECKS:
                 raise ScenarioError(f"unknown check {chk!r}")
         adversary = config.get("adversary")
-        if adversary is not None and "settle_tol" in adversary:
-            _finite_positive(adversary["settle_tol"], "adversary.settle_tol")
+        if adversary is not None:
+            adversary = _build_adversary(adversary, graph)
         tols = config.get("tolerances", {})
-        default_tol = 1e-2 if system_kind == "pinned_sync" else 1e-3
         return Scenario(
             name=name,
             config=config,
@@ -359,8 +291,8 @@ def build_scenario(config: dict) -> Scenario:
             integrator=cfg,
             checks=checks,
             privacy_level=lam,
-            tol_conv=_finite_positive(tols.get("tol_conv", default_tol), "tolerances.tol_conv"),
-            frozen_anchor=bool(config["system"].get("frozen_anchor", False)),
+            tol_conv=_finite_positive(tols.get("tol_conv", system.tol_conv), "tolerances.tol_conv"),
+            frozen_anchor=bool(spec.get("frozen_anchor", False)),
             sync_condition=config.get("sync_condition"),
             adversary=adversary,
         )
@@ -422,13 +354,11 @@ def run_mask_check(sc: Scenario) -> dict:
     times = np.linspace(0.0, horizon, 121)
     states = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
     report = check_mask_axioms(sc.bank, times, states)
-    if all(k is MaskKind.IDENTITY for k in sc.bank.kinds):
+    kinds = set(sc.bank.kinds)
+    if kinds <= {MaskKind.IDENTITY}:
         # unmasked baseline: nothing to validate beyond well-formedness
         return {"axioms": report.as_dict(), "identity_baseline": True, "ok": True}
-    expect_vanishing = all(
-        k in (MaskKind.ADDITIVE, MaskKind.VANISHING_AFFINE, MaskKind.IDENTITY)
-        for k in sc.bank.kinds
-    )
+    expect_vanishing = kinds <= {MaskKind.ADDITIVE, MaskKind.VANISHING_AFFINE, MaskKind.IDENTITY}
     ok = (
         report.local
         and report.fixed_point_free
@@ -437,27 +367,6 @@ def run_mask_check(sc: Scenario) -> dict:
         and (report.vanishing or not expect_vanishing)
     )
     return {"axioms": report.as_dict(), "expected_vanishing": expect_vanishing, "ok": ok}
-
-
-def _pinning_margin(sc: Scenario):
-    """Sampled one-sided Lipschitz constant and feasibility margin, if configured."""
-    if sc.sync_condition is None:
-        return None, None
-    cond = sc.sync_condition
-    box_lo, box_hi = cond["box"]
-    nu = sc.system.nu
-    q = estimate_lipschitz_q(
-        sc.system.drift,
-        sc.system.r,
-        (np.full(nu, float(box_lo)), np.full(nu, float(box_hi))),
-        samples=int(cond.get("samples", 4000)),
-        seed=_element_seed(sc.config, cond, "sync_condition"),
-    )
-    xi = netgraph.left_null_vector(sc.system.laplacian)
-    margin = analysis.check_pinning_condition(
-        sc.system.laplacian, sc.system.r, sc.system.pin_gains, xi, q
-    )
-    return q, margin
 
 
 def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
@@ -474,39 +383,7 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     report.mask_gap_final_max = float(gaps[-1].max())
     report.max_abs_state = float(np.max(np.abs(traj.x)))
 
-    system = sc.system
-    verdicts = {}
-    x_star = None
-    if isinstance(system, SaturatedNet):
-        x_star = np.zeros(system.dim)
-        report.x_star = x_star.tolist()
-    elif isinstance(system, FriedkinJohnsen):
-        x_star = analysis.fj_equilibrium(system.laplacian, system.theta, system.anchor)
-        report.x_star = x_star.tolist()
-    elif isinstance(system, AverageConsensus):
-        eta = analysis.consensus_value(sc.x0)
-        report.eta = eta
-        x_star = np.full(system.dim, eta)
-        mean_x, mean_y = analysis.conservation_series(traj)
-        report.conservation_dev = float(np.max(np.abs(mean_x - eta)))
-        report.output_mean_range = float(mean_y.max() - mean_y.min())
-        report.vmm_max_increase = analysis.max_increase(analysis.vmm_series(traj))
-        verdicts["conservation"] = report.conservation_dev <= CONSERVATION_TOL
-        verdicts["output_mean_hidden"] = report.output_mean_range > OUTPUT_MEAN_FLOOR
-        verdicts["vmm_non_monotone"] = report.vmm_max_increase > VMM_RISE_FLOOR
-    elif isinstance(system, PinnedSync):
-        max_err, _full = analysis.sync_error_series(traj, system.nu)
-        report.sync_error_final = float(max_err[-1])
-        verdicts["converged"] = report.sync_error_final < tol_conv
-        q, margin = _pinning_margin(sc)
-        if margin is not None:
-            report.lmi_margin = margin
-            verdicts["lmi_margin_negative"] = margin < 0
-    if x_star is not None:
-        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
-        report.final_error = check.final_error
-        verdicts["converged"] = check.converged
-
+    verdicts = sc.system.verdicts(sc, traj, report, tol_conv)
     if sc.privacy_level is not None:
         verdicts["privacy_floor"] = rho > sc.privacy_level
         verdicts["mask_gap_visible"] = report.mask_gap_initial_min >= sc.privacy_level

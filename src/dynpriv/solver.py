@@ -4,19 +4,14 @@ Fixed-step RK4 (default) or explicit Euler; no adaptivity, so identical
 inputs reproduce bit-identical samples. Masked outputs are recomputed from
 the recorded states through the mask bank, never integrated separately.
 
-integrate compiles the run's joint field (agents, then the exosystem of a
-pinned system) once with dynamics.compile_stage and checks it bit for bit
-against the reference fields at the initial state before the first step.
-The compiled stage's results rotate through STAGE_BUFFERS arrays, which
-covers the four slopes RK4 holds within one step.
-
-_march is the one stepper. It runs TABLE_STEPS steps at a time into the
-rows of a preallocated block, with the stage inputs and the RK4 slope sum
-formed in two scratch arrays by bound ufuncs and the step constants held as
-0-d arrays, and checks finiteness once per block. The mask's factors depend
-on time alone, so a masked integration computes them for every distinct
-stage time of a block in one MaskBank.factors call, and each stage looks
-its row up by time.
+integrate reads no system kind, only the system's dim, nu and drift (None
+without an exosystem). It compiles the joint field (agents, then the
+exosystem) once with dynamics.compile_stage, checks it bit for bit against
+the reference fields at the initial state, and steps it with _march, the
+one stepper. The mask's factors depend on time alone, so a masked
+integration computes them for every distinct stage time of a block of
+TABLE_STEPS steps in one MaskBank.factors call, and each stage looks its
+row up by time.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import numpy as np
 
 from .dynamics import (
     MaskedSystem,
-    PinnedSync,
     SystemSpec,
     compile_stage,
     exosystem_field,
@@ -239,7 +233,7 @@ def integrate(
         raise ValueError(f"x0 has shape {x0.shape}, system needs ({d},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    pinned = isinstance(base, PinnedSync)
+    pinned = base.drift is not None  # the system has an exosystem
     if pinned:
         if s0 is None:
             raise ValueError("pinned synchronization needs an exosystem initial state")

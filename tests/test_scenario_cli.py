@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynpriv import netgraph
 from dynpriv.cli import main
+from dynpriv.dynamics import DRIFTS, SYSTEMS
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -264,6 +266,66 @@ def test_cli_non_finite_or_non_positive_settle_tol_exits_2(tol, tmp_path, capsys
     path.write_text(json.dumps(cfg))
     assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "adversary.settle_tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("observer", 99, "adversary.observer must be an integer in [0, 6), got 99"),
+        ("observer", "x", "adversary.observer must be an integer in [0, 6), got 'x'"),
+        ("observer", True, "adversary.observer must be an integer in [0, 6), got True"),
+        ("observer", None, "adversary.observer must be an integer in [0, 6), got None"),
+        ("target", 1.5, "adversary.target must be an integer in [0, 6), got 1.5"),
+        ("target", -1, "adversary.target must be an integer in [0, 6), got -1"),
+        # observer 1 sees only its in-neighbors 0 and 5 besides itself
+        ("target", 3, "adversary.target 3 is not in the closed in-neighborhood of observer 1"),
+        ("policies", ["zero", "nope"], "adversary.policies: unknown substitution policy 'nope'"),
+    ],
+    ids=[
+        "observer_out_of_range",
+        "observer_not_a_number",
+        "observer_boolean",
+        "observer_null",
+        "target_fractional",
+        "target_negative",
+        "target_not_in_view",
+        "unknown_policy",
+    ],
+)
+def test_cli_invalid_adversary_value_exits_2(key, value, message, tmp_path, capsys):
+    cfg = load_bundled("adversary_covering")
+    cfg["adversary"][key] = value
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_unknown_system_kind_exits_2(tmp_path, capsys):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(_consensus_config(system={"kind": "nope"})))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown system kind 'nope'" in capsys.readouterr().err
+
+
+def test_cli_unknown_drift_kind_exits_2(tmp_path, capsys):
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["system"]["drift"] = {"kind": "nope"}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown drift kind 'nope'" in capsys.readouterr().err
+
+
+@functools.cache
+def _bundled_systems():
+    return tuple(build_scenario(load_bundled(name)).system for name in bundled_names())
+
+
+@pytest.mark.parametrize("cls", [*SYSTEMS.values(), *DRIFTS.values()], ids=lambda c: c.kind)
+def test_every_registered_kind_is_built_by_a_bundled_scenario(cls):
+    assert SYSTEMS.get(cls.kind, DRIFTS.get(cls.kind)) is cls
+    assert any(type(system) is cls or type(system.drift) is cls for system in _bundled_systems())
 
 
 @pytest.mark.parametrize(

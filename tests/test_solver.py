@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dynpriv.analysis import series_table
 from dynpriv.dynamics import (
+    CONSERVATION_TOL,
     AverageConsensus,
     FriedkinJohnsen,
     MaskedSystem,
@@ -17,7 +18,6 @@ from dynpriv.dynamics import (
 )
 from dynpriv.masks import MaskBank, MaskKind, MaskParams, choose_params
 from dynpriv.netgraph import adjacency, build_graph, cycle_graph, is_weight_balanced, laplacian
-from dynpriv.scenario import CONSERVATION_TOL
 from dynpriv.solver import (
     BLOWUP_LIMIT,
     TABLE_STEPS,
