@@ -9,12 +9,12 @@ Friedkin-Johnsen the anchor term is masked too, and for pinned
 synchronization the exosystem sample enters the pinning term unmasked.
 
 Each class owns all that varies by kind: its config name `kind`, config
-schema `keys` and builder `from_config`; `nu` (1 for scalar agents), `drift`
-(None without an exosystem) and default `tol_conv`; its reference `field`
-and `through_mask` (the system that the masked outputs drive); its compiled
-`stage_body`; its `attractor` and `verdicts`. A drift owns `kind`, `keys`,
-`from_config`, its rowwise value `rows` and `stage_rows`. SYSTEMS and DRIFTS
-are the only maps from a kind to its class.
+schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
+scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
+its reference `field` and `through_mask` (the system that the masked outputs
+drive); its compiled `stage_body`; its `attractor` and `verdicts`. A drift
+owns `kind`, `keys` (its constructor's arguments), its rowwise value `rows`
+and `stage_rows`. SYSTEMS and DRIFTS are the only maps from a kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
 compile_stage binds one run's joint field once as the solver's stage, equal
@@ -46,19 +46,14 @@ class ByKind(dict):
     """Schema of a config section whose keys depend on its "kind" value."""
 
 
+SEED = "a non-negative integer"  # the schema type of a seed that numpy's generators take
+
 #: Keys of a vector section (x0, theta, s0): inline values or a seeded draw.
 VECTOR = ByKind(
-    inline={"values": None},
-    uniform={"low": None, "high": None, "seed": None},
-    gaussian={"mean": None, "std": None, "seed": None},
+    inline={"values": [float]},
+    uniform={"low": float, "high": float, "seed": SEED},
+    gaussian={"mean": float, "std": float, "seed": SEED},
 )
-
-
-def lookup_kind(registry: dict, kind, what: str):
-    """The class that a config section names by its kind."""
-    if kind not in registry:
-        raise ScenarioError(f"unknown {what} kind {kind!r}")
-    return registry[kind]
 
 
 def _registered(obj, registry: dict, what: str):
@@ -76,7 +71,7 @@ class TanhDrift:
     b: np.ndarray
 
     kind = "tanh"
-    keys = {"a": None, "b": None}
+    keys = {"a": list, "b": list}
     columns = False  # stage_rows writes whole rows
 
     def __post_init__(self):
@@ -86,10 +81,6 @@ class TanhDrift:
             raise ValueError("drift matrices must be square and same shape")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_config(cls, spec: dict) -> "TanhDrift":
-        return cls(a=np.asarray(spec["a"], dtype=float), b=np.asarray(spec["b"], dtype=float))
 
     @property
     def dim(self) -> int:
@@ -130,12 +121,8 @@ class LorenzDrift:
     beta: float = 8.0 / 3.0
 
     kind = "lorenz"
-    keys = dict.fromkeys(("sigma", "rho", "beta"))
+    keys = dict.fromkeys(("sigma", "rho", "beta"), float)
     columns = True  # stage_rows writes the x, y and z columns
-
-    @classmethod
-    def from_config(cls, spec: dict) -> "LorenzDrift":
-        return cls(**{key: spec[key] for key in cls.keys if key in spec})
 
     @property
     def dim(self) -> int:
@@ -210,7 +197,7 @@ class SaturatedNet(SystemSpec):
     enforce_stable: bool = False
 
     kind = "saturated_net"
-    keys = dict.fromkeys(("kappa", "kappa_over_radius", "enforce_stable"))
+    keys = {"kappa": float, "kappa_over_radius": float, "enforce_stable": bool}
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -234,9 +221,9 @@ class SaturatedNet(SystemSpec):
     def from_config(cls, spec: dict, graph, x0, vector) -> "SaturatedNet":
         a = netgraph.adjacency(graph)
         if "kappa" in spec:
-            kappa = float(spec["kappa"])
+            kappa = spec["kappa"]
         elif "kappa_over_radius" in spec:
-            kappa = float(spec["kappa_over_radius"]) / netgraph.spectral_radius(a)
+            kappa = spec["kappa_over_radius"] / netgraph.spectral_radius(a)
         else:
             raise ScenarioError("saturated_net needs kappa or kappa_over_radius")
         return cls(a=a, kappa=kappa, enforce_stable=spec.get("enforce_stable", False))
@@ -272,7 +259,7 @@ class FriedkinJohnsen(SystemSpec):
     anchor: np.ndarray
 
     kind = "friedkin_johnsen"
-    keys = {"theta": VECTOR, "frozen_anchor": None}
+    keys = {"theta": (float, VECTOR), "frozen_anchor": bool}
     anchored = True
 
     def __post_init__(self):
@@ -292,12 +279,10 @@ class FriedkinJohnsen(SystemSpec):
 
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "FriedkinJohnsen":
-        theta = spec["theta"]
-        if isinstance(theta, (int, float)):
-            theta = np.full(graph.n, float(theta))
-        else:
+        theta = spec["theta"]  # one number for every agent, or a vector section
+        if isinstance(theta, dict):
             theta = vector(theta, graph.n, "theta")
-        return cls(laplacian=netgraph.laplacian(graph), theta=theta, anchor=x0)
+        return cls(laplacian=netgraph.laplacian(graph), theta=np.full(graph.n, theta), anchor=x0)
 
     @property
     def dim(self) -> int:
@@ -413,8 +398,10 @@ class PinnedSync(SystemSpec):
 
     kind = "pinned_sync"
     keys = {
-        **dict.fromkeys(("nu", "pin_gains", "pinned_count", "pin_gain")),
-        "r": {"kind": None, "rows": None},
+        **dict.fromkeys(("nu", "pinned_count"), int),
+        "pin_gains": [float],
+        "pin_gain": float,
+        "r": {"kind": str, "rows": list},
         "drift": ByKind({kind: cls.keys for kind, cls in DRIFTS.items()}),
         "s0": VECTOR,
     }
@@ -443,19 +430,19 @@ class PinnedSync(SystemSpec):
 
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "PinnedSync":
-        nu = int(spec["nu"])
+        nu = spec["nu"]
         r_spec = spec.get("r", {"kind": "identity"})
-        if r_spec.get("kind") == "identity":
-            r = np.eye(nu)
-        else:
-            r = np.asarray(r_spec["rows"], dtype=float)
+        r = np.eye(nu) if r_spec.get("kind") == "identity" else r_spec["rows"]
         if "pin_gains" in spec:
-            gains = np.asarray(spec["pin_gains"], dtype=float)
+            gains = spec["pin_gains"]
         else:
+            count = spec["pinned_count"]
+            if not 0 <= count <= graph.n:
+                raise ScenarioError(f"system.pinned_count must be in [0, {graph.n}], got {count}")
             gains = np.zeros(graph.n)
-            gains[: int(spec["pinned_count"])] = float(spec["pin_gain"])
+            gains[:count] = spec["pin_gain"]
         drift_spec = spec["drift"]
-        drift = lookup_kind(DRIFTS, drift_spec.get("kind"), "drift").from_config(drift_spec)
+        drift = DRIFTS[drift_spec["kind"]](**{k: v for k, v in drift_spec.items() if k != "kind"})
         return cls(laplacian=netgraph.laplacian(graph), r=r, pin_gains=gains, drift=drift, nu=nu)
 
     @property
@@ -510,10 +497,8 @@ class PinnedSync(SystemSpec):
         verdicts = {"converged": report.sync_error_final < tol_conv}
         cond = sc.sync_condition
         if cond is not None:
-            lo, hi = cond["box"]
-            box = (np.full(self.nu, float(lo)), np.full(self.nu, float(hi)))
-            samples, seed = int(cond.get("samples", 4000)), sc.element_seed(cond, "sync_condition")
-            q = estimate_lipschitz_q(self.drift, self.r, box, samples, seed)
+            box = tuple(np.full(self.nu, float(bound)) for bound in cond["box"])
+            q = estimate_lipschitz_q(self.drift, self.r, box, cond["samples"], cond["seed"])
             xi = netgraph.left_null_vector(self.laplacian)
             report.lmi_margin = analysis.check_pinning_condition(
                 self.laplacian, self.r, self.pin_gains, xi, q

@@ -1,4 +1,4 @@
-"""Scenario configs: JSON schema parsing, deterministic building, and runs.
+"""Scenario configs: one typed schema walk, deterministic building, and runs.
 
 A scenario file pins everything a run needs: the graph (inline edges or a
 seeded generator), the system kind and its parameters, the mask bank (per
@@ -6,6 +6,10 @@ channel or auto-drawn against a privacy level), the initial states, the
 integrator grid, and the named verdict checks to enforce. Every randomized
 element is seeded, either directly or derived from the top-level seed, so a
 config reproduces its artifacts byte for byte.
+
+_SCHEMA gives every key its JSON type; one walk checks a config against it
+before anything is built, naming the key path of any misfit. A builder passes
+a section's keys to the constructor that owns them and their defaults.
 
 Nothing here depends on the system kind: the system section is checked
 against, built by and judged by the class that dynamics.SYSTEMS names for
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -25,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import adversary as adv
-from . import analysis, netgraph
-from .dynamics import SYSTEMS, VECTOR, ByKind, MaskedSystem, ScenarioError, lookup_kind
+from . import analysis, masks, netgraph
+from .dynamics import SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, ScenarioError
 from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
 from .netgraph import AssumptionReport, Digraph
 from .solver import IntegratorConfig, integrate
@@ -49,59 +54,103 @@ MASK_GAP_TAIL = 1e-6
 BOUNDED_LIMIT = 1e3
 
 
-#: Every key a scenario config may hold, nested as the config is; None marks
-#: a value whose inner structure is not a keyed section, and a one-item list
-#: the schema of each item of a list.
+POSITIVE = "finite and positive"  # a bound that inf, nan, 0 or -1 would make meaningless
+PAIR = "two numbers"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Per schema type: how a message names it, and the test of a value.
+_TYPES = {
+    None: ("anything", lambda v: True),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    SEED: (SEED, lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
+    POSITIVE: (POSITIVE, lambda v: _is_number(v) and 0 < v < math.inf),
+    PAIR: (PAIR, lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+}
+
+#: Every key a scenario config may hold, nested as the config is, with the
+#: JSON type it accepts: a _TYPES key, None for a value that its constructor
+#: checks itself; a dict (or ByKind) of a section's keys; a one-item list for
+#: a list of such items; or a tuple of alternatives.
 _SCHEMA = {
-    "name": None,
-    "seed": None,
+    "name": str,
+    "seed": int,
     "graph": ByKind(
-        inline={"n": None, "edges": None},
-        cycle={"n": None, "weight": None},
-        complete={"n": None, "weight": None},
-        erdos_renyi=dict.fromkeys(
-            ("n", "p", "seed", "symmetric", "weight_range", "require_no_covering", "max_retries")
-        ),
+        inline={"n": int, "edges": list},
+        cycle={"n": int, "weight": float},
+        complete={"n": int, "weight": float},
+        erdos_renyi={
+            **dict.fromkeys(("n", "max_retries"), int),
+            "seed": SEED,
+            **dict.fromkeys(("symmetric", "require_no_covering"), bool),
+            "p": float,
+            "weight_range": PAIR,
+        },
     ),
     "system": ByKind({kind: cls.keys for kind, cls in SYSTEMS.items()}),
     "x0": VECTOR,
     "mask": ByKind(
-        identity={"privacy_level": None},
-        auto=dict.fromkeys(("mask_kind", "privacy_level", "seed", "rate_range")),
+        identity={"privacy_level": POSITIVE},
+        auto={"mask_kind": str, "privacy_level": POSITIVE, "seed": SEED, "rate_range": PAIR},
         explicit={
-            "privacy_level": None,
-            "channels": [dict.fromkeys(("kind", "phi", "sigma", "gamma", "delta", "c"))],
+            "privacy_level": POSITIVE,
+            "channels": [{"kind": str, **dict.fromkeys(("phi", "sigma", "gamma", "delta", "c"))}],
         },
     ),
-    "integrator": dict.fromkeys(("method", "dt", "t_final", "record_stride")),
-    "checks": None,
-    "tolerances": {"tol_conv": None},
-    "sync_condition": dict.fromkeys(("box", "samples", "seed")),
-    "adversary": dict.fromkeys(("observer", "target", "policies", "settle_tol")),
+    "integrator": {"method": str, "dt": float, "t_final": float, "record_stride": int},
+    "checks": [str],
+    "tolerances": {"tol_conv": POSITIVE},
+    "sync_condition": {"box": PAIR, "samples": int, "seed": SEED},
+    # observer and target are checked against the graph, with their own message
+    "adversary": {"observer": None, "target": None, "policies": [str], "settle_tol": POSITIVE},
 }
 
+_GRAPH_BUILDERS = dict(
+    inline="build_graph", cycle="cycle_graph", complete="complete_graph", erdos_renyi="erdos_renyi"
+)
 
-def _check_keys(spec, schema, path: str = "") -> None:
-    """Raise ScenarioError naming the first key path the schema does not know.
 
-    A section of a kind the schema does not list is left to its builder,
-    which rejects the kind itself.
-    """
+def _shape(schema) -> tuple:
+    """How a message names the JSON shape that schema accepts, and its test."""
+    if isinstance(schema, tuple):
+        shapes = [_shape(s) for s in schema]
+        return " or ".join(n for n, _ in shapes), lambda v: any(fits(v) for _, fits in shapes)
+    if isinstance(schema, (dict, list)):
+        schema = dict if isinstance(schema, dict) else list
+    return _TYPES[schema]
+
+
+def _walk(value, schema, path: str = "") -> None:
+    """Raise ScenarioError naming the key path of the first value that does
+    not fit its schema: a section that is not an object, an unknown kind, an
+    unknown key, or a value of the wrong JSON type."""
+    if isinstance(schema, tuple):  # the first alternative whose shape fits
+        schema = next((s for s in schema if _shape(s)[1](value)), schema)
+    name, fits = _shape(schema)
+    if not fits(value):
+        raise ScenarioError(f"{path or 'config'} must be {name}, got {value!r}")
     if isinstance(schema, list):
-        for i, item in enumerate(spec if isinstance(spec, list) else ()):
-            _check_keys(item, schema[0], f"{path}[{i}]")
-        return
-    if schema is None or not isinstance(spec, dict):
-        return
-    if isinstance(schema, ByKind):
-        if spec.get("kind") not in schema:
-            return
-        schema = {"kind": None, **schema[spec["kind"]]}
-    for key, value in spec.items():
-        where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ScenarioError(f"unknown config key {where!r}")
-        _check_keys(value, schema[key], where)
+        for i, item in enumerate(value):
+            _walk(item, schema[0], f"{path}[{i}]")
+    elif isinstance(schema, dict):
+        if isinstance(schema, ByKind):
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in schema:
+                raise ScenarioError(f"unknown {path.rsplit('.', 1)[-1]} kind {kind!r}")
+            schema = {"kind": str, **schema[kind]}
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else key
+            if key not in schema:
+                raise ScenarioError(f"unknown config key {where!r}")
+            _walk(item, schema[key], where)
 
 
 def config_hash(config: dict) -> str:
@@ -110,16 +159,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _derived_seed(config: dict, role: str):
-    top = config.get("seed")
-    if top is None:
-        raise ScenarioError(f"randomized element {role!r} needs a seed (own or top-level)")
-    digest = hashlib.sha256(f"{top}:{role}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _element_seed(config: dict, element: dict, role: str):
-    return element["seed"] if "seed" in element else _derived_seed(config, role)
+    """A randomized element's own seed, else one derived from the top-level one."""
+    if "seed" in element:
+        return element["seed"]
+    if "seed" not in config:
+        raise ScenarioError(f"randomized element {role!r} needs a seed (own or top-level)")
+    digest = hashlib.sha256(f"{config['seed']}:{role}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,52 +187,29 @@ class Scenario:
     privacy_level: Optional[float]
     tol_conv: float
     frozen_anchor: bool
-    sync_condition: Optional[dict]
+    sync_condition: Optional[dict]  # the block, its defaults and seed filled in
     adversary: Optional[dict]  # the adversary block, its defaults filled in
 
     def masked(self) -> MaskedSystem:
         return MaskedSystem(base=self.system, bank=self.bank, frozen_anchor=self.frozen_anchor)
 
-    def element_seed(self, element: dict, role: str):
-        """Seed of a randomized config element: its own, else derived."""
-        return _element_seed(self.config, element, role)
-
-
-def _finite_positive(value, key: str) -> float:
-    """value as a float; a non-finite or non-positive one is a ScenarioError
-    naming key."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
-        raise ScenarioError(f"{key} must be finite and positive, got {value!r}")
-    return value
-
 
 def _build_graph(config: dict, spec: dict) -> Digraph:
-    kind = spec.get("kind")
-    if kind == "inline":
-        return netgraph.build_graph(spec["n"], spec["edges"])
-    if kind == "cycle":
-        return netgraph.cycle_graph(spec["n"], spec.get("weight", 1.0))
-    if kind == "complete":
-        return netgraph.complete_graph(spec["n"], spec.get("weight", 1.0))
-    if kind == "erdos_renyi":
-        try:
-            return netgraph.erdos_renyi(
-                spec["n"],
-                spec["p"],
-                seed=_element_seed(config, spec, "graph"),
-                symmetric=spec.get("symmetric", False),
-                weight_range=tuple(spec.get("weight_range", (1.0, 1.0))),
-                require_no_covering=spec.get("require_no_covering", True),
-                max_retries=spec.get("max_retries", 100),
-            )
-        except RuntimeError as exc:  # retries exhausted; the message names n, p and the count
-            raise ScenarioError(f"graph: {exc}") from exc
-    raise ScenarioError(f"unknown graph kind {kind!r}")
+    """The graph from the builder its kind names, called with the section's
+    keys and, for a random kind, its seed. The builder is looked up in netgraph
+    at call time, so that a wrapper set there sees the call."""
+    kind = spec["kind"]
+    kwargs = {key: value for key, value in spec.items() if key != "kind"}
+    if "seed" in _SCHEMA["graph"][kind]:
+        kwargs["seed"] = _element_seed(config, spec, "graph")
+    try:
+        return getattr(netgraph, _GRAPH_BUILDERS[kind])(**kwargs)
+    except (RuntimeError, TypeError) as exc:  # retries exhausted, or a missing key
+        raise ScenarioError(f"graph: {exc}") from exc
 
 
 def _sample_vector(config: dict, spec: dict, size: int, role: str) -> np.ndarray:
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "inline":
         vec = np.asarray(spec["values"], dtype=float)
         if vec.shape != (size,):
@@ -194,42 +218,31 @@ def _sample_vector(config: dict, spec: dict, size: int, role: str) -> np.ndarray
     rng = np.random.default_rng(_element_seed(config, spec, role))
     if kind == "uniform":
         return rng.uniform(spec["low"], spec["high"], size=size)
-    if kind == "gaussian":
-        return rng.normal(spec.get("mean", 0.0), spec["std"], size=size)
-    raise ScenarioError(f"unknown {role} kind {kind!r}")
+    return rng.normal(spec.get("mean", 0.0), spec["std"], size=size)
 
 
 def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
     spec = config.get("mask", {"kind": "identity"})
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "identity":
         return MaskBank.identity(dim)
     if kind == "auto":
-        mask_kind = MaskKind(spec["mask_kind"])
-        return MaskBank.auto(
-            mask_kind,
-            float(spec["privacy_level"]),
-            x0,
-            seed=_element_seed(config, spec, "mask"),
-            rate_range=tuple(spec.get("rate_range", (0.5, 2.0))),
-        )
-    if kind == "explicit":
-        channels = []
-        for ch in spec["channels"]:
-            params = {k: v for k, v in ch.items() if k != "kind"}
-            channels.append((MaskKind(ch["kind"]), MaskParams(**params)))
-        if len(channels) != dim:
-            raise ScenarioError(f"mask bank has {len(channels)} channels, state needs {dim}")
-        return MaskBank(channels)
-    raise ScenarioError(f"unknown mask kind {kind!r}")
+        mask_kind, seed = MaskKind(spec["mask_kind"]), _element_seed(config, spec, "mask")
+        rate_range = spec.get("rate_range", masks.DEFAULT_RATE_RANGE)
+        return MaskBank.auto(mask_kind, float(spec["privacy_level"]), x0, seed, rate_range)
+    channels = []
+    for ch in spec["channels"]:
+        params = {k: v for k, v in ch.items() if k != "kind"}
+        channels.append((MaskKind(ch["kind"]), MaskParams(**params)))
+    if len(channels) != dim:
+        raise ScenarioError(f"mask bank has {len(channels)} channels, state needs {dim}")
+    return MaskBank(channels)
 
 
-def _build_adversary(block, graph: Digraph) -> dict:
+def _build_adversary(spec: dict, graph: Digraph) -> dict:
     """The adversary block with its defaults filled in. observer and target
     must be integer nodes, the target must lie in the observer's closed
     in-neighborhood, and every policy must be a substitution policy."""
-    spec = {key: block[key] for key in _SCHEMA["adversary"] if key in block}
-    settle_tol = _finite_positive(spec.get("settle_tol", 1e-6), "adversary.settle_tol")
     for key in ("observer", "target"):
         node = spec.get(key)
         if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < graph.n:
@@ -243,41 +256,41 @@ def _build_adversary(block, graph: Digraph) -> dict:
     for policy in policies:
         if policy not in adv.SUBSTITUTION_POLICIES:
             raise ScenarioError(f"adversary.policies: unknown substitution policy {policy!r}")
-    return {"observer": observer, "target": target, "policies": policies, "settle_tol": settle_tol}
+    return {**spec, "policies": policies, "settle_tol": spec.get("settle_tol", 1e-6)}
 
 
 def build_scenario(config: dict) -> Scenario:
     """Validate a config dict and build every run ingredient deterministically."""
     try:
-        _check_keys(config, _SCHEMA)
+        _walk(config, _SCHEMA)
         name = config.get("name", "scenario")
+        if name in ("", ".", "..") or "/" in name or "\0" in name:  # a directory under --out
+            raise ScenarioError(f"name must be one plain path component, got {name!r}")
         graph = _build_graph(config, config["graph"])
         spec = config["system"]
-        kind = spec["kind"]
-        dim = graph.n * int(spec.get("nu", 1))  # only a kind of vector agents takes nu
+        dim = graph.n * spec.get("nu", 1)  # only a kind of vector agents takes nu
         vector = functools.partial(_sample_vector, config)
         x0 = vector(config["x0"], dim, "x0")
-        system = lookup_kind(SYSTEMS, kind, "system").from_config(spec, graph, x0, vector)
+        system = SYSTEMS[spec["kind"]].from_config(spec, graph, x0, vector)
         lam = config.get("mask", {}).get("privacy_level")
-        if lam is not None:
-            lam = _finite_positive(lam, "mask.privacy_level")
         bank = _build_bank(config, dim, x0)
         s0 = None if system.drift is None else vector(spec["s0"], system.nu, "s0")
-        integ = config.get("integrator", {})
-        cfg = IntegratorConfig(
-            method=integ.get("method", "rk4"),
-            dt=float(integ.get("dt", 1e-3)),
-            t_final=float(integ.get("t_final", 50.0)),
-            record_stride=int(integ.get("record_stride", 1)),
-        )
         checks = tuple(config.get("checks", ()))
         for chk in checks:
             if chk not in KNOWN_CHECKS:
                 raise ScenarioError(f"unknown check {chk!r}")
+        cond = config.get("sync_condition")
+        if cond is not None:  # the Lipschitz sampling box, and estimate_lipschitz_q's floor
+            box, samples = cond.get("box"), cond.get("samples", 4000)
+            if box is None or not -math.inf < box[0] < box[1] < math.inf:
+                raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
+            if samples < 2:
+                raise ScenarioError(f"sync_condition.samples must be >= 2, got {samples}")
+            seed = _element_seed(config, cond, "sync_condition")
+            cond = {"box": box, "samples": samples, "seed": seed}
         adversary = config.get("adversary")
         if adversary is not None:
             adversary = _build_adversary(adversary, graph)
-        tols = config.get("tolerances", {})
         return Scenario(
             name=name,
             config=config,
@@ -288,12 +301,13 @@ def build_scenario(config: dict) -> Scenario:
             bank=bank,
             x0=x0,
             s0=s0,
-            integrator=cfg,
+            integrator=IntegratorConfig(**config.get("integrator", {})),
             checks=checks,
-            privacy_level=lam,
-            tol_conv=_finite_positive(tols.get("tol_conv", system.tol_conv), "tolerances.tol_conv"),
-            frozen_anchor=bool(spec.get("frozen_anchor", False)),
-            sync_condition=config.get("sync_condition"),
+            # as floats, so that an integer in the config writes the same report
+            privacy_level=None if lam is None else float(lam),
+            tol_conv=float(config.get("tolerances", {}).get("tol_conv", system.tol_conv)),
+            frozen_anchor=spec.get("frozen_anchor", False),
+            sync_condition=cond,
             adversary=adversary,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dynpriv import netgraph
 from dynpriv.cli import main
 from dynpriv.dynamics import DRIFTS, SYSTEMS
+from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -21,6 +22,7 @@ from dynpriv.scenario import (
     run_mask_check,
     run_simulation,
 )
+from dynpriv.solver import IntegratorConfig
 
 
 def _consensus_config(**over):
@@ -526,3 +528,138 @@ def test_override_seed_redraws_graph_states_and_masks(name, seeds):
     assume(isinstance(a, dict) and isinstance(b, dict))
     for key in ("edges", "x0", "bank"):
         assert a[key] != b[key], key
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("graph", "seed", None, "graph.seed must be a non-negative integer, got None"),
+        ("mask", "seed", None, "mask.seed must be a non-negative integer, got None"),
+        ("integrator", "record_stride", 1.5, "integrator.record_stride must be an integer, got 1.5"),
+        ("graph", "symmetric", "no", "graph.symmetric must be a boolean, got 'no'"),
+        (None, "graph", "x", "graph must be an object, got 'x'"),
+    ],
+)
+def test_cli_wrong_json_type_exits_2_naming_its_key(section, key, value, message, tmp_path, capsys):
+    # a null seed would draw a fresh graph or mask on every run under one config hash
+    cfg = load_bundled("example1_satnet_n10")
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path,kind",
+    [("graph", "graph"), ("x0", "x0"), ("mask", "mask"), ("system.theta", "theta")],
+)
+def test_unknown_kind_is_named_by_its_section(path, kind):
+    cfg = load_bundled("example2_fj_n10")
+    *parents, last = path.split(".")
+    section = functools.reduce(lambda node, key: node[key], parents, cfg)
+    section[last] = {**section[last], "kind": "nope"}
+    with pytest.raises(ScenarioError, match=f"unknown {kind} kind 'nope'"):
+        build_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../escaped", "a/b", "", ".", "..", "nul\0"],
+    ids=["parent_path", "nested_path", "empty", "dot", "dot_dot", "nul_byte"],
+)
+def test_cli_name_that_is_not_one_path_component_exits_2(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(_consensus_config(name=name)))
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+    assert f"name must be one plain path component, got {name!r}" in capsys.readouterr().err
+    assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["name.json"]
+
+
+@pytest.mark.parametrize("count,ok", [(-1, False), (0, True), (10, True), (11, False)])
+def test_pinned_count_must_lie_in_0_to_n(count, ok):
+    # -1 would pin 9 of the 10 agents through gains[:-1]
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["system"]["pinned_count"] = count
+    if ok:
+        assert np.count_nonzero(build_scenario(cfg).system.pin_gains) == count
+    else:
+        with pytest.raises(ScenarioError, match=rf"system.pinned_count must be in \[0, 10\], got {count}"):
+            build_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("box", "x", "sync_condition.box must be two numbers, got 'x'"),
+        ("box", [1.0], "sync_condition.box must be two numbers, got [1.0]"),
+        ("box", [-3, "a"], "sync_condition.box must be two numbers, got [-3, 'a']"),
+        ("box", [3.0, -3.0], "sync_condition.box must be finite lo < hi, got [3.0, -3.0]"),
+        ("box", [-3.0, float("inf")], "sync_condition.box must be finite lo < hi"),
+        ("samples", 1, "sync_condition.samples must be >= 2, got 1"),
+        ("samples", 4000.0, "sync_condition.samples must be an integer, got 4000.0"),
+    ],
+)
+def test_cli_check_rejects_a_malformed_sync_condition(key, value, message, tmp_path, capsys):
+    # simulate would otherwise fail only after the whole integration, in a traceback
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["sync_condition"][key] = value
+    path = tmp_path / "sync.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_defaults_live_at_the_constructors():
+    mask = {"kind": "auto", "mask_kind": "additive", "privacy_level": 1, "seed": 5}
+    sc = build_scenario(_consensus_config(integrator={}, mask=mask))
+    assert sc.integrator == IntegratorConfig()
+    assert sc.bank.params == MaskBank.auto(MaskKind.ADDITIVE, 1.0, sc.x0, seed=5).params
+    # an integer privacy level is read as the float that the report writes
+    assert type(sc.privacy_level) is float and type(sc.tol_conv) is float
+
+
+SWEPT = [
+    "example1_satnet_n10",
+    "example2_fj_n10",
+    "example3_consensus_n3",
+    "example4_pinning_n10",
+    "adversary_covering",
+]
+SWEEP_VALUES = ["x", -1, None, 1.5, {"kind": "nope"}]
+
+
+def _key_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutants(config):
+    """Every config that deletes one key path, or sets it to one SWEEP_VALUES entry."""
+    for path in _key_paths(config):
+        for value in ["<delete>", *SWEEP_VALUES]:
+            mutant = copy.deepcopy(config)
+            parent = functools.reduce(lambda node, key: node[key], path[:-1], mutant)
+            if value == "<delete>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            yield ".".join(path), value, mutant
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_check_on_single_key_mutations_exits_0_or_2_and_never_raises(name, tmp_path, capsys):
+    config_path, bad = tmp_path / "mutant.json", []
+    for key, value, mutant in _mutants(load_bundled(name)):
+        config_path.write_text(json.dumps(mutant))
+        try:
+            code = main(["check", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        except Exception as exc:  # noqa: BLE001 - any exception is the failure under test
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 2):
+            bad.append((key, value, code))
+    capsys.readouterr()
+    assert bad == []
