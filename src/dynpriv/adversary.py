@@ -6,7 +6,8 @@ private states, no mask forms or parameters. When the observer's closed
 neighborhood covers the target's, the settled output plus a quadrature of
 the observed field recovers the target's initial state; with the covering
 assumption restored, at least one integrand channel is missing and must be
-substituted, which ruins the estimate.
+substituted, which ruins the estimate. The target's integrand is the
+attack_row of its system class.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from .netgraph import Digraph
 
 SUBSTITUTION_POLICIES = ("zero", "own_output", "visible_mean")
+#: Default bound on the outputs' terminal increment: below it they count as settled.
+SETTLE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,22 +61,6 @@ class ReconstructionResult:
     missing_channels: tuple
 
 
-def make_linear_row_field(lap: np.ndarray, target: int):
-    """Integrand of a Laplacian-coupled agent: f_i = -sum_k L[i, k] y_k."""
-    lap = np.asarray(lap, dtype=float)
-    row = lap[target]
-    needed = tuple(int(k) for k in np.nonzero(row)[0])
-
-    def row_field(channels: dict) -> np.ndarray:
-        total = None
-        for k in needed:
-            term = -row[k] * channels[k]
-            total = term if total is None else total + term
-        return total
-
-    return row_field, needed
-
-
 def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
     dt = np.diff(times)
     return float(np.sum(0.5 * dt * (values[:-1] + values[1:])))
@@ -85,7 +72,7 @@ def reconstruct_initial(
     row_field,
     needed_channels,
     policy: str = "zero",
-    settle_tol: float = 1e-6,
+    settle_tol: float = SETTLE_TOL,
 ) -> ReconstructionResult:
     """Estimate the target's initial state from the observer's viewpoint.
 

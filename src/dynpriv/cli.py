@@ -17,7 +17,6 @@ from time import perf_counter
 from . import adversary as adv
 from . import analysis
 from . import scenario as scn
-from .netgraph import laplacian
 from .solver import BlowUpError, write_csv
 
 EXIT_OK = 0
@@ -71,7 +70,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_artifacts(outdir: Path, sc, traj, report) -> None:
     traj.to_csv(outdir / "trajectory.csv")
-    header, table = analysis.series_table(traj, sc.system.nu)
+    header, table = analysis.series_table(traj)
     write_csv(outdir / "series.csv", header, table)
     report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
     _write_json(outdir / "report.json", report.as_dict())
@@ -152,8 +151,7 @@ def cmd_adversary(args) -> int:
     except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    lap = laplacian(sc.graph)
-    row_field, needed = adv.make_linear_row_field(lap, target)
+    row_field, needed = sc.system.attack_row(target)
     view = adv.EavesdropperView.from_trajectory(sc.graph, observer, traj)
     true_x0 = float(sc.x0[target])
     attempts = []

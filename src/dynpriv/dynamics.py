@@ -12,9 +12,11 @@ Each class owns all that varies by kind: its config name `kind`, config
 schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
 scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
-drive); its compiled `stage_body`; its `attractor` and `verdicts`. A drift
-owns `kind`, `keys` (its constructor's arguments), its rowwise value `rows`
-and `stage_rows`. SYSTEMS and DRIFTS are the only maps from a kind to its class.
+drive); its compiled `stage_body`; its `attractor`, its `verdicts` and the
+`checks` they decide; and the eavesdropper's `attack_row`, where one is
+modelled. A drift owns `kind`, `keys` (its constructor's arguments), its
+rowwise value `rows` and `stage_rows`. SYSTEMS and DRIFTS are the only maps
+from a kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
 compile_stage binds one run's joint field once as the solver's stage, equal
@@ -46,13 +48,20 @@ class ByKind(dict):
     """Schema of a config section whose keys depend on its "kind" value."""
 
 
+class Required:
+    """Schema of a key that its section must hold: no constructor defaults it."""
+
+    def __init__(self, schema=None):
+        self.schema = schema
+
+
 SEED = "a non-negative integer"  # the schema type of a seed that numpy's generators take
 
 #: Keys of a vector section (x0, theta, s0): inline values or a seeded draw.
 VECTOR = ByKind(
-    inline={"values": [float]},
-    uniform={"low": float, "high": float, "seed": SEED},
-    gaussian={"mean": float, "std": float, "seed": SEED},
+    inline={"values": Required([float])},
+    uniform={"low": Required(float), "high": Required(float), "seed": SEED},
+    gaussian={"mean": float, "std": Required(float), "seed": SEED},
 )
 
 
@@ -71,7 +80,7 @@ class TanhDrift:
     b: np.ndarray
 
     kind = "tanh"
-    keys = {"a": list, "b": list}
+    keys = {"a": Required(list), "b": Required(list)}
     columns = False  # stage_rows writes whole rows
 
     def __post_init__(self):
@@ -171,9 +180,14 @@ class SystemSpec:
     drift = None  # the exosystem's drift, if the system has one
     tol_conv = 1e-3
     anchored = False  # whether frozen_anchor has an anchor term to freeze
+    attack_row = None  # the eavesdropper's model of one agent's integrand, if any
 
     def through_mask(self, ms: "MaskedSystem", scale, offset):
         return self
+
+    #: The verdicts that verdicts() decides, each with the Scenario field it
+    #: needs (None: it is decided on every run).
+    checks = {"converged": None}
 
     def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
         """Convergence to attractor(x0), in the infinity norm."""
@@ -259,7 +273,7 @@ class FriedkinJohnsen(SystemSpec):
     anchor: np.ndarray
 
     kind = "friedkin_johnsen"
-    keys = {"theta": (float, VECTOR), "frozen_anchor": bool}
+    keys = {"theta": Required((float, VECTOR)), "frozen_anchor": bool}
     anchored = True
 
     def __post_init__(self):
@@ -364,6 +378,23 @@ class AverageConsensus(SystemSpec):
 
         return body, _flat
 
+    def attack_row(self, target: int):
+        """The integrand of agent target, f = -sum_k L[target, k] y_k, as a
+        function of the output channels, and the channels it needs."""
+        row = self.laplacian[target]
+        needed = tuple(int(k) for k in np.nonzero(row)[0])
+
+        def row_field(channels: dict) -> np.ndarray:
+            total = None
+            for k in needed:
+                term = -row[k] * channels[k]
+                total = term if total is None else total + term
+            return total
+
+        return row_field, needed
+
+    checks = dict.fromkeys(("converged", "conservation", "output_mean_hidden", "vmm_non_monotone"))
+
     def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
         """Convergence to the initial mean, which the states conserve while
         the outputs' mean moves and the spread need not shrink monotonically."""
@@ -398,12 +429,13 @@ class PinnedSync(SystemSpec):
 
     kind = "pinned_sync"
     keys = {
-        **dict.fromkeys(("nu", "pinned_count"), int),
+        "nu": Required(int),
+        "pinned_count": int,
         "pin_gains": [float],
         "pin_gain": float,
-        "r": {"kind": str, "rows": list},
-        "drift": ByKind({kind: cls.keys for kind, cls in DRIFTS.items()}),
-        "s0": VECTOR,
+        "r": ByKind(identity={}, explicit={"rows": Required(list)}),
+        "drift": Required(ByKind({kind: cls.keys for kind, cls in DRIFTS.items()})),
+        "s0": Required(VECTOR),
     }
     tol_conv = 1e-2
 
@@ -416,10 +448,7 @@ class PinnedSync(SystemSpec):
             raise ValueError("inconsistent pinned-sync dimensions")
         if r.shape != (self.nu, self.nu):
             raise ValueError("inner coupling matrix shape must be (nu, nu)")
-        if np.max(np.abs(r - r.T)) > 1e-12:
-            raise ValueError("inner coupling matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(r)) <= 0:
-            raise ValueError("inner coupling matrix must be positive definite")
+        analysis.check_coupling_matrix(r)
         if np.any(p < 0):
             raise ValueError("pinning gains must be nonnegative")
         if self.drift.dim != self.nu:
@@ -431,10 +460,11 @@ class PinnedSync(SystemSpec):
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "PinnedSync":
         nu = spec["nu"]
-        r_spec = spec.get("r", {"kind": "identity"})
-        r = np.eye(nu) if r_spec.get("kind") == "identity" else r_spec["rows"]
+        r = spec.get("r", {}).get("rows", np.eye(nu))  # only an explicit r has rows
         if "pin_gains" in spec:
             gains = spec["pin_gains"]
+        elif "pinned_count" not in spec or "pin_gain" not in spec:
+            raise ScenarioError("pinned_sync needs pin_gains, or pinned_count and pin_gain")
         else:
             count = spec["pinned_count"]
             if not 0 <= count <= graph.n:
@@ -489,10 +519,12 @@ class PinnedSync(SystemSpec):
 
         return body, views
 
+    checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
+
     def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
         """Synchronization with the exosystem, and the sign of the pinning
         condition's feasibility margin when the config asks for it."""
-        max_err, _full = analysis.sync_error_series(traj, self.nu)
+        max_err, _full = analysis.sync_error_series(traj)
         report.sync_error_final = float(max_err[-1])
         verdicts = {"converged": report.sync_error_final < tol_conv}
         cond = sc.sync_condition

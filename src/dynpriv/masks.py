@@ -245,24 +245,6 @@ class MaskBank:
         rates = self._values[[1, 3]].T[self._given[[1, 3]].T]
         return min(rates.tolist(), default=np.inf)
 
-    def translated(self, t0: float) -> "MaskBank":
-        """Bank whose clock starts at t0, i.e. h'(t, x) = h(t + t0, x).
-
-        Translation stays inside the mask family: the decaying gain and
-        offset amplitudes shrink by exp(-sigma t0) and exp(-delta t0). Used
-        to probe attractivity uniformly over the mask start time.
-        """
-        if t0 < 0:
-            raise ValueError("clock offset must be nonnegative")
-        channels = []
-        for kind, p in zip(self.kinds, self.params):
-            phi = p.phi * float(np.exp(-p.sigma * t0)) if p.phi is not None else None
-            gamma = p.gamma * float(np.exp(-p.delta * t0)) if p.gamma is not None else None
-            channels.append(
-                (kind, MaskParams(phi=phi, sigma=p.sigma, gamma=gamma, delta=p.delta, c=p.c))
-            )
-        return MaskBank(channels)
-
 
 def privacy_metric(bank: MaskBank, x0: np.ndarray):
     """Per-channel t=0 gap |h(0, x0) - x0| and its minimum over channels."""
@@ -465,22 +447,3 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
         vanishing=vanishing,
         witnesses=witnesses,
     )
-
-
-def mask_norm_bounds(bank: MaskBank, t: float, x: np.ndarray):
-    """Two-sided bound on ||x||_2 from the masked output at time t.
-
-    Returns (lower, upper) with lower <= ||x|| <= upper, where
-    lower = ||y|| / k - zeta(t), upper = ||y|| + zeta(t), k is the largest
-    t=0 channel gain and zeta(t) = ||offset(t)||_2. Only masks of affine
-    structure (additive, affine, vanishing_affine) keep the channel gains
-    >= 1, which the upper bound needs.
-    """
-    for kind in bank.kinds:
-        if kind not in PRIVACY_KINDS:
-            raise ValueError(f"norm bounds need affine-structure masks, got {kind.value}")
-    y = bank.eval(t, x)
-    k = float(np.max(bank.factors(0.0)[0]))
-    zeta = float(np.linalg.norm(bank.factors(t)[1]))
-    y_norm = float(np.linalg.norm(y))
-    return y_norm / k - zeta, y_norm + zeta

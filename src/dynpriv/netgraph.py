@@ -45,10 +45,6 @@ class Digraph:
     def in_nbrs(self) -> tuple:
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.a)
 
-    @cached_property
-    def out_nbrs(self) -> tuple:
-        return tuple(frozenset(np.flatnonzero(col).tolist()) for col in self.a.T)
-
     def closed_in_neighborhood(self, i: int) -> frozenset:
         return self.in_nbrs[i] | {i}
 

@@ -7,14 +7,16 @@ integrator grid, and the named verdict checks to enforce. Every randomized
 element is seeded, either directly or derived from the top-level seed, so a
 config reproduces its artifacts byte for byte.
 
-_SCHEMA gives every key its JSON type; one walk checks a config against it
-before anything is built, naming the key path of any misfit. A builder passes
-a section's keys to the constructor that owns them and their defaults.
+_SCHEMA gives every key its JSON type and marks the keys that no constructor
+defaults as Required; one walk checks a config against it before anything is
+built, naming the key path of any misfit or missing key. A builder passes a
+section's keys to the constructor that owns them and their defaults.
 
 Nothing here depends on the system kind: the system section is checked
 against, built by and judged by the class that dynamics.SYSTEMS names for
-its kind (its keys, from_config and verdicts); the checks common to every
-run (privacy, mask gap, boundedness, graph) are decided here.
+its kind (its keys, from_config, verdicts and checks); the checks common to
+every run (privacy, mask gap, boundedness, graph) are decided here. A build
+rejects any requested check that the scenario cannot decide.
 """
 
 from __future__ import annotations
@@ -31,23 +33,21 @@ import numpy as np
 
 from . import adversary as adv
 from . import analysis, masks, netgraph
-from .dynamics import SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, ScenarioError
+from .dynamics import SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, Required, ScenarioError
 from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
 from .netgraph import AssumptionReport, Digraph
 from .solver import IntegratorConfig, integrate
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
-RUN_CHECKS = (
-    "converged",
-    "conservation",
-    "output_mean_hidden",
-    "vmm_non_monotone",
-    "privacy_floor",
-    "mask_gap_visible",
-    "mask_gap_closes",
-    "bounded_states",
-    "lmi_margin_negative",
-)
+#: The verdicts that run_simulation decides for every system, each with the
+#: Scenario field it needs (None: it is decided on every run).
+COMMON_CHECKS = {
+    "privacy_floor": "privacy_level",
+    "mask_gap_visible": "privacy_level",
+    "mask_gap_closes": None,
+    "bounded_states": None,
+}
+RUN_CHECKS = (*dict.fromkeys(k for cls in SYSTEMS.values() for k in cls.checks), *COMMON_CHECKS)
 KNOWN_CHECKS = GRAPH_CHECKS + RUN_CHECKS
 
 MASK_GAP_TAIL = 1e-6
@@ -76,42 +76,80 @@ _TYPES = {
     PAIR: (PAIR, lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
 }
 
+
+class _Section(dict):
+    """A section's keys with their compiled schemas, and the keys it must hold."""
+
+    required = frozenset()
+
+
+def _compiled(schema):
+    """schema with each section's Required markers unwrapped into its
+    required set, and each kind of a ByKind holding its "kind" key."""
+    if isinstance(schema, (tuple, list)):
+        return type(schema)(map(_compiled, schema))
+    if isinstance(schema, ByKind):
+        return ByKind({kind: _compiled({"kind": str, **keys}) for kind, keys in schema.items()})
+    if not isinstance(schema, dict):
+        return schema
+    section = _Section(
+        (key, _compiled(item.schema if isinstance(item, Required) else item))
+        for key, item in schema.items()
+    )
+    section.required = frozenset(k for k, item in schema.items() if isinstance(item, Required))
+    return section
+
+
 #: Every key a scenario config may hold, nested as the config is, with the
 #: JSON type it accepts: a _TYPES key, None for a value that its constructor
 #: checks itself; a dict (or ByKind) of a section's keys; a one-item list for
-#: a list of such items; or a tuple of alternatives.
-_SCHEMA = {
+#: a list of such items; or a tuple of alternatives. Required marks a key that
+#: its section must hold. The walk reads it compiled, so it builds no schema.
+_SCHEMA = _compiled({
     "name": str,
     "seed": int,
-    "graph": ByKind(
-        inline={"n": int, "edges": list},
-        cycle={"n": int, "weight": float},
-        complete={"n": int, "weight": float},
+    "graph": Required(ByKind(
+        inline={"n": Required(int), "edges": Required(list)},
+        cycle={"n": Required(int), "weight": float},
+        complete={"n": Required(int), "weight": float},
         erdos_renyi={
-            **dict.fromkeys(("n", "max_retries"), int),
+            "n": Required(int),
+            "p": Required(float),
             "seed": SEED,
             **dict.fromkeys(("symmetric", "require_no_covering"), bool),
-            "p": float,
             "weight_range": PAIR,
+            "max_retries": int,
         },
-    ),
-    "system": ByKind({kind: cls.keys for kind, cls in SYSTEMS.items()}),
-    "x0": VECTOR,
+    )),
+    "system": Required(ByKind({kind: cls.keys for kind, cls in SYSTEMS.items()})),
+    "x0": Required(VECTOR),
     "mask": ByKind(
         identity={"privacy_level": POSITIVE},
-        auto={"mask_kind": str, "privacy_level": POSITIVE, "seed": SEED, "rate_range": PAIR},
+        auto={
+            "mask_kind": Required(str),
+            "privacy_level": Required(POSITIVE),
+            "seed": SEED,
+            "rate_range": PAIR,
+        },
         explicit={
             "privacy_level": POSITIVE,
-            "channels": [{"kind": str, **dict.fromkeys(("phi", "sigma", "gamma", "delta", "c"))}],
+            "channels": Required(
+                [{"kind": Required(str), **dict.fromkeys(("phi", "sigma", "gamma", "delta", "c"))}]
+            ),
         },
     ),
     "integrator": {"method": str, "dt": float, "t_final": float, "record_stride": int},
     "checks": [str],
     "tolerances": {"tol_conv": POSITIVE},
-    "sync_condition": {"box": PAIR, "samples": int, "seed": SEED},
+    "sync_condition": {"box": Required(PAIR), "samples": int, "seed": SEED},
     # observer and target are checked against the graph, with their own message
-    "adversary": {"observer": None, "target": None, "policies": [str], "settle_tol": POSITIVE},
-}
+    "adversary": {
+        "observer": Required(),
+        "target": Required(),
+        "policies": [str],
+        "settle_tol": POSITIVE,
+    },
+})
 
 _GRAPH_BUILDERS = dict(
     inline="build_graph", cycle="cycle_graph", complete="complete_graph", erdos_renyi="erdos_renyi"
@@ -130,8 +168,8 @@ def _shape(schema) -> tuple:
 
 def _walk(value, schema, path: str = "") -> None:
     """Raise ScenarioError naming the key path of the first value that does
-    not fit its schema: a section that is not an object, an unknown kind, an
-    unknown key, or a value of the wrong JSON type."""
+    not fit its compiled schema: a section that is not an object, an unknown
+    kind, an unknown key, a value of the wrong JSON type, or a missing key."""
     if isinstance(schema, tuple):  # the first alternative whose shape fits
         schema = next((s for s in schema if _shape(s)[1](value)), schema)
     name, fits = _shape(schema)
@@ -142,15 +180,21 @@ def _walk(value, schema, path: str = "") -> None:
             _walk(item, schema[0], f"{path}[{i}]")
     elif isinstance(schema, dict):
         if isinstance(schema, ByKind):
-            kind = value.get("kind")
+            if "kind" not in value:
+                raise ScenarioError(f"{path}.kind is required")
+            kind = value["kind"]
             if not isinstance(kind, str) or kind not in schema:
                 raise ScenarioError(f"unknown {path.rsplit('.', 1)[-1]} kind {kind!r}")
-            schema = {"kind": str, **schema[kind]}
+            schema = schema[kind]
         for key, item in value.items():
             where = f"{path}.{key}" if path else key
             if key not in schema:
                 raise ScenarioError(f"unknown config key {where!r}")
             _walk(item, schema[key], where)
+        missing = schema.required - value.keys()
+        if missing:
+            key = next(k for k in schema if k in missing)  # the first in schema order
+            raise ScenarioError(f"{path}.{key} is required" if path else f"{key} is required")
 
 
 def config_hash(config: dict) -> str:
@@ -204,7 +248,7 @@ def _build_graph(config: dict, spec: dict) -> Digraph:
         kwargs["seed"] = _element_seed(config, spec, "graph")
     try:
         return getattr(netgraph, _GRAPH_BUILDERS[kind])(**kwargs)
-    except (RuntimeError, TypeError) as exc:  # retries exhausted, or a missing key
+    except RuntimeError as exc:  # retries exhausted
         raise ScenarioError(f"graph: {exc}") from exc
 
 
@@ -244,7 +288,7 @@ def _build_adversary(spec: dict, graph: Digraph) -> dict:
     must be integer nodes, the target must lie in the observer's closed
     in-neighborhood, and every policy must be a substitution policy."""
     for key in ("observer", "target"):
-        node = spec.get(key)
+        node = spec[key]
         if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < graph.n:
             raise ScenarioError(f"adversary.{key} must be an integer in [0, {graph.n}), got {node!r}")
     observer, target = spec["observer"], spec["target"]
@@ -256,7 +300,7 @@ def _build_adversary(spec: dict, graph: Digraph) -> dict:
     for policy in policies:
         if policy not in adv.SUBSTITUTION_POLICIES:
             raise ScenarioError(f"adversary.policies: unknown substitution policy {policy!r}")
-    return {**spec, "policies": policies, "settle_tol": spec.get("settle_tol", 1e-6)}
+    return {**spec, "policies": policies, "settle_tol": spec.get("settle_tol", adv.SETTLE_TOL)}
 
 
 def build_scenario(config: dict) -> Scenario:
@@ -281,8 +325,8 @@ def build_scenario(config: dict) -> Scenario:
                 raise ScenarioError(f"unknown check {chk!r}")
         cond = config.get("sync_condition")
         if cond is not None:  # the Lipschitz sampling box, and estimate_lipschitz_q's floor
-            box, samples = cond.get("box"), cond.get("samples", 4000)
-            if box is None or not -math.inf < box[0] < box[1] < math.inf:
+            box, samples = cond["box"], cond.get("samples", 4000)
+            if not -math.inf < box[0] < box[1] < math.inf:
                 raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
             if samples < 2:
                 raise ScenarioError(f"sync_condition.samples must be >= 2, got {samples}")
@@ -290,8 +334,10 @@ def build_scenario(config: dict) -> Scenario:
             cond = {"box": box, "samples": samples, "seed": seed}
         adversary = config.get("adversary")
         if adversary is not None:
+            if system.attack_row is None:  # the eavesdropper would attack a wrong model
+                raise ScenarioError(f"adversary: system kind {system.kind!r} has no attack row")
             adversary = _build_adversary(adversary, graph)
-        return Scenario(
+        sc = Scenario(
             name=name,
             config=config,
             hash=config_hash(config),
@@ -310,6 +356,15 @@ def build_scenario(config: dict) -> Scenario:
             sync_condition=cond,
             adversary=adversary,
         )
+        decidable = {*GRAPH_CHECKS} | {
+            k
+            for k, needs in {**system.checks, **COMMON_CHECKS}.items()
+            if needs is None or getattr(sc, needs) is not None
+        }
+        inapplicable = [k for k in checks if k not in decidable]
+        if inapplicable:
+            raise ScenarioError(f"checks not applicable to this scenario: {inapplicable}")
+        return sc
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -404,10 +459,6 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     verdicts["mask_gap_closes"] = report.mask_gap_final_max < MASK_GAP_TAIL
     verdicts["bounded_states"] = report.max_abs_state < BOUNDED_LIMIT
 
-    graph_results = run_graph_checks(sc)
-    verdicts.update(graph_results)
-    missing = [k for k in sc.checks if k not in verdicts]
-    if missing:
-        raise ScenarioError(f"checks not applicable to this scenario: {missing}")
+    verdicts.update(run_graph_checks(sc))
     report.verdicts = {k: bool(verdicts[k]) for k in sc.checks}
     return traj, report

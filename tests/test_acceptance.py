@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dynpriv.adversary import (
-    SUBSTITUTION_POLICIES,
-    EavesdropperView,
-    make_linear_row_field,
-    reconstruct_initial,
-)
+from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.analysis import (
     check_pinning_condition,
     fj_equilibrium,
@@ -236,7 +231,7 @@ def test_pinned_sync_gain_scan_and_error():
     gain, margin = chosen
     assert gain == config["system"]["pin_gain"], "bundled scenario should pin the scanned gain"
     traj, report = run_simulation(sc)
-    max_err, _ = sync_error_series(traj, spec.nu)
+    max_err, _ = sync_error_series(traj)
     ok = margin < 0 and float(max_err[-1]) < 1e-2
     _report(
         "pinned synchronization",
@@ -399,8 +394,7 @@ def test_pinning_reduction_matches_kronecker_oracle():
 def test_eavesdropper_covered_then_restored():
     cov = build_scenario(load_bundled("adversary_covering"))
     traj, _ = run_simulation(cov)
-    lap = laplacian(cov.graph)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = cov.system.attack_row(0)
     view = EavesdropperView.from_trajectory(cov.graph, 1, traj)
     covered = reconstruct_initial(view, 0, row_field, needed)
     covered_err = abs(covered.x_hat - float(cov.x0[0]))
@@ -408,8 +402,7 @@ def test_eavesdropper_covered_then_restored():
     free = build_scenario(load_bundled("adversary_cycle"))
     assert np.array_equal(free.x0, cov.x0)
     traj, _ = run_simulation(free)
-    lap = laplacian(free.graph)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = free.system.attack_row(0)
     view = EavesdropperView.from_trajectory(free.graph, 1, traj)
     restored_errs = {}
     for policy in SUBSTITUTION_POLICIES:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from dynpriv.adversary import (
-    SUBSTITUTION_POLICIES,
-    EavesdropperView,
-    make_linear_row_field,
-    reconstruct_initial,
-)
+from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.dynamics import AverageConsensus, MaskedSystem
 from dynpriv.masks import MaskBank, MaskKind, choose_params
 from dynpriv.netgraph import build_graph, cycle_graph, laplacian
@@ -35,10 +30,10 @@ def _privacy_bank(x0, seed):
 
 
 def _consensus_run(graph, x0, bank, t_final=50.0):
-    lap = laplacian(graph)
-    ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=bank)
+    system = AverageConsensus(laplacian=laplacian(graph))
+    ms = MaskedSystem(base=system, bank=bank)
     cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=10)
-    return integrate(ms, x0, cfg), lap
+    return integrate(ms, x0, cfg), system
 
 
 def test_view_carries_only_observed_outputs():
@@ -61,9 +56,9 @@ def test_unobservable_target_rejected():
     rng = np.random.default_rng(71)
     x0 = rng.uniform(-3, 3, 6)
     bank = _privacy_bank(x0, seed=72)
-    traj, lap = _consensus_run(g, x0, bank, t_final=50.0)
+    traj, system = _consensus_run(g, x0, bank, t_final=50.0)
     view = EavesdropperView.from_trajectory(g, 2, traj)
-    row_field, needed = make_linear_row_field(lap, 4)
+    row_field, needed = system.attack_row(4)
     with pytest.raises(ValueError, match="not observable"):
         reconstruct_initial(view, 4, row_field, needed)
 
@@ -73,9 +68,9 @@ def test_unsettled_trajectory_rejected():
     rng = np.random.default_rng(71)
     x0 = rng.uniform(-3, 3, 6)
     bank = _privacy_bank(x0, seed=72)
-    traj, lap = _consensus_run(g, x0, bank, t_final=2.0)
+    traj, system = _consensus_run(g, x0, bank, t_final=2.0)
     view = EavesdropperView.from_trajectory(g, 1, traj)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = system.attack_row(0)
     with pytest.raises(ValueError, match="not settled"):
         reconstruct_initial(view, 0, row_field, needed)
 
@@ -85,9 +80,9 @@ def test_unknown_policy_rejected():
     rng = np.random.default_rng(71)
     x0 = rng.uniform(-3, 3, 6)
     bank = _privacy_bank(x0, seed=72)
-    traj, lap = _consensus_run(g, x0, bank, t_final=50.0)
+    traj, system = _consensus_run(g, x0, bank, t_final=50.0)
     view = EavesdropperView.from_trajectory(g, 1, traj)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = system.attack_row(0)
     with pytest.raises(ValueError, match="policy"):
         reconstruct_initial(view, 0, row_field, needed, policy="oracle")
 
@@ -96,9 +91,9 @@ def test_identity_bank_covered_attack_is_pure_quadrature():
     g = build_graph(6, COVERING_EDGES)
     rng = np.random.default_rng(71)
     x0 = rng.uniform(-3, 3, 6)
-    traj, lap = _consensus_run(g, x0, MaskBank.identity(6), t_final=50.0)
+    traj, system = _consensus_run(g, x0, MaskBank.identity(6), t_final=50.0)
     view = EavesdropperView.from_trajectory(g, 1, traj)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = system.attack_row(0)
     result = reconstruct_initial(view, 0, row_field, needed)
     assert result.missing_channels == ()
     assert abs(result.x_hat - x0[0]) < 1e-4
@@ -110,18 +105,18 @@ def test_masked_covered_attack_succeeds_and_missing_channel_breaks_it():
     bank = _privacy_bank(x0, seed=72)
 
     g_cov = build_graph(6, COVERING_EDGES)
-    traj, lap = _consensus_run(g_cov, x0, bank, t_final=50.0)
+    traj, system = _consensus_run(g_cov, x0, bank, t_final=50.0)
     view = EavesdropperView.from_trajectory(g_cov, 1, traj)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = system.attack_row(0)
     covered = reconstruct_initial(view, 0, row_field, needed)
     covered_err = abs(covered.x_hat - x0[0])
     assert covered.missing_channels == ()
     assert covered_err < 1e-2
 
     g_free = cycle_graph(6)
-    traj, lap = _consensus_run(g_free, x0, bank, t_final=50.0)
+    traj, system = _consensus_run(g_free, x0, bank, t_final=50.0)
     view = EavesdropperView.from_trajectory(g_free, 1, traj)
-    row_field, needed = make_linear_row_field(lap, 0)
+    row_field, needed = system.attack_row(0)
     for policy in SUBSTITUTION_POLICIES:
         result = reconstruct_initial(view, 0, row_field, needed, policy=policy)
         assert result.missing_channels == (5,)

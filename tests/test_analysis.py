@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynpriv.analysis import (
+    R_SYMMETRY_TOL,
     attractor_verdicts,
+    check_coupling_matrix,
     check_pinning_condition,
     consensus_value,
     conservation_series,
@@ -233,18 +236,37 @@ def test_pinning_condition_validation():
         check_pinning_condition(lap, np.eye(2), np.zeros(3), np.array([0.5, 0.5, 0.0]), q=0.0)
 
 
+@pytest.mark.parametrize("skew,ok", [(0.5 * R_SYMMETRY_TOL, True), (2.0 * R_SYMMETRY_TOL, False)])
+def test_coupling_matrix_has_one_check_for_both_callers(skew, ok):
+    # the pinned system and the margin accept and reject the same R
+    lap = laplacian(cycle_graph(3))
+    r = np.array([[1.0, skew], [0.0, 1.0]])
+    drift = TanhDrift(a=-np.eye(2), b=0.3 * np.eye(2))
+    callers = (
+        lambda: PinnedSync(laplacian=lap, r=r, pin_gains=np.ones(3), drift=drift, nu=2),
+        lambda: check_pinning_condition(lap, r, np.ones(3), left_null_vector(lap), q=0.0),
+        lambda: check_coupling_matrix(r),
+    )
+    for call in callers:
+        if ok:
+            call()
+        else:
+            with pytest.raises(ValueError, match="inner coupling matrix must be symmetric"):
+                call()
+
+
 def test_sync_error_series_zero_when_agents_match_exosystem():
     s = np.tile([0.5, -0.5], (4, 1))
     x = np.tile([0.5, -0.5, 0.5, -0.5, 0.5, -0.5], (4, 1))
     traj = _toy_traj(x, s=s)
-    max_err, full_err = sync_error_series(traj, nu=2)
+    max_err, full_err = sync_error_series(traj)
     assert np.all(max_err == 0.0)
     assert np.all(full_err == 0.0)
 
 
 def test_sync_error_series_requires_exosystem():
     with pytest.raises(ValueError, match="exosystem"):
-        sync_error_series(_toy_traj(np.zeros((3, 4))), nu=2)
+        sync_error_series(_toy_traj(np.zeros((3, 4))))
 
 
 def test_sync_error_identity_mask_equals_unmasked():
@@ -261,8 +283,8 @@ def test_sync_error_identity_mask_equals_unmasked():
     s0 = np.array([0.2, -0.1])
     masked = integrate(MaskedSystem(base=spec, bank=MaskBank.identity(6)), x0, cfg, s0=s0)
     bare = integrate(spec, x0, cfg, s0=s0)
-    m_max, _ = sync_error_series(masked, 2)
-    b_max, _ = sync_error_series(bare, 2)
+    m_max, _ = sync_error_series(masked)
+    b_max, _ = sync_error_series(bare)
     assert np.array_equal(m_max, b_max)
 
 
@@ -280,15 +302,30 @@ def test_attraction_uniform_over_mask_clock_and_initial_state():
     # attractivity probed uniformly: translate the mask clock to several
     # start times and re-run from several seeded initial states; the
     # consensus attractor must be reached in every combination
-    from dynpriv.masks import MaskBank, MaskKind
-
     g = erdos_renyi(8, 0.45, seed=12, symmetric=True)
     spec = AverageConsensus(laplacian=laplacian(g))
     rng = np.random.default_rng(13)
     base_bank = MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, rng.uniform(-3, 3, 8), seed=14)
     cfg = IntegratorConfig(dt=1e-2, t_final=40.0, record_stride=10)
+    probe = rng.uniform(-3, 3, 8)
     for t0 in (0.0, 5.0, 20.0):
-        bank = base_bank.translated(t0)
+        # the bank whose clock starts at t0, h'(t, x) = h(t + t0, x): the
+        # decaying gain and offset shrink by exp(-sigma t0) and exp(-delta t0)
+        bank = MaskBank(
+            [
+                (
+                    kind,
+                    replace(
+                        p,
+                        phi=p.phi * float(np.exp(-p.sigma * t0)),
+                        gamma=p.gamma * float(np.exp(-p.delta * t0)),
+                    ),
+                )
+                for kind, p in zip(base_bank.kinds, base_bank.params)
+            ]
+        )
+        for t in (0.0, 0.7, 3.0):
+            assert np.allclose(bank.eval(t, probe), base_bank.eval(t + t0, probe), rtol=1e-12)
         for _ in range(3):
             x0 = rng.uniform(-5, 5, 8)
             traj = integrate(MaskedSystem(base=spec, bank=bank), x0, cfg)

@@ -26,7 +26,6 @@ def test_build_cycle_neighborhoods():
     assert g.in_nbrs[1] == {0}
     assert g.in_nbrs[2] == {1}
     assert g.in_nbrs[0] == {2}
-    assert g.out_nbrs[0] == {1}
 
 
 def test_build_single_node():
@@ -226,9 +225,6 @@ def test_no_covering_matches_bruteforce_on_random_graphs(graph):
     assert list(rep.covering_violations) == _covering_oracle(n, edges)
     assert rep.irreducible == is_irreducible(g) == _strongly_connected_oracle(n, edges)
     assert [g.closed_in_neighborhood(i) for i in range(n)] == _closed_neighborhoods(n, edges)
-    assert g.out_nbrs == tuple(
-        frozenset(d for s, d, _ in edges if s == i) for i in range(n)
-    )
     assert g.edges == tuple(edges)
 
 

@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,9 +102,43 @@ def test_inapplicable_check_is_a_config_error():
     cfg = _consensus_config(checks=["vmm_non_monotone"])
     cfg["system"] = {"kind": "saturated_net", "kappa": 0.2}
     cfg["graph"] = {"kind": "cycle", "n": 3}
-    sc = build_scenario(cfg)
     with pytest.raises(ScenarioError, match="not applicable"):
-        run_simulation(sc)
+        build_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "name,check",
+    [
+        ("example3_consensus_n20", "lmi_margin_negative"),  # only a pinned system decides it
+        ("example4_pinning_n10", "conservation"),  # only consensus decides it
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_inapplicable_check_exits_2_at_build(name, check, command, tmp_path, capsys):
+    cfg = load_bundled(name)
+    cfg["checks"].append(check)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"checks not applicable to this scenario: ['{check}']" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trajectory.csv"))
+
+
+@pytest.mark.parametrize(
+    "drop,checks",
+    [
+        ("sync_condition", ["lmi_margin_negative"]),
+        ("mask", ["privacy_floor", "mask_gap_visible"]),  # the identity default has no level
+    ],
+)
+def test_conditional_checks_need_their_section(drop, checks):
+    cfg = load_bundled("example4_pinning_n10")
+    del cfg[drop]
+    message = f"checks not applicable to this scenario: {checks}"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        build_scenario(cfg)
+    cfg["checks"] = [k for k in cfg["checks"] if k not in checks]
+    build_scenario(cfg)
 
 
 def test_explicit_mask_channels():
@@ -436,6 +471,24 @@ def test_cli_adversary_writes_attack_report(tmp_path):
     assert all(err < 1e-2 for err in errors.values())
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"kind": "friedkin_johnsen", "theta": 0.5},
+        {"kind": "saturated_net", "kappa_over_radius": 0.5},
+    ],
+)
+def test_cli_adversary_on_a_kind_without_attack_row_exits_2(system, tmp_path, capsys):
+    # the consensus row would be applied to the wrong model and miss x0
+    cfg = load_bundled("adversary_covering")
+    cfg["system"] = system
+    path = tmp_path / "attack.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["adversary", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"system kind '{system['kind']}' has no attack row" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_adversary_requires_block(tmp_path):
     cfg = _consensus_config()
     path = tmp_path / "noadv.json"
@@ -611,6 +664,50 @@ def test_cli_check_rejects_a_malformed_sync_condition(key, value, message, tmp_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "r,message",
+    [
+        ({"kind": "identty", "rows": np.eye(3).tolist()}, "unknown r kind 'identty'"),
+        ({"kind": "identty"}, "unknown r kind 'identty'"),
+        ({"kind": "explicit"}, "system.r.rows is required"),
+        ({"kind": "identity", "rows": np.eye(3).tolist()}, "unknown config key 'system.r.rows'"),
+        ({"kind": "explicit", "rows": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]}, "must be symmetric"),
+    ],
+)
+def test_coupling_matrix_kinds(r, message):
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["system"]["r"] = r
+    with pytest.raises(ScenarioError, match=message):
+        build_scenario(cfg)
+
+
+def test_explicit_coupling_matrix_is_read_as_written():
+    cfg = load_bundled("example4_pinning_n10")
+    rows = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
+    cfg["system"]["r"] = {"kind": "explicit", "rows": rows}
+    assert np.array_equal(build_scenario(cfg).system.r, rows)
+    del cfg["system"]["r"]
+    assert np.array_equal(build_scenario(cfg).system.r, np.eye(3))
+
+
+PIN_CHOICES = "pinned_sync needs pin_gains, or pinned_count and pin_gain"
+
+
+@pytest.mark.parametrize(
+    "name,key,message",
+    [
+        ("example1_satnet_n10", "kappa_over_radius", "saturated_net needs kappa or kappa_over_radius"),
+        ("example4_pinning_n10", "pinned_count", PIN_CHOICES),
+        ("example4_pinning_n10", "pin_gain", PIN_CHOICES),
+    ],
+)
+def test_either_or_system_keys_name_both_choices(name, key, message):
+    cfg = load_bundled(name)
+    del cfg["system"][key]
+    with pytest.raises(ScenarioError, match=message):
+        build_scenario(cfg)
+
+
 def test_defaults_live_at_the_constructors():
     mask = {"kind": "auto", "mask_kind": "additive", "privacy_level": 1, "seed": 5}
     sc = build_scenario(_consensus_config(integrator={}, mask=mask))
@@ -663,3 +760,55 @@ def test_check_on_single_key_mutations_exits_0_or_2_and_never_raises(name, tmp_p
             bad.append((key, value, code))
     capsys.readouterr()
     assert bad == []
+
+
+#: Every key of the swept configs that no constructor defaults.
+REQUIRED_IN_SWEPT = {
+    "graph",
+    "graph.kind",
+    "graph.n",
+    "graph.p",
+    "graph.edges",
+    "system",
+    "system.kind",
+    "system.theta",
+    "system.theta.kind",
+    "system.theta.low",
+    "system.theta.high",
+    "system.nu",
+    "system.r.kind",
+    "system.drift",
+    "system.drift.kind",
+    "system.drift.a",
+    "system.drift.b",
+    "system.s0",
+    "system.s0.kind",
+    "system.s0.values",
+    "x0",
+    "x0.kind",
+    "x0.low",
+    "x0.high",
+    "mask.kind",
+    "mask.mask_kind",
+    "mask.privacy_level",
+    "sync_condition.box",
+    "adversary.observer",
+    "adversary.target",
+}
+
+
+def test_deleting_a_required_key_exits_2_naming_its_path(tmp_path, capsys):
+    config_path, named = tmp_path / "mutant.json", set()
+    for name in SWEPT:
+        for key, value, mutant in _mutants(load_bundled(name)):
+            if value != "<delete>":
+                continue
+            config_path.write_text(json.dumps(mutant))
+            code = main(["check", "--config", str(config_path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if key in REQUIRED_IN_SWEPT:
+                assert (code, err) == (2, f"invalid config: {key} is required\n"), (name, key)
+                named.add(key)
+            else:
+                assert "is required" not in err, (name, key, err)
+    assert named == REQUIRED_IN_SWEPT
