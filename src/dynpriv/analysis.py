@@ -175,27 +175,16 @@ def check_pinning_condition(
 @dataclass(frozen=True)
 class AttractorCheck:
     final_error: float
-    halfway_error: float
     converged: bool
-    tail_shrinking: bool
 
 
 def attractor_verdicts(
     traj: Trajectory, x_star: np.ndarray, tol_conv: float
 ) -> AttractorCheck:
-    """Infinity-norm distance to the expected attractor at T and T/2."""
+    """Infinity-norm distance to the expected attractor at T."""
     x_star = np.asarray(x_star, dtype=float)
-    errors = np.max(np.abs(traj.x - x_star[None, :]), axis=1)
-    half = int(np.searchsorted(traj.times, traj.times[-1] / 2.0))
-    half = min(half, len(errors) - 1)
-    final = float(errors[-1])
-    halfway = float(errors[half])
-    return AttractorCheck(
-        final_error=final,
-        halfway_error=halfway,
-        converged=final < tol_conv,
-        tail_shrinking=halfway > final,
-    )
+    final = float(np.max(np.abs(traj.x[-1] - x_star)))
+    return AttractorCheck(final_error=final, converged=final < tol_conv)
 
 
 @dataclass

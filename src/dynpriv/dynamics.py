@@ -226,7 +226,7 @@ class SaturatedNet(SystemSpec):
         if self.kappa <= 0:
             raise ValueError("coupling gain kappa must be positive")
         if self.enforce_stable:
-            radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+            radius = netgraph.spectral_radius(a)
             if radius <= 0 or self.kappa >= 1.0 / radius:
                 raise ValueError("stability requires kappa < 1 / spectral_radius(a)")
         object.__setattr__(self, "a", a)

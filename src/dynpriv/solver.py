@@ -36,6 +36,8 @@ HORIZON_RTOL = 1e-9
 #: Steps per mask-factor table; small, so the table stays a few rows of
 #: the state dimension.
 TABLE_STEPS = 16
+#: Values per chunk of the CSV writer; its scratch arrays stay near 2 MB.
+CSV_CHUNK = 8192
 
 
 class BlowUpError(RuntimeError):
@@ -96,29 +98,56 @@ class Trajectory:
         """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits."""
         d = self.dim
         header = ["t"] + [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
-        blocks = [self.times[:, None], self.x, self.y]
+        blocks = (self.times[:, None], self.x, self.y)
         if self.s is not None:
             header += [f"s_{i}" for i in range(self.s.shape[1])]
-            blocks.append(self.s)
-        write_csv(path, header, np.hstack(blocks))
+            blocks += (self.s,)
+        write_csv(path, header, blocks)
 
 
 def write_csv(path, header, data) -> None:
-    """One header line, then one row per line of data at 17 significant digits
-    (enough to round-trip every double)."""
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    """One header line, then one line per row of data, each value exactly as
+    '%.17g' % value formats it (17 significant digits round-trip every
+    double): the bytes of np.savetxt(path, data, fmt="%.17g", delimiter=",",
+    header=",".join(header), comments="").
+
+    data is a 2-D array, or a tuple of 2-D column blocks with one row count,
+    written side by side. Rows are stacked and encoded by g17.G17Encoder
+    CSV_CHUNK values at a time, so the whole table is never copied.
+    """
+    blocks = [np.asarray(b, dtype=float) for b in (data if isinstance(data, tuple) else (data,))]
+    if any(b.ndim != 2 for b in blocks) or len({b.shape[0] for b in blocks}) != 1:
+        raise ValueError("write_csv needs 2-D data, or 2-D column blocks with one row count")
+    n_rows = blocks[0].shape[0]
+    n_cols = sum(b.shape[1] for b in blocks)
+    if n_cols == 0:
+        raise ValueError("write_csv needs at least one column")
+    from .g17 import G17Encoder  # imported on the first write: the check path never loads it
+
+    rows = max(1, CSV_CHUNK // n_cols)
+    chunk = np.empty((rows, n_cols))
+    encode = G17Encoder(rows * n_cols, n_cols)
+    header = ",".join(header)
+    with open(path, "wb") as fh:
+        if header:
+            fh.write((header + "\n").encode("latin1"))
+        for r0 in range(0, n_rows, rows):
+            m = min(rows, n_rows - r0)
+            c0 = 0
+            for b in blocks:
+                chunk[:m, c0 : c0 + b.shape[1]] = b[r0 : r0 + m]
+                c0 += b.shape[1]
+            fh.write(encode(chunk[:m].reshape(-1)))
 
 
 def _stage_times(k0: int, k1: int, dt: float, rk4: bool) -> list:
     """Distinct stage times of steps k0..k1-1, ascending, each computed by
     the expression _march evaluates f at."""
-    times = set()
-    for k in range(k0, k1):
-        t = k * dt
-        times.add(t)
-        if rk4:
-            times.update((t + 0.5 * dt, t + dt))
-    return sorted(times)
+    times = [k * dt for k in range(k0, k1)]
+    if rk4:
+        half_dt = 0.5 * dt
+        times += [t + half_dt for t in times] + [t + dt for t in times]
+    return sorted(set(times))
 
 
 def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):

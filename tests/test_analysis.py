@@ -294,8 +294,6 @@ def test_attractor_verdicts_basic():
     traj = integrate(spec, np.array([1.0, 2.0, 3.0]), cfg)
     check = attractor_verdicts(traj, np.full(3, 2.0), tol_conv=1e-3)
     assert check.converged
-    assert check.tail_shrinking
-    assert check.final_error < check.halfway_error
 
 
 def test_attraction_uniform_over_mask_clock_and_initial_state():

@@ -1,0 +1,166 @@
+"""solver.write_csv writes exactly the bytes of '%.17g' % value.
+
+np.savetxt(..., fmt="%.17g", delimiter=",", comments="") is the oracle: the
+encoder must match it value for value, on random doubles and bit patterns,
+on an edge list around every branch of the encoder, and on whole
+trajectories of bundled scenarios.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynpriv import scenario as scn
+from dynpriv.g17 import G17Encoder
+from dynpriv.solver import CSV_CHUNK, write_csv
+
+
+def _oracle(path, header, table):
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+def _encoded(values):
+    """The encoder's lines for a 1-d array of doubles, one value per line."""
+    values = np.ascontiguousarray(values, dtype=float)
+    out = []
+    for i in range(0, values.size, CSV_CHUNK):
+        part = values[i : i + CSV_CHUNK]
+        out.append(G17Encoder(part.size, 1)(part).tobytes())
+    return b"".join(out).split(b"\n")[:-1]
+
+
+def _assert_g17(values):
+    values = np.asarray(values, dtype=float)
+    got = _encoded(values)
+    want = [b"%.17g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _edge_values():
+    tiny = np.finfo(float).tiny
+    values = [
+        0.0,
+        -0.0,
+        5e-324,  # smallest subnormal
+        tiny - 5e-324,  # largest subnormal
+        tiny,  # smallest normal
+        np.finfo(float).max,
+        np.inf,
+        -np.inf,
+        np.nan,
+        # exact ties at the 17th digit: round half to even
+        2251799813685248.25,
+        2251799813685248.75,
+        2251799813685249.25,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        # the boundaries of the fast domain
+        1e-11,
+        1e-10,
+        1e15,
+        2.0**51,
+        2.0**51 - 0.25,
+        2.0**53,
+        1e16,
+        9999999999999999.0,
+        # the boundary between fixed and exponent form
+        1e-4,
+        1e-5,
+        9.9999999999999995e-5,
+        0.5,
+        123.0,
+    ]
+    for k in range(-20, 21):
+        x = 10.0**k
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    # short decimals and integers: trailing zeros across all four digit groups
+    values += list(np.arange(1, 400) / 8) + list(3.0 * 10.0 ** np.arange(15)) + [1234.5, 0.0625]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_encoder_matches_g17_on_the_edge_list():
+    _assert_g17(_edge_values())
+
+
+def test_encoder_matches_g17_on_a_million_bit_patterns():
+    rng = np.random.default_rng(20190901)
+    patterns = rng.integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
+    _assert_g17(patterns.view(np.float64))
+
+
+def test_encoder_matches_g17_across_the_decades():
+    rng = np.random.default_rng(7)
+    _assert_g17(rng.standard_normal(200_000) * 10.0 ** rng.uniform(-14, 18, 200_000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+def test_encoder_matches_g17_on_floats(values):
+    _assert_g17(values)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_encoder_matches_g17_on_bit_patterns(patterns):
+    _assert_g17(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 201, CSV_CHUNK - 1, CSV_CHUNK + 5])
+def test_write_csv_matches_savetxt_across_chunk_shapes(tmp_path, n_cols):
+    rng = np.random.default_rng(n_cols)
+    table = rng.standard_normal((max(1, 3 * CSV_CHUNK // n_cols), n_cols)) * 10.0 ** rng.integers(-6, 8)
+    table[0, 0] = 0.0
+    header = [f"c{i}" for i in range(n_cols)]
+    write_csv(tmp_path / "got.csv", header, table)
+    assert (tmp_path / "got.csv").read_bytes() == _oracle(tmp_path / "want.csv", header, table)
+
+
+@pytest.mark.parametrize(
+    "name,t_final",
+    [("example3_consensus_n3", 30.0), ("example3_consensus", 1.0), ("example4_pinning", 1.0)],
+)
+def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final):
+    config = scn.load_bundled(name)
+    config["integrator"]["t_final"] = t_final
+    traj, _ = scn.run_simulation(scn.build_scenario(config))
+    traj.to_csv(tmp_path / "trajectory.csv")
+    blocks = [traj.times[:, None], traj.x, traj.y] + ([traj.s] if traj.s is not None else [])
+    header = (tmp_path / "trajectory.csv").read_text().split("\n", 1)[0].split(",")
+    want = _oracle(tmp_path / "want.csv", header, np.hstack(blocks))
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
+    assert (traj.s is not None) == (name == "example4_pinning")
+
+
+def test_write_csv_column_blocks_equal_the_stacked_table(tmp_path):
+    rng = np.random.default_rng(3)
+    blocks = (rng.standard_normal((50, 1)), rng.standard_normal((50, 4)), rng.standard_normal((50, 2)))
+    write_csv(tmp_path / "blocks.csv", ["a"] * 7, blocks)
+    write_csv(tmp_path / "table.csv", ["a"] * 7, np.hstack(blocks))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+def test_write_csv_writes_the_header_alone_for_no_rows(tmp_path):
+    write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_bytes() == _oracle(tmp_path / "want.csv", ["a", "b"], np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.arange(3.0),
+        np.zeros((2, 2, 2)),
+        np.array(1.0),
+        (np.zeros((3, 1)), np.zeros((4, 1))),
+        (np.zeros((3, 1)), np.zeros(3)),
+        np.empty((3, 0)),
+    ],
+    ids=["1-d", "3-d", "0-d", "row-counts-differ", "1-d-block", "no-columns"],
+)
+def test_write_csv_rejects_what_is_not_a_table(tmp_path, data):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ["a"], data)
+    assert not (tmp_path / "bad.csv").exists()

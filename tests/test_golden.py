@@ -18,12 +18,15 @@ GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.jso
 FILES = {"simulate": ("trajectory.csv", "report.json"), "check": ("check_report.json",)}
 
 # desk-scale simulations of all four systems (Lorenz drift at paper scale),
-# and the assumption checks of the four paper-scale configs
+# the paper-scale n=100 consensus run (its trajectory.csv is the largest
+# table the CSV writer encodes), and the assumption checks of the four
+# paper-scale configs
 CASES = [
     ("simulate", "example1_satnet_n10"),
     ("simulate", "example2_fj_n10"),
     ("simulate", "example3_consensus_n3"),
     ("simulate", "example4_pinning"),
+    ("simulate", "example3_consensus"),
     ("check", "example1_satnet"),
     ("check", "example2_fj"),
     ("check", "example3_consensus"),

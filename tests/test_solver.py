@@ -24,6 +24,7 @@ from dynpriv.solver import (
     BlowUpError,
     IntegratorConfig,
     _march,
+    _stage_times,
     integrate,
     solve_comparison_ode,
     write_csv,
@@ -297,6 +298,20 @@ def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
     ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=_mixed_bank(n, rng))
     traj = integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=5.0, record_stride=50))
     assert np.max(np.abs(traj.x.mean(axis=1) - x0.mean())) <= CONSERVATION_TOL
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3])
+@pytest.mark.parametrize("rk4", [True, False])
+def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
+    for k0, k1 in [(0, TABLE_STEPS), (48, 48 + TABLE_STEPS), (49_984, 50_000), (7, 9)]:
+        want = set()
+        for k in range(k0, k1):
+            t = k * dt
+            want.add(t)
+            if rk4:
+                want.update((t + 0.5 * dt, t + dt))
+        # bit for bit, as Python floats: the keys _march looks up
+        assert [t.hex() for t in _stage_times(k0, k1, dt, rk4)] == [t.hex() for t in sorted(want)]
 
 
 def test_x0_validation():
