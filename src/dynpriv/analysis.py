@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .masks import row_chunks
+
 if TYPE_CHECKING:  # dynamics imports this module, and solver imports dynamics
     from .solver import Trajectory
 
@@ -63,11 +65,6 @@ def max_increase(series: np.ndarray) -> float:
     return float(np.max(series - running_min))
 
 
-def mask_gap_series(traj: Trajectory) -> np.ndarray:
-    """Per-agent |y_i(t) - x_i(t)| on the trajectory grid, shape (times, dim)."""
-    return np.abs(traj.y - traj.x)
-
-
 def conservation_series(traj: Trajectory):
     """Mean of the private states and of the masked outputs over time."""
     return traj.x.mean(axis=1), traj.y.mean(axis=1)
@@ -78,16 +75,20 @@ def sync_error_series(traj: Trajectory):
     is the agents' state dimension nu.
 
     Returns (max over agents of the per-agent 2-norm, full stacked 2-norm),
-    both per recorded time.
+    both per recorded time, computed for a chunk of rows at a time so that
+    no error table is held.
     """
     if traj.s is None:
         raise ValueError("trajectory has no exosystem samples")
     n_rec, d = traj.x.shape
     nu = traj.s.shape[1]
-    blocks = traj.x.reshape(n_rec, d // nu, nu)
-    err = blocks - traj.s[:, None, :]
-    per_agent = np.linalg.norm(err, axis=2)
-    return per_agent.max(axis=1), np.linalg.norm(err.reshape(n_rec, -1), axis=1)
+    max_err, full_err = np.empty(n_rec), np.empty(n_rec)
+    for part in row_chunks(n_rec, d):
+        x = traj.x[part]
+        err = x.reshape(len(x), d // nu, nu) - traj.s[part, None, :]
+        np.linalg.norm(err, axis=2).max(axis=1, out=max_err[part])
+        full_err[part] = np.linalg.norm(err.reshape(len(x), -1), axis=1)
+    return max_err, full_err
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
@@ -232,18 +233,25 @@ def series_table(traj: Trajectory):
     """Plot-ready summary series: the figure panels as (header, columns).
 
     Columns: time, mean of x and of y (conservation view), state spread,
-    min/max mask gap, and the synchronization error when the trajectory has
-    exosystem samples.
+    min/max over agents of the mask gap |y_i - x_i|, and the synchronization
+    error when the trajectory has exosystem samples. The gap is formed for a
+    chunk of rows at a time, so that no gap table is held.
     """
-    gaps = mask_gap_series(traj)
+    n_rec, d = traj.x.shape
+    gap_min, gap_max = np.empty(n_rec), np.empty(n_rec)
+    for part in row_chunks(n_rec, d):
+        gap = np.subtract(traj.y[part], traj.x[part])
+        np.abs(gap, out=gap)
+        gap.min(axis=1, out=gap_min[part])
+        gap.max(axis=1, out=gap_max[part])
     header = ["t", "mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
     cols = [
         traj.times,
         traj.x.mean(axis=1),
         traj.y.mean(axis=1),
         vmm_series(traj),
-        gaps.min(axis=1),
-        gaps.max(axis=1),
+        gap_min,
+        gap_max,
     ]
     if traj.s is not None:
         max_err, full_err = sync_error_series(traj)

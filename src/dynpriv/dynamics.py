@@ -26,7 +26,7 @@ to the reference bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -209,11 +209,13 @@ class SaturatedNet(SystemSpec):
     a: np.ndarray
     kappa: float
     enforce_stable: bool = False
+    #: spectral_radius(a) when the caller has solved for it already
+    radius: InitVar[Optional[float]] = None
 
     kind = "saturated_net"
     keys = {"kappa": float, "kappa_over_radius": float, "enforce_stable": bool}
 
-    def __post_init__(self):
+    def __post_init__(self, radius):
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("interaction matrix must be square")
@@ -226,7 +228,8 @@ class SaturatedNet(SystemSpec):
         if self.kappa <= 0:
             raise ValueError("coupling gain kappa must be positive")
         if self.enforce_stable:
-            radius = netgraph.spectral_radius(a)
+            if radius is None:
+                radius = netgraph.spectral_radius(a)
             if radius <= 0 or self.kappa >= 1.0 / radius:
                 raise ValueError("stability requires kappa < 1 / spectral_radius(a)")
         object.__setattr__(self, "a", a)
@@ -234,13 +237,21 @@ class SaturatedNet(SystemSpec):
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "SaturatedNet":
         a = netgraph.adjacency(graph)
+        radius = None
         if "kappa" in spec:
             kappa = spec["kappa"]
         elif "kappa_over_radius" in spec:
-            kappa = spec["kappa_over_radius"] / netgraph.spectral_radius(a)
+            radius = netgraph.spectral_radius(a)
+            if not radius > 0:
+                raise ScenarioError(
+                    "system.kappa_over_radius needs an adjacency of positive spectral "
+                    f"radius, got {radius!r}"
+                )
+            kappa = spec["kappa_over_radius"] / radius
         else:
             raise ScenarioError("saturated_net needs kappa or kappa_over_radius")
-        return cls(a=a, kappa=kappa, enforce_stable=spec.get("enforce_stable", False))
+        enforce_stable = spec.get("enforce_stable", False)
+        return cls(a=a, kappa=kappa, enforce_stable=enforce_stable, radius=radius)
 
     @property
     def dim(self) -> int:

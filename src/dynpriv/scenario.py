@@ -138,7 +138,7 @@ _SCHEMA = _compiled({
             ),
         },
     ),
-    "integrator": {"method": str, "dt": float, "t_final": float, "record_stride": int},
+    "integrator": {"method": str, "dt": POSITIVE, "t_final": POSITIVE, "record_stride": int},
     "checks": [str],
     "tolerances": {"tol_conv": POSITIVE},
     "sync_condition": {"box": Required(PAIR), "samples": int, "seed": SEED},
@@ -337,6 +337,10 @@ def build_scenario(config: dict) -> Scenario:
             if system.attack_row is None:  # the eavesdropper would attack a wrong model
                 raise ScenarioError(f"adversary: system kind {system.kind!r} has no attack row")
             adversary = _build_adversary(adversary, graph)
+        try:
+            integrator = IntegratorConfig(**config.get("integrator", {}))
+        except ValueError as exc:
+            raise ScenarioError(f"integrator: {exc}") from exc
         sc = Scenario(
             name=name,
             config=config,
@@ -347,7 +351,7 @@ def build_scenario(config: dict) -> Scenario:
             bank=bank,
             x0=x0,
             s0=s0,
-            integrator=IntegratorConfig(**config.get("integrator", {})),
+            integrator=integrator,
             checks=checks,
             # as floats, so that an integer in the config writes the same report
             privacy_level=None if lam is None else float(lam),
@@ -447,10 +451,11 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     rho_i, rho = privacy_metric(sc.bank, sc.x0)
     report.rho_per_agent = rho_i.tolist()
     report.rho = rho
-    gaps = analysis.mask_gap_series(traj)
-    report.mask_gap_initial_min = float(gaps[0].min())
-    report.mask_gap_final_max = float(gaps[-1].max())
-    report.max_abs_state = float(np.max(np.abs(traj.x)))
+    x, y = traj.x, traj.y
+    report.mask_gap_initial_min = float(np.abs(y[0] - x[0]).min())
+    report.mask_gap_final_max = float(np.abs(y[-1] - x[-1]).max())
+    # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
+    report.max_abs_state = float(np.maximum(x.max(), -x.min())) + 0.0
 
     verdicts = sc.system.verdicts(sc, traj, report, tol_conv)
     if sc.privacy_level is not None:

@@ -16,6 +16,7 @@ row up by time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -29,6 +30,7 @@ from .dynamics import (
     field_masked,
     field_unmasked,
 )
+from .masks import CHUNK
 
 BLOWUP_LIMIT = 1e12
 #: Largest relative miss |n_steps * dt - t_final| / t_final of a time grid.
@@ -36,8 +38,6 @@ HORIZON_RTOL = 1e-9
 #: Steps per mask-factor table; small, so the table stays a few rows of
 #: the state dimension.
 TABLE_STEPS = 16
-#: Values per chunk of the CSV writer; its scratch arrays stay near 2 MB.
-CSV_CHUNK = 8192
 
 
 class BlowUpError(RuntimeError):
@@ -65,6 +65,8 @@ class IntegratorConfig:
             raise ValueError("dt and t_final must be positive")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
+        if not math.isfinite(self.t_final / self.dt):  # round() overflows on it
+            raise ValueError(f"t_final/dt = {self.t_final!r}/{self.dt!r} is not a finite step count")
         end = self.n_steps * self.dt
         if abs(end - self.t_final) > HORIZON_RTOL * self.t_final:
             raise ValueError(
@@ -113,7 +115,7 @@ def write_csv(path, header, data) -> None:
 
     data is a 2-D array, or a tuple of 2-D column blocks with one row count,
     written side by side. Rows are stacked and encoded by g17.G17Encoder
-    CSV_CHUNK values at a time, so the whole table is never copied.
+    masks.CHUNK values at a time, so the whole table is never copied.
     """
     blocks = [np.asarray(b, dtype=float) for b in (data if isinstance(data, tuple) else (data,))]
     if any(b.ndim != 2 for b in blocks) or len({b.shape[0] for b in blocks}) != 1:
@@ -124,7 +126,7 @@ def write_csv(path, header, data) -> None:
         raise ValueError("write_csv needs at least one column")
     from .g17 import G17Encoder  # imported on the first write: the check path never loads it
 
-    rows = max(1, CSV_CHUNK // n_cols)
+    rows = max(1, CHUNK // n_cols)
     chunk = np.empty((rows, n_cols))
     encode = G17Encoder(rows * n_cols, n_cols)
     header = ",".join(header)

@@ -13,8 +13,8 @@ from dynpriv.analysis import (
     conservation_series,
     fj_equilibrium,
     jacobi_eigenvalues,
-    mask_gap_series,
     max_increase,
+    series_table,
     stationarity_residual,
     sync_error_series,
     vmm_series,
@@ -26,7 +26,7 @@ from dynpriv.dynamics import (
     PinnedSync,
     TanhDrift,
 )
-from dynpriv.masks import MaskBank, MaskKind, MaskParams
+from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate
 
@@ -127,14 +127,89 @@ def test_max_increase_detects_bumps():
     assert max_increase(np.array([3.0, 2.0, 1.0])) == 0.0
 
 
-def test_mask_gap_series_identity_and_additive():
-    traj = _toy_traj(np.zeros((4, 2)))
-    assert np.all(mask_gap_series(traj) == 0.0)
+def _gap_columns(traj):
+    header, table = series_table(traj)
+    return table[:, header.index("gap_min")], table[:, header.index("gap_max")]
+
+
+def test_series_table_gap_columns_identity_and_additive():
+    # min and max over the agents bound every agent's gap |y_i - x_i|
+    for column in _gap_columns(_toy_traj(np.zeros((4, 2)))):
+        assert np.all(column == 0.0)
     bank = MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))] * 2)
     x = np.zeros((1, 2))
     y = bank.eval_series(np.array([0.0]), x)
     traj = _toy_traj(x, y=y, times=np.array([0.0]))
-    assert np.all(mask_gap_series(traj)[0] == 2.0)
+    for column in _gap_columns(traj):
+        assert np.all(column[0] == 2.0)
+
+
+# --- the post-integration passes run a chunk of rows at a time ---------------
+
+
+def _mixed_bank(dim, seed):
+    """A bank whose channels cycle through every kind, with drawn parameters."""
+    rng = np.random.default_rng(seed)
+    draws = {
+        MaskKind.IDENTITY: lambda: MaskParams(),
+        MaskKind.LINEAR: lambda: MaskParams(phi=rng.uniform(0, 2), sigma=rng.uniform(0.5, 2)),
+        MaskKind.ADDITIVE: lambda: MaskParams(gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2)),
+        MaskKind.AFFINE: lambda: MaskParams(
+            c=rng.uniform(1.2, 2.5), gamma=-rng.uniform(1, 3), delta=rng.uniform(0.5, 2)
+        ),
+        MaskKind.VANISHING_AFFINE: lambda: MaskParams(
+            phi=rng.uniform(0.5, 2), sigma=rng.uniform(0.5, 2),
+            gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2),
+        ),
+    }
+    kinds = list(MaskKind)
+    return MaskBank([(kinds[i % len(kinds)], draws[kinds[i % len(kinds)]]()) for i in range(dim)])
+
+
+#: Row counts around the rows per chunk c of a pass over a table.
+ROW_COUNTS = pytest.mark.parametrize(
+    "rows_of",
+    [lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 3 * c + 5],
+    ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+5"],
+)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 100])
+@ROW_COUNTS
+def test_eval_series_equals_row_wise_eval_bit_for_bit(dim, rows_of):
+    rows = rows_of(CHUNK // dim)
+    bank = _mixed_bank(dim, seed=rows)
+    rng = np.random.default_rng(dim)
+    times = np.sort(rng.uniform(0.0, 60.0, rows))
+    states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, (rows, dim))
+    want = np.array([bank.eval(t, x) for t, x in zip(times.tolist(), states)])
+    assert bank.eval_series(times, states).tobytes() == want.tobytes()
+    # the axiom grid passes one probe state per row, broadcast over the channels
+    probes = rng.uniform(-5.0, 5.0, rows)
+    got = bank.eval_series(np.zeros(rows), np.broadcast_to(probes[:, None], (rows, dim)))
+    want = np.array([bank.eval(0.0, np.full(dim, v)) for v in probes.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,nu", [(1, 1), (7, 2), (50, 3)])
+@ROW_COUNTS
+def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of):
+    d = n * nu
+    rows = rows_of(CHUNK // d)
+    rng = np.random.default_rng(d + rows)
+    # states and exosystem side by side, as integrate records them
+    states = rng.standard_normal((rows, d + nu))
+    x, s = states[:, :d], states[:, d:]
+    y = x + rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-8, 2, (rows, d))
+    traj = Trajectory(times=np.arange(rows, dtype=float), x=x, y=y, s=s)
+    gap = np.abs(y - x)
+    gap_min, gap_max = _gap_columns(traj)
+    assert gap_min.tobytes() == gap.min(axis=1).tobytes()
+    assert gap_max.tobytes() == gap.max(axis=1).tobytes()
+    err = x.reshape(rows, n, nu) - s[:, None, :]
+    max_err, full_err = sync_error_series(traj)
+    assert max_err.tobytes() == np.linalg.norm(err, axis=2).max(axis=1).tobytes()
+    assert full_err.tobytes() == np.linalg.norm(err.reshape(rows, -1), axis=1).tobytes()
 
 
 def test_conservation_series_shapes():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from dynpriv import scenario as scn
 from dynpriv.g17 import G17Encoder
-from dynpriv.solver import CSV_CHUNK, write_csv
+from dynpriv.masks import CHUNK
+from dynpriv.solver import write_csv
 
 
 def _oracle(path, header, table):
@@ -25,8 +26,8 @@ def _encoded(values):
     """The encoder's lines for a 1-d array of doubles, one value per line."""
     values = np.ascontiguousarray(values, dtype=float)
     out = []
-    for i in range(0, values.size, CSV_CHUNK):
-        part = values[i : i + CSV_CHUNK]
+    for i in range(0, values.size, CHUNK):
+        part = values[i : i + CHUNK]
         out.append(G17Encoder(part.size, 1)(part).tobytes())
     return b"".join(out).split(b"\n")[:-1]
 
@@ -109,10 +110,10 @@ def test_encoder_matches_g17_on_bit_patterns(patterns):
     _assert_g17(np.array(patterns, dtype=np.uint64).view(np.float64))
 
 
-@pytest.mark.parametrize("n_cols", [1, 3, 201, CSV_CHUNK - 1, CSV_CHUNK + 5])
+@pytest.mark.parametrize("n_cols", [1, 3, 201, CHUNK - 1, CHUNK + 5])
 def test_write_csv_matches_savetxt_across_chunk_shapes(tmp_path, n_cols):
     rng = np.random.default_rng(n_cols)
-    table = rng.standard_normal((max(1, 3 * CSV_CHUNK // n_cols), n_cols)) * 10.0 ** rng.integers(-6, 8)
+    table = rng.standard_normal((max(1, 3 * CHUNK // n_cols), n_cols)) * 10.0 ** rng.integers(-6, 8)
     table[0, 0] = 0.0
     header = [f"c{i}" for i in range(n_cols)]
     write_csv(tmp_path / "got.csv", header, table)

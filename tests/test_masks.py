@@ -43,6 +43,17 @@ def test_eval_rejects_dimension_mismatch():
         bank.eval(0.0, np.zeros(2))
 
 
+def test_eval_series_rejects_states_off_the_time_grid():
+    bank = MaskBank.identity(2)
+    for times, states in [
+        (np.zeros(3), np.zeros((2, 2))),
+        (0.0, np.zeros((1, 2))),
+        (np.zeros(2), np.zeros(2)),
+    ]:
+        with pytest.raises(ValueError, match="bank expects"):
+            bank.eval_series(times, states)
+
+
 def test_invert_additive():
     bank = single(MaskKind.ADDITIVE, gamma=2.0, delta=1.0)
     assert bank.invert(0.0, np.array([7.0])) == pytest.approx([5.0])

@@ -2,14 +2,15 @@ import copy
 import functools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynpriv import netgraph
-from dynpriv.cli import main
+from dynpriv import netgraph, scenario
+from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SYSTEMS
 from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.scenario import (
@@ -23,7 +24,7 @@ from dynpriv.scenario import (
     run_mask_check,
     run_simulation,
 )
-from dynpriv.solver import IntegratorConfig
+from dynpriv.solver import IntegratorConfig, Trajectory
 
 
 def _consensus_config(**over):
@@ -254,6 +255,53 @@ def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cli_kappa_over_a_zero_spectral_radius_exits_2(command, tmp_path, capsys):
+    # a single edge is nilpotent: its adjacency has spectral radius 0
+    cfg = _consensus_config(
+        graph={"kind": "inline", "n": 2, "edges": [[0, 1, 1.0]]},
+        system={"kind": "saturated_net", "kappa_over_radius": 1.0},
+        checks=[],
+    )
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "system.kappa_over_radius" in capsys.readouterr().err
+
+
+def test_kappa_over_radius_with_enforce_stable_solves_once(monkeypatch):
+    calls = []
+    solve = netgraph.spectral_radius
+
+    def counting_solve(a):
+        calls.append(a)
+        return solve(a)
+
+    monkeypatch.setattr(netgraph, "spectral_radius", counting_solve)
+    cfg = load_bundled("example1_satnet_n10")
+    cfg["system"]["enforce_stable"] = True
+    sc = build_scenario(cfg)
+    assert len(calls) == 1
+    assert sc.system.kappa == cfg["system"]["kappa_over_radius"] / solve(sc.system.a)
+
+
+@pytest.mark.parametrize(
+    "key,text,message",
+    [
+        # JSON reads 1e400 as inf; 1e-320 is finite, but t_final/dt is not
+        ("t_final", "1e400", "integrator.t_final must be finite and positive, got inf"),
+        ("dt", "1e-320", "integrator: t_final/dt = 30.0/1e-320 is not a finite step count"),
+        ("dt", "0", "integrator.dt must be finite and positive, got 0"),
+    ],
+)
+def test_cli_integrator_grid_beyond_float_range_exits_2(key, text, message, tmp_path, capsys):
+    cfg = _consensus_config(integrator={"dt": 1e-2, "t_final": 30.0, key: "VALUE"})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg).replace('"VALUE"', text))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
     candidates, scans = [], []
     build, scan = netgraph.build_graph, netgraph.check_no_covering
@@ -428,6 +476,41 @@ def test_cli_simulate_writes_artifacts(tmp_path):
     assert report["verdicts"]["converged"] is True
     assert report["config_hash"] == config_hash(cfg)
     assert (outdir / "trajectory.csv").exists()
+
+
+def test_simulate_holds_no_table_beyond_x_and_y(tmp_path):
+    # the outputs, diagnostics and artifacts are built a chunk of rows at a
+    # time, so a 5001 x 100 run peaks within its x and y tables plus 4 MiB
+    cfg = load_bundled("example3_consensus")
+    cfg["integrator"].update(t_final=5.0, record_stride=1)
+    sc = build_scenario(cfg)
+    tracemalloc.start()
+    try:
+        traj, report = run_simulation(sc)
+        _write_artifacts(tmp_path, sc, traj, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.x.shape == traj.y.shape == (5001, 100)
+    assert peak <= traj.x.nbytes + traj.y.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-0.0, -0.0, -0.0]],
+        [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]],
+        [[1.5, -2.5, 0.0], [-0.0, 2.0, -1.0]],
+        [[-3.0, 1.0, 2.0], [5e-324, -5e-324, 1e308]],
+    ],
+)
+def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeypatch):
+    sc = build_scenario(_consensus_config())
+    x = np.array(rows)
+    traj = Trajectory(times=np.arange(len(x), dtype=float), x=x, y=x.copy())
+    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: traj)
+    _, report = run_simulation(sc)
+    assert np.float64(report.max_abs_state).tobytes() == np.max(np.abs(x)).tobytes()
 
 
 def test_cli_simulate_rerun_is_byte_identical(tmp_path):
