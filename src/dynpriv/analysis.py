@@ -224,9 +224,10 @@ class DiagnosticsReport:
         return all(self.verdicts.values())
 
 
-def stationarity_residual(spec, x_star: np.ndarray) -> float:
-    """Infinity norm of the unmasked field at a candidate rest point."""
-    return float(np.max(np.abs(spec.field(np.asarray(x_star, dtype=float)))))
+def stationarity_residual(spec, x_star: np.ndarray, s=None) -> float:
+    """Infinity norm of the unmasked field at a candidate rest point, with
+    the exosystem at state s for a pinned system."""
+    return float(np.max(np.abs(spec.field(np.asarray(x_star, dtype=float), s))))
 
 
 def series_table(traj: Trajectory):

@@ -19,13 +19,14 @@ rowwise value `rows` and `stage_rows`. SYSTEMS and DRIFTS are the only maps
 from a kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
-compile_stage binds one run's joint field once as the solver's stage, equal
-to the reference bit for bit.
+compile_stage binds one run's joint field once as the solver's stage
+f(row, z, o), equal to the reference bit for bit. Consensus and
+Friedkin-Johnsen bind -L once, in stage and reference alike: (-L) @ y is
+one gemv, equal to -(L @ y) except in the sign of an exactly zero value.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional, Union
 
@@ -198,10 +199,6 @@ class SystemSpec:
         return {"converged": check.converged}
 
 
-def _flat(o: np.ndarray) -> tuple:
-    return (o,)
-
-
 @dataclass(frozen=True, eq=False)
 class SaturatedNet(SystemSpec):
     """dx/dt = -x + kappa * A @ tanh(x), A nonnegative with zero diagonal."""
@@ -263,13 +260,18 @@ class SaturatedNet(SystemSpec):
     def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
         a, kappa = self.a, np.array(float(self.kappa))
 
-        def body(y, f, o):
-            _tanh(y, tmp)
+        def body(row, z, o):
+            if ms is not None:
+                scale, offset = row
+                _add(z, offset, y)
+                _mul(scale, y, y)
+                z = y
+            _tanh(z, tmp)
             _dot(a, tmp, o)
             _mul(kappa, o, o)
-            _sub(o, y, o)
+            _sub(o, z, o)
 
-        return body, _flat
+        return body
 
     def attractor(self, x0: np.ndarray) -> np.ndarray:
         return np.zeros(self.dim)
@@ -282,6 +284,7 @@ class FriedkinJohnsen(SystemSpec):
     laplacian: np.ndarray
     theta: np.ndarray
     anchor: np.ndarray
+    neg_laplacian: np.ndarray = field(init=False, repr=False)  # -L, bound once
 
     kind = "friedkin_johnsen"
     keys = {"theta": Required((float, VECTOR)), "frozen_anchor": bool}
@@ -299,6 +302,7 @@ class FriedkinJohnsen(SystemSpec):
         if not np.any(theta > 0):
             raise ValueError("at least one susceptibility must be nonzero")
         object.__setattr__(self, "laplacian", lap)
+        object.__setattr__(self, "neg_laplacian", -lap)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "anchor", anchor)
 
@@ -314,7 +318,8 @@ class FriedkinJohnsen(SystemSpec):
         return self.laplacian.shape[0]
 
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
-        return -(self.laplacian @ x) - self.theta * x + self.theta * self.anchor
+        # np.dot as in the stage: at n=1 @ turns a -0 product into +0
+        return np.dot(self.neg_laplacian, x) - self.theta * x + self.theta * self.anchor
 
     def through_mask(self, ms: "MaskedSystem", scale, offset) -> "FriedkinJohnsen":
         """The anchor is transmitted too: masked at t, or frozen at t=0."""
@@ -322,7 +327,7 @@ class FriedkinJohnsen(SystemSpec):
         return replace(self, anchor=anchor)
 
     def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
-        lap, theta, anchor = self.laplacian, self.theta, self.anchor
+        neg_lap, theta, anchor = self.neg_laplacian, self.theta, self.anchor
         if ms is None:
             anchor_term = theta * anchor
         elif ms.frozen_anchor:
@@ -330,13 +335,16 @@ class FriedkinJohnsen(SystemSpec):
         else:
             anchor_term = None  # theta * h(t, anchor), formed at every stage
 
-        def body(y, f, o):
-            _dot(lap, y, o)
-            _neg(o, o)
-            _mul(theta, y, tmp)
+        def body(row, z, o):
+            if ms is not None:
+                scale, offset = row
+                _add(z, offset, y)
+                _mul(scale, y, y)
+                z = y
+            _dot(neg_lap, z, o)
+            _mul(theta, z, tmp)
             _sub(o, tmp, o)
             if anchor_term is None:
-                scale, offset = f
                 _add(anchor, offset, tmp)
                 _mul(scale, tmp, tmp)
                 _mul(theta, tmp, tmp)
@@ -344,7 +352,7 @@ class FriedkinJohnsen(SystemSpec):
             else:
                 _add(o, anchor_term, o)
 
-        return body, _flat
+        return body
 
     def attractor(self, x0: np.ndarray) -> np.ndarray:
         return analysis.fj_equilibrium(self.laplacian, self.theta, self.anchor)
@@ -355,6 +363,7 @@ class AverageConsensus(SystemSpec):
     """dx/dt = -L x with a weight-balanced Laplacian (conservation of the mean)."""
 
     laplacian: np.ndarray
+    neg_laplacian: np.ndarray = field(init=False, repr=False)  # -L, bound once
 
     kind = "average_consensus"
 
@@ -368,6 +377,7 @@ class AverageConsensus(SystemSpec):
         ):
             raise ValueError("consensus needs a weight-balanced Laplacian")
         object.__setattr__(self, "laplacian", lap)
+        object.__setattr__(self, "neg_laplacian", -lap)
 
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "AverageConsensus":
@@ -378,16 +388,20 @@ class AverageConsensus(SystemSpec):
         return self.laplacian.shape[0]
 
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
-        return -(self.laplacian @ x)
+        return np.dot(self.neg_laplacian, x)  # np.dot, as FriedkinJohnsen.field
 
     def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
-        lap = self.laplacian
+        neg_lap = self.neg_laplacian
 
-        def body(y, f, o):
-            _dot(lap, y, o)
-            _neg(o, o)
+        def body(row, z, o):
+            if ms is not None:
+                scale, offset = row
+                _add(z, offset, y)
+                _mul(scale, y, y)
+                z = y
+            _dot(neg_lap, z, o)
 
-        return body, _flat
+        return body
 
     def attack_row(self, target: int):
         """The integrand of agent target, f = -sum_k L[target, k] y_k, as a
@@ -501,10 +515,11 @@ class PinnedSync(SystemSpec):
         return (exosystem_field(self.drift, states) - coupling - pinning).reshape(-1)
 
     def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
-        """Stage body over y as the (n+1, nu) input block, and the views of
-        an output array that it writes through."""
+        """Stage over y as the (n+1, nu) input block. It writes a slot
+        through views made on the slot's first use and kept with the slot,
+        so a caller passes the same few slots again and again."""
         n, nu = self.n_agents, self.nu
-        lap, r, block = self.laplacian, self.r, y.reshape(n + 1, nu)
+        lap, r, block, agents = self.laplacian, self.r, y.reshape(n + 1, nu), y[: self.dim]
         # each agent's gain repeated along its row: a contiguous operand costs
         # the multiply less than the broadcast column, with the same products
         gains = np.repeat(self.pin_gains[:, None], nu, axis=1)
@@ -513,12 +528,21 @@ class PinnedSync(SystemSpec):
         drift = _registered(self.drift, DRIFTS, "drift")
         drift_rows, columns = drift.stage_rows(block, prod), drift.columns
 
-        def views(o):
-            rows = o.reshape(n + 1, nu)
-            return (o, rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
+        slots = {}  # id(slot) -> (slot, its views): held, a slot keeps its id
 
-        def body(y, f, o, agent_rows, *drift_views):
-            drift_rows(agent_rows, *drift_views)
+        def body(row, z, o):
+            _copyto(y, z)
+            if ms is not None:
+                scale, offset = row
+                _add(agents, offset, agents)
+                _mul(scale, agents, agents)
+            held = slots.get(id(o))
+            if held is None:
+                rows = o.reshape(n + 1, nu)
+                held = slots[id(o)] = o, (rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
+            views = held[1]
+            agent_rows = views[0]
+            drift_rows(*views)
             # (drift - coupling) - pinning, as field subtracts them
             _dot(lap, states, work)
             _dot(work, r, prod)
@@ -528,7 +552,7 @@ class PinnedSync(SystemSpec):
             _mul(gains, prod, prod)
             _sub(agent_rows, prod, agent_rows)
 
-        return body, views
+        return body
 
     checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
 
@@ -609,63 +633,36 @@ def field_masked(
     return field_unmasked(ms.base.through_mask(ms, scale, offset), t, y, s)
 
 
-#: Output arrays a compiled stage rotates through; RK4 holds k1..k4 at once.
-STAGE_BUFFERS = 4
-
 # Ufuncs bound once as module names: a stage calls them with out passed
 # positionally, which skips the attribute lookup and the keyword parse.
 # Scalar coefficients are bound as 0-d float64 arrays, which a ufunc takes
 # as they are, where it converts a Python float on every call.
-_add, _sub, _mul, _neg, _tanh, _dot, _copyto = (
-    np.add, np.subtract, np.multiply, np.negative, np.tanh, np.dot, np.copyto
+_add, _sub, _mul, _tanh, _dot, _copyto = (
+    np.add, np.subtract, np.multiply, np.tanh, np.dot, np.copyto
 )
 
 
-def compile_stage(system: Union[MaskedSystem, SystemSpec], factors=None):
-    """The joint field of a run as one stage function f(t, z).
+def compile_stage(system: Union[MaskedSystem, SystemSpec]):
+    """The joint field of a run as one stage function f(row, z, o).
 
     z is the joint state: the agents' states, then the exosystem's for a
-    pinned system. factors maps a stage time to the bank's (scale, offset)
-    pair (the solver passes its table lookup); by default it is computed
-    from t. The system's stage_body binds everything its field needs once,
-    with preallocated blocks and 0-d gains; a stage then runs only bound
-    ufuncs and np.dot (the same BLAS call as np.matmul) with out passed
-    positionally. The result equals field_masked (or field_unmasked) with
-    exosystem_field appended, bit for bit: every element is formed by the
-    same operations in the same order.
-
-    Buffer contract: results rotate through STAGE_BUFFERS preallocated
-    arrays, so a returned array stays valid for STAGE_BUFFERS - 1 further
-    calls and is overwritten by the next one; copy it to keep it longer.
+    pinned system. row is the bank's (scale, offset) pair at the stage time
+    for a masked system, as the solver's factor table holds it by position,
+    and is ignored otherwise. f writes dz/dt into the slot o, an array of
+    z's shape that the caller owns, and returns nothing. The system's
+    stage_body binds everything its field needs once, with preallocated
+    blocks and 0-d gains, and masks the input itself, so a stage of an
+    unpinned system is one Python call into bound ufuncs and np.dot (the
+    same BLAS call as np.matmul) with out passed positionally. The slot
+    then equals field_masked (or field_unmasked) with exosystem_field
+    appended, bit for bit: every element is formed by the same operations
+    in the same order.
     """
     masked = isinstance(system, MaskedSystem)
     spec = _registered(system.base if masked else system, SYSTEMS, "system")
-    if masked and factors is None:
-        factors = system.bank.factors
-    d = spec.dim
-    pinned = spec.drift is not None
-    size = d + spec.nu if pinned else d
-    y = np.empty(size)  # the masked agent states, then the raw exosystem state
-    agents = y[:d]
-    tmp = np.empty(d)
-    body, views = spec.stage_body(system if masked else None, y, tmp)
-    outs = itertools.cycle([views(np.empty(size)) for _ in range(STAGE_BUFFERS)])
-
-    def stage(t, z):
-        if pinned:
-            _copyto(y, z)
-            z = y
-        f = None
-        if factors is not None:
-            f = scale, offset = factors(t)
-            _add(agents if pinned else z, offset, agents)
-            _mul(scale, agents, agents)
-            z = y
-        o = next(outs)
-        body(z, f, *o)
-        return o[0]
-
-    return stage
+    size = spec.dim + spec.nu if spec.drift is not None else spec.dim
+    # y: the masked agent states, then the raw exosystem state
+    return spec.stage_body(system if masked else None, np.empty(size), np.empty(spec.dim))
 
 
 def estimate_lipschitz_q(

@@ -22,6 +22,7 @@ from dynpriv.analysis import (
 from dynpriv.dynamics import (
     AverageConsensus,
     FriedkinJohnsen,
+    LorenzDrift,
     MaskedSystem,
     PinnedSync,
     TanhDrift,
@@ -93,6 +94,23 @@ def test_fj_equilibrium_stationarity_random_instances():
         x_star = fj_equilibrium(lap, theta, x0)
         spec = FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0)
         assert stationarity_residual(spec, x_star) <= 1e-9
+
+
+def test_stationarity_residual_of_a_pinned_rest_point():
+    # every agent and the exosystem at the Lorenz origin, a rest point of
+    # the drift, so coupling and pinning vanish too
+    spec = PinnedSync(
+        laplacian=laplacian(cycle_graph(4)),
+        r=np.eye(3),
+        pin_gains=np.array([2.0, 0.0, 1.0, 0.0]),
+        drift=LorenzDrift(),
+        nu=3,
+    )
+    assert stationarity_residual(spec, np.zeros(spec.dim), np.zeros(3)) == 0.0
+    # off the rest point the residual is the field's largest component
+    x = np.zeros(spec.dim)
+    x[1] = 1.0  # agent 0's y, whose drift term x' = sigma * y = 10 is the largest
+    assert stationarity_residual(spec, x, np.zeros(3)) == 10.0
 
 
 def test_fj_equilibrium_rejects_zero_theta():

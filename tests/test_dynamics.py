@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynpriv.dynamics import (
-    STAGE_BUFFERS,
     AverageConsensus,
     FriedkinJohnsen,
     LorenzDrift,
@@ -372,30 +371,40 @@ def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, se
         bank = "mixed"  # the frozen anchor is a masked variant
     rng = np.random.default_rng(seed)
     system, z = _stage_case(kind, bank, n, nu, rng)
-    times = np.sort(rng.uniform(0.0, 20.0, 2 * STAGE_BUFFERS))
-    table = {}
-    if bank != "none" and tabulated:  # else the stage computes factors from t
-        scale, offset = system.bank.factors(times)
-        table = dict(zip(times, zip(scale, offset)))
-    stage = compile_stage(system, table.__getitem__ if table else None)
-    for t in times:
+    times = np.sort(rng.uniform(0.0, 20.0, 8))
+    # a factor row from a table over all the times, as the solver holds
+    # them, or from the bank at one time
+    table = system.bank.factors(times) if bank != "none" and tabulated else None
+    stage = compile_stage(system)
+    o = np.empty_like(z)
+    for k, t in enumerate(times):
         z = z + rng.uniform(-1.0, 1.0, z.size)
-        got = stage(t, z)
-        assert np.array_equal(got, _reference_stage(system, t, z, table.get(t)))
+        row = None
+        if bank != "none":
+            row = (table[0][k], table[1][k]) if tabulated else system.bank.factors(t)
+        stage(row, z, o)
+        # bytes, so that the sign of a zero counts as integrate's check counts it
+        assert o.tobytes() == _reference_stage(system, t, z, row).tobytes()
 
 
-def test_compiled_stage_rotates_its_output_buffers():
+def test_compiled_stage_writes_only_the_slot_it_is_passed():
     rng = np.random.default_rng(4)
     system, z = _stage_case("pinned_lorenz", "mixed", 4, 3, rng)
     stage = compile_stage(system)
-    states = [z + k for k in range(STAGE_BUFFERS + 1)]
-    results = [stage(0.1 * k, states[k]) for k in range(STAGE_BUFFERS)]
-    # each result stays valid through STAGE_BUFFERS - 1 further calls ...
-    for k, got in enumerate(results):
-        assert np.array_equal(got, _reference_stage(system, 0.1 * k, states[k], None))
-    assert len({id(r) for r in results}) == STAGE_BUFFERS
-    # ... and the next call overwrites the oldest
-    assert stage(0.5, states[-1]) is results[0]
+    slots = [np.full_like(z, np.nan) for _ in range(4)]
+    states = [z + k for k in range(len(slots))]
+    rows = [system.bank.factors(0.1 * k) for k in range(len(slots))]
+    for k, slot in enumerate(slots):
+        assert stage(rows[k], states[k], slot) is None
+        # the slots written so far keep their values; the others are untouched
+        for j, done in enumerate(slots):
+            want = _reference_stage(system, 0.1 * j, states[j], rows[j]) if j <= k else None
+            assert np.all(np.isnan(done)) if want is None else done.tobytes() == want.tobytes()
+    # a slot passed again is overwritten in place, and no other slot moves
+    before = [s.copy() for s in slots]
+    stage(rows[3], states[3], slots[0])
+    assert slots[0].tobytes() == before[3].tobytes()
+    assert all(s.tobytes() == b.tobytes() for s, b in zip(slots[1:], before[1:]))
 
 
 def test_compile_stage_rejects_unknown_kinds():

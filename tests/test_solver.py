@@ -24,7 +24,6 @@ from dynpriv.solver import (
     BlowUpError,
     IntegratorConfig,
     _march,
-    _stage_times,
     integrate,
     solve_comparison_ode,
     write_csv,
@@ -209,7 +208,7 @@ def _reference_run(system, x0, cfg, s0=None):
         elif isinstance(base, FriedkinJohnsen):
             y = system.bank.eval(t, x)
             y_anchor = system.bank.eval(0.0 if system.frozen_anchor else t, base.anchor)
-            dx = -(base.laplacian @ y) - base.theta * y + base.theta * y_anchor
+            dx = np.dot(-base.laplacian, y) - base.theta * y + base.theta * y_anchor
         else:
             dx = field_unmasked(base, t, system.bank.eval(t, x), s)
         return np.concatenate([dx, exosystem_field(base.drift, s)]) if pinned else dx
@@ -246,7 +245,7 @@ def _reference_run(system, x0, cfg, s0=None):
 def test_masked_integrate_matches_per_stage_eval(
     system, method, n_agents, dt, n_steps, stride, seed, masked
 ):
-    # the block table must hand every stage the factors bank.eval uses at
+    # the factor rows must hand every stage the factors bank.eval uses at
     # its time, including at times where k*dt + dt != (k+1)*dt; a bare
     # system runs the same block march with no table
     ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
@@ -254,10 +253,11 @@ def test_masked_integrate_matches_per_stage_eval(
     cfg = IntegratorConfig(method=method, dt=dt, t_final=n_steps * dt, record_stride=stride)
     traj = integrate(run, x0, cfg, s0=s0)
     times, states = _reference_run(run, x0, cfg, s0)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.x, states[:, : ms.base.dim])
+    # bytes, so that the sign of a zero counts as integrate's check counts it
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.x.tobytes() == np.ascontiguousarray(states[:, : ms.base.dim]).tobytes()
     if s0 is not None:
-        assert np.array_equal(traj.s, states[:, ms.base.dim :])
+        assert traj.s.tobytes() == np.ascontiguousarray(states[:, ms.base.dim :]).tobytes()
 
 
 def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
@@ -303,15 +303,48 @@ def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3])
 @pytest.mark.parametrize("rk4", [True, False])
 def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
-    for k0, k1 in [(0, TABLE_STEPS), (48, 48 + TABLE_STEPS), (49_984, 50_000), (7, 9)]:
-        want = set()
-        for k in range(k0, k1):
-            t = k * dt
-            want.add(t)
-            if rk4:
-                want.update((t + 0.5 * dt, t + dt))
-        # bit for bit, as Python floats: the keys _march looks up
-        assert [t.hex() for t in _stage_times(k0, k1, dt, rk4)] == [t.hex() for t in sorted(want)]
+    # every block tabulates its stage times in step order, each by the
+    # expression the step evaluates, and each stage gets its row by position
+    n_steps = 2 * TABLE_STEPS + 7
+    blocks, called = [], []
+
+    def tabulate(times):
+        blocks.append(times)
+        return [("row", t) for t in times.reshape(-1).tolist()]
+
+    def f(row, z, o):
+        called.append(row[1])
+        o[:] = -z
+
+    cfg = IntegratorConfig(method="rk4" if rk4 else "euler", dt=dt, t_final=n_steps * dt)
+    _march(f, 1.0, cfg, tabulate=tabulate)
+    assert [len(b) for b in blocks] == [TABLE_STEPS, TABLE_STEPS, 7]
+    want = []
+    for k in range(n_steps):
+        t = k * dt
+        want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt] if rk4 else [t]
+    # bit for bit, as Python floats
+    assert [t.hex() for t in called] == [t.hex() for t in want]
+    tabulated = np.concatenate(blocks).reshape(-1).tolist()
+    assert {t.hex() for t in tabulated} == {t.hex() for t in want}
+
+
+@pytest.mark.parametrize("case", ["consensus", "fj", "identity_masked_consensus"])
+def test_linear_systems_rest_at_zero_from_zero(case):
+    # every field component at x = 0 is an exact zero, so the sign of each
+    # zero that the compiled stage forms must match the reference field's,
+    # or integrate's t=0 check raises
+    n = 6
+    lap = laplacian(cycle_graph(n))
+    if case == "fj":
+        system = FriedkinJohnsen(laplacian=lap, theta=np.linspace(0.0, 1.0, n), anchor=np.zeros(n))
+    else:
+        system = AverageConsensus(laplacian=lap)
+    if case == "identity_masked_consensus":
+        system = MaskedSystem(base=system, bank=MaskBank.identity(n))
+    for method in ("rk4", "euler"):
+        traj = integrate(system, np.zeros(n), IntegratorConfig(method=method, dt=0.1, t_final=2.0))
+        assert np.all(traj.x == 0.0) and np.all(traj.y == 0.0)
 
 
 def test_x0_validation():
@@ -441,6 +474,13 @@ def test_block_march_blowup_witness_matches_per_step_march(
     def f(t, z):
         return np.full_like(z, bad_value) if t > onset else -z
 
+    def slope(t, z, o):
+        o[:] = f(t, z)
+
+    def tabulate(times):
+        blocks.append(times[0, 0])
+        return times.reshape(-1).tolist()  # the rows are the stage times
+
     cfg = IntegratorConfig(
         method=method, dt=dt, t_final=(bad_step + 1 + extra) * dt, record_stride=stride
     )
@@ -449,7 +489,7 @@ def test_block_march_blowup_witness_matches_per_step_march(
     blocks = []
     errors = np.geterr()
     with pytest.raises(BlowUpError) as info:
-        _march(f, z0, cfg, tabulate=lambda times: blocks.append(times[0]))
+        _march(slope, z0, cfg, tabulate=tabulate)
     exc = info.value
     assert (exc.t, exc.last_time) == want[:2]
     assert np.array_equal(exc.last_state, want[2])
@@ -536,13 +576,21 @@ def test_pinned_s0_required_and_shape_checked():
 def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
     from dynpriv import solver
 
-    def off_by_one_ulp(system, factors=None):
-        stage = compile_stage(system, factors)
-        return lambda t, z: np.nextafter(stage(t, z), np.inf)
+    def off_by_one_ulp(system):
+        stage = compile_stage(system)
+
+        def shifted(row, z, o):
+            stage(row, z, o)
+            np.nextafter(o, np.inf, out=o)
+
+        return shifted
 
     monkeypatch.setattr(solver, "compile_stage", off_by_one_ulp)
     ms, x0, s0 = _masked_case("pinned", 3, np.random.default_rng(2))
     with pytest.raises(RuntimeError, match="compiled stage differs"):
+        integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
+    # the message names the first differing component and both its values
+    with pytest.raises(RuntimeError, match=r"at t=0: component 0 is -?\d.*, not -?\d"):
         integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
     with pytest.raises(RuntimeError, match="compiled stage differs"):
         integrate(ms.base, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
