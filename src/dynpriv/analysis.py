@@ -212,12 +212,7 @@ class DiagnosticsReport:
     series_files: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if isinstance(val, np.ndarray):
-                val = val.tolist()
-            out[key] = val
-        return out
+        return dict(vars(self))
 
     @property
     def all_pass(self) -> bool:

@@ -145,7 +145,6 @@ def cmd_adversary(args) -> int:
     if sc.adversary is None:
         raise scn.ScenarioError("scenario config has no adversary block")
     observer, target = sc.adversary["observer"], sc.adversary["target"]
-    outdir = _outdir(args, sc.name)
     try:
         traj, _report = scn.run_simulation(sc)
     except BlowUpError as exc:
@@ -156,9 +155,13 @@ def cmd_adversary(args) -> int:
     true_x0 = float(sc.x0[target])
     attempts = []
     for policy in sc.adversary["policies"]:
-        result = adv.reconstruct_initial(
-            view, target, row_field, needed, policy=policy, settle_tol=sc.adversary["settle_tol"]
-        )
+        try:
+            result = adv.reconstruct_initial(
+                view, target, row_field, needed, policy, sc.adversary["settle_tol"]
+            )
+        except ValueError as exc:  # outputs not settled: the horizon is too short to judge
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         attempts.append(
             {
                 "observer": observer,
@@ -180,7 +183,7 @@ def cmd_adversary(args) -> int:
         "covering_pairs": sorted([j, i] for i, j in scn.covering_violations(sc)),
         "attempts": attempts,
     }
-    _write_json(outdir / "attack.json", payload)
+    _write_json(_outdir(args, sc.name) / "attack.json", payload)
     return EXIT_OK
 
 

@@ -5,8 +5,9 @@ continuous-time Friedkin-Johnsen opinion model, average consensus on a
 weight-balanced digraph, and pinned synchronization of identical vector
 agents driven by an exosystem with a TanhDrift or LorenzDrift. The masked
 wrapper replaces every transmitted state with its masked output; for
-Friedkin-Johnsen the anchor term is masked too, and for pinned
-synchronization the exosystem sample enters the pinning term unmasked.
+Friedkin-Johnsen the anchor term is masked too (at t, or, in the variant
+that its own class selects, frozen at t=0), and for pinned synchronization
+the exosystem sample enters the pinning term unmasked.
 
 Each class owns all that varies by kind: its config name `kind`, config
 schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
@@ -20,7 +21,9 @@ from a kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
 compile_stage binds one run's joint field once as the solver's stage
-f(row, z, o), equal to the reference bit for bit. Consensus and
+f(row, z, o), equal to the reference bit for bit. A run is always a
+MaskedSystem, so every stage_body masks its input; the bare system runs as
+the masked one under MaskBank.identity, its limit system. Consensus and
 Friedkin-Johnsen bind -L once, in stage and reference alike: (-L) @ y is
 one gemv, equal to -(L @ y) except in the sign of an exactly zero value.
 """
@@ -57,12 +60,13 @@ class Required:
 
 
 SEED = "a non-negative integer"  # the schema type of a seed that numpy's generators take
+FINITE = "a finite number"  # the schema type of a number that no inf or nan may stand for
 
 #: Keys of a vector section (x0, theta, s0): inline values or a seeded draw.
 VECTOR = ByKind(
-    inline={"values": Required([float])},
-    uniform={"low": Required(float), "high": Required(float), "seed": SEED},
-    gaussian={"mean": float, "std": Required(float), "seed": SEED},
+    inline={"values": Required([FINITE])},
+    uniform={"low": Required(FINITE), "high": Required(FINITE), "seed": SEED},
+    gaussian={"mean": FINITE, "std": Required(FINITE), "seed": SEED},
 )
 
 
@@ -180,10 +184,9 @@ class SystemSpec:
     nu = 1
     drift = None  # the exosystem's drift, if the system has one
     tol_conv = 1e-3
-    anchored = False  # whether frozen_anchor has an anchor term to freeze
     attack_row = None  # the eavesdropper's model of one agent's integrand, if any
 
-    def through_mask(self, ms: "MaskedSystem", scale, offset):
+    def through_mask(self, bank: MaskBank, scale, offset):
         return self
 
     #: The verdicts that verdicts() decides, each with the Scenario field it
@@ -257,19 +260,17 @@ class SaturatedNet(SystemSpec):
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
         return -x + self.kappa * (self.a @ np.tanh(x))
 
-    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
         a, kappa = self.a, np.array(float(self.kappa))
 
         def body(row, z, o):
-            if ms is not None:
-                scale, offset = row
-                _add(z, offset, y)
-                _mul(scale, y, y)
-                z = y
-            _tanh(z, tmp)
+            scale, offset = row
+            _add(z, offset, y)
+            _mul(scale, y, y)
+            _tanh(y, tmp)
             _dot(a, tmp, o)
             _mul(kappa, o, o)
-            _sub(o, z, o)
+            _sub(o, y, o)
 
         return body
 
@@ -279,16 +280,21 @@ class SaturatedNet(SystemSpec):
 
 @dataclass(frozen=True, eq=False)
 class FriedkinJohnsen(SystemSpec):
-    """dx/dt = -(L + Theta) x + Theta anchor; anchor is the initial opinion."""
+    """dx/dt = -(L + Theta) x + Theta anchor; anchor is the initial opinion.
+
+    frozen_anchor selects the (incorrect) masked variant that keeps the
+    anchor masked at its t=0 value instead of letting the anchor mask decay;
+    it demonstrates convergence to a shifted attractor.
+    """
 
     laplacian: np.ndarray
     theta: np.ndarray
     anchor: np.ndarray
+    frozen_anchor: bool = False
     neg_laplacian: np.ndarray = field(init=False, repr=False)  # -L, bound once
 
     kind = "friedkin_johnsen"
-    keys = {"theta": Required((float, VECTOR)), "frozen_anchor": bool}
-    anchored = True
+    keys = {"theta": Required((FINITE, VECTOR)), "frozen_anchor": bool}
 
     def __post_init__(self):
         lap = np.asarray(self.laplacian, dtype=float)
@@ -311,7 +317,12 @@ class FriedkinJohnsen(SystemSpec):
         theta = spec["theta"]  # one number for every agent, or a vector section
         if isinstance(theta, dict):
             theta = vector(theta, graph.n, "theta")
-        return cls(laplacian=netgraph.laplacian(graph), theta=np.full(graph.n, theta), anchor=x0)
+        return cls(
+            laplacian=netgraph.laplacian(graph),
+            theta=np.full(graph.n, theta),
+            anchor=x0,
+            frozen_anchor=spec.get("frozen_anchor", False),
+        )
 
     @property
     def dim(self) -> int:
@@ -321,28 +332,23 @@ class FriedkinJohnsen(SystemSpec):
         # np.dot as in the stage: at n=1 @ turns a -0 product into +0
         return np.dot(self.neg_laplacian, x) - self.theta * x + self.theta * self.anchor
 
-    def through_mask(self, ms: "MaskedSystem", scale, offset) -> "FriedkinJohnsen":
+    def through_mask(self, bank: MaskBank, scale, offset) -> "FriedkinJohnsen":
         """The anchor is transmitted too: masked at t, or frozen at t=0."""
-        anchor = ms.frozen_y_anchor if ms.frozen_anchor else scale * (self.anchor + offset)
-        return replace(self, anchor=anchor)
+        if self.frozen_anchor:
+            return replace(self, anchor=bank.eval(0.0, self.anchor))
+        return replace(self, anchor=scale * (self.anchor + offset))
 
-    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
         neg_lap, theta, anchor = self.neg_laplacian, self.theta, self.anchor
-        if ms is None:
-            anchor_term = theta * anchor
-        elif ms.frozen_anchor:
-            anchor_term = theta * ms.frozen_y_anchor
-        else:
-            anchor_term = None  # theta * h(t, anchor), formed at every stage
+        # theta * h(0, anchor) once, or theta * h(t, anchor) at every stage
+        anchor_term = theta * bank.eval(0.0, anchor) if self.frozen_anchor else None
 
         def body(row, z, o):
-            if ms is not None:
-                scale, offset = row
-                _add(z, offset, y)
-                _mul(scale, y, y)
-                z = y
-            _dot(neg_lap, z, o)
-            _mul(theta, z, tmp)
+            scale, offset = row
+            _add(z, offset, y)
+            _mul(scale, y, y)
+            _dot(neg_lap, y, o)
+            _mul(theta, y, tmp)
             _sub(o, tmp, o)
             if anchor_term is None:
                 _add(anchor, offset, tmp)
@@ -390,16 +396,14 @@ class AverageConsensus(SystemSpec):
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
         return np.dot(self.neg_laplacian, x)  # np.dot, as FriedkinJohnsen.field
 
-    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
         neg_lap = self.neg_laplacian
 
         def body(row, z, o):
-            if ms is not None:
-                scale, offset = row
-                _add(z, offset, y)
-                _mul(scale, y, y)
-                z = y
-            _dot(neg_lap, z, o)
+            scale, offset = row
+            _add(z, offset, y)
+            _mul(scale, y, y)
+            _dot(neg_lap, y, o)
 
         return body
 
@@ -514,7 +518,7 @@ class PinnedSync(SystemSpec):
         pinning = self.pin_gains[:, None] * ((states - s[None, :]) @ self.r)
         return (exosystem_field(self.drift, states) - coupling - pinning).reshape(-1)
 
-    def stage_body(self, ms, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
         """Stage over y as the (n+1, nu) input block. It writes a slot
         through views made on the slot's first use and kept with the slot,
         so a caller passes the same few slots again and again."""
@@ -532,10 +536,9 @@ class PinnedSync(SystemSpec):
 
         def body(row, z, o):
             _copyto(y, z)
-            if ms is not None:
-                scale, offset = row
-                _add(agents, offset, agents)
-                _mul(scale, agents, agents)
+            scale, offset = row
+            _add(agents, offset, agents)
+            _mul(scale, agents, agents)
             held = slots.get(id(o))
             if held is None:
                 rows = o.reshape(n + 1, nu)
@@ -592,28 +595,17 @@ def field_unmasked(
 
 @dataclass(frozen=True, eq=False)
 class MaskedSystem:
-    """A base system whose transmitted states are replaced by masked outputs.
-
-    frozen_anchor selects the (incorrect) Friedkin-Johnsen variant that keeps
-    the anchor masked at its t=0 value instead of letting the anchor mask
-    decay; it demonstrates convergence to a shifted attractor. That masked
-    anchor is computed once, here, as frozen_y_anchor.
-    """
+    """A base system whose transmitted states are replaced by masked outputs;
+    the bare system is MaskedSystem(spec, MaskBank.identity(spec.dim))."""
 
     base: SystemSpec
     bank: MaskBank
-    frozen_anchor: bool = False
-    frozen_y_anchor: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.bank.dim != self.base.dim:
             raise ValueError(
                 f"mask bank has {self.bank.dim} channels, system needs {self.base.dim}"
             )
-        if self.frozen_anchor:
-            if not self.base.anchored:
-                raise ValueError("frozen_anchor only applies to Friedkin-Johnsen")
-            object.__setattr__(self, "frozen_y_anchor", self.bank.eval(0.0, self.base.anchor))
 
 
 def field_masked(
@@ -630,7 +622,7 @@ def field_masked(
     """
     scale, offset = ms.bank.factors(t) if factors is None else factors
     y = scale * (np.asarray(x, dtype=float) + offset)
-    return field_unmasked(ms.base.through_mask(ms, scale, offset), t, y, s)
+    return field_unmasked(ms.base.through_mask(ms.bank, scale, offset), t, y, s)
 
 
 # Ufuncs bound once as module names: a stage calls them with out passed
@@ -642,27 +634,29 @@ _add, _sub, _mul, _tanh, _dot, _copyto = (
 )
 
 
-def compile_stage(system: Union[MaskedSystem, SystemSpec]):
+def compile_stage(system: MaskedSystem):
     """The joint field of a run as one stage function f(row, z, o).
 
     z is the joint state: the agents' states, then the exosystem's for a
-    pinned system. row is the bank's (scale, offset) pair at the stage time
-    for a masked system, as the solver's factor table holds it by position,
-    and is ignored otherwise. f writes dz/dt into the slot o, an array of
-    z's shape that the caller owns, and returns nothing. The system's
-    stage_body binds everything its field needs once, with preallocated
-    blocks and 0-d gains, and masks the input itself, so a stage of an
-    unpinned system is one Python call into bound ufuncs and np.dot (the
-    same BLAS call as np.matmul) with out passed positionally. The slot
-    then equals field_masked (or field_unmasked) with exosystem_field
-    appended, bit for bit: every element is formed by the same operations
-    in the same order.
+    pinned system. row is the bank's (scale, offset) pair at the stage time,
+    as the solver's factor table holds it by position. f writes dz/dt into
+    the slot o, an array of z's shape that the caller owns, and returns
+    nothing. The system's stage_body binds everything its field needs once,
+    with preallocated blocks and 0-d gains, and masks the input itself, so a
+    stage of an unpinned system is one Python call into bound ufuncs and
+    np.dot (the same BLAS call as np.matmul) with out passed positionally.
+    The slot then equals field_masked with exosystem_field appended, bit for
+    bit: every element is formed by the same operations in the same order.
     """
-    masked = isinstance(system, MaskedSystem)
-    spec = _registered(system.base if masked else system, SYSTEMS, "system")
+    if not isinstance(system, MaskedSystem):
+        raise TypeError(
+            f"a run takes a MaskedSystem, got {type(system).__name__}; "
+            "an unmasked run is MaskedSystem(spec, MaskBank.identity(spec.dim))"
+        )
+    spec = _registered(system.base, SYSTEMS, "system")
     size = spec.dim + spec.nu if spec.drift is not None else spec.dim
     # y: the masked agent states, then the raw exosystem state
-    return spec.stage_body(system if masked else None, np.empty(size), np.empty(spec.dim))
+    return spec.stage_body(system.bank, np.empty(size), np.empty(spec.dim))
 
 
 def estimate_lipschitz_q(

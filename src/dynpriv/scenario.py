@@ -33,9 +33,9 @@ import numpy as np
 
 from . import adversary as adv
 from . import analysis, masks, netgraph
-from .dynamics import SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, Required, ScenarioError
+from .dynamics import FINITE, SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, Required, ScenarioError
 from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
-from .netgraph import AssumptionReport, Digraph
+from .netgraph import Digraph
 from .solver import IntegratorConfig, integrate
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
@@ -72,6 +72,7 @@ _TYPES = {
     list: ("a list", lambda v: isinstance(v, list)),
     dict: ("an object", lambda v: isinstance(v, dict)),
     SEED: (SEED, lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
+    FINITE: (FINITE, lambda v: _is_number(v) and math.isfinite(v)),
     POSITIVE: (POSITIVE, lambda v: _is_number(v) and 0 < v < math.inf),
     PAIR: (PAIR, lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
 }
@@ -221,7 +222,6 @@ class Scenario:
     config: dict
     hash: str
     graph: Digraph
-    assumptions: AssumptionReport
     system: object
     bank: MaskBank
     x0: np.ndarray
@@ -230,12 +230,8 @@ class Scenario:
     checks: tuple
     privacy_level: Optional[float]
     tol_conv: float
-    frozen_anchor: bool
     sync_condition: Optional[dict]  # the block, its defaults and seed filled in
     adversary: Optional[dict]  # the adversary block, its defaults filled in
-
-    def masked(self) -> MaskedSystem:
-        return MaskedSystem(base=self.system, bank=self.bank, frozen_anchor=self.frozen_anchor)
 
 
 def _build_graph(config: dict, spec: dict) -> Digraph:
@@ -346,7 +342,6 @@ def build_scenario(config: dict) -> Scenario:
             config=config,
             hash=config_hash(config),
             graph=graph,
-            assumptions=graph.assumptions,
             system=system,
             bank=bank,
             x0=x0,
@@ -356,7 +351,6 @@ def build_scenario(config: dict) -> Scenario:
             # as floats, so that an integer in the config writes the same report
             privacy_level=None if lam is None else float(lam),
             tol_conv=float(config.get("tolerances", {}).get("tol_conv", system.tol_conv)),
-            frozen_anchor=spec.get("frozen_anchor", False),
             sync_condition=cond,
             adversary=adversary,
         )
@@ -407,7 +401,7 @@ def load_bundled(name: str) -> dict:
 
 def run_graph_checks(sc: Scenario) -> dict:
     """Structural validations; keys are the graph check names."""
-    report = sc.assumptions
+    report = sc.graph.assumptions
     results = {
         "irreducible": report.irreducible,
         "weight_balanced": report.weight_balanced,
@@ -417,7 +411,7 @@ def run_graph_checks(sc: Scenario) -> dict:
 
 
 def covering_violations(sc: Scenario):
-    return sc.assumptions.covering_violations
+    return sc.graph.assumptions.covering_violations
 
 
 def run_mask_check(sc: Scenario) -> dict:
@@ -445,7 +439,7 @@ def run_mask_check(sc: Scenario) -> dict:
 def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     """Integrate the masked scenario and assemble the diagnostics report."""
     tol_conv = tol_override if tol_override is not None else sc.tol_conv
-    traj = integrate(sc.masked(), sc.x0, sc.integrator, s0=sc.s0)
+    traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
     report.privacy_level = sc.privacy_level
     rho_i, rho = privacy_metric(sc.bank, sc.x0)

@@ -4,14 +4,16 @@ Fixed-step RK4 (default) or explicit Euler; no adaptivity, so identical
 inputs reproduce bit-identical samples. Masked outputs are recomputed from
 the recorded states through the mask bank, never integrated separately.
 
-integrate reads no system kind, only the system's dim, nu and drift (None
-without an exosystem). It compiles the joint field (agents, then the
-exosystem) once with dynamics.compile_stage, checks it bit for bit against
-the reference fields at the initial state, and steps it with _march, the
-one stepper. The mask's factors depend on time alone, so for each block of
+integrate runs one type, a dynamics.MaskedSystem; an unmasked run is the
+system under the identity bank. It reads no system kind, only the base's
+dim, nu and drift (None without an exosystem). It compiles the joint field
+(agents, then the exosystem) once with dynamics.compile_stage, checks it
+bit for bit against the reference fields at the initial state with the
+bank's t=0 factors, and only then steps it with _march, the one stepper of
+1-d states. The mask's factors depend on time alone, so for each block of
 TABLE_STEPS steps the march forms the block's (n, 3) RK4 stage times (t,
 t + dt/2, t + dt; (n, 1) for Euler) by the expressions it steps with, and
-a masked integration fills one preallocated table from them with a single
+integrate refills one preallocated table from them with a single
 MaskBank.factors call. Each stage gets its (scale, offset) row by position,
 and writes its slope into one of the march's four slots k1..k4.
 """
@@ -20,18 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    MaskedSystem,
-    SystemSpec,
-    compile_stage,
-    exosystem_field,
-    field_masked,
-    field_unmasked,
-)
+from .dynamics import MaskedSystem, compile_stage, exosystem_field, field_masked
+# bench/tracing.py wraps solver.field_unmasked, so the name must resolve here
+from .dynamics import field_unmasked  # noqa: F401
 from .masks import CHUNK
 
 BLOWUP_LIMIT = 1e12
@@ -147,15 +144,14 @@ def write_csv(path, header, data) -> None:
 def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):
     """Fixed-step RK4/Euler of dz/dt = f(row, z, o) from z at t=0.
 
-    z is a 1-d array or a scalar, which runs as a (1,) state; floor, if
-    given, clamps the state from below after every step. f writes the slope
-    at z into o, one of the march's own slots (k1..k4 for RK4), and row is
-    the stage time. tabulate, if given, maps each block's (n, s) array of
-    stage times (columns t, t + dt/2 and t + dt for RK4, t alone for Euler,
-    each formed by the expression it names) to a sequence whose first n*s
-    entries are rows for those times in the same order, and f gets those
-    rows by position instead. Returns the recorded (times, states) arrays;
-    for a scalar z the states are (n_rec,) values.
+    z is a 1-d array, which the march never writes; floor, if given, clamps
+    the state from below after every step. f writes the slope at z into o,
+    one of the march's own slots (k1..k4 for RK4), and row is the stage
+    time. tabulate, if given, maps each block's (n, s) array of stage times
+    (columns t, t + dt/2 and t + dt for RK4, t alone for Euler, each formed
+    by the expression it names) to a sequence whose first n*s entries are
+    rows for those times in the same order, and f gets those rows by
+    position instead. Returns the recorded (times, states) arrays.
 
     The march fills a preallocated (TABLE_STEPS+1, d) block one step per
     row, row 0 holding the block's start state. Stage inputs and the RK4
@@ -177,8 +173,6 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     rk4 = cfg.method == "rk4"
-    scalar = np.ndim(z) == 0
-    z = np.array(z, dtype=float, ndmin=1)
     n_rec = 1 + n_steps // stride + (n_steps % stride > 0)
     rec_times = np.empty(n_rec)
     rec_times[: 1 + n_steps // stride] = np.arange(0, n_steps + 1, stride) * dt
@@ -238,11 +232,11 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
         z = steps[n]
     if n_steps % stride:
         rec_states[-1] = z
-    return rec_times, (rec_states.reshape(-1) if scalar else rec_states)
+    return rec_times, rec_states
 
 
 def integrate(
-    system: Union[MaskedSystem, SystemSpec],
+    system: MaskedSystem,
     x0: np.ndarray,
     cfg: IntegratorConfig,
     s0: Optional[np.ndarray] = None,
@@ -253,8 +247,8 @@ def integrate(
     the finite range. Given identical inputs the recorded samples are
     bit-identical across runs.
     """
-    masked = isinstance(system, MaskedSystem)
-    base = system.base if masked else system
+    stage = compile_stage(system)
+    base, bank = system.base, system.bank
     d = base.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -269,52 +263,39 @@ def integrate(
         if s0.shape != (base.nu,):
             raise ValueError(f"s0 has shape {s0.shape}, exosystem needs ({base.nu},)")
         z = np.concatenate([x0, s0])
+    elif s0 is not None:
+        raise ValueError("s0 only applies to pinned synchronization")
     else:
-        if s0 is not None:
-            raise ValueError("s0 only applies to pinned synchronization")
-        z = x0.copy()
+        z = x0
 
-    stage = compile_stage(system)
+    # The compiled stage must reproduce the reference fields bit for bit.
+    # Checked once, at the initial state, with the bank's t=0 factors: they
+    # equal the table's first row, since each exponential there is exp(-0.0).
+    row = bank.factors(0.0)
+    x, s = z[:d], (z[d:] if pinned else None)
+    want = field_masked(system, 0.0, x, s, row)
+    if pinned:
+        want = np.concatenate([want, exosystem_field(base.drift, s)])
+    got = np.empty_like(z)
+    stage(row, z, got)
+    if got.tobytes() != want.tobytes():
+        i = int(np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0])
+        raise RuntimeError(
+            f"compiled stage differs from the reference field at t=0: component {i} "
+            f"is {float(got[i])!r}, not {float(want[i])!r}"
+        )
 
-    def check(row):
-        """The compiled stage must reproduce the reference fields bit for
-        bit; checked once, at the initial state with the first factor row."""
-        x, s = z[:d], (z[d:] if pinned else None)
-        if masked:
-            want = field_masked(system, 0.0, x, s, row)
-        else:
-            want = field_unmasked(base, 0.0, x, s)
-        if pinned:
-            want = np.concatenate([want, exosystem_field(base.drift, s)])
-        got = np.empty_like(z)
-        stage(row, z, got)
-        if got.tobytes() != want.tobytes():
-            i = int(np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0])
-            raise RuntimeError(
-                f"compiled stage differs from the reference field at t=0: component {i} "
-                f"is {float(got[i])!r}, not {float(want[i])!r}"
-            )
+    table = np.empty((2, 3 * TABLE_STEPS, d))  # a block's scale rows, then offset rows
+    rows = list(zip(*table))
 
-    bank = tabulate = None
-    if masked:
-        bank = system.bank
-        table = np.empty((2, 3 * TABLE_STEPS, d))  # a block's scale rows, then offset rows
-        rows = list(zip(*table))
-
-        def tabulate(times):
-            bank.factors(times.reshape(-1), table[:, : times.size])
-            if times[0, 0] == 0.0:  # the first block, before its first stage
-                check(rows[0])
-            return rows
-
-    else:
-        check(0.0)
+    def tabulate(times):
+        bank.factors(times.reshape(-1), table[:, : times.size])
+        return rows
 
     times, states = _march(stage, z, cfg, tabulate=tabulate)
     x_part = states[:, :d]
     s_part = states[:, d:] if pinned else None
-    y_part = bank.eval_series(times, x_part) if bank is not None else x_part.copy()
-    return Trajectory(times=times, x=x_part, y=y_part, s=s_part)
+    return Trajectory(times=times, x=x_part, y=bank.eval_series(times, x_part), s=s_part)
 
 
 def solve_comparison_ode(
@@ -342,4 +323,5 @@ def solve_comparison_ode(
     def f(t, v, o):
         o[:] = -a * v * v + b * v * np.exp(-delta1 * t) + c * np.exp(-delta2 * t)
 
-    return _march(f, float(v0), cfg, floor=0.0)
+    times, values = _march(f, np.array([float(v0)]), cfg, floor=0.0)
+    return times, values.reshape(-1)

@@ -32,6 +32,11 @@ from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vect
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate
 
 
+def _unmasked(spec):
+    """The bare system as a run: spec under the identity mask bank."""
+    return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
+
+
 def test_consensus_value_basic():
     assert consensus_value(np.array([1.0, 2.0, 3.0])) == 2.0
     assert consensus_value(np.full(5, 4.2)) == pytest.approx(4.2)
@@ -134,7 +139,7 @@ def test_vmm_series_constant_consensus_is_zero():
 def test_vmm_unmasked_consensus_non_increasing():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(5)))
     cfg = IntegratorConfig(dt=1e-2, t_final=20.0, record_stride=10)
-    traj = integrate(spec, np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
+    traj = integrate(_unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
     series = vmm_series(traj)
     assert np.all(np.diff(series) <= 1e-12)
     assert max_increase(series) <= 1e-12
@@ -362,29 +367,10 @@ def test_sync_error_series_requires_exosystem():
         sync_error_series(_toy_traj(np.zeros((3, 4))))
 
 
-def test_sync_error_identity_mask_equals_unmasked():
-    drift = TanhDrift(a=-np.eye(2), b=0.3 * np.eye(2))
-    spec = PinnedSync(
-        laplacian=laplacian(cycle_graph(3)),
-        r=np.eye(2),
-        pin_gains=np.array([1.0, 0.0, 0.0]),
-        drift=drift,
-        nu=2,
-    )
-    cfg = IntegratorConfig(dt=1e-2, t_final=5.0, record_stride=10)
-    x0 = np.arange(6) / 3.0
-    s0 = np.array([0.2, -0.1])
-    masked = integrate(MaskedSystem(base=spec, bank=MaskBank.identity(6)), x0, cfg, s0=s0)
-    bare = integrate(spec, x0, cfg, s0=s0)
-    m_max, _ = sync_error_series(masked)
-    b_max, _ = sync_error_series(bare)
-    assert np.array_equal(m_max, b_max)
-
-
 def test_attractor_verdicts_basic():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(3)))
     cfg = IntegratorConfig(dt=1e-2, t_final=30.0, record_stride=10)
-    traj = integrate(spec, np.array([1.0, 2.0, 3.0]), cfg)
+    traj = integrate(_unmasked(spec), np.array([1.0, 2.0, 3.0]), cfg)
     check = attractor_verdicts(traj, np.full(3, 2.0), tol_conv=1e-3)
     assert check.converged
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,16 +189,10 @@ def test_fj_masked_anchor_tracks_mask_clock():
     spec = FriedkinJohnsen(laplacian=lap, theta=np.full(3, 0.5), anchor=anchor)
     bank = _privacy_bank(3, seed=21)
     live = MaskedSystem(base=spec, bank=bank)
-    frozen = MaskedSystem(base=spec, bank=bank, frozen_anchor=True)
+    frozen = MaskedSystem(base=replace(spec, frozen_anchor=True), bank=bank)
     x = np.array([0.3, -0.1, 0.4])
     assert np.array_equal(field_masked(live, 0.0, x), field_masked(frozen, 0.0, x))
     assert not np.array_equal(field_masked(live, 5.0, x), field_masked(frozen, 5.0, x))
-
-
-def test_frozen_anchor_restricted_to_fj():
-    spec = AverageConsensus(laplacian=_cycle_lap())
-    with pytest.raises(ValueError, match="frozen_anchor"):
-        MaskedSystem(base=spec, bank=MaskBank.identity(3), frozen_anchor=True)
 
 
 def test_bank_dimension_must_match_system():
@@ -313,8 +309,8 @@ def _mixed_bank(dim, rng):
 
 
 def _stage_case(kind, bank, n, nu, rng):
-    """A random system of one kind on n agents (masked by a mixed or an
-    identity bank, or bare) and a random joint state for it."""
+    """A random system of one kind on n agents, masked by a mixed or an
+    identity bank, and a random joint state for it."""
     w = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
     lap = np.diag(w.sum(axis=1)) - w
@@ -322,7 +318,10 @@ def _stage_case(kind, bank, n, nu, rng):
         spec = SaturatedNet(a=w, kappa=rng.uniform(0.1, 2.0))
     elif kind in ("fj_live", "fj_frozen"):
         spec = FriedkinJohnsen(
-            laplacian=lap, theta=rng.uniform(0.1, 1.0, n), anchor=rng.uniform(-3, 3, n)
+            laplacian=lap,
+            theta=rng.uniform(0.1, 1.0, n),
+            anchor=rng.uniform(-3, 3, n),
+            frozen_anchor=kind == "fj_frozen",
         )
     elif kind == "consensus":
         sym = w + w.T
@@ -338,50 +337,40 @@ def _stage_case(kind, bank, n, nu, rng):
         gains = rng.uniform(0.5, 3.0, n) * (rng.random(n) < 0.7)
         spec = PinnedSync(laplacian=lap, r=(r + r.T) / 2, pin_gains=gains, drift=drift, nu=nu)
     z = rng.uniform(-10.0, 10.0, spec.dim + (spec.nu if isinstance(spec, PinnedSync) else 0))
-    if bank == "none":
-        return spec, z
     bank = MaskBank.identity(spec.dim) if bank == "identity" else _mixed_bank(spec.dim, rng)
-    return MaskedSystem(base=spec, bank=bank, frozen_anchor=kind == "fj_frozen"), z
+    return MaskedSystem(base=spec, bank=bank), z
 
 
 def _reference_stage(system, t, z, row):
-    """field_masked (or field_unmasked) on the agents, then exosystem_field."""
-    masked = isinstance(system, MaskedSystem)
-    spec = system.base if masked else system
+    """field_masked on the agents, then exosystem_field."""
+    spec = system.base
     d = spec.dim
     s = z[d:] if isinstance(spec, PinnedSync) else None
-    if masked:
-        f = field_masked(system, t, z[:d], s, row)
-    else:
-        f = field_unmasked(spec, t, z[:d], s)
+    f = field_masked(system, t, z[:d], s, row)
     return f if s is None else np.concatenate([f, exosystem_field(spec.drift, s)])
 
 
 @settings(deadline=None, max_examples=200)
 @given(
     kind=st.sampled_from(STAGE_KINDS),
-    bank=st.sampled_from(["mixed", "identity", "none"]),
+    bank=st.sampled_from(["mixed", "identity"]),
     tabulated=st.booleans(),
     n=st.integers(1, 12),
     nu=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, seed):
-    if kind == "fj_frozen" and bank == "none":
-        bank = "mixed"  # the frozen anchor is a masked variant
     rng = np.random.default_rng(seed)
     system, z = _stage_case(kind, bank, n, nu, rng)
     times = np.sort(rng.uniform(0.0, 20.0, 8))
     # a factor row from a table over all the times, as the solver holds
     # them, or from the bank at one time
-    table = system.bank.factors(times) if bank != "none" and tabulated else None
+    table = system.bank.factors(times) if tabulated else None
     stage = compile_stage(system)
     o = np.empty_like(z)
     for k, t in enumerate(times):
         z = z + rng.uniform(-1.0, 1.0, z.size)
-        row = None
-        if bank != "none":
-            row = (table[0][k], table[1][k]) if tabulated else system.bank.factors(t)
+        row = (table[0][k], table[1][k]) if tabulated else system.bank.factors(t)
         stage(row, z, o)
         # bytes, so that the sign of a zero counts as integrate's check counts it
         assert o.tobytes() == _reference_stage(system, t, z, row).tobytes()
@@ -412,10 +401,13 @@ def test_compile_stage_rejects_unknown_kinds():
         dim = 2
 
     with pytest.raises(TypeError, match="unknown system"):
-        compile_stage(Unknown())
+        compile_stage(MaskedSystem(base=Unknown(), bank=MaskBank.identity(2)))
     spec = PinnedSync(
         laplacian=_cycle_lap(), r=np.eye(3), pin_gains=np.ones(3), drift=_tanh_drift(), nu=3
     )
+    # a run takes a MaskedSystem: a bare system is refused by name
+    with pytest.raises(TypeError, match="MaskedSystem"):
+        compile_stage(spec)
     object.__setattr__(spec, "drift", object())
     with pytest.raises(TypeError, match="unknown drift"):
-        compile_stage(spec)
+        compile_stage(MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim)))

@@ -321,7 +321,6 @@ def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
     sc = build_scenario(override_seed(load_bundled("example1_satnet_n10"), 1))
     assert len(candidates) > 1
     assert sc.graph is candidates[-1]
-    assert sc.assumptions is sc.graph.assumptions
     assert run_graph_checks(sc) and run_mask_check(sc)["ok"]
     assert [id(g) for g in scans] == [id(g) for g in candidates]
 
@@ -554,6 +553,19 @@ def test_cli_adversary_writes_attack_report(tmp_path):
     assert all(err < 1e-2 for err in errors.values())
 
 
+def test_cli_adversary_on_unsettled_outputs_exits_4_and_writes_nothing(tmp_path, capsys):
+    # at t_final 1.0 the outputs still move, so the quadrature judges nothing
+    cfg = load_bundled("adversary_covering")
+    cfg["integrator"]["t_final"] = 1.0
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["adversary", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert "outputs not settled: terminal increment" in captured.err
+    assert "attack policy" not in captured.out
+    assert not (tmp_path / "out" / "adversary_covering" / "attack.json").exists()
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -684,6 +696,82 @@ def test_cli_wrong_json_type_exits_2_naming_its_key(section, key, value, message
     path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (
+            _consensus_config(x0={"kind": "inline", "values": [float("nan"), 1.0, 2.0]}),
+            "x0.values[0] must be a finite number, got nan",
+        ),
+        (
+            _consensus_config(x0={"kind": "gaussian", "std": float("nan")}),
+            "x0.std must be a finite number, got nan",
+        ),
+        (
+            _consensus_config(x0={"kind": "gaussian", "mean": float("inf"), "std": 1.0}),
+            "x0.mean must be a finite number, got inf",
+        ),
+        (
+            _consensus_config(x0={"kind": "uniform", "low": float("-inf"), "high": 2.0}),
+            "x0.low must be a finite number, got -inf",
+        ),
+        (
+            _consensus_config(x0={"kind": "uniform", "low": -2.0, "high": float("inf")}),
+            "x0.high must be a finite number, got inf",
+        ),
+        (
+            {
+                **load_bundled("example2_fj_n10"),
+                "system": {"kind": "friedkin_johnsen", "theta": float("nan")},
+            },
+            "system.theta must be a finite number or an object, got nan",
+        ),
+    ],
+    ids=["values_nan", "std_nan", "mean_inf", "low_minus_inf", "high_inf", "theta_nan"],
+)
+def test_cli_non_finite_vector_number_exits_2_naming_its_key(
+    command, config, message, tmp_path, capsys
+):
+    # json writes and reads NaN and Infinity; no draw or run may take them
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_gaussian_vector_is_seeded_and_its_mean_defaults_to_zero():
+    x0 = {"kind": "gaussian", "std": 0.5, "seed": 3}
+    sc = build_scenario(_consensus_config(x0=x0))
+    assert np.array_equal(sc.x0, build_scenario(_consensus_config(x0=x0)).x0)
+    assert np.array_equal(sc.x0, np.random.default_rng(3).normal(0.0, 0.5, size=3))
+    zero_mean = build_scenario(_consensus_config(x0={**x0, "mean": 0.0}))
+    assert np.array_equal(sc.x0, zero_mean.x0)
+    shifted = build_scenario(_consensus_config(x0={**x0, "mean": 1.0}))
+    assert not np.array_equal(sc.x0, shifted.x0)
+
+
+def test_gaussian_vector_without_std_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_std.json"
+    path.write_text(json.dumps(_consensus_config(x0={"kind": "gaussian", "mean": 1.0})))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "x0.std is required" in capsys.readouterr().err
+
+
+def test_frozen_anchor_restricted_to_fj(tmp_path, capsys):
+    # only Friedkin-Johnsen has an anchor to freeze; any other kind names the key
+    cfg = _consensus_config(system={"kind": "average_consensus", "frozen_anchor": True})
+    path = tmp_path / "frozen.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("check", "simulate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown config key 'system.frozen_anchor'" in capsys.readouterr().err
+    fj = load_bundled("example2_fj_n10")
+    assert build_scenario(fj).system.frozen_anchor is False
+    fj["system"]["frozen_anchor"] = True
+    assert build_scenario(fj).system.frozen_anchor is True
 
 
 @pytest.mark.parametrize(

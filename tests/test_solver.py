@@ -30,6 +30,11 @@ from dynpriv.solver import (
 )
 
 
+def _unmasked(spec):
+    """The bare system as a run: spec under the identity mask bank."""
+    return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
+
+
 def _decay_system():
     # dx/dt = -x realized as a Friedkin-Johnsen-free single channel:
     # saturated net with no couplings
@@ -39,28 +44,28 @@ def _decay_system():
 def test_constant_trajectory():
     spec = AverageConsensus(laplacian=np.zeros((2, 2)))
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
-    traj = integrate(spec, np.array([3.0, -1.0]), cfg)
+    traj = integrate(_unmasked(spec), np.array([3.0, -1.0]), cfg)
     assert np.all(traj.x == [3.0, -1.0])
     assert np.array_equal(traj.y, traj.x)
 
 
 def test_rk4_matches_exponential_decay():
     cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-    traj = integrate(_decay_system(), np.array([1.0]), cfg)
+    traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
     assert traj.x[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_unmasked_consensus_reaches_mean():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(3)))
     cfg = IntegratorConfig(dt=1e-2, t_final=40.0, record_stride=10)
-    traj = integrate(spec, np.array([1.0, 2.0, 3.0]), cfg)
+    traj = integrate(_unmasked(spec), np.array([1.0, 2.0, 3.0]), cfg)
     assert np.max(np.abs(traj.x[-1] - 2.0)) < 1e-9
 
 
 def test_rk4_order_via_step_halving():
     def err(dt):
         cfg = IntegratorConfig(dt=dt, t_final=1.0)
-        traj = integrate(_decay_system(), np.array([1.0]), cfg)
+        traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
         return abs(traj.x[-1, 0] - np.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)
@@ -85,7 +90,7 @@ def test_rk4_error_falls_16x_per_halving_on_random_consensus(n, seed):
 
     def err(dt):
         cfg = IntegratorConfig(dt=dt, t_final=t_final)
-        traj = integrate(AverageConsensus(laplacian=lap), x0, cfg)
+        traj = integrate(_unmasked(AverageConsensus(laplacian=lap)), x0, cfg)
         return np.max(np.abs(traj.x[-1] - exact))
 
     assert 15.0 <= err(0.1) / err(0.05) <= 17.5
@@ -94,7 +99,7 @@ def test_rk4_error_falls_16x_per_halving_on_random_consensus(n, seed):
 def test_euler_first_order():
     def err(dt):
         cfg = IntegratorConfig(method="euler", dt=dt, t_final=1.0)
-        traj = integrate(_decay_system(), np.array([1.0]), cfg)
+        traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
         return abs(traj.x[-1, 0] - np.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)
@@ -118,7 +123,7 @@ def test_determinism_bit_identical():
 
 def test_record_stride_and_final_sample():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=4)
-    traj = integrate(_decay_system(), np.array([1.0]), cfg)
+    traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
     # 10 steps of 0.1; recorded at 0, 4, 8, and the final step 10
     assert np.allclose(np.diff(traj.times) > 0, True)
     assert traj.times[0] == 0.0
@@ -146,7 +151,7 @@ def test_blowup_raises_with_last_sample():
     )
     cfg = IntegratorConfig(dt=1e-2, t_final=40.0, record_stride=100)
     with pytest.raises(BlowUpError, match="numerical blow-up at t=") as info:
-        integrate(spec, np.full(3, 2.0), cfg, s0=np.array([2.0]))
+        integrate(_unmasked(spec), np.full(3, 2.0), cfg, s0=np.array([2.0]))
     err = info.value
     assert err.last_time < err.t
     assert np.all(np.isfinite(err.last_state))
@@ -178,7 +183,12 @@ def _masked_case(system, n, rng):
     if system == "saturated":
         base = SaturatedNet(a=adjacency(cycle_graph(n)), kappa=0.4)
     elif system in ("fj_live", "fj_frozen"):
-        base = FriedkinJohnsen(laplacian=lap, theta=rng.uniform(0.1, 1.0, n), anchor=x0)
+        base = FriedkinJohnsen(
+            laplacian=lap,
+            theta=rng.uniform(0.1, 1.0, n),
+            anchor=x0,
+            frozen_anchor=system == "fj_frozen",
+        )
     elif system == "consensus":
         base = AverageConsensus(laplacian=lap)
     else:
@@ -189,25 +199,21 @@ def _masked_case(system, n, rng):
         x0 = rng.uniform(-3.0, 3.0, 2 * n)
         s0 = rng.uniform(-1.0, 1.0, 2)
     bank = _mixed_bank(base.dim, rng)
-    return MaskedSystem(base=base, bank=bank, frozen_anchor=system == "fj_frozen"), x0, s0
+    return MaskedSystem(base=base, bank=bank), x0, s0
 
 
 def _reference_run(system, x0, cfg, s0=None):
-    """RK4/Euler that masks through bank.eval at every stage (a bare system
-    runs its field_unmasked); recorded (times, states) as integrate records
-    them."""
-    masked = isinstance(system, MaskedSystem)
-    base = system.base if masked else system
+    """RK4/Euler that masks through bank.eval at every stage; recorded
+    (times, states) as integrate records them."""
+    base = system.base
     d, dt = base.dim, cfg.dt
     pinned = isinstance(base, PinnedSync)
 
     def f(t, z):
         x, s = z[:d], (z[d:] if pinned else None)
-        if not masked:
-            dx = field_unmasked(base, t, x, s)
-        elif isinstance(base, FriedkinJohnsen):
+        if isinstance(base, FriedkinJohnsen):
             y = system.bank.eval(t, x)
-            y_anchor = system.bank.eval(0.0 if system.frozen_anchor else t, base.anchor)
+            y_anchor = system.bank.eval(0.0 if base.frozen_anchor else t, base.anchor)
             dx = np.dot(-base.laplacian, y) - base.theta * y + base.theta * y_anchor
         else:
             dx = field_unmasked(base, t, system.bank.eval(t, x), s)
@@ -247,9 +253,9 @@ def test_masked_integrate_matches_per_stage_eval(
 ):
     # the factor rows must hand every stage the factors bank.eval uses at
     # its time, including at times where k*dt + dt != (k+1)*dt; a bare
-    # system runs the same block march with no table
+    # system runs as the same system under the identity bank
     ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
-    run = ms if masked else ms.base
+    run = ms if masked else _unmasked(ms.base)
     cfg = IntegratorConfig(method=method, dt=dt, t_final=n_steps * dt, record_stride=stride)
     traj = integrate(run, x0, cfg, s0=s0)
     times, states = _reference_run(run, x0, cfg, s0)
@@ -272,8 +278,9 @@ def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
     ms, x0, _ = _masked_case("consensus", 4, np.random.default_rng(5))
     n_steps = 3 * TABLE_STEPS + 1
     integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
-    # no per-stage eval: one factors call per block, one for the outputs
-    assert calls == {"eval": 0, "factors": 4 + 1}
+    # no per-stage eval: one factors call per block, one for the t=0 check
+    # of the compiled stage, one for the outputs
+    assert calls == {"eval": 0, "factors": 4 + 1 + 1}
 
 
 def _balanced_digraph(n, rng):
@@ -317,7 +324,7 @@ def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
         o[:] = -z
 
     cfg = IntegratorConfig(method="rk4" if rk4 else "euler", dt=dt, t_final=n_steps * dt)
-    _march(f, 1.0, cfg, tabulate=tabulate)
+    _march(f, np.array([1.0]), cfg, tabulate=tabulate)
     assert [len(b) for b in blocks] == [TABLE_STEPS, TABLE_STEPS, 7]
     want = []
     for k in range(n_steps):
@@ -329,7 +336,7 @@ def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
     assert {t.hex() for t in tabulated} == {t.hex() for t in want}
 
 
-@pytest.mark.parametrize("case", ["consensus", "fj", "identity_masked_consensus"])
+@pytest.mark.parametrize("case", ["consensus", "fj"])
 def test_linear_systems_rest_at_zero_from_zero(case):
     # every field component at x = 0 is an exact zero, so the sign of each
     # zero that the compiled stage forms must match the reference field's,
@@ -340,8 +347,7 @@ def test_linear_systems_rest_at_zero_from_zero(case):
         system = FriedkinJohnsen(laplacian=lap, theta=np.linspace(0.0, 1.0, n), anchor=np.zeros(n))
     else:
         system = AverageConsensus(laplacian=lap)
-    if case == "identity_masked_consensus":
-        system = MaskedSystem(base=system, bank=MaskBank.identity(n))
+    system = _unmasked(system)
     for method in ("rk4", "euler"):
         traj = integrate(system, np.zeros(n), IntegratorConfig(method=method, dt=0.1, t_final=2.0))
         assert np.all(traj.x == 0.0) and np.all(traj.y == 0.0)
@@ -350,9 +356,9 @@ def test_linear_systems_rest_at_zero_from_zero(case):
 def test_x0_validation():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     with pytest.raises(ValueError, match="shape"):
-        integrate(_decay_system(), np.zeros(2), cfg)
+        integrate(_unmasked(_decay_system()), np.zeros(2), cfg)
     with pytest.raises(ValueError, match="finite"):
-        integrate(_decay_system(), np.array([np.nan]), cfg)
+        integrate(_unmasked(_decay_system()), np.array([np.nan]), cfg)
 
 
 def test_integrator_config_validation():
@@ -414,7 +420,7 @@ def test_blowup_witness_independent_of_record_stride():
     unstable = AverageConsensus(laplacian=np.array([[-10.0, 10.0], [10.0, -10.0]]))
     for run in (
         lambda cfg: solve_comparison_ode(1e-15, 10.0, 0.0, 1e-9, 1.0, 1.0, cfg),
-        lambda cfg: integrate(unstable, np.array([1.0, -1.0]), cfg),
+        lambda cfg: integrate(_unmasked(unstable), np.array([1.0, -1.0]), cfg),
     ):
         w1, w4 = (
             _blowup_witness(run, IntegratorConfig(dt=0.1, t_final=10.0, record_stride=k))
@@ -457,7 +463,7 @@ _EDGES = [j * TABLE_STEPS + e for j in range(4) for e in (-1, 0, 1) if j * TABLE
     method=st.sampled_from(["rk4", "euler"]),
     dt=st.sampled_from([0.01, 0.05, 0.1]),
     stride=st.integers(1, 5),
-    dim=st.sampled_from([None, 1, 3]),
+    dim=st.sampled_from([1, 3]),
     bad_value=st.sampled_from([np.inf, -np.inf, np.nan, 1e20]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -466,9 +472,9 @@ def test_block_march_blowup_witness_matches_per_step_march(
 ):
     # the slope turns bad_value from the first stage time past step bad_step's
     # start (RK4) or at its start (Euler), so the state after that step is
-    # the first one out of range; dim None runs a scalar state
+    # the first one out of range
     rng = np.random.default_rng(seed)
-    z0 = float(rng.uniform(-3.0, 3.0)) if dim is None else rng.uniform(-3.0, 3.0, dim)
+    z0 = rng.uniform(-3.0, 3.0, dim)
     onset = (bad_step + (0.25 if method == "rk4" else -0.5)) * dt
 
     def f(t, z):
@@ -548,7 +554,7 @@ def test_csv_includes_exosystem_columns(tmp_path):
         nu=2,
     )
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
-    traj = integrate(spec, np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
+    traj = integrate(_unmasked(spec), np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0].split(",")
@@ -566,11 +572,11 @@ def test_pinned_s0_required_and_shape_checked():
     )
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
     with pytest.raises(ValueError, match="exosystem"):
-        integrate(spec, np.zeros(6), cfg)
+        integrate(_unmasked(spec), np.zeros(6), cfg)
     with pytest.raises(ValueError, match="s0"):
-        integrate(spec, np.zeros(6), cfg, s0=np.zeros(3))
+        integrate(_unmasked(spec), np.zeros(6), cfg, s0=np.zeros(3))
     with pytest.raises(ValueError, match="s0"):
-        integrate(_decay_system(), np.zeros(1), cfg, s0=np.zeros(1))
+        integrate(_unmasked(_decay_system()), np.zeros(1), cfg, s0=np.zeros(1))
 
 
 def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
@@ -593,4 +599,10 @@ def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
     with pytest.raises(RuntimeError, match=r"at t=0: component 0 is -?\d.*, not -?\d"):
         integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
     with pytest.raises(RuntimeError, match="compiled stage differs"):
-        integrate(ms.base, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
+        integrate(_unmasked(ms.base), x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
+
+
+def test_integrate_rejects_a_bare_system():
+    # a run is a MaskedSystem; the bare system is the one under the identity bank
+    with pytest.raises(TypeError, match="MaskedSystem"):
+        integrate(_decay_system(), np.array([1.0]), IntegratorConfig(dt=0.1, t_final=1.0))
