@@ -16,12 +16,13 @@ its reference `field` and `through_mask` (the system that the masked outputs
 drive); its compiled `stage_body`; its `attractor`, its `verdicts` and the
 `checks` they decide; and the eavesdropper's `attack_row`, where one is
 modelled. A drift owns `kind`, `keys` (its constructor's arguments), its
-rowwise value `rows` and `stage_rows`. SYSTEMS and DRIFTS are the only maps
-from a kind to its class.
+rowwise value `rows` and `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS
+are the only maps from a kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
-compile_stage binds one run's joint field once as the solver's stage
-f(row, z, o), equal to the reference bit for bit. A run is always a
+compile_stage binds one run's joint field once, by stage_body(bank), as the
+solver's stage f(row, z, o), equal to the reference bit for bit. A stage
+owns its scratch and writes only the slot o it is given. A run is always a
 MaskedSystem, so every stage_body masks its input; the bare system runs as
 the masked one under MaskBank.identity, its limit system. Consensus and
 Friedkin-Johnsen bind -L once, in stage and reference alike: (-L) @ y is
@@ -86,7 +87,6 @@ class TanhDrift:
 
     kind = "tanh"
     keys = {"a": Required(list), "b": Required(list)}
-    columns = False  # stage_rows writes whole rows
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -103,18 +103,19 @@ class TanhDrift:
     def rows(self, states: np.ndarray) -> np.ndarray:
         return states @ self.a.T + np.tanh(states) @ self.b.T
 
-    def stage_rows(self, block: np.ndarray, prod: np.ndarray):
-        """The drift of the (n+1, nu) block into the output's agent rows and
-        exosystem row. A row of a matrix product need not round as the
-        vector product does, so the exosystem row is evaluated on its own."""
+    def stage_rows(self, block: np.ndarray, out: np.ndarray, prod: np.ndarray):
+        """A call that writes the drift of the (n+1, nu) block into out,
+        with the (n, nu) prod as scratch. A row of a matrix product need not
+        round as the vector product does, so the exosystem row is its own."""
         n, nu = block.shape[0] - 1, block.shape[1]
         states, s = block[:n], block[n]
+        agent_rows, exo_row = out[:n], out[n]
         a_t, b_t = self.a.T, self.b.T
         th = np.empty((n + 1, nu))
         th_states, th_s = th[:n], th[n]
         row = np.empty(nu)
 
-        def drift_rows(agent_rows, exo_row):
+        def drift_rows():
             _tanh(block, th)
             _dot(states, a_t, agent_rows)
             _dot(th_states, b_t, prod)
@@ -136,7 +137,6 @@ class LorenzDrift:
 
     kind = "lorenz"
     keys = dict.fromkeys(("sigma", "rho", "beta"), float)
-    columns = True  # stage_rows writes the x, y and z columns
 
     @property
     def dim(self) -> int:
@@ -147,14 +147,15 @@ class LorenzDrift:
         rows = np.array([self.sigma * (y - x), x * (self.rho - z) - y, x * y - self.beta * z])
         return np.ascontiguousarray(rows.T)
 
-    def stage_rows(self, block: np.ndarray, prod: np.ndarray):
-        """The drift of the (n+1, nu) block into the output's columns.
-        Elementwise, so the agent rows and the exosystem row take one pass."""
+    def stage_rows(self, block: np.ndarray, out: np.ndarray, prod: np.ndarray):
+        """A call that writes the drift of the (n+1, nu) block into out's
+        columns. Elementwise, so agents and exosystem take one pass."""
         sigma, rho, beta = (np.array(float(c)) for c in (self.sigma, self.rho, self.beta))
         bx, by, bz = block.T
+        ox, oy, oz = out.T
         col = np.empty(block.shape[0])
 
-        def drift_rows(agent_rows, exo_row, ox, oy, oz):
+        def drift_rows():
             _sub(by, bx, ox)
             _mul(sigma, ox, ox)
             _sub(rho, bz, oy)
@@ -260,8 +261,9 @@ class SaturatedNet(SystemSpec):
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
         return -x + self.kappa * (self.a @ np.tanh(x))
 
-    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank):
         a, kappa = self.a, np.array(float(self.kappa))
+        y, tmp = np.empty(self.dim), np.empty(self.dim)
 
         def body(row, z, o):
             scale, offset = row
@@ -316,7 +318,7 @@ class FriedkinJohnsen(SystemSpec):
     def from_config(cls, spec: dict, graph, x0, vector) -> "FriedkinJohnsen":
         theta = spec["theta"]  # one number for every agent, or a vector section
         if isinstance(theta, dict):
-            theta = vector(theta, graph.n, "theta")
+            theta = vector(theta, graph.n, "system.theta")
         return cls(
             laplacian=netgraph.laplacian(graph),
             theta=np.full(graph.n, theta),
@@ -338,8 +340,9 @@ class FriedkinJohnsen(SystemSpec):
             return replace(self, anchor=bank.eval(0.0, self.anchor))
         return replace(self, anchor=scale * (self.anchor + offset))
 
-    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
+    def stage_body(self, bank: MaskBank):
         neg_lap, theta, anchor = self.neg_laplacian, self.theta, self.anchor
+        y, tmp = np.empty(self.dim), np.empty(self.dim)
         # theta * h(0, anchor) once, or theta * h(t, anchor) at every stage
         anchor_term = theta * bank.eval(0.0, anchor) if self.frozen_anchor else None
 
@@ -396,8 +399,8 @@ class AverageConsensus(SystemSpec):
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
         return np.dot(self.neg_laplacian, x)  # np.dot, as FriedkinJohnsen.field
 
-    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
-        neg_lap = self.neg_laplacian
+    def stage_body(self, bank: MaskBank):
+        neg_lap, y = self.neg_laplacian, np.empty(self.dim)
 
         def body(row, z, o):
             scale, offset = row
@@ -480,7 +483,7 @@ class PinnedSync(SystemSpec):
         analysis.check_coupling_matrix(r)
         if np.any(p < 0):
             raise ValueError("pinning gains must be nonnegative")
-        if self.drift.dim != self.nu:
+        if _registered(self.drift, DRIFTS, "drift").dim != self.nu:
             raise ValueError("drift dimension must match nu")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "r", r)
@@ -518,42 +521,36 @@ class PinnedSync(SystemSpec):
         pinning = self.pin_gains[:, None] * ((states - s[None, :]) @ self.r)
         return (exosystem_field(self.drift, states) - coupling - pinning).reshape(-1)
 
-    def stage_body(self, bank: MaskBank, y: np.ndarray, tmp: np.ndarray):
-        """Stage over y as the (n+1, nu) input block. It writes a slot
-        through views made on the slot's first use and kept with the slot,
-        so a caller passes the same few slots again and again."""
+    def stage_body(self, bank: MaskBank):
+        """Stage over y as the (n+1, nu) input block. Drift minus coupling
+        goes into out, pinning into pin, whose exosystem row stays zero; the
+        last call writes out - pin into the slot, and d - 0.0 is d bit for bit."""
         n, nu = self.n_agents, self.nu
+        y = np.empty(self.dim + nu)
         lap, r, block, agents = self.laplacian, self.r, y.reshape(n + 1, nu), y[: self.dim]
         # each agent's gain repeated along its row: a contiguous operand costs
         # the multiply less than the broadcast column, with the same products
         gains = np.repeat(self.pin_gains[:, None], nu, axis=1)
         states, s = block[:n], block[n]
+        out, pin = np.empty((n + 1, nu)), np.zeros((n + 1, nu))
+        agent_rows, pin_rows, out_flat, pin_flat = out[:n], pin[:n], out.ravel(), pin.ravel()
         work, prod = np.empty((n, nu)), np.empty((n, nu))
-        drift = _registered(self.drift, DRIFTS, "drift")
-        drift_rows, columns = drift.stage_rows(block, prod), drift.columns
-
-        slots = {}  # id(slot) -> (slot, its views): held, a slot keeps its id
+        drift_rows = self.drift.stage_rows(block, out, prod)
 
         def body(row, z, o):
             _copyto(y, z)
             scale, offset = row
             _add(agents, offset, agents)
             _mul(scale, agents, agents)
-            held = slots.get(id(o))
-            if held is None:
-                rows = o.reshape(n + 1, nu)
-                held = slots[id(o)] = o, (rows[:n], rows[n]) + (tuple(rows.T) if columns else ())
-            views = held[1]
-            agent_rows = views[0]
-            drift_rows(*views)
+            drift_rows()
             # (drift - coupling) - pinning, as field subtracts them
             _dot(lap, states, work)
             _dot(work, r, prod)
             _sub(agent_rows, prod, agent_rows)
             _sub(states, s, work)
             _dot(work, r, prod)
-            _mul(gains, prod, prod)
-            _sub(agent_rows, prod, agent_rows)
+            _mul(gains, prod, pin_rows)
+            _sub(out_flat, pin_flat, o)
 
         return body
 
@@ -640,11 +637,12 @@ def compile_stage(system: MaskedSystem):
     z is the joint state: the agents' states, then the exosystem's for a
     pinned system. row is the bank's (scale, offset) pair at the stage time,
     as the solver's factor table holds it by position. f writes dz/dt into
-    the slot o, an array of z's shape that the caller owns, and returns
-    nothing. The system's stage_body binds everything its field needs once,
-    with preallocated blocks and 0-d gains, and masks the input itself, so a
-    stage of an unpinned system is one Python call into bound ufuncs and
-    np.dot (the same BLAS call as np.matmul) with out passed positionally.
+    the slot o, an array of z's shape that the caller owns, returns
+    nothing and keeps no reference to o. The system's stage_body(bank) binds
+    everything its field needs once, with its own preallocated scratch and
+    0-d gains, and masks the input itself, so a stage of an unpinned system
+    is one Python call into bound ufuncs and np.dot (the same BLAS call as
+    np.matmul) with out passed positionally.
     The slot then equals field_masked with exosystem_field appended, bit for
     bit: every element is formed by the same operations in the same order.
     """
@@ -653,10 +651,7 @@ def compile_stage(system: MaskedSystem):
             f"a run takes a MaskedSystem, got {type(system).__name__}; "
             "an unmasked run is MaskedSystem(spec, MaskBank.identity(spec.dim))"
         )
-    spec = _registered(system.base, SYSTEMS, "system")
-    size = spec.dim + spec.nu if spec.drift is not None else spec.dim
-    # y: the masked agent states, then the raw exosystem state
-    return spec.stage_body(system.bank, np.empty(size), np.empty(spec.dim))
+    return _registered(system.base, SYSTEMS, "system").stage_body(system.bank)
 
 
 def estimate_lipschitz_q(

@@ -248,17 +248,31 @@ def _build_graph(config: dict, spec: dict) -> Digraph:
         raise ScenarioError(f"graph: {exc}") from exc
 
 
-def _sample_vector(config: dict, spec: dict, size: int, role: str) -> np.ndarray:
+def _sample_vector(config: dict, spec: dict, size: int, path: str) -> np.ndarray:
+    """The vector section at key path `path`: its inline values, or a draw
+    seeded as the path's last key. Bounds whose span overflows, low > high,
+    a negative std and a non-finite draw are ScenarioErrors naming the key."""
     kind = spec["kind"]
     if kind == "inline":
         vec = np.asarray(spec["values"], dtype=float)
         if vec.shape != (size,):
-            raise ScenarioError(f"{role}: expected {size} values, got {vec.shape}")
+            raise ScenarioError(f"{path}: expected {size} values, got {vec.shape}")
         return vec
-    rng = np.random.default_rng(_element_seed(config, spec, role))
+    rng = np.random.default_rng(_element_seed(config, spec, path.rsplit(".", 1)[-1]))
     if kind == "uniform":
-        return rng.uniform(spec["low"], spec["high"], size=size)
-    return rng.normal(spec.get("mean", 0.0), spec["std"], size=size)
+        low, high = spec["low"], spec["high"]
+        if not math.isfinite(high - low):
+            raise ScenarioError(f"{path}.high - {path}.low must be finite, got {high - low!r}")
+        if low > high:
+            raise ScenarioError(f"{path}.low must not exceed {path}.high, got {low!r} > {high!r}")
+        vec = rng.uniform(low, high, size=size)
+    else:
+        if spec["std"] < 0:
+            raise ScenarioError(f"{path}.std must be non-negative, got {spec['std']!r}")
+        vec = rng.normal(spec.get("mean", 0.0), spec["std"], size=size)
+    if not np.all(np.isfinite(vec)):
+        raise ScenarioError(f"{path}: a {kind} draw is not finite; narrow its parameters")
+    return vec
 
 
 def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
@@ -314,7 +328,7 @@ def build_scenario(config: dict) -> Scenario:
         system = SYSTEMS[spec["kind"]].from_config(spec, graph, x0, vector)
         lam = config.get("mask", {}).get("privacy_level")
         bank = _build_bank(config, dim, x0)
-        s0 = None if system.drift is None else vector(spec["s0"], system.nu, "s0")
+        s0 = None if system.drift is None else vector(spec["s0"], system.nu, "system.s0")
         checks = tuple(config.get("checks", ()))
         for chk in checks:
             if chk not in KNOWN_CHECKS:

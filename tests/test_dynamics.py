@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -396,6 +397,23 @@ def test_compiled_stage_writes_only_the_slot_it_is_passed():
     assert all(s.tobytes() == b.tobytes() for s, b in zip(slots[1:], before[1:]))
 
 
+@pytest.mark.parametrize("kind", STAGE_KINDS)
+def test_compiled_stage_writes_fresh_slots_and_keeps_none(kind):
+    rng = np.random.default_rng(11)
+    system, z = _stage_case(kind, "mixed", 5, 3, rng)
+    stage = compile_stage(system)
+    for k in range(4):
+        t, state = 0.1 * k, z + k
+        row = system.bank.factors(t)
+        slot = np.empty_like(z)
+        stage(row, state, slot)
+        assert slot.tobytes() == _reference_stage(system, t, state, row).tobytes()
+        # once the caller drops its slot, the stage holds no reference to it
+        held = weakref.ref(slot)
+        del slot
+        assert held() is None
+
+
 def test_compile_stage_rejects_unknown_kinds():
     class Unknown:
         dim = 2
@@ -408,6 +426,6 @@ def test_compile_stage_rejects_unknown_kinds():
     # a run takes a MaskedSystem: a bare system is refused by name
     with pytest.raises(TypeError, match="MaskedSystem"):
         compile_stage(spec)
-    object.__setattr__(spec, "drift", object())
-    with pytest.raises(TypeError, match="unknown drift"):
-        compile_stage(MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim)))
+    # an unknown drift is refused where the system is built
+    with pytest.raises(TypeError, match="unknown drift object"):
+        PinnedSync(laplacian=_cycle_lap(), r=np.eye(3), pin_gains=np.ones(3), drift=object(), nu=3)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dynpriv import netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
-from dynpriv.dynamics import DRIFTS, SYSTEMS
+from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
 from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.scenario import (
     ScenarioError,
@@ -678,6 +678,45 @@ def test_override_seed_redraws_graph_states_and_masks(name, seeds):
         assert a[key] != b[key], key
 
 
+def _seed_paths(schema, path=()):
+    """Every path to a SEED-typed key of a compiled schema, each step a key
+    and the kind that its section takes (None for a section without kinds)."""
+    if isinstance(schema, tuple):  # alternatives, such as a number or a vector section
+        for alternative in schema:
+            yield from _seed_paths(alternative, path)
+    elif isinstance(schema, ByKind):
+        for kind, keys in schema.items():
+            yield from _seed_paths(keys, path[:-1] + ((path[-1][0], kind),))
+    elif isinstance(schema, dict):
+        for key, item in schema.items():
+            if item == SEED:
+                yield path + ((key, None),)
+            else:
+                yield from _seed_paths(item, path + ((key, None),))
+
+
+SEED_PATHS = list(_seed_paths(scenario._SCHEMA))
+SEED_IDS = [".".join(f"{key}[{kind}]" if kind else key for key, kind in p) for p in SEED_PATHS]
+
+
+@pytest.mark.parametrize("path", SEED_PATHS, ids=SEED_IDS)
+def test_override_seed_removes_every_seed_key_of_the_schema(path):
+    # a config that sets this one seed; its other keys need not build
+    config = node = {}
+    for key, kind in path[:-1]:
+        node = node.setdefault(key, {} if kind is None else {"kind": kind})
+    node[path[-1][0]] = 7
+    node = override_seed(config, 1)
+    for key, _kind in path[:-1]:
+        node = node[key]
+    assert path[-1][0] not in node
+
+
+def test_seed_paths_reach_the_vector_sections_of_a_system():
+    names = {".".join(key for key, _kind in path) for path in SEED_PATHS}
+    assert {"x0.seed", "system.theta.seed", "system.s0.seed", "graph.seed"} <= names
+
+
 @pytest.mark.parametrize(
     "section,key,value,message",
     [
@@ -758,6 +797,47 @@ def test_gaussian_vector_without_std_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(_consensus_config(x0={"kind": "gaussian", "mean": 1.0})))
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "x0.std is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (
+            _consensus_config(x0={"kind": "uniform", "low": -1e308, "high": 1e308}),
+            "x0.high - x0.low must be finite, got inf",
+        ),
+        (
+            _consensus_config(x0={"kind": "uniform", "low": 2.0, "high": 1.0}),
+            "x0.low must not exceed x0.high, got 2.0 > 1.0",
+        ),
+        (
+            _consensus_config(x0={"kind": "gaussian", "std": -0.5}),
+            "x0.std must be non-negative, got -0.5",
+        ),
+        # the third of this seed's three draws overflows to inf
+        (
+            _consensus_config(x0={"kind": "gaussian", "mean": 1e308, "std": 1e308}),
+            "x0: a gaussian draw is not finite",
+        ),
+        (
+            {
+                **load_bundled("example2_fj_n10"),
+                "system": {
+                    "kind": "friedkin_johnsen",
+                    "theta": {"kind": "uniform", "low": 0.9, "high": 0.2},
+                },
+            },
+            "system.theta.low must not exceed system.theta.high, got 0.9 > 0.2",
+        ),
+    ],
+    ids=["span_overflows", "low_above_high", "negative_std", "draw_overflows", "theta_order"],
+)
+def test_cli_unusable_vector_draw_exits_2_naming_its_key(command, config, message, tmp_path, capsys):
+    path = tmp_path / "draw.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_frozen_anchor_restricted_to_fj(tmp_path, capsys):
