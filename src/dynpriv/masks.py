@@ -86,12 +86,26 @@ _KINDS = tuple(MaskKind)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 #: _TAKES[kind index, field index]: the kind requires that field.
 _TAKES = np.array([[f in _REQUIRED[kind] for f in _FIELDS] for kind in _KINDS])
-_RANGE_MESSAGES = {
-    MaskKind.LINEAR: "linear mask needs phi >= 0 and sigma > 0",
-    MaskKind.ADDITIVE: "additive mask needs gamma != 0 and delta > 0",
-    MaskKind.AFFINE: "affine mask needs c > 1, gamma != 0, delta > 0",
+#: Per kind with range rules: the message a channel out of range raises, and
+#: the test of the (phi, sigma, gamma, delta, c) value rows. The comparisons
+#: are as written, never negated: a NaN passes them as it passes the scalar
+#: comparison.
+_RANGE_RULES = {
+    MaskKind.LINEAR: (
+        "linear mask needs phi >= 0 and sigma > 0",
+        lambda phi, sigma, gamma, delta, c: (phi < 0) | (sigma <= 0),
+    ),
+    MaskKind.ADDITIVE: (
+        "additive mask needs gamma != 0 and delta > 0",
+        lambda phi, sigma, gamma, delta, c: (gamma == 0) | (delta <= 0),
+    ),
+    MaskKind.AFFINE: (
+        "affine mask needs c > 1, gamma != 0, delta > 0",
+        lambda phi, sigma, gamma, delta, c: (c <= 1) | (gamma == 0) | (delta <= 0),
+    ),
     MaskKind.VANISHING_AFFINE: (
-        "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0"
+        "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0",
+        lambda phi, sigma, gamma, delta, c: (phi <= 0) | (sigma <= 0) | (gamma == 0) | (delta <= 0),
     ),
 }
 
@@ -103,20 +117,15 @@ def _validate(kind_index: np.ndarray, given: np.ndarray, values: np.ndarray) -> 
 
     kind_index holds each channel's index into _KINDS; given and values are
     (field, channel) arrays of which parameters are set and their values.
+    Only the range rules of the kinds present are evaluated.
     """
-    phi, sigma, gamma, delta, c = values
-    # The comparisons as written, never negated: a NaN passes them as it
-    # passes the scalar comparison.
-    out_of_range = {
-        MaskKind.LINEAR: (phi < 0) | (sigma <= 0),
-        MaskKind.ADDITIVE: (gamma == 0) | (delta <= 0),
-        MaskKind.AFFINE: (c <= 1) | (gamma == 0) | (delta <= 0),
-        MaskKind.VANISHING_AFFINE: (phi <= 0) | (sigma <= 0) | (gamma == 0) | (delta <= 0),
-    }
     wrong = given != _TAKES[kind_index].T
     bad = wrong.any(axis=0)
-    for kind, flagged in out_of_range.items():
-        bad |= (kind_index == _KIND_INDEX[kind]) & flagged
+    present = np.bincount(kind_index, minlength=len(_KINDS))
+    for kind, (_, rule) in _RANGE_RULES.items():
+        k = _KIND_INDEX[kind]
+        if present[k]:
+            bad |= (kind_index == k) & rule(*values)
     if not bad.any():
         return
     ch = int(np.argmax(bad))
@@ -126,7 +135,7 @@ def _validate(kind_index: np.ndarray, given: np.ndarray, values: np.ndarray) -> 
         if given[f, ch]:
             raise ValueError(f"{kind.value} mask does not take parameter {_FIELDS[f]}")
         raise ValueError(f"{kind.value} mask requires parameter {_FIELDS[f]}")
-    raise ValueError(_RANGE_MESSAGES[kind])
+    raise ValueError(_RANGE_RULES[kind][0])
 
 
 class MaskBank:
@@ -381,7 +390,10 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     held for the whole (time, state, channel) grid: the fixed-point test
     reads its t=0 slice, and the vanishing test folds the states one at a
     time into a running (time, channel) max, which is exact. Locality
-    compares one factor row per probe time with the bank's own eval.
+    compares one factor row per probe time with the bank's own eval, in
+    O(d): the d probes differ from the base state on the diagonal only, so
+    two length-d vectors decide every row of the d x d probe grid. No array
+    of the check grows faster than the grid of times by channels.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -392,39 +404,44 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     d = bank.dim
     witnesses: dict = {}
 
-    # locality: perturbing channel k (row k of the probes) moves output
-    # channel k only, against the bank's own eval of the unperturbed state
+    # locality: probe k perturbs channel k alone (row k of base + 1.234 * I),
+    # and must move output channel k only, against the bank's own eval of
+    # the unperturbed state. Every off-diagonal probe entry equals the base,
+    # so it maps to scale * (base + offset) in every row: row k fails iff
+    # its own probe leaves output k unmoved, or that map moves a channel
+    # other than k. That decides all d rows from two length-d vectors.
     base = np.full(d, 0.37)
-    probes = base + 1.234 * np.eye(d)
     local = True
     for t in (0.0, float(times[-1])):
         scale, offset = bank.factors(t)
-        moved = scale * (probes + offset) != bank.eval(t, base)
-        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
-        if bad.size:
+        y = bank.eval(t, base)
+        unmoved = scale * (base + 1.234 + offset) == y
+        stray = scale * (base + offset) != y
+        strays_off_row = np.count_nonzero(stray) - stray
+        bad = unmoved | (strays_off_row > 0)
+        if bad.any():
             local = False
-            witnesses["local"] = {"channel": int(bad[0]), "t": t}
+            witnesses["local"] = {"channel": int(np.argmax(bad)), "t": t}
             break
 
     # neighborhood escape at t=0: a ball B(x*, r) is preserved iff its image
     # stays inside; with h monotone in x the sup over the ball is attained at
     # the endpoints, probed slightly inside so the identity map still counts
-    # as preserving.
-    escapes = True
-    for r in BALL_RADII:
-        ends = np.concatenate([states - 0.999 * r, states + 0.999 * r])
-        img = bank.eval_series(np.zeros(ends.size), np.broadcast_to(ends[:, None], (ends.size, d)))
-        inside = np.abs(img.reshape(2, states.size, d) - states[:, None]) < r
-        preserved = (inside[0] & inside[1]).T  # [channel, state]
-        if preserved.any():
-            escapes = False
-            ch, st = np.argwhere(preserved)[0]
-            witnesses["escapes_neighborhoods"] = {
-                "channel": int(ch),
-                "state": float(states[st]),
-                "radius": float(r),
-            }
-            break
+    # as preserving. One eval_series call maps the endpoints of every radius.
+    ends = np.concatenate([e for r in BALL_RADII for e in (states - 0.999 * r, states + 0.999 * r)])
+    img = bank.eval_series(np.zeros(ends.size), np.broadcast_to(ends[:, None], (ends.size, d)))
+    img = img.reshape(len(BALL_RADII), 2, states.size, d)
+    inside = np.abs(img - states[:, None]) < np.reshape(BALL_RADII, (-1, 1, 1, 1))
+    preserved = inside[:, 0] & inside[:, 1]  # [radius, state, channel]
+    escapes = not preserved.any()
+    if not escapes:
+        ri = int(np.argmax(preserved.any(axis=(1, 2))))
+        ch, st = np.argwhere(preserved[ri].T)[0]
+        witnesses["escapes_neighborhoods"] = {
+            "channel": int(ch),
+            "state": float(states[st]),
+            "radius": float(BALL_RADII[ri]),
+        }
 
     # the template's factors on the whole grid, h = scale * (x + offset)
     scale, offset = bank.factors(times)

@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -59,7 +60,12 @@ PAIR = "two numbers"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that converts to a double. Python compares an int with a
+    float exactly, so an int beyond the double range fails without being
+    converted (which would raise OverflowError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 #: Per schema type: how a message names it, and the test of a value.

@@ -561,3 +561,113 @@ def test_streamed_axiom_grid_equals_cube_reference(channels, variant, horizon, s
         rep.vanishing,
         rep.witnesses,
     ) == ref
+
+
+def _locality_by_probe_grid(bank, times):
+    """Reference: the locality axiom on the whole d x d probe grid, row k
+    perturbing channel k, against the bank's own eval of the base state."""
+    d = bank.dim
+    base = np.full(d, 0.37)
+    for t in (0.0, float(times[-1])):
+        scale, offset = bank.factors(t)
+        moved = scale * (base + 1.234 * np.eye(d) + offset) != bank.eval(t, base)
+        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
+        if bad.size:
+            return False, {"channel": int(bad[0]), "t": t}
+    return True, None
+
+
+class _PlantedLeakBank(MaskBank):
+    """Output channel `into` also reads 1e-3 * x[source], at the probe
+    times that `when` accepts."""
+
+    def __init__(self, channels, source, into, when=lambda t: True):
+        super().__init__(channels)
+        self.source, self.into, self.when = source, into, when
+
+    def eval(self, t, x):
+        y = super().eval(t, x)
+        if self.when(t):
+            y[self.into] += 1e-3 * x[self.source]
+        return y
+
+
+class _DeadChannelBank(MaskBank):
+    """Channel `dead` has gain 0, so its output never moves."""
+
+    def __init__(self, channels, dead):
+        super().__init__(channels)
+        self.dead = dead
+
+    def factors(self, times, out=None):
+        scale, offset = super().factors(times, out)
+        scale[..., self.dead] = 0.0
+        return scale, offset
+
+
+_SIX = [(MaskKind.VANISHING_AFFINE, MaskParams(phi=1.5, sigma=0.7, gamma=2.2, delta=0.9))] * 6
+
+
+@pytest.mark.parametrize(
+    "bank,witness",
+    [
+        # the leak moves channel 4 on every probe row but row 4's own
+        (_PlantedLeakBank(_SIX, source=1, into=4), {"channel": 0, "t": 0.0}),
+        (_PlantedLeakBank(_SIX, source=3, into=0, when=lambda t: t > 0), {"channel": 1, "t": 70.0}),
+        (_DeadChannelBank(_SIX, dead=2), {"channel": 2, "t": 0.0}),
+    ],
+    ids=["later-channel-leak", "final-time-leak", "unmoved-own-probe"],
+)
+def test_locality_witness_equals_probe_grid_definition(bank, witness):
+    times = np.linspace(0.0, 70.0, 121)
+    rep = check_mask_axioms(bank, times, STATE_GRID)
+    assert (rep.local, rep.witnesses.get("local")) == _locality_by_probe_grid(bank, times)
+    assert rep.local is False and rep.witnesses["local"] == witness
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    channels=st.lists(VALID_CHANNEL, min_size=1, max_size=7),
+    leaks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=3),
+    dead=st.lists(st.integers(0, 6), max_size=2),
+    horizon=st.floats(0.0, 300.0),
+)
+def test_locality_matches_probe_grid_definition(channels, leaks, dead, horizon):
+    d = len(channels)
+    leaks = [(s % d, i % d, late) for s, i, late in leaks]
+    dead = [k % d for k in dead]
+
+    class Planted(MaskBank):
+        def factors(self, times, out=None):
+            scale, offset = super().factors(times, out)
+            scale[..., dead] = 0.0
+            return scale, offset
+
+        def eval(self, t, x):
+            y = super().eval(t, x)
+            for source, into, late in leaks:
+                if t > 0 or not late:
+                    y[into] += 1e-3 * x[source]
+            return y
+
+    bank = Planted(channels)
+    times = np.linspace(0.0, horizon, 5)
+    rep = check_mask_axioms(bank, times, STATE_GRID)
+    assert (rep.local, rep.witnesses.get("local")) == _locality_by_probe_grid(bank, times)
+
+
+def test_axiom_check_memory_is_linear_in_channels():
+    # the d x d probe grid alone would hold 32 MB at d = 2000
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    bank = MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, rng.uniform(-5, 5, 2000), seed=6)
+    times, states = _axiom_grid(bank)
+    tracemalloc.start()
+    try:
+        rep = check_mask_axioms(bank, times, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.as_dict().values())
+    assert peak < 24e6, f"check_mask_axioms peaked at {peak / 1e6:.1f} MB"

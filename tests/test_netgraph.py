@@ -356,3 +356,87 @@ def test_erdos_renyi_paper_scale_matches_per_pair_walk():
     for seed, symmetric in ((3, False), (61, True)):
         args = (100, 0.12, seed, symmetric, (0.5, 1.5), True, 100)
         assert erdos_renyi(*args).edges == _erdos_renyi_walk(*args)
+
+
+def test_build_names_first_duplicate_of_an_otherwise_valid_list():
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (1, 2, 3.0), (0, 1, 2.0)]
+    with pytest.raises(GraphConstructionError, match=r"^duplicate edge \(1, 2, 3.0\)$"):
+        build_graph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "bad,msg",
+    [
+        ((0, 1, -1.0), r"^non-positive weight on edge \(0, 1, -1.0\)$"),
+        ((0, 1, float("nan")), r"^non-finite weight on edge \(0, 1, nan\)$"),
+        ((0, 1, float("inf")), r"^non-finite weight on edge \(0, 1, inf\)$"),
+    ],
+)
+def test_build_reports_the_rule_of_an_invalid_edge_that_repeats_a_valid_one(bad, msg):
+    # the invalid edge repeats the (src, dst) pair of a valid edge before it;
+    # it is reported under its own rule, not as a duplicate
+    with pytest.raises(GraphConstructionError, match=msg):
+        build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), bad])
+
+
+def test_build_paper_scale_arrays_equal_direct_scatter():
+    for seed, symmetric in ((3, False), (61, True)):
+        g = erdos_renyi(100, 0.15, seed, symmetric=symmetric, weight_range=(0.5, 1.5))
+        assert len(g.src) > 700
+        e = np.column_stack([g.src, g.dst, g.a[g.dst, g.src]]).astype(float)
+        h = build_graph(100, e)
+        src, dst = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp)
+        a = np.zeros((100, 100))
+        a[dst, src] = e[:, 2]
+        for got, want in ((h.a, a), (h.src, src), (h.dst, dst)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _sampled_edges(n, p, rng, symmetric):
+    """Each pair an edge with probability p, so sparse draws are often
+    reducible or covered."""
+    hit = rng.random((n, n)) < p
+    if symmetric:
+        hit = np.triu(hit, 1)
+        hit |= hit.T
+    np.fill_diagonal(hit, False)
+    src, dst = np.nonzero(hit)
+    weights = rng.uniform(0.5, 1.5, len(src))
+    return [(int(s), int(d), float(w)) for s, d, w in zip(src, dst, weights)]
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_float32_covering_counts_and_reachability_match_float64_and_bfs(n, symmetric):
+    from dynpriv.netgraph import _closed_neighborhoods
+
+    rng = np.random.default_rng(n + symmetric)
+    verdicts = set()
+    # from below the connectivity threshold to dense enough for coverings
+    for p in (0.5 / n, 2.0 / n, 0.05, 0.5, 0.97):
+        edges = _sampled_edges(n, p, rng, symmetric)
+        g = build_graph(n, edges)
+        m = _closed_neighborhoods(g)
+        counts = m @ np.ascontiguousarray((1 - m).T)
+        missing = m.astype(float) @ (1.0 - m.astype(float)).T
+        assert m.dtype == counts.dtype == np.float32
+        assert np.array_equal(counts, missing)
+        np.fill_diagonal(missing, 1.0)
+        rep = check_no_covering(g)
+        assert rep.covering_violations == tuple(map(tuple, np.argwhere(missing == 0).tolist()))
+        strongly = _strongly_connected_oracle(n, edges)
+        assert rep.irreducible == is_irreducible(g) == strongly
+        verdicts.add((strongly, rep.no_covering_holds))
+    # both reducible and strongly connected draws, with and without coverings
+    assert {s for s, _ in verdicts} == {c for _, c in verdicts} == {False, True}
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_reachability_over_long_diameters(n):
+    # a search of n - 1 levels: the reached set must stay 0/1, as walk
+    # counts along a cycle of 200 nodes would overflow float32
+    ring = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    assert is_irreducible(build_graph(n, ring))
+    assert not is_irreducible(build_graph(n, ring[:-1]))
+    back = [(d, s, w) for s, d, w in ring[:-1]]
+    assert is_irreducible(build_graph(n, ring[:-1] + back))

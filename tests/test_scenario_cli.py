@@ -781,6 +781,35 @@ def test_cli_non_finite_vector_number_exits_2_naming_its_key(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "section,key,message",
+    [
+        ("x0", "high", "x0.high must be a finite number, got 1000"),
+        ("graph", "weight", "graph.weight must be a number, got 1000"),
+        ("integrator", "t_final", "integrator.t_final must be finite and positive, got 1000"),
+        ("mask", "privacy_level", "mask.privacy_level must be finite and positive, got 1000"),
+    ],
+)
+def test_cli_integer_beyond_double_range_exits_2_naming_its_key(
+    command, section, key, message, tmp_path, capsys
+):
+    # json reads 10**400 as an exact int, which float() cannot convert
+    cfg = load_bundled("example3_consensus_n3")
+    cfg[section][key] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integers_at_the_double_range_edge_still_count_as_numbers():
+    top = int(np.finfo(float).max)
+    assert scenario._is_number(top) and scenario._is_number(-top)
+    assert not scenario._is_number(top + 1) and not scenario._is_number(-top - 1)
+    assert not scenario._is_number(True)
+
+
 def test_gaussian_vector_is_seeded_and_its_mean_defaults_to_zero():
     x0 = {"kind": "gaussian", "std": 0.5, "seed": 3}
     sc = build_scenario(_consensus_config(x0=x0))
