@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .masks import row_chunks
 from .netgraph import Digraph
 
 SUBSTITUTION_POLICIES = ("zero", "own_output", "visible_mean")
@@ -27,8 +28,9 @@ SETTLE_TOL = 1e-6
 class EavesdropperView:
     """Outputs visible to one observer, extracted from a trajectory.
 
-    Holds copies of the observed output channels only; the private states and
-    the mask bank are unreachable from this object by construction.
+    Holds the observed output channels only, formed a chunk of rows at a
+    time; the private states and the mask bank are unreachable from this
+    object by construction.
     """
 
     observer: int
@@ -43,12 +45,15 @@ class EavesdropperView:
         if not (0 <= observer < graph.n):
             raise ValueError(f"observer {observer} out of range")
         visible = sorted(graph.closed_in_neighborhood(observer))
-        outputs = {k: traj.y[:, k].copy() for k in visible}
+        n_rec = len(traj.times)
+        columns = np.empty((len(visible), n_rec))  # one contiguous row per channel
+        for part in row_chunks(n_rec, graph.n):
+            columns[:, part] = traj.outputs[part][:, visible].T
         return cls(
             observer=observer,
             graph=graph,
             times=traj.times.copy(),
-            outputs=outputs,
+            outputs=dict(zip(visible, columns)),
         )
 
 

@@ -66,8 +66,20 @@ def max_increase(series: np.ndarray) -> float:
 
 
 def conservation_series(traj: Trajectory):
-    """Mean of the private states and of the masked outputs over time."""
-    return traj.x.mean(axis=1), traj.y.mean(axis=1)
+    """Mean of the private states and of the masked outputs over time; the
+    outputs are formed a chunk of rows at a time."""
+    n_rec, d = traj.x.shape
+    mean_y = np.empty(n_rec)
+    for part in row_chunks(n_rec, d):
+        traj.outputs[part].mean(axis=1, out=mean_y[part])
+    return traj.x.mean(axis=1), mean_y
+
+
+def mask_gap_ends(traj: Trajectory):
+    """min over agents of the mask gap |y_i - x_i| at the first recorded
+    time, and max at the last, from those two rows' outputs alone."""
+    first, last = traj.outputs[:1][0], traj.outputs[-1:][0]
+    return float(np.abs(first - traj.x[0]).min()), float(np.abs(last - traj.x[-1]).max())
 
 
 def sync_error_series(traj: Trajectory):
@@ -230,13 +242,16 @@ def series_table(traj: Trajectory):
 
     Columns: time, mean of x and of y (conservation view), state spread,
     min/max over agents of the mask gap |y_i - x_i|, and the synchronization
-    error when the trajectory has exosystem samples. The gap is formed for a
-    chunk of rows at a time, so that no gap table is held.
+    error when the trajectory has exosystem samples. The outputs, and from
+    them the mean_y and gap columns, are formed for a chunk of rows at a
+    time, so that no output or gap table is held.
     """
     n_rec, d = traj.x.shape
-    gap_min, gap_max = np.empty(n_rec), np.empty(n_rec)
+    mean_y, gap_min, gap_max = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
     for part in row_chunks(n_rec, d):
-        gap = np.subtract(traj.y[part], traj.x[part])
+        gap = traj.outputs[part]
+        gap.mean(axis=1, out=mean_y[part])
+        np.subtract(gap, traj.x[part], out=gap)
         np.abs(gap, out=gap)
         gap.min(axis=1, out=gap_min[part])
         gap.max(axis=1, out=gap_max[part])
@@ -244,7 +259,7 @@ def series_table(traj: Trajectory):
     cols = [
         traj.times,
         traj.x.mean(axis=1),
-        traj.y.mean(axis=1),
+        mean_y,
         vmm_series(traj),
         gap_min,
         gap_max,

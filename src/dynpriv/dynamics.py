@@ -399,6 +399,10 @@ class AverageConsensus(SystemSpec):
     def field(self, x: np.ndarray, s=None) -> np.ndarray:
         return np.dot(self.neg_laplacian, x)  # np.dot, as FriedkinJohnsen.field
 
+    def attractor(self, x0: np.ndarray) -> np.ndarray:
+        """The constant vector of the initial mean, which -L x conserves."""
+        return np.full(self.dim, analysis.consensus_value(x0))
+
     def stage_body(self, bank: MaskBank):
         neg_lap, y = self.neg_laplacian, np.empty(self.dim)
 
@@ -430,8 +434,9 @@ class AverageConsensus(SystemSpec):
     def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
         """Convergence to the initial mean, which the states conserve while
         the outputs' mean moves and the spread need not shrink monotonically."""
-        report.eta = eta = analysis.consensus_value(sc.x0)
-        check = analysis.attractor_verdicts(traj, np.full(self.dim, eta), tol_conv)
+        x_star = self.attractor(sc.x0)
+        report.eta = eta = float(x_star[0])
+        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
         report.final_error = check.final_error
         mean_x, mean_y = analysis.conservation_series(traj)
         report.conservation_dev = float(np.max(np.abs(mean_x - eta)))

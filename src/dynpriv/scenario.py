@@ -405,7 +405,11 @@ def override_seed(config: dict, seed) -> dict:
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        # not JSON, an int literal past Python's digit limit, or nested too deep
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(f"{path} is not a readable JSON config: {exc}") from exc
 
 
 def bundled_names():
@@ -465,11 +469,9 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     rho_i, rho = privacy_metric(sc.bank, sc.x0)
     report.rho_per_agent = rho_i.tolist()
     report.rho = rho
-    x, y = traj.x, traj.y
-    report.mask_gap_initial_min = float(np.abs(y[0] - x[0]).min())
-    report.mask_gap_final_max = float(np.abs(y[-1] - x[-1]).max())
+    report.mask_gap_initial_min, report.mask_gap_final_max = analysis.mask_gap_ends(traj)
     # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
-    report.max_abs_state = float(np.maximum(x.max(), -x.min())) + 0.0
+    report.max_abs_state = float(np.maximum(traj.x.max(), -traj.x.min())) + 0.0
 
     verdicts = sc.system.verdicts(sc, traj, report, tol_conv)
     if sc.privacy_level is not None:

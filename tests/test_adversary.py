@@ -48,7 +48,7 @@ def test_view_carries_only_observed_outputs():
     assert not hasattr(view, "bank")
     # stored outputs are copies, not aliases into the trajectory
     view.outputs[0][0] = 1e9
-    assert traj.y[0, 0] != 1e9
+    assert traj.outputs[:1][0, 0] != 1e9
 
 
 def test_unobservable_target_rejected():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynpriv.analysis import (
     R_SYMMETRY_TOL,
@@ -13,6 +15,7 @@ from dynpriv.analysis import (
     conservation_series,
     fj_equilibrium,
     jacobi_eigenvalues,
+    mask_gap_ends,
     max_increase,
     series_table,
     stationarity_residual,
@@ -29,7 +32,7 @@ from dynpriv.dynamics import (
 )
 from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
-from dynpriv.solver import IntegratorConfig, Trajectory, integrate
+from dynpriv.solver import IntegratorConfig, Trajectory, integrate, write_csv
 
 
 def _unmasked(spec):
@@ -124,11 +127,11 @@ def test_fj_equilibrium_rejects_zero_theta():
         fj_equilibrium(lap, np.zeros(3), np.ones(3))
 
 
-def _toy_traj(x, y=None, times=None, s=None):
+def _toy_traj(x, bank=None, times=None, s=None):
     x = np.asarray(x, dtype=float)
     times = np.arange(len(x), dtype=float) if times is None else np.asarray(times, float)
-    y = x.copy() if y is None else np.asarray(y, dtype=float)
-    return Trajectory(times=times, x=x, y=y, s=s)
+    bank = MaskBank.identity(x.shape[1]) if bank is None else bank
+    return Trajectory(times=times, x=x, bank=bank, s=s)
 
 
 def test_vmm_series_constant_consensus_is_zero():
@@ -160,9 +163,7 @@ def test_series_table_gap_columns_identity_and_additive():
     for column in _gap_columns(_toy_traj(np.zeros((4, 2)))):
         assert np.all(column == 0.0)
     bank = MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))] * 2)
-    x = np.zeros((1, 2))
-    y = bank.eval_series(np.array([0.0]), x)
-    traj = _toy_traj(x, y=y, times=np.array([0.0]))
+    traj = _toy_traj(np.zeros((1, 2)), bank=bank, times=np.array([0.0]))
     for column in _gap_columns(traj):
         assert np.all(column[0] == 2.0)
 
@@ -223,8 +224,10 @@ def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of):
     # states and exosystem side by side, as integrate records them
     states = rng.standard_normal((rows, d + nu))
     x, s = states[:, :d], states[:, d:]
-    y = x + rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-8, 2, (rows, d))
-    traj = Trajectory(times=np.arange(rows, dtype=float), x=x, y=y, s=s)
+    times = np.linspace(0.0, 30.0, rows)
+    bank = _mixed_bank(d, seed=rows)
+    y = bank.eval_series(times, x)
+    traj = Trajectory(times=times, x=x, bank=bank, s=s)
     gap = np.abs(y - x)
     gap_min, gap_max = _gap_columns(traj)
     assert gap_min.tobytes() == gap.min(axis=1).tobytes()
@@ -233,6 +236,52 @@ def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of):
     max_err, full_err = sync_error_series(traj)
     assert max_err.tobytes() == np.linalg.norm(err, axis=2).max(axis=1).tobytes()
     assert full_err.tobytes() == np.linalg.norm(err.reshape(rows, -1), axis=1).tobytes()
+
+
+def _chunk_case(case, draw_int):
+    """(rows, d) of one chunk-boundary case: a row count that is no multiple
+    of the rows per chunk, a single row, or rows wider than a chunk."""
+    if case == "ragged":
+        d = draw_int(1, 60)
+        per_chunk = CHUNK // d
+        return draw_int(0, 3) * per_chunk + draw_int(1, per_chunk - 1), d
+    if case == "single":
+        return 1, draw_int(1, 300)
+    return draw_int(2, 3), CHUNK + draw_int(1, 40)  # one row per chunk
+
+
+@pytest.mark.parametrize("case", ["ragged", "single", "wide"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tmp_path_factory):
+    # every reader of y forms it a chunk of rows at a time; each must give
+    # the bytes that one whole-record eval_series table gives
+    rows, d = _chunk_case(case, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 60.0, rows))
+    states = rng.standard_normal((rows, d + 1)) * 10.0 ** rng.integers(-6, 4, (rows, d + 1))
+    x, s = states[:, :d], (states[:, d:] if data.draw(st.booleans()) else None)
+    bank = _mixed_bank(d, seed)
+    traj = Trajectory(times=times, x=x, bank=bank, s=s)
+    y = bank.eval_series(times, x)
+
+    gap = np.abs(y - x)
+    mean_x, mean_y = conservation_series(traj)
+    assert mean_x.tobytes() == x.mean(axis=1).tobytes()
+    assert mean_y.tobytes() == y.mean(axis=1).tobytes()
+    assert mask_gap_ends(traj) == (float(gap[0].min()), float(gap[-1].max()))
+    header, table = series_table(traj)
+    columns = {"mean_y": y.mean(axis=1), "gap_min": gap.min(axis=1), "gap_max": gap.max(axis=1)}
+    for name, want in columns.items():
+        assert table[:, header.index(name)].tobytes() == want.tobytes(), name
+
+    out = tmp_path_factory.mktemp("csv")
+    traj.to_csv(out / "chunked.csv")
+    got = (out / "chunked.csv").read_bytes()
+    blocks = (times[:, None], x, y) + (() if s is None else (s,))
+    write_csv(out / "whole.csv", got.split(b"\n", 1)[0].decode().split(","), blocks)
+    assert got == (out / "whole.csv").read_bytes()
 
 
 def test_conservation_series_shapes():
@@ -375,6 +424,12 @@ def test_attractor_verdicts_basic():
     assert check.converged
 
 
+def test_consensus_attractor_is_the_constant_initial_mean():
+    spec = AverageConsensus(laplacian=laplacian(cycle_graph(4)))
+    x0 = np.array([0.1, 0.2, 0.3, 1.0])
+    assert spec.attractor(x0).tobytes() == np.full(4, consensus_value(x0)).tobytes()
+
+
 def test_attraction_uniform_over_mask_clock_and_initial_state():
     # attractivity probed uniformly: translate the mask clock to several
     # start times and re-run from several seeded initial states; the
@@ -406,6 +461,5 @@ def test_attraction_uniform_over_mask_clock_and_initial_state():
         for _ in range(3):
             x0 = rng.uniform(-5, 5, 8)
             traj = integrate(MaskedSystem(base=spec, bank=bank), x0, cfg)
-            eta = consensus_value(x0)
-            check = attractor_verdicts(traj, np.full(8, eta), tol_conv=1e-3)
+            check = attractor_verdicts(traj, spec.attractor(x0), tol_conv=1e-3)
             assert check.converged, f"t0={t0}: final error {check.final_error}"

@@ -129,7 +129,8 @@ def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final)
     config["integrator"]["t_final"] = t_final
     traj, _ = scn.run_simulation(scn.build_scenario(config))
     traj.to_csv(tmp_path / "trajectory.csv")
-    blocks = [traj.times[:, None], traj.x, traj.y] + ([traj.s] if traj.s is not None else [])
+    y = traj.bank.eval_series(traj.times, traj.x)  # one whole-record table, as the reference
+    blocks = [traj.times[:, None], traj.x, y] + ([traj.s] if traj.s is not None else [])
     header = (tmp_path / "trajectory.csv").read_text().split("\n", 1)[0].split(",")
     want = _oracle(tmp_path / "want.csv", header, np.hstack(blocks))
     assert (tmp_path / "trajectory.csv").read_bytes() == want

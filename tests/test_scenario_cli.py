@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dynpriv import netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
-from dynpriv.masks import MaskBank, MaskKind
+from dynpriv.masks import CHUNK, MaskBank, MaskKind
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -401,6 +401,27 @@ def test_cli_unknown_drift_kind_exits_2(tmp_path, capsys):
     assert "unknown drift kind 'nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate", "adversary"])
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("{", "Expecting property name"),
+        ('{"name": ' + "9" * 5001 + "}", "digits"),
+        ("[" * 100_000, "recursion"),
+    ],
+    ids=["truncated", "long-int", "deep"],
+)
+def test_cli_unreadable_json_exits_2_naming_the_file(command, text, reason, tmp_path, capsys):
+    # json.load's own errors (a syntax error, an int past the digit limit,
+    # nesting past the recursion limit) are config errors, not tracebacks
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: {path} is not a readable JSON config")
+    assert reason in err
+
+
 @functools.cache
 def _bundled_systems():
     return tuple(build_scenario(load_bundled(name)).system for name in bundled_names())
@@ -477,11 +498,16 @@ def test_cli_simulate_writes_artifacts(tmp_path):
     assert (outdir / "trajectory.csv").exists()
 
 
-def test_simulate_holds_no_table_beyond_x_and_y(tmp_path):
+@pytest.mark.parametrize(
+    "name,t_final,shape",
+    [("example3_consensus", 5.0, (5001, 100)), ("example4_pinning", 2.0, (2001, 150))],
+    ids=["consensus", "pinning"],
+)
+def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     # the outputs, diagnostics and artifacts are built a chunk of rows at a
-    # time, so a 5001 x 100 run peaks within its x and y tables plus 4 MiB
-    cfg = load_bundled("example3_consensus")
-    cfg["integrator"].update(t_final=5.0, record_stride=1)
+    # time from x and the bank, so a run peaks within its x table plus 4 MiB
+    cfg = load_bundled(name)
+    cfg["integrator"].update(t_final=t_final, record_stride=1)
     sc = build_scenario(cfg)
     tracemalloc.start()
     try:
@@ -490,8 +516,30 @@ def test_simulate_holds_no_table_beyond_x_and_y(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.x.shape == traj.y.shape == (5001, 100)
-    assert peak <= traj.x.nbytes + traj.y.nbytes + 4 * 2**20
+    assert traj.x.shape == shape
+    assert peak <= traj.x.nbytes + 4 * 2**20
+
+
+def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # no reader on the simulate path asks the bank for more rows than a chunk
+    # of masks.CHUNK values holds, so no whole-record y table is allocated
+    calls = []
+    eval_series = MaskBank.eval_series
+
+    def counted(bank, times, states):
+        calls.append(len(times))
+        assert len(times) <= max(1, CHUNK // bank.dim), len(times)
+        return eval_series(bank, times, states)
+
+    monkeypatch.setattr(MaskBank, "eval_series", counted)
+    for name in ("example3_consensus", "example4_pinning"):
+        cfg = load_bundled(name)
+        cfg["integrator"]["t_final"] = 0.5
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        # 0.5 time units are too short for consensus to converge, hence exit 5
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) in (0, 5)
+    assert calls
 
 
 @pytest.mark.parametrize(
@@ -506,7 +554,7 @@ def test_simulate_holds_no_table_beyond_x_and_y(tmp_path):
 def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeypatch):
     sc = build_scenario(_consensus_config())
     x = np.array(rows)
-    traj = Trajectory(times=np.arange(len(x), dtype=float), x=x, y=x.copy())
+    traj = Trajectory(times=np.arange(len(x), dtype=float), x=x, bank=MaskBank.identity(3))
     monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: traj)
     _, report = run_simulation(sc)
     assert np.float64(report.max_abs_state).tobytes() == np.max(np.abs(x)).tobytes()

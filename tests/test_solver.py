@@ -46,7 +46,7 @@ def test_constant_trajectory():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     traj = integrate(_unmasked(spec), np.array([3.0, -1.0]), cfg)
     assert np.all(traj.x == [3.0, -1.0])
-    assert np.array_equal(traj.y, traj.x)
+    assert np.array_equal(traj.outputs[:], traj.x)
 
 
 def test_rk4_matches_exponential_decay():
@@ -117,7 +117,7 @@ def test_determinism_bit_identical():
     t1 = integrate(ms, x0, cfg)
     t2 = integrate(ms, x0, cfg)
     assert np.array_equal(t1.x, t2.x)
-    assert np.array_equal(t1.y, t2.y)
+    assert np.array_equal(t1.outputs[:], t2.outputs[:])
     assert np.array_equal(t1.times, t2.times)
 
 
@@ -136,8 +136,9 @@ def test_masked_outputs_recomputed_from_states():
     ms = MaskedSystem(base=_decay_system(), bank=bank)
     cfg = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=10)
     traj = integrate(ms, np.array([1.0]), cfg)
-    expected = bank.eval_series(traj.times, traj.x)
-    assert np.array_equal(traj.y, expected)
+    expected = np.array([bank.eval(t, x) for t, x in zip(traj.times.tolist(), traj.x)])
+    assert traj.outputs[:].tobytes() == expected.tobytes()
+    assert traj.outputs[2:4].tobytes() == expected[2:4].tobytes()
 
 
 def test_blowup_raises_with_last_sample():
@@ -278,9 +279,9 @@ def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
     ms, x0, _ = _masked_case("consensus", 4, np.random.default_rng(5))
     n_steps = 3 * TABLE_STEPS + 1
     integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
-    # no per-stage eval: one factors call per block, one for the t=0 check
-    # of the compiled stage, one for the outputs
-    assert calls == {"eval": 0, "factors": 4 + 1 + 1}
+    # no per-stage eval: one factors call per block and one for the t=0
+    # check of the compiled stage; the outputs are not tabulated at all
+    assert calls == {"eval": 0, "factors": 4 + 1}
 
 
 def _balanced_digraph(n, rng):
@@ -350,7 +351,7 @@ def test_linear_systems_rest_at_zero_from_zero(case):
     system = _unmasked(system)
     for method in ("rk4", "euler"):
         traj = integrate(system, np.zeros(n), IntegratorConfig(method=method, dt=0.1, t_final=2.0))
-        assert np.all(traj.x == 0.0) and np.all(traj.y == 0.0)
+        assert np.all(traj.x == 0.0) and np.all(traj.outputs[:] == 0.0)
 
 
 def test_x0_validation():
@@ -527,7 +528,7 @@ def test_csv_export_format(tmp_path):
     assert np.array_equal(parsed[:, 0], traj.times)
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(parsed[:, 1], traj.x[:, 0])
-    assert np.array_equal(parsed[:, 2], traj.y[:, 0])
+    assert np.array_equal(parsed[:, 2], traj.outputs[:][:, 0])
     # series.csv goes through the same writer
     header, table = series_table(traj)
     series = tmp_path / "series.csv"
