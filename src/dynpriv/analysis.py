@@ -1,6 +1,6 @@
-"""Diagnostics for masked-system runs: attractor errors, conservation,
-consensus spread, mask gaps, synchronization errors, and the pinning
-feasibility margin.
+"""Diagnostics for masked-system runs: series_table, the one reduction of
+a recorded run into the per-time series that series.csv, the report and
+every verdict read; attractors; and the pinning feasibility margin.
 
 The pinning condition q*Xi (x) R - (0.5*(Xi L + L^T Xi) + Xi P) (x) R < 0 is
 decided on the n x n factor M = q*Xi - 0.5*(Xi L + L^T Xi) - Xi P: with R
@@ -53,54 +53,11 @@ def fj_equilibrium(lap: np.ndarray, theta: np.ndarray, x0: np.ndarray) -> np.nda
     return x_star
 
 
-def vmm_series(traj: Trajectory) -> np.ndarray:
-    """Per-time spread max_i x_i(t) - min_i x_i(t)."""
-    return traj.x.max(axis=1) - traj.x.min(axis=1)
-
-
 def max_increase(series: np.ndarray) -> float:
     """Largest rise max_{t1 < t2} (v(t2) - v(t1)); 0 for non-increasing series."""
     series = np.asarray(series, dtype=float)
     running_min = np.minimum.accumulate(series)
     return float(np.max(series - running_min))
-
-
-def conservation_series(traj: Trajectory):
-    """Mean of the private states and of the masked outputs over time; the
-    outputs are formed a chunk of rows at a time."""
-    n_rec, d = traj.x.shape
-    mean_y = np.empty(n_rec)
-    for part in row_chunks(n_rec, d):
-        traj.outputs[part].mean(axis=1, out=mean_y[part])
-    return traj.x.mean(axis=1), mean_y
-
-
-def mask_gap_ends(traj: Trajectory):
-    """min over agents of the mask gap |y_i - x_i| at the first recorded
-    time, and max at the last, from those two rows' outputs alone."""
-    first, last = traj.outputs[:1][0], traj.outputs[-1:][0]
-    return float(np.abs(first - traj.x[0]).min()), float(np.abs(last - traj.x[-1]).max())
-
-
-def sync_error_series(traj: Trajectory):
-    """Distance of each agent block from the exosystem sample, whose width
-    is the agents' state dimension nu.
-
-    Returns (max over agents of the per-agent 2-norm, full stacked 2-norm),
-    both per recorded time, computed for a chunk of rows at a time so that
-    no error table is held.
-    """
-    if traj.s is None:
-        raise ValueError("trajectory has no exosystem samples")
-    n_rec, d = traj.x.shape
-    nu = traj.s.shape[1]
-    max_err, full_err = np.empty(n_rec), np.empty(n_rec)
-    for part in row_chunks(n_rec, d):
-        x = traj.x[part]
-        err = x.reshape(len(x), d // nu, nu) - traj.s[part, None, :]
-        np.linalg.norm(err, axis=2).max(axis=1, out=max_err[part])
-        full_err[part] = np.linalg.norm(err.reshape(len(x), -1), axis=1)
-    return max_err, full_err
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
@@ -185,21 +142,6 @@ def check_pinning_condition(
     return float(np.max(jacobi_eigenvalues(m)))
 
 
-@dataclass(frozen=True)
-class AttractorCheck:
-    final_error: float
-    converged: bool
-
-
-def attractor_verdicts(
-    traj: Trajectory, x_star: np.ndarray, tol_conv: float
-) -> AttractorCheck:
-    """Infinity-norm distance to the expected attractor at T."""
-    x_star = np.asarray(x_star, dtype=float)
-    final = float(np.max(np.abs(traj.x[-1] - x_star)))
-    return AttractorCheck(final_error=final, converged=final < tol_conv)
-
-
 @dataclass
 class DiagnosticsReport:
     """Self-auditing metrics for one run; verdicts restate the stored numbers."""
@@ -237,35 +179,35 @@ def stationarity_residual(spec, x_star: np.ndarray, s=None) -> float:
     return float(np.max(np.abs(spec.field(np.asarray(x_star, dtype=float), s))))
 
 
-def series_table(traj: Trajectory):
-    """Plot-ready summary series: the figure panels as (header, columns).
+def series_table(traj: Trajectory) -> dict:
+    """The one reduction of a recorded run: every series.csv column by name,
+    in column order, each a 1-D array over the recorded times.
 
-    Columns: time, mean of x and of y (conservation view), state spread,
-    min/max over agents of the mask gap |y_i - x_i|, and the synchronization
-    error when the trajectory has exosystem samples. The outputs, and from
-    them the mean_y and gap columns, are formed for a chunk of rows at a
-    time, so that no output or gap table is held.
+    The columns are t, the means of x and of y, the spread max_i x_i -
+    min_i x_i, min and max over agents of the mask gap |y_i - x_i| and, with
+    exosystem samples s, the max over agents of each agent block's 2-norm
+    distance from s and the full stacked 2-norm. One sweep fills them a
+    chunk of rows at a time, forming y from x as it goes, so that no output,
+    gap or error table is held.
     """
     n_rec, d = traj.x.shape
-    mean_y, gap_min, gap_max = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
+    names = ["mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
+    names += [] if traj.s is None else ["sync_err_max", "sync_err_norm"]
+    series = {"t": traj.times, **{name: np.empty(n_rec) for name in names}}
+    _, mean_x, mean_y, spread, gap_min, gap_max, *sync = series.values()
     for part in row_chunks(n_rec, d):
+        x = traj.x[part]
+        x.mean(axis=1, out=mean_x[part])
+        np.ptp(x, axis=1, out=spread[part])
         gap = traj.outputs[part]
         gap.mean(axis=1, out=mean_y[part])
-        np.subtract(gap, traj.x[part], out=gap)
+        np.subtract(gap, x, out=gap)
         np.abs(gap, out=gap)
         gap.min(axis=1, out=gap_min[part])
         gap.max(axis=1, out=gap_max[part])
-    header = ["t", "mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
-    cols = [
-        traj.times,
-        traj.x.mean(axis=1),
-        mean_y,
-        vmm_series(traj),
-        gap_min,
-        gap_max,
-    ]
-    if traj.s is not None:
-        max_err, full_err = sync_error_series(traj)
-        header += ["sync_err_max", "sync_err_norm"]
-        cols += [max_err, full_err]
-    return header, np.column_stack(cols)
+        if traj.s is not None:
+            nu = traj.s.shape[1]
+            err = x.reshape(len(x), d // nu, nu) - traj.s[part, None, :]
+            np.linalg.norm(err, axis=2).max(axis=1, out=sync[0][part])
+            sync[1][part] = np.linalg.norm(err.reshape(len(x), -1), axis=1)
+    return series

@@ -15,7 +15,6 @@ from pathlib import Path
 from time import perf_counter
 
 from . import adversary as adv
-from . import analysis
 from . import scenario as scn
 from .solver import BlowUpError, write_csv
 
@@ -68,10 +67,9 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(outdir: Path, sc, traj, report) -> None:
+def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
     traj.to_csv(outdir / "trajectory.csv")
-    header, table = analysis.series_table(traj)
-    write_csv(outdir / "series.csv", header, table)
+    write_csv(outdir / "series.csv", list(series), tuple(col[:, None] for col in series.values()))
     report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
     _write_json(outdir / "report.json", report.as_dict())
 
@@ -83,10 +81,10 @@ def _simulate(args, sc, name: str):
     """
     outdir = _outdir(args, name)
     try:
-        traj, report = scn.run_simulation(sc, tol_override=args.tol)
+        traj, series, report = scn.run_simulation(sc, tol_override=args.tol)
     except BlowUpError as exc:
         return None, f"numerical failure: {exc}"
-    _write_artifacts(outdir, sc, traj, report)
+    _write_artifacts(outdir, traj, series, report)
     return report, None
 
 
@@ -146,7 +144,7 @@ def cmd_adversary(args) -> int:
         raise scn.ScenarioError("scenario config has no adversary block")
     observer, target = sc.adversary["observer"], sc.adversary["target"]
     try:
-        traj, _report = scn.run_simulation(sc)
+        traj, _series, _report = scn.run_simulation(sc)
     except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,11 +13,13 @@ Each class owns all that varies by kind: its config name `kind`, config
 schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
 scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
-drive); its compiled `stage_body`; its `attractor`, its `verdicts` and the
-`checks` they decide; and the eavesdropper's `attack_row`, where one is
-modelled. A drift owns `kind`, `keys` (its constructor's arguments), its
-rowwise value `rows` and `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS
-are the only maps from a kind to its class.
+drive); its compiled `stage_body`; its `attractor`, its
+`verdicts(sc, traj, series, report, tol_conv)`, which read the final state
+and the columns of analysis.series_table, and the `checks` they decide; and
+the eavesdropper's `attack_row`, where one is modelled. A drift owns
+`kind`, `keys` (its constructor's arguments), its rowwise value `rows` and
+`stage_rows(block, out, prod)`. SYSTEMS and DRIFTS are the only maps from a
+kind to its class.
 
 field_unmasked, field_masked and exosystem_field are the readable reference;
 compile_stage binds one run's joint field once, by stage_body(bank), as the
@@ -93,6 +95,9 @@ class TanhDrift:
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
         if a.shape != b.shape or a.shape[0] != a.shape[1]:
             raise ValueError("drift matrices must be square and same shape")
+        for name, matrix in (("a", a), ("b", b)):
+            if not np.all(np.isfinite(matrix)):
+                raise ValueError(f"drift matrix {name} must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -136,7 +141,7 @@ class LorenzDrift:
     beta: float = 8.0 / 3.0
 
     kind = "lorenz"
-    keys = dict.fromkeys(("sigma", "rho", "beta"), float)
+    keys = dict.fromkeys(("sigma", "rho", "beta"), FINITE)
 
     @property
     def dim(self) -> int:
@@ -194,13 +199,12 @@ class SystemSpec:
     #: needs (None: it is decided on every run).
     checks = {"converged": None}
 
-    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
-        """Convergence to attractor(x0), in the infinity norm."""
+    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
+        """Convergence to attractor(x0), in the infinity norm at T."""
         x_star = self.attractor(sc.x0)
-        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
         report.x_star = x_star.tolist()
-        report.final_error = check.final_error
-        return {"converged": check.converged}
+        report.final_error = float(np.max(np.abs(traj.x[-1] - x_star)))
+        return {"converged": report.final_error < tol_conv}
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +218,7 @@ class SaturatedNet(SystemSpec):
     radius: InitVar[Optional[float]] = None
 
     kind = "saturated_net"
-    keys = {"kappa": float, "kappa_over_radius": float, "enforce_stable": bool}
+    keys = {"kappa": FINITE, "kappa_over_radius": FINITE, "enforce_stable": bool}
 
     def __post_init__(self, radius):
         a = np.asarray(self.a, dtype=float)
@@ -431,19 +435,17 @@ class AverageConsensus(SystemSpec):
 
     checks = dict.fromkeys(("converged", "conservation", "output_mean_hidden", "vmm_non_monotone"))
 
-    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
+    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
         """Convergence to the initial mean, which the states conserve while
         the outputs' mean moves and the spread need not shrink monotonically."""
         x_star = self.attractor(sc.x0)
         report.eta = eta = float(x_star[0])
-        check = analysis.attractor_verdicts(traj, x_star, tol_conv)
-        report.final_error = check.final_error
-        mean_x, mean_y = analysis.conservation_series(traj)
-        report.conservation_dev = float(np.max(np.abs(mean_x - eta)))
-        report.output_mean_range = float(mean_y.max() - mean_y.min())
-        report.vmm_max_increase = analysis.max_increase(analysis.vmm_series(traj))
+        report.final_error = float(np.max(np.abs(traj.x[-1] - x_star)))
+        report.conservation_dev = float(np.max(np.abs(series["mean_x"] - eta)))
+        report.output_mean_range = float(np.ptp(series["mean_y"]))
+        report.vmm_max_increase = analysis.max_increase(series["spread_x"])
         return {
-            "converged": check.converged,
+            "converged": report.final_error < tol_conv,
             "conservation": report.conservation_dev <= CONSERVATION_TOL,
             "output_mean_hidden": report.output_mean_range > OUTPUT_MEAN_FLOOR,
             "vmm_non_monotone": report.vmm_max_increase > VMM_RISE_FLOOR,
@@ -468,8 +470,8 @@ class PinnedSync(SystemSpec):
     keys = {
         "nu": Required(int),
         "pinned_count": int,
-        "pin_gains": [float],
-        "pin_gain": float,
+        "pin_gains": [FINITE],
+        "pin_gain": FINITE,
         "r": ByKind(identity={}, explicit={"rows": Required(list)}),
         "drift": Required(ByKind({kind: cls.keys for kind, cls in DRIFTS.items()})),
         "s0": Required(VECTOR),
@@ -561,11 +563,10 @@ class PinnedSync(SystemSpec):
 
     checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
 
-    def verdicts(self, sc, traj, report, tol_conv: float) -> dict:
+    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
         """Synchronization with the exosystem, and the sign of the pinning
         condition's feasibility margin when the config asks for it."""
-        max_err, _full = analysis.sync_error_series(traj)
-        report.sync_error_final = float(max_err[-1])
+        report.sync_error_final = float(series["sync_err_max"][-1])
         verdicts = {"converged": report.sync_error_final < tol_conv}
         cond = sc.sync_condition
         if cond is not None:

@@ -140,9 +140,10 @@ _SCHEMA = _compiled({
         },
         explicit={
             "privacy_level": POSITIVE,
-            "channels": Required(
-                [{"kind": Required(str), **dict.fromkeys(("phi", "sigma", "gamma", "delta", "c"))}]
-            ),
+            "channels": Required([{
+                "kind": Required(str),
+                **dict.fromkeys(("phi", "sigma", "gamma", "delta", "c"), FINITE),
+            }]),
         },
     ),
     "integrator": {"method": str, "dt": POSITIVE, "t_final": POSITIVE, "record_stride": int},
@@ -289,6 +290,8 @@ def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
     if kind == "auto":
         mask_kind, seed = MaskKind(spec["mask_kind"]), _element_seed(config, spec, "mask")
         rate_range = spec.get("rate_range", masks.DEFAULT_RATE_RANGE)
+        if not 0 < rate_range[0] <= rate_range[1] < math.inf:
+            raise ScenarioError(f"mask.rate_range must be 0 < lo <= hi < inf, got {rate_range}")
         return MaskBank.auto(mask_kind, float(spec["privacy_level"]), x0, seed, rate_range)
     channels = []
     for ch in spec["channels"]:
@@ -461,7 +464,9 @@ def run_mask_check(sc: Scenario) -> dict:
 
 
 def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
-    """Integrate the masked scenario and assemble the diagnostics report."""
+    """Integrate the masked scenario, reduce it to its series (one
+    analysis.series_table sweep) and assemble the diagnostics report from
+    them. Returns (traj, series, report)."""
     tol_conv = tol_override if tol_override is not None else sc.tol_conv
     traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
@@ -469,11 +474,13 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     rho_i, rho = privacy_metric(sc.bank, sc.x0)
     report.rho_per_agent = rho_i.tolist()
     report.rho = rho
-    report.mask_gap_initial_min, report.mask_gap_final_max = analysis.mask_gap_ends(traj)
+    series = analysis.series_table(traj)
+    report.mask_gap_initial_min = float(series["gap_min"][0])
+    report.mask_gap_final_max = float(series["gap_max"][-1])
     # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
     report.max_abs_state = float(np.maximum(traj.x.max(), -traj.x.min())) + 0.0
 
-    verdicts = sc.system.verdicts(sc, traj, report, tol_conv)
+    verdicts = sc.system.verdicts(sc, traj, series, report, tol_conv)
     if sc.privacy_level is not None:
         verdicts["privacy_floor"] = rho > sc.privacy_level
         verdicts["mask_gap_visible"] = report.mask_gap_initial_min >= sc.privacy_level
@@ -482,4 +489,4 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
 
     verdicts.update(run_graph_checks(sc))
     report.verdicts = {k: bool(verdicts[k]) for k in sc.checks}
-    return traj, report
+    return traj, series, report

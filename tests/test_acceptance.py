@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
-from dynpriv.analysis import (
-    check_pinning_condition,
-    fj_equilibrium,
-    jacobi_eigenvalues,
-    sync_error_series,
-)
+from dynpriv.analysis import check_pinning_condition, fj_equilibrium, jacobi_eigenvalues
 from dynpriv.cli import main
 from dynpriv.dynamics import (
     AverageConsensus,
@@ -137,7 +132,7 @@ def test_privacy_floor_for_chosen_parameters():
 def test_saturated_net_attractor_and_mask_gap():
     sc = build_scenario(load_bundled("example1_satnet_n20"))
     start = time.perf_counter()
-    traj, report = run_simulation(sc)
+    traj, _series, report = run_simulation(sc)
     elapsed = time.perf_counter() - start
     gap0_min, gap_t_max = report.mask_gap_initial_min, report.mask_gap_final_max
     final_err = float(np.max(np.abs(traj.x[-1])))
@@ -158,7 +153,7 @@ def test_fj_masked_unmasked_agree_and_frozen_anchor_shifts():
     sc = build_scenario(load_bundled("example2_fj_n20"))
     spec = sc.system
     x_star = fj_equilibrium(spec.laplacian, spec.theta, spec.anchor)
-    masked, _ = run_simulation(sc)
+    masked = run_simulation(sc)[0]
     unmasked = integrate(_unmasked(spec), sc.x0, sc.integrator)
     frozen = integrate(
         MaskedSystem(base=replace(spec, frozen_anchor=True), bank=sc.bank), sc.x0, sc.integrator
@@ -189,7 +184,7 @@ def test_fj_masked_unmasked_agree_and_frozen_anchor_shifts():
 def test_consensus_conservation_and_hidden_output(name, budget):
     sc = build_scenario(load_bundled(name))
     start = time.perf_counter()
-    traj, report = run_simulation(sc)
+    report = run_simulation(sc)[2]
     elapsed = time.perf_counter() - start
     ok = (
         report.final_error < 1e-3
@@ -230,8 +225,8 @@ def test_pinned_sync_gain_scan_and_error():
     assert chosen is not None, "gain scan never reached a negative margin"
     gain, margin = chosen
     assert gain == config["system"]["pin_gain"], "bundled scenario should pin the scanned gain"
-    traj, report = run_simulation(sc)
-    max_err, _ = sync_error_series(traj)
+    series = run_simulation(sc)[1]
+    max_err = series["sync_err_max"]
     ok = margin < 0 and float(max_err[-1]) < 1e-2
     _report(
         "pinned synchronization",
@@ -243,7 +238,7 @@ def test_pinned_sync_gain_scan_and_error():
 
 def test_pinned_sync_chaotic_reproduction_stays_bounded():
     sc = build_scenario(load_bundled("example4_pinning"))
-    traj, report = run_simulation(sc)
+    traj = run_simulation(sc)[0]
     bound = float(np.max(np.abs(traj.x)))
     ok = np.all(np.isfinite(traj.x)) and bound < 1e3
     _report("chaotic pinning reproduction", ok, f"completed, max |x| = {bound:.1f}")
@@ -393,7 +388,7 @@ def test_pinning_reduction_matches_kronecker_oracle():
 
 def test_eavesdropper_covered_then_restored():
     cov = build_scenario(load_bundled("adversary_covering"))
-    traj, _ = run_simulation(cov)
+    traj = run_simulation(cov)[0]
     row_field, needed = cov.system.attack_row(0)
     view = EavesdropperView.from_trajectory(cov.graph, 1, traj)
     covered = reconstruct_initial(view, 0, row_field, needed)
@@ -401,7 +396,7 @@ def test_eavesdropper_covered_then_restored():
 
     free = build_scenario(load_bundled("adversary_cycle"))
     assert np.array_equal(free.x0, cov.x0)
-    traj, _ = run_simulation(free)
+    traj = run_simulation(free)[0]
     row_field, needed = free.system.attack_row(0)
     view = EavesdropperView.from_trajectory(free.graph, 1, traj)
     restored_errs = {}

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +9,15 @@ from hypothesis import strategies as st
 
 from dynpriv.analysis import (
     R_SYMMETRY_TOL,
-    attractor_verdicts,
+    DiagnosticsReport,
     check_coupling_matrix,
     check_pinning_condition,
     consensus_value,
-    conservation_series,
     fj_equilibrium,
     jacobi_eigenvalues,
-    mask_gap_ends,
     max_increase,
     series_table,
     stationarity_residual,
-    sync_error_series,
-    vmm_series,
 )
 from dynpriv.dynamics import (
     AverageConsensus,
@@ -28,10 +25,11 @@ from dynpriv.dynamics import (
     LorenzDrift,
     MaskedSystem,
     PinnedSync,
+    SaturatedNet,
     TanhDrift,
 )
 from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
-from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
+from dynpriv.netgraph import adjacency, cycle_graph, erdos_renyi, laplacian, left_null_vector
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate, write_csv
 
 
@@ -136,14 +134,14 @@ def _toy_traj(x, bank=None, times=None, s=None):
 
 def test_vmm_series_constant_consensus_is_zero():
     traj = _toy_traj(np.tile([2.0, 2.0, 2.0], (5, 1)))
-    assert np.all(vmm_series(traj) == 0.0)
+    assert np.all(series_table(traj)["spread_x"] == 0.0)
 
 
 def test_vmm_unmasked_consensus_non_increasing():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(5)))
     cfg = IntegratorConfig(dt=1e-2, t_final=20.0, record_stride=10)
     traj = integrate(_unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
-    series = vmm_series(traj)
+    series = series_table(traj)["spread_x"]
     assert np.all(np.diff(series) <= 1e-12)
     assert max_increase(series) <= 1e-12
 
@@ -154,8 +152,8 @@ def test_max_increase_detects_bumps():
 
 
 def _gap_columns(traj):
-    header, table = series_table(traj)
-    return table[:, header.index("gap_min")], table[:, header.index("gap_max")]
+    series = series_table(traj)
+    return series["gap_min"], series["gap_max"]
 
 
 def test_series_table_gap_columns_identity_and_additive():
@@ -233,9 +231,11 @@ def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of):
     assert gap_min.tobytes() == gap.min(axis=1).tobytes()
     assert gap_max.tobytes() == gap.max(axis=1).tobytes()
     err = x.reshape(rows, n, nu) - s[:, None, :]
-    max_err, full_err = sync_error_series(traj)
-    assert max_err.tobytes() == np.linalg.norm(err, axis=2).max(axis=1).tobytes()
-    assert full_err.tobytes() == np.linalg.norm(err.reshape(rows, -1), axis=1).tobytes()
+    series = series_table(traj)
+    want = np.linalg.norm(err, axis=2).max(axis=1)
+    assert series["sync_err_max"].tobytes() == want.tobytes()
+    want = np.linalg.norm(err.reshape(rows, -1), axis=1)
+    assert series["sync_err_norm"].tobytes() == want.tobytes()
 
 
 def _chunk_case(case, draw_int):
@@ -255,7 +255,8 @@ def _chunk_case(case, draw_int):
 @given(data=st.data())
 def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tmp_path_factory):
     # every reader of y forms it a chunk of rows at a time; each must give
-    # the bytes that one whole-record eval_series table gives
+    # the bytes that one whole-record eval_series table gives, and every
+    # series_table column the bytes of its formula on the whole tables
     rows, d = _chunk_case(case, lambda lo, hi: data.draw(st.integers(lo, hi)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -267,14 +268,26 @@ def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tm
     y = bank.eval_series(times, x)
 
     gap = np.abs(y - x)
-    mean_x, mean_y = conservation_series(traj)
-    assert mean_x.tobytes() == x.mean(axis=1).tobytes()
-    assert mean_y.tobytes() == y.mean(axis=1).tobytes()
-    assert mask_gap_ends(traj) == (float(gap[0].min()), float(gap[-1].max()))
-    header, table = series_table(traj)
-    columns = {"mean_y": y.mean(axis=1), "gap_min": gap.min(axis=1), "gap_max": gap.max(axis=1)}
-    for name, want in columns.items():
-        assert table[:, header.index(name)].tobytes() == want.tobytes(), name
+    whole = {
+        "t": times,
+        "mean_x": x.mean(axis=1),
+        "mean_y": y.mean(axis=1),
+        "spread_x": x.max(axis=1) - x.min(axis=1),
+        "gap_min": gap.min(axis=1),
+        "gap_max": gap.max(axis=1),
+    }
+    synced = replace(traj, s=states[:, d:])
+    err = x[:, :, None] - synced.s[:, None, :]
+    with_sync = {
+        **whole,
+        "sync_err_max": np.linalg.norm(err, axis=2).max(axis=1),
+        "sync_err_norm": np.linalg.norm(err.reshape(rows, -1), axis=1),
+    }
+    for run, want in ((replace(traj, s=None), whole), (synced, with_sync)):
+        got = series_table(run)
+        assert list(got) == list(want)
+        for name, column in want.items():
+            assert got[name].tobytes() == column.tobytes(), name
 
     out = tmp_path_factory.mktemp("csv")
     traj.to_csv(out / "chunked.csv")
@@ -286,7 +299,8 @@ def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tm
 
 def test_conservation_series_shapes():
     traj = _toy_traj(np.array([[1.0, 3.0], [2.0, 2.0]]))
-    mean_x, mean_y = conservation_series(traj)
+    series = series_table(traj)
+    mean_x, mean_y = series["mean_x"], series["mean_y"]
     assert np.allclose(mean_x, [2.0, 2.0])
     assert np.allclose(mean_y, mean_x)
 
@@ -406,22 +420,37 @@ def test_sync_error_series_zero_when_agents_match_exosystem():
     s = np.tile([0.5, -0.5], (4, 1))
     x = np.tile([0.5, -0.5, 0.5, -0.5, 0.5, -0.5], (4, 1))
     traj = _toy_traj(x, s=s)
-    max_err, full_err = sync_error_series(traj)
-    assert np.all(max_err == 0.0)
-    assert np.all(full_err == 0.0)
+    series = series_table(traj)
+    assert np.all(series["sync_err_max"] == 0.0)
+    assert np.all(series["sync_err_norm"] == 0.0)
 
 
-def test_sync_error_series_requires_exosystem():
-    with pytest.raises(ValueError, match="exosystem"):
-        sync_error_series(_toy_traj(np.zeros((3, 4))))
+def test_series_table_has_sync_columns_only_with_exosystem():
+    base = ["t", "mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
+    assert list(series_table(_toy_traj(np.zeros((3, 4))))) == base
+    traj = _toy_traj(np.zeros((3, 4)), s=np.zeros((3, 2)))
+    assert list(series_table(traj)) == base + ["sync_err_max", "sync_err_norm"]
 
 
 def test_attractor_verdicts_basic():
-    spec = AverageConsensus(laplacian=laplacian(cycle_graph(3)))
+    # the base verdict (to attractor(x0)) and consensus's own, which reads
+    # the series too, each judge the final state in the infinity norm
     cfg = IntegratorConfig(dt=1e-2, t_final=30.0, record_stride=10)
-    traj = integrate(_unmasked(spec), np.array([1.0, 2.0, 3.0]), cfg)
-    check = attractor_verdicts(traj, np.full(3, 2.0), tol_conv=1e-3)
-    assert check.converged
+    x0 = np.array([1.0, 2.0, 3.0])
+    for spec in (
+        AverageConsensus(laplacian=laplacian(cycle_graph(3))),
+        SaturatedNet(a=adjacency(cycle_graph(3)), kappa=0.2),
+    ):
+        traj = integrate(_unmasked(spec), x0, cfg)
+        report = DiagnosticsReport(scenario="t")
+        verdicts = spec.verdicts(SimpleNamespace(x0=x0), traj, series_table(traj), report, 1e-3)
+        want = float(np.max(np.abs(traj.x[-1] - spec.attractor(x0))))
+        assert report.final_error == want < 1e-3
+        assert verdicts["converged"]
+        # a tolerance at the final error itself fails: converged is strict
+        assert not spec.verdicts(
+            SimpleNamespace(x0=x0), traj, series_table(traj), report, want
+        )["converged"]
 
 
 def test_consensus_attractor_is_the_constant_initial_mean():
@@ -461,5 +490,5 @@ def test_attraction_uniform_over_mask_clock_and_initial_state():
         for _ in range(3):
             x0 = rng.uniform(-5, 5, 8)
             traj = integrate(MaskedSystem(base=spec, bank=bank), x0, cfg)
-            check = attractor_verdicts(traj, spec.attractor(x0), tol_conv=1e-3)
-            assert check.converged, f"t0={t0}: final error {check.final_error}"
+            final_error = float(np.max(np.abs(traj.x[-1] - spec.attractor(x0))))
+            assert final_error < 1e-3, f"t0={t0}: final error {final_error}"

@@ -127,7 +127,7 @@ def test_write_csv_matches_savetxt_across_chunk_shapes(tmp_path, n_cols):
 def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final):
     config = scn.load_bundled(name)
     config["integrator"]["t_final"] = t_final
-    traj, _ = scn.run_simulation(scn.build_scenario(config))
+    traj, _series, _report = scn.run_simulation(scn.build_scenario(config))
     traj.to_csv(tmp_path / "trajectory.csv")
     y = traj.bank.eval_series(traj.times, traj.x)  # one whole-record table, as the reference
     blocks = [traj.times[:, None], traj.x, y] + ([traj.s] if traj.s is not None else [])

@@ -34,12 +34,27 @@ CASES = [
 ]
 
 
+# The series.csv of each simulate case, which bench/golden.json does not
+# cover: one series_table sweep fills its columns, and these digests pin that
+# they still hold the same values.
+SERIES_DIGESTS = {
+    "example1_satnet_n10": "244b6d19362dd781dd551439ab8fb1eb83047268fd459ce6a8905dfae797cefd",
+    "example2_fj_n10": "e146be7db09488237ae782d444e0f404a5d5f019648e47c2e27e3150b29006af",
+    "example3_consensus_n3": "5f662e4fb4a9b42bdbb7a0b8eada310be39dd875b394106a8abcf6954d99d8da",
+    "example4_pinning": "2cdd5f01baafe09bc04b948a5f1e2132095be408ddf24fd988eadbbc5299e7c1",
+    "example3_consensus": "fa83feabae6d708e1fb9b12b4b25e9130d32202bb4ee3fd3463d085da2e9ebbc",
+}
+
+
 @pytest.mark.parametrize("command,name", CASES)
 def test_artifacts_match_golden_digests(tmp_path, command, name):
     assert main([command, "--bundled", name, "--out", str(tmp_path)]) == 0
     for fname in FILES[command]:
         digest = hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
         assert digest == GOLDEN[command][name][fname], f"{command} {name}: {fname}"
+    if command == "simulate":
+        digest = hashlib.sha256((tmp_path / name / "series.csv").read_bytes()).hexdigest()
+        assert digest == SERIES_DIGESTS[name], f"{command} {name}: series.csv"
 
 
 # The eavesdropper's reports, which bench/golden.json does not cover: the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dynpriv import netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
-from dynpriv.masks import CHUNK, MaskBank, MaskKind
+from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -53,7 +53,7 @@ def test_build_scenario_and_run():
     sc = build_scenario(_consensus_config())
     assert sc.graph.n == 3
     assert sc.bank.dim == 3
-    traj, report = run_simulation(sc)
+    _traj, _series, report = run_simulation(sc)
     assert report.verdicts["converged"]
     assert report.verdicts["conservation"]
     assert report.config_hash == sc.hash
@@ -331,7 +331,10 @@ def test_cli_non_numeric_mask_parameter_exits_2(tmp_path, capsys):
     path = tmp_path / "str_mask.json"
     path.write_text(json.dumps(_consensus_config(mask={"kind": "explicit", "channels": channels})))
     assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "mask parameters must be real numbers" in capsys.readouterr().err
+    assert "mask.channels[0].gamma must be a finite number, got '2'" in capsys.readouterr().err
+    # the bank itself still refuses a parameter that is no real number
+    with pytest.raises(TypeError, match="mask parameters must be real numbers"):
+        MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma="2", delta=1.0))])
 
 
 def test_main_works_after_a_usage_error(tmp_path):
@@ -511,8 +514,8 @@ def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     sc = build_scenario(cfg)
     tracemalloc.start()
     try:
-        traj, report = run_simulation(sc)
-        _write_artifacts(tmp_path, sc, traj, report)
+        traj, series, report = run_simulation(sc)
+        _write_artifacts(tmp_path, traj, series, report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -522,7 +525,9 @@ def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
     # no reader on the simulate path asks the bank for more rows than a chunk
-    # of masks.CHUNK values holds, so no whole-record y table is allocated
+    # of masks.CHUNK values holds, so no whole-record y table is allocated;
+    # and y is formed in two passes only, one for trajectory.csv and one by
+    # the series_table sweep that series.csv, the report and every verdict read
     calls = []
     eval_series = MaskBank.eval_series
 
@@ -537,9 +542,12 @@ def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
         cfg["integrator"]["t_final"] = 0.5
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
+        calls.clear()
         # 0.5 time units are too short for consensus to converge, hence exit 5
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) in (0, 5)
-    assert calls
+        n_rec = len((tmp_path / name / "trajectory.csv").read_text().splitlines()) - 1
+        assert n_rec > 1
+        assert sum(calls) == 2 * n_rec, name
 
 
 @pytest.mark.parametrize(
@@ -556,7 +564,7 @@ def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeyp
     x = np.array(rows)
     traj = Trajectory(times=np.arange(len(x), dtype=float), x=x, bank=MaskBank.identity(3))
     monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: traj)
-    _, report = run_simulation(sc)
+    _, _, report = run_simulation(sc)
     assert np.float64(report.max_abs_state).tobytes() == np.max(np.abs(x)).tobytes()
 
 
@@ -827,6 +835,112 @@ def test_cli_non_finite_vector_number_exits_2_naming_its_key(
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _with(name, path, value):
+    """Bundled config name with the key at path (its keys in order) set to value."""
+    config = load_bundled(name)
+    *parents, last = path
+    functools.reduce(lambda node, key: node[key], parents, config)[last] = value
+    return config
+
+
+def _pinned_with_gains(gains):
+    """example4_pinning_n10 with explicit pin_gains instead of pinned_count and pin_gain."""
+    config = load_bundled("example4_pinning_n10")
+    del config["system"]["pin_gain"], config["system"]["pinned_count"]
+    config["system"]["pin_gains"] = gains
+    return config
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (
+            _with("example1_satnet_n10", ("mask", "rate_range"), [0.5, INF]),
+            "mask.rate_range must be 0 < lo <= hi < inf, got [0.5, inf]",
+        ),
+        (
+            _with("example1_satnet_n10", ("mask", "rate_range"), [NAN, 1.0]),
+            "mask.rate_range must be 0 < lo <= hi < inf, got [nan, 1.0]",
+        ),
+        (
+            _with("example1_satnet_n10", ("mask", "rate_range"), [0.0, 1.0]),
+            "mask.rate_range must be 0 < lo <= hi < inf, got [0.0, 1.0]",
+        ),
+        (
+            _with("example1_satnet_n10", ("mask", "rate_range"), [2.0, 1.0]),
+            "mask.rate_range must be 0 < lo <= hi < inf, got [2.0, 1.0]",
+        ),
+        (
+            _with("example1_satnet_n10", ("system", "kappa_over_radius"), NAN),
+            "system.kappa_over_radius must be a finite number, got nan",
+        ),
+        (
+            _with("example1_satnet_n10", ("system",), {"kind": "saturated_net", "kappa": INF}),
+            "system.kappa must be a finite number, got inf",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "pin_gain"), NAN),
+            "system.pin_gain must be a finite number, got nan",
+        ),
+        (
+            _pinned_with_gains([1.0, NAN] + [0.0] * 8),
+            "system.pin_gains[1] must be a finite number, got nan",
+        ),
+        (
+            _with("example4_pinning", ("system", "drift", "sigma"), NAN),
+            "system.drift.sigma must be a finite number, got nan",
+        ),
+        (
+            _with("example4_pinning", ("system", "drift", "beta"), -INF),
+            "system.drift.beta must be a finite number, got -inf",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "drift", "a", 1, 1), NAN),
+            "drift matrix a must be finite",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "drift", "b", 0, 2), INF),
+            "drift matrix b must be finite",
+        ),
+        (
+            _consensus_config(mask={
+                "kind": "explicit",
+                "channels": [{"kind": "additive", "gamma": 1.0, "delta": NAN}] * 3,
+            }),
+            "mask.channels[0].delta must be a finite number, got nan",
+        ),
+        (
+            _consensus_config(mask={
+                "kind": "explicit",
+                "channels": [{"kind": "additive", "gamma": 1.0, "delta": True}] * 3,
+            }),
+            "mask.channels[0].delta must be a finite number, got True",
+        ),
+    ],
+    ids=[
+        "rate_range_inf", "rate_range_nan", "rate_range_zero", "rate_range_order",
+        "kappa_over_radius_nan", "kappa_inf", "pin_gain_nan", "pin_gains_nan",
+        "lorenz_sigma_nan", "lorenz_beta_inf", "tanh_a_nan", "tanh_b_inf",
+        "channel_delta_nan", "channel_delta_bool",
+    ],
+)
+def test_cli_unusable_system_or_mask_number_exits_2_naming_its_key(
+    command, config, message, tmp_path, capsys
+):
+    # json reads NaN, Infinity and true; such a gain, rate or mask parameter
+    # would otherwise blow the run up (exit 4), fail the mask axioms under
+    # check --strict (exit 3) or run as 1.0, none of which names the key
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--strict", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("trajectory.csv"))
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])

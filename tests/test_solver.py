@@ -530,7 +530,8 @@ def test_csv_export_format(tmp_path):
     assert np.array_equal(parsed[:, 1], traj.x[:, 0])
     assert np.array_equal(parsed[:, 2], traj.outputs[:][:, 0])
     # series.csv goes through the same writer
-    header, table = series_table(traj)
+    columns = series_table(traj)
+    header, table = list(columns), np.column_stack(list(columns.values()))
     series = tmp_path / "series.csv"
     write_csv(series, header, table)
     lines = series.read_text().splitlines()
