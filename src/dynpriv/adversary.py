@@ -24,6 +24,10 @@ SUBSTITUTION_POLICIES = ("zero", "own_output", "visible_mean")
 SETTLE_TOL = 1e-6
 
 
+class NotSettledError(ValueError):
+    """The observed outputs still move at T, so the quadrature judges nothing."""
+
+
 @dataclass(frozen=True, eq=False)
 class EavesdropperView:
     """Outputs visible to one observer, extracted from a trajectory.
@@ -34,7 +38,6 @@ class EavesdropperView:
     """
 
     observer: int
-    graph: Digraph
     times: np.ndarray
     outputs: dict
 
@@ -51,7 +54,6 @@ class EavesdropperView:
             columns[:, part] = traj.outputs[part][:, visible].T
         return cls(
             observer=observer,
-            graph=graph,
             times=traj.times.copy(),
             outputs=dict(zip(visible, columns)),
         )
@@ -59,9 +61,6 @@ class EavesdropperView:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    observer: int
-    target: int
-    policy: str
     x_hat: float
     missing_channels: tuple
 
@@ -95,7 +94,7 @@ def reconstruct_initial(
         abs(series[-1] - series[-2]) for series in view.outputs.values()
     )
     if tail_step >= settle_tol:
-        raise ValueError(
+        raise NotSettledError(
             f"outputs not settled: terminal increment {tail_step:.3e} >= {settle_tol:g}"
         )
     visible_stack = np.vstack([view.outputs[k] for k in sorted(view.outputs)])
@@ -115,11 +114,5 @@ def reconstruct_initial(
                 channels[k] = visible_mean
     integrand = row_field(channels)
     x_hat = float(view.outputs[target][-1] - _trapezoid(view.times, integrand))
-    return ReconstructionResult(
-        observer=view.observer,
-        target=target,
-        policy=policy,
-        x_hat=x_hat,
-        missing_channels=tuple(missing),
-    )
+    return ReconstructionResult(x_hat=x_hat, missing_channels=tuple(missing))
 

@@ -16,6 +16,7 @@ from time import perf_counter
 
 from . import adversary as adv
 from . import scenario as scn
+from .dynamics import MaskedSystem
 from .solver import BlowUpError, write_csv
 
 EXIT_OK = 0
@@ -42,21 +43,32 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _load(args) -> dict:
+class _AssumptionFailed(Exception):
+    """A structural check failed under --strict; its message is the report."""
+
+
+def _load(args, bundled=None) -> dict:
+    """The config of --config, --bundled or the given bundled name, with
+    --seed and --tol written into it, so that its hash names every override.
+    A config or section that is not an object is left for the schema walk."""
     if args.config:
         config = scn.load_config(args.config)
-    elif getattr(args, "bundled", None):
-        config = scn.load_bundled(args.bundled)
+    elif bundled or args.bundled:
+        config = scn.load_bundled(bundled or args.bundled)
     else:
         raise scn.ScenarioError("provide --config PATH or --bundled NAME")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = scn.override_seed(config, args.seed)
+    if args.tol is not None and isinstance(config, dict):
+        tolerances = config.get("tolerances", {})
+        if isinstance(tolerances, dict):
+            config = {**config, "tolerances": {**tolerances, "tol_conv": args.tol}}
     return config
 
 
-def _outdir(args, name: str) -> Path:
-    base = Path(args.out) if args.out else Path("out")
-    path = base / name
+def _outdir(args, name: str = "") -> Path:
+    """The --out directory (default ./out), or its subdirectory name, made if missing."""
+    path = (Path(args.out) if args.out else Path("out")) / name
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -75,22 +87,15 @@ def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
 
 
 def _simulate(args, sc, name: str):
-    """Run sc and write its artifacts under name.
-
-    Returns (report, None), or (None, message) on a numerical blow-up.
-    """
+    """Run sc and write its artifacts under name; returns its report."""
     outdir = _outdir(args, name)
-    try:
-        traj, series, report = scn.run_simulation(sc, tol_override=args.tol)
-    except BlowUpError as exc:
-        return None, f"numerical failure: {exc}"
+    traj, series, report = scn.run_simulation(sc)
     _write_artifacts(outdir, traj, series, report)
-    return report, None
+    return report
 
 
 def cmd_check(args) -> int:
-    config = _load(args)
-    sc = scn.build_scenario(config)
+    sc = scn.build_scenario(_load(args))
     graph_results = scn.run_graph_checks(sc)
     mask_results = scn.run_mask_check(sc)
     violations = scn.covering_violations(sc)
@@ -112,54 +117,41 @@ def cmd_check(args) -> int:
     if violations:
         print(f"covering pairs (target, observer-covered-by): {sorted(violations)}")
     if failed and args.strict:
-        print(f"strict mode: failing checks {failed}", file=sys.stderr)
-        return EXIT_ASSUMPTION
+        raise _AssumptionFailed(f"strict mode: failing checks {failed}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _load(args)
-    sc = scn.build_scenario(config)
+    sc = scn.build_scenario(_load(args))
     if args.strict:
-        graph_results = scn.run_graph_checks(sc)
-        if not all(graph_results.values()):
-            bad = [k for k, ok in graph_results.items() if not ok]
-            print(f"strict mode: failing checks {bad}", file=sys.stderr)
+        bad = [k for k, ok in scn.run_graph_checks(sc).items() if not ok]
+        if bad:
+            message = f"strict mode: failing checks {bad}"
             if "no_covering" in bad:
-                print(f"covering pairs: {sorted(scn.covering_violations(sc))}", file=sys.stderr)
-            return EXIT_ASSUMPTION
-    report, failure = _simulate(args, sc, sc.name)
-    if failure:
-        print(failure, file=sys.stderr)
-        return EXIT_NUMERIC
+                message += f"\ncovering pairs: {sorted(scn.covering_violations(sc))}"
+            raise _AssumptionFailed(message)
+    report = _simulate(args, sc, sc.name)
     for name, ok in sorted(report.verdicts.items()):
         print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if report.all_pass else EXIT_VERDICT
 
 
 def cmd_adversary(args) -> int:
-    config = _load(args)
-    sc = scn.build_scenario(config)
+    sc = scn.build_scenario(_load(args))
     if sc.adversary is None:
         raise scn.ScenarioError("scenario config has no adversary block")
     observer, target = sc.adversary["observer"], sc.adversary["target"]
-    try:
-        traj, _series, _report = scn.run_simulation(sc)
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # the eavesdropper reads outputs only: no diagnostics, series or verdicts
+    traj = scn.integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     row_field, needed = sc.system.attack_row(target)
     view = adv.EavesdropperView.from_trajectory(sc.graph, observer, traj)
     true_x0 = float(sc.x0[target])
     attempts = []
     for policy in sc.adversary["policies"]:
-        try:
-            result = adv.reconstruct_initial(
-                view, target, row_field, needed, policy, sc.adversary["settle_tol"]
-            )
-        except ValueError as exc:  # outputs not settled: the horizon is too short to judge
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        result = adv.reconstruct_initial(
+            view, target, row_field, needed, policy, sc.adversary["settle_tol"]
+        )
+        err = abs(result.x_hat - true_x0)
         attempts.append(
             {
                 "observer": observer,
@@ -167,14 +159,11 @@ def cmd_adversary(args) -> int:
                 "policy": policy,
                 "x_hat": result.x_hat,
                 "true_x0": true_x0,
-                "abs_error": abs(result.x_hat - true_x0),
+                "abs_error": err,
                 "missing_channels": list(result.missing_channels),
             }
         )
-        print(
-            f"attack policy={policy}: x_hat={result.x_hat:.6g} "
-            f"true={true_x0:.6g} err={abs(result.x_hat - true_x0):.3e}"
-        )
+        print(f"attack policy={policy}: x_hat={result.x_hat:.6g} true={true_x0:.6g} err={err:.3e}")
     payload = {
         "scenario": sc.name,
         "config_hash": sc.hash,
@@ -191,18 +180,19 @@ def cmd_suite(args) -> int:
     worst = EXIT_OK
     for name in names:
         start = perf_counter()
-        sc = scn.build_scenario(scn.load_bundled(name))
+        sc = scn.build_scenario(_load(args, name))
         graph_results = scn.run_graph_checks(sc)
         if not all(graph_results.values()):
             status, verdicts, code = "assumption-failed", graph_results, EXIT_VERDICT
         else:
-            report, failure = _simulate(args, sc, name)
-            if failure:
-                status, verdicts, code = failure, {}, EXIT_NUMERIC
-            elif report.all_pass:
-                status, verdicts, code = "pass", report.verdicts, EXIT_OK
+            try:
+                report = _simulate(args, sc, name)
+            except BlowUpError as exc:  # this row fails, and the suite goes on
+                status, verdicts, code = f"numerical failure: {exc}", {}, EXIT_NUMERIC
             else:
-                status, verdicts, code = "verdict-failed", report.verdicts, EXIT_VERDICT
+                ok = report.all_pass
+                status, code = ("pass", EXIT_OK) if ok else ("verdict-failed", EXIT_VERDICT)
+                verdicts = report.verdicts
         rows.append(
             {
                 "scenario": name,
@@ -219,9 +209,7 @@ def cmd_suite(args) -> int:
     for row in rows:
         marks = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in sorted(row["verdicts"].items()))
         print(f"{row['scenario']:<{width}}{row['status']:<17}{marks}")
-    base = Path(args.out) if args.out else Path("out")
-    base.mkdir(parents=True, exist_ok=True)
-    _write_json(base / "suite_summary.json", {"results": rows})
+    _write_json(_outdir(args) / "suite_summary.json", {"results": rows})
     return worst
 
 
@@ -234,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynpriv",
         description="Simulate and verify output-masked multiagent dynamics.",
     )
+    # what _load reads, for a command that does not take the flag
+    parser.set_defaults(config=None, bundled=None, seed=None, tol=None)
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand declares only the flags its command reads
     for name, fn, strict, tol in (
@@ -266,9 +256,12 @@ def main(argv=None) -> int:
     except scn.ScenarioError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except _AssumptionFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ASSUMPTION
+    except (BlowUpError, adv.NotSettledError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
 scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
 drive); its compiled `stage_body`; its `attractor`, its
-`verdicts(sc, traj, series, report, tol_conv)`, which read the final state
-and the columns of analysis.series_table, and the `checks` they decide; and
-the eavesdropper's `attack_row`, where one is modelled. A drift owns
-`kind`, `keys` (its constructor's arguments), its rowwise value `rows` and
+`verdicts(sc, traj, series, report)`, which read the final state, the
+columns of analysis.series_table and the scenario's one tolerance
+sc.tol_conv, and the `checks` they decide; and the eavesdropper's
+`attack_row`, where one is modelled. A drift owns `kind`, `keys` (its
+constructor's arguments), its rowwise value `rows` and
 `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS are the only maps from a
 kind to its class.
 
@@ -199,12 +200,12 @@ class SystemSpec:
     #: needs (None: it is decided on every run).
     checks = {"converged": None}
 
-    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
+    def verdicts(self, sc, traj, series, report) -> dict:
         """Convergence to attractor(x0), in the infinity norm at T."""
         x_star = self.attractor(sc.x0)
         report.x_star = x_star.tolist()
         report.final_error = float(np.max(np.abs(traj.x[-1] - x_star)))
-        return {"converged": report.final_error < tol_conv}
+        return {"converged": report.final_error < sc.tol_conv}
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +436,7 @@ class AverageConsensus(SystemSpec):
 
     checks = dict.fromkeys(("converged", "conservation", "output_mean_hidden", "vmm_non_monotone"))
 
-    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
+    def verdicts(self, sc, traj, series, report) -> dict:
         """Convergence to the initial mean, which the states conserve while
         the outputs' mean moves and the spread need not shrink monotonically."""
         x_star = self.attractor(sc.x0)
@@ -445,7 +446,7 @@ class AverageConsensus(SystemSpec):
         report.output_mean_range = float(np.ptp(series["mean_y"]))
         report.vmm_max_increase = analysis.max_increase(series["spread_x"])
         return {
-            "converged": report.final_error < tol_conv,
+            "converged": report.final_error < sc.tol_conv,
             "conservation": report.conservation_dev <= CONSERVATION_TOL,
             "output_mean_hidden": report.output_mean_range > OUTPUT_MEAN_FLOOR,
             "vmm_non_monotone": report.vmm_max_increase > VMM_RISE_FLOOR,
@@ -563,11 +564,11 @@ class PinnedSync(SystemSpec):
 
     checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
 
-    def verdicts(self, sc, traj, series, report, tol_conv: float) -> dict:
+    def verdicts(self, sc, traj, series, report) -> dict:
         """Synchronization with the exosystem, and the sign of the pinning
         condition's feasibility margin when the config asks for it."""
         report.sync_error_final = float(series["sync_err_max"][-1])
-        verdicts = {"converged": report.sync_error_final < tol_conv}
+        verdicts = {"converged": report.sync_error_final < sc.tol_conv}
         cond = sc.sync_condition
         if cond is not None:
             box = tuple(np.full(self.nu, float(bound)) for bound in cond["box"])

@@ -226,7 +226,6 @@ class Scenario:
     """Fully built, immutable run description."""
 
     name: str
-    config: dict
     hash: str
     graph: Digraph
     system: object
@@ -362,7 +361,6 @@ def build_scenario(config: dict) -> Scenario:
             raise ScenarioError(f"integrator: {exc}") from exc
         sc = Scenario(
             name=name,
-            config=config,
             hash=config_hash(config),
             graph=graph,
             system=system,
@@ -392,27 +390,34 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
 
-def override_seed(config: dict, seed) -> dict:
-    """Force every randomized element to re-derive from a new top-level seed."""
-    config = json.loads(json.dumps(config))
-    config["seed"] = seed
-    for key in ("graph", "x0", "mask", "sync_condition"):
-        if isinstance(config.get(key), dict):
-            config[key].pop("seed", None)
-    system = config.get("system", {})
-    for key in ("theta", "s0"):
-        if isinstance(system.get(key), dict):
-            system[key].pop("seed", None)
-    return config
+def _unseeded(node):
+    """A copy of a JSON value without a "seed" key in any object it holds."""
+    if isinstance(node, dict):
+        return {key: _unseeded(item) for key, item in node.items() if key != "seed"}
+    if isinstance(node, list):
+        return list(map(_unseeded, node))
+    return node
+
+
+def override_seed(config, seed):
+    """A copy of config whose top-level seed is seed and which holds no
+    nested "seed" key, so that every randomized element re-derives its own
+    from the new one. A config that is not an object is returned as it is,
+    for the schema walk to reject."""
+    if not isinstance(config, dict):
+        return config
+    return {**_unseeded(config), "seed": seed}
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        # not JSON, an int literal past Python's digit limit, or nested too deep
-        except (ValueError, RecursionError) as exc:
-            raise ScenarioError(f"{path} is not a readable JSON config: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ScenarioError(str(exc)) from exc
+    # not JSON, an int literal past Python's digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{path} is not a readable JSON config: {exc}") from exc
 
 
 def bundled_names():
@@ -421,9 +426,7 @@ def bundled_names():
 
 
 def load_bundled(name: str) -> dict:
-    pkg = resources.files("dynpriv") / "scenarios" / f"{name}.json"
-    with pkg.open() as fh:
-        return json.load(fh)
+    return load_config(resources.files("dynpriv") / "scenarios" / f"{name}.json")
 
 
 def run_graph_checks(sc: Scenario) -> dict:
@@ -463,11 +466,10 @@ def run_mask_check(sc: Scenario) -> dict:
     return {"axioms": report.as_dict(), "expected_vanishing": expect_vanishing, "ok": ok}
 
 
-def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
+def run_simulation(sc: Scenario):
     """Integrate the masked scenario, reduce it to its series (one
     analysis.series_table sweep) and assemble the diagnostics report from
     them. Returns (traj, series, report)."""
-    tol_conv = tol_override if tol_override is not None else sc.tol_conv
     traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
     report.privacy_level = sc.privacy_level
@@ -480,7 +482,7 @@ def run_simulation(sc: Scenario, tol_override: Optional[float] = None):
     # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
     report.max_abs_state = float(np.maximum(traj.x.max(), -traj.x.min())) + 0.0
 
-    verdicts = sc.system.verdicts(sc, traj, series, report, tol_conv)
+    verdicts = sc.system.verdicts(sc, traj, series, report)
     if sc.privacy_level is not None:
         verdicts["privacy_floor"] = rho > sc.privacy_level
         verdicts["mask_gap_visible"] = report.mask_gap_initial_min >= sc.privacy_level

@@ -443,14 +443,14 @@ def test_attractor_verdicts_basic():
     ):
         traj = integrate(_unmasked(spec), x0, cfg)
         report = DiagnosticsReport(scenario="t")
-        verdicts = spec.verdicts(SimpleNamespace(x0=x0), traj, series_table(traj), report, 1e-3)
+        sc = SimpleNamespace(x0=x0, tol_conv=1e-3)
+        verdicts = spec.verdicts(sc, traj, series_table(traj), report)
         want = float(np.max(np.abs(traj.x[-1] - spec.attractor(x0))))
         assert report.final_error == want < 1e-3
         assert verdicts["converged"]
         # a tolerance at the final error itself fails: converged is strict
-        assert not spec.verdicts(
-            SimpleNamespace(x0=x0), traj, series_table(traj), report, want
-        )["converged"]
+        sc = SimpleNamespace(x0=x0, tol_conv=want)
+        assert not spec.verdicts(sc, traj, series_table(traj), report)["converged"]
 
 
 def test_consensus_attractor_is_the_constant_initial_mean():

@@ -600,6 +600,99 @@ def test_cli_verdict_failure_exits_5(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 5
 
 
+def test_cli_simulate_strict_covering_exits_3_naming_the_pairs(tmp_path, capsys):
+    cfg = _consensus_config(graph={"kind": "complete", "n": 3}, checks=["no_covering"])
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--strict", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "strict mode: failing checks ['no_covering']" in err
+    assert "covering pairs: [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]" in err
+
+
+def _blow_up_config():
+    # an unstable drift of rate 50 leaves the float range well before t_final
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["system"]["drift"]["a"] = (50.0 * np.eye(3)).tolist()
+    cfg["integrator"]["t_final"] = 2.0
+    return cfg
+
+
+def test_cli_simulate_blow_up_exits_4_and_writes_no_report(tmp_path, capsys):
+    path = tmp_path / "blow.json"
+    path.write_text(json.dumps(_blow_up_config()))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "numerical failure: numerical blow-up at t=0.199" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "example4_pinning_n10" / "report.json").exists()
+
+
+def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
+    name = "example4_pinning_n10"
+    bundled = scenario.load_bundled
+    monkeypatch.setattr(
+        scenario, "load_bundled", lambda n: _blow_up_config() if n == name else bundled(n)
+    )
+    assert main(["suite", "--names", "example3_consensus_n3", name, "--out", str(tmp_path)]) == 4
+    rows = json.loads((tmp_path / "suite_summary.json").read_text())["results"]
+    assert [r["status"] for r in rows] == ["pass", "numerical failure: numerical blow-up at t=0.199"]
+    assert rows[1]["verdicts"] == {}
+
+
+def test_cli_tol_enters_the_config_hash(tmp_path):
+    name = "example3_consensus_n3"
+    hashes = []
+    # a final error of ~6e-14 fails converged at 1e-30 and passes it at 0.5
+    for tol, code in ((1e-30, 5), (0.5, 0)):
+        out = tmp_path / str(tol)
+        assert main(["simulate", "--bundled", name, "--tol", str(tol), "--out", str(out)]) == code
+        report = json.loads((out / name / "report.json").read_text())
+        cfg = load_bundled(name)
+        cfg.setdefault("tolerances", {})["tol_conv"] = tol
+        assert report["config_hash"] == config_hash(cfg)
+        hashes.append(report["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "adversary"])
+@pytest.mark.parametrize(
+    "config,message",
+    [([], "config must be an object, got []"), ({"seed": 1, "system": [1]}, "system must be")],
+    ids=["list", "list-section"],
+)
+def test_cli_seed_on_a_non_object_config_exits_2(command, config, message, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_config_directory_or_unknown_bundled_name_exits_2(tmp_path, capsys):
+    assert main(["check", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert f"invalid config: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    assert main(["check", "--bundled", "no_such_scenario", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and "no_such_scenario.json" in err
+
+
+def test_cli_adversary_forms_outputs_over_the_record_once(tmp_path, monkeypatch):
+    # the eavesdropper's view reads y a chunk of rows at a time, and nothing
+    # else on the adversary path forms it
+    calls = []
+    eval_series = MaskBank.eval_series
+
+    def counted(bank, times, states):
+        calls.append(len(times))
+        return eval_series(bank, times, states)
+
+    monkeypatch.setattr(MaskBank, "eval_series", counted)
+    name = "adversary_covering"
+    assert main(["adversary", "--bundled", name, "--out", str(tmp_path)]) == 0
+    grid = build_scenario(load_bundled(name)).integrator
+    n_rec = 1 + -(-grid.n_steps // grid.record_stride)
+    assert sum(calls) == n_rec
+
+
 def test_cli_adversary_writes_attack_report(tmp_path):
     code = main(["adversary", "--bundled", "adversary_covering", "--out", str(tmp_path)])
     assert code == 0
@@ -732,6 +825,85 @@ def test_override_seed_redraws_graph_states_and_masks(name, seeds):
     assume(isinstance(a, dict) and isinstance(b, dict))
     for key in ("edges", "x0", "bank"):
         assert a[key] != b[key], key
+
+
+# config_hash(override_seed(cfg, seed)) of every bundled config for seeds
+# 0, 1 and 2, recorded when override_seed still named the six seeded
+# sections: deriving it from the config itself must drop the same keys.
+RESEEDED_HASHES = {
+    "adversary_covering": (
+        "bda6c10124f7f73160d9ab5e02ab04f206392b499bb1063a4a13e55d31542223",
+        "463359d6c9a71571749c9bb43cb857badd7ce8a01d7a131e52da133764b2c5c9",
+        "e6220c8bade2d116b7f73908bf7b31dcf70a6f562605396f9386fddd61c3299b",
+    ),
+    "adversary_cycle": (
+        "447663ffbc06abda340458222f18ede40199a58439180c9e8bfeb4bd4906fe8b",
+        "f27dceb0306421d77a262ef4ddba5148761a04601df0a787a9bed4ce50992cde",
+        "ddfd109b7811163118730d2a0ad95b85173009adc7e5e72b841c67d38814cc85",
+    ),
+    "example1_satnet": (
+        "c28617e9dec61b9ccf91b3912e26f6ced9b3391155a33f73deb290702325903c",
+        "c4ea066f9baa84bee0a5bf1597792b326818093c94ed767e238688cc97b14bc1",
+        "840608f23c77ad26db65cbdb2538fb9963729bbef5bafa2708c16e066e8b37a4",
+    ),
+    "example1_satnet_n10": (
+        "1e26997ddac86fe1af560fc59fce984c16ab643c82223392b8751a568530e582",
+        "2a45c5498dc60fc5476bfc0612843508fece5494a6b039d434077dbb60adfc35",
+        "f706488ddd2f86eb2ceae3478c6a2b8527c265dcd436192014e97d22c1e5b606",
+    ),
+    "example1_satnet_n20": (
+        "9ee425cb3de33872a790dc7b65e524e7ddf0d7112d7704f620dc4be980175706",
+        "939103485ea3a1aaea289f374c68b652a599d5831c11c18dbfdcab5531cbe95f",
+        "a14a9162a5ec9c1d0e20932a2d9ea7a35f170126b8eaa232f513aa87dd1f6cc9",
+    ),
+    "example2_fj": (
+        "d90dc9df4dc3e3dcca9f5ba4e02b9116a90beb37ab41cf6d7c6a4e1d7d6a5191",
+        "e48b8060a7e9d863e3eca8fbe9bdaf218081294e94f4c1376408fdd59a2e123d",
+        "0c7cf20c197ed6ab4d6c688eeb3fd898ee62add11d454e969650d35ff020b83b",
+    ),
+    "example2_fj_n10": (
+        "195213c47bd9d95cea6565aac4f869aef287660fec71e495862c78b9faf84c48",
+        "68e56f59138547259f4046f65ab86360723415232c23d26d2dd366c7023d1fc8",
+        "863959aab94d59bb7bd6ee0dbcf931f82792584f0357b89818672b46857c4a5e",
+    ),
+    "example2_fj_n20": (
+        "f8ae1b4c24e27c090e45f048c09ef1ffa1ca29e8437b66647c1dfa9b6eb3b2af",
+        "0249d1ed38829f84bcbb4d2fe46e47e9470c0ba4cb44614e57321ddbbff91d41",
+        "dffdb794f8f061bf7e65f928e8f2287be094b168310d815f5edc30e9f69f9bed",
+    ),
+    "example3_consensus": (
+        "fc81b6a50eeb5485aa0b4ed7488a6b5edb87babf49edc02af6b2b4a67304250c",
+        "7a9df3cf1540e0077f49ba057e61787d1c1dfb1df5b7398b9a20827ff778d90c",
+        "8934cbc27537f22267438f6deb3fe65ec390ad65d3efbde45a786e6a42addf85",
+    ),
+    "example3_consensus_n20": (
+        "0489bd617be5a82e5069295abdc3076c26aa9db2a73fdb016f6e044a810437e2",
+        "9bd27679b370690658db8700bedfd7e866977f94a0969577edccebe8c16d5cf4",
+        "76326f5db7f6cd36fd02664cbbf5b44f4985fc9f4d97a4e8a2a870f3490c2971",
+    ),
+    "example3_consensus_n3": (
+        "2915ff62de7aecf868044af233008eee58517ee0ba18f882333f2f28bdfc281c",
+        "9ae9e11a9e873086031f3ff1b149e05022641166cdbeb43afb8d996030df3846",
+        "0c26fb17eb3ddfbd922de1e3a8bf377c458c4ccad4ff3af389a4780a34709fc7",
+    ),
+    "example4_pinning": (
+        "3bae73a6c391220faf5e5f1a64240ab40bc6fcdfb494e6562984113deafd3d6c",
+        "984d3b257d5ecb59f76285b3bb62a40bdcae4e909ac8378a926ceb20962311db",
+        "cc6c35d8e12df76ed0bac23da101d2ef1aa90c58fbfce5867c0c925d715ddb38",
+    ),
+    "example4_pinning_n10": (
+        "ee1564be52242b7793f73839ae6839ea55ebf8ce6d86628df2b6ab060a2fbe70",
+        "ed55d6622d231ad484f2a5ce1e56ceca532e547bbf6cb73420f47d860907f32e",
+        "75a4696f97d411757d8f5c138e3391fc0f0dc45ad2973908194c59edf8d90c80",
+    ),
+}
+
+
+def test_override_seed_hashes_match_the_recorded_digests():
+    assert sorted(RESEEDED_HASHES) == bundled_names()
+    for name, digests in RESEEDED_HASHES.items():
+        got = tuple(config_hash(override_seed(load_bundled(name), seed)) for seed in range(3))
+        assert got == digests, name
 
 
 def _seed_paths(schema, path=()):
