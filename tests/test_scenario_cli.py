@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import re
 import tracemalloc
@@ -156,6 +157,74 @@ def test_explicit_mask_channels():
     sc = build_scenario(cfg)
     assert sc.bank.params[0].gamma == 2.0
     assert sc.bank.kinds[2].value == "identity"
+
+
+#: One channel of every mask kind, in the form a config writes them.
+EXPLICIT_CHANNELS = [
+    {"kind": "identity"},
+    {"kind": "linear", "phi": 1.0, "sigma": 2.0},
+    {"kind": "additive", "gamma": 2.0, "delta": 1.0},
+    {"kind": "affine", "c": 1.5, "gamma": -1.0, "delta": 0.5},
+    {"kind": "vanishing_affine", "phi": 0.5, "sigma": 0.7, "gamma": 1.5, "delta": 0.9},
+]
+
+
+def _explicit_config(channels):
+    return {
+        "name": "explicit_mix",
+        "seed": 99,
+        "system": {"kind": "average_consensus"},
+        "graph": {"kind": "cycle", "n": 5},
+        "x0": {"kind": "uniform", "low": -2.0, "high": 2.0},
+        "mask": {"kind": "explicit", "privacy_level": 0.5, "channels": channels},
+        "integrator": {"method": "rk4", "dt": 1e-2, "t_final": 5.0, "record_stride": 5},
+        "checks": ["irreducible", "weight_balanced", "no_covering", "converged", "conservation"],
+    }
+
+
+def test_explicit_mixed_kind_mask_writes_the_recorded_artifacts(tmp_path):
+    # no bundled config has an explicit mask, so no golden digest covers this path
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(_explicit_config(EXPLICIT_CHANNELS)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 5
+    digests = {
+        name: hashlib.sha256((tmp_path / "explicit_mix" / name).read_bytes()).hexdigest()
+        for name in ("report.json", "trajectory.csv")
+    }
+    assert digests == {
+        "report.json": "9082cf067c7f62c0f3df66f12b8789e5d348d26bb5aaf0a5b2694a8d737f96c8",
+        "trajectory.csv": "e01d9bd51fbb2a56b2d3f7cc75842bfaf9bc851fca542cac132cb740c117f0cb",
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "channel,message",
+    [
+        ({"kind": "linear", "phi": 1.0}, "linear mask requires parameter sigma"),
+        (
+            {"kind": "linear", "phi": 1.0, "sigma": 2.0, "gamma": 2.0},
+            "linear mask does not take parameter gamma",
+        ),
+        ({"kind": "cubic", "phi": 1.0}, "'cubic' is not a valid MaskKind"),
+    ],
+    ids=["missing", "extra", "unknown-kind"],
+)
+def test_cli_malformed_explicit_channel_exits_2(command, channel, message, tmp_path, capsys):
+    channels = [EXPLICIT_CHANNELS[0], channel, *EXPLICIT_CHANNELS[2:]]
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(_explicit_config(channels)))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"invalid config: invalid scenario config: {message}\n"
+    assert not (tmp_path / "explicit_mix").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cli_explicit_channel_count_off_the_state_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(_explicit_config(EXPLICIT_CHANNELS[:4])))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "invalid config: mask bank has 4 channels, state needs 5\n"
 
 
 def test_graph_checks_and_mask_check():
