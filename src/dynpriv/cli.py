@@ -87,10 +87,10 @@ def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
 
 
 def _simulate(args, sc, name: str):
-    """Run sc and write its artifacts under name; returns its report."""
-    outdir = _outdir(args, name)
+    """Run sc and write its artifacts under name; returns its report. The
+    directory is made once the run has returned, so a failed run leaves none."""
     traj, series, report = scn.run_simulation(sc)
-    _write_artifacts(outdir, traj, series, report)
+    _write_artifacts(_outdir(args, name), traj, series, report)
     return report
 
 

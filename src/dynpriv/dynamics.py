@@ -242,7 +242,7 @@ class SaturatedNet(SystemSpec):
 
     @classmethod
     def from_config(cls, spec: dict, graph, x0, vector) -> "SaturatedNet":
-        a = netgraph.adjacency(graph)
+        a = graph.a
         radius = None
         if "kappa" in spec:
             kappa = spec["kappa"]

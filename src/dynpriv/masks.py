@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-ROUNDTRIP_TOL = 1e-12
 DEFAULT_RATE_RANGE = (0.5, 2.0)
 #: Ball radii probed by the neighborhood-escape axiom at t=0.
 BALL_RADII = (0.01, 0.1)
@@ -59,17 +56,6 @@ class MaskKind(enum.Enum):
 PRIVACY_KINDS = (MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE)
 
 
-@dataclass(frozen=True)
-class MaskParams:
-    """Per-channel mask parameters; fields unused by a kind stay None."""
-
-    phi: Optional[float] = None
-    sigma: Optional[float] = None
-    gamma: Optional[float] = None
-    delta: Optional[float] = None
-    c: Optional[float] = None
-
-
 _REQUIRED = {
     MaskKind.IDENTITY: (),
     MaskKind.LINEAR: ("phi", "sigma"),
@@ -77,8 +63,9 @@ _REQUIRED = {
     MaskKind.AFFINE: ("c", "gamma", "delta"),
     MaskKind.VANISHING_AFFINE: ("phi", "sigma", "gamma", "delta"),
 }
-#: MaskParams fields in declaration order, which is also the order in which
-#: a channel's missing or extra parameter is reported.
+#: The parameters, in the row order of a bank's (field, channel) arrays,
+#: which is also the order in which a channel's missing or extra parameter
+#: is reported.
 _FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 #: Per field, the value that keeps an unused term inert.
 _NEUTRAL = (0.0, 1.0, 0.0, 1.0, 1.0)
@@ -143,22 +130,23 @@ class MaskBank:
 
     The bank holds one array per parameter over the channels, with a neutral
     value wherever a channel's kind takes no such parameter. MaskBank(channels)
-    stacks its (kind, MaskParams) pairs into those arrays and auto() draws
-    them directly; either way one array validator checks them and raises for
-    the first offending channel. params and min_decay_rate are derived from
-    the arrays. The bank is immutable after construction and evaluates all
-    channels in a single vectorized pass.
+    stacks a config's channel dicts, such as {"kind": "linear", "phi": 1.0,
+    "sigma": 2.0}, into those arrays, and auto() draws them directly; either
+    way one array validator checks them and raises for the first offending
+    channel. min_decay_rate is derived from the arrays. The bank is immutable
+    after construction and evaluates all channels in a single vectorized pass.
     """
 
     def __init__(self, channels) -> None:
-        raw = [(kind, (p.phi, p.sigma, p.gamma, p.delta, p.c)) for kind, p in channels]
-        given = np.array([[v is not None for v in row] for _, row in raw], dtype=bool)
-        values = np.array(
-            [[n if v is None else v for v, n in zip(row, _NEUTRAL)] for _, row in raw]
-        )
+        kinds = tuple(MaskKind(ch["kind"]) for ch in channels)
+        for kind, ch in zip(kinds, channels):
+            for key in ch:  # a key that names no parameter is refused, not ignored
+                if key != "kind" and key not in _FIELDS:
+                    raise ValueError(f"{kind.value} mask does not take parameter {key}")
+        given = np.array([[f in ch for f in _FIELDS] for ch in channels], dtype=bool)
+        values = np.array([[ch.get(f, n) for f, n in zip(_FIELDS, _NEUTRAL)] for ch in channels])
         if values.dtype.kind not in "biuf":
             raise TypeError("mask parameters must be real numbers")
-        kinds = tuple(kind for kind, _ in raw)
         kind_index = np.array([_KIND_INDEX[kind] for kind in kinds], dtype=np.intp)
         self._setup(kinds, kind_index, given.T, values.T.astype(float))
 
@@ -184,21 +172,13 @@ class MaskBank:
         # Compiled coefficient arrays; neutral values keep inactive terms inert.
         self._phi, self._sigma, self._gamma, self._delta, self._c = values
 
-    @cached_property
-    def params(self) -> tuple:
-        """Per-channel MaskParams of Python floats; unset fields stay None."""
-        return tuple(
-            MaskParams(*(v if g else None for v, g in zip(row, flags)))
-            for row, flags in zip(self._values.T.tolist(), self._given.T.tolist())
-        )
-
     @property
     def dim(self) -> int:
         return len(self.kinds)
 
     @classmethod
     def identity(cls, dim: int) -> "MaskBank":
-        return cls([(MaskKind.IDENTITY, MaskParams())] * dim)
+        return cls([{"kind": "identity"}] * dim)
 
     @classmethod
     def auto(
@@ -209,7 +189,11 @@ class MaskBank:
         seed,
         rate_range: tuple = DEFAULT_RATE_RANGE,
     ) -> "MaskBank":
-        """choose_params drawn for every channel of x0, all of the same kind."""
+        """A bank of one privacy kind whose parameters are drawn per channel of
+        x0 for a t=0 gap of at least 2 * privacy_level: the factor 2 keeps
+        rho > privacy_level safe in floating point, and where the gap depends
+        on the state, the offset sign follows the channel's own x0_i so that
+        the terms cannot cancel."""
         columns = _draw_params(kind, privacy_level, x0, np.random.default_rng(seed), rate_range)
         return cls._from_columns(kind, columns)
 
@@ -268,16 +252,6 @@ class MaskBank:
             y *= scale
         return out
 
-    def invert(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Exact inverse x = h^{-1}(t, y); every kind is bijective in x."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise ValueError(f"output has shape {y.shape}, bank expects ({self.dim},)")
-        if t < 0:
-            raise ValueError("mask time must be nonnegative")
-        scale, offset = self.factors(t)
-        return y / scale - offset
-
     def min_decay_rate(self) -> float:
         """Slowest active decay rate across channels (inf for static banks)."""
         # the set rates of rows 1 (sigma) and 3 (delta), channel by channel:
@@ -300,9 +274,10 @@ _DRAWS = {MaskKind.ADDITIVE: 3, MaskKind.AFFINE: 3, MaskKind.VANISHING_AFFINE: 4
 
 
 def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> dict:
-    """choose_params for every entry of x0 as one array per parameter, from
-    one (len(x0), k) block of uniform doubles; each uniform draw on [a, b)
-    is a + (b - a) * u, which is what rng.uniform(a, b) computes from u."""
+    """The parameters MaskBank.auto draws for every entry of x0, as one array
+    per parameter, from one (len(x0), k) block of uniform doubles; each
+    uniform draw on [a, b) is a + (b - a) * u, which is what
+    rng.uniform(a, b) computes from u."""
     if privacy_level <= 0:
         raise ValueError("privacy level must be positive")
     if kind not in PRIVACY_KINDS:
@@ -326,25 +301,6 @@ def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> d
         drawn["phi"] = 0.5 + (2.0 - 0.5) * u[:, 2]
         drawn["sigma"] = lo + (hi - lo) * u[:, 3]
     return drawn
-
-
-def choose_params(
-    kind: MaskKind,
-    privacy_level: float,
-    x0_i: float,
-    rng,
-    rate_range: tuple = DEFAULT_RATE_RANGE,
-) -> MaskParams:
-    """Draw parameters guaranteeing a t=0 gap of at least 2 * privacy_level.
-
-    The factor-2 margin keeps the strict inequality rho > privacy_level safe
-    under floating-point evaluation. For the kinds whose gap depends on the
-    state, the offset sign is aligned with the agent's own x0_i so the terms
-    cannot cancel.
-    """
-    rng = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    drawn = _draw_params(kind, privacy_level, x0_i, rng, rate_range)
-    return MaskParams(**{name: float(col[0]) for name, col in drawn.items()})
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,14 @@ class Digraph:
     """Immutable weighted digraph backed by its in-adjacency weight matrix.
 
     a[i, j] is the weight of edge j -> i (zero where there is none); src and
-    dst list the edge endpoints in the order the edges were given. The edge
-    tuples and neighborhood sets are derived from these arrays on first use.
+    dst list the edge endpoints in the order the edges were given (a[dst, src]
+    their weights); the neighborhood sets are derived on first use.
     """
 
     n: int
     a: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-
-    @cached_property
-    def edges(self) -> tuple:
-        """(src, dst, weight) triples of Python ints and floats, in input order."""
-        w = self.a[self.dst, self.src]
-        return tuple(zip(self.src.tolist(), self.dst.tolist(), w.tolist()))
 
     @cached_property
     def in_nbrs(self) -> tuple:
@@ -144,11 +138,6 @@ def build_graph(n: int, edges) -> Digraph:
                 arr.setflags(write=False)
             return Digraph(n=n, a=a, src=src, dst=dst)
     raise GraphConstructionError(_first_bad_edge(n, e))
-
-
-def adjacency(g: Digraph) -> np.ndarray:
-    """In-adjacency matrix: A[i, j] = weight of edge j -> i, zero diagonal."""
-    return g.a.copy()
 
 
 def laplacian(g: Digraph) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from . import adversary as adv
 from . import analysis, masks, netgraph
 from .dynamics import FINITE, SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, Required, ScenarioError
-from .masks import MaskBank, MaskKind, MaskParams, check_mask_axioms, privacy_metric
+from .masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 from .netgraph import Digraph
 from .solver import IntegratorConfig, integrate
 
@@ -292,10 +292,7 @@ def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
         if not 0 < rate_range[0] <= rate_range[1] < math.inf:
             raise ScenarioError(f"mask.rate_range must be 0 < lo <= hi < inf, got {rate_range}")
         return MaskBank.auto(mask_kind, float(spec["privacy_level"]), x0, seed, rate_range)
-    channels = []
-    for ch in spec["channels"]:
-        params = {k: v for k, v in ch.items() if k != "kind"}
-        channels.append((MaskKind(ch["kind"]), MaskParams(**params)))
+    channels = spec["channels"]
     if len(channels) != dim:
         raise ScenarioError(f"mask bank has {len(channels)} channels, state needs {dim}")
     return MaskBank(channels)
@@ -390,23 +387,32 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
 
-def _unseeded(node):
-    """A copy of a JSON value without a "seed" key in any object it holds."""
-    if isinstance(node, dict):
-        return {key: _unseeded(item) for key, item in node.items() if key != "seed"}
-    if isinstance(node, list):
-        return list(map(_unseeded, node))
-    return node
+def _unseeded(value, schema):
+    """A copy of a JSON value without the keys that its compiled schema types
+    SEED. It follows the schema as _walk does; a key or kind the schema does
+    not know, and a value of the wrong shape, are kept for the walk to reject."""
+    if isinstance(schema, tuple):
+        schema = next((s for s in schema if _shape(s)[1](value)), None)
+    if isinstance(schema, list) and isinstance(value, list):
+        return [_unseeded(item, schema[0]) for item in value]
+    if isinstance(schema, ByKind) and isinstance(value, dict):
+        kind = value.get("kind")
+        schema = schema[kind] if isinstance(kind, str) and kind in schema else None
+    if isinstance(schema, dict) and isinstance(value, dict):
+        keys = (key for key in value if schema.get(key) != SEED)
+        return {key: _unseeded(value[key], schema.get(key)) for key in keys}
+    return value
 
 
 def override_seed(config, seed):
-    """A copy of config whose top-level seed is seed and which holds no
-    nested "seed" key, so that every randomized element re-derives its own
-    from the new one. A config that is not an object is returned as it is,
-    for the schema walk to reject."""
+    """A copy of config whose top-level seed is seed and which holds none of
+    the nested seed keys that the schema types SEED, so that every
+    randomized element re-derives its own from the new one. A seed where the
+    schema takes none stays, for the walk to reject. A config that is not an
+    object is returned as it is, for the walk to reject too."""
     if not isinstance(config, dict):
         return config
-    return {**_unseeded(config), "seed": seed}
+    return {**_unseeded(config, _SCHEMA), "seed": seed}
 
 
 def load_config(path) -> dict:

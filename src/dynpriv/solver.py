@@ -1,6 +1,6 @@
 """Deterministic fixed-step ODE integration producing dense trajectories.
 
-Fixed-step RK4 (default) or explicit Euler; no adaptivity, so identical
+Fixed-step classical RK4, the one method; no adaptivity, so identical
 inputs reproduce bit-identical samples. A Trajectory records the states and
 the run's mask bank, never the masked outputs: y = h(t, x) is a local
 function of the recorded state and time, so each reader forms it from x
@@ -14,11 +14,11 @@ dim, nu and drift (None without an exosystem). It compiles the joint field
 bit for bit against the reference fields at the initial state with the
 bank's t=0 factors, and only then steps it with _march, the one stepper of
 1-d states. The mask's factors depend on time alone, so for each block of
-TABLE_STEPS steps the march forms the block's (n, 3) RK4 stage times (t,
-t + dt/2, t + dt; (n, 1) for Euler) by the expressions it steps with, and
-integrate refills one preallocated table from them with a single
-MaskBank.factors call. Each stage gets its (scale, offset) row by position,
-and writes its slope into one of the march's four slots k1..k4.
+TABLE_STEPS steps the march forms the block's (n, 3) RK4 stage times
+(t, t + dt/2, t + dt) by the expressions it steps with, and integrate
+refills one preallocated table from them with a single MaskBank.factors
+call. Each stage gets its (scale, offset) row by position, and writes its
+slope into one of the march's four slots k1..k4.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"
+    method: str = "rk4"  # the one method; any other name is refused
     dt: float = 1e-3
     t_final: float = 50.0
     record_stride: int = 1
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "euler"):
+        if self.method != "rk4":
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
@@ -177,16 +177,16 @@ def write_csv(path, header, data) -> None:
 
 
 def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):
-    """Fixed-step RK4/Euler of dz/dt = f(row, z, o) from z at t=0.
+    """Fixed-step RK4 of dz/dt = f(row, z, o) from z at t=0.
 
     z is a 1-d array, which the march never writes; floor, if given, clamps
     the state from below after every step. f writes the slope at z into o,
-    one of the march's own slots (k1..k4 for RK4), and row is the stage
-    time. tabulate, if given, maps each block's (n, s) array of stage times
-    (columns t, t + dt/2 and t + dt for RK4, t alone for Euler, each formed
-    by the expression it names) to a sequence whose first n*s entries are
-    rows for those times in the same order, and f gets those rows by
-    position instead. Returns the recorded (times, states) arrays.
+    one of the march's own slots k1..k4, and row is the stage time.
+    tabulate, if given, maps each block's (n, 3) array of stage times
+    (columns t, t + dt/2 and t + dt, each formed by the expression it names)
+    to a sequence whose first 3n entries are rows for those times in the
+    same order, and f gets those rows by position instead. Returns the
+    recorded (times, states) arrays.
 
     The march fills a preallocated (TABLE_STEPS+1, d) block one step per
     row, row 0 holding the block's start state. Stage inputs and the RK4
@@ -207,7 +207,6 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     dt = cfg.dt
     n_steps = cfg.n_steps
     stride = cfg.record_stride
-    rk4 = cfg.method == "rk4"
     n_rec = 1 + n_steps // stride + (n_steps % stride > 0)
     rec_times = np.empty(n_rec)
     rec_times[: 1 + n_steps // stride] = np.arange(0, n_steps + 1, stride) * dt
@@ -219,7 +218,7 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     steps = list(block)
     arg, acc, k1, k2, k3, k4 = (np.empty_like(z) for _ in range(6))
     add, mul, maximum = np.add, np.multiply, np.maximum
-    shifts = np.array([0.0, 0.5 * dt, dt] if rk4 else [0.0])  # t + 0.0 is t itself
+    shifts = np.array([0.0, 0.5 * dt, dt])  # t + 0.0 is t itself
     half, step, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     if floor is not None:
         floor = np.array(floor, dtype=float)
@@ -227,33 +226,27 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
         n = min(TABLE_STEPS, n_steps - k0)
         times = (np.arange(k0, k0 + n) * dt)[:, None] + shifts
         rows = times.reshape(-1).tolist() if tabulate is None else tabulate(times)
-        per_step = zip(*[iter(rows)] * len(shifts))  # each step's rows, in order
+        per_step = zip(*[iter(rows)] * 3)  # each step's rows, in order
         block[0] = z
         with np.errstate(over="ignore", invalid="ignore"):
-            for cur, nxt, stage_rows in zip(steps, steps[1 : n + 1], per_step):
-                if rk4:
-                    r1, r2, r4 = stage_rows
-                    f(r1, cur, k1)
-                    mul(half, k1, arg)
-                    add(cur, arg, arg)
-                    f(r2, arg, k2)
-                    mul(half, k2, arg)
-                    add(cur, arg, arg)
-                    f(r2, arg, k3)
-                    mul(step, k3, arg)
-                    add(cur, arg, arg)
-                    f(r4, arg, k4)
-                    mul(two, k2, acc)
-                    add(k1, acc, acc)
-                    mul(two, k3, arg)
-                    add(acc, arg, acc)
-                    add(acc, k4, acc)
-                    mul(sixth, acc, acc)
-                    add(cur, acc, nxt)
-                else:
-                    f(stage_rows[0], cur, k1)
-                    mul(step, k1, arg)
-                    add(cur, arg, nxt)
+            for cur, nxt, (r1, r2, r4) in zip(steps, steps[1 : n + 1], per_step):
+                f(r1, cur, k1)
+                mul(half, k1, arg)
+                add(cur, arg, arg)
+                f(r2, arg, k2)
+                mul(half, k2, arg)
+                add(cur, arg, arg)
+                f(r2, arg, k3)
+                mul(step, k3, arg)
+                add(cur, arg, arg)
+                f(r4, arg, k4)
+                mul(two, k2, acc)
+                add(k1, acc, acc)
+                mul(two, k3, arg)
+                add(acc, arg, acc)
+                add(acc, k4, acc)
+                mul(sixth, acc, acc)
+                add(cur, acc, nxt)
                 if floor is not None:
                     maximum(nxt, floor, out=nxt)  # takes no positional out
         peaks = np.abs(block[1 : n + 1]).max(axis=1)

@@ -25,15 +25,8 @@ from dynpriv.dynamics import (
     estimate_lipschitz_q,
     field_unmasked,
 )
-from dynpriv.masks import (
-    MaskBank,
-    MaskKind,
-    MaskParams,
-    check_mask_axioms,
-    choose_params,
-    privacy_metric,
-)
-from dynpriv.netgraph import adjacency, erdos_renyi, laplacian, left_null_vector, spectral_radius
+from dynpriv.masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
+from dynpriv.netgraph import erdos_renyi, laplacian, left_null_vector, spectral_radius
 from dynpriv.scenario import build_scenario, load_bundled, run_simulation
 from dynpriv.solver import IntegratorConfig, integrate, solve_comparison_ode
 
@@ -88,16 +81,11 @@ def test_mask_axiom_patterns():
     mismatches = 0
     for kind, expected in EXPECTED_PATTERNS.items():
         for _ in range(200):
-            channels = []
-            for _ in range(3):
-                if kind is MaskKind.LINEAR:
-                    p = MaskParams(
-                        phi=float(rng.uniform(0.5, 2.0)), sigma=float(rng.uniform(0.5, 2.0))
-                    )
-                else:
-                    p = choose_params(kind, 1.0, float(rng.uniform(-5, 5)), rng)
-                channels.append((kind, p))
-            bank = MaskBank(channels)
+            if kind is MaskKind.LINEAR:
+                phi_sigma = rng.uniform(0.5, 2.0, (3, 2)).tolist()
+                bank = MaskBank([{"kind": "linear", "phi": p, "sigma": s} for p, s in phi_sigma])
+            else:
+                bank = MaskBank.auto(kind, 1.0, rng.uniform(-5, 5, 3), seed=rng)
             horizon = 50.0 / bank.min_decay_rate()
             rep = check_mask_axioms(bank, np.linspace(0.0, horizon, 121), STATE_GRID)
             if rep.as_dict() != expected:
@@ -117,9 +105,7 @@ def test_privacy_floor_for_chosen_parameters():
         for kind in (MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE):
             for _ in range(100):
                 x0 = rng.uniform(-10, 10, 20)
-                bank = MaskBank(
-                    [(kind, choose_params(kind, lam, xi, rng)) for xi in x0]
-                )
+                bank = MaskBank.auto(kind, lam, x0, seed=rng)
                 rho_i, rho = privacy_metric(bank, x0)
                 worst = min(worst, rho / lam)
                 assert rho > lam, f"{kind} lam={lam}: rho={rho}"
@@ -262,7 +248,7 @@ def test_equilibrium_escape_and_reconvergence():
     results = {}
 
     g = erdos_renyi(8, 0.4, seed=81)
-    a = adjacency(g)
+    a = g.a
     satnet = SaturatedNet(a=a, kappa=0.5 / spectral_radius(a))
     x_eq = np.zeros(8)
     assert np.max(np.abs(field_unmasked(satnet, 0.0, x_eq))) <= 1e-12

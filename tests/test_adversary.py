@@ -3,7 +3,7 @@ import pytest
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.dynamics import AverageConsensus, MaskedSystem
-from dynpriv.masks import MaskBank, MaskKind, choose_params
+from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.netgraph import build_graph, cycle_graph, laplacian
 from dynpriv.solver import IntegratorConfig, integrate
 
@@ -20,13 +20,7 @@ COVERING_EDGES = [
 
 
 def _privacy_bank(x0, seed):
-    rng = np.random.default_rng(seed)
-    return MaskBank(
-        [
-            (MaskKind.VANISHING_AFFINE, choose_params(MaskKind.VANISHING_AFFINE, 1.0, xi, rng))
-            for xi in x0
-        ]
-    )
+    return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
 
 
 def _consensus_run(graph, x0, bank, t_final=50.0):

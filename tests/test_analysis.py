@@ -28,8 +28,8 @@ from dynpriv.dynamics import (
     SaturatedNet,
     TanhDrift,
 )
-from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
-from dynpriv.netgraph import adjacency, cycle_graph, erdos_renyi, laplacian, left_null_vector
+from dynpriv.masks import CHUNK, MaskBank, MaskKind
+from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate, write_csv
 
 
@@ -160,7 +160,7 @@ def test_series_table_gap_columns_identity_and_additive():
     # min and max over the agents bound every agent's gap |y_i - x_i|
     for column in _gap_columns(_toy_traj(np.zeros((4, 2)))):
         assert np.all(column == 0.0)
-    bank = MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))] * 2)
+    bank = MaskBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}] * 2)
     traj = _toy_traj(np.zeros((1, 2)), bank=bank, times=np.array([0.0]))
     for column in _gap_columns(traj):
         assert np.all(column[0] == 2.0)
@@ -173,19 +173,20 @@ def _mixed_bank(dim, seed):
     """A bank whose channels cycle through every kind, with drawn parameters."""
     rng = np.random.default_rng(seed)
     draws = {
-        MaskKind.IDENTITY: lambda: MaskParams(),
-        MaskKind.LINEAR: lambda: MaskParams(phi=rng.uniform(0, 2), sigma=rng.uniform(0.5, 2)),
-        MaskKind.ADDITIVE: lambda: MaskParams(gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2)),
-        MaskKind.AFFINE: lambda: MaskParams(
+        "identity": lambda: {},
+        "linear": lambda: dict(phi=rng.uniform(0, 2), sigma=rng.uniform(0.5, 2)),
+        "additive": lambda: dict(gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2)),
+        "affine": lambda: dict(
             c=rng.uniform(1.2, 2.5), gamma=-rng.uniform(1, 3), delta=rng.uniform(0.5, 2)
         ),
-        MaskKind.VANISHING_AFFINE: lambda: MaskParams(
+        "vanishing_affine": lambda: dict(
             phi=rng.uniform(0.5, 2), sigma=rng.uniform(0.5, 2),
             gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2),
         ),
     }
-    kinds = list(MaskKind)
-    return MaskBank([(kinds[i % len(kinds)], draws[kinds[i % len(kinds)]]()) for i in range(dim)])
+    kinds = list(draws)
+    cycled = (kinds[i % len(kinds)] for i in range(dim))
+    return MaskBank([{"kind": kind, **draws[kind]()} for kind in cycled])
 
 
 #: Row counts around the rows per chunk c of a pass over a table.
@@ -439,7 +440,7 @@ def test_attractor_verdicts_basic():
     x0 = np.array([1.0, 2.0, 3.0])
     for spec in (
         AverageConsensus(laplacian=laplacian(cycle_graph(3))),
-        SaturatedNet(a=adjacency(cycle_graph(3)), kappa=0.2),
+        SaturatedNet(a=cycle_graph(3).a, kappa=0.2),
     ):
         traj = integrate(_unmasked(spec), x0, cfg)
         report = DiagnosticsReport(scenario="t")
@@ -474,15 +475,15 @@ def test_attraction_uniform_over_mask_clock_and_initial_state():
         # decaying gain and offset shrink by exp(-sigma t0) and exp(-delta t0)
         bank = MaskBank(
             [
-                (
-                    kind,
-                    replace(
-                        p,
-                        phi=p.phi * float(np.exp(-p.sigma * t0)),
-                        gamma=p.gamma * float(np.exp(-p.delta * t0)),
-                    ),
-                )
-                for kind, p in zip(base_bank.kinds, base_bank.params)
+                {
+                    "kind": "vanishing_affine",
+                    "phi": phi * float(np.exp(-sigma * t0)),
+                    "sigma": sigma,
+                    "gamma": gamma * float(np.exp(-delta * t0)),
+                    "delta": delta,
+                }
+                # the (phi, sigma, gamma, delta, c) rows of the bank's parameter arrays
+                for phi, sigma, gamma, delta, _ in base_bank._values.T.tolist()
             ]
         )
         for t in (0.0, 0.7, 3.0):

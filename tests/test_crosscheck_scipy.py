@@ -11,7 +11,7 @@ from dynpriv.dynamics import (
     exosystem_field,
     field_masked,
 )
-from dynpriv.masks import MaskBank, MaskKind, choose_params
+from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian
 from dynpriv.solver import IntegratorConfig, integrate
 
@@ -19,13 +19,7 @@ scipy_integrate = pytest.importorskip("scipy.integrate")
 
 
 def _privacy_bank(x0, seed):
-    rng = np.random.default_rng(seed)
-    return MaskBank(
-        [
-            (MaskKind.VANISHING_AFFINE, choose_params(MaskKind.VANISHING_AFFINE, 1.0, xi, rng))
-            for xi in x0
-        ]
-    )
+    return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
 
 
 def test_masked_fj_flow_matches_adaptive_reference():

@@ -20,7 +20,7 @@ from dynpriv.dynamics import (
     field_masked,
     field_unmasked,
 )
-from dynpriv.masks import MaskBank, MaskKind, MaskParams, choose_params
+from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian
 
 
@@ -37,7 +37,7 @@ def _tanh_drift():
 
 def _privacy_bank(dim, seed, kind=MaskKind.VANISHING_AFFINE, lam=1.0):
     rng = np.random.default_rng(seed)
-    return MaskBank([(kind, choose_params(kind, lam, rng.uniform(-3, 3), rng)) for _ in range(dim)])
+    return MaskBank.auto(kind, lam, rng.uniform(-3, 3, dim), seed=rng)
 
 
 def test_consensus_field_zero_on_agreement():
@@ -295,18 +295,21 @@ def test_pinned_validation():
 STAGE_KINDS = ["saturated", "fj_live", "fj_frozen", "consensus", "pinned_lorenz", "pinned_tanh"]
 
 
+def _channel(kind, rng):
+    """A valid channel of kind, as MaskBank takes it, its parameters drawn from rng."""
+    drawn = {
+        "phi": rng.uniform(0.5, 2.0),
+        "sigma": rng.uniform(0.5, 2.0),
+        "gamma": rng.uniform(2.0, 4.0) * rng.choice([-1.0, 1.0]),
+        "delta": rng.uniform(0.5, 2.0),
+        "c": rng.uniform(1.2, 2.5),
+    }
+    return {"kind": kind.value, **{f: drawn[f] for f in _REQUIRED[kind]}}
+
+
 def _mixed_bank(dim, rng):
     """Channels of every mask kind, the kind of each drawn at random."""
-    channels = []
-    for kind in rng.choice(list(MaskKind), dim):
-        if kind is MaskKind.IDENTITY:
-            params = MaskParams()
-        elif kind is MaskKind.LINEAR:
-            params = MaskParams(phi=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0))
-        else:
-            params = choose_params(kind, 1.0, rng.uniform(-3.0, 3.0), rng)
-        channels.append((kind, params))
-    return MaskBank(channels)
+    return MaskBank([_channel(kind, rng) for kind in rng.choice(list(MaskKind), dim)])
 
 
 def _stage_case(kind, bank, n, nu, rng):

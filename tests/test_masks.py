@@ -1,25 +1,36 @@
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynpriv.masks import (
-    ROUNDTRIP_TOL,
-    MaskBank,
-    MaskKind,
-    MaskParams,
-    check_mask_axioms,
-    choose_params,
-    privacy_metric,
-)
+from dynpriv.masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 
 STATE_GRID = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+FIELDS = ("phi", "sigma", "gamma", "delta", "c")
+#: Largest |x - h^{-1}(t, h(t, x))| that a round trip may leave.
+ROUNDTRIP_TOL = 1e-12
 
 
-def single(kind, **kwargs):
-    return MaskBank([(kind, MaskParams(**kwargs))])
+def single(kind, **params):
+    return MaskBank([{"kind": kind.value, **params}])
+
+
+def _channels(bank):
+    """The bank's channels as the dicts MaskBank takes, read back from its
+    (field, channel) arrays: the kind, and each parameter it set as a float."""
+    return [
+        {"kind": kind.value, **{f: v for f, v, set_ in zip(FIELDS, values, given) if set_}}
+        for kind, values, given in zip(bank.kinds, bank._values.T.tolist(), bank._given.T.tolist())
+    ]
+
+
+def _invert(bank, t, y):
+    """Exact inverse x = h^{-1}(t, y) = y / scale - offset, from the bank's
+    factors; every kind is bijective in x."""
+    scale, offset = bank.factors(t)
+    return y / scale - offset
 
 
 def test_eval_additive():
@@ -56,13 +67,13 @@ def test_eval_series_rejects_states_off_the_time_grid():
 
 def test_invert_additive():
     bank = single(MaskKind.ADDITIVE, gamma=2.0, delta=1.0)
-    assert bank.invert(0.0, np.array([7.0])) == pytest.approx([5.0])
+    assert _invert(bank, 0.0, np.array([7.0])) == pytest.approx([5.0])
 
 
 def test_invert_identity():
     bank = MaskBank.identity(4)
     y = np.array([1.0, -2.0, 0.0, 9.0])
-    assert np.array_equal(bank.invert(3.0, y), y)
+    assert np.array_equal(_invert(bank, 3.0, y), y)
 
 
 def _random_bank(kind, rng, dim=4, lam=1.0):
@@ -71,28 +82,27 @@ def _random_bank(kind, rng, dim=4, lam=1.0):
     if kind is MaskKind.LINEAR:
         return MaskBank(
             [
-                (kind, MaskParams(phi=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0)))
+                {"kind": "linear", "phi": rng.uniform(0.5, 2.0), "sigma": rng.uniform(0.5, 2.0)}
                 for _ in range(dim)
             ]
         )
-    return MaskBank(
-        [(kind, choose_params(kind, lam, rng.uniform(-5, 5), rng)) for _ in range(dim)]
-    )
+    return MaskBank.auto(kind, lam, rng.uniform(-5, 5, dim), seed=rng)
 
 
 RATE = st.floats(0.01, 10.0)
 OFFSET = st.floats(-50.0, 50.0).filter(bool)
 POSITIVE_PHI = st.floats(0.0, 10.0, exclude_min=True)
 PARAMS = {
-    MaskKind.IDENTITY: st.just(MaskParams()),
-    MaskKind.LINEAR: st.builds(MaskParams, phi=st.floats(0.0, 10.0), sigma=RATE),
-    MaskKind.ADDITIVE: st.builds(MaskParams, gamma=OFFSET, delta=RATE),
-    MaskKind.AFFINE: st.builds(
-        MaskParams, c=st.floats(1.0, 10.0, exclude_min=True), gamma=OFFSET, delta=RATE
-    ),
-    MaskKind.VANISHING_AFFINE: st.builds(
-        MaskParams, phi=POSITIVE_PHI, sigma=RATE, gamma=OFFSET, delta=RATE
-    ),
+    MaskKind.IDENTITY: {},
+    MaskKind.LINEAR: {"phi": st.floats(0.0, 10.0), "sigma": RATE},
+    MaskKind.ADDITIVE: {"gamma": OFFSET, "delta": RATE},
+    MaskKind.AFFINE: {"c": st.floats(1.0, 10.0, exclude_min=True), "gamma": OFFSET, "delta": RATE},
+    MaskKind.VANISHING_AFFINE: {"phi": POSITIVE_PHI, "sigma": RATE, "gamma": OFFSET, "delta": RATE},
+}
+#: Per kind, its valid channels as the dicts MaskBank takes.
+CHANNELS = {
+    kind: st.fixed_dictionaries({"kind": st.just(kind.value), **params})
+    for kind, params in PARAMS.items()
 }
 
 
@@ -100,10 +110,9 @@ PARAMS = {
 @settings(deadline=None)
 @given(data=st.data(), t=st.floats(0.0, 1e3))
 def test_roundtrip_every_kind(kind, data, t):
-    params = data.draw(st.lists(PARAMS[kind], min_size=1, max_size=6))
-    bank = MaskBank([(kind, p) for p in params])
+    bank = MaskBank(data.draw(st.lists(CHANNELS[kind], min_size=1, max_size=6)))
     x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=bank.dim, max_size=bank.dim)))
-    back = bank.invert(t, bank.eval(t, x))
+    back = _invert(bank, t, bank.eval(t, x))
     assert np.max(np.abs(back - x)) <= ROUNDTRIP_TOL
 
 
@@ -143,24 +152,18 @@ def test_privacy_metric_identity_zero():
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("kind", [MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE])
-def test_choose_params_guarantees_metric(kind, lam):
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        x0 = rng.uniform(-20, 20)
-        params = choose_params(kind, lam, x0, rng)
-        bank = MaskBank([(kind, params)])
-        _, rho = privacy_metric(bank, np.array([x0]))
-        assert rho > lam
+def test_auto_bank_guarantees_metric(kind, lam):
+    x0 = np.random.default_rng(7).uniform(-20, 20, 25)
+    bank = MaskBank.auto(kind, lam, x0, seed=7)
+    _, rho = privacy_metric(bank, x0)
+    assert rho > lam
 
 
-def test_choose_params_handles_zero_initial_state():
-    rng = np.random.default_rng(37)
+def test_auto_bank_handles_zero_initial_state():
     for kind in (MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE):
-        for _ in range(10):
-            params = choose_params(kind, 1.0, 0.0, rng)
-            bank = MaskBank([(kind, params)])
-            _, rho = privacy_metric(bank, np.array([0.0]))
-            assert rho > 1.0
+        bank = MaskBank.auto(kind, 1.0, np.zeros(10), seed=37)
+        _, rho = privacy_metric(bank, np.zeros(10))
+        assert rho > 1.0
 
 
 def _choose_params_scalar(kind, lam, x0_i, rng, rate_range):
@@ -170,13 +173,15 @@ def _choose_params_scalar(kind, lam, x0_i, rng, rate_range):
     gamma_mag = float(rng.uniform(2.0, 4.0)) * lam
     if kind is MaskKind.ADDITIVE:
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        return MaskParams(gamma=sign * gamma_mag, delta=delta)
+        return {"kind": kind.value, "gamma": sign * gamma_mag, "delta": delta}
     sign = float(np.sign(x0_i)) if x0_i != 0 else 1.0
     if kind is MaskKind.AFFINE:
-        return MaskParams(c=float(rng.uniform(1.2, 2.5)), gamma=sign * gamma_mag, delta=delta)
+        c = float(rng.uniform(1.2, 2.5))
+        return {"kind": kind.value, "gamma": sign * gamma_mag, "delta": delta, "c": c}
     phi = float(rng.uniform(0.5, 2.0))
     sigma = float(rng.uniform(lo, hi))
-    return MaskParams(phi=phi, sigma=sigma, gamma=sign * gamma_mag, delta=delta)
+    gamma = sign * gamma_mag
+    return {"kind": kind.value, "phi": phi, "sigma": sigma, "gamma": gamma, "delta": delta}
 
 
 @settings(deadline=None)
@@ -187,22 +192,16 @@ def _choose_params_scalar(kind, lam, x0_i, rng, rate_range):
     seed=st.integers(0, 2**32 - 1),
     rate_range=st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 3.0)),
 )
-def test_auto_bank_equals_per_channel_choose_params(kind, lam, x0, seed, rate_range):
+def test_auto_bank_equals_per_channel_scalar_draws(kind, lam, x0, seed, rate_range):
     bank = MaskBank.auto(kind, lam, np.array(x0), seed=seed, rate_range=rate_range)
     rng = np.random.default_rng(seed)
-    expected = [_choose_params_scalar(kind, lam, xi, rng, rate_range) for xi in x0]
-    assert bank.params == tuple(expected)
-    rng = np.random.default_rng(seed)
-    assert [choose_params(kind, lam, xi, rng, rate_range) for xi in x0] == expected
-    assert all(
-        type(v) is float for p in bank.params for v in vars(p).values() if v is not None
-    )
+    assert _channels(bank) == [_choose_params_scalar(kind, lam, xi, rng, rate_range) for xi in x0]
 
 
 @pytest.mark.parametrize("kind", [MaskKind.LINEAR, MaskKind.IDENTITY])
-def test_choose_params_rejects_non_privacy_kinds(kind):
+def test_auto_bank_rejects_non_privacy_kinds(kind):
     with pytest.raises(ValueError, match="not a privacy mask"):
-        choose_params(kind, 1.0, 0.0, np.random.default_rng(0))
+        MaskBank.auto(kind, 1.0, np.zeros(1), seed=0)
 
 
 def _axiom_grid(bank):
@@ -291,7 +290,7 @@ class _LeakyBank(MaskBank):
 
 
 def test_axioms_detect_non_local_bank():
-    bank = _LeakyBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))] * 3)
+    bank = _LeakyBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}] * 3)
     rep = check_mask_axioms(bank, *_axiom_grid(bank))
     assert rep.local is False
     assert rep.witnesses["local"] == {"channel": 0, "t": 0.0}
@@ -326,15 +325,13 @@ def _clock_shifted(bank, t0):
     decaying gain and offset amplitudes shrink by exp(-sigma t0) and
     exp(-delta t0), and every other parameter stays."""
 
-    def shrink(amplitude, rate):
-        return None if amplitude is None else amplitude * float(np.exp(-rate * t0))
+    def shift(ch):
+        for amplitude, rate in (("phi", "sigma"), ("gamma", "delta")):
+            if amplitude in ch:
+                ch[amplitude] *= float(np.exp(-ch[rate] * t0))
+        return ch
 
-    return MaskBank(
-        [
-            (kind, replace(p, phi=shrink(p.phi, p.sigma), gamma=shrink(p.gamma, p.delta)))
-            for kind, p in zip(bank.kinds, bank.params)
-        ]
-    )
+    return MaskBank([shift(ch) for ch in _channels(bank)])
 
 
 @pytest.mark.parametrize("kind", list(MaskKind))
@@ -351,13 +348,16 @@ def test_translated_bank_shifts_the_clock(kind):
 
 def test_params_validation_per_kind():
     with pytest.raises(ValueError, match="requires parameter"):
-        MaskBank([(MaskKind.ADDITIVE, MaskParams(delta=1.0))])
+        single(MaskKind.ADDITIVE, delta=1.0)
     with pytest.raises(ValueError, match="does not take"):
-        MaskBank([(MaskKind.LINEAR, MaskParams(phi=1.0, sigma=1.0, gamma=2.0))])
+        single(MaskKind.LINEAR, phi=1.0, sigma=1.0, gamma=2.0)
     with pytest.raises(ValueError, match="gamma != 0"):
-        MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=0.0, delta=1.0))])
+        single(MaskKind.ADDITIVE, gamma=0.0, delta=1.0)
     with pytest.raises(ValueError, match="c > 1"):
-        MaskBank([(MaskKind.AFFINE, MaskParams(c=1.0, gamma=1.0, delta=1.0))])
+        single(MaskKind.AFFINE, c=1.0, gamma=1.0, delta=1.0)
+    # a key that names no parameter at all is refused, not ignored
+    with pytest.raises(ValueError, match="additive mask does not take parameter gamam"):
+        single(MaskKind.ADDITIVE, gamma=1.0, delta=1.0, gamam=5.0)
 
 
 _REQUIRED_REF = {
@@ -367,19 +367,19 @@ _REQUIRED_REF = {
     MaskKind.AFFINE: ("c", "gamma", "delta"),
     MaskKind.VANISHING_AFFINE: ("phi", "sigma", "gamma", "delta"),
 }
-FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 
 
-def _validate_channel(kind, p):
+def _validate_channel(ch):
     """Reference: the per-channel validator MaskBank ran before its array one."""
+    kind = MaskKind(ch["kind"])
     required = _REQUIRED_REF[kind]
-    for name in ("phi", "sigma", "gamma", "delta", "c"):
-        val = getattr(p, name)
+    for name in FIELDS:
         if name in required:
-            if val is None:
+            if name not in ch:
                 raise ValueError(f"{kind.value} mask requires parameter {name}")
-        elif val is not None:
+        elif name in ch:
             raise ValueError(f"{kind.value} mask does not take parameter {name}")
+    p = SimpleNamespace(**ch)
     if kind is MaskKind.LINEAR:
         if p.phi < 0 or p.sigma <= 0:
             raise ValueError("linear mask needs phi >= 0 and sigma > 0")
@@ -404,7 +404,7 @@ def _error(build):
     return None
 
 
-VALID_CHANNEL = st.sampled_from(list(MaskKind)).flatmap(lambda k: PARAMS[k].map(lambda p: (k, p)))
+VALID_CHANNEL = st.sampled_from(list(MaskKind)).flatmap(CHANNELS.get)
 #: Values at and beyond every parameter bound (0 for rates, gains and
 #: offsets, 1 for the affine gain c), NaN and the infinities.
 EDGE_VALUES = (-1.0, -0.0, 0.0, 1.0, float("nan"), float("inf"), -float("inf"))
@@ -415,13 +415,13 @@ def planted_channels(draw, kind, fault):
     """A valid channel of kind with one fault planted, in every variant: a
     parameter it takes set to each edge value ("edge") or left out
     ("missing"), or one it does not take set to each edge value ("extra")."""
-    params = {f: v for f, v in vars(draw(PARAMS[kind])).items() if v is not None}
+    channel = draw(CHANNELS[kind])
     if fault == "missing":
-        del params[draw(st.sampled_from(_REQUIRED_REF[kind]))]
-        return [MaskParams(**params)]
-    fields = _REQUIRED_REF[kind] if fault == "edge" else [f for f in FIELDS if f not in params]
+        del channel[draw(st.sampled_from(_REQUIRED_REF[kind]))]
+        return [channel]
+    fields = _REQUIRED_REF[kind] if fault == "edge" else [f for f in FIELDS if f not in channel]
     field = draw(st.sampled_from(fields))
-    return [MaskParams(**{**params, field: v}) for v in EDGE_VALUES]
+    return [{**channel, field: v} for v in EDGE_VALUES]
 
 
 @pytest.mark.parametrize(
@@ -438,32 +438,32 @@ def planted_channels(draw, kind, fault):
 def test_array_validator_matches_per_channel_validator(kind, fault, data, channels, at):
     for planted in data.draw(planted_channels(kind, fault)):
         bank_channels = channels.copy()
-        bank_channels.insert(at, (kind, planted))
-        expected = _error(lambda: [_validate_channel(k, p) for k, p in bank_channels])
+        bank_channels.insert(at, planted)
+        expected = _error(lambda: [_validate_channel(ch) for ch in bank_channels])
         assert _error(lambda: MaskBank(bank_channels)) == expected
         if expected is None:
             bank = MaskBank(bank_channels)
-            assert bank.kinds == tuple(k for k, _ in bank_channels)
+            assert bank.kinds == tuple(MaskKind(ch["kind"]) for ch in bank_channels)
             # repr, so that a NaN parameter (which passes validation) compares equal
-            assert repr(bank.params) == repr(tuple(p for _, p in bank_channels))
+            in_order = [{f: ch[f] for f in ("kind", *FIELDS) if f in ch} for ch in bank_channels]
+            assert repr(_channels(bank)) == repr(in_order)
 
 
 def test_bank_rejects_non_numeric_parameters():
     with pytest.raises(TypeError, match="real numbers"):
-        MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma="2", delta=1.0))])
+        single(MaskKind.ADDITIVE, gamma="2", delta=1.0)
     with pytest.raises(ValueError, match="at least one channel"):
         MaskBank([])
 
 
 def test_bank_params_and_decay_rate_follow_the_channels():
     channels = [
-        (MaskKind.LINEAR, MaskParams(phi=0.5, sigma=3)),
-        (MaskKind.IDENTITY, MaskParams()),
-        (MaskKind.AFFINE, MaskParams(c=2, gamma=-1.5, delta=0.25)),
+        {"kind": "linear", "phi": 0.5, "sigma": 3},
+        {"kind": "identity"},
+        {"kind": "affine", "gamma": -1.5, "delta": 0.25, "c": 2},
     ]
     bank = MaskBank(channels)
-    assert bank.params == tuple(p for _, p in channels)
-    assert all(type(v) is float for p in bank.params for v in vars(p).values() if v is not None)
+    assert _channels(bank) == channels
     assert bank.min_decay_rate() == 0.25
     assert MaskBank.identity(3).min_decay_rate() == np.inf
 
@@ -605,7 +605,7 @@ class _DeadChannelBank(MaskBank):
         return scale, offset
 
 
-_SIX = [(MaskKind.VANISHING_AFFINE, MaskParams(phi=1.5, sigma=0.7, gamma=2.2, delta=0.9))] * 6
+_SIX = [{"kind": "vanishing_affine", "phi": 1.5, "sigma": 0.7, "gamma": 2.2, "delta": 0.9}] * 6
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dynpriv import netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
-from dynpriv.masks import CHUNK, MaskBank, MaskKind, MaskParams
+from dynpriv.masks import CHUNK, MaskBank, MaskKind
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -64,7 +64,7 @@ def test_derived_seeds_are_deterministic():
     sc1 = build_scenario(_consensus_config())
     sc2 = build_scenario(_consensus_config())
     assert np.array_equal(sc1.x0, sc2.x0)
-    assert sc1.bank.params == sc2.bank.params
+    assert np.array_equal(sc1.bank._values, sc2.bank._values)
 
 
 def test_missing_seed_rejected():
@@ -155,7 +155,7 @@ def test_explicit_mask_channels():
         }
     )
     sc = build_scenario(cfg)
-    assert sc.bank.params[0].gamma == 2.0
+    assert sc.bank.factors(0.0)[1][0] == 2.0  # the t=0 offset of channel 0 is its gamma
     assert sc.bank.kinds[2].value == "identity"
 
 
@@ -261,6 +261,15 @@ def test_cli_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "does not divide t_final=1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cli_integrator_method_other_than_rk4_exits_2(command, tmp_path, capsys):
+    cfg = _consensus_config(integrator={"method": "euler", "dt": 1e-2, "t_final": 1.0})
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "invalid config: integrator: unknown method 'euler'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -403,7 +412,7 @@ def test_cli_non_numeric_mask_parameter_exits_2(tmp_path, capsys):
     assert "mask.channels[0].gamma must be a finite number, got '2'" in capsys.readouterr().err
     # the bank itself still refuses a parameter that is no real number
     with pytest.raises(TypeError, match="mask parameters must be real numbers"):
-        MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma="2", delta=1.0))])
+        MaskBank([{"kind": "additive", "gamma": "2", "delta": 1.0}])
 
 
 def test_main_works_after_a_usage_error(tmp_path):
@@ -692,7 +701,7 @@ def test_cli_simulate_blow_up_exits_4_and_writes_no_report(tmp_path, capsys):
     path.write_text(json.dumps(_blow_up_config()))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
     assert "numerical failure: numerical blow-up at t=0.199" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "example4_pinning_n10" / "report.json").exists()
+    assert not (tmp_path / "out" / "example4_pinning_n10").exists()
 
 
 def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
@@ -705,6 +714,7 @@ def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
     rows = json.loads((tmp_path / "suite_summary.json").read_text())["results"]
     assert [r["status"] for r in rows] == ["pass", "numerical failure: numerical blow-up at t=0.199"]
     assert rows[1]["verdicts"] == {}
+    assert not (tmp_path / name).exists()
 
 
 def test_cli_tol_enters_the_config_hash(tmp_path):
@@ -854,12 +864,12 @@ def _built(config):
     except ScenarioError as exc:  # a few seeds find no admissible graph
         assert "retries" in str(exc)
         return repr(exc)
-    system = sc.system
+    system, g = sc.system, sc.graph
     return {
         "hash": sc.hash,
-        "edges": sc.graph.edges,
+        "edges": (g.src.tolist(), g.dst.tolist(), g.a[g.dst, g.src].tolist()),
         "x0": sc.x0.tolist(),
-        "bank": sc.bank.params,
+        "bank": sc.bank._values.tolist(),
         "s0": None if sc.s0 is None else sc.s0.tolist(),
         "theta": getattr(system, "theta", np.zeros(0)).tolist(),
     }
@@ -1007,6 +1017,19 @@ def test_override_seed_removes_every_seed_key_of_the_schema(path):
     for key, _kind in path[:-1]:
         node = node[key]
     assert path[-1][0] not in node
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["as-shipped", "reseeded"])
+@pytest.mark.parametrize("section", ["integrator", "graph"])
+def test_cli_seed_where_the_schema_takes_none_exits_2(section, seed, tmp_path, capsys):
+    # a cycle graph takes no seed, and the integrator none at all: --seed
+    # drops only the seeds that the schema types as seeds
+    cfg = load_bundled("example3_consensus_n3")
+    cfg[section]["seed"] = 3
+    path = tmp_path / "misplaced.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path), *seed]) == 2
+    assert f"unknown config key '{section}.seed'" in capsys.readouterr().err
 
 
 def test_seed_paths_reach_the_vector_sections_of_a_system():
@@ -1395,7 +1418,8 @@ def test_defaults_live_at_the_constructors():
     mask = {"kind": "auto", "mask_kind": "additive", "privacy_level": 1, "seed": 5}
     sc = build_scenario(_consensus_config(integrator={}, mask=mask))
     assert sc.integrator == IntegratorConfig()
-    assert sc.bank.params == MaskBank.auto(MaskKind.ADDITIVE, 1.0, sc.x0, seed=5).params
+    drawn = MaskBank.auto(MaskKind.ADDITIVE, 1.0, sc.x0, seed=5)
+    assert np.array_equal(sc.bank._values, drawn._values)
     # an integer privacy level is read as the float that the report writes
     assert type(sc.privacy_level) is float and type(sc.tol_conv) is float
 

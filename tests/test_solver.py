@@ -16,8 +16,8 @@ from dynpriv.dynamics import (
     exosystem_field,
     field_unmasked,
 )
-from dynpriv.masks import MaskBank, MaskKind, MaskParams, choose_params
-from dynpriv.netgraph import adjacency, build_graph, cycle_graph, is_weight_balanced, laplacian
+from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
+from dynpriv.netgraph import build_graph, cycle_graph, is_weight_balanced, laplacian
 from dynpriv.solver import (
     BLOWUP_LIMIT,
     TABLE_STEPS,
@@ -96,20 +96,10 @@ def test_rk4_error_falls_16x_per_halving_on_random_consensus(n, seed):
     assert 15.0 <= err(0.1) / err(0.05) <= 17.5
 
 
-def test_euler_first_order():
-    def err(dt):
-        cfg = IntegratorConfig(method="euler", dt=dt, t_final=1.0)
-        traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
-        return abs(traj.x[-1, 0] - np.exp(-1.0))
-
-    ratio = err(0.02) / err(0.01)
-    assert 1.7 <= ratio <= 2.3
-
-
 def test_determinism_bit_identical():
     lap = laplacian(cycle_graph(4))
     bank = MaskBank(
-        [(MaskKind.VANISHING_AFFINE, MaskParams(phi=1.0, sigma=1.0, gamma=2.0, delta=0.8))] * 4
+        [{"kind": "vanishing_affine", "phi": 1.0, "sigma": 1.0, "gamma": 2.0, "delta": 0.8}] * 4
     )
     ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=bank)
     cfg = IntegratorConfig(dt=1e-3, t_final=2.0, record_stride=7)
@@ -132,7 +122,7 @@ def test_record_stride_and_final_sample():
 
 
 def test_masked_outputs_recomputed_from_states():
-    bank = MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))])
+    bank = MaskBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}])
     ms = MaskedSystem(base=_decay_system(), bank=bank)
     cfg = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=10)
     traj = integrate(ms, np.array([1.0]), cfg)
@@ -158,22 +148,24 @@ def test_blowup_raises_with_last_sample():
     assert np.all(np.isfinite(err.last_state))
 
 
+def _channel(kind, rng):
+    """A valid channel of kind, as MaskBank takes it, its parameters drawn from rng."""
+    drawn = {
+        "phi": rng.uniform(0.5, 2.0),
+        "sigma": rng.uniform(0.5, 2.0),
+        "gamma": rng.uniform(2.0, 4.0) * rng.choice([-1.0, 1.0]),
+        "delta": rng.uniform(0.5, 2.0),
+        "c": rng.uniform(1.2, 2.5),
+    }
+    return {"kind": kind.value, **{f: drawn[f] for f in _REQUIRED[kind]}}
+
+
 def _mixed_bank(dim, rng):
     """Channels cycle through the five mask kinds from a random start, so a
     bank of five or more channels holds every kind."""
     kinds = list(MaskKind)
     start = int(rng.integers(len(kinds)))
-    channels = []
-    for i in range(dim):
-        kind = kinds[(start + i) % len(kinds)]
-        if kind is MaskKind.IDENTITY:
-            params = MaskParams()
-        elif kind is MaskKind.LINEAR:
-            params = MaskParams(phi=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0))
-        else:
-            params = choose_params(kind, 1.0, rng.uniform(-3.0, 3.0), rng)
-        channels.append((kind, params))
-    return MaskBank(channels)
+    return MaskBank([_channel(kinds[(start + i) % len(kinds)], rng) for i in range(dim)])
 
 
 def _masked_case(system, n, rng):
@@ -182,7 +174,7 @@ def _masked_case(system, n, rng):
     x0 = rng.uniform(-3.0, 3.0, n)
     s0 = None
     if system == "saturated":
-        base = SaturatedNet(a=adjacency(cycle_graph(n)), kappa=0.4)
+        base = SaturatedNet(a=cycle_graph(n).a, kappa=0.4)
     elif system in ("fj_live", "fj_frozen"):
         base = FriedkinJohnsen(
             laplacian=lap,
@@ -204,7 +196,7 @@ def _masked_case(system, n, rng):
 
 
 def _reference_run(system, x0, cfg, s0=None):
-    """RK4/Euler that masks through bank.eval at every stage; recorded
+    """RK4 that masks through bank.eval at every stage; recorded
     (times, states) as integrate records them."""
     base = system.base
     d, dt = base.dim, cfg.dt
@@ -224,14 +216,11 @@ def _reference_run(system, x0, cfg, s0=None):
     times, states = [0.0], [z]
     for k in range(cfg.n_steps):
         t = k * dt
-        if cfg.method == "rk4":
-            k1 = f(t, z)
-            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
-            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
-            k4 = f(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            z = z + dt * f(t, z)
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+        k4 = f(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (k + 1) % cfg.record_stride == 0 or (k + 1) == cfg.n_steps:
             times.append((k + 1) * dt)
             states.append(z)
@@ -241,7 +230,6 @@ def _reference_run(system, x0, cfg, s0=None):
 @settings(deadline=None)
 @given(
     system=st.sampled_from(["saturated", "fj_live", "fj_frozen", "consensus", "pinned"]),
-    method=st.sampled_from(["rk4", "euler"]),
     n_agents=st.integers(2, 6),
     dt=st.sampled_from([0.01, 0.05, 0.1]),
     n_steps=st.integers(1, 3 * TABLE_STEPS + 5),
@@ -250,14 +238,14 @@ def _reference_run(system, x0, cfg, s0=None):
     masked=st.booleans(),
 )
 def test_masked_integrate_matches_per_stage_eval(
-    system, method, n_agents, dt, n_steps, stride, seed, masked
+    system, n_agents, dt, n_steps, stride, seed, masked
 ):
     # the factor rows must hand every stage the factors bank.eval uses at
     # its time, including at times where k*dt + dt != (k+1)*dt; a bare
     # system runs as the same system under the identity bank
     ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
     run = ms if masked else _unmasked(ms.base)
-    cfg = IntegratorConfig(method=method, dt=dt, t_final=n_steps * dt, record_stride=stride)
+    cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
     traj = integrate(run, x0, cfg, s0=s0)
     times, states = _reference_run(run, x0, cfg, s0)
     # bytes, so that the sign of a zero counts as integrate's check counts it
@@ -309,8 +297,7 @@ def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3])
-@pytest.mark.parametrize("rk4", [True, False])
-def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
+def test_stage_times_equal_the_set_of_march_stage_times(dt):
     # every block tabulates its stage times in step order, each by the
     # expression the step evaluates, and each stage gets its row by position
     n_steps = 2 * TABLE_STEPS + 7
@@ -324,13 +311,13 @@ def test_stage_times_equal_the_set_of_march_stage_times(dt, rk4):
         called.append(row[1])
         o[:] = -z
 
-    cfg = IntegratorConfig(method="rk4" if rk4 else "euler", dt=dt, t_final=n_steps * dt)
+    cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt)
     _march(f, np.array([1.0]), cfg, tabulate=tabulate)
     assert [len(b) for b in blocks] == [TABLE_STEPS, TABLE_STEPS, 7]
     want = []
     for k in range(n_steps):
         t = k * dt
-        want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt] if rk4 else [t]
+        want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
     # bit for bit, as Python floats
     assert [t.hex() for t in called] == [t.hex() for t in want]
     tabulated = np.concatenate(blocks).reshape(-1).tolist()
@@ -348,10 +335,8 @@ def test_linear_systems_rest_at_zero_from_zero(case):
         system = FriedkinJohnsen(laplacian=lap, theta=np.linspace(0.0, 1.0, n), anchor=np.zeros(n))
     else:
         system = AverageConsensus(laplacian=lap)
-    system = _unmasked(system)
-    for method in ("rk4", "euler"):
-        traj = integrate(system, np.zeros(n), IntegratorConfig(method=method, dt=0.1, t_final=2.0))
-        assert np.all(traj.x == 0.0) and np.all(traj.outputs[:] == 0.0)
+    traj = integrate(_unmasked(system), np.zeros(n), IntegratorConfig(dt=0.1, t_final=2.0))
+    assert np.all(traj.x == 0.0) and np.all(traj.outputs[:] == 0.0)
 
 
 def test_x0_validation():
@@ -363,8 +348,9 @@ def test_x0_validation():
 
 
 def test_integrator_config_validation():
-    with pytest.raises(ValueError, match="method"):
-        IntegratorConfig(method="rk45")
+    for method in ("rk45", "euler"):  # RK4 is the one method
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            IntegratorConfig(method=method)
     with pytest.raises(ValueError, match="positive"):
         IntegratorConfig(dt=-1.0)
     with pytest.raises(ValueError, match="exceed"):
@@ -440,14 +426,11 @@ def _naive_witness(f, z, cfg):
     last_t, last_z = 0.0, np.atleast_1d(z)
     for k in range(cfg.n_steps):
         t = k * dt
-        if cfg.method == "rk4":
-            k1 = f(t, z)
-            k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
-            k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
-            k4 = f(t + dt, z + dt * k3)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            z = z + dt * f(t, z)
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+        k4 = f(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.abs(z).max() <= BLOWUP_LIMIT:
             return (k + 1) * dt, last_t, last_z
         last_t, last_z = (k + 1) * dt, np.atleast_1d(z)
@@ -461,7 +444,6 @@ _EDGES = [j * TABLE_STEPS + e for j in range(4) for e in (-1, 0, 1) if j * TABLE
 @given(
     bad_step=st.one_of(st.integers(0, 4 * TABLE_STEPS), st.sampled_from(_EDGES)),
     extra=st.integers(0, 2 * TABLE_STEPS),
-    method=st.sampled_from(["rk4", "euler"]),
     dt=st.sampled_from([0.01, 0.05, 0.1]),
     stride=st.integers(1, 5),
     dim=st.sampled_from([1, 3]),
@@ -469,14 +451,13 @@ _EDGES = [j * TABLE_STEPS + e for j in range(4) for e in (-1, 0, 1) if j * TABLE
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_march_blowup_witness_matches_per_step_march(
-    bad_step, extra, method, dt, stride, dim, bad_value, seed
+    bad_step, extra, dt, stride, dim, bad_value, seed
 ):
     # the slope turns bad_value from the first stage time past step bad_step's
-    # start (RK4) or at its start (Euler), so the state after that step is
-    # the first one out of range
+    # start, so the state after that step is the first one out of range
     rng = np.random.default_rng(seed)
     z0 = rng.uniform(-3.0, 3.0, dim)
-    onset = (bad_step + (0.25 if method == "rk4" else -0.5)) * dt
+    onset = (bad_step + 0.25) * dt
 
     def f(t, z):
         return np.full_like(z, bad_value) if t > onset else -z
@@ -488,9 +469,7 @@ def test_block_march_blowup_witness_matches_per_step_march(
         blocks.append(times[0, 0])
         return times.reshape(-1).tolist()  # the rows are the stage times
 
-    cfg = IntegratorConfig(
-        method=method, dt=dt, t_final=(bad_step + 1 + extra) * dt, record_stride=stride
-    )
+    cfg = IntegratorConfig(dt=dt, t_final=(bad_step + 1 + extra) * dt, record_stride=stride)
     want = _naive_witness(f, z0, cfg)
     assert want is not None and want[0] == (bad_step + 1) * dt
     blocks = []
@@ -516,7 +495,7 @@ def test_comparison_ode_validation():
 
 
 def test_csv_export_format(tmp_path):
-    bank = MaskBank([(MaskKind.ADDITIVE, MaskParams(gamma=2.0, delta=1.0))])
+    bank = MaskBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}])
     ms = MaskedSystem(base=_decay_system(), bank=bank)
     cfg = IntegratorConfig(dt=0.25, t_final=1.0)
     traj = integrate(ms, np.array([1.0]), cfg)

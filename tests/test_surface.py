@@ -1,12 +1,13 @@
 """No library surface that no run uses.
 
-Walks every module of src/dynpriv with ast and fails on a public function,
-method or property that nothing in src/ references outside its own
+Walks every module of src/dynpriv with ast and fails on a public
+module-level function, class or constant, or a public method or property of
+a module-level class, that nothing in src/ references outside its own
 definition (the package's re-exports in __init__.py do not count). A
-function counts as referenced wherever its name appears as a name or an
-attribute, and a method or property wherever it appears as an attribute, so
-a method is kept alive by any use of that attribute name. Each exception
-below gives its reason.
+function, class or constant counts as referenced wherever its name appears
+as a name or an attribute, and a method or property wherever it appears as
+an attribute, so a method is kept alive by any use of that attribute name.
+Each exception below gives its reason.
 """
 
 import ast
@@ -17,10 +18,6 @@ import dynpriv
 SRC = Path(dynpriv.__file__).resolve().parent
 
 ALLOWED = {
-    "MaskBank.invert": "the mask round-trip contract is tested through it",
-    "MaskBank.params": "the tests read a bank's parameters back through it",
-    "Digraph.edges": "the tests read a graph's edge list back through it",
-    "choose_params": "the one-channel draw that the mask tests use as a fixture",
     "solve_comparison_ode": "the comparison lemma and its strict xfail",
     "stationarity_residual": "kept for the planned no-rest-point verdict, its first caller",
     "bundled_names": "bench/ lists the bundled scenarios through it",
@@ -31,16 +28,23 @@ ALLOWED = {
 
 
 def _public_definitions(tree):
-    """(qualified name, def node, whether it is a method) of every public
-    module-level function and every public method or property of a
-    module-level class."""
+    """(qualified name, name, defining node, whether it is a method) of every
+    public module-level function, class and constant (a name that a
+    module-level assignment binds), and every public method or property of
+    a module-level class."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node, False
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node, False
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item, True
+                    yield f"{node.name}.{item.name}", item.name, item, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, name.id, node, False
 
 
 def _unreferenced():
@@ -53,10 +57,10 @@ def _unreferenced():
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
     for path, tree in modules.items():
-        for qualname, definition, method in _public_definitions(tree):
+        for qualname, bare, definition, method in _public_definitions(tree):
             inside = range(definition.lineno, definition.end_lineno + 1)
             if not any(
-                name == definition.name
+                name == bare
                 and not (method and isinstance(node, ast.Name))
                 and not (where == path and node.lineno in inside)
                 for where, node, name in references
