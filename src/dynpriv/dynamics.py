@@ -30,6 +30,9 @@ MaskedSystem, so every stage_body masks its input; the bare system runs as
 the masked one under MaskBank.identity, its limit system. Consensus and
 Friedkin-Johnsen bind -L once, in stage and reference alike: (-L) @ y is
 one gemv, equal to -(L @ y) except in the sign of an exactly zero value.
+A pinned system decides once whether R is exactly I, and then stage and
+reference alike skip both products by R: Y @ I equals Y except in the sign
+of an exactly zero value too.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class TanhDrift:
     b: np.ndarray
 
     kind = "tanh"
-    keys = {"a": Required(list), "b": Required(list)}
+    keys = {"a": Required([[FINITE]]), "b": Required([[FINITE]])}
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -466,6 +469,7 @@ class PinnedSync(SystemSpec):
     pin_gains: np.ndarray
     drift: DriftKind = field()  # field() keeps both required over SystemSpec's defaults
     nu: int = field()
+    r_identity: bool = field(init=False, repr=False)  # R == I exactly, decided once
 
     kind = "pinned_sync"
     keys = {
@@ -473,7 +477,7 @@ class PinnedSync(SystemSpec):
         "pinned_count": int,
         "pin_gains": [FINITE],
         "pin_gain": FINITE,
-        "r": ByKind(identity={}, explicit={"rows": Required(list)}),
+        "r": ByKind(identity={}, explicit={"rows": Required([[FINITE]])}),
         "drift": Required(ByKind({kind: cls.keys for kind, cls in DRIFTS.items()})),
         "s0": Required(VECTOR),
     }
@@ -495,6 +499,7 @@ class PinnedSync(SystemSpec):
             raise ValueError("drift dimension must match nu")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r_identity", np.array_equal(r, np.eye(self.nu)))
         object.__setattr__(self, "pin_gains", p)
 
     @classmethod
@@ -525,25 +530,31 @@ class PinnedSync(SystemSpec):
 
     def field(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         states = x.reshape(self.n_agents, self.nu)
-        coupling = (self.laplacian @ states) @ self.r
-        pinning = self.pin_gains[:, None] * ((states - s[None, :]) @ self.r)
+        # np.dot as in the stage: at n=1 @ turns a -0 product into +0
+        coupling, offsets = np.dot(self.laplacian, states), states - s[None, :]
+        if not self.r_identity:
+            coupling, offsets = coupling @ self.r, offsets @ self.r
+        pinning = self.pin_gains[:, None] * offsets
         return (exosystem_field(self.drift, states) - coupling - pinning).reshape(-1)
 
     def stage_body(self, bank: MaskBank):
         """Stage over y as the (n+1, nu) input block. Drift minus coupling
         goes into out, pinning into pin, whose exosystem row stays zero; the
-        last call writes out - pin into the slot, and d - 0.0 is d bit for bit."""
+        last call writes out - pin into the slot, and d - 0.0 is d bit for bit.
+        At R = I both products by R are skipped, as field skips them."""
         n, nu = self.n_agents, self.nu
         y = np.empty(self.dim + nu)
         lap, r, block, agents = self.laplacian, self.r, y.reshape(n + 1, nu), y[: self.dim]
         # each agent's gain repeated along its row: a contiguous operand costs
-        # the multiply less than the broadcast column, with the same products
+        # the multiply less than the broadcast column, with the same products;
+        # likewise s, copied onto every row of s_rows before the subtraction
         gains = np.repeat(self.pin_gains[:, None], nu, axis=1)
         states, s = block[:n], block[n]
         out, pin = np.empty((n + 1, nu)), np.zeros((n + 1, nu))
         agent_rows, pin_rows, out_flat, pin_flat = out[:n], pin[:n], out.ravel(), pin.ravel()
-        work, prod = np.empty((n, nu)), np.empty((n, nu))
+        work, prod, s_rows = np.empty((n, nu)), np.empty((n, nu)), np.empty((n, nu))
         drift_rows = self.drift.stage_rows(block, out, prod)
+        identity = self.r_identity
 
         def body(row, z, o):
             _copyto(y, z)
@@ -551,13 +562,13 @@ class PinnedSync(SystemSpec):
             _add(agents, offset, agents)
             _mul(scale, agents, agents)
             drift_rows()
-            # (drift - coupling) - pinning, as field subtracts them
+            # (drift - coupling) - pinning, as field subtracts them; np.dot
+            # with out returns out, so prod holds work @ R where R is not I
             _dot(lap, states, work)
-            _dot(work, r, prod)
-            _sub(agent_rows, prod, agent_rows)
-            _sub(states, s, work)
-            _dot(work, r, prod)
-            _mul(gains, prod, pin_rows)
+            _sub(agent_rows, work if identity else _dot(work, r, prod), agent_rows)
+            _copyto(s_rows, s)
+            _sub(states, s_rows, work)
+            _mul(gains, work if identity else _dot(work, r, prod), pin_rows)
             _sub(out_flat, pin_flat, o)
 
         return body

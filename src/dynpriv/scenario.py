@@ -16,7 +16,8 @@ Nothing here depends on the system kind: the system section is checked
 against, built by and judged by the class that dynamics.SYSTEMS names for
 its kind (its keys, from_config, verdicts and checks); the checks common to
 every run (privacy, mask gap, boundedness, graph) are decided here. A build
-rejects any requested check that the scenario cannot decide.
+rejects any requested check that the scenario cannot decide, and a graph or
+record table above FOOTPRINT_CAP before either is allocated.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ KNOWN_CHECKS = GRAPH_CHECKS + RUN_CHECKS
 
 MASK_GAP_TAIL = 1e-6
 BOUNDED_LIMIT = 1e3
+#: Bytes that one dense n x n graph array, or the table of recorded states,
+#: may take; a config above it exits 2 before anything of its size exists.
+FOOTPRINT_CAP = 2**30
 
 
 POSITIVE = "finite and positive"  # a bound that inf, nan, 0 or -1 would make meaningless
@@ -318,6 +322,26 @@ def _build_adversary(spec: dict, graph: Digraph) -> dict:
     return {**spec, "policies": policies, "settle_tol": spec.get("settle_tol", adv.SETTLE_TOL)}
 
 
+def _check_footprint(n: int, nu: int, integrator: IntegratorConfig) -> None:
+    """Raise ScenarioError, naming the key to change, if a dense n x n (graph)
+    or nu x nu (coupling, drift) array of doubles, or the record table
+    (n_records rows of the agents' n * nu values and the nu of an
+    exosystem), would take more than FOOTPRINT_CAP bytes."""
+    for key, size in (("graph.n", n), ("system.nu", nu)):
+        if 8 * size * size > FOOTPRINT_CAP:
+            raise ScenarioError(
+                f"{key} = {size} needs {8 * size * size} bytes per dense "
+                f"{size} x {size} array, above the cap of {FOOTPRINT_CAP}"
+            )
+    table = 8 * integrator.n_records * (n + 1) * nu
+    if table > FOOTPRINT_CAP:
+        raise ScenarioError(
+            f"integrator.record_stride = {integrator.record_stride} records "
+            f"{integrator.n_records} rows of {(n + 1) * nu} values, {table} bytes, "
+            f"above the cap of {FOOTPRINT_CAP}; raise it or shorten t_final"
+        )
+
+
 def build_scenario(config: dict) -> Scenario:
     """Validate a config dict and build every run ingredient deterministically."""
     try:
@@ -325,8 +349,13 @@ def build_scenario(config: dict) -> Scenario:
         name = config.get("name", "scenario")
         if name in ("", ".", "..") or "/" in name or "\0" in name:  # a directory under --out
             raise ScenarioError(f"name must be one plain path component, got {name!r}")
-        graph = _build_graph(config, config["graph"])
+        try:
+            integrator = IntegratorConfig(**config.get("integrator", {}))
+        except ValueError as exc:
+            raise ScenarioError(f"integrator: {exc}") from exc
         spec = config["system"]
+        _check_footprint(config["graph"]["n"], spec.get("nu", 1), integrator)
+        graph = _build_graph(config, config["graph"])
         dim = graph.n * spec.get("nu", 1)  # only a kind of vector agents takes nu
         vector = functools.partial(_sample_vector, config)
         x0 = vector(config["x0"], dim, "x0")
@@ -352,10 +381,6 @@ def build_scenario(config: dict) -> Scenario:
             if system.attack_row is None:  # the eavesdropper would attack a wrong model
                 raise ScenarioError(f"adversary: system kind {system.kind!r} has no attack row")
             adversary = _build_adversary(adversary, graph)
-        try:
-            integrator = IntegratorConfig(**config.get("integrator", {}))
-        except ValueError as exc:
-            raise ScenarioError(f"integrator: {exc}") from exc
         sc = Scenario(
             name=name,
             hash=config_hash(config),
@@ -387,32 +412,60 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
 
-def _unseeded(value, schema):
-    """A copy of a JSON value without the keys that its compiled schema types
-    SEED. It follows the schema as _walk does; a key or kind the schema does
-    not know, and a value of the wrong shape, are kept for the walk to reject."""
+def _seed_tree(schema):
+    """The compiled schema cut down to the branches that can hold a SEED key,
+    or None if it holds none: a section keeps only such keys and a ByKind
+    only such kinds. A tuple keeps all its alternatives, so that _unseeded
+    picks the one that _walk picks."""
     if isinstance(schema, tuple):
-        schema = next((s for s in schema if _shape(s)[1](value)), None)
-    if isinstance(schema, list) and isinstance(value, list):
-        return [_unseeded(item, schema[0]) for item in value]
-    if isinstance(schema, ByKind) and isinstance(value, dict):
+        alternatives = [_seed_tree(s) for s in schema]
+        if any(a is not None for a in alternatives):
+            return tuple(s if a is None else a for s, a in zip(schema, alternatives))
+    elif isinstance(schema, list):
+        item = _seed_tree(schema[0])
+        return None if item is None else [item]
+    elif isinstance(schema, dict):
+        keys = {k: _seed_tree(sub) for k, sub in schema.items()}
+        keys = {k: sub for k, sub in keys.items() if sub is not None}
+        return (ByKind if isinstance(schema, ByKind) else dict)(keys) if keys else None
+    return SEED if schema == SEED else None
+
+
+#: _SCHEMA along its paths to a SEED key, the only paths that --seed copies.
+_SEEDS = _seed_tree(_SCHEMA)
+
+
+def _unseeded(value, tree):
+    """A copy of a JSON value without the keys that its seed tree types SEED,
+    made along that tree alone; it follows the tree as _walk follows the
+    schema. A key or kind the tree does not know, and a value of the wrong
+    shape, are kept as they are, for the walk to reject what it must."""
+    if isinstance(tree, tuple):
+        tree = next((s for s in tree if _shape(s)[1](value)), None)
+    if isinstance(tree, list) and isinstance(value, list):
+        return [_unseeded(item, tree[0]) for item in value]
+    if isinstance(tree, ByKind) and isinstance(value, dict):
         kind = value.get("kind")
-        schema = schema[kind] if isinstance(kind, str) and kind in schema else None
-    if isinstance(schema, dict) and isinstance(value, dict):
-        keys = (key for key in value if schema.get(key) != SEED)
-        return {key: _unseeded(value[key], schema.get(key)) for key in keys}
+        tree = tree[kind] if isinstance(kind, str) and kind in tree else None
+    if isinstance(tree, dict) and isinstance(value, dict):
+        return {
+            key: _unseeded(item, tree[key]) if key in tree else item
+            for key, item in value.items()
+            if tree.get(key) != SEED
+        }
     return value
 
 
 def override_seed(config, seed):
     """A copy of config whose top-level seed is seed and which holds none of
     the nested seed keys that the schema types SEED, so that every
-    randomized element re-derives its own from the new one. A seed where the
-    schema takes none stays, for the walk to reject. A config that is not an
-    object is returned as it is, for the walk to reject too."""
+    randomized element re-derives its own from the new one. Only the
+    sections along a seed path are copied; the others are config's own. A
+    seed where the schema takes none stays, for the walk to reject. A config
+    that is not an object is returned as it is, for the walk to reject too."""
     if not isinstance(config, dict):
         return config
-    return {**_unseeded(config, _SCHEMA), "seed": seed}
+    return {**_unseeded(config, _SEEDS), "seed": seed}
 
 
 def load_config(path) -> dict:

@@ -84,6 +84,11 @@ class IntegratorConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def n_records(self) -> int:
+        """Recorded rows: t=0, every record_stride-th step, and the last step."""
+        return 1 + self.n_steps // self.record_stride + (self.n_steps % self.record_stride > 0)
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -207,7 +212,7 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     dt = cfg.dt
     n_steps = cfg.n_steps
     stride = cfg.record_stride
-    n_rec = 1 + n_steps // stride + (n_steps % stride > 0)
+    n_rec = cfg.n_records
     rec_times = np.empty(n_rec)
     rec_times[: 1 + n_steps // stride] = np.arange(0, n_steps + 1, stride) * dt
     rec_times[-1] = n_steps * dt  # the final step, on the stride or not

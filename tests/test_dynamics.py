@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynpriv import dynamics
 from dynpriv.dynamics import (
     AverageConsensus,
     FriedkinJohnsen,
@@ -312,9 +313,10 @@ def _mixed_bank(dim, rng):
     return MaskBank([_channel(kind, rng) for kind in rng.choice(list(MaskKind), dim)])
 
 
-def _stage_case(kind, bank, n, nu, rng):
+def _stage_case(kind, bank, n, nu, rng, r="spd"):
     """A random system of one kind on n agents, masked by a mixed or an
-    identity bank, and a random joint state for it."""
+    identity bank, and a random joint state for it. A pinned system couples
+    through a random symmetric positive definite R, or through R = I."""
     w = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
     lap = np.diag(w.sum(axis=1)) - w
@@ -336,10 +338,14 @@ def _stage_case(kind, bank, n, nu, rng):
             drift = LorenzDrift(*rng.uniform([5.0, 20.0, 1.0], [15.0, 35.0, 4.0]))
         else:
             drift = TanhDrift(a=rng.normal(size=(nu, nu)), b=rng.normal(size=(nu, nu)))
-        m = rng.normal(size=(nu, nu))
-        r = m @ m.T + nu * np.eye(nu)
+        if r == "spd":
+            m = rng.normal(size=(nu, nu))
+            r = m @ m.T + nu * np.eye(nu)
+            r = (r + r.T) / 2
+        else:
+            r = np.eye(nu)
         gains = rng.uniform(0.5, 3.0, n) * (rng.random(n) < 0.7)
-        spec = PinnedSync(laplacian=lap, r=(r + r.T) / 2, pin_gains=gains, drift=drift, nu=nu)
+        spec = PinnedSync(laplacian=lap, r=r, pin_gains=gains, drift=drift, nu=nu)
     z = rng.uniform(-10.0, 10.0, spec.dim + (spec.nu if isinstance(spec, PinnedSync) else 0))
     bank = MaskBank.identity(spec.dim) if bank == "identity" else _mixed_bank(spec.dim, rng)
     return MaskedSystem(base=spec, bank=bank), z
@@ -361,11 +367,12 @@ def _reference_stage(system, t, z, row):
     tabulated=st.booleans(),
     n=st.integers(1, 12),
     nu=st.integers(1, 4),
+    r=st.sampled_from(["spd", "identity"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, seed):
+def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, r, seed):
     rng = np.random.default_rng(seed)
-    system, z = _stage_case(kind, bank, n, nu, rng)
+    system, z = _stage_case(kind, bank, n, nu, rng, r)
     times = np.sort(rng.uniform(0.0, 20.0, 8))
     # a factor row from a table over all the times, as the solver holds
     # them, or from the bank at one time
@@ -378,6 +385,66 @@ def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, se
         stage(row, z, o)
         # bytes, so that the sign of a zero counts as integrate's check counts it
         assert o.tobytes() == _reference_stage(system, t, z, row).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(["pinned_lorenz", "pinned_tanh"]),
+    bank=st.sampled_from(["mixed", "identity"]),
+    n=st.integers(1, 12),
+    nu=st.integers(1, 4),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identity_stage_equals_the_products_by_i_up_to_the_sign_of_zero(
+    kind, bank, n, nu, zeros, seed
+):
+    # the stage at R = I skips (L Y) I and g * ((Y - s) I): Y I equals Y
+    # except in the sign of an exact zero, so some states are set to +-0
+    rng = np.random.default_rng(seed)
+    system, z = _stage_case(kind, bank, n, nu, rng, r="identity")
+    spec, d = system.base, system.base.dim
+    at = rng.random(z.size) < zeros
+    z[at] = rng.choice([0.0, -0.0], int(at.sum()))
+    t = rng.uniform(0.0, 20.0)
+    row = system.bank.factors(t)
+    o = np.empty_like(z)
+    compile_stage(system)(row, z, o)
+    scale, offset = row
+    states, s, eye = (scale * (z[:d] + offset)).reshape(n, spec.nu), z[d:], np.eye(spec.nu)
+    agents = (
+        exosystem_field(spec.drift, states)
+        - (spec.laplacian @ states) @ eye
+        - spec.pin_gains[:, None] * ((states - s) @ eye)
+    )
+    want = np.concatenate([agents.reshape(-1), exosystem_field(spec.drift, s)])
+    assert np.array_equal(o, want)
+    differ = o.view(np.int64) != want.view(np.int64)
+    assert np.all(o[differ] == 0.0)
+
+
+@pytest.mark.parametrize("r,dots", [("identity", 1), ("spd", 3)], ids=["identity", "explicit"])
+def test_pinned_stage_skips_the_products_by_r_only_at_the_identity(r, dots, monkeypatch):
+    # a Lorenz pinned stage makes 17 numpy calls at R = I, 19 with another R
+    rng = np.random.default_rng(2)
+    system, z = _stage_case("pinned_lorenz", "mixed", 6, 3, rng, r=r)
+    assert system.base.r_identity == (r == "identity")
+    calls = {}
+
+    def counted(name, func):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args)
+
+        return call
+
+    for name in ("_add", "_sub", "_mul", "_tanh", "_dot", "_copyto"):
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
+    stage, o = compile_stage(system), np.empty_like(z)
+    stage(system.bank.factors(0.5), z, o)
+    assert calls["_dot"] == dots
+    assert sum(calls.values()) == 16 + dots
+    assert o.tobytes() == _reference_stage(system, 0.5, z, system.bank.factors(0.5)).tobytes()
 
 
 def test_compiled_stage_writes_only_the_slot_it_is_passed():

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -1020,10 +1021,10 @@ def test_override_seed_removes_every_seed_key_of_the_schema(path):
 
 
 @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["as-shipped", "reseeded"])
-@pytest.mark.parametrize("section", ["integrator", "graph"])
+@pytest.mark.parametrize("section", ["integrator", "graph", "system"])
 def test_cli_seed_where_the_schema_takes_none_exits_2(section, seed, tmp_path, capsys):
-    # a cycle graph takes no seed, and the integrator none at all: --seed
-    # drops only the seeds that the schema types as seeds
+    # a cycle graph and a consensus system take no seed, and the integrator
+    # none at all: --seed drops only the seeds that the schema types as seeds
     cfg = load_bundled("example3_consensus_n3")
     cfg[section]["seed"] = 3
     path = tmp_path / "misplaced.json"
@@ -1035,6 +1036,66 @@ def test_cli_seed_where_the_schema_takes_none_exits_2(section, seed, tmp_path, c
 def test_seed_paths_reach_the_vector_sections_of_a_system():
     names = {".".join(key for key, _kind in path) for path in SEED_PATHS}
     assert {"x0.seed", "system.theta.seed", "system.s0.seed", "graph.seed"} <= names
+
+
+def test_override_seed_copies_only_along_the_seed_paths():
+    # sections that can hold no seed are passed through, not walked and copied
+    config = load_bundled("example4_pinning_n10")
+    config["system"]["s0"] = {"kind": "uniform", "low": -1.0, "high": 1.0, "seed": 8}
+    reseeded = override_seed(config, 5)
+    assert reseeded["integrator"] is config["integrator"]
+    assert reseeded["checks"] is config["checks"]
+    assert reseeded["system"]["drift"] is config["system"]["drift"]
+    assert reseeded["system"]["r"] is config["system"]["r"]
+    for section in (reseeded["x0"], reseeded["system"]["s0"], reseeded["sync_condition"]):
+        assert "seed" not in section
+    assert config["system"]["s0"]["seed"] == 8  # the input is left as it was
+    # an inline vector has no seed path, so its values are not walked either
+    config["x0"] = {"kind": "inline", "values": [0.5] * 30}
+    assert override_seed(config, 5)["x0"] is config["x0"]
+
+
+def _never_built(**kwargs):
+    raise AssertionError("the graph was built")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cli_graph_above_the_footprint_cap_exits_2_before_it_is_built(
+    command, tmp_path, capsys, monkeypatch
+):
+    # a dense 20000 x 20000 array takes 3.2 GB: refused from graph.n alone
+    monkeypatch.setattr(netgraph, "cycle_graph", _never_built)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_consensus_config(graph={"kind": "cycle", "n": 20000})))
+    start = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "graph.n = 20000 needs 3200000000 bytes per dense 20000 x 20000 array" in err
+    assert f"above the cap of {scenario.FOOTPRINT_CAP}" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_coupling_dimension_above_the_footprint_cap_exits_2_naming_nu(monkeypatch):
+    # R = I alone would take 3.2 GB at nu = 20000, on a record table of 82 MB
+    monkeypatch.setattr(netgraph, "erdos_renyi", _never_built)
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["system"]["nu"] = 20000
+    cfg["integrator"] = {"dt": 0.01, "t_final": 0.01}
+    with pytest.raises(ScenarioError, match="system.nu = 20000 needs 3200000000 bytes"):
+        build_scenario(cfg)
+
+
+def test_record_table_above_the_footprint_cap_exits_2_naming_the_stride(monkeypatch):
+    # 10^7 steps of 100 agents recorded at every step: 101 values a row, 8.1 GB
+    monkeypatch.setattr(netgraph, "cycle_graph", _never_built)
+    integrator = {"dt": 1e-3, "t_final": 1e4, "record_stride": 1}
+    cfg = _consensus_config(graph={"kind": "cycle", "n": 100}, integrator=integrator)
+    with pytest.raises(ScenarioError, match=r"integrator.record_stride = 1 records 10000001 rows"):
+        build_scenario(cfg)
+    monkeypatch.undo()
+    cfg["integrator"]["record_stride"] = 100  # 100001 rows, 81 MB: under the cap
+    assert build_scenario(cfg).integrator.n_records == 100_001
 
 
 @pytest.mark.parametrize(
@@ -1120,6 +1181,13 @@ def _pinned_with_gains(gains):
 NAN, INF = float("nan"), float("inf")
 
 
+def _explicit_r(i, j, value):
+    """An explicit r section: the 3 x 3 identity with value at rows[i][j]."""
+    rows = np.eye(3).tolist()
+    rows[i][j] = value
+    return {"kind": "explicit", "rows": rows}
+
+
 @pytest.mark.parametrize("command", ["check", "simulate"])
 @pytest.mark.parametrize(
     "config,message",
@@ -1166,11 +1234,23 @@ NAN, INF = float("nan"), float("inf")
         ),
         (
             _with("example4_pinning_n10", ("system", "drift", "a", 1, 1), NAN),
-            "drift matrix a must be finite",
+            "system.drift.a[1][1] must be a finite number, got nan",
         ),
         (
             _with("example4_pinning_n10", ("system", "drift", "b", 0, 2), INF),
-            "drift matrix b must be finite",
+            "system.drift.b[0][2] must be a finite number, got inf",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "r"), _explicit_r(2, 2, INF)),
+            "system.r.rows[2][2] must be a finite number, got inf",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "r"), _explicit_r(0, 0, INF)),
+            "system.r.rows[0][0] must be a finite number, got inf",
+        ),
+        (
+            _with("example4_pinning_n10", ("system", "r"), _explicit_r(0, 1, NAN)),
+            "system.r.rows[0][1] must be a finite number, got nan",
         ),
         (
             _consensus_config(mask={
@@ -1191,6 +1271,7 @@ NAN, INF = float("nan"), float("inf")
         "rate_range_inf", "rate_range_nan", "rate_range_zero", "rate_range_order",
         "kappa_over_radius_nan", "kappa_inf", "pin_gain_nan", "pin_gains_nan",
         "lorenz_sigma_nan", "lorenz_beta_inf", "tanh_a_nan", "tanh_b_inf",
+        "r_diagonal_inf", "r_first_inf", "r_off_diagonal_nan",
         "channel_delta_nan", "channel_delta_bool",
     ],
 )
