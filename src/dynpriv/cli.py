@@ -1,7 +1,8 @@
 """Command-line front door: validate, simulate, attack, and batch-verify.
 
-Exit codes: 0 all requested verdicts pass; 2 invalid config; 3 structural
-assumption violated under --strict; 4 numerical failure; 5 verdict failure.
+Exit codes: 0 all requested verdicts pass; 2 invalid config, or an --out
+that cannot hold the artifacts; 3 structural assumption violated under
+--strict; 4 numerical failure; 5 verdict failure.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class _AssumptionFailed(Exception):
     """A structural check failed under --strict; its message is the report."""
 
 
+class _UnusableOut(Exception):
+    """--out cannot hold the artifacts; its message names the path."""
+
+
 def _load(args, bundled=None) -> dict:
     """The config of --config, --bundled or the given bundled name, with
     --seed and --tol written into it, so that its hash names every override.
@@ -66,9 +71,23 @@ def _load(args, bundled=None) -> dict:
     return config
 
 
-def _outdir(args, name: str = "") -> Path:
-    """The --out directory (default ./out), or its subdirectory name, made if missing."""
+def _out(args, name: str = "") -> Path:
+    """The --out directory (default ./out), or its subdirectory name, once
+    it is known to be able to hold the artifacts: it, or else its nearest
+    existing parent, is a directory. Nothing is made on disk."""
     path = (Path(args.out) if args.out else Path("out")) / name
+    for part in (path, *path.parents):
+        if part.is_dir():
+            break
+        if part.exists():
+            under = "" if part == path else f" lies under {str(part)!r}, which"
+            raise _UnusableOut(f"{str(path)!r}{under} is not a directory")
+    return path
+
+
+def _outdir(args, name: str = "") -> Path:
+    """_out(args, name), made if missing."""
+    path = _out(args, name)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -88,7 +107,9 @@ def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
 
 def _simulate(args, sc, name: str):
     """Run sc and write its artifacts under name; returns its report. The
-    directory is made once the run has returned, so a failed run leaves none."""
+    directory is checked before the run and made once the run has returned,
+    so a failed run leaves none."""
+    _out(args, name)
     traj, series, report = scn.run_simulation(sc)
     _write_artifacts(_outdir(args, name), traj, series, report)
     return report
@@ -141,6 +162,7 @@ def cmd_adversary(args) -> int:
     if sc.adversary is None:
         raise scn.ScenarioError("scenario config has no adversary block")
     observer, target = sc.adversary["observer"], sc.adversary["target"]
+    _out(args, sc.name)
     # the eavesdropper reads outputs only: no diagnostics, series or verdicts
     traj = scn.integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     row_field, needed = sc.system.attack_row(target)
@@ -252,9 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _out(args)  # refused before any run starts
         return args.fn(args)
     except scn.ScenarioError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _UnusableOut as exc:
+        print(f"unusable --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _AssumptionFailed as exc:
         print(exc, file=sys.stderr)

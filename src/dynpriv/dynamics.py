@@ -581,12 +581,10 @@ class PinnedSync(SystemSpec):
         report.sync_error_final = float(series["sync_err_max"][-1])
         verdicts = {"converged": report.sync_error_final < sc.tol_conv}
         cond = sc.sync_condition
-        if cond is not None:
-            box = tuple(np.full(self.nu, float(bound)) for bound in cond["box"])
-            q = estimate_lipschitz_q(self.drift, self.r, box, cond["samples"], cond["seed"])
+        if cond is not None:  # q was sampled at build, where its box is checked
             xi = netgraph.left_null_vector(self.laplacian)
             report.lmi_margin = analysis.check_pinning_condition(
-                self.laplacian, self.r, self.pin_gains, xi, q
+                self.laplacian, self.r, self.pin_gains, xi, cond["q"]
             )
             verdicts["lmi_margin_negative"] = report.lmi_margin < 0
         return verdicts

@@ -19,6 +19,7 @@ Masks are strictly increasing in x for every fixed t, hence invertible.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,6 +281,8 @@ def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> d
     rng.uniform(a, b) computes from u."""
     if privacy_level <= 0:
         raise ValueError("privacy level must be positive")
+    if not math.isfinite(4.0 * privacy_level):  # the largest offset magnitude drawn
+        raise ValueError(f"privacy level {privacy_level!r} draws offsets past the float range")
     if kind not in PRIVACY_KINDS:
         raise ValueError(f"{kind.value} is not a privacy mask")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -342,14 +345,17 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
     dynamics collapse onto the unmasked ones; the pointwise gap need not be
     monotone when a state and its channel offset have opposite signs.
 
-    The factors are tabulated once over the time grid, and the gap is never
-    held for the whole (time, state, channel) grid: the fixed-point test
-    reads its t=0 slice, and the vanishing test folds the states one at a
-    time into a running (time, channel) max, which is exact. Locality
-    compares one factor row per probe time with the bank's own eval, in
-    O(d): the d probes differ from the base state on the diagonal only, so
-    two length-d vectors decide every row of the d x d probe grid. No array
-    of the check grows faster than the grid of times by channels.
+    The axioms are decided on the bank's template h = scale * (x + offset),
+    its factors tabulated once by one factors(times) call: the escape and
+    fixed-point probes read its t=0 row, monotonicity its sampled rows and
+    vanishing every row. For a MaskBank that row is eval_series at t=0 bit
+    for bit. The gap is never held for the whole (time, state, channel)
+    grid: the vanishing test folds the states one at a time into a running
+    (time, channel) max, which is exact. Locality alone is judged against
+    the bank's own eval, one factor row per probe time, in O(d): the d
+    probes differ from the base state on the diagonal only, so two length-d
+    vectors decide every row of the d x d probe grid. No array of the check
+    grows faster than the grid of times by channels.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
@@ -380,12 +386,18 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
             witnesses["local"] = {"channel": int(np.argmax(bad)), "t": t}
             break
 
+    # the template's factors on the whole grid, h = scale * (x + offset);
+    # row 0 (times[0] = 0) serves every t=0 axiom below
+    scale, offset = bank.factors(times)
+
     # neighborhood escape at t=0: a ball B(x*, r) is preserved iff its image
     # stays inside; with h monotone in x the sup over the ball is attained at
     # the endpoints, probed slightly inside so the identity map still counts
-    # as preserving. One eval_series call maps the endpoints of every radius.
+    # as preserving. Row 0 of the factors maps the endpoints of every radius,
+    # by eval_series's operations in its order.
     ends = np.concatenate([e for r in BALL_RADII for e in (states - 0.999 * r, states + 0.999 * r)])
-    img = bank.eval_series(np.zeros(ends.size), np.broadcast_to(ends[:, None], (ends.size, d)))
+    img = ends[:, None] + offset[0]
+    img *= scale[0]
     img = img.reshape(len(BALL_RADII), 2, states.size, d)
     inside = np.abs(img - states[:, None]) < np.reshape(BALL_RADII, (-1, 1, 1, 1))
     preserved = inside[:, 0] & inside[:, 1]  # [radius, state, channel]
@@ -398,9 +410,6 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
             "state": float(states[st]),
             "radius": float(BALL_RADII[ri]),
         }
-
-    # the template's factors on the whole grid, h = scale * (x + offset)
-    scale, offset = bank.factors(times)
 
     # strict monotonicity in x at sampled times, over the sorted states
     sampled = np.arange(0, times.size, max(1, times.size // 8))

@@ -35,7 +35,17 @@ import numpy as np
 
 from . import adversary as adv
 from . import analysis, masks, netgraph
-from .dynamics import FINITE, SEED, SYSTEMS, VECTOR, ByKind, MaskedSystem, Required, ScenarioError
+from .dynamics import (
+    FINITE,
+    SEED,
+    SYSTEMS,
+    VECTOR,
+    ByKind,
+    MaskedSystem,
+    Required,
+    ScenarioError,
+    estimate_lipschitz_q,
+)
 from .masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 from .netgraph import Digraph
 from .solver import IntegratorConfig, integrate
@@ -249,6 +259,10 @@ def _build_graph(config: dict, spec: dict) -> Digraph:
     keys and, for a random kind, its seed. The builder is looked up in netgraph
     at call time, so that a wrapper set there sees the call."""
     kind = spec["kind"]
+    for key in ("weight", "weight_range"):  # a node's degree sums up to n of them
+        bounds = spec.get(key, [])
+        if not all(math.isfinite(spec["n"] * w) for w in (bounds if isinstance(bounds, list) else [bounds])):
+            raise ScenarioError(f"graph.{key}: n = {spec['n']} times it must stay finite, got {bounds!r}")
     kwargs = {key: value for key, value in spec.items() if key != "kind"}
     if "seed" in _SCHEMA["graph"][kind]:
         kwargs["seed"] = _element_seed(config, spec, "graph")
@@ -374,8 +388,20 @@ def build_scenario(config: dict) -> Scenario:
                 raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
             if samples < 2:
                 raise ScenarioError(f"sync_condition.samples must be >= 2, got {samples}")
+            if 48 * samples * system.nu > FOOTPRINT_CAP:  # six (samples, nu) arrays
+                raise ScenarioError(
+                    f"sync_condition.samples = {samples} needs {48 * samples * system.nu} "
+                    f"bytes of samples, above the cap of {FOOTPRINT_CAP}"
+                )
             seed = _element_seed(config, cond, "sync_condition")
             cond = {"box": box, "samples": samples, "seed": seed}
+            if system.drift is not None:  # the pinning condition's Lipschitz constant
+                bounds = tuple(np.full(system.nu, float(bound)) for bound in box)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q = estimate_lipschitz_q(system.drift, system.r, bounds, samples, seed)
+                if not math.isfinite(q):
+                    raise ScenarioError(f"sync_condition.box: the drift is not finite over {box}")
+                cond["q"] = q
         adversary = config.get("adversary")
         if adversary is not None:
             if system.attack_row is None:  # the eavesdropper would attack a wrong model

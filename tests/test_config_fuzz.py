@@ -1,0 +1,87 @@
+"""A seeded config fuzzer: no mutant of a small bundled config makes main
+raise or return an undocumented exit code.
+
+Each mutant deletes one key of a bundled config, or sets one value (a
+section, a list or a leaf) to a hostile one. Every mutant goes through
+`check`; one that leaves `integrator` alone also goes through `simulate`,
+on a horizon of 0.5. Some runs add `--seed` or `--strict`. The case count
+is fixed, so the test costs the same on every run.
+"""
+
+import copy
+import json
+import random
+
+from dynpriv import scenario
+from dynpriv.cli import main
+
+SMALL = (
+    "adversary_covering",
+    "adversary_cycle",
+    "example1_satnet_n10",
+    "example2_fj_n10",
+    "example3_consensus_n3",
+    "example4_pinning_n10",
+)
+HOSTILE = (None, True, False, 1e308, -1e308, 2**63, float("nan"), float("inf"), "x", [], {}, [[1.0]])
+DOCUMENTED = {0, 2, 3, 4, 5}
+MUTANTS_PER_CONFIG = 100
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list entry under node, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutants(rng):
+    """(name, path, mutation, config, flags) for each mutant."""
+    for name in SMALL:
+        base = scenario.load_bundled(name)
+        base["integrator"]["t_final"] = 0.5
+        paths = list(_paths(base))
+        for _ in range(MUTANTS_PER_CONFIG):
+            config = copy.deepcopy(base)
+            path = rng.choice(paths)
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and rng.random() < 0.25:
+                del parent[path[-1]]
+                mutation = "deleted"
+            else:
+                value = rng.choice(HOSTILE)
+                parent[path[-1]] = copy.deepcopy(value)
+                mutation = f"set to {value!r}"
+            flags = ["--seed", str(rng.randrange(1000))] if rng.random() < 0.3 else []
+            flags += ["--strict"] if rng.random() < 0.2 else []
+            yield name, path, mutation, config, flags
+
+
+def test_no_config_mutant_raises_or_exits_undocumented(tmp_path, capsys):
+    config_path, out = tmp_path / "mutant.json", tmp_path / "out"
+    bad, codes = [], []
+    for name, path, mutation, config, flags in _mutants(random.Random(20190901)):
+        config_path.write_text(json.dumps(config))
+        commands = ["check"] if path[0] == "integrator" else ["check", "simulate"]
+        for command in commands:
+            argv = [command, "--config", str(config_path), "--out", str(out)] + flags
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                code = f"raised {type(exc).__name__}: {exc}"
+            codes.append(code)
+            if code not in DOCUMENTED:
+                bad.append((name, ".".join(map(str, path)), mutation, flags, command, code))
+        capsys.readouterr()
+    assert not bad, bad[:10]
+    # the mutants reach every stage: refused configs, clean runs, and runs
+    # that fail numerically or on a verdict
+    assert {0, 2, 4, 5} <= set(codes) and len(codes) > len(SMALL) * MUTANTS_PER_CONFIG

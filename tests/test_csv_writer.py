@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynpriv import g17
 from dynpriv import scenario as scn
 from dynpriv.g17 import G17Encoder
 from dynpriv.masks import CHUNK
@@ -118,6 +119,51 @@ def test_write_csv_matches_savetxt_across_chunk_shapes(tmp_path, n_cols):
     header = [f"c{i}" for i in range(n_cols)]
     write_csv(tmp_path / "got.csv", header, table)
     assert (tmp_path / "got.csv").read_bytes() == _oracle(tmp_path / "want.csv", header, table)
+
+
+def _mixed_table(seed, n_rows, n_cols):
+    """Doubles across the decades, with values that take the fallback."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.uniform(-14, 18, (n_rows, n_cols))
+    specials = [0.0, -0.0, np.inf, np.nan, 5e-324, 0.5]
+    table.flat[rng.integers(0, table.size, table.size // 8)] = rng.choice(specials, table.size // 8)
+    return table
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_cols=st.integers(1, 12),
+    n_rows=st.integers(1, 40),
+    batch=st.one_of(st.just(1), st.integers(2, 500)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_csv_bytes_do_not_depend_on_the_encoder_batch(tmp_path_factory, n_cols, n_rows, batch, seed):
+    path = tmp_path_factory.mktemp("batch")
+    table = _mixed_table(seed, n_rows, n_cols)
+    header = [f"c{i}" for i in range(n_cols)]
+    write_csv(path / "whole.csv", header, table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g17, "BATCH", batch)
+        write_csv(path / "split.csv", header, table)
+    assert (path / "split.csv").read_bytes() == (path / "whole.csv").read_bytes()
+    assert (path / "whole.csv").read_bytes() == _oracle(path / "want.csv", header, table)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 200, 202, 403, g17.BATCH + 1])
+def test_write_csv_trajectory_width_bytes_do_not_depend_on_the_encoder_batch(tmp_path, monkeypatch, batch):
+    # the n=100 trajectory's 201 columns, split where no row ends
+    table = _mixed_table(batch, 45, 201)
+    header = [f"c{i}" for i in range(201)]
+    write_csv(tmp_path / "whole.csv", header, table)
+    monkeypatch.setattr(g17, "BATCH", batch)
+    write_csv(tmp_path / "split.csv", header, table)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_encoder_scratch_stays_under_0_6_mib_a_call():
+    encode = g17.G17Encoder(g17.BATCH, 201)
+    scratch = sum(a.nbytes for a in vars(encode).values() if isinstance(a, np.ndarray))
+    assert scratch == 115 * g17.BATCH <= 0.6 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -470,7 +470,8 @@ def test_bank_params_and_decay_rate_follow_the_channels():
 
 def _check_mask_axioms_cube(bank, times, states):
     """Reference: the axiom grid as it was built before streaming, with the
-    whole (time, state, channel) gap cube and eval_series for locality."""
+    whole (time, state, channel) gap cube and eval_series for locality. The
+    escape probe reads the template's t=0 row, as the check defines it."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     d = bank.dim
@@ -484,10 +485,11 @@ def _check_mask_axioms_cube(bank, times, states):
             local = False
             witnesses["local"] = {"channel": int(bad[0]), "t": t}
             break
+    scale, offset = bank.factors(times)
     escapes = True
     for r in (0.01, 0.1):
         ends = np.concatenate([states - 0.999 * r, states + 0.999 * r])
-        img = bank.eval_series(np.zeros(ends.size), np.broadcast_to(ends[:, None], (ends.size, d)))
+        img = scale[0] * (ends[:, None] + offset[0])  # the template at t=0
         inside = np.abs(img.reshape(2, states.size, d) - states[:, None]) < r
         preserved = (inside[0] & inside[1]).T
         if preserved.any():
@@ -499,7 +501,6 @@ def _check_mask_axioms_cube(bank, times, states):
                 "radius": float(r),
             }
             break
-    scale, offset = bank.factors(times)
     sampled = np.arange(0, times.size, max(1, times.size // 8))
     h = scale[sampled, None, :] * (np.sort(states)[:, None] + offset[sampled, None, :])
     rising = np.all(np.diff(h, axis=1) > 0, axis=(1, 2))
@@ -561,6 +562,21 @@ def test_streamed_axiom_grid_equals_cube_reference(channels, variant, horizon, s
         rep.vanishing,
         rep.witnesses,
     ) == ref
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    channels=st.lists(VALID_CHANNEL, min_size=1, max_size=6),
+    later=st.lists(st.floats(0.0, 300.0), max_size=4),
+    states=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+)
+def test_template_row_zero_maps_states_as_eval_series_at_zero(channels, later, states):
+    # the escape probe's template reading equals eval_series at t=0 bit for bit
+    bank = MaskBank(channels)
+    scale, offset = bank.factors(np.array([0.0] + later))
+    x = np.broadcast_to(np.array(states)[:, None], (len(states), bank.dim))
+    via_template = (x + offset[0]) * scale[0]
+    assert via_template.tobytes() == bank.eval_series(np.zeros(len(states)), x).tobytes()
 
 
 def _locality_by_probe_grid(bank, times):

@@ -587,7 +587,8 @@ def test_cli_simulate_writes_artifacts(tmp_path):
 )
 def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     # the outputs, diagnostics and artifacts are built a chunk of rows at a
-    # time from x and the bank, so a run peaks within its x table plus 4 MiB
+    # time from x and the bank, and the CSV encoder holds 0.45 MiB of
+    # scratch, so a run peaks within its x table plus 1.5 MiB
     cfg = load_bundled(name)
     cfg["integrator"].update(t_final=t_final, record_stride=1)
     sc = build_scenario(cfg)
@@ -599,7 +600,7 @@ def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     finally:
         tracemalloc.stop()
     assert traj.x.shape == shape
-    assert peak <= traj.x.nbytes + 4 * 2**20
+    assert peak <= traj.x.nbytes + 1.5 * 2**20
 
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
@@ -716,6 +717,45 @@ def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
     assert [r["status"] for r in rows] == ["pass", "numerical failure: numerical blow-up at t=0.199"]
     assert rows[1]["verdicts"] == {}
     assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bundled", "example3_consensus_n3"],
+        ["simulate", "--bundled", "example3_consensus_n3"],
+        ["adversary", "--bundled", "adversary_cycle"],
+        ["suite", "--names", "example3_consensus_n3"],
+    ],
+    ids=["check", "simulate", "adversary", "suite"],
+)
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_cli_out_that_cannot_hold_the_artifacts_exits_2_before_any_run(
+    argv, under, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file")
+    out = blocker / "sub" if under else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if under:
+        assert err == f"unusable --out: {str(out)!r} lies under {str(blocker)!r}, which is not a directory\n"
+    else:
+        assert err == f"unusable --out: {str(out)!r} is not a directory\n"
+    assert calls == []
+    assert blocker.read_text() == "a file"
+
+
+def test_cli_out_whose_scenario_directory_is_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
+    (tmp_path / "example3_consensus_n3").write_text("a file")
+    assert main(["simulate", "--bundled", "example3_consensus_n3", "--out", str(tmp_path)]) == 2
+    path = tmp_path / "example3_consensus_n3"
+    assert capsys.readouterr().err == f"unusable --out: {str(path)!r} is not a directory\n"
+    assert calls == []
 
 
 def test_cli_tol_enters_the_config_hash(tmp_path):
@@ -1493,6 +1533,49 @@ def test_either_or_system_keys_name_both_choices(name, key, message):
     del cfg["system"][key]
     with pytest.raises(ScenarioError, match=message):
         build_scenario(cfg)
+
+
+def _set(cfg, path, value):
+    *head, last = path
+    for key in head:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize(
+    "name,path,value,message",
+    [
+        ("example2_fj_n10", ("graph", "weight_range", 1), 1e308, "graph.weight_range: n = 10 times it"),
+        ("example1_satnet_n10", ("graph", "weight_range", 0), -1e308, "graph.weight_range: n = 10 times it"),
+        ("example2_fj_n10", ("graph", "weight_range", 0), float("inf"), "graph.weight_range: n = 10 times it"),
+        ("example3_consensus_n3", ("mask", "privacy_level"), 1e308, "draws offsets past the float range"),
+        ("example4_pinning_n10", ("sync_condition", "samples"), 2**63, "sync_condition.samples = 9223372"),
+        ("example4_pinning_n10", ("sync_condition", "box", 1), 1e308, "the drift is not finite over"),
+    ],
+    ids=["weight-max", "weight-min", "weight-inf", "privacy-level", "lipschitz-samples", "lipschitz-box"],
+)
+def test_cli_values_past_the_float_range_exit_2_without_a_warning(
+    command, name, path, value, message, tmp_path, capsys
+):
+    # tier-1 turns RuntimeWarnings into errors, so an overflow would raise here
+    cfg = load_bundled(name)
+    cfg["integrator"]["t_final"] = 0.5
+    _set(cfg, path, value)
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_exosystem_state_that_overflows_the_field_exits_4_without_a_warning(tmp_path, capsys):
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["integrator"]["t_final"] = 0.5
+    cfg["system"]["s0"]["values"][1] = 1e308
+    config = tmp_path / "s0.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 4
+    assert "numerical failure: numerical blow-up at t=0.001" in capsys.readouterr().err
 
 
 def test_defaults_live_at_the_constructors():
