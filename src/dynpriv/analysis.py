@@ -1,15 +1,13 @@
-"""Diagnostics for masked-system runs: series_table, the one reduction of
-a recorded run into the per-time series that series.csv, the report and
-every verdict read; attractors; and the pinning feasibility margin.
+"""Run-level diagnostics of masked-system runs: series_table, the one
+reduction of a recorded run into the per-time series that series.csv, the
+report and every verdict read; the DiagnosticsReport they fill; the
+stationarity residual of a candidate rest point; and jacobi_eigenvalues.
 
-The pinning condition q*Xi (x) R - (0.5*(Xi L + L^T Xi) + Xi P) (x) R < 0 is
-decided on the n x n factor M = q*Xi - 0.5*(Xi L + L^T Xi) - Xi P: with R
-symmetric positive definite every eigenvalue of M (x) R is a product of an
-eigenvalue of M and a positive eigenvalue of R, so negativity of the big
-matrix is equivalent to lambda_max(M) < 0. check_coupling_matrix is the one
-test that R is symmetric and positive definite. lambda_max(M) still comes
-from a cyclic Jacobi sweep: np.linalg.eigvalsh rounds the last bits of the
-bundled pinning margin differently, and the golden report digests pin them.
+What varies by system kind (attractors, the consensus spread rise and the
+pinning margin) belongs to the system classes in dynamics. The pinning
+margin's lambda_max still comes from the cyclic Jacobi sweep here:
+np.linalg.eigvalsh rounds the last bits of the bundled pinning margin
+differently, and the golden report digests pin them.
 """
 
 from __future__ import annotations
@@ -23,41 +21,6 @@ from .masks import row_chunks
 
 if TYPE_CHECKING:  # dynamics imports this module, and solver imports dynamics
     from .solver import Trajectory
-
-
-def consensus_value(x0: np.ndarray) -> float:
-    """Arithmetic mean of the initial scalar states."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0:
-        raise ValueError("empty state")
-    return float(np.mean(x0))
-
-
-def fj_equilibrium(lap: np.ndarray, theta: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Unique rest point (L + Theta)^{-1} Theta x0 of the opinion dynamics."""
-    lap = np.asarray(lap, dtype=float)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.any(theta != 0):
-        raise ValueError("at least one susceptibility must be nonzero")
-    a = lap + np.diag(theta)
-    rhs = theta * x0
-    try:
-        x_star = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular opinion system: {exc}") from exc
-    residual = np.max(np.abs(a @ x_star - rhs))
-    scale = max(1.0, np.max(np.abs(rhs)))
-    if residual > 1e-10 * scale:
-        raise ValueError(f"equilibrium solve residual {residual:.3e} too large")
-    return x_star
-
-
-def max_increase(series: np.ndarray) -> float:
-    """Largest rise max_{t1 < t2} (v(t2) - v(t1)); 0 for non-increasing series."""
-    series = np.asarray(series, dtype=float)
-    running_min = np.minimum.accumulate(series)
-    return float(np.max(series - running_min))
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
@@ -102,44 +65,6 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200)
                 m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
                 m[p, q] = m[q, p] = 0.0
     return np.sort(np.diag(m).copy())
-
-
-#: Largest |R - R^T| entry under which the inner coupling matrix R counts as symmetric.
-R_SYMMETRY_TOL = 1e-12
-
-
-def check_coupling_matrix(r) -> None:
-    """Raise ValueError unless R is symmetric (to R_SYMMETRY_TOL) and
-    positive definite."""
-    r = np.asarray(r, dtype=float)
-    if np.max(np.abs(r - r.T)) > R_SYMMETRY_TOL:
-        raise ValueError("inner coupling matrix must be symmetric")
-    if np.min(np.linalg.eigvalsh(r)) <= 0:
-        raise ValueError("inner coupling matrix must be positive definite")
-
-
-def check_pinning_condition(
-    lap: np.ndarray,
-    r: np.ndarray,
-    pin_gains: np.ndarray,
-    xi: np.ndarray,
-    q: float,
-) -> float:
-    """Feasibility margin of the synchronization condition.
-
-    Returns lambda_max(q*Xi - 0.5*(Xi L + L^T Xi) - Xi P); the condition
-    holds iff the margin is negative.
-    """
-    check_coupling_matrix(r)
-    lap = np.asarray(lap, dtype=float)
-    p = np.atleast_1d(np.asarray(pin_gains, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi <= 0):
-        raise ValueError("xi must be strictly positive")
-    xi_mat = np.diag(xi)
-    m = q * xi_mat - 0.5 * (xi_mat @ lap + lap.T @ xi_mat) - xi_mat @ np.diag(p)
-    m = 0.5 * (m + m.T)
-    return float(np.max(jacobi_eigenvalues(m)))
 
 
 @dataclass

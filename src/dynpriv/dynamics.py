@@ -13,12 +13,12 @@ Each class owns all that varies by kind: its config name `kind`, config
 schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
 scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
-drive); its compiled `stage_body`; its `attractor`, its
-`verdicts(sc, traj, series, report)`, which read the final state, the
-columns of analysis.series_table and the scenario's one tolerance
-sc.tol_conv, and the `checks` they decide; and the eavesdropper's
-`attack_row`, where one is modelled. A drift owns `kind`, `keys` (its
-constructor's arguments), its rowwise value `rows` and
+drive); its compiled `stage_body`; its `attractor` (and a pinned
+system's `pinning_margin`), its `verdicts(sc, traj, series, report)`,
+which read the final state, the columns of analysis.series_table and the
+scenario's one tolerance sc.tol_conv, and the `checks` they decide; and the
+eavesdropper's `attack_row`, where one is modelled. A drift owns `kind`,
+`keys` (its constructor's arguments), its rowwise value `rows` and
 `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS are the only maps from a
 kind to its class.
 
@@ -315,8 +315,14 @@ class FriedkinJohnsen(SystemSpec):
             raise ValueError("inconsistent Friedkin-Johnsen dimensions")
         if np.any(theta < 0) or np.any(theta > 1):
             raise ValueError("susceptibilities must lie in [0, 1]")
-        if not np.any(theta > 0):
-            raise ValueError("at least one susceptibility must be nonzero")
+        # L + Theta is nonsingular iff every agent is reached from an anchored
+        # one along the edges it listens on, so that attractor() can solve it
+        reached = netgraph.reached(netgraph.closed_neighborhoods(lap), theta > 0)
+        if not reached.all():
+            raise ScenarioError(
+                f"system.theta: agent {int(np.argmin(reached))} is reached from no agent "
+                "of nonzero theta, so L + Theta is singular"
+            )
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "neg_laplacian", -lap)
         object.__setattr__(self, "theta", theta)
@@ -372,7 +378,16 @@ class FriedkinJohnsen(SystemSpec):
         return body
 
     def attractor(self, x0: np.ndarray) -> np.ndarray:
-        return analysis.fj_equilibrium(self.laplacian, self.theta, self.anchor)
+        """The unique rest point (L + Theta)^{-1} Theta anchor; the
+        constructor's reachability check makes L + Theta nonsingular."""
+        a = self.laplacian + np.diag(self.theta)
+        rhs = self.theta * self.anchor
+        x_star = np.linalg.solve(a, rhs)
+        residual = np.max(np.abs(a @ x_star - rhs))
+        scale = max(1.0, np.max(np.abs(rhs)))
+        if residual > 1e-10 * scale:
+            raise ValueError(f"equilibrium solve residual {residual:.3e} too large")
+        return x_star
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +424,7 @@ class AverageConsensus(SystemSpec):
 
     def attractor(self, x0: np.ndarray) -> np.ndarray:
         """The constant vector of the initial mean, which -L x conserves."""
-        return np.full(self.dim, analysis.consensus_value(x0))
+        return np.full(self.dim, float(np.mean(x0)))
 
     def stage_body(self, bank: MaskBank):
         neg_lap, y = self.neg_laplacian, np.empty(self.dim)
@@ -447,13 +462,19 @@ class AverageConsensus(SystemSpec):
         report.final_error = float(np.max(np.abs(traj.x[-1] - x_star)))
         report.conservation_dev = float(np.max(np.abs(series["mean_x"] - eta)))
         report.output_mean_range = float(np.ptp(series["mean_y"]))
-        report.vmm_max_increase = analysis.max_increase(series["spread_x"])
+        # the largest rise max_{t1 < t2} (v(t2) - v(t1)) of the spread v
+        spread = series["spread_x"]
+        report.vmm_max_increase = float(np.max(spread - np.minimum.accumulate(spread)))
         return {
             "converged": report.final_error < sc.tol_conv,
             "conservation": report.conservation_dev <= CONSERVATION_TOL,
             "output_mean_hidden": report.output_mean_range > OUTPUT_MEAN_FLOOR,
             "vmm_non_monotone": report.vmm_max_increase > VMM_RISE_FLOOR,
         }
+
+
+#: Largest |R - R^T| entry under which the inner coupling matrix R counts as symmetric.
+R_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,7 +513,11 @@ class PinnedSync(SystemSpec):
             raise ValueError("inconsistent pinned-sync dimensions")
         if r.shape != (self.nu, self.nu):
             raise ValueError("inner coupling matrix shape must be (nu, nu)")
-        analysis.check_coupling_matrix(r)
+        # the one check of R: pinning_margin relies on it, and checks neither
+        if np.max(np.abs(r - r.T)) > R_SYMMETRY_TOL:
+            raise ValueError("inner coupling matrix must be symmetric")
+        if np.min(np.linalg.eigvalsh(r)) <= 0:
+            raise ValueError("inner coupling matrix must be positive definite")
         if np.any(p < 0):
             raise ValueError("pinning gains must be nonnegative")
         if _registered(self.drift, DRIFTS, "drift").dim != self.nu:
@@ -573,6 +598,19 @@ class PinnedSync(SystemSpec):
 
         return body
 
+    def pinning_margin(self, xi: np.ndarray, q: float) -> float:
+        """Feasibility margin of the synchronization condition q*Xi (x) R -
+        (0.5*(Xi L + L^T Xi) + Xi P) (x) R < 0, for the positive left null
+        vector xi of L and the drift's one-sided Lipschitz constant q.
+
+        With R symmetric positive definite, as the constructor checks, every
+        eigenvalue of M (x) R is one of M = q*Xi - 0.5*(Xi L + L^T Xi) - Xi P
+        times a positive one of R, so the condition holds iff lambda_max(M),
+        the margin, is negative. The Jacobi sweep symmetrises M."""
+        xi_mat, lap = np.diag(xi), self.laplacian
+        m = q * xi_mat - 0.5 * (xi_mat @ lap + lap.T @ xi_mat) - xi_mat @ np.diag(self.pin_gains)
+        return float(np.max(analysis.jacobi_eigenvalues(m)))
+
     checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
 
     def verdicts(self, sc, traj, series, report) -> dict:
@@ -581,11 +619,8 @@ class PinnedSync(SystemSpec):
         report.sync_error_final = float(series["sync_err_max"][-1])
         verdicts = {"converged": report.sync_error_final < sc.tol_conv}
         cond = sc.sync_condition
-        if cond is not None:  # q was sampled at build, where its box is checked
-            xi = netgraph.left_null_vector(self.laplacian)
-            report.lmi_margin = analysis.check_pinning_condition(
-                self.laplacian, self.r, self.pin_gains, xi, cond["q"]
-            )
+        if cond is not None:  # xi and q were formed at build, where they are checked
+            report.lmi_margin = self.pinning_margin(cond["xi"], cond["q"])
             verdicts["lmi_margin_negative"] = report.lmi_margin < 0
         return verdicts
 

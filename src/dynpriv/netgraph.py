@@ -27,7 +27,7 @@ class Digraph:
 
     a[i, j] is the weight of edge j -> i (zero where there is none); src and
     dst list the edge endpoints in the order the edges were given (a[dst, src]
-    their weights); the neighborhood sets are derived on first use.
+    their weights).
     """
 
     n: int
@@ -35,12 +35,9 @@ class Digraph:
     src: np.ndarray
     dst: np.ndarray
 
-    @cached_property
-    def in_nbrs(self) -> tuple:
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.a)
-
     def closed_in_neighborhood(self, i: int) -> frozenset:
-        return self.in_nbrs[i] | {i}
+        """N_i u {i}, read from row i of a."""
+        return frozenset(np.flatnonzero(self.a[i]).tolist()) | {i}
 
     @cached_property
     def assumptions(self) -> "AssumptionReport":
@@ -157,72 +154,68 @@ def is_weight_balanced(lap: np.ndarray) -> bool:
     return bool(np.max(np.abs(lap.sum(axis=0))) <= BALANCE_TOL)
 
 
-def _closed_neighborhoods(g: Digraph) -> np.ndarray:
-    """float32 0/1 matrix M with M[i, j] = 1 iff j is in N_i u {i}.
+def closed_neighborhoods(a: np.ndarray) -> np.ndarray:
+    """float32 0/1 matrix M with M[i, j] = 1 iff j is in N_i u {i}, where the
+    nonzero off-diagonal entries of a (an adjacency or a Laplacian) mark the
+    edges j -> i.
 
     Products of M with 0/1 vectors and matrices count neighbours, and a
     count below 2^24 is exact in float32, so these products are exact for
     every graph of fewer than 2^24 nodes."""
-    m = (g.a != 0).astype(np.float32)
+    m = (a != 0).astype(np.float32)
     np.fill_diagonal(m, 1.0)
     return m
 
 
-def _reaches_all(m: np.ndarray) -> bool:
-    """True iff node 0 reaches every node when m[i, j] != 0 marks an edge
-    j -> i and m has a nonzero diagonal: one matvec per level grows the
-    reached set by its out-neighbours, until it stops growing."""
-    reached = np.zeros(len(m), np.float32)
-    reached[0] = 1.0
-    count = 1
-    while True:
-        reached = m @ reached
-        np.minimum(reached, 1.0, out=reached)
-        grown = np.count_nonzero(reached)
+def reached(m: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nodes that a node of the boolean mask start
+    reaches along the edges j -> i that m[i, j] != 0 marks, m with a nonzero
+    diagonal (closed_neighborhoods, or its transpose for reversed edges).
+    One float32 matvec per level grows the reached set until it stops
+    growing or holds every node, so a start of every node takes none."""
+    hit = start.astype(np.float32)
+    count = np.count_nonzero(hit)
+    while count < len(m):
+        hit = m @ hit
+        np.minimum(hit, 1.0, out=hit)
+        grown = np.count_nonzero(hit)
         if grown == count:
-            return bool(count == len(m))
+            break
         count = grown
-
-
-def is_irreducible(g: Digraph) -> bool:
-    """True iff the digraph is strongly connected (the standard matrix
-    irreducibility proxy): node 0 reaches every node and every node reaches
-    node 0. Single-node graphs count as irreducible.
-
-    Each search grows the reached set by one breadth-first level per
-    float32 matvec with the closed-neighborhood matrix, exact below 2^24
-    nodes."""
-    m = _closed_neighborhoods(g)
-    return _reaches_all(m) and _reaches_all(m.T)
+    return hit != 0
 
 
 def check_no_covering(g: Digraph) -> AssumptionReport:
-    """Test all ordered pairs for covering closed neighborhoods at once.
+    """Test all ordered pairs for covering closed neighborhoods at once, and
+    irreducibility on the same closed-neighborhood matrix.
 
     With M the 0/1 matrix of closed in-neighborhoods, M @ (1 - M).T counts
     |N_i u {i} minus N_j u {j}|, and (i, j) covers iff that count is zero;
     pairs are listed in row-major order. The product is formed in float32:
     its entries are 0/1 and its sums integers of at most n, all exact below
-    2^24 nodes.
+    2^24 nodes. The graph counts as irreducible (strongly connected, the
+    standard matrix irreducibility proxy) iff node 0 reaches every node
+    along M and along M.T; a single node counts as irreducible.
     """
-    m = _closed_neighborhoods(g)
+    m = closed_neighborhoods(g.a)
     # contiguous: at n=100 the product on the transposed view took twice as long
     missing = m @ np.ascontiguousarray((1.0 - m).T)
     np.fill_diagonal(missing, 1.0)
     covering = ()
     if missing.min() == 0:
         covering = tuple(map(tuple, np.argwhere(missing == 0).tolist()))
+    root = np.arange(g.n) == 0
     return AssumptionReport(
-        irreducible=is_irreducible(g),
+        irreducible=bool(reached(m, root).all() and reached(m.T, root).all()),
         weight_balanced=is_weight_balanced(laplacian(g)),
         covering_violations=covering,
     )
 
 
-def left_null_vector(lap: np.ndarray, tol: float = SPECTRAL_TOL) -> np.ndarray:
+def left_null_vector(lap: np.ndarray) -> np.ndarray:
     """Positive left null vector xi of an irreducible Laplacian.
 
-    Returns xi with xi^T L = 0 (residual <= tol), all entries strictly
+    Returns xi with xi^T L = 0 (residual <= SPECTRAL_TOL), all entries strictly
     positive, normalized so the entries sum to 1. Raises ValueError when the
     null space is not one-dimensional (reducible Laplacian).
     """
@@ -232,14 +225,14 @@ def left_null_vector(lap: np.ndarray, tol: float = SPECTRAL_TOL) -> np.ndarray:
         return np.array([1.0])
     _, svals, vt = np.linalg.svd(lap.T)
     scale = max(svals[0], 1.0)
-    if svals[-1] > tol * scale:
+    if svals[-1] > SPECTRAL_TOL * scale:
         raise ValueError("Laplacian has no null vector within tolerance")
-    if svals[-2] <= tol * scale:
+    if svals[-2] <= SPECTRAL_TOL * scale:
         raise ValueError("null vector not unique (reducible Laplacian)")
     xi = vt[-1]
     xi = xi / xi.sum()
     residual = np.max(np.abs(xi @ lap))
-    if residual > tol * scale:
+    if residual > SPECTRAL_TOL * scale:
         raise ValueError(f"left null vector residual {residual:.3e} exceeds tolerance")
     if np.min(xi) <= 0:
         raise ValueError("left null vector is not strictly positive")

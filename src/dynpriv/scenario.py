@@ -250,7 +250,7 @@ class Scenario:
     checks: tuple
     privacy_level: Optional[float]
     tol_conv: float
-    sync_condition: Optional[dict]  # the block, its defaults and seed filled in
+    sync_condition: Optional[dict]  # the block with defaults and seed, and a pinned system's xi and q
     adversary: Optional[dict]  # the adversary block, its defaults filled in
 
 
@@ -395,7 +395,11 @@ def build_scenario(config: dict) -> Scenario:
                 )
             seed = _element_seed(config, cond, "sync_condition")
             cond = {"box": box, "samples": samples, "seed": seed}
-            if system.drift is not None:  # the pinning condition's Lipschitz constant
+            if system.drift is not None:  # the pinning condition's xi and Lipschitz constant
+                try:
+                    cond["xi"] = netgraph.left_null_vector(system.laplacian)
+                except ValueError as exc:
+                    raise ScenarioError(f"sync_condition needs an irreducible graph: {exc}") from exc
                 bounds = tuple(np.full(system.nu, float(bound)) for bound in box)
                 with np.errstate(over="ignore", invalid="ignore"):
                     q = estimate_lipschitz_q(system.drift, system.r, bounds, samples, seed)

@@ -35,6 +35,8 @@ from .dynamics import field_unmasked  # noqa: F401
 from .masks import CHUNK, MaskBank
 
 BLOWUP_LIMIT = 1e12
+#: Most steps a time grid may take.
+MAX_STEPS = 10_000_000
 #: Largest relative miss |n_steps * dt - t_final| / t_final of a time grid.
 HORIZON_RTOL = 1e-9
 #: Steps per block, and so per mask-factor table of 3*TABLE_STEPS rows:
@@ -58,7 +60,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     t_final: float = 50.0
     record_stride: int = 1
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if self.method != "rk4":
@@ -77,8 +78,8 @@ class IntegratorConfig:
             )
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.n_steps > self.max_steps:
-            raise ValueError(f"{self.n_steps} steps exceed the configured maximum")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"{self.n_steps} steps exceed the maximum of {MAX_STEPS}")
 
     @property
     def n_steps(self) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
-from dynpriv.analysis import check_pinning_condition, fj_equilibrium, jacobi_eigenvalues
+from dynpriv.analysis import jacobi_eigenvalues
 from dynpriv.cli import main
 from dynpriv.dynamics import (
     AverageConsensus,
@@ -138,7 +138,7 @@ def test_saturated_net_attractor_and_mask_gap():
 def test_fj_masked_unmasked_agree_and_frozen_anchor_shifts():
     sc = build_scenario(load_bundled("example2_fj_n20"))
     spec = sc.system
-    x_star = fj_equilibrium(spec.laplacian, spec.theta, spec.anchor)
+    x_star = spec.attractor(sc.x0)
     masked = run_simulation(sc)[0]
     unmasked = integrate(_unmasked(spec), sc.x0, sc.integrator)
     frozen = integrate(
@@ -204,7 +204,7 @@ def test_pinned_sync_gain_scan_and_error():
     for gain in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         p = np.zeros(spec.n_agents)
         p[:3] = gain
-        margin = check_pinning_condition(spec.laplacian, spec.r, p, xi, q)
+        margin = replace(spec, pin_gains=p).pinning_margin(xi, q)
         if margin < 0:
             chosen = (gain, margin)
             break
@@ -283,7 +283,7 @@ def test_equilibrium_escape_and_reconvergence():
     assert np.max(np.abs(field_unmasked(pinned, 0.0, x_eq, s0))) <= 1e-12
     xi = left_null_vector(pinned.laplacian)
     q = estimate_lipschitz_q(drift, np.eye(3), (np.full(3, -3.0), np.full(3, 3.0)), 4000, seed=88)
-    assert check_pinning_condition(pinned.laplacian, pinned.r, gains, xi, q) < 0
+    assert pinned.pinning_margin(xi, q) < 0
     bank = MaskBank.auto(MaskKind.VANISHING_AFFINE, lam, x_eq, seed=89)
     results["pinned_sync"] = (*_escape_and_return(pinned, bank, x_eq, s0, 1e-2, t_final=60.0), 1e-2)
 
@@ -356,7 +356,9 @@ def test_pinning_reduction_matches_kronecker_oracle():
         xi_mat = np.diag(xi)
         reduced = xi_mat * q - 0.5 * (xi_mat @ lap + lap.T @ xi_mat) - xi_mat @ np.diag(p)
         reduced = 0.5 * (reduced + reduced.T)
-        margin = check_pinning_condition(lap, r, p, xi, q)
+        drift = TanhDrift(a=-np.eye(nu), b=np.zeros((nu, nu)))
+        spec = PinnedSync(laplacian=lap, r=r, pin_gains=p, drift=drift, nu=nu)
+        margin = spec.pinning_margin(xi, q)
         if abs(margin) < 1e-8:
             continue
         ev = jacobi_eigenvalues(reduced)

@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynpriv import scenario
 from dynpriv.analysis import (
-    R_SYMMETRY_TOL,
     DiagnosticsReport,
-    check_coupling_matrix,
-    check_pinning_condition,
-    consensus_value,
-    fj_equilibrium,
     jacobi_eigenvalues,
-    max_increase,
     series_table,
     stationarity_residual,
 )
 from dynpriv.dynamics import (
+    R_SYMMETRY_TOL,
     AverageConsensus,
     FriedkinJohnsen,
     LorenzDrift,
@@ -38,24 +34,36 @@ def _unmasked(spec):
     return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
 
 
+def _consensus_value(x0):
+    """The consensus attractor's one value, for initial states x0."""
+    spec = AverageConsensus(laplacian=laplacian(cycle_graph(len(x0))))
+    x_star = spec.attractor(x0)
+    assert np.all(x_star == x_star[0])
+    return float(x_star[0])
+
+
+def _fj_equilibrium(lap, theta, x0):
+    """The rest point of the opinion dynamics anchored at x0."""
+    return FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0).attractor(x0)
+
+
 def test_consensus_value_basic():
-    assert consensus_value(np.array([1.0, 2.0, 3.0])) == 2.0
-    assert consensus_value(np.full(5, 4.2)) == pytest.approx(4.2)
-    with pytest.raises(ValueError, match="empty"):
-        consensus_value(np.array([]))
+    assert _consensus_value(np.array([1.0, 2.0, 3.0])) == 2.0
+    assert _consensus_value(np.full(5, 4.2)) == pytest.approx(4.2)
 
 
 def test_consensus_value_matches_compensated_summation():
     rng = np.random.default_rng(0)
     x = rng.uniform(-100, 100, 100)
-    assert consensus_value(x) == pytest.approx(math.fsum(x) / 100, abs=1e-12)
+    assert _consensus_value(x) == pytest.approx(math.fsum(x) / 100, abs=1e-12)
 
 
 def test_fj_equilibrium_trivial_cases():
-    assert fj_equilibrium(np.zeros((1, 1)), np.array([1.0]), np.array([3.0])) == pytest.approx([3.0])
+    assert _fj_equilibrium(np.zeros((1, 1)), np.array([1.0]), np.array([3.0])) == pytest.approx([3.0])
     lap = laplacian(cycle_graph(4))
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
-    x_star = fj_equilibrium(lap, np.full(4, 1e6), x0)
+    # theta = 1 on L / 1e6 has the rest point of theta = 1e6 on L
+    x_star = _fj_equilibrium(1e-6 * lap, np.ones(4), x0)
     assert np.max(np.abs(x_star - x0)) < 1e-4
 
 
@@ -82,7 +90,7 @@ def test_fj_equilibrium_matches_elimination_oracle_and_is_stationary():
     lap = laplacian(cycle_graph(3))
     theta = np.ones(3)
     x0 = np.array([1.0, 0.0, 0.0])
-    x_star = fj_equilibrium(lap, theta, x0)
+    x_star = _fj_equilibrium(lap, theta, x0)
     oracle = _gauss_solve(lap + np.diag(theta), theta * x0)
     assert np.max(np.abs(x_star - oracle)) < 1e-12
     spec = FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0)
@@ -97,7 +105,7 @@ def test_fj_equilibrium_stationarity_random_instances():
         lap = laplacian(g)
         theta = rng.uniform(0.05, 1.0, n)
         x0 = rng.uniform(-5, 5, n)
-        x_star = fj_equilibrium(lap, theta, x0)
+        x_star = _fj_equilibrium(lap, theta, x0)
         spec = FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0)
         assert stationarity_residual(spec, x_star) <= 1e-9
 
@@ -122,7 +130,7 @@ def test_stationarity_residual_of_a_pinned_rest_point():
 def test_fj_equilibrium_rejects_zero_theta():
     lap = laplacian(cycle_graph(3))
     with pytest.raises(ValueError, match="nonzero"):
-        fj_equilibrium(lap, np.zeros(3), np.ones(3))
+        _fj_equilibrium(lap, np.zeros(3), np.ones(3))
 
 
 def _toy_traj(x, bank=None, times=None, s=None):
@@ -137,18 +145,29 @@ def test_vmm_series_constant_consensus_is_zero():
     assert np.all(series_table(traj)["spread_x"] == 0.0)
 
 
+def _max_increase(spread):
+    """The spread rise that consensus's verdicts report for a spread_x column."""
+    spec = AverageConsensus(laplacian=laplacian(cycle_graph(2)))
+    flat = np.zeros(len(spread))
+    series = {"mean_x": flat, "mean_y": flat, "spread_x": np.asarray(spread, float)}
+    report = DiagnosticsReport(scenario="t")
+    sc = SimpleNamespace(x0=np.zeros(2), tol_conv=1e-3)
+    spec.verdicts(sc, _toy_traj(np.zeros((1, 2))), series, report)
+    return report.vmm_max_increase
+
+
 def test_vmm_unmasked_consensus_non_increasing():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(5)))
     cfg = IntegratorConfig(dt=1e-2, t_final=20.0, record_stride=10)
     traj = integrate(_unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
     series = series_table(traj)["spread_x"]
     assert np.all(np.diff(series) <= 1e-12)
-    assert max_increase(series) <= 1e-12
+    assert _max_increase(series) <= 1e-12
 
 
 def test_max_increase_detects_bumps():
-    assert max_increase(np.array([3.0, 1.0, 2.0, 0.5])) == pytest.approx(1.0)
-    assert max_increase(np.array([3.0, 2.0, 1.0])) == 0.0
+    assert _max_increase(np.array([3.0, 1.0, 2.0, 0.5])) == pytest.approx(1.0)
+    assert _max_increase(np.array([3.0, 2.0, 1.0])) == 0.0
 
 
 def _gap_columns(traj):
@@ -331,6 +350,14 @@ def _char_poly_eigs_3x3(m):
     return np.sort(roots.real)
 
 
+def _margin(lap, r, p, xi, q):
+    """PinnedSync's pinning margin on Laplacian lap, coupling r and gains p."""
+    nu = len(r)
+    drift = TanhDrift(a=-np.eye(nu), b=np.zeros((nu, nu)))
+    spec = PinnedSync(laplacian=lap, r=r, pin_gains=p, drift=drift, nu=nu)
+    return spec.pinning_margin(xi, q)
+
+
 def test_pinning_condition_three_cycle_scan():
     # uniform pinning on the 3-cycle admits a closed form: the symmetrized
     # Laplacian part has eigenvalues {0, 1.5, 1.5}, so the margin is (q - p)/3
@@ -339,7 +366,7 @@ def test_pinning_condition_three_cycle_scan():
     margins = []
     for gain in (0.0, 1.0, 5.0, 20.0):
         p = np.full(3, gain)
-        margins.append(check_pinning_condition(lap, np.eye(2), p, xi, q=1.0))
+        margins.append(_margin(lap, np.eye(2), p, xi, q=1.0))
     assert all(a > b for a, b in zip(margins, margins[1:]))
     assert margins[0] > 0  # q=1 with no pinning fails on the agreement direction
     assert np.allclose(margins, [(1.0 - g) / 3.0 for g in (0.0, 1.0, 5.0, 20.0)], atol=1e-9)
@@ -348,7 +375,7 @@ def test_pinning_condition_three_cycle_scan():
     # cross-check one margin against the characteristic-polynomial oracle
     p = np.full(3, 5.0)
     m = 1.0 * np.diag(xi) - 0.5 * (np.diag(xi) @ lap + lap.T @ np.diag(xi)) - np.diag(xi * p)
-    assert check_pinning_condition(lap, np.eye(2), p, xi, q=1.0) == pytest.approx(
+    assert _margin(lap, np.eye(2), p, xi, q=1.0) == pytest.approx(
         _char_poly_eigs_3x3(0.5 * (m + m.T))[-1], abs=1e-9
     )
 
@@ -357,8 +384,8 @@ def test_pinning_condition_sign_cases():
     lap = laplacian(erdos_renyi(4, 0.6, seed=5, symmetric=True, require_no_covering=False))
     xi = left_null_vector(lap)
     p0 = np.zeros(4)
-    assert check_pinning_condition(lap, np.eye(2), p0, xi, q=-0.5) < 0
-    assert check_pinning_condition(lap, np.eye(2), p0, xi, q=100.0) > 0
+    assert _margin(lap, np.eye(2), p0, xi, q=-0.5) < 0
+    assert _margin(lap, np.eye(2), p0, xi, q=100.0) > 0
 
 
 def test_pinning_condition_matches_kronecker_bruteforce():
@@ -374,7 +401,7 @@ def test_pinning_condition_matches_kronecker_bruteforce():
         r = r @ r.T + nu * np.eye(nu)
         p = np.where(rng.random(n) < 0.5, rng.uniform(0, 5, n), 0.0)
         q = float(rng.uniform(-2, 4))
-        margin = check_pinning_condition(lap, r, p, xi, q)
+        margin = _margin(lap, r, p, xi, q)
         if abs(margin) < 1e-8:
             continue
         xi_mat = np.diag(xi)
@@ -391,30 +418,32 @@ def test_pinning_condition_validation():
     lap = laplacian(cycle_graph(3))
     xi = left_null_vector(lap)
     with pytest.raises(ValueError, match="positive definite"):
-        check_pinning_condition(lap, -np.eye(2), np.zeros(3), xi, q=0.0)
+        _margin(lap, -np.eye(2), np.zeros(3), xi, q=0.0)
     with pytest.raises(ValueError, match="symmetric"):
-        check_pinning_condition(lap, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(3), xi, q=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        check_pinning_condition(lap, np.eye(2), np.zeros(3), np.array([0.5, 0.5, 0.0]), q=0.0)
+        _margin(lap, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(3), xi, q=0.0)
 
 
 @pytest.mark.parametrize("skew,ok", [(0.5 * R_SYMMETRY_TOL, True), (2.0 * R_SYMMETRY_TOL, False)])
-def test_coupling_matrix_has_one_check_for_both_callers(skew, ok):
-    # the pinned system and the margin accept and reject the same R
+def test_coupling_matrix_is_checked_once_at_build(skew, ok, monkeypatch):
+    # PinnedSync's constructor is the one check of R: it accepts R within
+    # R_SYMMETRY_TOL of symmetric, and a pinned run with a sync_condition
+    # sends R through eigvalsh once, at build, and never in its verdicts
     lap = laplacian(cycle_graph(3))
     r = np.array([[1.0, skew], [0.0, 1.0]])
     drift = TanhDrift(a=-np.eye(2), b=0.3 * np.eye(2))
-    callers = (
-        lambda: PinnedSync(laplacian=lap, r=r, pin_gains=np.ones(3), drift=drift, nu=2),
-        lambda: check_pinning_condition(lap, r, np.ones(3), left_null_vector(lap), q=0.0),
-        lambda: check_coupling_matrix(r),
-    )
-    for call in callers:
-        if ok:
-            call()
-        else:
-            with pytest.raises(ValueError, match="inner coupling matrix must be symmetric"):
-                call()
+    if not ok:
+        with pytest.raises(ValueError, match="inner coupling matrix must be symmetric"):
+            PinnedSync(laplacian=lap, r=r, pin_gains=np.ones(3), drift=drift, nu=2)
+        return
+    PinnedSync(laplacian=lap, r=r, pin_gains=np.ones(3), drift=drift, nu=2)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    config = scenario.load_bundled("example4_pinning_n10")
+    config["integrator"]["t_final"] = 0.5
+    sc = scenario.build_scenario(config)
+    assert len(calls) == 1 and calls[0].tobytes() == sc.system.r.tobytes()
+    report = scenario.run_simulation(sc)[2]
+    assert len(calls) == 1 and report.lmi_margin < 0
 
 
 def test_sync_error_series_zero_when_agents_match_exosystem():
@@ -457,7 +486,7 @@ def test_attractor_verdicts_basic():
 def test_consensus_attractor_is_the_constant_initial_mean():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(4)))
     x0 = np.array([0.1, 0.2, 0.3, 1.0])
-    assert spec.attractor(x0).tobytes() == np.full(4, consensus_value(x0)).tobytes()
+    assert spec.attractor(x0).tobytes() == np.full(4, np.sum(x0) / 4).tobytes()
 
 
 def test_attraction_uniform_over_mask_clock_and_initial_state():

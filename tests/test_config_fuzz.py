@@ -6,6 +6,11 @@ section, a list or a leaf) to a hostile one. Every mutant goes through
 `check`; one that leaves `integrator` alone also goes through `simulate`,
 on a horizon of 0.5. Some runs add `--seed` or `--strict`. The case count
 is fixed, so the test costs the same on every run.
+
+Value mutants never build a reducible graph, so a fixed set of structural
+mutants swaps each config's graph for an inline directed path of the same
+n and, where n >= 4, for two disjoint directed cycles; one more leaves the
+opinion model's second cycle without an anchor (theta = 0).
 """
 
 import copy
@@ -85,3 +90,52 @@ def test_no_config_mutant_raises_or_exits_undocumented(tmp_path, capsys):
     # the mutants reach every stage: refused configs, clean runs, and runs
     # that fail numerically or on a verdict
     assert {0, 2, 4, 5} <= set(codes) and len(codes) > len(SMALL) * MUTANTS_PER_CONFIG
+
+
+def _path(n):
+    return {"kind": "inline", "n": n, "edges": [[i, i + 1, 1.0] for i in range(n - 1)]}
+
+
+def _two_cycles(n):
+    """Directed cycles on the nodes 0..k-1 and k..n-1, k = n // 2."""
+    halves = (list(range(n // 2)), list(range(n // 2, n)))
+    edges = [[a, b, 1.0] for nodes in halves for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    return {"kind": "inline", "n": n, "edges": edges}
+
+
+def _structural_mutants():
+    """(name, mutation, config) for each structural mutant."""
+    for name in SMALL:
+        base = scenario.load_bundled(name)
+        base["integrator"]["t_final"] = 0.5
+        n = base["graph"]["n"]
+        yield name, "path", {**base, "graph": _path(n)}
+        if n >= 4:
+            yield name, "two cycles", {**base, "graph": _two_cycles(n)}
+    config = scenario.load_bundled("example2_fj_n10")
+    config["integrator"]["t_final"] = 0.5
+    config["graph"] = _two_cycles(10)
+    config["system"]["theta"] = {"kind": "inline", "values": [0.5] * 5 + [0.0] * 5}
+    yield "example2_fj_n10", "two cycles, the second unanchored", config
+
+
+def test_no_reducible_graph_mutant_raises_or_exits_undocumented(tmp_path, capsys):
+    # and simulate refuses (exit 2) exactly what check refuses, so that no
+    # config is refused only after its integration
+    config_path, out = tmp_path / "mutant.json", tmp_path / "out"
+    bad = []
+    for name, mutation, config in _structural_mutants():
+        config_path.write_text(json.dumps(config))
+        for flags in ([], ["--seed", "7"]):
+            codes = {}
+            for command in ("check", "simulate"):
+                argv = [command, "--config", str(config_path), "--out", str(out)] + flags
+                try:
+                    codes[command] = main(argv)
+                except (Exception, SystemExit) as exc:
+                    codes[command] = f"raised {type(exc).__name__}: {exc}"
+            refused = {command for command, code in codes.items() if code == 2}
+            if not set(codes.values()) <= DOCUMENTED or len(refused) == 1:
+                bad.append((name, mutation, flags, codes))
+        capsys.readouterr()
+    assert not bad, bad

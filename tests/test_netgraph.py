@@ -10,13 +10,14 @@ from dynpriv.netgraph import (
     GraphConstructionError,
     build_graph,
     check_no_covering,
+    closed_neighborhoods,
     complete_graph,
     cycle_graph,
     erdos_renyi,
-    is_irreducible,
     is_weight_balanced,
     laplacian,
     left_null_vector,
+    reached,
 )
 
 
@@ -28,15 +29,15 @@ def _edges(g):
 
 def test_build_cycle_neighborhoods():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-    assert g.in_nbrs[1] == {0}
-    assert g.in_nbrs[2] == {1}
-    assert g.in_nbrs[0] == {2}
+    assert g.closed_in_neighborhood(1) == {0, 1}
+    assert g.closed_in_neighborhood(2) == {1, 2}
+    assert g.closed_in_neighborhood(0) == {2, 0}
 
 
 def test_build_single_node():
     g = build_graph(1, [])
     assert g.n == 1
-    assert g.in_nbrs[0] == frozenset()
+    assert g.closed_in_neighborhood(0) == frozenset({0})
 
 
 @pytest.mark.parametrize(
@@ -150,11 +151,11 @@ def test_symmetric_graphs_are_balanced():
 
 
 def test_irreducibility():
-    assert is_irreducible(cycle_graph(3))
-    assert not is_irreducible(build_graph(2, []))
+    assert check_no_covering(cycle_graph(3)).irreducible
+    assert not check_no_covering(build_graph(2, [])).irreducible
     # directed path: SCC enumeration gives three singleton components
-    assert not is_irreducible(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
-    assert is_irreducible(build_graph(1, []))
+    assert not check_no_covering(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])).irreducible
+    assert check_no_covering(build_graph(1, [])).irreducible
 
 
 def test_no_covering_cycle_and_complete():
@@ -195,6 +196,20 @@ def _covering_oracle(n, edges):
     return [(i, j) for i in range(n) for j in range(n) if i != j and closed[i] <= closed[j]]
 
 
+def _reached_oracle(n, edges, start):
+    # breadth-first search over the edge list from every node of start
+    out = [[] for _ in range(n)]
+    for src, dst, _ in edges:
+        out[src].append(dst)
+    seen, queue = set(start), deque(start)
+    while queue:
+        for v in out[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return [i in seen for i in range(n)]
+
+
 def _strongly_connected_oracle(n, edges):
     # breadth-first search from every node over the edge list
     out = [[] for _ in range(n)]
@@ -228,9 +243,23 @@ def test_no_covering_matches_bruteforce_on_random_graphs(graph):
     g = build_graph(n, edges)
     rep = check_no_covering(g)
     assert list(rep.covering_violations) == _covering_oracle(n, edges)
-    assert rep.irreducible == is_irreducible(g) == _strongly_connected_oracle(n, edges)
+    assert rep.irreducible == _strongly_connected_oracle(n, edges)
     assert [g.closed_in_neighborhood(i) for i in range(n)] == _closed_neighborhoods(n, edges)
     assert _edges(g) == tuple(edges)
+
+
+@settings(deadline=None)
+@given(_digraphs(), st.data())
+def test_reached_from_a_start_set_matches_bfs_on_adjacency_and_laplacian(graph, data):
+    # the search that decides irreducibility and the opinion model's anchors
+    n, edges = graph
+    start = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    mask = np.isin(np.arange(n), start)
+    g = build_graph(n, edges)
+    want = _reached_oracle(n, edges, start)
+    for matrix in (g.a, laplacian(g)):
+        got = reached(closed_neighborhoods(matrix), mask)
+        assert got.dtype == bool and got.tolist() == want
 
 
 def test_left_null_vector_balanced_graphs():
@@ -280,7 +309,7 @@ def test_left_null_vector_rejects_reducible():
 def test_irreducible_implies_positive_null_vector():
     for seed in range(10):
         g = erdos_renyi(6, 0.5, seed=100 + seed, require_no_covering=False)
-        assert is_irreducible(g)
+        assert check_no_covering(g).irreducible
         xi = left_null_vector(laplacian(g))
         assert np.all(xi > 0)
 
@@ -414,15 +443,13 @@ def _sampled_edges(n, p, rng, symmetric):
 @pytest.mark.parametrize("n", [50, 100, 200])
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_float32_covering_counts_and_reachability_match_float64_and_bfs(n, symmetric):
-    from dynpriv.netgraph import _closed_neighborhoods
-
     rng = np.random.default_rng(n + symmetric)
     verdicts = set()
     # from below the connectivity threshold to dense enough for coverings
     for p in (0.5 / n, 2.0 / n, 0.05, 0.5, 0.97):
         edges = _sampled_edges(n, p, rng, symmetric)
         g = build_graph(n, edges)
-        m = _closed_neighborhoods(g)
+        m = closed_neighborhoods(g.a)
         counts = m @ np.ascontiguousarray((1 - m).T)
         missing = m.astype(float) @ (1.0 - m.astype(float)).T
         assert m.dtype == counts.dtype == np.float32
@@ -431,7 +458,7 @@ def test_float32_covering_counts_and_reachability_match_float64_and_bfs(n, symme
         rep = check_no_covering(g)
         assert rep.covering_violations == tuple(map(tuple, np.argwhere(missing == 0).tolist()))
         strongly = _strongly_connected_oracle(n, edges)
-        assert rep.irreducible == is_irreducible(g) == strongly
+        assert rep.irreducible == strongly
         verdicts.add((strongly, rep.no_covering_holds))
     # both reducible and strongly connected draws, with and without coverings
     assert {s for s, _ in verdicts} == {c for _, c in verdicts} == {False, True}
@@ -442,7 +469,7 @@ def test_reachability_over_long_diameters(n):
     # a search of n - 1 levels: the reached set must stay 0/1, as walk
     # counts along a cycle of 200 nodes would overflow float32
     ring = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    assert is_irreducible(build_graph(n, ring))
-    assert not is_irreducible(build_graph(n, ring[:-1]))
+    assert check_no_covering(build_graph(n, ring)).irreducible
+    assert not check_no_covering(build_graph(n, ring[:-1])).irreducible
     back = [(d, s, w) for s, d, w in ring[:-1]]
-    assert is_irreducible(build_graph(n, ring[:-1] + back))
+    assert check_no_covering(build_graph(n, ring[:-1] + back)).irreducible

@@ -1491,6 +1491,59 @@ def test_cli_check_rejects_a_malformed_sync_condition(key, value, message, tmp_p
     assert message in capsys.readouterr().err
 
 
+def _pinning_on_a_path():
+    """example4_pinning_n10 on the directed path 0 -> 1 -> ... -> 9, whose
+    Laplacian's left null vector is e_0, not positive."""
+    cfg = load_bundled("example4_pinning_n10")
+    cfg["graph"] = {"kind": "inline", "n": 10, "edges": [[i, i + 1, 1.0] for i in range(9)]}
+    return cfg, "sync_condition needs an irreducible graph: left null vector is not strictly positive"
+
+
+def _opinions_on_two_cycles():
+    """example2_fj_n10 on the 2-cycles {0, 1} and {2, 3}, with no anchor on
+    the second, so that L + Theta is singular."""
+    cfg = load_bundled("example2_fj_n10")
+    cfg["graph"] = {"kind": "inline", "n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
+    cfg["system"]["theta"] = {"kind": "inline", "values": [0.5, 0.5, 0.0, 0.0]}
+    cfg["x0"] = {"kind": "inline", "values": [0.1, 0.2, 0.3, 0.4]}
+    return cfg, "system.theta: agent 2 is reached from no agent of nonzero theta, so L + Theta is singular"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("case", [_pinning_on_a_path, _opinions_on_two_cycles], ids=["xi", "theta"])
+def test_cli_config_whose_verdict_cannot_be_formed_exits_2_before_the_run(
+    command, case, tmp_path, capsys, monkeypatch
+):
+    # each once failed only after the whole integration, in a traceback
+    calls = []
+    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
+    cfg, message = case()
+    cfg["integrator"]["t_final"] = 0.5
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_cli_more_steps_than_the_cap_exit_2_before_anything_is_allocated(
+    command, tmp_path, capsys, monkeypatch
+):
+    # 2 * 10^7 steps, twice solver.MAX_STEPS, at a stride whose record table
+    # is within the footprint cap; refused before the graph is built
+    calls = []
+    monkeypatch.setattr(scenario, "_build_graph", lambda *args: calls.append(args))
+    cfg = load_bundled("example3_consensus_n3")
+    cfg["integrator"].update(dt=1e-3, t_final=20000.0, record_stride=1000)
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "integrator: 20000000 steps exceed the maximum of 10000000" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "r,message",
     [
