@@ -250,7 +250,7 @@ class Scenario:
     checks: tuple
     privacy_level: Optional[float]
     tol_conv: float
-    sync_condition: Optional[dict]  # the block with defaults and seed, and a pinned system's xi and q
+    sync_condition: Optional[dict]  # a pinned system's block with defaults and seed, xi and q
     adversary: Optional[dict]  # the adversary block, its defaults filled in
 
 
@@ -383,6 +383,8 @@ def build_scenario(config: dict) -> Scenario:
                 raise ScenarioError(f"unknown check {chk!r}")
         cond = config.get("sync_condition")
         if cond is not None:  # the Lipschitz sampling box, and estimate_lipschitz_q's floor
+            if system.drift is None:  # the condition bounds the pull towards an exosystem
+                raise ScenarioError(f"sync_condition: system kind {system.kind!r} has no exosystem")
             box, samples = cond["box"], cond.get("samples", 4000)
             if not -math.inf < box[0] < box[1] < math.inf:
                 raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
@@ -395,17 +397,16 @@ def build_scenario(config: dict) -> Scenario:
                 )
             seed = _element_seed(config, cond, "sync_condition")
             cond = {"box": box, "samples": samples, "seed": seed}
-            if system.drift is not None:  # the pinning condition's xi and Lipschitz constant
-                try:
-                    cond["xi"] = netgraph.left_null_vector(system.laplacian)
-                except ValueError as exc:
-                    raise ScenarioError(f"sync_condition needs an irreducible graph: {exc}") from exc
-                bounds = tuple(np.full(system.nu, float(bound)) for bound in box)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    q = estimate_lipschitz_q(system.drift, system.r, bounds, samples, seed)
-                if not math.isfinite(q):
-                    raise ScenarioError(f"sync_condition.box: the drift is not finite over {box}")
-                cond["q"] = q
+            try:  # the pinning condition's xi and Lipschitz constant
+                cond["xi"] = netgraph.left_null_vector(system.laplacian)
+            except ValueError as exc:
+                raise ScenarioError(f"sync_condition needs an irreducible graph: {exc}") from exc
+            bounds = tuple(np.full(system.nu, float(bound)) for bound in box)
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = estimate_lipschitz_q(system.drift, system.r, bounds, samples, seed)
+            if not math.isfinite(q):
+                raise ScenarioError(f"sync_condition.box: the drift is not finite over {box}")
+            cond["q"] = q
         adversary = config.get("adversary")
         if adversary is not None:
             if system.attack_row is None:  # the eavesdropper would attack a wrong model

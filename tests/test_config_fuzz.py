@@ -11,12 +11,16 @@ Value mutants never build a reducible graph, so a fixed set of structural
 mutants swaps each config's graph for an inline directed path of the same
 n and, where n >= 4, for two disjoint directed cycles; one more leaves the
 opinion model's second cycle without an anchor (theta = 0).
+
+Every mutant is made by `config_patch.patched`, the patch function that the
+config contract table of test_scenario_cli.py uses too, over the key paths
+of `config_patch.key_paths`.
 """
 
-import copy
 import json
 import random
 
+from config_patch import DELETE, key_paths, patched
 from dynpriv import scenario
 from dynpriv.cli import main
 
@@ -33,49 +37,31 @@ DOCUMENTED = {0, 2, 3, 4, 5}
 MUTANTS_PER_CONFIG = 100
 
 
-def _paths(node, prefix=()):
-    """The path of every key and list entry under node, depth first."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _paths(value, prefix + (key,))
+def _short(name):
+    """Bundled config name on a horizon of 0.5."""
+    return patched(scenario.load_bundled(name), {"integrator.t_final": 0.5})
 
 
 def _mutants(rng):
-    """(name, path, mutation, config, flags) for each mutant."""
+    """(name, path, value, config, flags) for each mutant."""
     for name in SMALL:
-        base = scenario.load_bundled(name)
-        base["integrator"]["t_final"] = 0.5
-        paths = list(_paths(base))
+        base = _short(name)
+        paths = list(key_paths(base))
         for _ in range(MUTANTS_PER_CONFIG):
-            config = copy.deepcopy(base)
             path = rng.choice(paths)
-            parent = config
-            for key in path[:-1]:
-                parent = parent[key]
-            if isinstance(parent, dict) and rng.random() < 0.25:
-                del parent[path[-1]]
-                mutation = "deleted"
-            else:
-                value = rng.choice(HOSTILE)
-                parent[path[-1]] = copy.deepcopy(value)
-                mutation = f"set to {value!r}"
+            in_a_list = path.rpartition(".")[2].isdigit()
+            value = DELETE if not in_a_list and rng.random() < 0.25 else rng.choice(HOSTILE)
             flags = ["--seed", str(rng.randrange(1000))] if rng.random() < 0.3 else []
             flags += ["--strict"] if rng.random() < 0.2 else []
-            yield name, path, mutation, config, flags
+            yield name, path, value, patched(base, {path: value}), flags
 
 
 def test_no_config_mutant_raises_or_exits_undocumented(tmp_path, capsys):
     config_path, out = tmp_path / "mutant.json", tmp_path / "out"
     bad, codes = [], []
-    for name, path, mutation, config, flags in _mutants(random.Random(20190901)):
+    for name, path, value, config, flags in _mutants(random.Random(20190901)):
         config_path.write_text(json.dumps(config))
-        commands = ["check"] if path[0] == "integrator" else ["check", "simulate"]
+        commands = ["check"] if path.split(".")[0] == "integrator" else ["check", "simulate"]
         for command in commands:
             argv = [command, "--config", str(config_path), "--out", str(out)] + flags
             try:
@@ -84,7 +70,7 @@ def test_no_config_mutant_raises_or_exits_undocumented(tmp_path, capsys):
                 code = f"raised {type(exc).__name__}: {exc}"
             codes.append(code)
             if code not in DOCUMENTED:
-                bad.append((name, ".".join(map(str, path)), mutation, flags, command, code))
+                bad.append((name, path, value, flags, command, code))
         capsys.readouterr()
     assert not bad, bad[:10]
     # the mutants reach every stage: refused configs, clean runs, and runs
@@ -106,16 +92,13 @@ def _two_cycles(n):
 def _structural_mutants():
     """(name, mutation, config) for each structural mutant."""
     for name in SMALL:
-        base = scenario.load_bundled(name)
-        base["integrator"]["t_final"] = 0.5
+        base = _short(name)
         n = base["graph"]["n"]
-        yield name, "path", {**base, "graph": _path(n)}
+        yield name, "path", patched(base, {"graph": _path(n)})
         if n >= 4:
-            yield name, "two cycles", {**base, "graph": _two_cycles(n)}
-    config = scenario.load_bundled("example2_fj_n10")
-    config["integrator"]["t_final"] = 0.5
-    config["graph"] = _two_cycles(10)
-    config["system"]["theta"] = {"kind": "inline", "values": [0.5] * 5 + [0.0] * 5}
+            yield name, "two cycles", patched(base, {"graph": _two_cycles(n)})
+    theta = {"kind": "inline", "values": [0.5] * 5 + [0.0] * 5}
+    config = patched(_short("example2_fj_n10"), {"graph": _two_cycles(10), "system.theta": theta})
     yield "example2_fj_n10", "two cycles, the second unanchored", config
 
 

@@ -5,13 +5,16 @@ import json
 import re
 import time
 import tracemalloc
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from config_patch import DELETE, key_paths, patched
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynpriv import netgraph, scenario
+from dynpriv import cli, netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
 from dynpriv.masks import CHUNK, MaskBank, MaskKind
@@ -69,10 +72,8 @@ def test_derived_seeds_are_deterministic():
 
 
 def test_missing_seed_rejected():
-    cfg = _consensus_config()
-    del cfg["seed"]
     with pytest.raises(ScenarioError, match="seed"):
-        build_scenario(cfg)
+        build_scenario(patched(_consensus_config(), {"seed": DELETE}))
 
 
 def test_inline_x0_dimension_checked():
@@ -88,10 +89,7 @@ def test_unknown_check_rejected():
 
 
 def test_default_mask_is_identity():
-    cfg = _consensus_config()
-    del cfg["mask"]
-    cfg["checks"] = ["irreducible"]
-    sc = build_scenario(cfg)
+    sc = build_scenario(patched(_consensus_config(checks=["irreducible"]), {"mask": DELETE}))
     assert all(k.value == "identity" for k in sc.bank.kinds)
     # identity baselines are well-formed but carry no privacy claim
     assert run_mask_check(sc) == {
@@ -102,29 +100,9 @@ def test_default_mask_is_identity():
 
 
 def test_inapplicable_check_is_a_config_error():
-    cfg = _consensus_config(checks=["vmm_non_monotone"])
-    cfg["system"] = {"kind": "saturated_net", "kappa": 0.2}
-    cfg["graph"] = {"kind": "cycle", "n": 3}
+    cfg = _consensus_config(checks=["vmm_non_monotone"], system={"kind": "saturated_net", "kappa": 0.2})
     with pytest.raises(ScenarioError, match="not applicable"):
         build_scenario(cfg)
-
-
-@pytest.mark.parametrize(
-    "name,check",
-    [
-        ("example3_consensus_n20", "lmi_margin_negative"),  # only a pinned system decides it
-        ("example4_pinning_n10", "conservation"),  # only consensus decides it
-    ],
-)
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_inapplicable_check_exits_2_at_build(name, check, command, tmp_path, capsys):
-    cfg = load_bundled(name)
-    cfg["checks"].append(check)
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"checks not applicable to this scenario: ['{check}']" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("trajectory.csv"))
 
 
 @pytest.mark.parametrize(
@@ -135,13 +113,11 @@ def test_inapplicable_check_exits_2_at_build(name, check, command, tmp_path, cap
     ],
 )
 def test_conditional_checks_need_their_section(drop, checks):
-    cfg = load_bundled("example4_pinning_n10")
-    del cfg[drop]
+    cfg = patched(load_bundled("example4_pinning_n10"), {drop: DELETE})
     message = f"checks not applicable to this scenario: {checks}"
     with pytest.raises(ScenarioError, match=re.escape(message)):
         build_scenario(cfg)
-    cfg["checks"] = [k for k in cfg["checks"] if k not in checks]
-    build_scenario(cfg)
+    build_scenario(patched(cfg, {"checks": [k for k in cfg["checks"] if k not in checks]}))
 
 
 def test_explicit_mask_channels():
@@ -198,36 +174,6 @@ def test_explicit_mixed_kind_mask_writes_the_recorded_artifacts(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "channel,message",
-    [
-        ({"kind": "linear", "phi": 1.0}, "linear mask requires parameter sigma"),
-        (
-            {"kind": "linear", "phi": 1.0, "sigma": 2.0, "gamma": 2.0},
-            "linear mask does not take parameter gamma",
-        ),
-        ({"kind": "cubic", "phi": 1.0}, "'cubic' is not a valid MaskKind"),
-    ],
-    ids=["missing", "extra", "unknown-kind"],
-)
-def test_cli_malformed_explicit_channel_exits_2(command, channel, message, tmp_path, capsys):
-    channels = [EXPLICIT_CHANNELS[0], channel, *EXPLICIT_CHANNELS[2:]]
-    path = tmp_path / "explicit.json"
-    path.write_text(json.dumps(_explicit_config(channels)))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"invalid config: invalid scenario config: {message}\n"
-    assert not (tmp_path / "explicit_mix").exists()
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_cli_explicit_channel_count_off_the_state_exits_2(command, tmp_path, capsys):
-    path = tmp_path / "explicit.json"
-    path.write_text(json.dumps(_explicit_config(EXPLICIT_CHANNELS[:4])))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "invalid config: mask bank has 4 channels, state needs 5\n"
-
-
 def test_graph_checks_and_mask_check():
     sc = build_scenario(_consensus_config())
     checks = run_graph_checks(sc)
@@ -247,61 +193,12 @@ def test_bundled_scenarios_all_build_and_pass_check():
         assert all(checks.values()), f"{name}: {checks}"
 
 
-def test_cli_invalid_config_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"name": "x", "system": {"kind": "nope"}}))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+def test_cli_config_that_cannot_be_opened_is_refused(tmp_path, capsys):
+    # a directory, a missing file and no config at all: no table row writes these
+    assert main(["check", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert f"invalid config: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["simulate"]) == 2
-
-
-def test_cli_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
-    # 3 steps of 0.3 would integrate to 0.9, not to the requested 1.0
-    cfg = _consensus_config(integrator={"dt": 0.3, "t_final": 1.0})
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "does not divide t_final=1.0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_cli_integrator_method_other_than_rk4_exits_2(command, tmp_path, capsys):
-    cfg = _consensus_config(integrator={"method": "euler", "dt": 1e-2, "t_final": 1.0})
-    path = tmp_path / "euler.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "invalid config: integrator: unknown method 'euler'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "over,key",
-    [
-        ({"integrator": {"dt": 1e-2, "t_finl": 30.0}}, "integrator.t_finl"),
-        ({"graph": {"kind": "cycle", "n": 3, "weigth": 2.0}}, "graph.weigth"),
-        ({"bogus": 1}, "bogus"),
-        # keys of another kind of the same section are unknown too
-        ({"graph": {"kind": "cycle", "n": 3, "p": 0.5}}, "graph.p"),
-        (
-            {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gama": 1.0}] * 3}},
-            "mask.channels[0].gama",
-        ),
-    ],
-)
-def test_cli_unknown_config_key_exits_2(tmp_path, capsys, over, key):
-    path = tmp_path / "typo.json"
-    path.write_text(json.dumps(_consensus_config(**over)))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize("weight,node", [(float("nan"), 2), (float("inf"), 2), (1.0, 1.7)])
-def test_cli_non_finite_weight_or_fractional_node_exits_2(tmp_path, capsys, command, weight, node):
-    edges = [[0, 1, 1.0], [1, node, 1.0], [2, 0, weight]]
-    path = tmp_path / "bad_edge.json"
-    path.write_text(json.dumps(_consensus_config(graph={"kind": "inline", "n": 3, "edges": edges})))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "on edge" in capsys.readouterr().err
 
 
 def test_cli_strict_check_flags_covering(tmp_path, capsys):
@@ -318,10 +215,13 @@ def test_cli_strict_check_flags_covering(tmp_path, capsys):
     assert main(["check", "--config", str(path), "--out", str(tmp_path), "--strict"]) == 3
 
 
+#: The directed 3-cycle as an inline graph section.
+INLINE_CYCLE = {"kind": "inline", "n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}
+
+
 def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
-    edges = [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]
     path = tmp_path / "inline.json"
-    path.write_text(json.dumps(_consensus_config(graph={"kind": "inline", "n": 3, "edges": edges})))
+    path.write_text(json.dumps(_consensus_config(graph=INLINE_CYCLE)))
     calls = []
     scan = netgraph.check_no_covering
 
@@ -334,20 +234,6 @@ def test_cli_check_scans_covering_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_cli_kappa_over_a_zero_spectral_radius_exits_2(command, tmp_path, capsys):
-    # a single edge is nilpotent: its adjacency has spectral radius 0
-    cfg = _consensus_config(
-        graph={"kind": "inline", "n": 2, "edges": [[0, 1, 1.0]]},
-        system={"kind": "saturated_net", "kappa_over_radius": 1.0},
-        checks=[],
-    )
-    path = tmp_path / "nilpotent.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "system.kappa_over_radius" in capsys.readouterr().err
-
-
 def test_kappa_over_radius_with_enforce_stable_solves_once(monkeypatch):
     calls = []
     solve = netgraph.spectral_radius
@@ -357,28 +243,10 @@ def test_kappa_over_radius_with_enforce_stable_solves_once(monkeypatch):
         return solve(a)
 
     monkeypatch.setattr(netgraph, "spectral_radius", counting_solve)
-    cfg = load_bundled("example1_satnet_n10")
-    cfg["system"]["enforce_stable"] = True
+    cfg = patched(load_bundled("example1_satnet_n10"), {"system.enforce_stable": True})
     sc = build_scenario(cfg)
     assert len(calls) == 1
     assert sc.system.kappa == cfg["system"]["kappa_over_radius"] / solve(sc.system.a)
-
-
-@pytest.mark.parametrize(
-    "key,text,message",
-    [
-        # JSON reads 1e400 as inf; 1e-320 is finite, but t_final/dt is not
-        ("t_final", "1e400", "integrator.t_final must be finite and positive, got inf"),
-        ("dt", "1e-320", "integrator: t_final/dt = 30.0/1e-320 is not a finite step count"),
-        ("dt", "0", "integrator.dt must be finite and positive, got 0"),
-    ],
-)
-def test_cli_integrator_grid_beyond_float_range_exits_2(key, text, message, tmp_path, capsys):
-    cfg = _consensus_config(integrator={"dt": 1e-2, "t_final": 30.0, key: "VALUE"})
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg).replace('"VALUE"', text))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
@@ -404,83 +272,11 @@ def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
     assert [id(g) for g in scans] == [id(g) for g in candidates]
 
 
-def test_cli_non_numeric_mask_parameter_exits_2(tmp_path, capsys):
-    # a string would otherwise first fail inside numpy, when the mask is evaluated
-    channels = [{"kind": "additive", "gamma": "2", "delta": 1.0}] * 3
-    path = tmp_path / "str_mask.json"
-    path.write_text(json.dumps(_consensus_config(mask={"kind": "explicit", "channels": channels})))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "mask.channels[0].gamma must be a finite number, got '2'" in capsys.readouterr().err
-    # the bank itself still refuses a parameter that is no real number
-    with pytest.raises(TypeError, match="mask parameters must be real numbers"):
-        MaskBank([{"kind": "additive", "gamma": "2", "delta": 1.0}])
-
-
 def test_main_works_after_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--bundled", "example3_consensus_n3", "--no-such-flag"])
     assert exc.value.code == 2
     assert main(["check", "--bundled", "example3_consensus_n3", "--out", str(tmp_path)]) == 0
-
-
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
-def test_cli_non_finite_or_non_positive_settle_tol_exits_2(tol, tmp_path, capsys):
-    # inf or nan would disable the settle guard; 0 or -1 would fail it on every run
-    cfg = load_bundled("adversary_covering")
-    cfg["adversary"]["settle_tol"] = tol
-    path = tmp_path / "settle.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "adversary.settle_tol must be finite and positive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "key,value,message",
-    [
-        ("observer", 99, "adversary.observer must be an integer in [0, 6), got 99"),
-        ("observer", "x", "adversary.observer must be an integer in [0, 6), got 'x'"),
-        ("observer", True, "adversary.observer must be an integer in [0, 6), got True"),
-        ("observer", None, "adversary.observer must be an integer in [0, 6), got None"),
-        ("target", 1.5, "adversary.target must be an integer in [0, 6), got 1.5"),
-        ("target", -1, "adversary.target must be an integer in [0, 6), got -1"),
-        # observer 1 sees only its in-neighbors 0 and 5 besides itself
-        ("target", 3, "adversary.target 3 is not in the closed in-neighborhood of observer 1"),
-        ("policies", ["zero", "nope"], "adversary.policies: unknown substitution policy 'nope'"),
-    ],
-    ids=[
-        "observer_out_of_range",
-        "observer_not_a_number",
-        "observer_boolean",
-        "observer_null",
-        "target_fractional",
-        "target_negative",
-        "target_not_in_view",
-        "unknown_policy",
-    ],
-)
-def test_cli_invalid_adversary_value_exits_2(key, value, message, tmp_path, capsys):
-    cfg = load_bundled("adversary_covering")
-    cfg["adversary"][key] = value
-    path = tmp_path / "adversary.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_cli_unknown_system_kind_exits_2(tmp_path, capsys):
-    path = tmp_path / "kind.json"
-    path.write_text(json.dumps(_consensus_config(system={"kind": "nope"})))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "unknown system kind 'nope'" in capsys.readouterr().err
-
-
-def test_cli_unknown_drift_kind_exits_2(tmp_path, capsys):
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["system"]["drift"] = {"kind": "nope"}
-    path = tmp_path / "drift.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "unknown drift kind 'nope'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["check", "simulate", "adversary"])
@@ -493,7 +289,7 @@ def test_cli_unknown_drift_kind_exits_2(tmp_path, capsys):
     ],
     ids=["truncated", "long-int", "deep"],
 )
-def test_cli_unreadable_json_exits_2_naming_the_file(command, text, reason, tmp_path, capsys):
+def test_cli_unreadable_json_is_refused_naming_the_file(command, text, reason, tmp_path, capsys):
     # json.load's own errors (a syntax error, an int past the digit limit,
     # nesting past the recursion limit) are config errors, not tracebacks
     path = tmp_path / "bad.json"
@@ -513,58 +309,6 @@ def _bundled_systems():
 def test_every_registered_kind_is_built_by_a_bundled_scenario(cls):
     assert SYSTEMS.get(cls.kind, DRIFTS.get(cls.kind)) is cls
     assert any(type(system) is cls or type(system.drift) is cls for system in _bundled_systems())
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "--bundled", "example3_consensus_n3", "--tol", "1"],
-        ["adversary", "--bundled", "adversary_covering", "--strict"],
-    ],
-)
-def test_cli_rejects_flags_the_command_does_not_read(argv, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path)])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--bundled", "example3_consensus_n3"],
-        ["suite", "--names", "example3_consensus_n3"],
-    ],
-)
-def test_cli_non_finite_or_non_positive_tol_exits_2(argv, tol, tmp_path, capsys):
-    # --tol inf would pass converged trivially; nan, 0 and -1 would fail it
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--tol", tol, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "argument --tol: must be finite and positive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
-def test_cli_non_finite_or_non_positive_tol_conv_exits_2(tol, tmp_path, capsys):
-    # json.dump writes Infinity and NaN, which json.load reads back
-    path = tmp_path / "tol.json"
-    path.write_text(json.dumps(_consensus_config(tolerances={"tol_conv": tol})))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "tolerances.tol_conv must be finite and positive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mask_kind", ["identity", "auto"])
-@pytest.mark.parametrize("level", [-1.0, 0.0, float("inf"), float("nan")])
-def test_cli_non_finite_or_non_positive_privacy_level_exits_2(mask_kind, level, tmp_path, capsys):
-    # an identity mask with level -1 would pass privacy_floor and mask_gap_visible
-    mask = {"kind": mask_kind, "privacy_level": level}
-    if mask_kind == "auto":
-        mask["mask_kind"] = "vanishing_affine"
-    cfg = _consensus_config(mask=mask, checks=["privacy_floor", "mask_gap_visible"])
-    path = tmp_path / "level.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "mask.privacy_level must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_artifacts(tmp_path):
@@ -589,8 +333,7 @@ def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     # the outputs, diagnostics and artifacts are built a chunk of rows at a
     # time from x and the bank, and the CSV encoder holds 0.45 MiB of
     # scratch, so a run peaks within its x table plus 1.5 MiB
-    cfg = load_bundled(name)
-    cfg["integrator"].update(t_final=t_final, record_stride=1)
+    cfg = patched(load_bundled(name), {"integrator.t_final": t_final, "integrator.record_stride": 1})
     sc = build_scenario(cfg)
     tracemalloc.start()
     try:
@@ -618,10 +361,8 @@ def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MaskBank, "eval_series", counted)
     for name in ("example3_consensus", "example4_pinning"):
-        cfg = load_bundled(name)
-        cfg["integrator"]["t_final"] = 0.5
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(patched(load_bundled(name), {"integrator.t_final": 0.5})))
         calls.clear()
         # 0.5 time units are too short for consensus to converge, hence exit 5
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) in (0, 5)
@@ -669,54 +410,25 @@ def test_cli_seed_override_changes_run(tmp_path):
     assert a != b
 
 
-def test_cli_verdict_failure_exits_5(tmp_path):
-    # horizon far too short for convergence
-    cfg = _consensus_config(
-        integrator={"method": "rk4", "dt": 1e-2, "t_final": 0.5, "record_stride": 1},
-        checks=["converged"],
-    )
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 5
-
-
-def test_cli_simulate_strict_covering_exits_3_naming_the_pairs(tmp_path, capsys):
-    cfg = _consensus_config(graph={"kind": "complete", "n": 3}, checks=["no_covering"])
-    path = tmp_path / "k3.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--strict", "--config", str(path), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "strict mode: failing checks ['no_covering']" in err
-    assert "covering pairs: [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]" in err
-
-
-def _blow_up_config():
-    # an unstable drift of rate 50 leaves the float range well before t_final
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["system"]["drift"]["a"] = (50.0 * np.eye(3)).tolist()
-    cfg["integrator"]["t_final"] = 2.0
-    return cfg
-
-
-def test_cli_simulate_blow_up_exits_4_and_writes_no_report(tmp_path, capsys):
-    path = tmp_path / "blow.json"
-    path.write_text(json.dumps(_blow_up_config()))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-    assert "numerical failure: numerical blow-up at t=0.199" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "example4_pinning_n10").exists()
+#: An unstable drift of rate 50 leaves the float range well before t_final.
+BLOW_UP = {"system.drift.a": (50.0 * np.eye(3)).tolist(), "integrator.t_final": 2.0}
 
 
 def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
     name = "example4_pinning_n10"
     bundled = scenario.load_bundled
     monkeypatch.setattr(
-        scenario, "load_bundled", lambda n: _blow_up_config() if n == name else bundled(n)
+        scenario, "load_bundled", lambda n: patched(bundled(n), BLOW_UP) if n == name else bundled(n)
     )
     assert main(["suite", "--names", "example3_consensus_n3", name, "--out", str(tmp_path)]) == 4
     rows = json.loads((tmp_path / "suite_summary.json").read_text())["results"]
     assert [r["status"] for r in rows] == ["pass", "numerical failure: numerical blow-up at t=0.199"]
     assert rows[1]["verdicts"] == {}
     assert not (tmp_path / name).exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called for a config that is refused first")
 
 
 @pytest.mark.parametrize(
@@ -730,11 +442,10 @@ def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
     ids=["check", "simulate", "adversary", "suite"],
 )
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
-def test_cli_out_that_cannot_hold_the_artifacts_exits_2_before_any_run(
+def test_cli_out_that_cannot_hold_the_artifacts_is_refused_before_any_run(
     argv, under, tmp_path, capsys, monkeypatch
 ):
-    calls = []
-    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(scenario, "integrate", _never_called)
     blocker = tmp_path / "taken"
     blocker.write_text("a file")
     out = blocker / "sub" if under else blocker
@@ -744,18 +455,15 @@ def test_cli_out_that_cannot_hold_the_artifacts_exits_2_before_any_run(
         assert err == f"unusable --out: {str(out)!r} lies under {str(blocker)!r}, which is not a directory\n"
     else:
         assert err == f"unusable --out: {str(out)!r} is not a directory\n"
-    assert calls == []
     assert blocker.read_text() == "a file"
 
 
-def test_cli_out_whose_scenario_directory_is_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
+def test_cli_out_whose_scenario_directory_is_a_file_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenario, "integrate", _never_called)
     (tmp_path / "example3_consensus_n3").write_text("a file")
     assert main(["simulate", "--bundled", "example3_consensus_n3", "--out", str(tmp_path)]) == 2
     path = tmp_path / "example3_consensus_n3"
     assert capsys.readouterr().err == f"unusable --out: {str(path)!r} is not a directory\n"
-    assert calls == []
 
 
 def test_cli_tol_enters_the_config_hash(tmp_path):
@@ -766,33 +474,10 @@ def test_cli_tol_enters_the_config_hash(tmp_path):
         out = tmp_path / str(tol)
         assert main(["simulate", "--bundled", name, "--tol", str(tol), "--out", str(out)]) == code
         report = json.loads((out / name / "report.json").read_text())
-        cfg = load_bundled(name)
-        cfg.setdefault("tolerances", {})["tol_conv"] = tol
+        cfg = patched(load_bundled(name), {"tolerances": {"tol_conv": tol}})
         assert report["config_hash"] == config_hash(cfg)
         hashes.append(report["config_hash"])
     assert hashes[0] != hashes[1]
-
-
-@pytest.mark.parametrize("command", ["check", "simulate", "adversary"])
-@pytest.mark.parametrize(
-    "config,message",
-    [([], "config must be an object, got []"), ({"seed": 1, "system": [1]}, "system must be")],
-    ids=["list", "list-section"],
-)
-def test_cli_seed_on_a_non_object_config_exits_2(command, config, message, tmp_path, capsys):
-    path = tmp_path / "shape.json"
-    path.write_text(json.dumps(config))
-    argv = [command, "--config", str(path), "--seed", "3", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_cli_config_directory_or_unknown_bundled_name_exits_2(tmp_path, capsys):
-    assert main(["check", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
-    assert f"invalid config: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
-    assert main(["check", "--bundled", "no_such_scenario", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid config: ") and "no_such_scenario.json" in err
 
 
 def test_cli_adversary_forms_outputs_over_the_record_once(tmp_path, monkeypatch):
@@ -824,40 +509,13 @@ def test_cli_adversary_writes_attack_report(tmp_path):
 
 def test_cli_adversary_on_unsettled_outputs_exits_4_and_writes_nothing(tmp_path, capsys):
     # at t_final 1.0 the outputs still move, so the quadrature judges nothing
-    cfg = load_bundled("adversary_covering")
-    cfg["integrator"]["t_final"] = 1.0
     path = tmp_path / "short.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(patched(load_bundled("adversary_covering"), {"integrator.t_final": 1.0})))
     assert main(["adversary", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
     captured = capsys.readouterr()
     assert "outputs not settled: terminal increment" in captured.err
     assert "attack policy" not in captured.out
     assert not (tmp_path / "out" / "adversary_covering" / "attack.json").exists()
-
-
-@pytest.mark.parametrize(
-    "system",
-    [
-        {"kind": "friedkin_johnsen", "theta": 0.5},
-        {"kind": "saturated_net", "kappa_over_radius": 0.5},
-    ],
-)
-def test_cli_adversary_on_a_kind_without_attack_row_exits_2(system, tmp_path, capsys):
-    # the consensus row would be applied to the wrong model and miss x0
-    cfg = load_bundled("adversary_covering")
-    cfg["system"] = system
-    path = tmp_path / "attack.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["adversary", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"system kind '{system['kind']}' has no attack row" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_adversary_requires_block(tmp_path):
-    cfg = _consensus_config()
-    path = tmp_path / "noadv.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["adversary", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_suite_fast_subset(tmp_path, capsys):
@@ -886,14 +544,6 @@ def test_cli_suite_rows_record_wall_time_and_steps(tmp_path):
     assert set(row) == {"scenario", "config_hash", "status", "verdicts", "n_steps", "wall_s"}
     assert row["n_steps"] == build_scenario(load_bundled(name)).integrator.n_steps
     assert row["wall_s"] > 0
-
-
-def test_cli_graph_retry_exhaustion_exits_2(tmp_path, capsys):
-    # this seed finds no admissible graph for example1_satnet_n10 in 100 candidates
-    argv = ["check", "--bundled", "example1_satnet_n10", "--seed", "3390588"]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "100 retries" in err and "n=10" in err and "p=0.35" in err
 
 
 RESEEDABLE = ["example1_satnet_n10", "example2_fj_n10", "example4_pinning_n10"]
@@ -1060,19 +710,6 @@ def test_override_seed_removes_every_seed_key_of_the_schema(path):
     assert path[-1][0] not in node
 
 
-@pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["as-shipped", "reseeded"])
-@pytest.mark.parametrize("section", ["integrator", "graph", "system"])
-def test_cli_seed_where_the_schema_takes_none_exits_2(section, seed, tmp_path, capsys):
-    # a cycle graph and a consensus system take no seed, and the integrator
-    # none at all: --seed drops only the seeds that the schema types as seeds
-    cfg = load_bundled("example3_consensus_n3")
-    cfg[section]["seed"] = 3
-    path = tmp_path / "misplaced.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path), *seed]) == 2
-    assert f"unknown config key '{section}.seed'" in capsys.readouterr().err
-
-
 def test_seed_paths_reach_the_vector_sections_of_a_system():
     names = {".".join(key for key, _kind in path) for path in SEED_PATHS}
     assert {"x0.seed", "system.theta.seed", "system.s0.seed", "graph.seed"} <= names
@@ -1080,8 +717,8 @@ def test_seed_paths_reach_the_vector_sections_of_a_system():
 
 def test_override_seed_copies_only_along_the_seed_paths():
     # sections that can hold no seed are passed through, not walked and copied
-    config = load_bundled("example4_pinning_n10")
-    config["system"]["s0"] = {"kind": "uniform", "low": -1.0, "high": 1.0, "seed": 8}
+    s0 = {"kind": "uniform", "low": -1.0, "high": 1.0, "seed": 8}
+    config = patched(load_bundled("example4_pinning_n10"), {"system.s0": s0})
     reseeded = override_seed(config, 5)
     assert reseeded["integrator"] is config["integrator"]
     assert reseeded["checks"] is config["checks"]
@@ -1091,20 +728,16 @@ def test_override_seed_copies_only_along_the_seed_paths():
         assert "seed" not in section
     assert config["system"]["s0"]["seed"] == 8  # the input is left as it was
     # an inline vector has no seed path, so its values are not walked either
-    config["x0"] = {"kind": "inline", "values": [0.5] * 30}
+    config = patched(config, {"x0": {"kind": "inline", "values": [0.5] * 30}})
     assert override_seed(config, 5)["x0"] is config["x0"]
 
 
-def _never_built(**kwargs):
-    raise AssertionError("the graph was built")
-
-
 @pytest.mark.parametrize("command", ["check", "simulate"])
-def test_cli_graph_above_the_footprint_cap_exits_2_before_it_is_built(
+def test_cli_graph_above_the_footprint_cap_is_refused_before_it_is_built(
     command, tmp_path, capsys, monkeypatch
 ):
     # a dense 20000 x 20000 array takes 3.2 GB: refused from graph.n alone
-    monkeypatch.setattr(netgraph, "cycle_graph", _never_built)
+    monkeypatch.setattr(netgraph, "cycle_graph", _never_called)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_consensus_config(graph={"kind": "cycle", "n": 20000})))
     start = time.perf_counter()
@@ -1116,238 +749,24 @@ def test_cli_graph_above_the_footprint_cap_exits_2_before_it_is_built(
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_coupling_dimension_above_the_footprint_cap_exits_2_naming_nu(monkeypatch):
+def test_coupling_dimension_above_the_footprint_cap_is_refused_naming_nu(monkeypatch):
     # R = I alone would take 3.2 GB at nu = 20000, on a record table of 82 MB
-    monkeypatch.setattr(netgraph, "erdos_renyi", _never_built)
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["system"]["nu"] = 20000
-    cfg["integrator"] = {"dt": 0.01, "t_final": 0.01}
+    monkeypatch.setattr(netgraph, "erdos_renyi", _never_called)
+    patch = {"system.nu": 20000, "integrator": {"dt": 0.01, "t_final": 0.01}}
     with pytest.raises(ScenarioError, match="system.nu = 20000 needs 3200000000 bytes"):
-        build_scenario(cfg)
+        build_scenario(patched(load_bundled("example4_pinning_n10"), patch))
 
 
-def test_record_table_above_the_footprint_cap_exits_2_naming_the_stride(monkeypatch):
+def test_record_table_above_the_footprint_cap_is_refused_naming_the_stride(monkeypatch):
     # 10^7 steps of 100 agents recorded at every step: 101 values a row, 8.1 GB
-    monkeypatch.setattr(netgraph, "cycle_graph", _never_built)
+    monkeypatch.setattr(netgraph, "cycle_graph", _never_called)
     integrator = {"dt": 1e-3, "t_final": 1e4, "record_stride": 1}
     cfg = _consensus_config(graph={"kind": "cycle", "n": 100}, integrator=integrator)
     with pytest.raises(ScenarioError, match=r"integrator.record_stride = 1 records 10000001 rows"):
         build_scenario(cfg)
     monkeypatch.undo()
-    cfg["integrator"]["record_stride"] = 100  # 100001 rows, 81 MB: under the cap
+    cfg = patched(cfg, {"integrator.record_stride": 100})  # 100001 rows, 81 MB: under the cap
     assert build_scenario(cfg).integrator.n_records == 100_001
-
-
-@pytest.mark.parametrize(
-    "section,key,value,message",
-    [
-        ("graph", "seed", None, "graph.seed must be a non-negative integer, got None"),
-        ("mask", "seed", None, "mask.seed must be a non-negative integer, got None"),
-        ("integrator", "record_stride", 1.5, "integrator.record_stride must be an integer, got 1.5"),
-        ("graph", "symmetric", "no", "graph.symmetric must be a boolean, got 'no'"),
-        (None, "graph", "x", "graph must be an object, got 'x'"),
-    ],
-)
-def test_cli_wrong_json_type_exits_2_naming_its_key(section, key, value, message, tmp_path, capsys):
-    # a null seed would draw a fresh graph or mask on every run under one config hash
-    cfg = load_bundled("example1_satnet_n10")
-    (cfg[section] if section else cfg)[key] = value
-    path = tmp_path / "typed.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "config,message",
-    [
-        (
-            _consensus_config(x0={"kind": "inline", "values": [float("nan"), 1.0, 2.0]}),
-            "x0.values[0] must be a finite number, got nan",
-        ),
-        (
-            _consensus_config(x0={"kind": "gaussian", "std": float("nan")}),
-            "x0.std must be a finite number, got nan",
-        ),
-        (
-            _consensus_config(x0={"kind": "gaussian", "mean": float("inf"), "std": 1.0}),
-            "x0.mean must be a finite number, got inf",
-        ),
-        (
-            _consensus_config(x0={"kind": "uniform", "low": float("-inf"), "high": 2.0}),
-            "x0.low must be a finite number, got -inf",
-        ),
-        (
-            _consensus_config(x0={"kind": "uniform", "low": -2.0, "high": float("inf")}),
-            "x0.high must be a finite number, got inf",
-        ),
-        (
-            {
-                **load_bundled("example2_fj_n10"),
-                "system": {"kind": "friedkin_johnsen", "theta": float("nan")},
-            },
-            "system.theta must be a finite number or an object, got nan",
-        ),
-    ],
-    ids=["values_nan", "std_nan", "mean_inf", "low_minus_inf", "high_inf", "theta_nan"],
-)
-def test_cli_non_finite_vector_number_exits_2_naming_its_key(
-    command, config, message, tmp_path, capsys
-):
-    # json writes and reads NaN and Infinity; no draw or run may take them
-    path = tmp_path / "non_finite.json"
-    path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def _with(name, path, value):
-    """Bundled config name with the key at path (its keys in order) set to value."""
-    config = load_bundled(name)
-    *parents, last = path
-    functools.reduce(lambda node, key: node[key], parents, config)[last] = value
-    return config
-
-
-def _pinned_with_gains(gains):
-    """example4_pinning_n10 with explicit pin_gains instead of pinned_count and pin_gain."""
-    config = load_bundled("example4_pinning_n10")
-    del config["system"]["pin_gain"], config["system"]["pinned_count"]
-    config["system"]["pin_gains"] = gains
-    return config
-
-
-NAN, INF = float("nan"), float("inf")
-
-
-def _explicit_r(i, j, value):
-    """An explicit r section: the 3 x 3 identity with value at rows[i][j]."""
-    rows = np.eye(3).tolist()
-    rows[i][j] = value
-    return {"kind": "explicit", "rows": rows}
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "config,message",
-    [
-        (
-            _with("example1_satnet_n10", ("mask", "rate_range"), [0.5, INF]),
-            "mask.rate_range must be 0 < lo <= hi < inf, got [0.5, inf]",
-        ),
-        (
-            _with("example1_satnet_n10", ("mask", "rate_range"), [NAN, 1.0]),
-            "mask.rate_range must be 0 < lo <= hi < inf, got [nan, 1.0]",
-        ),
-        (
-            _with("example1_satnet_n10", ("mask", "rate_range"), [0.0, 1.0]),
-            "mask.rate_range must be 0 < lo <= hi < inf, got [0.0, 1.0]",
-        ),
-        (
-            _with("example1_satnet_n10", ("mask", "rate_range"), [2.0, 1.0]),
-            "mask.rate_range must be 0 < lo <= hi < inf, got [2.0, 1.0]",
-        ),
-        (
-            _with("example1_satnet_n10", ("system", "kappa_over_radius"), NAN),
-            "system.kappa_over_radius must be a finite number, got nan",
-        ),
-        (
-            _with("example1_satnet_n10", ("system",), {"kind": "saturated_net", "kappa": INF}),
-            "system.kappa must be a finite number, got inf",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "pin_gain"), NAN),
-            "system.pin_gain must be a finite number, got nan",
-        ),
-        (
-            _pinned_with_gains([1.0, NAN] + [0.0] * 8),
-            "system.pin_gains[1] must be a finite number, got nan",
-        ),
-        (
-            _with("example4_pinning", ("system", "drift", "sigma"), NAN),
-            "system.drift.sigma must be a finite number, got nan",
-        ),
-        (
-            _with("example4_pinning", ("system", "drift", "beta"), -INF),
-            "system.drift.beta must be a finite number, got -inf",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "drift", "a", 1, 1), NAN),
-            "system.drift.a[1][1] must be a finite number, got nan",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "drift", "b", 0, 2), INF),
-            "system.drift.b[0][2] must be a finite number, got inf",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "r"), _explicit_r(2, 2, INF)),
-            "system.r.rows[2][2] must be a finite number, got inf",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "r"), _explicit_r(0, 0, INF)),
-            "system.r.rows[0][0] must be a finite number, got inf",
-        ),
-        (
-            _with("example4_pinning_n10", ("system", "r"), _explicit_r(0, 1, NAN)),
-            "system.r.rows[0][1] must be a finite number, got nan",
-        ),
-        (
-            _consensus_config(mask={
-                "kind": "explicit",
-                "channels": [{"kind": "additive", "gamma": 1.0, "delta": NAN}] * 3,
-            }),
-            "mask.channels[0].delta must be a finite number, got nan",
-        ),
-        (
-            _consensus_config(mask={
-                "kind": "explicit",
-                "channels": [{"kind": "additive", "gamma": 1.0, "delta": True}] * 3,
-            }),
-            "mask.channels[0].delta must be a finite number, got True",
-        ),
-    ],
-    ids=[
-        "rate_range_inf", "rate_range_nan", "rate_range_zero", "rate_range_order",
-        "kappa_over_radius_nan", "kappa_inf", "pin_gain_nan", "pin_gains_nan",
-        "lorenz_sigma_nan", "lorenz_beta_inf", "tanh_a_nan", "tanh_b_inf",
-        "r_diagonal_inf", "r_first_inf", "r_off_diagonal_nan",
-        "channel_delta_nan", "channel_delta_bool",
-    ],
-)
-def test_cli_unusable_system_or_mask_number_exits_2_naming_its_key(
-    command, config, message, tmp_path, capsys
-):
-    # json reads NaN, Infinity and true; such a gain, rate or mask parameter
-    # would otherwise blow the run up (exit 4), fail the mask axioms under
-    # check --strict (exit 3) or run as 1.0, none of which names the key
-    path = tmp_path / "non_finite.json"
-    path.write_text(json.dumps(config))
-    assert main([command, "--strict", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-    assert not list(tmp_path.rglob("trajectory.csv"))
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "section,key,message",
-    [
-        ("x0", "high", "x0.high must be a finite number, got 1000"),
-        ("graph", "weight", "graph.weight must be a number, got 1000"),
-        ("integrator", "t_final", "integrator.t_final must be finite and positive, got 1000"),
-        ("mask", "privacy_level", "mask.privacy_level must be finite and positive, got 1000"),
-    ],
-)
-def test_cli_integer_beyond_double_range_exits_2_naming_its_key(
-    command, section, key, message, tmp_path, capsys
-):
-    # json reads 10**400 as an exact int, which float() cannot convert
-    cfg = load_bundled("example3_consensus_n3")
-    cfg[section][key] = 10**400
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_integers_at_the_double_range_edge_still_count_as_numbers():
@@ -1368,66 +787,10 @@ def test_gaussian_vector_is_seeded_and_its_mean_defaults_to_zero():
     assert not np.array_equal(sc.x0, shifted.x0)
 
 
-def test_gaussian_vector_without_std_exits_2(tmp_path, capsys):
-    path = tmp_path / "no_std.json"
-    path.write_text(json.dumps(_consensus_config(x0={"kind": "gaussian", "mean": 1.0})))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "x0.std is required" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "config,message",
-    [
-        (
-            _consensus_config(x0={"kind": "uniform", "low": -1e308, "high": 1e308}),
-            "x0.high - x0.low must be finite, got inf",
-        ),
-        (
-            _consensus_config(x0={"kind": "uniform", "low": 2.0, "high": 1.0}),
-            "x0.low must not exceed x0.high, got 2.0 > 1.0",
-        ),
-        (
-            _consensus_config(x0={"kind": "gaussian", "std": -0.5}),
-            "x0.std must be non-negative, got -0.5",
-        ),
-        # the third of this seed's three draws overflows to inf
-        (
-            _consensus_config(x0={"kind": "gaussian", "mean": 1e308, "std": 1e308}),
-            "x0: a gaussian draw is not finite",
-        ),
-        (
-            {
-                **load_bundled("example2_fj_n10"),
-                "system": {
-                    "kind": "friedkin_johnsen",
-                    "theta": {"kind": "uniform", "low": 0.9, "high": 0.2},
-                },
-            },
-            "system.theta.low must not exceed system.theta.high, got 0.9 > 0.2",
-        ),
-    ],
-    ids=["span_overflows", "low_above_high", "negative_std", "draw_overflows", "theta_order"],
-)
-def test_cli_unusable_vector_draw_exits_2_naming_its_key(command, config, message, tmp_path, capsys):
-    path = tmp_path / "draw.json"
-    path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_frozen_anchor_restricted_to_fj(tmp_path, capsys):
-    # only Friedkin-Johnsen has an anchor to freeze; any other kind names the key
-    cfg = _consensus_config(system={"kind": "average_consensus", "frozen_anchor": True})
-    path = tmp_path / "frozen.json"
-    path.write_text(json.dumps(cfg))
-    for command in ("check", "simulate"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "unknown config key 'system.frozen_anchor'" in capsys.readouterr().err
+def test_frozen_anchor_is_off_unless_set():
     fj = load_bundled("example2_fj_n10")
     assert build_scenario(fj).system.frozen_anchor is False
-    fj["system"]["frozen_anchor"] = True
-    assert build_scenario(fj).system.frozen_anchor is True
+    assert build_scenario(patched(fj, {"system.frozen_anchor": True})).system.frozen_anchor is True
 
 
 @pytest.mark.parametrize(
@@ -1435,33 +798,15 @@ def test_frozen_anchor_restricted_to_fj(tmp_path, capsys):
     [("graph", "graph"), ("x0", "x0"), ("mask", "mask"), ("system.theta", "theta")],
 )
 def test_unknown_kind_is_named_by_its_section(path, kind):
-    cfg = load_bundled("example2_fj_n10")
-    *parents, last = path.split(".")
-    section = functools.reduce(lambda node, key: node[key], parents, cfg)
-    section[last] = {**section[last], "kind": "nope"}
+    cfg = patched(load_bundled("example2_fj_n10"), {f"{path}.kind": "nope"})
     with pytest.raises(ScenarioError, match=f"unknown {kind} kind 'nope'"):
         build_scenario(cfg)
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["../escaped", "a/b", "", ".", "..", "nul\0"],
-    ids=["parent_path", "nested_path", "empty", "dot", "dot_dot", "nul_byte"],
-)
-def test_cli_name_that_is_not_one_path_component_exits_2(name, tmp_path, capsys):
-    out = tmp_path / "out"
-    path = tmp_path / "name.json"
-    path.write_text(json.dumps(_consensus_config(name=name)))
-    assert main(["check", "--config", str(path), "--out", str(out)]) == 2
-    assert f"name must be one plain path component, got {name!r}" in capsys.readouterr().err
-    assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["name.json"]
 
 
 @pytest.mark.parametrize("count,ok", [(-1, False), (0, True), (10, True), (11, False)])
 def test_pinned_count_must_lie_in_0_to_n(count, ok):
     # -1 would pin 9 of the 10 agents through gains[:-1]
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["system"]["pinned_count"] = count
+    cfg = patched(load_bundled("example4_pinning_n10"), {"system.pinned_count": count})
     if ok:
         assert np.count_nonzero(build_scenario(cfg).system.pin_gains) == count
     else:
@@ -1469,79 +814,18 @@ def test_pinned_count_must_lie_in_0_to_n(count, ok):
             build_scenario(cfg)
 
 
-@pytest.mark.parametrize(
-    "key,value,message",
-    [
-        ("box", "x", "sync_condition.box must be two numbers, got 'x'"),
-        ("box", [1.0], "sync_condition.box must be two numbers, got [1.0]"),
-        ("box", [-3, "a"], "sync_condition.box must be two numbers, got [-3, 'a']"),
-        ("box", [3.0, -3.0], "sync_condition.box must be finite lo < hi, got [3.0, -3.0]"),
-        ("box", [-3.0, float("inf")], "sync_condition.box must be finite lo < hi"),
-        ("samples", 1, "sync_condition.samples must be >= 2, got 1"),
-        ("samples", 4000.0, "sync_condition.samples must be an integer, got 4000.0"),
-    ],
-)
-def test_cli_check_rejects_a_malformed_sync_condition(key, value, message, tmp_path, capsys):
-    # simulate would otherwise fail only after the whole integration, in a traceback
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["sync_condition"][key] = value
-    path = tmp_path / "sync.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def _pinning_on_a_path():
-    """example4_pinning_n10 on the directed path 0 -> 1 -> ... -> 9, whose
-    Laplacian's left null vector is e_0, not positive."""
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["graph"] = {"kind": "inline", "n": 10, "edges": [[i, i + 1, 1.0] for i in range(9)]}
-    return cfg, "sync_condition needs an irreducible graph: left null vector is not strictly positive"
-
-
-def _opinions_on_two_cycles():
-    """example2_fj_n10 on the 2-cycles {0, 1} and {2, 3}, with no anchor on
-    the second, so that L + Theta is singular."""
-    cfg = load_bundled("example2_fj_n10")
-    cfg["graph"] = {"kind": "inline", "n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
-    cfg["system"]["theta"] = {"kind": "inline", "values": [0.5, 0.5, 0.0, 0.0]}
-    cfg["x0"] = {"kind": "inline", "values": [0.1, 0.2, 0.3, 0.4]}
-    return cfg, "system.theta: agent 2 is reached from no agent of nonzero theta, so L + Theta is singular"
-
-
 @pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize("case", [_pinning_on_a_path, _opinions_on_two_cycles], ids=["xi", "theta"])
-def test_cli_config_whose_verdict_cannot_be_formed_exits_2_before_the_run(
-    command, case, tmp_path, capsys, monkeypatch
-):
-    # each once failed only after the whole integration, in a traceback
-    calls = []
-    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: calls.append(args))
-    cfg, message = case()
-    cfg["integrator"]["t_final"] = 0.5
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert calls == []
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_cli_more_steps_than_the_cap_exit_2_before_anything_is_allocated(
+def test_cli_more_steps_than_the_cap_are_refused_before_anything_is_allocated(
     command, tmp_path, capsys, monkeypatch
 ):
     # 2 * 10^7 steps, twice solver.MAX_STEPS, at a stride whose record table
     # is within the footprint cap; refused before the graph is built
-    calls = []
-    monkeypatch.setattr(scenario, "_build_graph", lambda *args: calls.append(args))
-    cfg = load_bundled("example3_consensus_n3")
-    cfg["integrator"].update(dt=1e-3, t_final=20000.0, record_stride=1000)
+    monkeypatch.setattr(scenario, "_build_graph", _never_called)
+    patch = {"integrator.dt": 1e-3, "integrator.t_final": 20000.0, "integrator.record_stride": 1000}
     path = tmp_path / "steps.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(patched(load_bundled("example3_consensus_n3"), patch)))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "integrator: 20000000 steps exceed the maximum of 10000000" in capsys.readouterr().err
-    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -1555,19 +839,15 @@ def test_cli_more_steps_than_the_cap_exit_2_before_anything_is_allocated(
     ],
 )
 def test_coupling_matrix_kinds(r, message):
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["system"]["r"] = r
     with pytest.raises(ScenarioError, match=message):
-        build_scenario(cfg)
+        build_scenario(patched(load_bundled("example4_pinning_n10"), {"system.r": r}))
 
 
 def test_explicit_coupling_matrix_is_read_as_written():
-    cfg = load_bundled("example4_pinning_n10")
     rows = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
-    cfg["system"]["r"] = {"kind": "explicit", "rows": rows}
+    cfg = patched(load_bundled("example4_pinning_n10"), {"system.r": {"kind": "explicit", "rows": rows}})
     assert np.array_equal(build_scenario(cfg).system.r, rows)
-    del cfg["system"]["r"]
-    assert np.array_equal(build_scenario(cfg).system.r, np.eye(3))
+    assert np.array_equal(build_scenario(patched(cfg, {"system.r": DELETE})).system.r, np.eye(3))
 
 
 PIN_CHOICES = "pinned_sync needs pin_gains, or pinned_count and pin_gain"
@@ -1582,53 +862,8 @@ PIN_CHOICES = "pinned_sync needs pin_gains, or pinned_count and pin_gain"
     ],
 )
 def test_either_or_system_keys_name_both_choices(name, key, message):
-    cfg = load_bundled(name)
-    del cfg["system"][key]
     with pytest.raises(ScenarioError, match=message):
-        build_scenario(cfg)
-
-
-def _set(cfg, path, value):
-    *head, last = path
-    for key in head:
-        cfg = cfg[key]
-    cfg[last] = value
-
-
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize(
-    "name,path,value,message",
-    [
-        ("example2_fj_n10", ("graph", "weight_range", 1), 1e308, "graph.weight_range: n = 10 times it"),
-        ("example1_satnet_n10", ("graph", "weight_range", 0), -1e308, "graph.weight_range: n = 10 times it"),
-        ("example2_fj_n10", ("graph", "weight_range", 0), float("inf"), "graph.weight_range: n = 10 times it"),
-        ("example3_consensus_n3", ("mask", "privacy_level"), 1e308, "draws offsets past the float range"),
-        ("example4_pinning_n10", ("sync_condition", "samples"), 2**63, "sync_condition.samples = 9223372"),
-        ("example4_pinning_n10", ("sync_condition", "box", 1), 1e308, "the drift is not finite over"),
-    ],
-    ids=["weight-max", "weight-min", "weight-inf", "privacy-level", "lipschitz-samples", "lipschitz-box"],
-)
-def test_cli_values_past_the_float_range_exit_2_without_a_warning(
-    command, name, path, value, message, tmp_path, capsys
-):
-    # tier-1 turns RuntimeWarnings into errors, so an overflow would raise here
-    cfg = load_bundled(name)
-    cfg["integrator"]["t_final"] = 0.5
-    _set(cfg, path, value)
-    config = tmp_path / "big.json"
-    config.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_cli_exosystem_state_that_overflows_the_field_exits_4_without_a_warning(tmp_path, capsys):
-    cfg = load_bundled("example4_pinning_n10")
-    cfg["integrator"]["t_final"] = 0.5
-    cfg["system"]["s0"]["values"][1] = 1e308
-    config = tmp_path / "s0.json"
-    config.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 4
-    assert "numerical failure: numerical blow-up at t=0.001" in capsys.readouterr().err
+        build_scenario(patched(load_bundled(name), {f"system.{key}": DELETE}))
 
 
 def test_defaults_live_at_the_constructors():
@@ -1648,43 +883,7 @@ SWEPT = [
     "example4_pinning_n10",
     "adversary_covering",
 ]
-SWEEP_VALUES = ["x", -1, None, 1.5, {"kind": "nope"}]
-
-
-def _key_paths(section, prefix=()):
-    for key, value in section.items():
-        yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from _key_paths(value, prefix + (key,))
-
-
-def _mutants(config):
-    """Every config that deletes one key path, or sets it to one SWEEP_VALUES entry."""
-    for path in _key_paths(config):
-        for value in ["<delete>", *SWEEP_VALUES]:
-            mutant = copy.deepcopy(config)
-            parent = functools.reduce(lambda node, key: node[key], path[:-1], mutant)
-            if value == "<delete>":
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-            yield ".".join(path), value, mutant
-
-
-@pytest.mark.parametrize("name", SWEPT)
-def test_check_on_single_key_mutations_exits_0_or_2_and_never_raises(name, tmp_path, capsys):
-    config_path, bad = tmp_path / "mutant.json", []
-    for key, value, mutant in _mutants(load_bundled(name)):
-        config_path.write_text(json.dumps(mutant))
-        try:
-            code = main(["check", "--config", str(config_path), "--out", str(tmp_path / "out")])
-        except Exception as exc:  # noqa: BLE001 - any exception is the failure under test
-            code = f"{type(exc).__name__}: {exc}"
-        if code not in (0, 2):
-            bad.append((key, value, code))
-    capsys.readouterr()
-    assert bad == []
-
+SWEEP_VALUES = [DELETE, "x", -1, None, 1.5, {"kind": "nope"}]
 
 #: Every key of the swept configs that no constructor defaults.
 REQUIRED_IN_SWEPT = {
@@ -1721,18 +920,364 @@ REQUIRED_IN_SWEPT = {
 }
 
 
-def test_deleting_a_required_key_exits_2_naming_its_path(tmp_path, capsys):
-    config_path, named = tmp_path / "mutant.json", set()
+def test_check_on_single_key_mutants_exits_0_or_2_naming_a_deleted_required_key(tmp_path, capsys):
+    # each key of a section (not a list entry) deleted, or set to one sweep value
+    config_path, bad, named = tmp_path / "mutant.json", [], set()
     for name in SWEPT:
-        for key, value, mutant in _mutants(load_bundled(name)):
-            if value != "<delete>":
+        config = load_bundled(name)
+        for path in key_paths(config):
+            if any(key.isdigit() for key in path.split(".")):
                 continue
-            config_path.write_text(json.dumps(mutant))
-            code = main(["check", "--config", str(config_path), "--out", str(tmp_path / "out")])
-            err = capsys.readouterr().err
-            if key in REQUIRED_IN_SWEPT:
-                assert (code, err) == (2, f"invalid config: {key} is required\n"), (name, key)
-                named.add(key)
-            else:
-                assert "is required" not in err, (name, key, err)
+            for value in SWEEP_VALUES:
+                config_path.write_text(json.dumps(patched(config, {path: value})))
+                try:
+                    code = main(["check", "--config", str(config_path), "--out", str(tmp_path / "out")])
+                except Exception as exc:  # noqa: BLE001 - any exception is the failure under test
+                    code = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err
+                if value is DELETE and path in REQUIRED_IN_SWEPT:
+                    named.add(path)
+                    ok = (code, err) == (2, f"invalid config: {path} is required\n")
+                else:
+                    ok = code in (0, 2) and not (value is DELETE and "is required" in err)
+                if not ok:
+                    bad.append((name, path, value, code, err))
+    assert bad == []
     assert named == REQUIRED_IN_SWEPT
+
+
+class Row(NamedTuple):
+    """One case of the config contract. base is a bundled name or an inline
+    config, patch a config_patch patch of it (a bundled name that is not
+    patched goes to --bundled, or to --names under suite), and expect a
+    stderr fragment or the exact set of verdicts that report.json fails."""
+
+    id: str
+    base: object
+    patch: dict
+    commands: tuple
+    expect: object
+    code: int = cli.EXIT_CONFIG
+    flags: tuple = ()
+
+
+CHECK, SIMULATE, ADVERSARY, BOTH = ("check",), ("simulate",), ("adversary",), ("check", "simulate")
+NAN, INF = float("nan"), float("inf")
+CONSENSUS = _consensus_config()
+EXPLICIT = _explicit_config(EXPLICIT_CHANNELS)
+EXPLICIT_R = {"kind": "explicit", "rows": np.eye(3).tolist()}
+#: Explicit pin_gains, one of them NaN, instead of pinned_count and pin_gain.
+PIN_GAINS = {
+    "system.pin_gain": DELETE,
+    "system.pinned_count": DELETE,
+    "system.pin_gains": [1.0, NAN] + [0.0] * 8,
+}
+#: The directed path 0 -> 1 -> ... -> 9, whose Laplacian's left null vector
+#: is e_0, not positive.
+PATH_10 = {"kind": "inline", "n": 10, "edges": [[i, i + 1, 1.0] for i in range(9)]}
+#: The 2-cycles {0, 1} and {2, 3}, the second without an anchor, so that
+#: L + Theta is singular.
+UNANCHORED = {
+    "graph": {"kind": "inline", "n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]},
+    "system.theta": {"kind": "inline", "values": [0.5, 0.5, 0.0, 0.0]},
+    "x0": {"kind": "inline", "values": [0.1, 0.2, 0.3, 0.4]},
+}
+ADVERSARY_VALUES = [  # observer 1 sees only its in-neighbors 0 and 5 besides itself
+    ("observer", 99, "adversary.observer must be an integer in [0, 6), got 99"),
+    ("observer", "x", "adversary.observer must be an integer in [0, 6), got 'x'"),
+    ("observer", True, "adversary.observer must be an integer in [0, 6), got True"),
+    ("observer", None, "adversary.observer must be an integer in [0, 6), got None"),
+    ("target", 1.5, "adversary.target must be an integer in [0, 6), got 1.5"),
+    ("target", -1, "adversary.target must be an integer in [0, 6), got -1"),
+    ("target", 3, "adversary.target 3 is not in the closed in-neighborhood of observer 1"),
+    ("policies", ["zero", "nope"], "adversary.policies: unknown substitution policy 'nope'"),
+]
+X0_VALUES = [  # (id, x0 section, message)
+    ("values_nan", {"kind": "inline", "values": [NAN, 1.0, 2.0]},
+     "x0.values[0] must be a finite number, got nan"),
+    ("std_nan", {"kind": "gaussian", "std": NAN}, "x0.std must be a finite number, got nan"),
+    ("mean_inf", {"kind": "gaussian", "mean": INF, "std": 1.0}, "x0.mean must be a finite number, got inf"),
+    ("low_minus_inf", {"kind": "uniform", "low": -INF, "high": 2.0},
+     "x0.low must be a finite number, got -inf"),
+    ("high_inf", {"kind": "uniform", "low": -2.0, "high": INF}, "x0.high must be a finite number, got inf"),
+    ("span_overflows", {"kind": "uniform", "low": -1e308, "high": 1e308},
+     "x0.high - x0.low must be finite, got inf"),
+    ("low_above_high", {"kind": "uniform", "low": 2.0, "high": 1.0},
+     "x0.low must not exceed x0.high, got 2.0 > 1.0"),
+    ("negative_std", {"kind": "gaussian", "std": -0.5}, "x0.std must be non-negative, got -0.5"),
+    # the third of this seed's three draws overflows to inf
+    ("draw_overflows", {"kind": "gaussian", "mean": 1e308, "std": 1e308},
+     "x0: a gaussian draw is not finite"),
+]
+STRICT_VALUES = [  # (id, base, patch, message), each run under --strict
+    ("rate_range_inf", "example1_satnet_n10", {"mask.rate_range": [0.5, INF]},
+     "mask.rate_range must be 0 < lo <= hi < inf, got [0.5, inf]"),
+    ("rate_range_nan", "example1_satnet_n10", {"mask.rate_range": [NAN, 1.0]},
+     "mask.rate_range must be 0 < lo <= hi < inf, got [nan, 1.0]"),
+    ("rate_range_zero", "example1_satnet_n10", {"mask.rate_range": [0.0, 1.0]},
+     "mask.rate_range must be 0 < lo <= hi < inf, got [0.0, 1.0]"),
+    ("rate_range_order", "example1_satnet_n10", {"mask.rate_range": [2.0, 1.0]},
+     "mask.rate_range must be 0 < lo <= hi < inf, got [2.0, 1.0]"),
+    ("kappa_over_radius_nan", "example1_satnet_n10", {"system.kappa_over_radius": NAN},
+     "system.kappa_over_radius must be a finite number, got nan"),
+    ("kappa_inf", "example1_satnet_n10", {"system": {"kind": "saturated_net", "kappa": INF}},
+     "system.kappa must be a finite number, got inf"),
+    ("pin_gain_nan", "example4_pinning_n10", {"system.pin_gain": NAN},
+     "system.pin_gain must be a finite number, got nan"),
+    ("pin_gains_nan", "example4_pinning_n10", PIN_GAINS,
+     "system.pin_gains[1] must be a finite number, got nan"),
+    ("lorenz_sigma_nan", "example4_pinning", {"system.drift.sigma": NAN},
+     "system.drift.sigma must be a finite number, got nan"),
+    ("lorenz_beta_inf", "example4_pinning", {"system.drift.beta": -INF},
+     "system.drift.beta must be a finite number, got -inf"),
+    ("tanh_a_nan", "example4_pinning_n10", {"system.drift.a.1.1": NAN},
+     "system.drift.a[1][1] must be a finite number, got nan"),
+    ("tanh_b_inf", "example4_pinning_n10", {"system.drift.b.0.2": INF},
+     "system.drift.b[0][2] must be a finite number, got inf"),
+    ("r_diagonal_inf", "example4_pinning_n10", {"system.r": EXPLICIT_R, "system.r.rows.2.2": INF},
+     "system.r.rows[2][2] must be a finite number, got inf"),
+    ("r_first_inf", "example4_pinning_n10", {"system.r": EXPLICIT_R, "system.r.rows.0.0": INF},
+     "system.r.rows[0][0] must be a finite number, got inf"),
+    ("r_off_diagonal_nan", "example4_pinning_n10", {"system.r": EXPLICIT_R, "system.r.rows.0.1": NAN},
+     "system.r.rows[0][1] must be a finite number, got nan"),
+    ("channel_delta_nan", CONSENSUS,
+     {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gamma": 1.0, "delta": NAN}] * 3}},
+     "mask.channels[0].delta must be a finite number, got nan"),
+    ("channel_delta_bool", CONSENSUS,
+     {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gamma": 1.0, "delta": True}] * 3}},
+     "mask.channels[0].delta must be a finite number, got True"),
+]
+PAST_THE_FLOAT_RANGE = [  # (id, base, key path, value, message)
+    ("weight_max", "example2_fj_n10", "graph.weight_range.1", 1e308, "graph.weight_range: n = 10 times it"),
+    ("weight_min", "example1_satnet_n10", "graph.weight_range.0", -1e308,
+     "graph.weight_range: n = 10 times it"),
+    ("weight_inf", "example2_fj_n10", "graph.weight_range.0", INF, "graph.weight_range: n = 10 times it"),
+    ("privacy_level_max", "example3_consensus_n3", "mask.privacy_level", 1e308,
+     "draws offsets past the float range"),
+    ("lipschitz_samples", "example4_pinning_n10", "sync_condition.samples", 2**63,
+     "sync_condition.samples = 9223372"),
+    ("lipschitz_box", "example4_pinning_n10", "sync_condition.box.1", 1e308, "the drift is not finite over"),
+]
+SYNC_VALUES = [  # simulate would otherwise fail only after the whole integration
+    ("box", "x", "sync_condition.box must be two numbers, got 'x'"),
+    ("box", [1.0], "sync_condition.box must be two numbers, got [1.0]"),
+    ("box", [-3, "a"], "sync_condition.box must be two numbers, got [-3, 'a']"),
+    ("box", [3.0, -3.0], "sync_condition.box must be finite lo < hi, got [3.0, -3.0]"),
+    ("box", [-3.0, INF], "sync_condition.box must be finite lo < hi"),
+    ("samples", 1, "sync_condition.samples must be >= 2, got 1"),
+    ("samples", 4000.0, "sync_condition.samples must be an integer, got 4000.0"),
+]
+
+#: The config contract: what every command must do with a config that is
+#: misspelled, inconsistent or out of range (exit 2 before anything is
+#: integrated or written), and what a run that is not refused must give.
+CONTRACT = [
+    # checks that the scenario cannot decide
+    Row("lmi_margin_on_consensus", "example3_consensus_n20", {"checks": ["lmi_margin_negative"]}, BOTH,
+        "checks not applicable to this scenario: ['lmi_margin_negative']"),
+    Row("conservation_on_pinning", "example4_pinning_n10", {"checks": ["conservation"]}, BOTH,
+        "checks not applicable to this scenario: ['conservation']"),
+    # explicit mask channels
+    Row("channel_missing_parameter", EXPLICIT, {"mask.channels.1": {"kind": "linear", "phi": 1.0}}, BOTH,
+        "invalid config: invalid scenario config: linear mask requires parameter sigma\n"),
+    Row("channel_extra_parameter", EXPLICIT,
+        {"mask.channels.1": {"kind": "linear", "phi": 1.0, "sigma": 2.0, "gamma": 2.0}}, BOTH,
+        "invalid config: invalid scenario config: linear mask does not take parameter gamma\n"),
+    Row("channel_unknown_kind", EXPLICIT, {"mask.channels.1": {"kind": "cubic", "phi": 1.0}}, BOTH,
+        "invalid config: invalid scenario config: 'cubic' is not a valid MaskKind\n"),
+    Row("channel_count_off_the_state", EXPLICIT, {"mask.channels.4": DELETE}, BOTH,
+        "invalid config: mask bank has 4 channels, state needs 5\n"),
+    Row("channel_gamma_string", CONSENSUS,
+        {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gamma": "2", "delta": 1.0}] * 3}},
+        CHECK, "mask.channels[0].gamma must be a finite number, got '2'"),
+    # the integrator grid: 3 steps of 0.3 would integrate to 0.9, not 1.0
+    Row("horizon_off_the_grid", CONSENSUS, {"integrator": {"dt": 0.3, "t_final": 1.0}}, SIMULATE,
+        "does not divide t_final=1.0"),
+    Row("method_euler", CONSENSUS, {"integrator.method": "euler"}, BOTH,
+        "invalid config: integrator: unknown method 'euler'"),
+    Row("t_final_inf", CONSENSUS, {"integrator.t_final": INF}, CHECK,
+        "integrator.t_final must be finite and positive, got inf"),
+    Row("dt_subnormal", CONSENSUS, {"integrator.dt": 1e-320}, CHECK,
+        "integrator: t_final/dt = 30.0/1e-320 is not a finite step count"),
+    Row("dt_zero", CONSENSUS, {"integrator.dt": 0}, CHECK,
+        "integrator.dt must be finite and positive, got 0"),
+    # unknown keys, also those of another kind of the same section
+    *(Row(f"unknown_key_{path}", CONSENSUS, {path: 1.0}, CHECK, f"unknown config key {path!r}")
+      for path in ("integrator.t_finl", "graph.weigth", "bogus", "graph.p")),
+    Row("unknown_channel_key", CONSENSUS,
+        {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gama": 1.0}] * 3}}, CHECK,
+        "unknown config key 'mask.channels[0].gama'"),
+    Row("frozen_anchor_on_consensus", CONSENSUS, {"system.frozen_anchor": True}, BOTH,
+        "unknown config key 'system.frozen_anchor'"),
+    *(Row(f"{section}_seed_{'reseeded' if flags else 'as_shipped'}", "example3_consensus_n3",
+          {f"{section}.seed": 3}, CHECK, f"unknown config key '{section}.seed'", flags=flags)
+      for section in ("integrator", "graph", "system") for flags in ((), ("--seed", "5"))),
+    # unknown kinds and sections
+    Row("unknown_system_kind", CONSENSUS, {"system": {"kind": "nope"}}, CHECK, "unknown system kind 'nope'"),
+    Row("unknown_system_kind_alone", {"name": "x", "system": {"kind": "nope"}}, {}, SIMULATE,
+        "unknown system kind 'nope'"),
+    Row("unknown_drift_kind", "example4_pinning_n10", {"system.drift": {"kind": "nope"}}, CHECK,
+        "unknown drift kind 'nope'"),
+    Row("unknown_bundled_name", "no_such_scenario", {}, CHECK, "no_such_scenario.json"),
+    Row("seeded_list", [], {}, ("check", "simulate", "adversary"), "config must be an object, got []",
+        flags=("--seed", "3")),
+    Row("seeded_list_section", {"seed": 1, "system": [1]}, {}, ("check", "simulate", "adversary"),
+        "system must be", flags=("--seed", "3")),
+    # graphs
+    Row("edge_weight_nan", CONSENSUS, {"graph": INLINE_CYCLE, "graph.edges.2.2": NAN}, BOTH,
+        "non-finite weight on edge (2, 0, nan)"),
+    Row("edge_weight_inf", CONSENSUS, {"graph": INLINE_CYCLE, "graph.edges.2.2": INF}, BOTH,
+        "non-finite weight on edge (2, 0, inf)"),
+    Row("edge_node_fractional", CONSENSUS, {"graph": INLINE_CYCLE, "graph.edges.1.1": 1.7}, BOTH,
+        "non-integer node id on edge (1, 1.7, 1.0)"),
+    # a single edge is nilpotent: its adjacency has spectral radius 0
+    Row("kappa_over_a_zero_radius", CONSENSUS,
+        {"graph": {"kind": "inline", "n": 2, "edges": [[0, 1, 1.0]]},
+         "system": {"kind": "saturated_net", "kappa_over_radius": 1.0}, "checks": []}, BOTH,
+        "system.kappa_over_radius needs an adjacency of positive spectral radius, got 0.0"),
+    Row("graph_retries_exhausted", "example1_satnet_n10", {}, CHECK,
+        "graph: no admissible random graph found in 100 retries (n=10, p=0.35)", flags=("--seed", "3390588")),
+    # the adversary block
+    *(Row(f"settle_tol_{tol}", "adversary_covering", {"adversary.settle_tol": tol}, ADVERSARY,
+          "adversary.settle_tol must be finite and positive") for tol in (INF, NAN, 0.0, -1.0)),
+    *(Row(f"adversary_{key}_{value!r}", "adversary_covering", {f"adversary.{key}": value}, ADVERSARY, message)
+      for key, value, message in ADVERSARY_VALUES),
+    *(Row(f"attack_row_{system['kind']}", "adversary_covering", {"system": system}, ADVERSARY,
+          f"system kind '{system['kind']}' has no attack row")
+      for system in ({"kind": "friedkin_johnsen", "theta": 0.5},
+                     {"kind": "saturated_net", "kappa_over_radius": 0.5})),
+    Row("no_adversary_block", CONSENSUS, {}, ADVERSARY, "scenario config has no adversary block"),
+    # flags: --tol inf would pass converged trivially; nan, 0 and -1 would fail it
+    *(Row(f"tol_flag_{tol}", "example3_consensus_n3", {}, ("simulate", "suite"),
+          "argument --tol: must be finite and positive", flags=("--tol", tol))
+      for tol in ("inf", "nan", "0", "-1")),
+    Row("tol_flag_on_check", "example3_consensus_n3", {}, CHECK, "unrecognized arguments: --tol 1",
+        flags=("--tol", "1")),
+    Row("strict_flag_on_adversary", "adversary_covering", {}, ADVERSARY, "unrecognized arguments: --strict",
+        flags=("--strict",)),
+    # bounds that inf, nan, 0 or -1 would make meaningless; an identity mask
+    # with level -1 would pass privacy_floor and mask_gap_visible
+    *(Row(f"tol_conv_{tol}", CONSENSUS, {"tolerances": {"tol_conv": tol}}, SIMULATE,
+          "tolerances.tol_conv must be finite and positive") for tol in (INF, NAN, 0.0, -1.0)),
+    *(Row(f"privacy_level_{level}_{mask['kind']}", CONSENSUS,
+          {"mask": {**mask, "privacy_level": level}, "checks": ["privacy_floor", "mask_gap_visible"]},
+          SIMULATE, "mask.privacy_level must be finite and positive")
+      for mask in ({"kind": "identity"}, CONSENSUS["mask"]) for level in (-1.0, 0.0, INF, NAN)),
+    # wrong JSON types: a null seed would draw a fresh graph or mask on
+    # every run under one config hash
+    *(Row(f"type_{path}", "example1_satnet_n10", {path: value}, CHECK, message)
+      for path, value, message in (
+          ("graph.seed", None, "graph.seed must be a non-negative integer, got None"),
+          ("mask.seed", None, "mask.seed must be a non-negative integer, got None"),
+          ("integrator.record_stride", 1.5, "integrator.record_stride must be an integer, got 1.5"),
+          ("graph.symmetric", "no", "graph.symmetric must be a boolean, got 'no'"),
+          ("graph", "x", "graph must be an object, got 'x'"),
+      )),
+    # vector sections: json writes and reads NaN and Infinity, and no draw or run may take them
+    *(Row(f"x0_{id}", CONSENSUS, {"x0": x0}, BOTH, message) for id, x0, message in X0_VALUES),
+    Row("x0_std_missing", CONSENSUS, {"x0": {"kind": "gaussian", "mean": 1.0}}, CHECK, "x0.std is required"),
+    Row("theta_nan", "example2_fj_n10", {"system.theta": NAN}, BOTH,
+        "system.theta must be a finite number or an object, got nan"),
+    Row("theta_order", "example2_fj_n10", {"system.theta": {"kind": "uniform", "low": 0.9, "high": 0.2}},
+        BOTH, "system.theta.low must not exceed system.theta.high, got 0.9 > 0.2"),
+    # json reads NaN, Infinity and true; such a gain, rate or mask parameter
+    # would otherwise blow the run up (exit 4), fail the mask axioms under
+    # check --strict (exit 3) or run as 1.0, none of which names the key
+    *(Row(id, base, patch, BOTH, message, flags=("--strict",)) for id, base, patch, message in STRICT_VALUES),
+    # json reads 10**400 as an exact int, which float() cannot convert
+    *(Row(f"huge_int_{path}", "example3_consensus_n3", {path: 10**400}, BOTH, message)
+      for path, message in (
+          ("x0.high", "x0.high must be a finite number, got 1000"),
+          ("graph.weight", "graph.weight must be a number, got 1000"),
+          ("integrator.t_final", "integrator.t_final must be finite and positive, got 1000"),
+          ("mask.privacy_level", "mask.privacy_level must be finite and positive, got 1000"),
+      )),
+    # values past the float range, refused without a RuntimeWarning (an error in tier-1)
+    *(Row(id, base, {path: value}, BOTH, message) for id, base, path, value, message in PAST_THE_FLOAT_RANGE),
+    # the artifact directory under --out
+    *(Row(f"name_{id}", CONSENSUS, {"name": name}, CHECK,
+          f"name must be one plain path component, got {name!r}")
+      for id, name in (("parent_path", "../escaped"), ("nested_path", "a/b"), ("empty", ""), ("dot", "."),
+                       ("dot_dot", ".."), ("nul_byte", "nul\0"))),
+    # sync_condition
+    *(Row(f"sync_{key}_{value!r}", "example4_pinning_n10", {f"sync_condition.{key}": value}, CHECK, message)
+      for key, value, message in SYNC_VALUES),
+    Row("sync_condition_without_exosystem", "example3_consensus_n3", {"sync_condition": {"box": [-3.0, 3.0]}},
+        BOTH, "sync_condition: system kind 'average_consensus' has no exosystem"),
+    # verdicts that cannot be formed, which once failed after the integration
+    Row("xi_on_a_path", "example4_pinning_n10", {"graph": PATH_10}, BOTH,
+        "sync_condition needs an irreducible graph: left null vector is not strictly positive"),
+    Row("theta_unanchored", "example2_fj_n10", UNANCHORED, BOTH,
+        "system.theta: agent 2 is reached from no agent of nonzero theta, so L + Theta is singular"),
+    # runs that are not refused
+    Row("reseeded", "example3_consensus_n3", {}, SIMULATE, frozenset(), code=cli.EXIT_OK,
+        flags=("--seed", "7")),
+    Row("covering_under_strict", CONSENSUS,
+        {"graph": {"kind": "complete", "n": 3}, "checks": ["no_covering"]}, SIMULATE,
+        "strict mode: failing checks ['no_covering']\n"
+        "covering pairs: [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]",
+        code=cli.EXIT_ASSUMPTION, flags=("--strict",)),
+    Row("drift_blow_up", "example4_pinning_n10", BLOW_UP, SIMULATE,
+        "numerical failure: numerical blow-up at t=0.199", code=cli.EXIT_NUMERIC),
+    Row("s0_overflows_the_field", "example4_pinning_n10",
+        {"integrator.t_final": 0.5, "system.s0.values.1": 1e308}, SIMULATE,
+        "numerical failure: numerical blow-up at t=0.001", code=cli.EXIT_NUMERIC),
+    Row("horizon_too_short", CONSENSUS,
+        {"integrator.t_final": 0.5, "integrator.record_stride": 1, "checks": ["converged"]}, SIMULATE,
+        frozenset({"converged"}), code=cli.EXIT_VERDICT),
+    # negative controls: an unmasked run shows its states, and a wide start leaves the box
+    Row("identity_mask", "example3_consensus_n20",
+        {"integrator.t_final": 1.0, "mask": {"kind": "identity", "privacy_level": 1.0}}, SIMULATE,
+        frozenset({"converged", "mask_gap_visible", "output_mean_hidden", "privacy_floor",
+                   "vmm_non_monotone"}),
+        code=cli.EXIT_VERDICT),
+    Row("wide_x0", "example3_consensus_n20",
+        {"integrator.t_final": 1.0, "x0.low": -5000.0, "x0.high": 5000.0}, SIMULATE,
+        frozenset({"bounded_states", "converged", "mask_gap_closes", "vmm_non_monotone"}),
+        code=cli.EXIT_VERDICT),
+]
+
+
+#: How main's one stderr line starts for a refused config and a numerical failure.
+FAILURE_LINE = {cli.EXIT_CONFIG: "invalid config: ", cli.EXIT_NUMERIC: "numerical failure: "}
+
+
+@pytest.mark.parametrize(
+    "row,command",
+    [(row, command) for row in CONTRACT for command in row.commands],
+    ids=[f"{row.id}-{command}" for row in CONTRACT for command in row.commands],
+)
+def test_cli_config_contract(row, command, tmp_path, capsys, monkeypatch):
+    if row.code == cli.EXIT_CONFIG:  # refused before anything is integrated
+        monkeypatch.setattr(scenario, "integrate", _never_called)
+    if isinstance(row.base, str) and not row.patch:
+        source = ["--names" if command == "suite" else "--bundled", row.base]
+    else:
+        base = load_bundled(row.base) if isinstance(row.base, str) else row.base
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(patched(base, row.patch)))
+        source = ["--config", str(config)]
+    try:
+        code = main([command, *source, *row.flags, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == row.code, err
+    if isinstance(row.expect, str):
+        assert row.expect in err
+    else:
+        (report,) = (tmp_path / "out").glob("*/report.json")
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert {name for name, ok in verdicts.items() if not ok} == row.expect
+    if code in FAILURE_LINE:  # main's one stderr line (or a usage error), and nothing made on disk
+        assert err.startswith("usage: ") or (err.startswith(FAILURE_LINE[code]) and err.count("\n") == 1)
+        assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["config.json"])
+
+
+def test_every_documented_exit_code_has_a_contract_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"^Exit codes:(.*?)\.\s", readme, re.MULTILINE | re.DOTALL).group(1)
+    documented = {int(code) for code in re.findall(r"`(\d)`", line)}
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert documented == codes
+    assert {row.code for row in CONTRACT} == codes
