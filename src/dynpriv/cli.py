@@ -1,8 +1,8 @@
 """Command-line front door: validate, simulate, attack, and batch-verify.
 
-Exit codes: 0 all requested verdicts pass; 2 invalid config, or an --out
-that cannot hold the artifacts; 3 structural assumption violated under
---strict; 4 numerical failure; 5 verdict failure.
+Exit codes: 0 all requested verdicts pass; 2 usage error, invalid config,
+or an --out that cannot hold the artifacts; 3 structural assumption
+violated under --strict; 4 numerical failure; 5 verdict failure.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ class _AssumptionFailed(Exception):
 
 class _UnusableOut(Exception):
     """--out cannot hold the artifacts; its message names the path."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error reaches main, which maps it to exit 2
+        raise argparse.ArgumentError(None, message)
 
 
 def _load(args, bundled=None) -> dict:
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process and then shared:
     parse_args keeps nothing in it, and each add_argument would otherwise
     pay for a fresh help formatter on every main call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynpriv",
         description="Simulate and verify output-masked multiagent dynamics.",
     )
@@ -272,10 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _out(args)  # refused before any run starts
         return args.fn(args)
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except scn.ScenarioError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

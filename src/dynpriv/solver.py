@@ -14,11 +14,12 @@ dim, nu and drift (None without an exosystem). It compiles the joint field
 bit for bit against the reference fields at the initial state with the
 bank's t=0 factors, and only then steps it with _march, the one stepper of
 1-d states. The mask's factors depend on time alone, so for each block of
-TABLE_STEPS steps the march forms the block's (n, 3) RK4 stage times
+block_steps(width) steps the march forms the block's (n, 3) RK4 stage times
 (t, t + dt/2, t + dt) by the expressions it steps with, and integrate
 refills one preallocated table from them with a single MaskBank.factors
 call. Each stage gets its (scale, offset) row by position, and writes its
-slope into one of the march's four slots k1..k4.
+slope into one of the march's four slots k1..k4. The block is sized so the
+table stays within TABLE_BYTES; no recorded sample depends on its length.
 """
 
 from __future__ import annotations
@@ -39,9 +40,14 @@ BLOWUP_LIMIT = 1e12
 MAX_STEPS = 10_000_000
 #: Largest relative miss |n_steps * dt - t_final| / t_final of a time grid.
 HORIZON_RTOL = 1e-9
-#: Steps per block, and so per mask-factor table of 3*TABLE_STEPS rows:
-#: the measured fastest, at 1.7 us of table per n=100 step (2.0 at 32 or 256).
-TABLE_STEPS = 128
+#: Most steps per block (at n=100: 1.7 us of table a step at 128, 2.0 at 32 or 256),
+#: and the bytes of (scale, offset) table a block may fill, 48 a step and value.
+TABLE_STEPS, TABLE_BYTES = 128, 256 * 1024
+
+
+def block_steps(width: int) -> int:
+    """Steps per block of width values: what TABLE_BYTES of table holds, in [1, TABLE_STEPS]."""
+    return min(TABLE_STEPS, max(1, TABLE_BYTES // (48 * width)))
 
 
 class BlowUpError(RuntimeError):
@@ -196,8 +202,8 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     same order, and f gets those rows by position instead. Returns the
     recorded (times, states) arrays.
 
-    The march fills a preallocated (TABLE_STEPS+1, d) block one step per
-    row, row 0 holding the block's start state. Stage inputs and the RK4
+    The march fills a preallocated (block_steps(d) + 1, d) block one step
+    per row, row 0 holding the block's start state. Stage inputs and the RK4
     slope sum are formed in two scratch arrays by ufuncs bound once, with
     out passed positionally and the step constants held as 0-d arrays, so
     the march allocates nothing per step, and every element sees the same
@@ -207,8 +213,8 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     block copies its recorded rows with one slice assignment.
 
     Finiteness is checked once per block, on all its rows. The steps after
-    a blow-up (up to TABLE_STEPS - 1 of them) run on non-finite values with
-    overflow and invalid warnings silenced; the check then finds the first
+    a blow-up (up to block_steps(d) - 1 of them) run on non-finite values
+    with overflow and invalid warnings silenced; the check then finds the first
     bad step and raises BlowUpError carrying the state of the step before
     it, and no later block is tabulated.
     """
@@ -222,7 +228,8 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     rec_states = np.empty((n_rec,) + z.shape)
     rec_states[0] = z
     row = 1
-    block = np.empty((TABLE_STEPS + 1,) + z.shape)
+    per_block = block_steps(z.size)
+    block = np.empty((per_block + 1,) + z.shape)
     steps = list(block)
     arg, acc, k1, k2, k3, k4 = (np.empty_like(z) for _ in range(6))
     add, mul, maximum = np.add, np.multiply, np.maximum
@@ -230,8 +237,8 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     half, step, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     if floor is not None:
         floor = np.array(floor, dtype=float)
-    for k0 in range(0, n_steps, TABLE_STEPS):
-        n = min(TABLE_STEPS, n_steps - k0)
+    for k0 in range(0, n_steps, per_block):
+        n = min(per_block, n_steps - k0)
         times = (np.arange(k0, k0 + n) * dt)[:, None] + shifts
         rows = times.reshape(-1).tolist() if tabulate is None else tabulate(times)
         per_step = zip(*[iter(rows)] * 3)  # each step's rows, in order
@@ -324,7 +331,7 @@ def integrate(
             f"is {float(got[i])!r}, not {float(want[i])!r}"
         )
 
-    table = np.empty((2, 3 * TABLE_STEPS, d))  # a block's scale rows, then offset rows
+    table = np.empty((2, 3 * block_steps(z.size), d))  # a block's scale rows, then offset rows
     rows = list(zip(*table))
 
     def tabulate(times):

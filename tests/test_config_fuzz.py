@@ -66,7 +66,7 @@ def test_no_config_mutant_raises_or_exits_undocumented(tmp_path, capsys):
             argv = [command, "--config", str(config_path), "--out", str(out)] + flags
             try:
                 code = main(argv)
-            except (Exception, SystemExit) as exc:
+            except Exception as exc:
                 code = f"raised {type(exc).__name__}: {exc}"
             codes.append(code)
             if code not in DOCUMENTED:
@@ -115,7 +115,7 @@ def test_no_reducible_graph_mutant_raises_or_exits_undocumented(tmp_path, capsys
                 argv = [command, "--config", str(config_path), "--out", str(out)] + flags
                 try:
                     codes[command] = main(argv)
-                except (Exception, SystemExit) as exc:
+                except Exception as exc:
                     codes[command] = f"raised {type(exc).__name__}: {exc}"
             refused = {command for command, code in codes.items() if code == 2}
             if not set(codes.values()) <= DOCUMENTED or len(refused) == 1:

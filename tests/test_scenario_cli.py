@@ -273,9 +273,7 @@ def test_erdos_renyi_scenario_scans_each_candidate_once(monkeypatch):
 
 
 def test_main_works_after_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--bundled", "example3_consensus_n3", "--no-such-flag"])
-    assert exc.value.code == 2
+    assert main(["check", "--bundled", "example3_consensus_n3", "--no-such-flag"]) == 2
     assert main(["check", "--bundled", "example3_consensus_n3", "--out", str(tmp_path)]) == 0
 
 
@@ -331,8 +329,9 @@ def test_cli_simulate_writes_artifacts(tmp_path):
 )
 def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     # the outputs, diagnostics and artifacts are built a chunk of rows at a
-    # time from x and the bank, and the CSV encoder holds 0.45 MiB of
-    # scratch, so a run peaks within its x table plus 1.5 MiB
+    # time from x and the bank, the CSV encoder holds 0.45 MiB of scratch and
+    # the mask-factor table at most solver.TABLE_BYTES, so a run peaks within
+    # its x table plus 1 MiB
     cfg = patched(load_bundled(name), {"integrator.t_final": t_final, "integrator.record_stride": 1})
     sc = build_scenario(cfg)
     tracemalloc.start()
@@ -343,7 +342,7 @@ def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
     finally:
         tracemalloc.stop()
     assert traj.x.shape == shape
-    assert peak <= traj.x.nbytes + 1.5 * 2**20
+    assert peak <= traj.x.nbytes + 2**20
 
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
@@ -950,7 +949,9 @@ class Row(NamedTuple):
     """One case of the config contract. base is a bundled name or an inline
     config, patch a config_patch patch of it (a bundled name that is not
     patched goes to --bundled, or to --names under suite), and expect a
-    stderr fragment or the exact set of verdicts that report.json fails."""
+    stderr fragment or the exact set of verdicts that report.json fails.
+    covering, if given, holds the sorted covering pairs that simulate names
+    on stderr and check writes to check_report.json."""
 
     id: str
     base: object
@@ -959,6 +960,7 @@ class Row(NamedTuple):
     expect: object
     code: int = cli.EXIT_CONFIG
     flags: tuple = ()
+    covering: tuple = ()
 
 
 CHECK, SIMULATE, ADVERSARY, BOTH = ("check",), ("simulate",), ("adversary",), ("check", "simulate")
@@ -1149,12 +1151,14 @@ CONTRACT = [
     Row("no_adversary_block", CONSENSUS, {}, ADVERSARY, "scenario config has no adversary block"),
     # flags: --tol inf would pass converged trivially; nan, 0 and -1 would fail it
     *(Row(f"tol_flag_{tol}", "example3_consensus_n3", {}, ("simulate", "suite"),
-          "argument --tol: must be finite and positive", flags=("--tol", tol))
+          "usage error: argument --tol: must be finite and positive", flags=("--tol", tol))
       for tol in ("inf", "nan", "0", "-1")),
-    Row("tol_flag_on_check", "example3_consensus_n3", {}, CHECK, "unrecognized arguments: --tol 1",
+    Row("tol_flag_on_check", "example3_consensus_n3", {}, CHECK, "usage error: unrecognized arguments: --tol 1",
         flags=("--tol", "1")),
-    Row("strict_flag_on_adversary", "adversary_covering", {}, ADVERSARY, "unrecognized arguments: --strict",
-        flags=("--strict",)),
+    Row("strict_flag_on_adversary", "adversary_covering", {}, ADVERSARY,
+        "usage error: unrecognized arguments: --strict", flags=("--strict",)),
+    Row("unknown_flag", "example3_consensus_n3", {}, CHECK, "usage error: unrecognized arguments: --no-such-flag",
+        flags=("--no-such-flag",)),
     # bounds that inf, nan, 0 or -1 would make meaningless; an identity mask
     # with level -1 would pass privacy_floor and mask_gap_visible
     *(Row(f"tol_conv_{tol}", CONSENSUS, {"tolerances": {"tol_conv": tol}}, SIMULATE,
@@ -1213,10 +1217,9 @@ CONTRACT = [
     Row("reseeded", "example3_consensus_n3", {}, SIMULATE, frozenset(), code=cli.EXIT_OK,
         flags=("--seed", "7")),
     Row("covering_under_strict", CONSENSUS,
-        {"graph": {"kind": "complete", "n": 3}, "checks": ["no_covering"]}, SIMULATE,
-        "strict mode: failing checks ['no_covering']\n"
-        "covering pairs: [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]",
-        code=cli.EXIT_ASSUMPTION, flags=("--strict",)),
+        {"graph": {"kind": "complete", "n": 3}, "checks": ["no_covering"]}, BOTH,
+        "strict mode: failing checks ['no_covering']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",),
+        covering=((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))),
     Row("drift_blow_up", "example4_pinning_n10", BLOW_UP, SIMULATE,
         "numerical failure: numerical blow-up at t=0.199", code=cli.EXIT_NUMERIC),
     Row("s0_overflows_the_field", "example4_pinning_n10",
@@ -1238,8 +1241,11 @@ CONTRACT = [
 ]
 
 
-#: How main's one stderr line starts for a refused config and a numerical failure.
-FAILURE_LINE = {cli.EXIT_CONFIG: "invalid config: ", cli.EXIT_NUMERIC: "numerical failure: "}
+#: How main's one stderr line starts for a refusal and a numerical failure.
+FAILURE_LINE = {
+    cli.EXIT_CONFIG: ("invalid config: ", "usage error: "),
+    cli.EXIT_NUMERIC: ("numerical failure: ",),
+}
 
 
 @pytest.mark.parametrize(
@@ -1257,10 +1263,7 @@ def test_cli_config_contract(row, command, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(patched(base, row.patch)))
         source = ["--config", str(config)]
-    try:
-        code = main([command, *source, *row.flags, "--out", str(tmp_path / "out")])
-    except SystemExit as exc:  # a usage error
-        code = exc.code
+    code = main([command, *source, *row.flags, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == row.code, err
     if isinstance(row.expect, str):
@@ -1269,8 +1272,13 @@ def test_cli_config_contract(row, command, tmp_path, capsys, monkeypatch):
         (report,) = (tmp_path / "out").glob("*/report.json")
         verdicts = json.loads(report.read_text())["verdicts"]
         assert {name for name, ok in verdicts.items() if not ok} == row.expect
-    if code in FAILURE_LINE:  # main's one stderr line (or a usage error), and nothing made on disk
-        assert err.startswith("usage: ") or (err.startswith(FAILURE_LINE[code]) and err.count("\n") == 1)
+    if row.covering and command == "check":
+        (report,) = (tmp_path / "out").glob("*/check_report.json")
+        assert tuple(sorted(map(tuple, json.loads(report.read_text())["covering_pairs"]))) == row.covering
+    elif row.covering:
+        assert f"covering pairs: {list(row.covering)}" in err
+    if code in FAILURE_LINE:  # main's one stderr line, and nothing made on disk
+        assert err.startswith(FAILURE_LINE[code]) and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["config.json"])
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynpriv import solver
 from dynpriv.analysis import series_table
 from dynpriv.dynamics import (
     CONSERVATION_TOL,
@@ -20,10 +23,12 @@ from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
 from dynpriv.netgraph import build_graph, cycle_graph, is_weight_balanced, laplacian
 from dynpriv.solver import (
     BLOWUP_LIMIT,
+    TABLE_BYTES,
     TABLE_STEPS,
     BlowUpError,
     IntegratorConfig,
     _march,
+    block_steps,
     integrate,
     solve_comparison_ode,
     write_csv,
@@ -264,12 +269,14 @@ def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(MaskBank, name, counted)
-    ms, x0, _ = _masked_case("consensus", 4, np.random.default_rng(5))
-    n_steps = 3 * TABLE_STEPS + 1
-    integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
-    # no per-stage eval: one factors call per block and one for the t=0
-    # check of the compiled stage; the outputs are not tabulated at all
-    assert calls == {"eval": 0, "factors": 4 + 1}
+    for n in (4, 60):  # 60 agents take blocks shorter than TABLE_STEPS
+        calls.update(eval=0, factors=0)
+        ms, x0, _ = _masked_case("consensus", n, np.random.default_rng(5))
+        n_steps = 3 * block_steps(n) + 1
+        integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
+        # no per-stage eval: one factors call per block and one for the t=0
+        # check of the compiled stage; the outputs are not tabulated at all
+        assert calls == {"eval": 0, "factors": 4 + 1}
 
 
 def _balanced_digraph(n, rng):
@@ -299,29 +306,32 @@ def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3])
 def test_stage_times_equal_the_set_of_march_stage_times(dt):
     # every block tabulates its stage times in step order, each by the
-    # expression the step evaluates, and each stage gets its row by position
-    n_steps = 2 * TABLE_STEPS + 7
-    blocks, called = [], []
+    # expression the step evaluates, and each stage gets its row by position;
+    # a state of 50 values takes blocks shorter than TABLE_STEPS
+    for width in (1, 50):
+        steps = block_steps(width)
+        n_steps = 2 * steps + 7
+        blocks, called = [], []
 
-    def tabulate(times):
-        blocks.append(times)
-        return [("row", t) for t in times.reshape(-1).tolist()]
+        def tabulate(times):
+            blocks.append(times)
+            return [("row", t) for t in times.reshape(-1).tolist()]
 
-    def f(row, z, o):
-        called.append(row[1])
-        o[:] = -z
+        def f(row, z, o):
+            called.append(row[1])
+            o[:] = -z
 
-    cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt)
-    _march(f, np.array([1.0]), cfg, tabulate=tabulate)
-    assert [len(b) for b in blocks] == [TABLE_STEPS, TABLE_STEPS, 7]
-    want = []
-    for k in range(n_steps):
-        t = k * dt
-        want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
-    # bit for bit, as Python floats
-    assert [t.hex() for t in called] == [t.hex() for t in want]
-    tabulated = np.concatenate(blocks).reshape(-1).tolist()
-    assert {t.hex() for t in tabulated} == {t.hex() for t in want}
+        cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt)
+        _march(f, np.ones(width), cfg, tabulate=tabulate)
+        assert [len(b) for b in blocks] == [steps, steps, 7]
+        want = []
+        for k in range(n_steps):
+            t = k * dt
+            want += [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        # bit for bit, as Python floats
+        assert [t.hex() for t in called] == [t.hex() for t in want]
+        tabulated = np.concatenate(blocks).reshape(-1).tolist()
+        assert {t.hex() for t in tabulated} == {t.hex() for t in want}
 
 
 @pytest.mark.parametrize("case", ["consensus", "fj"])
@@ -437,16 +447,16 @@ def _naive_witness(f, z, cfg):
     return None
 
 
-_EDGES = [j * TABLE_STEPS + e for j in range(4) for e in (-1, 0, 1) if j * TABLE_STEPS + e >= 0]
-
-
 @settings(deadline=None, max_examples=200)
 @given(
-    bad_step=st.one_of(st.integers(0, 4 * TABLE_STEPS), st.sampled_from(_EDGES)),
+    # a step, or a block edge (j, e): step e from the start of block j
+    bad_step=st.one_of(
+        st.integers(0, 4 * TABLE_STEPS), st.tuples(st.integers(0, 3), st.sampled_from([-1, 0, 1]))
+    ),
     extra=st.integers(0, 2 * TABLE_STEPS),
     dt=st.sampled_from([0.01, 0.05, 0.1]),
     stride=st.integers(1, 5),
-    dim=st.sampled_from([1, 3]),
+    dim=st.sampled_from([1, 3, 50]),
     bad_value=st.sampled_from([np.inf, -np.inf, np.nan, 1e20]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -455,6 +465,9 @@ def test_block_march_blowup_witness_matches_per_step_march(
 ):
     # the slope turns bad_value from the first stage time past step bad_step's
     # start, so the state after that step is the first one out of range
+    steps = block_steps(dim)
+    if isinstance(bad_step, tuple):
+        bad_step = max(0, bad_step[0] * steps + bad_step[1])
     rng = np.random.default_rng(seed)
     z0 = rng.uniform(-3.0, 3.0, dim)
     onset = (bad_step + 0.25) * dt
@@ -481,7 +494,85 @@ def test_block_march_blowup_witness_matches_per_step_march(
     assert np.array_equal(exc.last_state, want[2])
     assert np.geterr() == errors
     # one table per block up to and including the failing one, none after
-    assert len(blocks) == bad_step // TABLE_STEPS + 1
+    assert len(blocks) == bad_step // steps + 1
+
+
+def _at_block_length(run, length):
+    """run() with blocks of length steps: the bytes of what it returns, or
+    the witness of the BlowUpError it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "block_steps", lambda width: length)
+        try:
+            return [np.asarray(a).tobytes() for a in run()]
+        except BlowUpError as exc:
+            return exc.t, exc.last_time, exc.last_state.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_steps=st.integers(1, 300),
+    stride=st.integers(1, 7),
+    bad_step=st.one_of(st.none(), st.integers(0, 299)),
+    n=st.sampled_from([5, 60]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_recorded_byte_or_blowup_witness_depends_on_the_block_length(
+    n_steps, stride, bad_step, n, seed
+):
+    # from bad_step on (never, if None) every slope is inf, so the state
+    # after step bad_step is the first one out of range
+    dt = 0.01
+    cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
+    onset = np.inf if bad_step is None else (bad_step + 0.25) * dt
+    ms, x0, _ = _masked_case("consensus", n, np.random.default_rng(seed))
+
+    def slope(t, z, o):
+        o[:] = np.inf if t > onset else -z
+
+    def failing_stage(system):
+        stage, calls = compile_stage(system), itertools.count()
+
+        def f(row, z, o):  # call 0 is integrate's t=0 check, then four a step
+            stage(row, z, o)
+            if bad_step is not None and next(calls) > 4 * bad_step:
+                o[:] = np.inf
+
+        return f
+
+    def masked_run():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "compile_stage", failing_stage)
+            traj = integrate(ms, x0, cfg)
+        return traj.times, traj.x
+
+    for run in (lambda: _march(slope, x0, cfg), masked_run):
+        first, *rest = [_at_block_length(run, k) for k in (1, 2, 7, block_steps(n), n_steps)]
+        assert all(other == first for other in rest)
+        assert isinstance(first, tuple) == (bad_step is not None and bad_step < n_steps)
+
+
+@pytest.mark.parametrize("d", [1, 30, 150, 600])
+def test_factor_table_stays_within_table_bytes(d, monkeypatch):
+    tables = []
+    factors = MaskBank.factors
+
+    def recorded(bank, times, out=None):
+        if out is not None:
+            tables.append(out.base)
+        return factors(bank, times, out)
+
+    monkeypatch.setattr(MaskBank, "factors", recorded)
+    rng = np.random.default_rng(d)
+    ms = MaskedSystem(base=SaturatedNet(a=np.zeros((d, d)), kappa=1.0), bank=_mixed_bank(d, rng))
+    cfg = IntegratorConfig(dt=0.01, t_final=(2 * block_steps(d) + 1) * 0.01)
+    integrate(ms, rng.uniform(-3.0, 3.0, d), cfg)
+    assert len({id(table) for table in tables}) == 1
+    assert tables[0].shape == (2, 3 * block_steps(d), d)
+    assert tables[0].nbytes <= TABLE_BYTES
+    # 5,461 = TABLE_BYTES // 48 values is the widest state whose one-step
+    # table fits; a wider one still steps one step a block, over budget
+    assert block_steps(5461) == block_steps(5462) == 1
+    assert 48 * 5461 <= TABLE_BYTES < 48 * 5462
 
 
 def test_comparison_ode_validation():
