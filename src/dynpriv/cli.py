@@ -120,6 +120,12 @@ def _simulate(args, sc, name: str):
     return report
 
 
+def _failing_checks(graph_results: dict, mask_results: dict) -> list:
+    """The graph checks that failed, then mask_axioms if it failed: what --strict refuses."""
+    failed = [k for k, ok in graph_results.items() if not ok]
+    return failed if mask_results["ok"] else [*failed, "mask_axioms"]
+
+
 def cmd_check(args) -> int:
     sc = scn.build_scenario(_load(args))
     graph_results = scn.run_graph_checks(sc)
@@ -134,28 +140,23 @@ def cmd_check(args) -> int:
     }
     outdir = _outdir(args, sc.name)
     _write_json(outdir / "check_report.json", payload)
-    failed = [k for k, ok in graph_results.items() if not ok]
-    if not mask_results["ok"]:
-        failed.append("mask_axioms")
     for k in sorted(graph_results):
         print(f"check {k}: {'pass' if graph_results[k] else 'FAIL'}")
     print(f"check mask_axioms: {'pass' if mask_results['ok'] else 'FAIL'}")
     if violations:
         print(f"covering pairs (target, observer-covered-by): {sorted(violations)}")
-    if failed and args.strict:
+    if args.strict and (failed := _failing_checks(graph_results, mask_results)):
         raise _AssumptionFailed(f"strict mode: failing checks {failed}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     sc = scn.build_scenario(_load(args))
-    if args.strict:
-        bad = [k for k, ok in scn.run_graph_checks(sc).items() if not ok]
-        if bad:
-            message = f"strict mode: failing checks {bad}"
-            if "no_covering" in bad:
-                message += f"\ncovering pairs: {sorted(scn.covering_violations(sc))}"
-            raise _AssumptionFailed(message)
+    if args.strict and (bad := _failing_checks(scn.run_graph_checks(sc), scn.run_mask_check(sc))):
+        message = f"strict mode: failing checks {bad}"
+        if "no_covering" in bad:
+            message += f"\ncovering pairs: {sorted(scn.covering_violations(sc))}"
+        raise _AssumptionFailed(message)
     report = _simulate(args, sc, sc.name)
     for name, ok in sorted(report.verdicts.items()):
         print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_tolerance, help="override the convergence tolerance")
         p.set_defaults(fn=fn)
     p = sub.add_parser("suite")
-    p.add_argument("--names", nargs="*", help="bundled scenario subset (default: full suite)")
+    p.add_argument("--names", nargs="+", help="bundled scenario subset (default: full suite)")
     p.add_argument("--out", help="artifact output directory (default ./out)")
     p.add_argument("--tol", type=_tolerance, help="override the convergence tolerance")
     p.set_defaults(fn=cmd_suite)

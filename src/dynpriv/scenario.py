@@ -319,7 +319,7 @@ def _build_bank(config: dict, dim: int, x0: np.ndarray) -> MaskBank:
 def _build_adversary(spec: dict, graph: Digraph) -> dict:
     """The adversary block with its defaults filled in. observer and target
     must be integer nodes, the target must lie in the observer's closed
-    in-neighborhood, and every policy must be a substitution policy."""
+    in-neighborhood, and the policies must be one or more substitution policies."""
     for key in ("observer", "target"):
         node = spec[key]
         if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < graph.n:
@@ -330,6 +330,8 @@ def _build_adversary(spec: dict, graph: Digraph) -> dict:
             f"adversary.target {target} is not in the closed in-neighborhood of observer {observer}"
         )
     policies = tuple(spec.get("policies", adv.SUBSTITUTION_POLICIES))
+    if not policies:
+        raise ScenarioError("adversary.policies must name at least one substitution policy, got []")
     for policy in policies:
         if policy not in adv.SUBSTITUTION_POLICIES:
             raise ScenarioError(f"adversary.policies: unknown substitution policy {policy!r}")

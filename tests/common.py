@@ -1,0 +1,73 @@
+"""The test builders and oracles that more than one test module uses.
+
+Each is defined here once; tests/test_surface.py fails on a module-level
+name that two test modules define, and on a public name here that fewer
+than two test modules import.
+"""
+
+import numpy as np
+
+from dynpriv.dynamics import MaskedSystem
+from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
+
+#: The probe states of the mask-axiom grid.
+STATE_GRID = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+
+
+def unmasked(spec):
+    """The bare system as a run: spec under the identity mask bank."""
+    return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
+
+
+def privacy_bank(x0, seed):
+    """The vanishing-affine bank of privacy level 1 that MaskBank.auto draws
+    for initial states x0 from seed (an integer or a Generator)."""
+    return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
+
+
+#: The range that mixed_bank draws each parameter from (for gamma, its magnitude).
+_RANGES = {
+    "phi": (0.5, 2.0),
+    "sigma": (0.5, 2.0),
+    "gamma": (2.0, 4.0),
+    "delta": (0.5, 2.0),
+    "c": (1.2, 2.5),
+}
+
+
+def mixed_bank(dim, rng):
+    """Channels cycle through the five mask kinds from a random start, so a
+    bank of five or more channels holds every kind. Each channel's parameters
+    are drawn uniformly from _RANGES, and gamma's sign at random."""
+    kinds = list(MaskKind)
+    start = int(rng.integers(len(kinds)))
+    lo, hi = np.array(list(_RANGES.values())).T
+    drawn = rng.uniform(lo, hi, (dim, len(_RANGES)))
+    drawn[:, list(_RANGES).index("gamma")] *= rng.choice([-1.0, 1.0], dim)
+    channels = []
+    for i, values in enumerate(drawn.tolist()):
+        kind = kinds[(start + i) % len(kinds)]
+        params = dict(zip(_RANGES, values))
+        channels.append({"kind": kind.value, **{f: params[f] for f in _REQUIRED[kind]}})
+    return MaskBank(channels)
+
+
+def gauss_solve(a, b):
+    """x with a x = b, by elimination with partial pivoting: an oracle
+    independent of numpy.linalg."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = a.shape[0]
+    for col in range(n - 1):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+            b[row] -= factor * b[col]
+    x = np.zeros(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from common import privacy_bank
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.dynamics import AverageConsensus, MaskedSystem
-from dynpriv.masks import MaskBank, MaskKind
+from dynpriv.masks import MaskBank
 from dynpriv.netgraph import build_graph, cycle_graph, laplacian
 from dynpriv.solver import IntegratorConfig, integrate
 
@@ -17,26 +18,27 @@ COVERING_EDGES = [
     (5, 0, 1.0),
     (5, 1, 1.0),
 ]
+COVERING = build_graph(6, COVERING_EDGES)
+X0 = np.random.default_rng(71).uniform(-3, 3, 6)
+BANK = privacy_bank(X0, seed=72)
 
 
-def _privacy_bank(x0, seed):
-    return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
-
-
-def _consensus_run(graph, x0, bank, t_final=50.0):
+def _consensus_run(graph, bank, t_final=50.0):
     system = AverageConsensus(laplacian=laplacian(graph))
     ms = MaskedSystem(base=system, bank=bank)
     cfg = IntegratorConfig(dt=1e-3, t_final=t_final, record_stride=10)
-    return integrate(ms, x0, cfg), system
+    return integrate(ms, X0, cfg), system
+
+
+@pytest.fixture(scope="module")
+def covered_run():
+    """The masked run on the covering graph, settled at T = 50, and its system."""
+    return _consensus_run(COVERING, BANK)
 
 
 def test_view_carries_only_observed_outputs():
-    g = build_graph(6, COVERING_EDGES)
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    bank = _privacy_bank(x0, seed=72)
-    traj, _ = _consensus_run(g, x0, bank, t_final=1.0)
-    view = EavesdropperView.from_trajectory(g, 1, traj)
+    traj, _ = _consensus_run(COVERING, BANK, t_final=1.0)
+    view = EavesdropperView.from_trajectory(COVERING, 1, traj)
     assert sorted(view.outputs) == [0, 1, 5]
     assert not hasattr(view, "x")
     assert not hasattr(view, "bank")
@@ -45,73 +47,53 @@ def test_view_carries_only_observed_outputs():
     assert traj.outputs[:1][0, 0] != 1e9
 
 
-def test_unobservable_target_rejected():
-    g = build_graph(6, COVERING_EDGES)
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    bank = _privacy_bank(x0, seed=72)
-    traj, system = _consensus_run(g, x0, bank, t_final=50.0)
-    view = EavesdropperView.from_trajectory(g, 2, traj)
+def test_unobservable_target_rejected(covered_run):
+    traj, system = covered_run
+    view = EavesdropperView.from_trajectory(COVERING, 2, traj)
     row_field, needed = system.attack_row(4)
     with pytest.raises(ValueError, match="not observable"):
         reconstruct_initial(view, 4, row_field, needed)
 
 
 def test_unsettled_trajectory_rejected():
-    g = build_graph(6, COVERING_EDGES)
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    bank = _privacy_bank(x0, seed=72)
-    traj, system = _consensus_run(g, x0, bank, t_final=2.0)
-    view = EavesdropperView.from_trajectory(g, 1, traj)
+    traj, system = _consensus_run(COVERING, BANK, t_final=2.0)
+    view = EavesdropperView.from_trajectory(COVERING, 1, traj)
     row_field, needed = system.attack_row(0)
     with pytest.raises(ValueError, match="not settled"):
         reconstruct_initial(view, 0, row_field, needed)
 
 
-def test_unknown_policy_rejected():
-    g = build_graph(6, COVERING_EDGES)
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    bank = _privacy_bank(x0, seed=72)
-    traj, system = _consensus_run(g, x0, bank, t_final=50.0)
-    view = EavesdropperView.from_trajectory(g, 1, traj)
+def test_unknown_policy_rejected(covered_run):
+    traj, system = covered_run
+    view = EavesdropperView.from_trajectory(COVERING, 1, traj)
     row_field, needed = system.attack_row(0)
     with pytest.raises(ValueError, match="policy"):
         reconstruct_initial(view, 0, row_field, needed, policy="oracle")
 
 
 def test_identity_bank_covered_attack_is_pure_quadrature():
-    g = build_graph(6, COVERING_EDGES)
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    traj, system = _consensus_run(g, x0, MaskBank.identity(6), t_final=50.0)
-    view = EavesdropperView.from_trajectory(g, 1, traj)
+    traj, system = _consensus_run(COVERING, MaskBank.identity(6))
+    view = EavesdropperView.from_trajectory(COVERING, 1, traj)
     row_field, needed = system.attack_row(0)
     result = reconstruct_initial(view, 0, row_field, needed)
     assert result.missing_channels == ()
-    assert abs(result.x_hat - x0[0]) < 1e-4
+    assert abs(result.x_hat - X0[0]) < 1e-4
 
 
-def test_masked_covered_attack_succeeds_and_missing_channel_breaks_it():
-    rng = np.random.default_rng(71)
-    x0 = rng.uniform(-3, 3, 6)
-    bank = _privacy_bank(x0, seed=72)
-
-    g_cov = build_graph(6, COVERING_EDGES)
-    traj, system = _consensus_run(g_cov, x0, bank, t_final=50.0)
-    view = EavesdropperView.from_trajectory(g_cov, 1, traj)
+def test_masked_covered_attack_succeeds_and_missing_channel_breaks_it(covered_run):
+    traj, system = covered_run
+    view = EavesdropperView.from_trajectory(COVERING, 1, traj)
     row_field, needed = system.attack_row(0)
     covered = reconstruct_initial(view, 0, row_field, needed)
-    covered_err = abs(covered.x_hat - x0[0])
+    covered_err = abs(covered.x_hat - X0[0])
     assert covered.missing_channels == ()
     assert covered_err < 1e-2
 
     g_free = cycle_graph(6)
-    traj, system = _consensus_run(g_free, x0, bank, t_final=50.0)
+    traj, system = _consensus_run(g_free, BANK)
     view = EavesdropperView.from_trajectory(g_free, 1, traj)
     row_field, needed = system.attack_row(0)
     for policy in SUBSTITUTION_POLICIES:
         result = reconstruct_initial(view, 0, row_field, needed, policy=policy)
         assert result.missing_channels == (5,)
-        assert abs(result.x_hat - x0[0]) > 10 * covered_err
+        assert abs(result.x_hat - X0[0]) > 10 * covered_err

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from common import gauss_solve, mixed_bank, unmasked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +28,6 @@ from dynpriv.dynamics import (
 from dynpriv.masks import CHUNK, MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate, write_csv
-
-
-def _unmasked(spec):
-    """The bare system as a run: spec under the identity mask bank."""
-    return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
 
 
 def _consensus_value(x0):
@@ -67,31 +63,12 @@ def test_fj_equilibrium_trivial_cases():
     assert np.max(np.abs(x_star - x0)) < 1e-4
 
 
-def _gauss_solve(a, b):
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    for col in range(n - 1):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
-
-
 def test_fj_equilibrium_matches_elimination_oracle_and_is_stationary():
     lap = laplacian(cycle_graph(3))
     theta = np.ones(3)
     x0 = np.array([1.0, 0.0, 0.0])
     x_star = _fj_equilibrium(lap, theta, x0)
-    oracle = _gauss_solve(lap + np.diag(theta), theta * x0)
+    oracle = gauss_solve(lap + np.diag(theta), theta * x0)
     assert np.max(np.abs(x_star - oracle)) < 1e-12
     spec = FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0)
     assert stationarity_residual(spec, x_star) <= 1e-10
@@ -127,12 +104,6 @@ def test_stationarity_residual_of_a_pinned_rest_point():
     assert stationarity_residual(spec, x, np.zeros(3)) == 10.0
 
 
-def test_fj_equilibrium_rejects_zero_theta():
-    lap = laplacian(cycle_graph(3))
-    with pytest.raises(ValueError, match="nonzero"):
-        _fj_equilibrium(lap, np.zeros(3), np.ones(3))
-
-
 def _toy_traj(x, bank=None, times=None, s=None):
     x = np.asarray(x, dtype=float)
     times = np.arange(len(x), dtype=float) if times is None else np.asarray(times, float)
@@ -159,7 +130,7 @@ def _max_increase(spread):
 def test_vmm_unmasked_consensus_non_increasing():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(5)))
     cfg = IntegratorConfig(dt=1e-2, t_final=20.0, record_stride=10)
-    traj = integrate(_unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
+    traj = integrate(unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
     series = series_table(traj)["spread_x"]
     assert np.all(np.diff(series) <= 1e-12)
     assert _max_increase(series) <= 1e-12
@@ -188,26 +159,6 @@ def test_series_table_gap_columns_identity_and_additive():
 # --- the post-integration passes run a chunk of rows at a time ---------------
 
 
-def _mixed_bank(dim, seed):
-    """A bank whose channels cycle through every kind, with drawn parameters."""
-    rng = np.random.default_rng(seed)
-    draws = {
-        "identity": lambda: {},
-        "linear": lambda: dict(phi=rng.uniform(0, 2), sigma=rng.uniform(0.5, 2)),
-        "additive": lambda: dict(gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2)),
-        "affine": lambda: dict(
-            c=rng.uniform(1.2, 2.5), gamma=-rng.uniform(1, 3), delta=rng.uniform(0.5, 2)
-        ),
-        "vanishing_affine": lambda: dict(
-            phi=rng.uniform(0.5, 2), sigma=rng.uniform(0.5, 2),
-            gamma=rng.uniform(1, 3), delta=rng.uniform(0.5, 2),
-        ),
-    }
-    kinds = list(draws)
-    cycled = (kinds[i % len(kinds)] for i in range(dim))
-    return MaskBank([{"kind": kind, **draws[kind]()} for kind in cycled])
-
-
 #: Row counts around the rows per chunk c of a pass over a table.
 ROW_COUNTS = pytest.mark.parametrize(
     "rows_of",
@@ -220,7 +171,7 @@ ROW_COUNTS = pytest.mark.parametrize(
 @ROW_COUNTS
 def test_eval_series_equals_row_wise_eval_bit_for_bit(dim, rows_of):
     rows = rows_of(CHUNK // dim)
-    bank = _mixed_bank(dim, seed=rows)
+    bank = mixed_bank(dim, np.random.default_rng(rows))
     rng = np.random.default_rng(dim)
     times = np.sort(rng.uniform(0.0, 60.0, rows))
     states = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-3, 4, (rows, dim))
@@ -233,41 +184,18 @@ def test_eval_series_equals_row_wise_eval_bit_for_bit(dim, rows_of):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n,nu", [(1, 1), (7, 2), (50, 3)])
-@ROW_COUNTS
-def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of):
-    d = n * nu
-    rows = rows_of(CHUNK // d)
-    rng = np.random.default_rng(d + rows)
-    # states and exosystem side by side, as integrate records them
-    states = rng.standard_normal((rows, d + nu))
-    x, s = states[:, :d], states[:, d:]
-    times = np.linspace(0.0, 30.0, rows)
-    bank = _mixed_bank(d, seed=rows)
-    y = bank.eval_series(times, x)
-    traj = Trajectory(times=times, x=x, bank=bank, s=s)
-    gap = np.abs(y - x)
-    gap_min, gap_max = _gap_columns(traj)
-    assert gap_min.tobytes() == gap.min(axis=1).tobytes()
-    assert gap_max.tobytes() == gap.max(axis=1).tobytes()
-    err = x.reshape(rows, n, nu) - s[:, None, :]
-    series = series_table(traj)
-    want = np.linalg.norm(err, axis=2).max(axis=1)
-    assert series["sync_err_max"].tobytes() == want.tobytes()
-    want = np.linalg.norm(err.reshape(rows, -1), axis=1)
-    assert series["sync_err_norm"].tobytes() == want.tobytes()
-
-
-def _chunk_case(case, draw_int):
-    """(rows, d) of one chunk-boundary case: a row count that is no multiple
-    of the rows per chunk, a single row, or rows wider than a chunk."""
+def _chunk_case(case, nu, draw_int):
+    """(rows, n) of one chunk-boundary case for n agents of nu values each: a
+    row count that is a multiple of the rows per chunk in about half of the
+    draws and short of one in the rest, a single row, or rows wider than a
+    chunk."""
     if case == "ragged":
-        d = draw_int(1, 60)
-        per_chunk = CHUNK // d
-        return draw_int(0, 3) * per_chunk + draw_int(1, per_chunk - 1), d
+        n = draw_int(1, 60)
+        per_chunk = CHUNK // (n * nu)
+        return draw_int(1, 4) * per_chunk - draw_int(0, 1) * draw_int(1, per_chunk - 1), n
     if case == "single":
         return 1, draw_int(1, 300)
-    return draw_int(2, 3), CHUNK + draw_int(1, 40)  # one row per chunk
+    return draw_int(2, 3), CHUNK // nu + draw_int(1, 40)  # one row per chunk
 
 
 @pytest.mark.parametrize("case", ["ragged", "single", "wide"])
@@ -277,13 +205,14 @@ def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tm
     # every reader of y forms it a chunk of rows at a time; each must give
     # the bytes that one whole-record eval_series table gives, and every
     # series_table column the bytes of its formula on the whole tables
-    rows, d = _chunk_case(case, lambda lo, hi: data.draw(st.integers(lo, hi)))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
+    nu = data.draw(st.integers(1, 3))
+    rows, n = _chunk_case(case, nu, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    d = n * nu
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     times = np.sort(rng.uniform(0.0, 60.0, rows))
-    states = rng.standard_normal((rows, d + 1)) * 10.0 ** rng.integers(-6, 4, (rows, d + 1))
+    states = rng.standard_normal((rows, d + nu)) * 10.0 ** rng.integers(-6, 4, (rows, d + nu))
     x, s = states[:, :d], (states[:, d:] if data.draw(st.booleans()) else None)
-    bank = _mixed_bank(d, seed)
+    bank = mixed_bank(d, rng)
     traj = Trajectory(times=times, x=x, bank=bank, s=s)
     y = bank.eval_series(times, x)
 
@@ -297,7 +226,7 @@ def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tm
         "gap_max": gap.max(axis=1),
     }
     synced = replace(traj, s=states[:, d:])
-    err = x[:, :, None] - synced.s[:, None, :]
+    err = x.reshape(rows, n, nu) - synced.s[:, None, :]
     with_sync = {
         **whole,
         "sync_err_max": np.linalg.norm(err, axis=2).max(axis=1),
@@ -388,41 +317,6 @@ def test_pinning_condition_sign_cases():
     assert _margin(lap, np.eye(2), p0, xi, q=100.0) > 0
 
 
-def test_pinning_condition_matches_kronecker_bruteforce():
-    rng = np.random.default_rng(6)
-    agree = 0
-    for trial in range(25):
-        n = int(rng.integers(2, 5))
-        nu = int(rng.integers(1, 4))
-        g = erdos_renyi(n, 0.7, seed=2000 + trial, require_no_covering=False)
-        lap = laplacian(g)
-        xi = left_null_vector(lap)
-        r = rng.standard_normal((nu, nu))
-        r = r @ r.T + nu * np.eye(nu)
-        p = np.where(rng.random(n) < 0.5, rng.uniform(0, 5, n), 0.0)
-        q = float(rng.uniform(-2, 4))
-        margin = _margin(lap, r, p, xi, q)
-        if abs(margin) < 1e-8:
-            continue
-        xi_mat = np.diag(xi)
-        big = np.kron(
-            q * xi_mat - 0.5 * (xi_mat @ lap + lap.T @ xi_mat) - xi_mat @ np.diag(p), r
-        )
-        brute = float(np.max(jacobi_eigenvalues(0.5 * (big + big.T))))
-        assert (margin < 0) == (brute < 0)
-        agree += 1
-    assert agree >= 20
-
-
-def test_pinning_condition_validation():
-    lap = laplacian(cycle_graph(3))
-    xi = left_null_vector(lap)
-    with pytest.raises(ValueError, match="positive definite"):
-        _margin(lap, -np.eye(2), np.zeros(3), xi, q=0.0)
-    with pytest.raises(ValueError, match="symmetric"):
-        _margin(lap, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(3), xi, q=0.0)
-
-
 @pytest.mark.parametrize("skew,ok", [(0.5 * R_SYMMETRY_TOL, True), (2.0 * R_SYMMETRY_TOL, False)])
 def test_coupling_matrix_is_checked_once_at_build(skew, ok, monkeypatch):
     # PinnedSync's constructor is the one check of R: it accepts R within
@@ -471,7 +365,7 @@ def test_attractor_verdicts_basic():
         AverageConsensus(laplacian=laplacian(cycle_graph(3))),
         SaturatedNet(a=cycle_graph(3).a, kappa=0.2),
     ):
-        traj = integrate(_unmasked(spec), x0, cfg)
+        traj = integrate(unmasked(spec), x0, cfg)
         report = DiagnosticsReport(scenario="t")
         sc = SimpleNamespace(x0=x0, tol_conv=1e-3)
         verdicts = spec.verdicts(sc, traj, series_table(traj), report)

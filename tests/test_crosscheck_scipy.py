@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from common import privacy_bank
 
 from dynpriv.dynamics import (
     FriedkinJohnsen,
@@ -11,15 +12,10 @@ from dynpriv.dynamics import (
     exosystem_field,
     field_masked,
 )
-from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian
 from dynpriv.solver import IntegratorConfig, integrate
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
-
-
-def _privacy_bank(x0, seed):
-    return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
 
 
 def test_masked_fj_flow_matches_adaptive_reference():
@@ -28,7 +24,7 @@ def test_masked_fj_flow_matches_adaptive_reference():
     rng = np.random.default_rng(4)
     x0 = rng.uniform(0.0, 1.0, 5)
     spec = FriedkinJohnsen(laplacian=lap, theta=rng.uniform(0.2, 1.0, 5), anchor=x0)
-    ms = MaskedSystem(base=spec, bank=_privacy_bank(x0, seed=5))
+    ms = MaskedSystem(base=spec, bank=privacy_bank(x0, seed=5))
     traj = integrate(ms, x0, IntegratorConfig(dt=1e-3, t_final=5.0, record_stride=1000))
     sol = scipy_integrate.solve_ivp(
         lambda t, x: field_masked(ms, t, x),
@@ -56,7 +52,7 @@ def test_masked_pinned_flow_matches_adaptive_reference():
     rng = np.random.default_rng(6)
     x0 = rng.uniform(-2, 2, 9)
     s0 = np.array([0.4, -0.3, 0.1])
-    ms = MaskedSystem(base=spec, bank=_privacy_bank(x0, seed=7))
+    ms = MaskedSystem(base=spec, bank=privacy_bank(x0, seed=7))
     traj = integrate(ms, x0, IntegratorConfig(dt=1e-3, t_final=5.0, record_stride=1000), s0=s0)
 
     def joint(t, z):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from common import gauss_solve, mixed_bank, privacy_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from dynpriv.dynamics import (
     field_masked,
     field_unmasked,
 )
-from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
+from dynpriv.masks import MaskBank
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian
 
 
@@ -36,11 +37,6 @@ def _tanh_drift():
     )
 
 
-def _privacy_bank(dim, seed, kind=MaskKind.VANISHING_AFFINE, lam=1.0):
-    rng = np.random.default_rng(seed)
-    return MaskBank.auto(kind, lam, rng.uniform(-3, 3, dim), seed=rng)
-
-
 def test_consensus_field_zero_on_agreement():
     spec = AverageConsensus(laplacian=_cycle_lap())
     assert np.allclose(field_unmasked(spec, 0.0, np.full(3, 4.2)), 0.0)
@@ -52,32 +48,12 @@ def test_satnet_field_zero_at_origin():
     assert np.allclose(field_unmasked(spec, 0.0, np.zeros(2)), 0.0)
 
 
-def _gauss_solve(a, b):
-    # elimination oracle with partial pivoting, independent of numpy.linalg
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    for col in range(n - 1):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
-
-
 def test_fj_field_zero_at_equilibrium():
     lap = _cycle_lap()
     theta = np.array([1.0, 1.0, 1.0])
     x0 = np.array([1.0, 0.0, 0.0])
     spec = FriedkinJohnsen(laplacian=lap, theta=theta, anchor=x0)
-    x_star = _gauss_solve(lap + np.diag(theta), theta * x0)
+    x_star = gauss_solve(lap + np.diag(theta), theta * x0)
     assert np.max(np.abs(field_unmasked(spec, 0.0, x_star))) <= 1e-12
 
 
@@ -148,9 +124,8 @@ def test_identity_bank_reproduces_unmasked_field(kind):
 def test_masked_consensus_conserves_mean_direction():
     lap = laplacian(erdos_renyi(8, 0.5, seed=2, symmetric=True))
     spec = AverageConsensus(laplacian=lap)
-    bank = _privacy_bank(8, seed=6)
-    ms = MaskedSystem(base=spec, bank=bank)
     rng = np.random.default_rng(7)
+    ms = MaskedSystem(base=spec, bank=privacy_bank(rng.uniform(-4, 4, 8), seed=rng))
     for t in (0.0, 0.3, 5.0):
         dx = field_masked(ms, t, rng.uniform(-4, 4, 8))
         assert abs(np.ones(8) @ dx) <= 1e-12
@@ -180,7 +155,7 @@ def test_masked_field_nonzero_at_unmasked_equilibria():
     )
     for spec, x_eq, s in cases:
         assert np.max(np.abs(field_unmasked(spec, 0.0, x_eq, s))) <= 1e-12
-        bank = _privacy_bank(x_eq.size, seed=rng.integers(1 << 30))
+        bank = privacy_bank(x_eq, seed=rng)
         ms = MaskedSystem(base=spec, bank=bank)
         assert np.max(np.abs(field_masked(ms, 0.0, x_eq, s))) > 0
 
@@ -189,7 +164,7 @@ def test_fj_masked_anchor_tracks_mask_clock():
     lap = _cycle_lap()
     anchor = np.array([1.0, 2.0, 3.0])
     spec = FriedkinJohnsen(laplacian=lap, theta=np.full(3, 0.5), anchor=anchor)
-    bank = _privacy_bank(3, seed=21)
+    bank = privacy_bank(anchor, seed=21)
     live = MaskedSystem(base=spec, bank=bank)
     frozen = MaskedSystem(base=replace(spec, frozen_anchor=True), bank=bank)
     x = np.array([0.3, -0.1, 0.4])
@@ -296,23 +271,6 @@ def test_pinned_validation():
 STAGE_KINDS = ["saturated", "fj_live", "fj_frozen", "consensus", "pinned_lorenz", "pinned_tanh"]
 
 
-def _channel(kind, rng):
-    """A valid channel of kind, as MaskBank takes it, its parameters drawn from rng."""
-    drawn = {
-        "phi": rng.uniform(0.5, 2.0),
-        "sigma": rng.uniform(0.5, 2.0),
-        "gamma": rng.uniform(2.0, 4.0) * rng.choice([-1.0, 1.0]),
-        "delta": rng.uniform(0.5, 2.0),
-        "c": rng.uniform(1.2, 2.5),
-    }
-    return {"kind": kind.value, **{f: drawn[f] for f in _REQUIRED[kind]}}
-
-
-def _mixed_bank(dim, rng):
-    """Channels of every mask kind, the kind of each drawn at random."""
-    return MaskBank([_channel(kind, rng) for kind in rng.choice(list(MaskKind), dim)])
-
-
 def _stage_case(kind, bank, n, nu, rng, r="spd"):
     """A random system of one kind on n agents, masked by a mixed or an
     identity bank, and a random joint state for it. A pinned system couples
@@ -347,7 +305,7 @@ def _stage_case(kind, bank, n, nu, rng, r="spd"):
         gains = rng.uniform(0.5, 3.0, n) * (rng.random(n) < 0.7)
         spec = PinnedSync(laplacian=lap, r=r, pin_gains=gains, drift=drift, nu=nu)
     z = rng.uniform(-10.0, 10.0, spec.dim + (spec.nu if isinstance(spec, PinnedSync) else 0))
-    bank = MaskBank.identity(spec.dim) if bank == "identity" else _mixed_bank(spec.dim, rng)
+    bank = MaskBank.identity(spec.dim) if bank == "identity" else mixed_bank(spec.dim, rng)
     return MaskedSystem(base=spec, bank=bank), z
 
 

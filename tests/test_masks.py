@@ -2,12 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from common import STATE_GRID
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynpriv.masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 
-STATE_GRID = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
 FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 #: Largest |x - h^{-1}(t, h(t, x))| that a round trip may leave.
 ROUNDTRIP_TOL = 1e-12
@@ -76,7 +76,7 @@ def test_invert_identity():
     assert np.array_equal(_invert(bank, 3.0, y), y)
 
 
-def _random_bank(kind, rng, dim=4, lam=1.0):
+def _random_bank(kind, rng, dim):
     if kind is MaskKind.IDENTITY:
         return MaskBank.identity(dim)
     if kind is MaskKind.LINEAR:
@@ -86,7 +86,7 @@ def _random_bank(kind, rng, dim=4, lam=1.0):
                 for _ in range(dim)
             ]
         )
-    return MaskBank.auto(kind, lam, rng.uniform(-5, 5, dim), seed=rng)
+    return MaskBank.auto(kind, 1.0, rng.uniform(-5, 5, dim), seed=rng)
 
 
 RATE = st.floats(0.01, 10.0)
@@ -148,15 +148,6 @@ def test_privacy_metric_vanishing_affine_formula():
 def test_privacy_metric_identity_zero():
     _, rho = privacy_metric(MaskBank.identity(3), np.array([1.0, 2.0, 3.0]))
     assert rho == 0.0
-
-
-@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
-@pytest.mark.parametrize("kind", [MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE])
-def test_auto_bank_guarantees_metric(kind, lam):
-    x0 = np.random.default_rng(7).uniform(-20, 20, 25)
-    bank = MaskBank.auto(kind, lam, x0, seed=7)
-    _, rho = privacy_metric(bank, x0)
-    assert rho > lam
 
 
 def test_auto_bank_handles_zero_initial_state():
@@ -235,6 +226,9 @@ EXPECTED_AXIOMS = {
 # privacy mask on the probe grid, where the axiom rightly fails.
 @settings(deadline=None)
 @given(kind=st.sampled_from(list(MaskKind)), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
+@example(kind=MaskKind.VANISHING_AFFINE, seed=11, dim=4)
+@example(kind=MaskKind.AFFINE, seed=13, dim=4)
+@example(kind=MaskKind.ADDITIVE, seed=17, dim=4)
 def test_axiom_verdicts_per_kind(kind, seed, dim):
     bank = _random_bank(kind, np.random.default_rng(seed), dim=dim)
     rep = check_mask_axioms(bank, *_axiom_grid(bank))
@@ -242,37 +236,6 @@ def test_axiom_verdicts_per_kind(kind, seed, dim):
     if kind is MaskKind.LINEAR:
         # x = 0 is a fixed point of every gain-only mask
         assert rep.witnesses["fixed_point_free"] == {"channel": 0, "state": 0.0}
-
-
-def test_axioms_vanishing_affine_all_pass():
-    rng = np.random.default_rng(11)
-    bank = _random_bank(MaskKind.VANISHING_AFFINE, rng)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert rep.as_dict() == ALL_AXIOMS_HOLD
-
-
-def test_axioms_linear_fails_fixed_point_at_origin():
-    bank = single(MaskKind.LINEAR, phi=1.0, sigma=1.0)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert not rep.fixed_point_free
-    assert rep.witnesses["fixed_point_free"]["state"] == 0.0
-    assert rep.strictly_increasing and rep.vanishing
-
-
-def test_axioms_affine_fails_only_vanishing():
-    rng = np.random.default_rng(13)
-    bank = _random_bank(MaskKind.AFFINE, rng)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert rep.local and rep.fixed_point_free
-    assert rep.escapes_neighborhoods and rep.strictly_increasing
-    assert not rep.vanishing
-
-
-def test_axioms_additive_all_pass():
-    rng = np.random.default_rng(17)
-    bank = _random_bank(MaskKind.ADDITIVE, rng)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert all(rep.as_dict().values())
 
 
 class _LeakyBank(MaskBank):

@@ -211,20 +211,8 @@ def _reached_oracle(n, edges, start):
 
 
 def _strongly_connected_oracle(n, edges):
-    # breadth-first search from every node over the edge list
-    out = [[] for _ in range(n)]
-    for src, dst, _ in edges:
-        out[src].append(dst)
-    for start in range(n):
-        seen, queue = {start}, deque([start])
-        while queue:
-            for v in out[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != n:
-            return False
-    return True
+    # every start reaches every node
+    return all(all(_reached_oracle(n, edges, [start])) for start in range(n))
 
 
 @st.composite

@@ -194,11 +194,10 @@ def test_bundled_scenarios_all_build_and_pass_check():
 
 
 def test_cli_config_that_cannot_be_opened_is_refused(tmp_path, capsys):
-    # a directory, a missing file and no config at all: no table row writes these
+    # a directory and a missing file: no table row writes these
     assert main(["check", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     assert f"invalid config: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
-    assert main(["simulate"]) == 2
 
 
 def test_cli_strict_check_flags_covering(tmp_path, capsys):
@@ -386,15 +385,6 @@ def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeyp
     monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: traj)
     _, _, report = run_simulation(sc)
     assert np.float64(report.max_abs_state).tobytes() == np.max(np.abs(x)).tobytes()
-
-
-def test_cli_simulate_rerun_is_byte_identical(tmp_path):
-    for sub in ("a", "b"):
-        code = main(["simulate", "--bundled", "example3_consensus_n3", "--out", str(tmp_path / sub)])
-        assert code == 0
-    csv_a = (tmp_path / "a" / "example3_consensus_n3" / "trajectory.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "example3_consensus_n3" / "trajectory.csv").read_bytes()
-    assert csv_a == csv_b
 
 
 def test_cli_seed_override_changes_run(tmp_path):
@@ -946,10 +936,11 @@ def test_check_on_single_key_mutants_exits_0_or_2_naming_a_deleted_required_key(
 
 
 class Row(NamedTuple):
-    """One case of the config contract. base is a bundled name or an inline
-    config, patch a config_patch patch of it (a bundled name that is not
-    patched goes to --bundled, or to --names under suite), and expect a
-    stderr fragment or the exact set of verdicts that report.json fails.
+    """One case of the config contract. base is a bundled name, an inline
+    config or None (no config source at all), patch a config_patch patch of
+    it (a bundled name that is not patched goes to --bundled, or to --names
+    under suite), and expect a stderr fragment or the exact set of verdicts
+    that report.json fails.
     covering, if given, holds the sorted covering pairs that simulate names
     on stderr and check writes to check_report.json."""
 
@@ -993,6 +984,7 @@ ADVERSARY_VALUES = [  # observer 1 sees only its in-neighbors 0 and 5 besides it
     ("target", -1, "adversary.target must be an integer in [0, 6), got -1"),
     ("target", 3, "adversary.target 3 is not in the closed in-neighborhood of observer 1"),
     ("policies", ["zero", "nope"], "adversary.policies: unknown substitution policy 'nope'"),
+    ("policies", [], "adversary.policies must name at least one substitution policy, got []"),
 ]
 X0_VALUES = [  # (id, x0 section, message)
     ("values_nan", {"kind": "inline", "values": [NAN, 1.0, 2.0]},
@@ -1121,6 +1113,7 @@ CONTRACT = [
     Row("unknown_drift_kind", "example4_pinning_n10", {"system.drift": {"kind": "nope"}}, CHECK,
         "unknown drift kind 'nope'"),
     Row("unknown_bundled_name", "no_such_scenario", {}, CHECK, "no_such_scenario.json"),
+    Row("no_config_source", None, {}, BOTH, "invalid config: provide --config PATH or --bundled NAME"),
     Row("seeded_list", [], {}, ("check", "simulate", "adversary"), "config must be an object, got []",
         flags=("--seed", "3")),
     Row("seeded_list_section", {"seed": 1, "system": [1]}, {}, ("check", "simulate", "adversary"),
@@ -1159,6 +1152,8 @@ CONTRACT = [
         "usage error: unrecognized arguments: --strict", flags=("--strict",)),
     Row("unknown_flag", "example3_consensus_n3", {}, CHECK, "usage error: unrecognized arguments: --no-such-flag",
         flags=("--no-such-flag",)),
+    Row("names_without_a_name", None, {}, ("suite",), "usage error: argument --names: expected at least one",
+        flags=("--names",)),
     # bounds that inf, nan, 0 or -1 would make meaningless; an identity mask
     # with level -1 would pass privacy_floor and mask_gap_visible
     *(Row(f"tol_conv_{tol}", CONSENSUS, {"tolerances": {"tol_conv": tol}}, SIMULATE,
@@ -1220,6 +1215,10 @@ CONTRACT = [
         {"graph": {"kind": "complete", "n": 3}, "checks": ["no_covering"]}, BOTH,
         "strict mode: failing checks ['no_covering']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",),
         covering=((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))),
+    Row("mask_axioms_under_strict", "example3_consensus_n3",
+        {"mask": {"kind": "explicit", "channels": [{"kind": "linear", "phi": 1.0, "sigma": 1.0}] * 3},
+         "checks": [], "integrator.t_final": 0.5}, BOTH,
+        "strict mode: failing checks ['mask_axioms']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",)),
     Row("drift_blow_up", "example4_pinning_n10", BLOW_UP, SIMULATE,
         "numerical failure: numerical blow-up at t=0.199", code=cli.EXIT_NUMERIC),
     Row("s0_overflows_the_field", "example4_pinning_n10",
@@ -1256,7 +1255,9 @@ FAILURE_LINE = {
 def test_cli_config_contract(row, command, tmp_path, capsys, monkeypatch):
     if row.code == cli.EXIT_CONFIG:  # refused before anything is integrated
         monkeypatch.setattr(scenario, "integrate", _never_called)
-    if isinstance(row.base, str) and not row.patch:
+    if row.base is None:
+        source = []
+    elif isinstance(row.base, str) and not row.patch:
         source = ["--names" if command == "suite" else "--bundled", row.base]
     else:
         base = load_bundled(row.base) if isinstance(row.base, str) else row.base

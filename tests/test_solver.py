@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from common import mixed_bank, unmasked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from dynpriv.dynamics import (
     exosystem_field,
     field_unmasked,
 )
-from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
+from dynpriv.masks import MaskBank
 from dynpriv.netgraph import build_graph, cycle_graph, is_weight_balanced, laplacian
 from dynpriv.solver import (
     BLOWUP_LIMIT,
@@ -35,11 +36,6 @@ from dynpriv.solver import (
 )
 
 
-def _unmasked(spec):
-    """The bare system as a run: spec under the identity mask bank."""
-    return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
-
-
 def _decay_system():
     # dx/dt = -x realized as a Friedkin-Johnsen-free single channel:
     # saturated net with no couplings
@@ -49,28 +45,28 @@ def _decay_system():
 def test_constant_trajectory():
     spec = AverageConsensus(laplacian=np.zeros((2, 2)))
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
-    traj = integrate(_unmasked(spec), np.array([3.0, -1.0]), cfg)
+    traj = integrate(unmasked(spec), np.array([3.0, -1.0]), cfg)
     assert np.all(traj.x == [3.0, -1.0])
     assert np.array_equal(traj.outputs[:], traj.x)
 
 
 def test_rk4_matches_exponential_decay():
     cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-    traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
+    traj = integrate(unmasked(_decay_system()), np.array([1.0]), cfg)
     assert traj.x[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_unmasked_consensus_reaches_mean():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(3)))
     cfg = IntegratorConfig(dt=1e-2, t_final=40.0, record_stride=10)
-    traj = integrate(_unmasked(spec), np.array([1.0, 2.0, 3.0]), cfg)
+    traj = integrate(unmasked(spec), np.array([1.0, 2.0, 3.0]), cfg)
     assert np.max(np.abs(traj.x[-1] - 2.0)) < 1e-9
 
 
 def test_rk4_order_via_step_halving():
     def err(dt):
         cfg = IntegratorConfig(dt=dt, t_final=1.0)
-        traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
+        traj = integrate(unmasked(_decay_system()), np.array([1.0]), cfg)
         return abs(traj.x[-1, 0] - np.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)
@@ -95,7 +91,7 @@ def test_rk4_error_falls_16x_per_halving_on_random_consensus(n, seed):
 
     def err(dt):
         cfg = IntegratorConfig(dt=dt, t_final=t_final)
-        traj = integrate(_unmasked(AverageConsensus(laplacian=lap)), x0, cfg)
+        traj = integrate(unmasked(AverageConsensus(laplacian=lap)), x0, cfg)
         return np.max(np.abs(traj.x[-1] - exact))
 
     assert 15.0 <= err(0.1) / err(0.05) <= 17.5
@@ -118,7 +114,7 @@ def test_determinism_bit_identical():
 
 def test_record_stride_and_final_sample():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=4)
-    traj = integrate(_unmasked(_decay_system()), np.array([1.0]), cfg)
+    traj = integrate(unmasked(_decay_system()), np.array([1.0]), cfg)
     # 10 steps of 0.1; recorded at 0, 4, 8, and the final step 10
     assert np.allclose(np.diff(traj.times) > 0, True)
     assert traj.times[0] == 0.0
@@ -147,30 +143,10 @@ def test_blowup_raises_with_last_sample():
     )
     cfg = IntegratorConfig(dt=1e-2, t_final=40.0, record_stride=100)
     with pytest.raises(BlowUpError, match="numerical blow-up at t=") as info:
-        integrate(_unmasked(spec), np.full(3, 2.0), cfg, s0=np.array([2.0]))
+        integrate(unmasked(spec), np.full(3, 2.0), cfg, s0=np.array([2.0]))
     err = info.value
     assert err.last_time < err.t
     assert np.all(np.isfinite(err.last_state))
-
-
-def _channel(kind, rng):
-    """A valid channel of kind, as MaskBank takes it, its parameters drawn from rng."""
-    drawn = {
-        "phi": rng.uniform(0.5, 2.0),
-        "sigma": rng.uniform(0.5, 2.0),
-        "gamma": rng.uniform(2.0, 4.0) * rng.choice([-1.0, 1.0]),
-        "delta": rng.uniform(0.5, 2.0),
-        "c": rng.uniform(1.2, 2.5),
-    }
-    return {"kind": kind.value, **{f: drawn[f] for f in _REQUIRED[kind]}}
-
-
-def _mixed_bank(dim, rng):
-    """Channels cycle through the five mask kinds from a random start, so a
-    bank of five or more channels holds every kind."""
-    kinds = list(MaskKind)
-    start = int(rng.integers(len(kinds)))
-    return MaskBank([_channel(kinds[(start + i) % len(kinds)], rng) for i in range(dim)])
 
 
 def _masked_case(system, n, rng):
@@ -196,8 +172,22 @@ def _masked_case(system, n, rng):
         base = PinnedSync(laplacian=lap, r=np.eye(2), pin_gains=gains, drift=drift, nu=2)
         x0 = rng.uniform(-3.0, 3.0, 2 * n)
         s0 = rng.uniform(-1.0, 1.0, 2)
-    bank = _mixed_bank(base.dim, rng)
+    bank = mixed_bank(base.dim, rng)
     return MaskedSystem(base=base, bank=bank), x0, s0
+
+
+def _rk4_steps(f, z, cfg):
+    """(k + 1, the state after step k) of the per-step RK4 march of f from z,
+    for each step k."""
+    dt = cfg.dt
+    for k in range(cfg.n_steps):
+        t = k * dt
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
+        k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
+        k4 = f(t + dt, z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield k + 1, z
 
 
 def _reference_run(system, x0, cfg, s0=None):
@@ -219,15 +209,9 @@ def _reference_run(system, x0, cfg, s0=None):
 
     z = x0 if s0 is None else np.concatenate([x0, s0])
     times, states = [0.0], [z]
-    for k in range(cfg.n_steps):
-        t = k * dt
-        k1 = f(t, z)
-        k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
-        k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
-        k4 = f(t + dt, z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % cfg.record_stride == 0 or (k + 1) == cfg.n_steps:
-            times.append((k + 1) * dt)
+    for step, z in _rk4_steps(f, z, cfg):
+        if step % cfg.record_stride == 0 or step == cfg.n_steps:
+            times.append(step * dt)
             states.append(z)
     return np.array(times), np.array(states)
 
@@ -249,7 +233,7 @@ def test_masked_integrate_matches_per_stage_eval(
     # its time, including at times where k*dt + dt != (k+1)*dt; a bare
     # system runs as the same system under the identity bank
     ms, x0, s0 = _masked_case(system, n_agents, np.random.default_rng(seed))
-    run = ms if masked else _unmasked(ms.base)
+    run = ms if masked else unmasked(ms.base)
     cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
     traj = integrate(run, x0, cfg, s0=s0)
     times, states = _reference_run(run, x0, cfg, s0)
@@ -298,7 +282,7 @@ def test_masked_consensus_conserves_mean_on_balanced_graphs(n, seed):
     lap = laplacian(_balanced_digraph(n, rng))
     assert is_weight_balanced(lap)
     x0 = rng.uniform(-3.0, 3.0, n)
-    ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=_mixed_bank(n, rng))
+    ms = MaskedSystem(base=AverageConsensus(laplacian=lap), bank=mixed_bank(n, rng))
     traj = integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=5.0, record_stride=50))
     assert np.max(np.abs(traj.x.mean(axis=1) - x0.mean())) <= CONSERVATION_TOL
 
@@ -345,16 +329,16 @@ def test_linear_systems_rest_at_zero_from_zero(case):
         system = FriedkinJohnsen(laplacian=lap, theta=np.linspace(0.0, 1.0, n), anchor=np.zeros(n))
     else:
         system = AverageConsensus(laplacian=lap)
-    traj = integrate(_unmasked(system), np.zeros(n), IntegratorConfig(dt=0.1, t_final=2.0))
+    traj = integrate(unmasked(system), np.zeros(n), IntegratorConfig(dt=0.1, t_final=2.0))
     assert np.all(traj.x == 0.0) and np.all(traj.outputs[:] == 0.0)
 
 
 def test_x0_validation():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     with pytest.raises(ValueError, match="shape"):
-        integrate(_unmasked(_decay_system()), np.zeros(2), cfg)
+        integrate(unmasked(_decay_system()), np.zeros(2), cfg)
     with pytest.raises(ValueError, match="finite"):
-        integrate(_unmasked(_decay_system()), np.array([np.nan]), cfg)
+        integrate(unmasked(_decay_system()), np.array([np.nan]), cfg)
 
 
 def test_integrator_config_validation():
@@ -370,13 +354,6 @@ def test_integrator_config_validation():
     # 3 steps of 0.3 would stop at t=0.9, 4 would overshoot
     with pytest.raises(ValueError, match="does not divide"):
         IntegratorConfig(dt=0.3, t_final=1.0)
-
-
-def test_comparison_ode_closed_form():
-    cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-    times, values = solve_comparison_ode(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, cfg)
-    assert values[-1] == pytest.approx(0.5, abs=1e-4)
-    assert np.max(np.abs(values - 1.0 / (1.0 + times))) < 1e-4
 
 
 def test_comparison_ode_zero_stays_zero():
@@ -417,7 +394,7 @@ def test_blowup_witness_independent_of_record_stride():
     unstable = AverageConsensus(laplacian=np.array([[-10.0, 10.0], [10.0, -10.0]]))
     for run in (
         lambda cfg: solve_comparison_ode(1e-15, 10.0, 0.0, 1e-9, 1.0, 1.0, cfg),
-        lambda cfg: integrate(_unmasked(unstable), np.array([1.0, -1.0]), cfg),
+        lambda cfg: integrate(unmasked(unstable), np.array([1.0, -1.0]), cfg),
     ):
         w1, w4 = (
             _blowup_witness(run, IntegratorConfig(dt=0.1, t_final=10.0, record_stride=k))
@@ -432,18 +409,11 @@ def test_blowup_witness_independent_of_record_stride():
 def _naive_witness(f, z, cfg):
     """Per-step march that checks finiteness after every step; the
     (t, last_time, last_state) of the first bad step, or None."""
-    dt = cfg.dt
-    last_t, last_z = 0.0, np.atleast_1d(z)
-    for k in range(cfg.n_steps):
-        t = k * dt
-        k1 = f(t, z)
-        k2 = f(t + 0.5 * dt, z + (0.5 * dt) * k1)
-        k3 = f(t + 0.5 * dt, z + (0.5 * dt) * k2)
-        k4 = f(t + dt, z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    last_t, last_z = 0.0, z
+    for step, z in _rk4_steps(f, z, cfg):
         if not np.abs(z).max() <= BLOWUP_LIMIT:
-            return (k + 1) * dt, last_t, last_z
-        last_t, last_z = (k + 1) * dt, np.atleast_1d(z)
+            return step * cfg.dt, last_t, last_z
+        last_t, last_z = step * cfg.dt, z
     return None
 
 
@@ -563,7 +533,7 @@ def test_factor_table_stays_within_table_bytes(d, monkeypatch):
 
     monkeypatch.setattr(MaskBank, "factors", recorded)
     rng = np.random.default_rng(d)
-    ms = MaskedSystem(base=SaturatedNet(a=np.zeros((d, d)), kappa=1.0), bank=_mixed_bank(d, rng))
+    ms = MaskedSystem(base=SaturatedNet(a=np.zeros((d, d)), kappa=1.0), bank=mixed_bank(d, rng))
     cfg = IntegratorConfig(dt=0.01, t_final=(2 * block_steps(d) + 1) * 0.01)
     integrate(ms, rng.uniform(-3.0, 3.0, d), cfg)
     assert len({id(table) for table in tables}) == 1
@@ -626,7 +596,7 @@ def test_csv_includes_exosystem_columns(tmp_path):
         nu=2,
     )
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
-    traj = integrate(_unmasked(spec), np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
+    traj = integrate(unmasked(spec), np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0].split(",")
@@ -644,11 +614,11 @@ def test_pinned_s0_required_and_shape_checked():
     )
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
     with pytest.raises(ValueError, match="exosystem"):
-        integrate(_unmasked(spec), np.zeros(6), cfg)
+        integrate(unmasked(spec), np.zeros(6), cfg)
     with pytest.raises(ValueError, match="s0"):
-        integrate(_unmasked(spec), np.zeros(6), cfg, s0=np.zeros(3))
+        integrate(unmasked(spec), np.zeros(6), cfg, s0=np.zeros(3))
     with pytest.raises(ValueError, match="s0"):
-        integrate(_unmasked(_decay_system()), np.zeros(1), cfg, s0=np.zeros(1))
+        integrate(unmasked(_decay_system()), np.zeros(1), cfg, s0=np.zeros(1))
 
 
 def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
@@ -671,7 +641,7 @@ def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
     with pytest.raises(RuntimeError, match=r"at t=0: component 0 is -?\d.*, not -?\d"):
         integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
     with pytest.raises(RuntimeError, match="compiled stage differs"):
-        integrate(_unmasked(ms.base), x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
+        integrate(unmasked(ms.base), x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
 
 
 def test_integrate_rejects_a_bare_system():

@@ -1,4 +1,4 @@
-"""No library surface that no run uses.
+"""No library surface that no run uses, and no test helper defined twice.
 
 Walks every module of src/dynpriv with ast and fails on a public
 module-level function, class or constant, or a public method or property of
@@ -8,14 +8,20 @@ function, class or constant counts as referenced wherever its name appears
 as a name or an attribute, and a method or property wherever it appears as
 an attribute, so a method is kept alive by any use of that attribute name.
 Each exception below gives its reason.
+
+In tests/, a module-level function, class or constant is defined in one
+module only: what two test modules share lives in tests/common.py, and each
+public name there is imported by at least two test modules.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import dynpriv
 
 SRC = Path(dynpriv.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 ALLOWED = {
     "solve_comparison_ode": "the comparison lemma and its strict xfail",
@@ -76,3 +82,37 @@ def test_every_public_definition_has_a_caller_in_src():
 def test_every_allowlisted_name_is_still_defined_and_still_unreferenced():
     # an exception that gained a caller, or lost its definition, leaves the list
     assert sorted(_unreferenced()) == sorted(ALLOWED)
+
+
+def _module_level_names(tree):
+    """The set of names that module-level definitions and assignments bind."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _test_modules():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+
+
+def test_no_module_level_name_is_defined_in_two_test_modules():
+    defined = Counter(name for tree in _test_modules().values() for name in _module_level_names(tree))
+    assert sorted(name for name, count in defined.items() if count > 1) == []
+
+
+def test_every_shared_name_is_imported_by_two_test_modules():
+    modules = _test_modules()
+    shared = {name for name in _module_level_names(modules["common"]) if not name.startswith("_")}
+    imported = Counter(
+        alias.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "common"
+        for alias in node.names
+    )
+    assert sorted(name for name in shared if imported[name] < 2) == []
