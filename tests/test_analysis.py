@@ -198,20 +198,14 @@ def _chunk_case(case, nu, draw_int):
     return draw_int(2, 3), CHUNK // nu + draw_int(1, 40)  # one row per chunk
 
 
-@pytest.mark.parametrize("case", ["ragged", "single", "wide"])
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tmp_path_factory):
+def _assert_chunked_outputs(rows, n, nu, rng, with_s, out):
     # every reader of y forms it a chunk of rows at a time; each must give
     # the bytes that one whole-record eval_series table gives, and every
     # series_table column the bytes of its formula on the whole tables
-    nu = data.draw(st.integers(1, 3))
-    rows, n = _chunk_case(case, nu, lambda lo, hi: data.draw(st.integers(lo, hi)))
     d = n * nu
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     times = np.sort(rng.uniform(0.0, 60.0, rows))
     states = rng.standard_normal((rows, d + nu)) * 10.0 ** rng.integers(-6, 4, (rows, d + nu))
-    x, s = states[:, :d], (states[:, d:] if data.draw(st.booleans()) else None)
+    x, s = states[:, :d], (states[:, d:] if with_s else None)
     bank = mixed_bank(d, rng)
     traj = Trajectory(times=times, x=x, bank=bank, s=s)
     y = bank.eval_series(times, x)
@@ -238,12 +232,29 @@ def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tm
         for name, column in want.items():
             assert got[name].tobytes() == column.tobytes(), name
 
-    out = tmp_path_factory.mktemp("csv")
     traj.to_csv(out / "chunked.csv")
     got = (out / "chunked.csv").read_bytes()
     blocks = (times[:, None], x, y) + (() if s is None else (s,))
     write_csv(out / "whole.csv", got.split(b"\n", 1)[0].decode().split(","), blocks)
     assert got == (out / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["ragged", "single", "wide"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_chunked_outputs_equal_one_whole_record_table_bit_for_bit(case, data, tmp_path_factory):
+    nu = data.draw(st.integers(1, 3))
+    rows, n = _chunk_case(case, nu, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with_s = data.draw(st.booleans())
+    _assert_chunked_outputs(rows, n, nu, rng, with_s, tmp_path_factory.mktemp("csv"))
+
+
+@pytest.mark.parametrize("n,nu", [(1, 1), (7, 2), (50, 3)])
+@ROW_COUNTS
+def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of, tmp_path):
+    rows = rows_of(CHUNK // (n * nu))
+    _assert_chunked_outputs(rows, n, nu, np.random.default_rng(n * nu + rows), True, tmp_path)
 
 
 def test_conservation_series_shapes():
