@@ -204,11 +204,12 @@ def cmd_adversary(args) -> int:
 
 def cmd_suite(args) -> int:
     names = args.names or list(SUITE_SCENARIOS)
+    # every row is built before any runs, so that a bad name or config exits 2 with nothing written
+    scenarios = [scn.build_scenario(_load(args, name)) for name in names]
     rows = []
     worst = EXIT_OK
-    for name in names:
+    for name, sc in zip(names, scenarios):
         start = perf_counter()
-        sc = scn.build_scenario(_load(args, name))
         graph_results = scn.run_graph_checks(sc)
         if not all(graph_results.values()):
             status, verdicts, code = "assumption-failed", graph_results, EXIT_VERDICT

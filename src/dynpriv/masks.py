@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,9 +305,24 @@ def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> d
     return drawn
 
 
-@dataclass(frozen=True)
-class MaskAxiomReport:
-    """Outcome of the executable mask-axiom checks on a sampling grid.
+def axiom_grid(bank: MaskBank) -> tuple:
+    """The (times, states) grid on which `dynpriv check` decides the mask
+    axioms: 121 times from 0 over 50 time constants of the bank's slowest
+    decay (over [0, 1] for a static bank), and eleven scalar probe states,
+    symmetric around 0 and holding 0. The horizon is capped at 1e300, so
+    that every rate the validator accepts, down to the smallest subnormal,
+    gives finite times."""
+    rate = bank.min_decay_rate()
+    horizon = min(50.0 / rate, 1e300) if math.isfinite(rate) else 1.0
+    states = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+    return np.linspace(0.0, horizon, 121), states
+
+
+def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> tuple:
+    """Numerically verify the mask axioms on a times x states grid.
+
+    Returns the verdict of each axiom, keyed by its name, and a dict that
+    holds, for each axiom that fails, the witness of its first failure:
 
     local                 each output channel depends only on its own state
     fixed_point_free      h(0, x) != x at every sampled state
@@ -316,27 +330,6 @@ class MaskAxiomReport:
     strictly_increasing   h(t, .) strictly increasing at every sampled time
     vanishing             sup-over-states gap decreasing in t and below the
                           tail threshold at the final sampled time
-    """
-
-    local: bool
-    fixed_point_free: bool
-    escapes_neighborhoods: bool
-    strictly_increasing: bool
-    vanishing: bool
-    witnesses: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "local": self.local,
-            "fixed_point_free": self.fixed_point_free,
-            "escapes_neighborhoods": self.escapes_neighborhoods,
-            "strictly_increasing": self.strictly_increasing,
-            "vanishing": self.vanishing,
-        }
-
-
-def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> MaskAxiomReport:
-    """Numerically verify the mask axioms on a times x states grid.
 
     states is a shared scalar probe grid applied to every channel; it should
     be symmetric around 0 and include 0 (homogeneous masks fail exactly
@@ -452,11 +445,11 @@ def check_mask_axioms(bank: MaskBank, times: np.ndarray, states: np.ndarray) -> 
             "final_sup_gap": float(sup_gap[-1, bad]),
         }
 
-    return MaskAxiomReport(
-        local=local,
-        fixed_point_free=fixed_point_free,
-        escapes_neighborhoods=escapes,
-        strictly_increasing=increasing,
-        vanishing=vanishing,
-        witnesses=witnesses,
-    )
+    axioms = {
+        "local": local,
+        "fixed_point_free": fixed_point_free,
+        "escapes_neighborhoods": escapes,
+        "strictly_increasing": increasing,
+        "vanishing": vanishing,
+    }
+    return axioms, witnesses

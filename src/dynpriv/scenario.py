@@ -501,13 +501,25 @@ def override_seed(config, seed):
     return {**_unseeded(config, _SEEDS), "seed": seed}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict, refusing a key that the
+    object holds twice: json.load would keep its last value unannounced."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ScenarioError(f"duplicate key {key!r}")
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:  # missing, a directory, unreadable
         raise ScenarioError(str(exc)) from exc
-    # not JSON, an int literal past Python's digit limit, or nested too deep
+    # not JSON, a duplicated key, an int literal past Python's digit limit,
+    # or nested too deep
     except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path} is not a readable JSON config: {exc}") from exc
 
@@ -537,25 +549,16 @@ def covering_violations(sc: Scenario):
 
 
 def run_mask_check(sc: Scenario) -> dict:
-    """Mask-axiom verification on a canonical grid, no integration."""
-    rate = sc.bank.min_decay_rate()
-    horizon = 50.0 / rate if np.isfinite(rate) else 1.0
-    times = np.linspace(0.0, horizon, 121)
-    states = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
-    report = check_mask_axioms(sc.bank, times, states)
+    """The mask axioms decided on masks.axiom_grid, no integration. They
+    are ok when every axiom holds, vanishing only where every kind should
+    vanish; an identity bank is the unmasked baseline, always ok."""
+    axioms, _ = check_mask_axioms(sc.bank, *masks.axiom_grid(sc.bank))
     kinds = set(sc.bank.kinds)
     if kinds <= {MaskKind.IDENTITY}:
-        # unmasked baseline: nothing to validate beyond well-formedness
-        return {"axioms": report.as_dict(), "identity_baseline": True, "ok": True}
+        return {"axioms": axioms, "identity_baseline": True, "ok": True}
     expect_vanishing = kinds <= {MaskKind.ADDITIVE, MaskKind.VANISHING_AFFINE, MaskKind.IDENTITY}
-    ok = (
-        report.local
-        and report.fixed_point_free
-        and report.escapes_neighborhoods
-        and report.strictly_increasing
-        and (report.vanishing or not expect_vanishing)
-    )
-    return {"axioms": report.as_dict(), "expected_vanishing": expect_vanishing, "ok": ok}
+    ok = all(holds or (axiom == "vanishing" and not expect_vanishing) for axiom, holds in axioms.items())
+    return {"axioms": axioms, "expected_vanishing": expect_vanishing, "ok": ok}
 
 
 def run_simulation(sc: Scenario):

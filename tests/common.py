@@ -10,8 +10,21 @@ import numpy as np
 from dynpriv.dynamics import MaskedSystem
 from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
 
-#: The probe states of the mask-axiom grid.
-STATE_GRID = np.array([-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0, 5.0])
+#: Per mask kind, the verdicts that check_mask_axioms gives its banks on
+#: masks.axiom_grid: every axiom holds except the ones listed.
+AXIOM_PATTERNS = {
+    kind: {
+        axiom: axiom not in fails
+        for axiom in ("local", "fixed_point_free", "escapes_neighborhoods", "strictly_increasing", "vanishing")
+    }
+    for kind, fails in {
+        MaskKind.IDENTITY: ("fixed_point_free", "escapes_neighborhoods"),
+        MaskKind.LINEAR: ("fixed_point_free",),  # x = 0 is a fixed point of every gain-only mask
+        MaskKind.ADDITIVE: (),
+        MaskKind.AFFINE: ("vanishing",),  # its static gain c > 1 never decays
+        MaskKind.VANISHING_AFFINE: (),
+    }.items()
+}
 
 
 def unmasked(spec):
@@ -23,6 +36,22 @@ def privacy_bank(x0, seed):
     """The vanishing-affine bank of privacy level 1 that MaskBank.auto draws
     for initial states x0 from seed (an integer or a Generator)."""
     return MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, np.asarray(x0, dtype=float), seed=seed)
+
+
+def random_bank(kind, rng, dim):
+    """A bank of dim channels of one kind drawn from rng: linear gains with
+    phi and sigma uniform on [0.5, 2], else (but for identity) the bank that
+    MaskBank.auto draws at privacy level 1 for states uniform on [-5, 5]."""
+    if kind is MaskKind.IDENTITY:
+        return MaskBank.identity(dim)
+    if kind is MaskKind.LINEAR:
+        return MaskBank(
+            [
+                {"kind": "linear", "phi": rng.uniform(0.5, 2.0), "sigma": rng.uniform(0.5, 2.0)}
+                for _ in range(dim)
+            ]
+        )
+    return MaskBank.auto(kind, 1.0, rng.uniform(-5, 5, dim), seed=rng)
 
 
 #: The range that mixed_bank draws each parameter from (for gamma, its magnitude).

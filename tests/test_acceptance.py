@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from common import STATE_GRID, unmasked
+from common import AXIOM_PATTERNS, random_bank, unmasked
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.analysis import jacobi_eigenvalues
@@ -26,7 +26,7 @@ from dynpriv.dynamics import (
     estimate_lipschitz_q,
     field_unmasked,
 )
-from dynpriv.masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
+from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
 from dynpriv.netgraph import erdos_renyi, laplacian, left_null_vector, spectral_radius
 from dynpriv.scenario import build_scenario, load_bundled, run_simulation
 from dynpriv.solver import IntegratorConfig, integrate, solve_comparison_ode
@@ -37,54 +37,17 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 # --- criterion: mask axiom pass/fail pattern per kind ------------------------
 
-EXPECTED_PATTERNS = {
-    MaskKind.LINEAR: {
-        "local": True,
-        "fixed_point_free": False,
-        "escapes_neighborhoods": True,
-        "strictly_increasing": True,
-        "vanishing": True,
-    },
-    MaskKind.ADDITIVE: {
-        "local": True,
-        "fixed_point_free": True,
-        "escapes_neighborhoods": True,
-        "strictly_increasing": True,
-        "vanishing": True,
-    },
-    MaskKind.AFFINE: {
-        "local": True,
-        "fixed_point_free": True,
-        "escapes_neighborhoods": True,
-        "strictly_increasing": True,
-        "vanishing": False,
-    },
-    MaskKind.VANISHING_AFFINE: {
-        "local": True,
-        "fixed_point_free": True,
-        "escapes_neighborhoods": True,
-        "strictly_increasing": True,
-        "vanishing": True,
-    },
-}
-
 
 def test_mask_axiom_patterns():
     rng = np.random.default_rng(20250810)
     mismatches = 0
-    for kind, expected in EXPECTED_PATTERNS.items():
+    for kind, expected in AXIOM_PATTERNS.items():
         for _ in range(200):
-            if kind is MaskKind.LINEAR:
-                phi_sigma = rng.uniform(0.5, 2.0, (3, 2)).tolist()
-                bank = MaskBank([{"kind": "linear", "phi": p, "sigma": s} for p, s in phi_sigma])
-            else:
-                bank = MaskBank.auto(kind, 1.0, rng.uniform(-5, 5, 3), seed=rng)
-            horizon = 50.0 / bank.min_decay_rate()
-            rep = check_mask_axioms(bank, np.linspace(0.0, horizon, 121), STATE_GRID)
-            if rep.as_dict() != expected:
+            bank = random_bank(kind, rng, dim=3)
+            if check_mask_axioms(bank, *axiom_grid(bank))[0] != expected:
                 mismatches += 1
     ok = mismatches == 0
-    _report("mask axiom patterns", ok, f"{mismatches} mismatches over 800 seeded banks")
+    _report("mask axiom patterns", ok, f"{mismatches} mismatches over 1000 seeded banks")
     assert ok
 
 

@@ -32,7 +32,9 @@ SMALL = (
     "example3_consensus_n3",
     "example4_pinning_n10",
 )
-HOSTILE = (None, True, False, 1e308, -1e308, 2**63, float("nan"), float("inf"), "x", [], {}, [[1.0]])
+#: 5e-324 (the smallest subnormal) passes every "> 0" range check, -0.0
+#: every ">= 0" one, and 1e308 every finiteness check.
+HOSTILE = (None, True, False, 1e308, -1e308, 2**63, 5e-324, -0.0, float("nan"), float("inf"), "x", [], {}, [[1.0]])
 DOCUMENTED = {0, 2, 3, 4, 5}
 MUTANTS_PER_CONFIG = 100
 

@@ -2,11 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from common import STATE_GRID
+from common import AXIOM_PATTERNS, random_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynpriv.masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
+from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
 
 FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 #: Largest |x - h^{-1}(t, h(t, x))| that a round trip may leave.
@@ -76,19 +76,6 @@ def test_invert_identity():
     assert np.array_equal(_invert(bank, 3.0, y), y)
 
 
-def _random_bank(kind, rng, dim):
-    if kind is MaskKind.IDENTITY:
-        return MaskBank.identity(dim)
-    if kind is MaskKind.LINEAR:
-        return MaskBank(
-            [
-                {"kind": "linear", "phi": rng.uniform(0.5, 2.0), "sigma": rng.uniform(0.5, 2.0)}
-                for _ in range(dim)
-            ]
-        )
-    return MaskBank.auto(kind, 1.0, rng.uniform(-5, 5, dim), seed=rng)
-
-
 RATE = st.floats(0.01, 10.0)
 OFFSET = st.floats(-50.0, 50.0).filter(bool)
 POSITIVE_PHI = st.floats(0.0, 10.0, exclude_min=True)
@@ -120,7 +107,7 @@ def test_roundtrip_every_kind(kind, data, t):
 def test_strictly_increasing_in_state(kind):
     rng = np.random.default_rng(1 + hash(kind.value) % 2**32)
     for _ in range(20):
-        bank = _random_bank(kind, rng, dim=1)
+        bank = random_bank(kind, rng, dim=1)
         t = rng.uniform(0.0, 20.0)
         a, b = np.sort(rng.uniform(-8, 8, 2))
         if a == b:
@@ -195,39 +182,12 @@ def test_auto_bank_rejects_non_privacy_kinds(kind):
         MaskBank.auto(kind, 1.0, np.zeros(1), seed=0)
 
 
-def _axiom_grid(bank):
-    rate = bank.min_decay_rate()
-    horizon = 50.0 / rate if np.isfinite(rate) else 1.0
-    return np.linspace(0.0, horizon, 121), STATE_GRID
-
-
-ALL_AXIOMS_HOLD = {
-    "local": True,
-    "fixed_point_free": True,
-    "escapes_neighborhoods": True,
-    "strictly_increasing": True,
-    "vanishing": True,
-}
-EXPECTED_AXIOMS = {
-    MaskKind.IDENTITY: {
-        **ALL_AXIOMS_HOLD,
-        "fixed_point_free": False,
-        "escapes_neighborhoods": False,
-    },
-    MaskKind.LINEAR: {**ALL_AXIOMS_HOLD, "fixed_point_free": False},
-    MaskKind.ADDITIVE: ALL_AXIOMS_HOLD,
-    MaskKind.AFFINE: {**ALL_AXIOMS_HOLD, "vanishing": False},
-    MaskKind.VANISHING_AFFINE: ALL_AXIOMS_HOLD,
-}
-
-
 def _assert_axiom_verdicts(kind, seed, dim):
-    bank = _random_bank(kind, np.random.default_rng(seed), dim=dim)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert rep.as_dict() == EXPECTED_AXIOMS[kind]
+    bank = random_bank(kind, np.random.default_rng(seed), dim=dim)
+    axioms, witnesses = check_mask_axioms(bank, *axiom_grid(bank))
+    assert axioms == AXIOM_PATTERNS[kind]
     if kind is MaskKind.LINEAR:
-        # x = 0 is a fixed point of every gain-only mask
-        assert rep.witnesses["fixed_point_free"] == {"channel": 0, "state": 0.0}
+        assert witnesses["fixed_point_free"] == {"channel": 0, "state": 0.0}
 
 
 # Parameters come from a seeded draw rather than from hypothesis floats:
@@ -251,47 +211,69 @@ def test_axioms_additive_all_pass():
     _assert_axiom_verdicts(MaskKind.ADDITIVE, seed=17, dim=4)
 
 
-class _LeakyBank(MaskBank):
-    """Output channel 1 also reads 1e-3 * x[0], so the bank is not local."""
+class _PlantedBank(MaskBank):
+    """A bank with faults planted. A leak (source, into, late) adds
+    1e-3 * x[source] to output channel into in eval, at t > 0 only if late;
+    a dead channel has gain 0 and a flipped one its gain negated, in factors
+    and so in eval. Channel indices are taken modulo the bank's dimension,
+    so that a strategy can draw them before the channels."""
+
+    def __init__(self, channels, leaks=(), dead=(), flipped=()):
+        super().__init__(channels)
+        d = self.dim
+        self.leaks = [(source % d, into % d, late) for source, into, late in leaks]
+        self.dead = [k % d for k in dead]
+        self.flipped = [k % d for k in flipped]
+
+    def factors(self, times, out=None):
+        scale, offset = super().factors(times, out)
+        scale[..., self.flipped] *= -1.0
+        scale[..., self.dead] = 0.0
+        return scale, offset
 
     def eval(self, t, x):
         y = super().eval(t, x)
-        y[1] += 1e-3 * x[0]
+        for source, into, late in self.leaks:
+            if t > 0 or not late:
+                y[into] += 1e-3 * x[source]
         return y
 
-    def eval_series(self, times, states):
-        y = super().eval_series(times, states)
-        y[:, 1] += 1e-3 * states[:, 0]
-        return y
+
+#: The faults of a _PlantedBank, its channel indices drawn before its channels.
+FAULTS = st.fixed_dictionaries(
+    {
+        "leaks": st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=3),
+        "dead": st.lists(st.integers(0, 6), max_size=2),
+        "flipped": st.lists(st.integers(0, 6), max_size=3),
+    }
+)
 
 
 def test_axioms_detect_non_local_bank():
-    bank = _LeakyBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}] * 3)
-    rep = check_mask_axioms(bank, *_axiom_grid(bank))
-    assert rep.local is False
-    assert rep.witnesses["local"] == {"channel": 0, "t": 0.0}
+    bank = _PlantedBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}] * 3, leaks=[(0, 1, False)])
+    axioms, witnesses = check_mask_axioms(bank, *axiom_grid(bank))
+    assert axioms["local"] is False
+    assert witnesses["local"] == {"channel": 0, "t": 0.0}
 
 
 def test_axioms_identity_fails_masking_properties():
-    rep = check_mask_axioms(MaskBank.identity(2), np.linspace(0, 1, 5), STATE_GRID)
-    assert not rep.fixed_point_free
-    assert not rep.escapes_neighborhoods
+    _assert_axiom_verdicts(MaskKind.IDENTITY, seed=0, dim=2)
 
 
 def test_axioms_need_time_grid_from_zero():
     bank = MaskBank.identity(1)
     with pytest.raises(ValueError, match="start at 0"):
-        check_mask_axioms(bank, np.linspace(1.0, 2.0, 5), STATE_GRID)
+        check_mask_axioms(bank, np.linspace(1.0, 2.0, 5), axiom_grid(bank)[1])
 
 
 @pytest.mark.parametrize("kind", [MaskKind.ADDITIVE, MaskKind.VANISHING_AFFINE])
 def test_vanishing_gap_quantitative_tail(kind):
     rng = np.random.default_rng(19)
     for _ in range(10):
-        bank = _random_bank(kind, rng, dim=1)
+        bank = random_bank(kind, rng, dim=1)
         x = np.array([rng.uniform(-5, 5)])
         gap0 = abs(bank.eval(0.0, x)[0] - x[0])
-        t_tail = 50.0 / bank.min_decay_rate()
+        t_tail = axiom_grid(bank)[0][-1]
         gap_tail = abs(bank.eval(t_tail, x)[0] - x[0])
         assert gap_tail < 1e-8 * gap0 + 1e-12
 
@@ -314,7 +296,7 @@ def _clock_shifted(bank, t0):
 def test_translated_bank_shifts_the_clock(kind):
     # every kind stays inside its family when its clock is translated
     rng = np.random.default_rng(41)
-    bank = _random_bank(kind, rng, dim=3)
+    bank = random_bank(kind, rng, dim=3)
     x = rng.uniform(-4, 4, 3)
     for t0 in (0.0, 5.0, 20.0):
         shifted = _clock_shifted(bank, t0)
@@ -444,23 +426,30 @@ def test_bank_params_and_decay_rate_follow_the_channels():
     assert MaskBank.identity(3).min_decay_rate() == np.inf
 
 
+def _locality_by_probe_grid(bank, times):
+    """Reference: the locality axiom on the whole d x d probe grid, row k
+    perturbing channel k, against the bank's own eval of the base state."""
+    d = bank.dim
+    base = np.full(d, 0.37)
+    for t in (0.0, float(times[-1])):
+        scale, offset = bank.factors(t)
+        moved = scale * (base + 1.234 * np.eye(d) + offset) != bank.eval(t, base)
+        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
+        if bad.size:
+            return False, {"channel": int(bad[0]), "t": t}
+    return True, None
+
+
 def _check_mask_axioms_cube(bank, times, states):
     """Reference: the axiom grid as it was built before streaming, with the
-    whole (time, state, channel) gap cube and eval_series for locality. The
-    escape probe reads the template's t=0 row, as the check defines it."""
+    whole (time, state, channel) gap cube, and locality on the whole probe
+    grid. The escape probe reads the template's t=0 row, as the check
+    defines it."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     d = bank.dim
-    witnesses = {}
-    base = np.full(d, 0.37)
-    local = True
-    for t in (0.0, float(times[-1])):
-        moved = bank.eval_series(np.full(d, t), base + 1.234 * np.eye(d)) != bank.eval(t, base)
-        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
-        if bad.size:
-            local = False
-            witnesses["local"] = {"channel": int(bad[0]), "t": t}
-            break
+    local, witness = _locality_by_probe_grid(bank, times)
+    witnesses = {} if local else {"local": witness}
     scale, offset = bank.factors(times)
     escapes = True
     for r in (0.01, 0.1):
@@ -504,40 +493,30 @@ def _check_mask_axioms_cube(bank, times, states):
             "initial_sup_gap": float(sup_gap[0, bad]),
             "final_sup_gap": float(sup_gap[-1, bad]),
         }
-    return (local, fixed_point_free, escapes, increasing, vanishing, witnesses)
-
-
-class _FlippedBank(MaskBank):
-    """Gains negated on odd channels, so h(t, .) decreases there."""
-
-    def factors(self, times):
-        scale, offset = super().factors(times)
-        scale[..., 1::2] *= -1.0
-        return scale, offset
+    axioms = {
+        "local": local,
+        "fixed_point_free": fixed_point_free,
+        "escapes_neighborhoods": escapes,
+        "strictly_increasing": increasing,
+        "vanishing": vanishing,
+    }
+    return axioms, witnesses
 
 
 @settings(deadline=None, max_examples=300)
 @given(
     channels=st.lists(VALID_CHANNEL, min_size=2, max_size=6),
-    variant=st.sampled_from([MaskBank, _LeakyBank, _FlippedBank]),
+    faults=FAULTS,
     horizon=st.floats(0.0, 300.0),
     steps=st.integers(0, 130),
     later=st.lists(st.floats(0.0, 300.0), max_size=4),
     states=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
 )
-def test_streamed_axiom_grid_equals_cube_reference(channels, variant, horizon, steps, later, states):
-    bank = variant(channels)
+def test_streamed_axiom_grid_equals_cube_reference(channels, faults, horizon, steps, later, states):
+    bank = _PlantedBank(channels, **faults)
     times = np.concatenate([np.linspace(0.0, horizon, steps + 1), later])
-    rep = check_mask_axioms(bank, times, np.array(states))
-    ref = _check_mask_axioms_cube(bank, times, np.array(states))
-    assert (
-        rep.local,
-        rep.fixed_point_free,
-        rep.escapes_neighborhoods,
-        rep.strictly_increasing,
-        rep.vanishing,
-        rep.witnesses,
-    ) == ref
+    got = check_mask_axioms(bank, times, np.array(states))
+    assert got == _check_mask_axioms_cube(bank, times, np.array(states))
 
 
 @settings(deadline=None, max_examples=200)
@@ -555,97 +534,34 @@ def test_template_row_zero_maps_states_as_eval_series_at_zero(channels, later, s
     assert via_template.tobytes() == bank.eval_series(np.zeros(len(states)), x).tobytes()
 
 
-def _locality_by_probe_grid(bank, times):
-    """Reference: the locality axiom on the whole d x d probe grid, row k
-    perturbing channel k, against the bank's own eval of the base state."""
-    d = bank.dim
-    base = np.full(d, 0.37)
-    for t in (0.0, float(times[-1])):
-        scale, offset = bank.factors(t)
-        moved = scale * (base + 1.234 * np.eye(d) + offset) != bank.eval(t, base)
-        bad = np.flatnonzero((moved != np.eye(d, dtype=bool)).any(axis=1))
-        if bad.size:
-            return False, {"channel": int(bad[0]), "t": t}
-    return True, None
-
-
-class _PlantedLeakBank(MaskBank):
-    """Output channel `into` also reads 1e-3 * x[source], at the probe
-    times that `when` accepts."""
-
-    def __init__(self, channels, source, into, when=lambda t: True):
-        super().__init__(channels)
-        self.source, self.into, self.when = source, into, when
-
-    def eval(self, t, x):
-        y = super().eval(t, x)
-        if self.when(t):
-            y[self.into] += 1e-3 * x[self.source]
-        return y
-
-
-class _DeadChannelBank(MaskBank):
-    """Channel `dead` has gain 0, so its output never moves."""
-
-    def __init__(self, channels, dead):
-        super().__init__(channels)
-        self.dead = dead
-
-    def factors(self, times, out=None):
-        scale, offset = super().factors(times, out)
-        scale[..., self.dead] = 0.0
-        return scale, offset
-
-
 _SIX = [{"kind": "vanishing_affine", "phi": 1.5, "sigma": 0.7, "gamma": 2.2, "delta": 0.9}] * 6
 
 
 @pytest.mark.parametrize(
-    "bank,witness",
+    "faults,witness",
     [
         # the leak moves channel 4 on every probe row but row 4's own
-        (_PlantedLeakBank(_SIX, source=1, into=4), {"channel": 0, "t": 0.0}),
-        (_PlantedLeakBank(_SIX, source=3, into=0, when=lambda t: t > 0), {"channel": 1, "t": 70.0}),
-        (_DeadChannelBank(_SIX, dead=2), {"channel": 2, "t": 0.0}),
+        ({"leaks": [(1, 4, False)]}, {"channel": 0, "t": 0.0}),
+        ({"leaks": [(3, 0, True)]}, {"channel": 1, "t": 70.0}),
+        ({"dead": [2]}, {"channel": 2, "t": 0.0}),
     ],
     ids=["later-channel-leak", "final-time-leak", "unmoved-own-probe"],
 )
-def test_locality_witness_equals_probe_grid_definition(bank, witness):
+def test_locality_witness_equals_probe_grid_definition(faults, witness):
+    bank = _PlantedBank(_SIX, **faults)
     times = np.linspace(0.0, 70.0, 121)
-    rep = check_mask_axioms(bank, times, STATE_GRID)
-    assert (rep.local, rep.witnesses.get("local")) == _locality_by_probe_grid(bank, times)
-    assert rep.local is False and rep.witnesses["local"] == witness
+    axioms, witnesses = check_mask_axioms(bank, times, axiom_grid(bank)[1])
+    assert (axioms["local"], witnesses.get("local")) == _locality_by_probe_grid(bank, times)
+    assert axioms["local"] is False and witnesses["local"] == witness
 
 
 @settings(deadline=None, max_examples=200)
-@given(
-    channels=st.lists(VALID_CHANNEL, min_size=1, max_size=7),
-    leaks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=3),
-    dead=st.lists(st.integers(0, 6), max_size=2),
-    horizon=st.floats(0.0, 300.0),
-)
-def test_locality_matches_probe_grid_definition(channels, leaks, dead, horizon):
-    d = len(channels)
-    leaks = [(s % d, i % d, late) for s, i, late in leaks]
-    dead = [k % d for k in dead]
-
-    class Planted(MaskBank):
-        def factors(self, times, out=None):
-            scale, offset = super().factors(times, out)
-            scale[..., dead] = 0.0
-            return scale, offset
-
-        def eval(self, t, x):
-            y = super().eval(t, x)
-            for source, into, late in leaks:
-                if t > 0 or not late:
-                    y[into] += 1e-3 * x[source]
-            return y
-
-    bank = Planted(channels)
+@given(channels=st.lists(VALID_CHANNEL, min_size=1, max_size=7), faults=FAULTS, horizon=st.floats(0.0, 300.0))
+def test_locality_matches_probe_grid_definition(channels, faults, horizon):
+    bank = _PlantedBank(channels, **faults)
     times = np.linspace(0.0, horizon, 5)
-    rep = check_mask_axioms(bank, times, STATE_GRID)
-    assert (rep.local, rep.witnesses.get("local")) == _locality_by_probe_grid(bank, times)
+    axioms, witnesses = check_mask_axioms(bank, times, axiom_grid(bank)[1])
+    assert (axioms["local"], witnesses.get("local")) == _locality_by_probe_grid(bank, times)
 
 
 def test_axiom_check_memory_is_linear_in_channels():
@@ -654,12 +570,12 @@ def test_axiom_check_memory_is_linear_in_channels():
 
     rng = np.random.default_rng(5)
     bank = MaskBank.auto(MaskKind.VANISHING_AFFINE, 1.0, rng.uniform(-5, 5, 2000), seed=6)
-    times, states = _axiom_grid(bank)
+    times, states = axiom_grid(bank)
     tracemalloc.start()
     try:
-        rep = check_mask_axioms(bank, times, states)
+        axioms, _ = check_mask_axioms(bank, times, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(rep.as_dict().values())
+    assert all(axioms.values())
     assert peak < 24e6, f"check_mask_axioms peaked at {peak / 1e6:.1f} MB"

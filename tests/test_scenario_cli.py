@@ -71,23 +71,6 @@ def test_derived_seeds_are_deterministic():
     assert np.array_equal(sc1.bank._values, sc2.bank._values)
 
 
-def test_missing_seed_rejected():
-    with pytest.raises(ScenarioError, match="seed"):
-        build_scenario(patched(_consensus_config(), {"seed": DELETE}))
-
-
-def test_inline_x0_dimension_checked():
-    cfg = _consensus_config(x0={"kind": "inline", "values": [1.0, 2.0]})
-    with pytest.raises(ScenarioError, match="expected 3"):
-        build_scenario(cfg)
-
-
-def test_unknown_check_rejected():
-    cfg = _consensus_config(checks=["no_such_check"])
-    with pytest.raises(ScenarioError, match="unknown check"):
-        build_scenario(cfg)
-
-
 def test_default_mask_is_identity():
     sc = build_scenario(patched(_consensus_config(checks=["irreducible"]), {"mask": DELETE}))
     assert all(k.value == "identity" for k in sc.bank.kinds)
@@ -99,12 +82,6 @@ def test_default_mask_is_identity():
     }
 
 
-def test_inapplicable_check_is_a_config_error():
-    cfg = _consensus_config(checks=["vmm_non_monotone"], system={"kind": "saturated_net", "kappa": 0.2})
-    with pytest.raises(ScenarioError, match="not applicable"):
-        build_scenario(cfg)
-
-
 @pytest.mark.parametrize(
     "drop,checks",
     [
@@ -113,10 +90,8 @@ def test_inapplicable_check_is_a_config_error():
     ],
 )
 def test_conditional_checks_need_their_section(drop, checks):
+    # refused with the checks (the CONTRACT rows named after them), built without
     cfg = patched(load_bundled("example4_pinning_n10"), {drop: DELETE})
-    message = f"checks not applicable to this scenario: {checks}"
-    with pytest.raises(ScenarioError, match=re.escape(message)):
-        build_scenario(cfg)
     build_scenario(patched(cfg, {"checks": [k for k in cfg["checks"] if k not in checks]}))
 
 
@@ -283,12 +258,15 @@ def test_main_works_after_a_usage_error(tmp_path):
         ("{", "Expecting property name"),
         ('{"name": ' + "9" * 5001 + "}", "digits"),
         ("[" * 100_000, "recursion"),
+        ('{"integrator": {"t_final": 30.0, "t_final": 0.5}}', "duplicate key 't_final'"),
     ],
-    ids=["truncated", "long-int", "deep"],
+    ids=["truncated", "long-int", "deep", "duplicate-key"],
 )
 def test_cli_unreadable_json_is_refused_naming_the_file(command, text, reason, tmp_path, capsys):
     # json.load's own errors (a syntax error, an int past the digit limit,
-    # nesting past the recursion limit) are config errors, not tracebacks
+    # nesting past the recursion limit) are config errors, not tracebacks, and
+    # so is a key that an object holds twice, which json.load would read as
+    # its last value
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -782,25 +760,11 @@ def test_frozen_anchor_is_off_unless_set():
     assert build_scenario(patched(fj, {"system.frozen_anchor": True})).system.frozen_anchor is True
 
 
-@pytest.mark.parametrize(
-    "path,kind",
-    [("graph", "graph"), ("x0", "x0"), ("mask", "mask"), ("system.theta", "theta")],
-)
-def test_unknown_kind_is_named_by_its_section(path, kind):
-    cfg = patched(load_bundled("example2_fj_n10"), {f"{path}.kind": "nope"})
-    with pytest.raises(ScenarioError, match=f"unknown {kind} kind 'nope'"):
-        build_scenario(cfg)
-
-
-@pytest.mark.parametrize("count,ok", [(-1, False), (0, True), (10, True), (11, False)])
-def test_pinned_count_must_lie_in_0_to_n(count, ok):
-    # -1 would pin 9 of the 10 agents through gains[:-1]
+@pytest.mark.parametrize("count", [0, 10])
+def test_pinned_count_must_lie_in_0_to_n(count):
+    # the counts outside [0, 10] are CONTRACT rows
     cfg = patched(load_bundled("example4_pinning_n10"), {"system.pinned_count": count})
-    if ok:
-        assert np.count_nonzero(build_scenario(cfg).system.pin_gains) == count
-    else:
-        with pytest.raises(ScenarioError, match=rf"system.pinned_count must be in \[0, 10\], got {count}"):
-            build_scenario(cfg)
+    assert np.count_nonzero(build_scenario(cfg).system.pin_gains) == count
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -817,42 +781,11 @@ def test_cli_more_steps_than_the_cap_are_refused_before_anything_is_allocated(
     assert "integrator: 20000000 steps exceed the maximum of 10000000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "r,message",
-    [
-        ({"kind": "identty", "rows": np.eye(3).tolist()}, "unknown r kind 'identty'"),
-        ({"kind": "identty"}, "unknown r kind 'identty'"),
-        ({"kind": "explicit"}, "system.r.rows is required"),
-        ({"kind": "identity", "rows": np.eye(3).tolist()}, "unknown config key 'system.r.rows'"),
-        ({"kind": "explicit", "rows": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]}, "must be symmetric"),
-    ],
-)
-def test_coupling_matrix_kinds(r, message):
-    with pytest.raises(ScenarioError, match=message):
-        build_scenario(patched(load_bundled("example4_pinning_n10"), {"system.r": r}))
-
-
 def test_explicit_coupling_matrix_is_read_as_written():
     rows = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
     cfg = patched(load_bundled("example4_pinning_n10"), {"system.r": {"kind": "explicit", "rows": rows}})
     assert np.array_equal(build_scenario(cfg).system.r, rows)
     assert np.array_equal(build_scenario(patched(cfg, {"system.r": DELETE})).system.r, np.eye(3))
-
-
-PIN_CHOICES = "pinned_sync needs pin_gains, or pinned_count and pin_gain"
-
-
-@pytest.mark.parametrize(
-    "name,key,message",
-    [
-        ("example1_satnet_n10", "kappa_over_radius", "saturated_net needs kappa or kappa_over_radius"),
-        ("example4_pinning_n10", "pinned_count", PIN_CHOICES),
-        ("example4_pinning_n10", "pin_gain", PIN_CHOICES),
-    ],
-)
-def test_either_or_system_keys_name_both_choices(name, key, message):
-    with pytest.raises(ScenarioError, match=message):
-        build_scenario(patched(load_bundled(name), {f"system.{key}": DELETE}))
 
 
 def test_defaults_live_at_the_constructors():
@@ -1071,6 +1004,15 @@ CONTRACT = [
         "checks not applicable to this scenario: ['lmi_margin_negative']"),
     Row("conservation_on_pinning", "example4_pinning_n10", {"checks": ["conservation"]}, BOTH,
         "checks not applicable to this scenario: ['conservation']"),
+    Row("vmm_non_monotone_on_satnet", CONSENSUS,
+        {"checks": ["vmm_non_monotone"], "system": {"kind": "saturated_net", "kappa": 0.2}}, BOTH,
+        "checks not applicable to this scenario: ['vmm_non_monotone']"),
+    # a conditional check without its section; test_conditional_checks_need_their_section builds them without it
+    Row("lmi_margin_without_sync_condition", "example4_pinning_n10", {"sync_condition": DELETE}, BOTH,
+        "checks not applicable to this scenario: ['lmi_margin_negative']"),
+    Row("privacy_checks_without_a_mask", "example4_pinning_n10", {"mask": DELETE}, BOTH,
+        "checks not applicable to this scenario: ['privacy_floor', 'mask_gap_visible']"),
+    Row("unknown_check", CONSENSUS, {"checks": ["no_such_check"]}, BOTH, "unknown check 'no_such_check'"),
     # explicit mask channels
     Row("channel_missing_parameter", EXPLICIT, {"mask.channels.1": {"kind": "linear", "phi": 1.0}}, BOTH,
         "invalid config: invalid scenario config: linear mask requires parameter sigma\n"),
@@ -1112,8 +1054,34 @@ CONTRACT = [
         "unknown system kind 'nope'"),
     Row("unknown_drift_kind", "example4_pinning_n10", {"system.drift": {"kind": "nope"}}, CHECK,
         "unknown drift kind 'nope'"),
+    *(Row(f"unknown_{path.rsplit('.', 1)[-1]}_kind", "example2_fj_n10", {f"{path}.kind": "nope"}, CHECK,
+          f"unknown {path.rsplit('.', 1)[-1]} kind 'nope'") for path in ("graph", "x0", "mask", "system.theta")),
+    # the inner coupling matrix R
+    *(Row(f"r_{id}", "example4_pinning_n10", {"system.r": r}, BOTH, message) for id, r, message in (
+        ("kind_misspelled_with_rows", {"kind": "identty", "rows": np.eye(3).tolist()}, "unknown r kind 'identty'"),
+        ("kind_misspelled", {"kind": "identty"}, "unknown r kind 'identty'"),
+        ("explicit_without_rows", {"kind": "explicit"}, "system.r.rows is required"),
+        ("identity_with_rows", {"kind": "identity", "rows": np.eye(3).tolist()},
+         "unknown config key 'system.r.rows'"),
+        ("not_symmetric", {"kind": "explicit", "rows": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]},
+         "inner coupling matrix must be symmetric"),
+    )),
+    # keys of which a system needs one or the other, each refusal naming both
+    *(Row(f"without_{key}", name, {f"system.{key}": DELETE}, BOTH, message) for name, key, message in (
+        ("example1_satnet_n10", "kappa_over_radius", "saturated_net needs kappa or kappa_over_radius"),
+        ("example4_pinning_n10", "pinned_count", "pinned_sync needs pin_gains, or pinned_count and pin_gain"),
+        ("example4_pinning_n10", "pin_gain", "pinned_sync needs pin_gains, or pinned_count and pin_gain"),
+    )),
+    # -1 would pin 9 of the 10 agents through gains[:-1]
+    *(Row(f"pinned_count_{count}", "example4_pinning_n10", {"system.pinned_count": count}, BOTH,
+          f"system.pinned_count must be in [0, 10], got {count}") for count in (-1, 11)),
     Row("unknown_bundled_name", "no_such_scenario", {}, CHECK, "no_such_scenario.json"),
+    # suite builds every row before it runs any, so a bad name leaves nothing written
+    Row("suite_unknown_name_after_a_known_one", None, {}, ("suite",), "no_such_scenario.json",
+        flags=("--names", "example3_consensus_n3", "no_such_scenario")),
     Row("no_config_source", None, {}, BOTH, "invalid config: provide --config PATH or --bundled NAME"),
+    Row("seed_missing", CONSENSUS, {"seed": DELETE}, BOTH,
+        "randomized element 'x0' needs a seed (own or top-level)"),
     Row("seeded_list", [], {}, ("check", "simulate", "adversary"), "config must be an object, got []",
         flags=("--seed", "3")),
     Row("seeded_list_section", {"seed": 1, "system": [1]}, {}, ("check", "simulate", "adversary"),
@@ -1174,6 +1142,8 @@ CONTRACT = [
       )),
     # vector sections: json writes and reads NaN and Infinity, and no draw or run may take them
     *(Row(f"x0_{id}", CONSENSUS, {"x0": x0}, BOTH, message) for id, x0, message in X0_VALUES),
+    Row("x0_inline_dimension", CONSENSUS, {"x0": {"kind": "inline", "values": [1.0, 2.0]}}, BOTH,
+        "x0: expected 3 values, got (2,)"),
     Row("x0_std_missing", CONSENSUS, {"x0": {"kind": "gaussian", "mean": 1.0}}, CHECK, "x0.std is required"),
     Row("theta_nan", "example2_fj_n10", {"system.theta": NAN}, BOTH,
         "system.theta must be a finite number or an object, got nan"),
@@ -1215,10 +1185,20 @@ CONTRACT = [
         {"graph": {"kind": "complete", "n": 3}, "checks": ["no_covering"]}, BOTH,
         "strict mode: failing checks ['no_covering']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",),
         covering=((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))),
-    Row("mask_axioms_under_strict", "example3_consensus_n3",
-        {"mask": {"kind": "explicit", "channels": [{"kind": "linear", "phi": 1.0, "sigma": 1.0}] * 3},
-         "checks": [], "integrator.t_final": 0.5}, BOTH,
-        "strict mode: failing checks ['mask_axioms']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",)),
+    # a gain-only mask has a fixed point at 0; a decay rate whose 50 time
+    # constants overflow the double range is probed over a capped horizon,
+    # on which its mask does not vanish
+    *(Row(id, "example3_consensus_n3", {**patch, "checks": [], "integrator.t_final": 0.5}, BOTH,
+          "strict mode: failing checks ['mask_axioms']\n", code=cli.EXIT_ASSUMPTION, flags=("--strict",))
+      for id, patch in (
+          ("mask_axioms_under_strict",
+           {"mask": {"kind": "explicit", "channels": [{"kind": "linear", "phi": 1.0, "sigma": 1.0}] * 3}}),
+          ("slow_decay_explicit",
+           {"mask": {"kind": "explicit", "channels": [{"kind": "additive", "gamma": 2.0, "delta": 1e-320}] * 3}}),
+          ("slow_decay_linear",
+           {"mask": {"kind": "explicit", "channels": [{"kind": "linear", "phi": 1.0, "sigma": 5e-324}] * 3}}),
+          ("slow_decay_auto", {"mask.rate_range": [1e-310, 1e-310]}),
+      )),
     Row("drift_blow_up", "example4_pinning_n10", BLOW_UP, SIMULATE,
         "numerical failure: numerical blow-up at t=0.199", code=cli.EXIT_NUMERIC),
     Row("s0_overflows_the_field", "example4_pinning_n10",
