@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -103,8 +104,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
-    traj.to_csv(outdir / "trajectory.csv")
+def _write_artifacts(outdir: Path, series: dict, report) -> None:
     write_csv(outdir / "series.csv", list(series), tuple(col[:, None] for col in series.values()))
     report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
     _write_json(outdir / "report.json", report.as_dict())
@@ -112,11 +112,22 @@ def _write_artifacts(outdir: Path, traj, series: dict, report) -> None:
 
 def _simulate(args, sc, name: str):
     """Run sc and write its artifacts under name; returns its report. The
-    directory is checked before the run and made once the run has returned,
-    so a failed run leaves none."""
-    _out(args, name)
-    traj, series, report = scn.run_simulation(sc)
-    _write_artifacts(_outdir(args, name), traj, series, report)
+    run streams trajectory.csv into a new temporary file in the nearest
+    existing directory of the artifacts' one; once the run has returned,
+    that directory is made and the file moved into it, and on any failure
+    the file is deleted. So a failed run leaves no directory and no file,
+    and never touches an earlier run's artifacts."""
+    path = _out(args, name)
+    home = next(part for part in (path, *path.parents) if part.is_dir())
+    stream = home / f".{path.name}.trajectory.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(stream, "xb") as fh:
+            _, series, report = scn.run_simulation(sc, fh)
+        outdir = _outdir(args, name)
+        os.replace(stream, outdir / "trajectory.csv")
+    finally:
+        stream.unlink(missing_ok=True)
+    _write_artifacts(outdir, series, report)
     return report
 
 

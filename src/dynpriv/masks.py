@@ -210,12 +210,13 @@ class MaskBank:
         if out is None:
             out = np.empty((2,) + t.shape[:-1] + (self.dim,))
         scale, offset = out
-        np.multiply(-self._sigma, t, out=scale)
+        with np.errstate(over="ignore"):  # a fast rate times a long t is -inf, and exp(-inf) = 0
+            np.multiply(-self._sigma, t, out=scale)
+            np.multiply(-self._delta, t, out=offset)
         np.exp(scale, out=scale)
         scale *= self._phi
         scale += 1.0
         scale *= self._c
-        np.multiply(-self._delta, t, out=offset)
         np.exp(offset, out=offset)
         offset *= self._gamma
         return scale, offset

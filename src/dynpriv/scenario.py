@@ -48,7 +48,7 @@ from .dynamics import (
 )
 from .masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 from .netgraph import Digraph
-from .solver import IntegratorConfig, integrate
+from .solver import IntegratorConfig, Trajectory, integrate
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
 #: The verdicts that run_simulation decides for every system, each with the
@@ -561,21 +561,42 @@ def run_mask_check(sc: Scenario) -> dict:
     return {"axioms": axioms, "expected_vanishing": expect_vanishing, "ok": ok}
 
 
-def run_simulation(sc: Scenario):
-    """Integrate the masked scenario, reduce it to its series (one
-    analysis.series_table sweep) and assemble the diagnostics report from
-    them. Returns (traj, series, report)."""
-    traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
+def run_simulation(sc: Scenario, out):
+    """Integrate the masked scenario window by window and reduce each window
+    as it comes, so that no (n_rec, d) table is formed: its rows are
+    appended to out, an open binary file, as trajectory.csv's bytes (the
+    header first), its series rows are filled through
+    analysis.series_table, and the extremes of x are kept running. A window
+    is as many whole record strides as masks.CHUNK values of joint state
+    hold (at least one), stepped by one integrate call from the last row of
+    the window before, which it records again and which is dropped.
+    Returns (the last window's trajectory, series, report); the system's
+    verdicts read the final row of that window and the series."""
+    system, cfg = MaskedSystem(sc.system, sc.bank), sc.integrator
+    width = sc.x0.size + (0 if sc.s0 is None else sc.s0.size)
+    span = cfg.record_stride * max(1, masks.CHUNK // width)
+    x0, s0, series, row, hi, lo = sc.x0, sc.s0, {}, 0, -np.inf, np.inf
+    for start in range(0, cfg.n_steps, span):
+        traj = integrate(system, x0, cfg, s0=s0, start=start, stop=min(start + span, cfg.n_steps))
+        if start:
+            traj = Trajectory(traj.times[1:], traj.x[1:], traj.bank, None if s0 is None else traj.s[1:])
+        x0, s0 = traj.x[-1], (None if s0 is None else traj.s[-1])
+        traj.to_csv(out, header=not start)
+        part = analysis.series_table(traj)
+        series = series or {name: np.empty(cfg.n_records) for name in part}
+        for name, col in part.items():
+            series[name][row : row + len(col)] = col
+        row += len(traj.times)
+        hi, lo = np.maximum(hi, traj.x.max()), np.minimum(lo, traj.x.min())
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
     report.privacy_level = sc.privacy_level
     rho_i, rho = privacy_metric(sc.bank, sc.x0)
     report.rho_per_agent = rho_i.tolist()
     report.rho = rho
-    series = analysis.series_table(traj)
     report.mask_gap_initial_min = float(series["gap_min"][0])
     report.mask_gap_final_max = float(series["gap_max"][-1])
     # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
-    report.max_abs_state = float(np.maximum(traj.x.max(), -traj.x.min())) + 0.0
+    report.max_abs_state = float(np.maximum(hi, -lo)) + 0.0
 
     verdicts = sc.system.verdicts(sc, traj, series, report)
     if sc.privacy_level is not None:

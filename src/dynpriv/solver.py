@@ -9,22 +9,28 @@ and a simulate holds no (n_rec, d) table of y.
 
 integrate runs one type, a dynamics.MaskedSystem; an unmasked run is the
 system under the identity bank. It reads no system kind, only the base's
-dim, nu and drift (None without an exosystem). It compiles the joint field
-(agents, then the exosystem) once with dynamics.compile_stage, checks it
-bit for bit against the reference fields at the initial state with the
-bank's t=0 factors, and only then steps it with _march, the one stepper of
-1-d states. The mask's factors depend on time alone, so for each block of
-block_steps(width) steps the march forms the block's (n, 3) RK4 stage times
-(t, t + dt/2, t + dt) by the expressions it steps with, and integrate
-refills one preallocated table from them with a single MaskBank.factors
-call. Each stage gets its (scale, offset) row by position, and writes its
-slope into one of the march's four slots k1..k4. The block is sized so the
-table stays within TABLE_BYTES; no recorded sample depends on its length.
+dim, nu and drift (None without an exosystem). It steps any span [start,
+stop) of the config's grid from the state at step start, so a run can be
+taken window by window: every step k is the same global step, with stage
+times k*dt + shift, whichever window holds it. It compiles the joint field
+(agents, then the exosystem) once per call with dynamics.compile_stage,
+checks it bit for bit against the reference fields at the span's first
+state with the bank's factors at its time, and only then steps it with
+_march, the one stepper of 1-d states. The mask's factors depend on time
+alone, so for each block of block_steps(width) steps the march forms the
+block's (n, 3) RK4 stage times (t, t + dt/2, t + dt) by the expressions it
+steps with, and integrate refills one preallocated table from them with a
+single MaskBank.factors call. Each stage gets its (scale, offset) row by
+position, and writes its slope into one of the march's four slots k1..k4.
+The block is sized so the table stays within TABLE_BYTES; no recorded
+sample depends on its length or on where a span starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,15 +126,18 @@ class Trajectory:
     def outputs(self) -> "MaskedOutputs":
         return MaskedOutputs(self)
 
-    def to_csv(self, path) -> None:
-        """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits."""
+    def to_csv(self, dest, header: bool = True) -> None:
+        """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits.
+
+        dest is a path or an open binary file; header=False appends the rows
+        alone, as a run streamed window by window does after its first."""
         d = self.dim
-        header = ["t"] + [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
+        names = ["t"] + [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
         blocks = (self.times[:, None], self.x, self.outputs)
         if self.s is not None:
-            header += [f"s_{i}" for i in range(self.s.shape[1])]
+            names += [f"s_{i}" for i in range(self.s.shape[1])]
             blocks += (self.s,)
-        write_csv(path, header, blocks)
+        write_csv(dest, names if header else [], blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +157,12 @@ class MaskedOutputs:
         return self.traj.bank.eval_series(self.traj.times[part], self.traj.x[part])
 
 
-def write_csv(path, header, data) -> None:
-    """One header line, then one line per row of data, each value exactly as
-    '%.17g' % value formats it (17 significant digits round-trip every
-    double): the bytes of np.savetxt(path, data, fmt="%.17g", delimiter=",",
-    header=",".join(header), comments="").
+def write_csv(dest, header, data) -> None:
+    """One header line (none if header is empty), then one line per row of
+    data, each value exactly as '%.17g' % value formats it (17 significant
+    digits round-trip every double): the bytes of np.savetxt(dest, data,
+    fmt="%.17g", delimiter=",", header=",".join(header), comments="").
+    dest is a path, or an open binary file that the lines are appended to.
 
     data is a 2-D array, or a tuple of 2-D column blocks with one row count,
     written side by side; a block may be a MaskedOutputs, whose rows are
@@ -176,7 +186,7 @@ def write_csv(path, header, data) -> None:
     chunk = np.empty((rows, n_cols))
     encode = g17.G17Encoder(min(g17.BATCH, rows * n_cols), n_cols)
     header = ",".join(header)
-    with open(path, "wb") as fh:
+    with open(dest, "wb") if isinstance(dest, (str, os.PathLike)) else nullcontext(dest) as fh:
         if header:
             fh.write((header + "\n").encode("latin1"))
         for r0 in range(0, n_rows, rows):
@@ -190,17 +200,23 @@ def write_csv(path, header, data) -> None:
                 fh.write(encode(values[i : i + encode.size]))
 
 
-def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None):
-    """Fixed-step RK4 of dz/dt = f(row, z, o) from z at t=0.
+def _march(
+    f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=None, start=0, stop=None
+):
+    """Fixed-step RK4 of dz/dt = f(row, z, o) over steps [start, stop) of
+    cfg's grid (all of it by default), from z, the state at step start.
 
     z is a 1-d array, which the march never writes; floor, if given, clamps
     the state from below after every step. f writes the slope at z into o,
     one of the march's own slots k1..k4, and row is the stage time.
     tabulate, if given, maps each block's (n, 3) array of stage times
-    (columns t, t + dt/2 and t + dt, each formed by the expression it names)
-    to a sequence whose first 3n entries are rows for those times in the
-    same order, and f gets those rows by position instead. Returns the
-    recorded (times, states) arrays.
+    (columns t, t + dt/2 and t + dt, each formed by the expression it names
+    from the global step index k) to a sequence whose first 3n entries are
+    rows for those times in the same order, and f gets those rows by
+    position instead. Returns the recorded (times, states) arrays: step
+    start, every multiple of record_stride after it, and step stop. So the
+    spans [a, b) and [b, c), with b on the stride, record the rows of
+    [a, c), the row of b twice.
 
     The march fills a preallocated (block_steps(d) + 1, d) block one step
     per row, row 0 holding the block's start state. Stage inputs and the RK4
@@ -219,13 +235,13 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     it, and no later block is tabulated.
     """
     dt = cfg.dt
-    n_steps = cfg.n_steps
     stride = cfg.record_stride
-    n_rec = cfg.n_records
-    rec_times = np.empty(n_rec)
-    rec_times[: 1 + n_steps // stride] = np.arange(0, n_steps + 1, stride) * dt
-    rec_times[-1] = n_steps * dt  # the final step, on the stride or not
-    rec_states = np.empty((n_rec,) + z.shape)
+    stop = cfg.n_steps if stop is None else stop
+    if not 0 <= start < stop <= cfg.n_steps:
+        raise ValueError(f"steps [{start}, {stop}) are not a span of the {cfg.n_steps}-step grid")
+    inner = np.arange(start - start % stride + stride, stop, stride)
+    rec_times = np.concatenate(([start], inner, [stop])) * dt  # stop, on the stride or not
+    rec_states = np.empty((len(rec_times),) + z.shape)
     rec_states[0] = z
     row = 1
     per_block = block_steps(z.size)
@@ -237,8 +253,8 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
     half, step, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     if floor is not None:
         floor = np.array(floor, dtype=float)
-    for k0 in range(0, n_steps, per_block):
-        n = min(per_block, n_steps - k0)
+    for k0 in range(start, stop, per_block):
+        n = min(per_block, stop - k0)
         times = (np.arange(k0, k0 + n) * dt)[:, None] + shifts
         rows = times.reshape(-1).tolist() if tabulate is None else tabulate(times)
         per_step = zip(*[iter(rows)] * 3)  # each step's rows, in order
@@ -273,7 +289,7 @@ def _march(f, z, cfg: IntegratorConfig, floor: Optional[float] = None, tabulate=
         rec_states[row : row + len(done)] = done
         row += len(done)
         z = steps[n]
-    if n_steps % stride:
+    if stop % stride:
         rec_states[-1] = z
     return rec_times, rec_states
 
@@ -283,12 +299,17 @@ def integrate(
     x0: np.ndarray,
     cfg: IntegratorConfig,
     s0: Optional[np.ndarray] = None,
+    start: int = 0,
+    stop: Optional[int] = None,
 ) -> Trajectory:
-    """Fixed-step integration from x0 (and s0 for pinned systems).
+    """Fixed-step integration of steps [start, stop) of cfg's grid (all of
+    it by default) from x0 (and s0 for pinned systems), the state at step
+    start; it records what _march records.
 
-    Raises BlowUpError carrying the last finite sample if the state exceeds
-    the finite range. Given identical inputs the recorded samples are
-    bit-identical across runs.
+    Raises BlowUpError carrying the last finite sample, at global times, if
+    the state exceeds the finite range. Given identical inputs the recorded
+    samples are bit-identical across runs, and across any split of the grid
+    into spans that each start from the row the span before recorded last.
     """
     stage = compile_stage(system)
     base, bank = system.base, system.bank
@@ -312,22 +333,23 @@ def integrate(
         z = x0
 
     # The compiled stage must reproduce the reference fields bit for bit.
-    # Checked once, at the initial state, with the bank's t=0 factors: they
-    # equal the table's first row, since each exponential there is exp(-0.0).
-    # A field that overflows there is left, as in the march, to the blow-up
+    # Checked once, at the span's first state, with the bank's factors at
+    # its time start * dt (at start 0 every exponential is exp(-0.0)). A
+    # field that overflows there is left, as in the march, to the blow-up
     # check of the first block.
-    row = bank.factors(0.0)
+    t0 = start * cfg.dt
+    row = bank.factors(t0)
     x, s = z[:d], (z[d:] if pinned else None)
     got = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = field_masked(system, 0.0, x, s, row)
+        want = field_masked(system, t0, x, s, row)
         if pinned:
             want = np.concatenate([want, exosystem_field(base.drift, s)])
         stage(row, z, got)
     if got.tobytes() != want.tobytes():
         i = int(np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0])
         raise RuntimeError(
-            f"compiled stage differs from the reference field at t=0: component {i} "
+            f"compiled stage differs from the reference field at t={t0:g}: component {i} "
             f"is {float(got[i])!r}, not {float(want[i])!r}"
         )
 
@@ -338,7 +360,7 @@ def integrate(
         bank.factors(times.reshape(-1), table[:, : times.size])
         return rows
 
-    times, states = _march(stage, z, cfg, tabulate=tabulate)
+    times, states = _march(stage, z, cfg, tabulate=tabulate, start=start, stop=stop)
     return Trajectory(times=times, x=states[:, :d], bank=bank, s=states[:, d:] if pinned else None)
 
 

@@ -5,8 +5,11 @@ name that two test modules define, and on a public name here that fewer
 than two test modules import.
 """
 
+import os
+
 import numpy as np
 
+from dynpriv import scenario
 from dynpriv.dynamics import MaskedSystem
 from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
 
@@ -30,6 +33,12 @@ AXIOM_PATTERNS = {
 def unmasked(spec):
     """The bare system as a run: spec under the identity mask bank."""
     return MaskedSystem(base=spec, bank=MaskBank.identity(spec.dim))
+
+
+def simulated(sc):
+    """scenario.run_simulation(sc), its trajectory.csv bytes discarded."""
+    with open(os.devnull, "wb") as sink:
+        return scenario.run_simulation(sc, sink)
 
 
 def privacy_bank(x0, seed):

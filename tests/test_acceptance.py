@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from common import AXIOM_PATTERNS, random_bank, unmasked
+from common import AXIOM_PATTERNS, random_bank, simulated, unmasked
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
 from dynpriv.analysis import jacobi_eigenvalues
@@ -28,7 +28,7 @@ from dynpriv.dynamics import (
 )
 from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
 from dynpriv.netgraph import erdos_renyi, laplacian, left_null_vector, spectral_radius
-from dynpriv.scenario import build_scenario, load_bundled, run_simulation
+from dynpriv.scenario import build_scenario, load_bundled
 from dynpriv.solver import IntegratorConfig, integrate, solve_comparison_ode
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -74,7 +74,7 @@ def test_privacy_floor_for_chosen_parameters():
 def test_saturated_net_attractor_and_mask_gap():
     sc = build_scenario(load_bundled("example1_satnet_n20"))
     start = time.perf_counter()
-    traj, _series, report = run_simulation(sc)
+    traj, _series, report = simulated(sc)
     elapsed = time.perf_counter() - start
     gap0_min, gap_t_max = report.mask_gap_initial_min, report.mask_gap_final_max
     final_err = float(np.max(np.abs(traj.x[-1])))
@@ -95,7 +95,7 @@ def test_fj_masked_unmasked_agree_and_frozen_anchor_shifts():
     sc = build_scenario(load_bundled("example2_fj_n20"))
     spec = sc.system
     x_star = spec.attractor(sc.x0)
-    masked = run_simulation(sc)[0]
+    masked = simulated(sc)[0]
     bare = integrate(unmasked(spec), sc.x0, sc.integrator)
     frozen = integrate(
         MaskedSystem(base=replace(spec, frozen_anchor=True), bank=sc.bank), sc.x0, sc.integrator
@@ -126,7 +126,7 @@ def test_fj_masked_unmasked_agree_and_frozen_anchor_shifts():
 def test_consensus_conservation_and_hidden_output(name, budget):
     sc = build_scenario(load_bundled(name))
     start = time.perf_counter()
-    report = run_simulation(sc)[2]
+    report = simulated(sc)[2]
     elapsed = time.perf_counter() - start
     ok = (
         report.final_error < 1e-3
@@ -167,7 +167,7 @@ def test_pinned_sync_gain_scan_and_error():
     assert chosen is not None, "gain scan never reached a negative margin"
     gain, margin = chosen
     assert gain == config["system"]["pin_gain"], "bundled scenario should pin the scanned gain"
-    series = run_simulation(sc)[1]
+    series = simulated(sc)[1]
     max_err = series["sync_err_max"]
     ok = margin < 0 and float(max_err[-1]) < 1e-2
     _report(
@@ -180,7 +180,8 @@ def test_pinned_sync_gain_scan_and_error():
 
 def test_pinned_sync_chaotic_reproduction_stays_bounded():
     sc = build_scenario(load_bundled("example4_pinning"))
-    traj = run_simulation(sc)[0]
+    # the whole trajectory: run_simulation returns its last window only
+    traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     bound = float(np.max(np.abs(traj.x)))
     ok = np.all(np.isfinite(traj.x)) and bound < 1e3
     _report("chaotic pinning reproduction", ok, f"completed, max |x| = {bound:.1f}")
@@ -332,7 +333,7 @@ def test_pinning_reduction_matches_kronecker_oracle():
 
 def test_eavesdropper_covered_then_restored():
     cov = build_scenario(load_bundled("adversary_covering"))
-    traj = run_simulation(cov)[0]
+    traj = integrate(MaskedSystem(cov.system, cov.bank), cov.x0, cov.integrator)
     row_field, needed = cov.system.attack_row(0)
     view = EavesdropperView.from_trajectory(cov.graph, 1, traj)
     covered = reconstruct_initial(view, 0, row_field, needed)
@@ -340,7 +341,7 @@ def test_eavesdropper_covered_then_restored():
 
     free = build_scenario(load_bundled("adversary_cycle"))
     assert np.array_equal(free.x0, cov.x0)
-    traj = run_simulation(free)[0]
+    traj = integrate(MaskedSystem(free.system, free.bank), free.x0, free.integrator)
     row_field, needed = free.system.attack_row(0)
     view = EavesdropperView.from_trajectory(free.graph, 1, traj)
     restored_errs = {}

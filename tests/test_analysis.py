@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from common import gauss_solve, mixed_bank, unmasked
+from common import gauss_solve, mixed_bank, simulated, unmasked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -347,7 +347,7 @@ def test_coupling_matrix_is_checked_once_at_build(skew, ok, monkeypatch):
     config["integrator"]["t_final"] = 0.5
     sc = scenario.build_scenario(config)
     assert len(calls) == 1 and calls[0].tobytes() == sc.system.r.tobytes()
-    report = scenario.run_simulation(sc)[2]
+    report = simulated(sc)[2]
     assert len(calls) == 1 and report.lmi_margin < 0
 
 

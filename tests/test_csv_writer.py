@@ -6,6 +6,8 @@ on an edge list around every branch of the encoder, and on whole
 trajectories of bundled scenarios.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 from dynpriv import g17
 from dynpriv import scenario as scn
+from dynpriv.cli import main
+from dynpriv.dynamics import MaskedSystem
 from dynpriv.g17 import G17Encoder
 from dynpriv.masks import CHUNK
-from dynpriv.solver import write_csv
+from dynpriv.solver import integrate, write_csv
 
 
 def _oracle(path, header, table):
@@ -167,19 +171,32 @@ def test_encoder_scratch_stays_under_0_6_mib_a_call():
 
 
 @pytest.mark.parametrize(
-    "name,t_final",
-    [("example3_consensus_n3", 30.0), ("example3_consensus", 1.0), ("example4_pinning", 1.0)],
+    "name,t_final,stride",
+    [
+        pytest.param(name, t_final, stride, id=f"{name}-{t_final}")
+        for name, t_final, stride in (
+            ("example3_consensus_n3", 30.0, 1),
+            ("example3_consensus", 1.0, 10),
+            ("example4_pinning", 1.0, 10),
+        )
+    ],
 )
-def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final):
+def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final, stride):
+    # the file that simulate streams window by window, against the oracle
+    # of the whole trajectory that one integrate call records
     config = scn.load_bundled(name)
-    config["integrator"]["t_final"] = t_final
-    traj, _series, _report = scn.run_simulation(scn.build_scenario(config))
-    traj.to_csv(tmp_path / "trajectory.csv")
+    config["integrator"].update(t_final=t_final, record_stride=stride)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) in (0, 5)
+    sc = scn.build_scenario(config)
+    traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
+    width = sum(v.size for v in (sc.x0, sc.s0) if v is not None)
+    assert len(traj.times) - 1 > CHUNK // width  # more rows than one window holds
     y = traj.bank.eval_series(traj.times, traj.x)  # one whole-record table, as the reference
     blocks = [traj.times[:, None], traj.x, y] + ([traj.s] if traj.s is not None else [])
-    header = (tmp_path / "trajectory.csv").read_text().split("\n", 1)[0].split(",")
-    want = _oracle(tmp_path / "want.csv", header, np.hstack(blocks))
-    assert (tmp_path / "trajectory.csv").read_bytes() == want
+    got = (tmp_path / name / "trajectory.csv").read_bytes()
+    header = got.split(b"\n", 1)[0].decode().split(",")
+    assert got == _oracle(tmp_path / "want.csv", header, np.hstack(blocks))
     assert (traj.s is not None) == (name == "example4_pinning")
 
 

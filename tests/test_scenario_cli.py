@@ -5,19 +5,22 @@ import json
 import re
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from common import simulated
 from config_patch import DELETE, key_paths, patched
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dynpriv.g17  # noqa: F401  loaded here, so that no tracemalloc window counts its import
 from dynpriv import cli, netgraph, scenario
 from dynpriv.cli import _write_artifacts, main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
-from dynpriv.masks import CHUNK, MaskBank, MaskKind
+from dynpriv.masks import CHUNK, MaskBank, MaskKind, axiom_grid, check_mask_axioms
 from dynpriv.scenario import (
     ScenarioError,
     build_scenario,
@@ -58,7 +61,7 @@ def test_build_scenario_and_run():
     sc = build_scenario(_consensus_config())
     assert sc.graph.n == 3
     assert sc.bank.dim == 3
-    _traj, _series, report = run_simulation(sc)
+    _traj, _series, report = simulated(sc)
     assert report.verdicts["converged"]
     assert report.verdicts["conservation"]
     assert report.config_hash == sc.hash
@@ -300,26 +303,32 @@ def test_cli_simulate_writes_artifacts(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name,t_final,shape",
-    [("example3_consensus", 5.0, (5001, 100)), ("example4_pinning", 2.0, (2001, 150))],
+    "name,horizons",
+    [("example3_consensus", (5.0, 20.0)), ("example4_pinning", (2.0, 5.0))],
     ids=["consensus", "pinning"],
 )
-def test_simulate_holds_no_table_beyond_x(name, t_final, shape, tmp_path):
-    # the outputs, diagnostics and artifacts are built a chunk of rows at a
-    # time from x and the bank, the CSV encoder holds 0.45 MiB of scratch and
-    # the mask-factor table at most solver.TABLE_BYTES, so a run peaks within
-    # its x table plus 1 MiB
-    cfg = patched(load_bundled(name), {"integrator.t_final": t_final, "integrator.record_stride": 1})
-    sc = build_scenario(cfg)
-    tracemalloc.start()
-    try:
-        traj, series, report = run_simulation(sc)
-        _write_artifacts(tmp_path, traj, series, report)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traj.x.shape == shape
-    assert peak <= traj.x.nbytes + 2**20
+def test_simulate_holds_no_table_beyond_x(name, horizons, tmp_path):
+    # x, y and the CSV rows are held one window of masks.CHUNK values at a
+    # time, the CSV encoder holds 0.45 MiB of scratch and the mask-factor
+    # table at most solver.TABLE_BYTES; only the series columns, a few
+    # values a recorded row, grow with the horizon. So past them a run
+    # peaks at the same bytes at 5,001 as at 20,001 rows (2,001 and 5,001)
+    peaks = []
+    for t_final in horizons:
+        patch = {"integrator.t_final": t_final, "integrator.record_stride": 1}
+        sc = build_scenario(patched(load_bundled(name), patch))
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "trajectory.csv", "wb") as fh:
+                _, series, report = run_simulation(sc, fh)
+            _write_artifacts(tmp_path, series, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series["t"]) == sc.integrator.n_records == 1000 * t_final + 1
+        assert peak < 2 * 2**20
+        peaks.append(peak - sum(col.nbytes for col in series.values()))
+    assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20
 
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
@@ -357,11 +366,21 @@ def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
     ],
 )
 def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeypatch):
-    sc = build_scenario(_consensus_config())
-    x = np.array(rows)
-    traj = Trajectory(times=np.arange(len(x), dtype=float), x=x, bank=MaskBank.identity(3))
-    monkeypatch.setattr(scenario, "integrate", lambda *args, **kwargs: traj)
-    _, _, report = run_simulation(sc)
+    # the first row lies in the first of the run's two windows and the last
+    # in the second; every other state is -0.0
+    sc = build_scenario(patched(_consensus_config(), {"integrator.record_stride": 1}))
+    x = np.full((sc.integrator.n_records, 3), -0.0)
+    x[1], x[-1] = rows[0], rows[-1]
+    windows = []
+
+    def recorded(system, x0, cfg, s0=None, start=0, stop=None):
+        windows.append((start, stop))
+        times = np.arange(start, stop + 1) * cfg.dt
+        return Trajectory(times=times, x=x[start : stop + 1], bank=MaskBank.identity(3))
+
+    monkeypatch.setattr(scenario, "integrate", recorded)
+    _, _, report = simulated(sc)
+    assert windows == [(0, CHUNK // 3), (CHUNK // 3, len(x) - 1)]
     assert np.float64(report.max_abs_state).tobytes() == np.max(np.abs(x)).tobytes()
 
 
@@ -379,6 +398,9 @@ def test_cli_seed_override_changes_run(tmp_path):
 
 #: An unstable drift of rate 50 leaves the float range well before t_final.
 BLOW_UP = {"system.drift.a": (50.0 * np.eye(3)).tolist(), "integrator.t_final": 2.0}
+#: A blow-up at t = 0.573, step 573, in the third window of 248 steps: the
+#: run has streamed two windows of trajectory.csv rows when it fails.
+LATE_BLOW_UP = {**BLOW_UP, "system.drift.a": (20.0 * np.eye(3)).tolist(), "integrator.record_stride": 1}
 
 
 def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
@@ -392,6 +414,48 @@ def test_cli_suite_row_records_a_blow_up_and_exits_4(tmp_path, monkeypatch):
     assert [r["status"] for r in rows] == ["pass", "numerical failure: numerical blow-up at t=0.199"]
     assert rows[1]["verdicts"] == {}
     assert not (tmp_path / name).exists()
+
+
+def test_a_rate_whose_exponent_overflows_warns_nowhere(tmp_path, capsys):
+    # -delta * t overflows to -inf for delta = 1e308 past t = 1.8, and
+    # exp(-inf) = 0 is its factor: neither the axiom grid, check nor the run warns
+    channels = [{"kind": "additive", "gamma": 2.0, "delta": delta} for delta in (1.0, 1e308, 1.0)]
+    mask = {"kind": "explicit", "privacy_level": 1.0, "channels": channels}
+    config = patched(load_bundled("example3_consensus_n3"), {"mask": mask})
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    bank = build_scenario(config).bank
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        axioms, _ = check_mask_axioms(bank, *axiom_grid(bank))
+        assert axioms["vanishing"]
+        for command in ("check", "simulate"):
+            main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)])
+            assert capsys.readouterr().err == ""
+
+
+def test_failed_simulate_leaves_an_earlier_run_as_it_was(tmp_path, monkeypatch):
+    # a run that fails after streaming rows leaves the artifacts of an earlier
+    # run of the same name byte for byte, and no other file under --out
+    name, out = "example4_pinning_n10", tmp_path / "out"
+    argv = {}
+    for run, patch in (("ok", {"integrator.t_final": 1.0, "checks": []}), ("bad", LATE_BLOW_UP)):
+        (tmp_path / f"{run}.json").write_text(json.dumps(patched(load_bundled(name), patch)))
+        argv[run] = ["simulate", "--config", str(tmp_path / f"{run}.json"), "--out", str(out)]
+    assert main(argv["ok"]) == cli.EXIT_OK
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    integrate, windows = scenario.integrate, []
+
+    def recorded(*args, start, stop, **kwargs):
+        traj = integrate(*args, start=start, stop=stop, **kwargs)
+        windows.append((start, stop))
+        return traj
+
+    monkeypatch.setattr(scenario, "integrate", recorded)
+    assert main(argv["bad"]) == cli.EXIT_NUMERIC
+    # two windows of 248 = masks.CHUNK // 33 rows of the 10 x 3 + 3 joint state returned
+    assert windows == [(0, 248), (248, 496)]
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in out.rglob("*")) == [name, "report.json", "series.csv", "trajectory.csv"]
 
 
 def _never_called(*args, **kwargs):
@@ -1201,6 +1265,8 @@ CONTRACT = [
       )),
     Row("drift_blow_up", "example4_pinning_n10", BLOW_UP, SIMULATE,
         "numerical failure: numerical blow-up at t=0.199", code=cli.EXIT_NUMERIC),
+    Row("late_blow_up", "example4_pinning_n10", LATE_BLOW_UP, SIMULATE,
+        "numerical failure: numerical blow-up at t=0.573", code=cli.EXIT_NUMERIC),
     Row("s0_overflows_the_field", "example4_pinning_n10",
         {"integrator.t_final": 0.5, "system.s0.values.1": 1e308}, SIMULATE,
         "numerical failure: numerical blow-up at t=0.001", code=cli.EXIT_NUMERIC),
@@ -1260,7 +1326,7 @@ def test_cli_config_contract(row, command, tmp_path, capsys, monkeypatch):
         assert f"covering pairs: {list(row.covering)}" in err
     if code in FAILURE_LINE:  # main's one stderr line, and nothing made on disk
         assert err.startswith(FAILURE_LINE[code]) and err.count("\n") == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["config.json"])
+        assert sorted(p.name for p in tmp_path.rglob("*")) in ([], ["config.json"])
 
 
 def test_every_documented_exit_code_has_a_contract_row():

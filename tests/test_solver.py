@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from dynpriv.dynamics import (
 )
 from dynpriv.masks import MaskBank
 from dynpriv.netgraph import build_graph, cycle_graph, is_weight_balanced, laplacian
+from dynpriv.scenario import build_scenario, load_bundled
 from dynpriv.solver import (
     BLOWUP_LIMIT,
     TABLE_BYTES,
@@ -519,6 +521,92 @@ def test_no_recorded_byte_or_blowup_witness_depends_on_the_block_length(
         first, *rest = [_at_block_length(run, k) for k in (1, 2, 7, block_steps(n), n_steps)]
         assert all(other == first for other in rest)
         assert isinstance(first, tuple) == (bad_step is not None and bad_step < n_steps)
+
+
+@functools.cache
+def _pinned_lorenz():
+    """The bundled masked pinned Lorenz run of 10 agents: (system, x0, s0)."""
+    sc = build_scenario(load_bundled("example4_pinning_n10"))
+    return MaskedSystem(sc.system, sc.bank), sc.x0, sc.s0
+
+
+def _planted_march(onset):
+    """solver._march with every slope set to inf at stage times past onset.
+    integrate's rows are one list refilled block by block, so a row's
+    position, and so its stage time, is known by its identity."""
+    march = solver._march
+
+    def planted(f, z, cfg, tabulate, **span):
+        when = {}
+
+        def stage_times(times):
+            rows = tabulate(times)
+            when.update(zip(map(id, rows), times.reshape(-1).tolist()))
+            return rows
+
+        def g(row, z, o):
+            f(row, z, o)
+            if when[id(row)] > onset:
+                o[:] = np.inf
+
+        return march(g, z, cfg, tabulate=stage_times, **span)
+
+    return planted
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    system=st.sampled_from(["consensus", "lorenz"]),
+    n_steps=st.integers(1, 300),
+    stride=st.integers(1, 7),
+    spans=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    bad_step=st.one_of(st.none(), st.integers(0, 299)),
+    n=st.sampled_from([3, 60]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windows_record_the_whole_run_bit_for_bit(system, n_steps, stride, spans, bad_step, n, seed):
+    # a run split into windows of whole strides, each started from the row
+    # the window before recorded last, records the rows of one integrate
+    # call over the grid (each window's repeated first row dropped), and
+    # raises its BlowUpError, at global times, from whichever window holds it
+    if system == "lorenz":
+        ms, x0, s0 = _pinned_lorenz()
+    else:
+        ms, x0, s0 = _masked_case("consensus", n, np.random.default_rng(seed))
+    dt = 0.01
+    cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
+
+    def whole():
+        traj = integrate(ms, x0, cfg, s0=s0)
+        return traj.times, traj.x, traj.s
+
+    def windowed():
+        parts, x, s, start = [], x0, s0, 0
+        for span in itertools.cycle(spans):
+            if start == n_steps:
+                break
+            stop = min(start + span * stride, n_steps)
+            traj = integrate(ms, x, cfg, s0=s, start=start, stop=stop)
+            rows = slice(1 if start else 0, None)
+            parts.append((traj.times[rows], traj.x[rows], None if s is None else traj.s[rows]))
+            x, s, start = traj.x[-1], (None if s is None else traj.s[-1]), stop
+        times, xs, ss = zip(*parts)
+        return np.concatenate(times), np.concatenate(xs), None if s0 is None else np.concatenate(ss)
+
+    def recorded(run):
+        with pytest.MonkeyPatch.context() as mp:
+            if bad_step is not None:
+                mp.setattr(solver, "_march", _planted_march((bad_step + 0.25) * dt))
+            try:
+                return [a.tobytes() for a in run() if a is not None]
+            except BlowUpError as exc:
+                return exc.t, exc.last_time, exc.last_state.tobytes()
+
+    want = recorded(whole)
+    assert recorded(windowed) == want
+    assert isinstance(want, tuple) == (bad_step is not None and bad_step < n_steps)
+    if isinstance(want, tuple):
+        assert want[0] == (bad_step + 1) * dt
 
 
 @pytest.mark.parametrize("d", [1, 30, 150, 600])
