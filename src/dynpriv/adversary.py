@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import row_chunks
 from .netgraph import Digraph
 
 SUBSTITUTION_POLICIES = ("zero", "own_output", "visible_mean")
@@ -30,11 +29,10 @@ class NotSettledError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EavesdropperView:
-    """Outputs visible to one observer, extracted from a trajectory.
+    """Outputs visible to one observer, extracted from a run.
 
-    Holds the observed output channels only, formed a chunk of rows at a
-    time; the private states and the mask bank are unreachable from this
-    object by construction.
+    Holds the observed output channels only; the private states and the
+    mask bank are unreachable from this object by construction.
     """
 
     observer: int
@@ -42,21 +40,26 @@ class EavesdropperView:
     outputs: dict
 
     @classmethod
-    def from_trajectory(cls, graph: Digraph, observer: int, traj) -> "EavesdropperView":
-        if traj.x.shape[1] != graph.n:
-            raise ValueError("eavesdropping is defined for scalar-agent trajectories")
+    def from_windows(cls, graph: Digraph, observer: int, windows, n_rows: int) -> "EavesdropperView":
+        """The view of a run of n_rows rows given as (trajectory, masked
+        outputs) windows, as scenario.windows yields them: the times and the
+        visible output columns, filled into arrays allocated once."""
         if not (0 <= observer < graph.n):
             raise ValueError(f"observer {observer} out of range")
         visible = sorted(graph.closed_in_neighborhood(observer))
-        n_rec = len(traj.times)
-        columns = np.empty((len(visible), n_rec))  # one contiguous row per channel
-        for part in row_chunks(n_rec, graph.n):
-            columns[:, part] = traj.outputs[part][:, visible].T
-        return cls(
-            observer=observer,
-            times=traj.times.copy(),
-            outputs=dict(zip(visible, columns)),
-        )
+        times = np.empty(n_rows)
+        columns = np.empty((len(visible), n_rows))  # one contiguous row per channel
+        row = 0
+        for traj, y in windows:
+            if traj.x.shape[1] != graph.n:
+                raise ValueError("eavesdropping is defined for scalar-agent trajectories")
+            part = slice(row, row + len(traj.times))
+            times[part] = traj.times
+            columns[:, part] = y[:, visible].T
+            row = part.stop
+        if row != n_rows:
+            raise ValueError(f"the windows hold {row} rows, not {n_rows}")
+        return cls(observer=observer, times=times, outputs=dict(zip(visible, columns)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ def reconstruct_initial(
         raise NotSettledError(
             f"outputs not settled: terminal increment {tail_step:.3e} >= {settle_tol:g}"
         )
-    visible_stack = np.vstack([view.outputs[k] for k in sorted(view.outputs)])
-    visible_mean = visible_stack.mean(axis=0)
+    # the stacked copy of every visible column is dropped once its mean is formed
+    visible_mean = np.vstack([view.outputs[k] for k in sorted(view.outputs)]).mean(axis=0)
     channels = {}
     missing = []
     for k in needed_channels:

@@ -1,7 +1,8 @@
 """Run-level diagnostics of masked-system runs: series_table, the one
-reduction of a recorded run into the per-time series that series.csv, the
-report and every verdict read; the DiagnosticsReport they fill; the
-stationarity residual of a candidate rest point; and jacobi_eigenvalues.
+reduction of a run's recorded rows into the per-time series of series.csv;
+Summary, the running reduction of each series column that the report and
+every verdict read; the DiagnosticsReport they fill; the stationarity
+residual of a candidate rest point; and jacobi_eigenvalues.
 
 What varies by system kind (attractors, the consensus spread rise and the
 pinning margin) belongs to the system classes in dynamics. The pinning
@@ -12,12 +13,11 @@ differently, and the golden report digests pin them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-
-from .masks import row_chunks
 
 if TYPE_CHECKING:  # dynamics imports this module, and solver imports dynamics
     from .solver import Trajectory
@@ -104,35 +104,58 @@ def stationarity_residual(spec, x_star: np.ndarray, s=None) -> float:
     return float(np.max(np.abs(spec.field(np.asarray(x_star, dtype=float), s))))
 
 
-def series_table(traj: Trajectory) -> dict:
-    """The one reduction of a recorded run: every series.csv column by name,
-    in column order, each a 1-D array over the recorded times.
+def series_table(traj: Trajectory, y: np.ndarray) -> dict:
+    """The one reduction of recorded rows: every series.csv column by name,
+    in column order, each a 1-D array over the rows' times.
 
-    The columns are t, the means of x and of y, the spread max_i x_i -
-    min_i x_i, min and max over agents of the mask gap |y_i - x_i| and, with
-    exosystem samples s, the max over agents of each agent block's 2-norm
-    distance from s and the full stacked 2-norm. One sweep fills them a
-    chunk of rows at a time, forming y from x as it goes, so that no output,
-    gap or error table is held.
+    y holds the masked outputs of the rows. The columns are t, the means of
+    x and of y, the spread max_i x_i - min_i x_i, min and max over agents of
+    the mask gap |y_i - x_i| and, with exosystem samples s, the max over
+    agents of each agent block's 2-norm distance from s and the full stacked
+    2-norm. Every column is a row-wise reduction, so a run takes it one
+    window of rows at a time.
     """
-    n_rec, d = traj.x.shape
-    names = ["mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
-    names += [] if traj.s is None else ["sync_err_max", "sync_err_norm"]
-    series = {"t": traj.times, **{name: np.empty(n_rec) for name in names}}
-    _, mean_x, mean_y, spread, gap_min, gap_max, *sync = series.values()
-    for part in row_chunks(n_rec, d):
-        x = traj.x[part]
-        x.mean(axis=1, out=mean_x[part])
-        np.ptp(x, axis=1, out=spread[part])
-        gap = traj.outputs[part]
-        gap.mean(axis=1, out=mean_y[part])
-        np.subtract(gap, x, out=gap)
-        np.abs(gap, out=gap)
-        gap.min(axis=1, out=gap_min[part])
-        gap.max(axis=1, out=gap_max[part])
-        if traj.s is not None:
-            nu = traj.s.shape[1]
-            err = x.reshape(len(x), d // nu, nu) - traj.s[part, None, :]
-            np.linalg.norm(err, axis=2).max(axis=1, out=sync[0][part])
-            sync[1][part] = np.linalg.norm(err.reshape(len(x), -1), axis=1)
+    x = traj.x
+    gap = np.abs(y - x)
+    series = {
+        "t": traj.times,
+        "mean_x": x.mean(axis=1),
+        "mean_y": y.mean(axis=1),
+        "spread_x": np.ptp(x, axis=1),
+        "gap_min": gap.min(axis=1),
+        "gap_max": gap.max(axis=1),
+    }
+    if traj.s is not None:
+        nu = traj.s.shape[1]
+        err = x.reshape(len(x), -1, nu) - traj.s[:, None, :]
+        series["sync_err_max"] = np.linalg.norm(err, axis=2).max(axis=1)
+        series["sync_err_norm"] = np.linalg.norm(err.reshape(len(x), -1), axis=1)
     return series
+
+
+@dataclass
+class Summary:
+    """One series column reduced as its windows come: its first and last
+    values, its min and max, and its largest rise max_j (v_j - min_{i<=j} v_i)
+    above its running min. min and max are exact, and each window's running
+    min goes on from the min before it, so every field has the bits of the
+    whole column's reduction however it is split (min and max up to the
+    sign of a zero)."""
+
+    first: Optional[float] = None
+    last: Optional[float] = None
+    min: float = math.inf
+    max: float = -math.inf
+    rise: float = -math.inf
+
+    def fold(self, column: np.ndarray) -> "Summary":
+        """Take in the column's next rows; returns self."""
+        if self.first is None:
+            self.first = column[0]
+        self.last = column[-1]
+        low = np.minimum.accumulate(column)
+        np.minimum(self.min, low, out=low)  # ties go to the later value, as in the recursion
+        self.rise = np.maximum(self.rise, np.max(column - low))
+        self.min = low[-1]
+        self.max = np.maximum(self.max, np.max(column))
+        return self

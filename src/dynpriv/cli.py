@@ -18,8 +18,7 @@ from time import perf_counter
 
 from . import adversary as adv
 from . import scenario as scn
-from .dynamics import MaskedSystem
-from .solver import BlowUpError, write_csv
+from .solver import BlowUpError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,30 +103,32 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(outdir: Path, series: dict, report) -> None:
-    write_csv(outdir / "series.csv", list(series), tuple(col[:, None] for col in series.values()))
-    report.series_files = {"trajectory": "trajectory.csv", "series": "series.csv"}
+def _write_artifacts(outdir: Path, streams: dict, report) -> None:
+    """Move each streamed file to its artifact name under outdir, then write report.json."""
+    for name, stream in streams.items():
+        os.replace(stream, outdir / f"{name}.csv")
+    report.series_files = {name: f"{name}.csv" for name in streams}
     _write_json(outdir / "report.json", report.as_dict())
 
 
 def _simulate(args, sc, name: str):
     """Run sc and write its artifacts under name; returns its report. The
-    run streams trajectory.csv into a new temporary file in the nearest
-    existing directory of the artifacts' one; once the run has returned,
-    that directory is made and the file moved into it, and on any failure
-    the file is deleted. So a failed run leaves no directory and no file,
-    and never touches an earlier run's artifacts."""
+    run streams trajectory.csv and series.csv into new temporary files in
+    the nearest existing directory of the artifacts' one; once the run has
+    returned, that directory is made and the files moved into it, and on any
+    failure the files are deleted. So a failed run leaves no directory and
+    no file, and never touches an earlier run's artifacts."""
     path = _out(args, name)
     home = next(part for part in (path, *path.parents) if part.is_dir())
-    stream = home / f".{path.name}.trajectory.{os.urandom(8).hex()}.tmp"
+    tag = os.urandom(8).hex()
+    streams = {kind: home / f".{path.name}.{kind}.{tag}.tmp" for kind in ("trajectory", "series")}
     try:
-        with open(stream, "xb") as fh:
-            _, series, report = scn.run_simulation(sc, fh)
-        outdir = _outdir(args, name)
-        os.replace(stream, outdir / "trajectory.csv")
+        with open(streams["trajectory"], "xb") as trajectory, open(streams["series"], "xb") as series:
+            _, _, report = scn.run_simulation(sc, trajectory, series)
+        _write_artifacts(_outdir(args, name), streams, report)
     finally:
-        stream.unlink(missing_ok=True)
-    _write_artifacts(outdir, series, report)
+        for stream in streams.values():
+            stream.unlink(missing_ok=True)
     return report
 
 
@@ -181,9 +182,8 @@ def cmd_adversary(args) -> int:
     observer, target = sc.adversary["observer"], sc.adversary["target"]
     _out(args, sc.name)
     # the eavesdropper reads outputs only: no diagnostics, series or verdicts
-    traj = scn.integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
+    view = adv.EavesdropperView.from_windows(sc.graph, observer, scn.windows(sc), sc.integrator.n_records)
     row_field, needed = sc.system.attack_row(target)
-    view = adv.EavesdropperView.from_trajectory(sc.graph, observer, traj)
     true_x0 = float(sc.x0[target])
     attempts = []
     for policy in sc.adversary["policies"]:

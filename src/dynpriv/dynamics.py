@@ -15,8 +15,8 @@ scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
 drive); its compiled `stage_body`; its `attractor` (and a pinned
 system's `pinning_margin`), its `verdicts(sc, traj, series, report)`,
-which read the final state, the columns of analysis.series_table and the
-scenario's one tolerance sc.tol_conv, and the `checks` they decide; and the
+which read the final state, the analysis.Summary of each series column and
+the scenario's one tolerance sc.tol_conv, and the `checks` they decide; and the
 eavesdropper's `attack_row`, where one is modelled. A drift owns `kind`,
 `keys` (its constructor's arguments), its rowwise value `rows` and
 `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS are the only maps from a
@@ -460,11 +460,13 @@ class AverageConsensus(SystemSpec):
         x_star = self.attractor(sc.x0)
         report.eta = eta = float(x_star[0])
         report.final_error = float(np.max(np.abs(traj.x[-1] - x_star)))
-        report.conservation_dev = float(np.max(np.abs(series["mean_x"] - eta)))
-        report.output_mean_range = float(np.ptp(series["mean_y"]))
+        # max |mean_x - eta| over the run: rounding is monotone, so the
+        # extremes of mean_x give it
+        mean_x, mean_y = series["mean_x"], series["mean_y"]
+        report.conservation_dev = float(np.maximum(abs(mean_x.max - eta), abs(mean_x.min - eta)))
+        report.output_mean_range = float(mean_y.max - mean_y.min)
         # the largest rise max_{t1 < t2} (v(t2) - v(t1)) of the spread v
-        spread = series["spread_x"]
-        report.vmm_max_increase = float(np.max(spread - np.minimum.accumulate(spread)))
+        report.vmm_max_increase = float(series["spread_x"].rise)
         return {
             "converged": report.final_error < sc.tol_conv,
             "conservation": report.conservation_dev <= CONSERVATION_TOL,
@@ -616,7 +618,7 @@ class PinnedSync(SystemSpec):
     def verdicts(self, sc, traj, series, report) -> dict:
         """Synchronization with the exosystem, and the sign of the pinning
         condition's feasibility margin when the config asks for it."""
-        report.sync_error_final = float(series["sync_err_max"][-1])
+        report.sync_error_final = float(series["sync_err_max"].last)
         verdicts = {"converged": report.sync_error_final < sc.tol_conv}
         cond = sc.sync_condition
         if cond is not None:  # xi and q were formed at build, where they are checked

@@ -30,18 +30,11 @@ BALL_RADII = (0.01, 0.1)
 #: TAIL_REL * (initial value) + TAIL_ABS.
 TAIL_REL = 1e-8
 TAIL_ABS = 1e-12
-#: Values per chunk of every pass over a recorded (times, channels) table:
-#: the masked outputs, the gap and sync-error columns and the CSV writer
-#: work on this many values' worth of rows at a time (at least one row), so
-#: their scratch arrays stay small and no temporary is the table's size.
+#: Values per window of a run: scenario.windows steps as many whole record
+#: strides at a time as this many values of joint state hold (at least
+#: one), so y and the series rows are formed a window at a time, and
+#: solver.write_csv stacks and encodes this many values at a time.
 CHUNK = 8192
-
-
-def row_chunks(n_rows: int, n_cols: int):
-    """Consecutive slices covering range(n_rows), each of as many rows of
-    n_cols values as CHUNK holds, and at least one."""
-    rows = max(1, CHUNK // n_cols)
-    return (slice(r0, r0 + rows) for r0 in range(0, n_rows, rows))
 
 
 class MaskKind(enum.Enum):
@@ -232,12 +225,9 @@ class MaskBank:
         return scale * (x + offset)
 
     def eval_series(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Vectorized eval over a (len(times), dim) array of states.
-
-        The output is filled CHUNK values of rows at a time from the factors
-        of those rows' times, each element by eval's operations in eval's
-        order, so it equals row-wise eval bit for bit.
-        """
+        """Vectorized eval over a (len(times), dim) array of states: each
+        element by eval's operations in eval's order, so it equals row-wise
+        eval bit for bit."""
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         if times.ndim != 1 or states.shape != (times.size, self.dim):
@@ -245,13 +235,10 @@ class MaskBank:
                 f"states have shape {states.shape}, bank expects ({times.size}, {self.dim}) "
                 f"for times of shape {times.shape}"
             )
-        out = np.empty(states.shape)
-        for part in row_chunks(times.size, self.dim):
-            scale, offset = self.factors(times[part])
-            y = out[part]
-            np.add(states[part], offset, out=y)
-            y *= scale
-        return out
+        scale, offset = self.factors(times)
+        y = states + offset
+        y *= scale
+        return y
 
     def min_decay_rate(self) -> float:
         """Slowest active decay rate across channels (inf for static banks)."""

@@ -16,8 +16,9 @@ Nothing here depends on the system kind: the system section is checked
 against, built by and judged by the class that dynamics.SYSTEMS names for
 its kind (its keys, from_config, verdicts and checks); the checks common to
 every run (privacy, mask gap, boundedness, graph) are decided here. A build
-rejects any requested check that the scenario cannot decide, and a graph or
-record table above FOOTPRINT_CAP before either is allocated.
+rejects any requested check that the scenario cannot decide, and a graph,
+or an eavesdropper's columns, above FOOTPRINT_CAP before either is
+allocated. simulate and adversary both step a run through windows.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .dynamics import (
 )
 from .masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 from .netgraph import Digraph
-from .solver import IntegratorConfig, Trajectory, integrate
+from .solver import IntegratorConfig, Trajectory, integrate, write_csv
 
 GRAPH_CHECKS = ("irreducible", "weight_balanced", "no_covering")
 #: The verdicts that run_simulation decides for every system, each with the
@@ -64,7 +65,7 @@ KNOWN_CHECKS = GRAPH_CHECKS + RUN_CHECKS
 
 MASK_GAP_TAIL = 1e-6
 BOUNDED_LIMIT = 1e3
-#: Bytes that one dense n x n graph array, or the table of recorded states,
+#: Bytes that one dense n x n graph array, or the eavesdropper's columns,
 #: may take; a config above it exits 2 before anything of its size exists.
 FOOTPRINT_CAP = 2**30
 
@@ -263,6 +264,8 @@ def _build_graph(config: dict, spec: dict) -> Digraph:
         bounds = spec.get(key, [])
         if not all(math.isfinite(spec["n"] * w) for w in (bounds if isinstance(bounds, list) else [bounds])):
             raise ScenarioError(f"graph.{key}: n = {spec['n']} times it must stay finite, got {bounds!r}")
+    if spec.get("max_retries", 1) < 1:  # a builder that may try nothing finds no graph
+        raise ScenarioError(f"graph.max_retries must be at least 1, got {spec['max_retries']}")
     kwargs = {key: value for key, value in spec.items() if key != "kind"}
     if "seed" in _SCHEMA["graph"][kind]:
         kwargs["seed"] = _element_seed(config, spec, "graph")
@@ -338,22 +341,22 @@ def _build_adversary(spec: dict, graph: Digraph) -> dict:
     return {**spec, "policies": policies, "settle_tol": spec.get("settle_tol", adv.SETTLE_TOL)}
 
 
-def _check_footprint(n: int, nu: int, integrator: IntegratorConfig) -> None:
+def _check_footprint(n: int, nu: int, integrator: IntegratorConfig, adversary: bool) -> None:
     """Raise ScenarioError, naming the key to change, if a dense n x n (graph)
-    or nu x nu (coupling, drift) array of doubles, or the record table
-    (n_records rows of the agents' n * nu values and the nu of an
-    exosystem), would take more than FOOTPRINT_CAP bytes."""
+    or nu x nu (coupling, drift) array of doubles, or under an adversary
+    block the eavesdropper's n_records rows of the times and at most n
+    outputs, would take more than FOOTPRINT_CAP bytes."""
     for key, size in (("graph.n", n), ("system.nu", nu)):
         if 8 * size * size > FOOTPRINT_CAP:
             raise ScenarioError(
                 f"{key} = {size} needs {8 * size * size} bytes per dense "
                 f"{size} x {size} array, above the cap of {FOOTPRINT_CAP}"
             )
-    table = 8 * integrator.n_records * (n + 1) * nu
-    if table > FOOTPRINT_CAP:
+    table = 8 * integrator.n_records * (n + 1)
+    if adversary and table > FOOTPRINT_CAP:
         raise ScenarioError(
             f"integrator.record_stride = {integrator.record_stride} records "
-            f"{integrator.n_records} rows of {(n + 1) * nu} values, {table} bytes, "
+            f"{integrator.n_records} rows of up to {n + 1} visible columns, {table} bytes, "
             f"above the cap of {FOOTPRINT_CAP}; raise it or shorten t_final"
         )
 
@@ -370,7 +373,7 @@ def build_scenario(config: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"integrator: {exc}") from exc
         spec = config["system"]
-        _check_footprint(config["graph"]["n"], spec.get("nu", 1), integrator)
+        _check_footprint(config["graph"]["n"], spec.get("nu", 1), integrator, "adversary" in config)
         graph = _build_graph(config, config["graph"])
         dim = graph.n * spec.get("nu", 1)  # only a kind of vector agents takes nu
         vector = functools.partial(_sample_vector, config)
@@ -561,44 +564,50 @@ def run_mask_check(sc: Scenario) -> dict:
     return {"axioms": axioms, "expected_vanishing": expect_vanishing, "ok": ok}
 
 
-def run_simulation(sc: Scenario, out):
-    """Integrate the masked scenario window by window and reduce each window
-    as it comes, so that no (n_rec, d) table is formed: its rows are
-    appended to out, an open binary file, as trajectory.csv's bytes (the
-    header first), its series rows are filled through
-    analysis.series_table, and the extremes of x are kept running. A window
-    is as many whole record strides as masks.CHUNK values of joint state
-    hold (at least one), stepped by one integrate call from the last row of
-    the window before, which it records again and which is dropped.
-    Returns (the last window's trajectory, series, report); the system's
-    verdicts read the final row of that window and the series."""
+def windows(sc: Scenario):
+    """The scenario's masked run as (trajectory, masked outputs y) windows,
+    y formed by one MaskBank.eval_series call: as many whole record strides
+    as masks.CHUNK values of joint state hold (at least one), each stepped
+    by one integrate call from the last row of the window before, which it
+    records again and which is dropped. So no (n_rec, d) table is formed."""
     system, cfg = MaskedSystem(sc.system, sc.bank), sc.integrator
     width = sc.x0.size + (0 if sc.s0 is None else sc.s0.size)
     span = cfg.record_stride * max(1, masks.CHUNK // width)
-    x0, s0, series, row, hi, lo = sc.x0, sc.s0, {}, 0, -np.inf, np.inf
+    x0, s0 = sc.x0, sc.s0
     for start in range(0, cfg.n_steps, span):
         traj = integrate(system, x0, cfg, s0=s0, start=start, stop=min(start + span, cfg.n_steps))
         if start:
-            traj = Trajectory(traj.times[1:], traj.x[1:], traj.bank, None if s0 is None else traj.s[1:])
+            traj = Trajectory(traj.times[1:], traj.x[1:], None if s0 is None else traj.s[1:])
         x0, s0 = traj.x[-1], (None if s0 is None else traj.s[-1])
-        traj.to_csv(out, header=not start)
-        part = analysis.series_table(traj)
-        series = series or {name: np.empty(cfg.n_records) for name in part}
+        yield traj, sc.bank.eval_series(traj.times, traj.x)
+
+
+def run_simulation(sc: Scenario, trajectory, series):
+    """Reduce each of the scenario's windows as it comes: append its rows to
+    the open binary files trajectory and series as the bytes of
+    trajectory.csv and of series.csv (each header first), fold each series
+    column into its analysis.Summary, and keep the extremes of x. Returns
+    (the last window's trajectory, the summaries by column, report); the
+    system's verdicts read that window's final row and the summaries."""
+    summary, hi, lo = {}, -np.inf, np.inf
+    for traj, y in windows(sc):
+        traj.to_csv(trajectory, y, header=not summary)
+        part = analysis.series_table(traj, y)
+        write_csv(series, [] if summary else list(part), tuple(col[:, None] for col in part.values()))
         for name, col in part.items():
-            series[name][row : row + len(col)] = col
-        row += len(traj.times)
+            summary.setdefault(name, analysis.Summary()).fold(col)
         hi, lo = np.maximum(hi, traj.x.max()), np.minimum(lo, traj.x.min())
     report = analysis.DiagnosticsReport(scenario=sc.name, config_hash=sc.hash)
     report.privacy_level = sc.privacy_level
     rho_i, rho = privacy_metric(sc.bank, sc.x0)
     report.rho_per_agent = rho_i.tolist()
     report.rho = rho
-    report.mask_gap_initial_min = float(series["gap_min"][0])
-    report.mask_gap_final_max = float(series["gap_max"][-1])
+    report.mask_gap_initial_min = float(summary["gap_min"].first)
+    report.mask_gap_final_max = float(summary["gap_max"].last)
     # max |x| without an |x| table; adding 0.0 turns a -0.0 into the +0.0 of |x|
     report.max_abs_state = float(np.maximum(hi, -lo)) + 0.0
 
-    verdicts = sc.system.verdicts(sc, traj, series, report)
+    verdicts = sc.system.verdicts(sc, traj, summary, report)
     if sc.privacy_level is not None:
         verdicts["privacy_floor"] = rho > sc.privacy_level
         verdicts["mask_gap_visible"] = report.mask_gap_initial_min >= sc.privacy_level
@@ -607,4 +616,4 @@ def run_simulation(sc: Scenario, out):
 
     verdicts.update(run_graph_checks(sc))
     report.verdicts = {k: bool(verdicts[k]) for k in sc.checks}
-    return traj, series, report
+    return traj, summary, report

@@ -1,11 +1,10 @@
 """Deterministic fixed-step ODE integration producing dense trajectories.
 
 Fixed-step classical RK4, the one method; no adaptivity, so identical
-inputs reproduce bit-identical samples. A Trajectory records the states and
-the run's mask bank, never the masked outputs: y = h(t, x) is a local
-function of the recorded state and time, so each reader forms it from x
-through the bank one masks.row_chunks slice at a time (Trajectory.outputs),
-and a simulate holds no (n_rec, d) table of y.
+inputs reproduce bit-identical samples. A Trajectory records the states
+alone, never the masked outputs: y = h(t, x) is a local function of the
+recorded state and time, so a run forms y from each window's rows with one
+MaskBank.eval_series call and hands it to every reader (scenario.windows).
 
 integrate runs one type, a dynamics.MaskedSystem; an unmasked run is the
 system under the identity bank. It reads no system kind, only the base's
@@ -39,7 +38,7 @@ import numpy as np
 from .dynamics import MaskedSystem, compile_stage, exosystem_field, field_masked
 # bench/tracing.py wraps solver.field_unmasked, so the name must resolve here
 from .dynamics import field_unmasked  # noqa: F401
-from .masks import CHUNK, MaskBank
+from .masks import CHUNK
 
 BLOWUP_LIMIT = 1e12
 #: Most steps a time grid may take.
@@ -105,56 +104,25 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded (t, x[, s]) samples on a strictly increasing time grid, and
-    the mask bank that the run's outputs y = h(t, x) are formed by.
-
-    y is not stored: outputs is a view of it whose row slices are formed
-    from x on demand, so a reader takes y one masks.row_chunks slice at a
-    time and the run holds one recorded table, not two.
-    """
+    """Recorded (t, x[, s]) samples on a strictly increasing time grid."""
 
     times: np.ndarray
     x: np.ndarray
-    bank: MaskBank
     s: Optional[np.ndarray] = None
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def outputs(self) -> "MaskedOutputs":
-        return MaskedOutputs(self)
-
-    def to_csv(self, dest, header: bool = True) -> None:
-        """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits.
+    def to_csv(self, dest, y: np.ndarray, header: bool = True) -> None:
+        """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits,
+        with y the masked outputs of the recorded rows.
 
         dest is a path or an open binary file; header=False appends the rows
         alone, as a run streamed window by window does after its first."""
-        d = self.dim
+        d = self.x.shape[1]
         names = ["t"] + [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
-        blocks = (self.times[:, None], self.x, self.outputs)
+        blocks = (self.times[:, None], self.x, y)
         if self.s is not None:
             names += [f"s_{i}" for i in range(self.s.shape[1])]
             blocks += (self.s,)
         write_csv(dest, names if header else [], blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class MaskedOutputs:
-    """A trajectory's masked outputs as an (n_rec, d) table that holds no
-    values: indexing it with a row slice forms those rows from x with
-    MaskBank.eval_series, bit for bit the row-wise MaskBank.eval."""
-
-    traj: Trajectory
-    ndim = 2
-
-    @property
-    def shape(self) -> tuple:
-        return self.traj.x.shape
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return self.traj.bank.eval_series(self.traj.times[part], self.traj.x[part])
 
 
 def write_csv(dest, header, data) -> None:
@@ -165,15 +133,10 @@ def write_csv(dest, header, data) -> None:
     dest is a path, or an open binary file that the lines are appended to.
 
     data is a 2-D array, or a tuple of 2-D column blocks with one row count,
-    written side by side; a block may be a MaskedOutputs, whose rows are
-    formed as the chunk loop reaches them. Rows are stacked and encoded by
-    g17.G17Encoder masks.CHUNK values at a time, so the whole table is never
-    copied.
+    written side by side. Rows are stacked and encoded by g17.G17Encoder
+    masks.CHUNK values at a time, so the whole table is never copied.
     """
-    blocks = [
-        b if isinstance(b, MaskedOutputs) else np.asarray(b, dtype=float)
-        for b in (data if isinstance(data, tuple) else (data,))
-    ]
+    blocks = [np.asarray(b, dtype=float) for b in (data if isinstance(data, tuple) else (data,))]
     if any(b.ndim != 2 for b in blocks) or len({b.shape[0] for b in blocks}) != 1:
         raise ValueError("write_csv needs 2-D data, or 2-D column blocks with one row count")
     n_rows = blocks[0].shape[0]
@@ -361,7 +324,7 @@ def integrate(
         return rows
 
     times, states = _march(stage, z, cfg, tabulate=tabulate, start=start, stop=stop)
-    return Trajectory(times=times, x=states[:, :d], bank=bank, s=states[:, d:] if pinned else None)
+    return Trajectory(times=times, x=states[:, :d], s=states[:, d:] if pinned else None)
 
 
 def solve_comparison_ode(

@@ -36,9 +36,9 @@ def unmasked(spec):
 
 
 def simulated(sc):
-    """scenario.run_simulation(sc), its trajectory.csv bytes discarded."""
+    """scenario.run_simulation(sc), its trajectory.csv and series.csv bytes discarded."""
     with open(os.devnull, "wb") as sink:
-        return scenario.run_simulation(sc, sink)
+        return scenario.run_simulation(sc, sink, sink)
 
 
 def privacy_bank(x0, seed):

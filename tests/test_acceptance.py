@@ -28,7 +28,7 @@ from dynpriv.dynamics import (
 )
 from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
 from dynpriv.netgraph import erdos_renyi, laplacian, left_null_vector, spectral_radius
-from dynpriv.scenario import build_scenario, load_bundled
+from dynpriv.scenario import build_scenario, load_bundled, windows
 from dynpriv.solver import IntegratorConfig, integrate, solve_comparison_ode
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -167,13 +167,12 @@ def test_pinned_sync_gain_scan_and_error():
     assert chosen is not None, "gain scan never reached a negative margin"
     gain, margin = chosen
     assert gain == config["system"]["pin_gain"], "bundled scenario should pin the scanned gain"
-    series = simulated(sc)[1]
-    max_err = series["sync_err_max"]
-    ok = margin < 0 and float(max_err[-1]) < 1e-2
+    final_err = float(simulated(sc)[1]["sync_err_max"].last)
+    ok = margin < 0 and final_err < 1e-2
     _report(
         "pinned synchronization",
         ok,
-        f"q={q:.3f}, scanned gain={gain}, margin={margin:.4f}, |e(T)|={max_err[-1]:.2e}",
+        f"q={q:.3f}, scanned gain={gain}, margin={margin:.4f}, |e(T)|={final_err:.2e}",
     )
     assert ok
 
@@ -333,17 +332,15 @@ def test_pinning_reduction_matches_kronecker_oracle():
 
 def test_eavesdropper_covered_then_restored():
     cov = build_scenario(load_bundled("adversary_covering"))
-    traj = integrate(MaskedSystem(cov.system, cov.bank), cov.x0, cov.integrator)
     row_field, needed = cov.system.attack_row(0)
-    view = EavesdropperView.from_trajectory(cov.graph, 1, traj)
+    view = EavesdropperView.from_windows(cov.graph, 1, windows(cov), cov.integrator.n_records)
     covered = reconstruct_initial(view, 0, row_field, needed)
     covered_err = abs(covered.x_hat - float(cov.x0[0]))
 
     free = build_scenario(load_bundled("adversary_cycle"))
     assert np.array_equal(free.x0, cov.x0)
-    traj = integrate(MaskedSystem(free.system, free.bank), free.x0, free.integrator)
     row_field, needed = free.system.attack_row(0)
-    view = EavesdropperView.from_trajectory(free.graph, 1, traj)
+    view = EavesdropperView.from_windows(free.graph, 1, windows(free), free.integrator.n_records)
     restored_errs = {}
     for policy in SUBSTITUTION_POLICIES:
         res = reconstruct_initial(view, 0, row_field, needed, policy=policy)

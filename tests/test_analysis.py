@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from dynpriv import scenario
 from dynpriv.analysis import (
     DiagnosticsReport,
+    Summary,
     jacobi_eigenvalues,
     series_table,
     stationarity_residual,
@@ -104,26 +104,31 @@ def test_stationarity_residual_of_a_pinned_rest_point():
     assert stationarity_residual(spec, x, np.zeros(3)) == 10.0
 
 
-def _toy_traj(x, bank=None, times=None, s=None):
+def _toy_series(x, bank=None, times=None, s=None):
+    """series_table of states x at times (0, 1, ...), their outputs formed by bank (identity)."""
     x = np.asarray(x, dtype=float)
     times = np.arange(len(x), dtype=float) if times is None else np.asarray(times, float)
     bank = MaskBank.identity(x.shape[1]) if bank is None else bank
-    return Trajectory(times=times, x=x, bank=bank, s=s)
+    return series_table(Trajectory(times=times, x=x, s=s), bank.eval_series(times, x))
+
+
+def _summaries(series):
+    """Each column of series folded whole into its Summary."""
+    return {name: Summary().fold(column) for name, column in series.items()}
 
 
 def test_vmm_series_constant_consensus_is_zero():
-    traj = _toy_traj(np.tile([2.0, 2.0, 2.0], (5, 1)))
-    assert np.all(series_table(traj)["spread_x"] == 0.0)
+    assert np.all(_toy_series(np.tile([2.0, 2.0, 2.0], (5, 1)))["spread_x"] == 0.0)
 
 
 def _max_increase(spread):
     """The spread rise that consensus's verdicts report for a spread_x column."""
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(2)))
     flat = np.zeros(len(spread))
-    series = {"mean_x": flat, "mean_y": flat, "spread_x": np.asarray(spread, float)}
+    series = _summaries({"mean_x": flat, "mean_y": flat, "spread_x": np.asarray(spread, float)})
     report = DiagnosticsReport(scenario="t")
     sc = SimpleNamespace(x0=np.zeros(2), tol_conv=1e-3)
-    spec.verdicts(sc, _toy_traj(np.zeros((1, 2))), series, report)
+    spec.verdicts(sc, Trajectory(times=np.zeros(1), x=np.zeros((1, 2))), series, report)
     return report.vmm_max_increase
 
 
@@ -131,7 +136,7 @@ def test_vmm_unmasked_consensus_non_increasing():
     spec = AverageConsensus(laplacian=laplacian(cycle_graph(5)))
     cfg = IntegratorConfig(dt=1e-2, t_final=20.0, record_stride=10)
     traj = integrate(unmasked(spec), np.array([1.0, -2.0, 4.0, 0.0, 2.0]), cfg)
-    series = series_table(traj)["spread_x"]
+    series = _toy_series(traj.x, times=traj.times)["spread_x"]
     assert np.all(np.diff(series) <= 1e-12)
     assert _max_increase(series) <= 1e-12
 
@@ -141,25 +146,23 @@ def test_max_increase_detects_bumps():
     assert _max_increase(np.array([3.0, 2.0, 1.0])) == 0.0
 
 
-def _gap_columns(traj):
-    series = series_table(traj)
+def _gap_columns(series):
     return series["gap_min"], series["gap_max"]
 
 
 def test_series_table_gap_columns_identity_and_additive():
     # min and max over the agents bound every agent's gap |y_i - x_i|
-    for column in _gap_columns(_toy_traj(np.zeros((4, 2)))):
+    for column in _gap_columns(_toy_series(np.zeros((4, 2)))):
         assert np.all(column == 0.0)
     bank = MaskBank([{"kind": "additive", "gamma": 2.0, "delta": 1.0}] * 2)
-    traj = _toy_traj(np.zeros((1, 2)), bank=bank, times=np.array([0.0]))
-    for column in _gap_columns(traj):
+    for column in _gap_columns(_toy_series(np.zeros((1, 2)), bank=bank, times=np.array([0.0]))):
         assert np.all(column[0] == 2.0)
 
 
-# --- the post-integration passes run a chunk of rows at a time ---------------
+# --- a run is reduced one window of rows at a time ----------------------------
 
 
-#: Row counts around the rows per chunk c of a pass over a table.
+#: Row counts around the rows per window c of a run.
 ROW_COUNTS = pytest.mark.parametrize(
     "rows_of",
     [lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 3 * c + 5],
@@ -185,29 +188,28 @@ def test_eval_series_equals_row_wise_eval_bit_for_bit(dim, rows_of):
 
 
 def _chunk_case(case, nu, draw_int):
-    """(rows, n) of one chunk-boundary case for n agents of nu values each: a
-    row count that is a multiple of the rows per chunk in about half of the
-    draws and short of one in the rest, a single row, or rows wider than a
-    chunk."""
+    """(rows, n) of one window-boundary case for n agents of nu values each:
+    a row count that is a multiple of the rows per window in about half of
+    the draws and short of one in the rest, a single row, or rows wider than
+    a window."""
     if case == "ragged":
         n = draw_int(1, 60)
         per_chunk = CHUNK // (n * nu)
         return draw_int(1, 4) * per_chunk - draw_int(0, 1) * draw_int(1, per_chunk - 1), n
     if case == "single":
         return 1, draw_int(1, 300)
-    return draw_int(2, 3), CHUNK // nu + draw_int(1, 40)  # one row per chunk
+    return draw_int(2, 3), CHUNK // nu + draw_int(1, 40)  # one row per window
 
 
 def _assert_chunked_outputs(rows, n, nu, rng, with_s, out):
-    # every reader of y forms it a chunk of rows at a time; each must give
-    # the bytes that one whole-record eval_series table gives, and every
-    # series_table column the bytes of its formula on the whole tables
+    # a run forms y, its series rows, its CSV rows and its column summaries
+    # one window of rows at a time, as many rows as masks.CHUNK values hold;
+    # each must give the bytes of the same formula on the whole tables
     d = n * nu
     times = np.sort(rng.uniform(0.0, 60.0, rows))
     states = rng.standard_normal((rows, d + nu)) * 10.0 ** rng.integers(-6, 4, (rows, d + nu))
     x, s = states[:, :d], (states[:, d:] if with_s else None)
     bank = mixed_bank(d, rng)
-    traj = Trajectory(times=times, x=x, bank=bank, s=s)
     y = bank.eval_series(times, x)
 
     gap = np.abs(y - x)
@@ -219,24 +221,36 @@ def _assert_chunked_outputs(rows, n, nu, rng, with_s, out):
         "gap_min": gap.min(axis=1),
         "gap_max": gap.max(axis=1),
     }
-    synced = replace(traj, s=states[:, d:])
-    err = x.reshape(rows, n, nu) - synced.s[:, None, :]
+    err = x.reshape(rows, n, nu) - states[:, None, d:]
     with_sync = {
         **whole,
         "sync_err_max": np.linalg.norm(err, axis=2).max(axis=1),
         "sync_err_norm": np.linalg.norm(err.reshape(rows, -1), axis=1),
     }
-    for run, want in ((replace(traj, s=None), whole), (synced, with_sync)):
-        got = series_table(run)
-        assert list(got) == list(want)
+    per_window = max(1, CHUNK // (d + nu))
+    cuts = [*range(0, rows, per_window), rows]
+    for sync, want in ((None, whole), (states[:, d:], with_sync)):
+        parts, summary = [], {}
+        with open(out / "windows.csv", "wb") as fh:
+            for a, b in zip(cuts, cuts[1:]):
+                part_y = bank.eval_series(times[a:b], x[a:b])
+                assert part_y.tobytes() == y[a:b].tobytes()
+                traj = Trajectory(times[a:b], x[a:b], None if sync is None else sync[a:b])
+                parts.append(series_table(traj, part_y))
+                for name, column in parts[-1].items():
+                    summary.setdefault(name, Summary()).fold(column)
+                traj.to_csv(fh, part_y, header=not a)
+        assert list(parts[0]) == list(want)
         for name, column in want.items():
-            assert got[name].tobytes() == column.tobytes(), name
-
-    traj.to_csv(out / "chunked.csv")
-    got = (out / "chunked.csv").read_bytes()
-    blocks = (times[:, None], x, y) + (() if s is None else (s,))
-    write_csv(out / "whole.csv", got.split(b"\n", 1)[0].decode().split(","), blocks)
-    assert got == (out / "whole.csv").read_bytes()
+            assert np.concatenate([p[name] for p in parts]).tobytes() == column.tobytes(), name
+            got = summary[name]
+            low = np.minimum.accumulate(column)
+            assert [got.first, got.last, got.rise] == [column[0], column[-1], np.max(column - low)], name
+            assert [got.min, got.max] == [column.min(), column.max()], name
+        got = (out / "windows.csv").read_bytes()
+        blocks = (times[:, None], x, y) + (() if sync is None else (sync,))
+        write_csv(out / "whole.csv", got.split(b"\n", 1)[0].decode().split(","), blocks)
+        assert got == (out / "whole.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", ["ragged", "single", "wide"])
@@ -257,9 +271,39 @@ def test_chunked_gap_and_sync_columns_equal_whole_table_bytes(n, nu, rows_of, tm
     _assert_chunked_outputs(rows, n, nu, np.random.default_rng(n * nu + rows), True, tmp_path)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_consensus_verdicts_from_window_summaries_equal_the_whole_column_formulas(data):
+    # the verdicts once read whole columns; the summaries folded over any
+    # split of the rows into windows give the same numbers, with ties and
+    # signed zeros among the values
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = data.draw(st.integers(1, 200))
+    eta = float(rng.choice([0.0, 1.5, -3.25]))
+    pool = eta + np.array([-0.0, 0.0, -1.0, 1.0, 2.5]) * 10.0 ** rng.integers(-12, 3)
+
+    def column():
+        return np.where(rng.random(rows) < 0.5, rng.choice(pool, rows), eta + rng.standard_normal(rows))
+
+    columns = {"mean_x": column(), "mean_y": column(), "spread_x": np.abs(column())}
+    cuts = sorted({0, rows, *data.draw(st.lists(st.integers(0, rows), max_size=6))})
+    summary = {name: Summary() for name in columns}
+    for a, b in zip(cuts, cuts[1:]):
+        for name, col in columns.items():
+            summary[name].fold(col[a:b])
+    spec = AverageConsensus(laplacian=laplacian(cycle_graph(2)))
+    report = DiagnosticsReport(scenario="t")
+    sc = SimpleNamespace(x0=np.full(2, eta), tol_conv=1e-3)
+    spec.verdicts(sc, Trajectory(times=np.zeros(1), x=np.zeros((1, 2))), summary, report)
+    mean_x, mean_y, spread = columns.values()
+    assert np.float64(report.conservation_dev).tobytes() == np.max(np.abs(mean_x - eta)).tobytes()
+    assert report.output_mean_range == np.ptp(mean_y)
+    rise = np.max(spread - np.minimum.accumulate(spread))
+    assert np.float64(report.vmm_max_increase).tobytes() == rise.tobytes()
+
+
 def test_conservation_series_shapes():
-    traj = _toy_traj(np.array([[1.0, 3.0], [2.0, 2.0]]))
-    series = series_table(traj)
+    series = _toy_series(np.array([[1.0, 3.0], [2.0, 2.0]]))
     mean_x, mean_y = series["mean_x"], series["mean_y"]
     assert np.allclose(mean_x, [2.0, 2.0])
     assert np.allclose(mean_y, mean_x)
@@ -354,17 +398,15 @@ def test_coupling_matrix_is_checked_once_at_build(skew, ok, monkeypatch):
 def test_sync_error_series_zero_when_agents_match_exosystem():
     s = np.tile([0.5, -0.5], (4, 1))
     x = np.tile([0.5, -0.5, 0.5, -0.5, 0.5, -0.5], (4, 1))
-    traj = _toy_traj(x, s=s)
-    series = series_table(traj)
+    series = _toy_series(x, s=s)
     assert np.all(series["sync_err_max"] == 0.0)
     assert np.all(series["sync_err_norm"] == 0.0)
 
 
 def test_series_table_has_sync_columns_only_with_exosystem():
     base = ["t", "mean_x", "mean_y", "spread_x", "gap_min", "gap_max"]
-    assert list(series_table(_toy_traj(np.zeros((3, 4))))) == base
-    traj = _toy_traj(np.zeros((3, 4)), s=np.zeros((3, 2)))
-    assert list(series_table(traj)) == base + ["sync_err_max", "sync_err_norm"]
+    assert list(_toy_series(np.zeros((3, 4)))) == base
+    assert list(_toy_series(np.zeros((3, 4)), s=np.zeros((3, 2)))) == base + ["sync_err_max", "sync_err_norm"]
 
 
 def test_attractor_verdicts_basic():
@@ -377,15 +419,16 @@ def test_attractor_verdicts_basic():
         SaturatedNet(a=cycle_graph(3).a, kappa=0.2),
     ):
         traj = integrate(unmasked(spec), x0, cfg)
+        series = _summaries(_toy_series(traj.x, times=traj.times))
         report = DiagnosticsReport(scenario="t")
         sc = SimpleNamespace(x0=x0, tol_conv=1e-3)
-        verdicts = spec.verdicts(sc, traj, series_table(traj), report)
+        verdicts = spec.verdicts(sc, traj, series, report)
         want = float(np.max(np.abs(traj.x[-1] - spec.attractor(x0))))
         assert report.final_error == want < 1e-3
         assert verdicts["converged"]
         # a tolerance at the final error itself fails: converged is strict
         sc = SimpleNamespace(x0=x0, tol_conv=want)
-        assert not spec.verdicts(sc, traj, series_table(traj), report)["converged"]
+        assert not spec.verdicts(sc, traj, series, report)["converged"]
 
 
 def test_consensus_attractor_is_the_constant_initial_mean():

@@ -192,7 +192,7 @@ def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final,
     traj = integrate(MaskedSystem(sc.system, sc.bank), sc.x0, sc.integrator, s0=sc.s0)
     width = sum(v.size for v in (sc.x0, sc.s0) if v is not None)
     assert len(traj.times) - 1 > CHUNK // width  # more rows than one window holds
-    y = traj.bank.eval_series(traj.times, traj.x)  # one whole-record table, as the reference
+    y = sc.bank.eval_series(traj.times, traj.x)  # one whole-record table, as the reference
     blocks = [traj.times[:, None], traj.x, y] + ([traj.s] if traj.s is not None else [])
     got = (tmp_path / name / "trajectory.csv").read_bytes()
     header = got.split(b"\n", 1)[0].decode().split(",")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import dynpriv.g17  # noqa: F401  loaded here, so that no tracemalloc window counts its import
 from dynpriv import cli, netgraph, scenario
-from dynpriv.cli import _write_artifacts, main
+from dynpriv.cli import main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
 from dynpriv.masks import CHUNK, MaskBank, MaskKind, axiom_grid, check_mask_axioms
 from dynpriv.scenario import (
@@ -304,56 +304,80 @@ def test_cli_simulate_writes_artifacts(tmp_path):
 
 @pytest.mark.parametrize(
     "name,horizons",
-    [("example3_consensus", (5.0, 20.0)), ("example4_pinning", (2.0, 5.0))],
+    [("example3_consensus", (1.0, 4.0)), ("example4_pinning", (0.5, 2.0))],
     ids=["consensus", "pinning"],
 )
 def test_simulate_holds_no_table_beyond_x(name, horizons, tmp_path):
-    # x, y and the CSV rows are held one window of masks.CHUNK values at a
-    # time, the CSV encoder holds 0.45 MiB of scratch and the mask-factor
-    # table at most solver.TABLE_BYTES; only the series columns, a few
-    # values a recorded row, grow with the horizon. So past them a run
-    # peaks at the same bytes at 5,001 as at 20,001 rows (2,001 and 5,001)
+    # x, y, the series rows and the CSV rows are held one window of
+    # masks.CHUNK values at a time (81 rows on consensus, 53 on pinning), the
+    # CSV encoder holds 0.45 MiB of scratch, the mask-factor table at most
+    # solver.TABLE_BYTES, and the verdicts read running column summaries; so
+    # a run peaks at the same bytes at 1,001 as at 4,001 rows (501 and 2,001)
     peaks = []
     for t_final in horizons:
         patch = {"integrator.t_final": t_final, "integrator.record_stride": 1}
         sc = build_scenario(patched(load_bundled(name), patch))
         tracemalloc.start()
         try:
-            with open(tmp_path / "trajectory.csv", "wb") as fh:
-                _, series, report = run_simulation(sc, fh)
-            _write_artifacts(tmp_path, series, report)
+            with open(tmp_path / "trajectory.csv", "wb") as trajectory, open(tmp_path / "series.csv", "wb") as series:
+                run_simulation(sc, trajectory, series)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(series["t"]) == sc.integrator.n_records == 1000 * t_final + 1
+        rows = len((tmp_path / "series.csv").read_bytes().splitlines()) - 1
+        assert rows == sc.integrator.n_records == 1000 * t_final + 1
         assert peak < 2 * 2**20
-        peaks.append(peak - sum(col.nbytes for col in series.values()))
-    assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 0.25 * 2**20, peaks
 
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
-    # no reader on the simulate path asks the bank for more rows than a chunk
-    # of masks.CHUNK values holds, so no whole-record y table is allocated;
-    # and y is formed in two passes only, one for trajectory.csv and one by
-    # the series_table sweep that series.csv, the report and every verdict read
+    # no reader on the simulate path asks the bank for more rows than a
+    # window holds (the strides that masks.CHUNK values hold, and the row it
+    # starts from), so no whole-record y table is allocated; and each
+    # recorded row of y is formed once, by its window's one eval_series
+    # call, for trajectory.csv, series.csv and the verdicts
     calls = []
     eval_series = MaskBank.eval_series
 
     def counted(bank, times, states):
         calls.append(len(times))
-        assert len(times) <= max(1, CHUNK // bank.dim), len(times)
+        assert len(times) <= CHUNK // bank.dim + 1, len(times)
         return eval_series(bank, times, states)
 
     monkeypatch.setattr(MaskBank, "eval_series", counted)
     for name in ("example3_consensus", "example4_pinning"):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(patched(load_bundled(name), {"integrator.t_final": 0.5})))
+        patch = {"integrator.t_final": 0.5, "integrator.record_stride": 1}
+        path.write_text(json.dumps(patched(load_bundled(name), patch)))
         calls.clear()
         # 0.5 time units are too short for consensus to converge, hence exit 5
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) in (0, 5)
         n_rec = len((tmp_path / name / "trajectory.csv").read_text().splitlines()) - 1
-        assert n_rec > 1
-        assert sum(calls) == 2 * n_rec, name
+        assert n_rec > 1 and len(calls) > 1
+        assert sum(calls) == n_rec, name
+
+
+def test_adversary_holds_no_table_beyond_its_visible_columns(tmp_path):
+    # the run is stepped window by window and the view keeps the times and
+    # the observer's three visible output columns; so a stride-1 run grows
+    # from 2,501 to 10,001 rows by those columns and the slack alone (at
+    # these horizons the windows, not the quadrature's work vectors, set the
+    # peak). The settle tolerance is raised so that the quadrature runs at both
+    peaks, columns = [], []
+    for t_final in (2.5, 10.0):
+        patch = {"integrator.t_final": t_final, "integrator.record_stride": 1, "adversary.settle_tol": 1.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(patched(load_bundled("adversary_covering"), patch)))
+        main(["adversary", "--config", str(config), "--out", str(tmp_path)])  # its imports, once
+        tracemalloc.start()
+        try:
+            assert main(["adversary", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        columns.append(8 * 4 * (1000 * t_final + 1))  # the times and outputs 0, 1 and 5
+    assert peaks[1] - peaks[0] <= columns[1] - columns[0] + 0.25 * 2**20, peaks
 
 
 @pytest.mark.parametrize(
@@ -376,7 +400,7 @@ def test_max_abs_state_equals_the_max_of_the_abs_table_bit_for_bit(rows, monkeyp
     def recorded(system, x0, cfg, s0=None, start=0, stop=None):
         windows.append((start, stop))
         times = np.arange(start, stop + 1) * cfg.dt
-        return Trajectory(times=times, x=x[start : stop + 1], bank=MaskBank.identity(3))
+        return Trajectory(times=times, x=x[start : stop + 1])
 
     monkeypatch.setattr(scenario, "integrate", recorded)
     _, _, report = simulated(sc)
@@ -512,8 +536,8 @@ def test_cli_tol_enters_the_config_hash(tmp_path):
 
 
 def test_cli_adversary_forms_outputs_over_the_record_once(tmp_path, monkeypatch):
-    # the eavesdropper's view reads y a chunk of rows at a time, and nothing
-    # else on the adversary path forms it
+    # the eavesdropper's view takes y from the run's windows, each formed
+    # once, and nothing else on the adversary path forms it
     calls = []
     eval_series = MaskBank.eval_series
 
@@ -788,14 +812,18 @@ def test_coupling_dimension_above_the_footprint_cap_is_refused_naming_nu(monkeyp
         build_scenario(patched(load_bundled("example4_pinning_n10"), patch))
 
 
-def test_record_table_above_the_footprint_cap_is_refused_naming_the_stride(monkeypatch):
-    # 10^7 steps of 100 agents recorded at every step: 101 values a row, 8.1 GB
+def test_adversary_columns_above_the_footprint_cap_are_refused_naming_stride(monkeypatch):
+    # 10^7 steps of 100 agents recorded at every step: the eavesdropper's
+    # times and up to 100 visible columns take 8.1 GB; a simulate of the same
+    # grid holds one window, so only a config with an adversary block is refused
     monkeypatch.setattr(netgraph, "cycle_graph", _never_called)
     integrator = {"dt": 1e-3, "t_final": 1e4, "record_stride": 1}
-    cfg = _consensus_config(graph={"kind": "cycle", "n": 100}, integrator=integrator)
+    adversary = {"observer": 1, "target": 0}
+    cfg = _consensus_config(graph={"kind": "cycle", "n": 100}, integrator=integrator, adversary=adversary)
     with pytest.raises(ScenarioError, match=r"integrator.record_stride = 1 records 10000001 rows"):
         build_scenario(cfg)
     monkeypatch.undo()
+    assert build_scenario(patched(cfg, {"adversary": DELETE})).integrator.n_records == 10_000_001
     cfg = patched(cfg, {"integrator.record_stride": 100})  # 100001 rows, 81 MB: under the cap
     assert build_scenario(cfg).integrator.n_records == 100_001
 
@@ -1164,6 +1192,9 @@ CONTRACT = [
         "system.kappa_over_radius needs an adjacency of positive spectral radius, got 0.0"),
     Row("graph_retries_exhausted", "example1_satnet_n10", {}, CHECK,
         "graph: no admissible random graph found in 100 retries (n=10, p=0.35)", flags=("--seed", "3390588")),
+    # a builder that may try no graph finds none
+    *(Row(f"graph_max_retries_{retries}", "example1_satnet_n10", {"graph.max_retries": retries}, BOTH,
+          f"graph.max_retries must be at least 1, got {retries}") for retries in (0, -1)),
     # the adversary block
     *(Row(f"settle_tol_{tol}", "adversary_covering", {"adversary.settle_tol": tol}, ADVERSARY,
           "adversary.settle_tol must be finite and positive") for tol in (INF, NAN, 0.0, -1.0)),

@@ -49,7 +49,7 @@ def test_constant_trajectory():
     cfg = IntegratorConfig(dt=0.1, t_final=1.0)
     traj = integrate(unmasked(spec), np.array([3.0, -1.0]), cfg)
     assert np.all(traj.x == [3.0, -1.0])
-    assert np.array_equal(traj.outputs[:], traj.x)
+    assert np.array_equal(MaskBank.identity(2).eval_series(traj.times, traj.x), traj.x)
 
 
 def test_rk4_matches_exponential_decay():
@@ -110,7 +110,7 @@ def test_determinism_bit_identical():
     t1 = integrate(ms, x0, cfg)
     t2 = integrate(ms, x0, cfg)
     assert np.array_equal(t1.x, t2.x)
-    assert np.array_equal(t1.outputs[:], t2.outputs[:])
+    assert np.array_equal(bank.eval_series(t1.times, t1.x), bank.eval_series(t2.times, t2.x))
     assert np.array_equal(t1.times, t2.times)
 
 
@@ -130,8 +130,8 @@ def test_masked_outputs_recomputed_from_states():
     cfg = IntegratorConfig(dt=1e-2, t_final=1.0, record_stride=10)
     traj = integrate(ms, np.array([1.0]), cfg)
     expected = np.array([bank.eval(t, x) for t, x in zip(traj.times.tolist(), traj.x)])
-    assert traj.outputs[:].tobytes() == expected.tobytes()
-    assert traj.outputs[2:4].tobytes() == expected[2:4].tobytes()
+    assert bank.eval_series(traj.times, traj.x).tobytes() == expected.tobytes()
+    assert bank.eval_series(traj.times[2:4], traj.x[2:4]).tobytes() == expected[2:4].tobytes()
 
 
 def test_blowup_raises_with_last_sample():
@@ -332,7 +332,7 @@ def test_linear_systems_rest_at_zero_from_zero(case):
     else:
         system = AverageConsensus(laplacian=lap)
     traj = integrate(unmasked(system), np.zeros(n), IntegratorConfig(dt=0.1, t_final=2.0))
-    assert np.all(traj.x == 0.0) and np.all(traj.outputs[:] == 0.0)
+    assert np.all(traj.x == 0.0) and np.all(MaskBank.identity(n).eval_series(traj.times, traj.x) == 0.0)
 
 
 def test_x0_validation():
@@ -648,17 +648,18 @@ def test_csv_export_format(tmp_path):
     ms = MaskedSystem(base=_decay_system(), bank=bank)
     cfg = IntegratorConfig(dt=0.25, t_final=1.0)
     traj = integrate(ms, np.array([1.0]), cfg)
+    y = bank.eval_series(traj.times, traj.x)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    traj.to_csv(path, y)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_0,y_0"
     parsed = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(parsed[:, 0], traj.times)
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(parsed[:, 1], traj.x[:, 0])
-    assert np.array_equal(parsed[:, 2], traj.outputs[:][:, 0])
+    assert np.array_equal(parsed[:, 2], y[:, 0])
     # series.csv goes through the same writer
-    columns = series_table(traj)
+    columns = series_table(traj, y)
     header, table = list(columns), np.column_stack(list(columns.values()))
     series = tmp_path / "series.csv"
     write_csv(series, header, table)
@@ -686,7 +687,7 @@ def test_csv_includes_exosystem_columns(tmp_path):
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
     traj = integrate(unmasked(spec), np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    traj.to_csv(path, MaskBank.identity(6).eval_series(traj.times, traj.x))
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["t"] + [f"x_{i}" for i in range(6)] + [f"y_{i}" for i in range(6)] + ["s_0", "s_1"]
 
