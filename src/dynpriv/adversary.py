@@ -69,8 +69,12 @@ class ReconstructionResult:
 
 
 def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
-    dt = np.diff(times)
-    return float(np.sum(0.5 * dt * (values[:-1] + values[1:])))
+    """The sum of 0.5 * dt * (values[:-1] + values[1:]), its products formed in place."""
+    half_dt = np.diff(times)
+    half_dt *= 0.5
+    terms = values[:-1] + values[1:]
+    terms *= half_dt
+    return float(np.sum(terms))
 
 
 def reconstruct_initial(
@@ -100,10 +104,9 @@ def reconstruct_initial(
         raise NotSettledError(
             f"outputs not settled: terminal increment {tail_step:.3e} >= {settle_tol:g}"
         )
-    # the stacked copy of every visible column is dropped once its mean is formed
-    visible_mean = np.vstack([view.outputs[k] for k in sorted(view.outputs)]).mean(axis=0)
     channels = {}
     missing = []
+    visible_mean = None
     for k in needed_channels:
         if k in view.outputs:
             channels[k] = view.outputs[k]
@@ -114,6 +117,8 @@ def reconstruct_initial(
             elif policy == "own_output":
                 channels[k] = view.outputs[view.observer]
             else:
+                if visible_mean is None:  # formed once, and only where a channel takes it
+                    visible_mean = np.vstack([view.outputs[j] for j in sorted(view.outputs)]).mean(axis=0)
                 channels[k] = visible_mean
     integrand = row_field(channels)
     x_hat = float(view.outputs[target][-1] - _trapezoid(view.times, integrand))

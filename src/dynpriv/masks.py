@@ -13,6 +13,10 @@ active:
     affine              static gain c > 1 plus decaying offset
     vanishing_affine    decaying gain plus decaying offset
 
+RULES states each kind once: the parameters it takes, their range test,
+and whether its gap h(t, x) - x vanishes (every kind but affine), so that
+the masked system keeps the unmasked one as its limit system.
+
 Masks are strictly increasing in x for every fixed t, hence invertible.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +35,6 @@ BALL_RADII = (0.01, 0.1)
 #: TAIL_REL * (initial value) + TAIL_ABS.
 TAIL_REL = 1e-8
 TAIL_ABS = 1e-12
-#: Values per window of a run: scenario.windows steps as many whole record
-#: strides at a time as this many values of joint state hold (at least
-#: one), so y and the series rows are formed a window at a time, and
-#: solver.write_csv stacks and encodes this many values at a time.
-CHUNK = 8192
 
 
 class MaskKind(enum.Enum):
@@ -49,73 +49,54 @@ class MaskKind(enum.Enum):
 PRIVACY_KINDS = (MaskKind.ADDITIVE, MaskKind.AFFINE, MaskKind.VANISHING_AFFINE)
 
 
-_REQUIRED = {
-    MaskKind.IDENTITY: (),
-    MaskKind.LINEAR: ("phi", "sigma"),
-    MaskKind.ADDITIVE: ("gamma", "delta"),
-    MaskKind.AFFINE: ("c", "gamma", "delta"),
-    MaskKind.VANISHING_AFFINE: ("phi", "sigma", "gamma", "delta"),
-}
 #: The parameters, in the row order of a bank's (field, channel) arrays,
 #: which is also the order in which a channel's missing or extra parameter
 #: is reported.
 _FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 #: Per field, the value that keeps an unused term inert.
 _NEUTRAL = (0.0, 1.0, 0.0, 1.0, 1.0)
-_KINDS = tuple(MaskKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-#: _TAKES[kind index, field index]: the kind requires that field.
-_TAKES = np.array([[f in _REQUIRED[kind] for f in _FIELDS] for kind in _KINDS])
-#: Per kind with range rules: the message a channel out of range raises, and
-#: the test of the (phi, sigma, gamma, delta, c) value rows. The comparisons
-#: are as written, never negated: a NaN passes them as it passes the scalar
-#: comparison.
-_RANGE_RULES = {
-    MaskKind.LINEAR: (
+
+
+class _Rule(NamedTuple):
+    """A mask kind's parameters, in _FIELDS order; the test that refuses
+    their values, called with them by name, and its message; and whether
+    the kind's gap vanishes."""
+
+    takes: tuple
+    refuses: Callable[..., bool]
+    message: str
+    vanishes: bool
+
+
+#: Each mask kind stated once. A range test compares as written, never
+#: negated: a NaN passes it as it passes the comparison.
+RULES = {
+    MaskKind.IDENTITY: _Rule((), lambda: False, "", True),
+    MaskKind.LINEAR: _Rule(
+        ("phi", "sigma"),
+        lambda phi, sigma: phi < 0 or sigma <= 0,
         "linear mask needs phi >= 0 and sigma > 0",
-        lambda phi, sigma, gamma, delta, c: (phi < 0) | (sigma <= 0),
+        True,
     ),
-    MaskKind.ADDITIVE: (
+    MaskKind.ADDITIVE: _Rule(
+        ("gamma", "delta"),
+        lambda gamma, delta: gamma == 0 or delta <= 0,
         "additive mask needs gamma != 0 and delta > 0",
-        lambda phi, sigma, gamma, delta, c: (gamma == 0) | (delta <= 0),
+        True,
     ),
-    MaskKind.AFFINE: (
+    MaskKind.AFFINE: _Rule(
+        ("gamma", "delta", "c"),
+        lambda gamma, delta, c: c <= 1 or gamma == 0 or delta <= 0,
         "affine mask needs c > 1, gamma != 0, delta > 0",
-        lambda phi, sigma, gamma, delta, c: (c <= 1) | (gamma == 0) | (delta <= 0),
+        False,  # its static gain c > 1 never decays
     ),
-    MaskKind.VANISHING_AFFINE: (
+    MaskKind.VANISHING_AFFINE: _Rule(
+        ("phi", "sigma", "gamma", "delta"),
+        lambda phi, sigma, gamma, delta: phi <= 0 or sigma <= 0 or gamma == 0 or delta <= 0,
         "vanishing_affine mask needs phi > 0, sigma > 0, gamma != 0, delta > 0",
-        lambda phi, sigma, gamma, delta, c: (phi <= 0) | (sigma <= 0) | (gamma == 0) | (delta <= 0),
+        True,
     ),
 }
-
-
-def _validate(kind_index: np.ndarray, given: np.ndarray, values: np.ndarray) -> None:
-    """Raise ValueError for the first channel whose parameters do not fit its
-    kind: a missing or extra parameter (the first in field order), else an
-    out-of-range value.
-
-    kind_index holds each channel's index into _KINDS; given and values are
-    (field, channel) arrays of which parameters are set and their values.
-    Only the range rules of the kinds present are evaluated.
-    """
-    wrong = given != _TAKES[kind_index].T
-    bad = wrong.any(axis=0)
-    present = np.bincount(kind_index, minlength=len(_KINDS))
-    for kind, (_, rule) in _RANGE_RULES.items():
-        k = _KIND_INDEX[kind]
-        if present[k]:
-            bad |= (kind_index == k) & rule(*values)
-    if not bad.any():
-        return
-    ch = int(np.argmax(bad))
-    kind = _KINDS[kind_index[ch]]
-    if wrong[:, ch].any():
-        f = int(np.argmax(wrong[:, ch]))
-        if given[f, ch]:
-            raise ValueError(f"{kind.value} mask does not take parameter {_FIELDS[f]}")
-        raise ValueError(f"{kind.value} mask requires parameter {_FIELDS[f]}")
-    raise ValueError(_RANGE_RULES[kind][0])
 
 
 class MaskBank:
@@ -124,10 +105,11 @@ class MaskBank:
     The bank holds one array per parameter over the channels, with a neutral
     value wherever a channel's kind takes no such parameter. MaskBank(channels)
     stacks a config's channel dicts, such as {"kind": "linear", "phi": 1.0,
-    "sigma": 2.0}, into those arrays, and auto() draws them directly; either
-    way one array validator checks them and raises for the first offending
-    channel. min_decay_rate is derived from the arrays. The bank is immutable
-    after construction and evaluates all channels in a single vectorized pass.
+    "sigma": 2.0}, into those arrays after reading each channel against its
+    kind's row of RULES, and raises for the first offending channel. auto()
+    draws the arrays inside those rules, so it binds them unchecked.
+    min_decay_rate is derived from the arrays. The bank is immutable after
+    construction and evaluates all channels in a single vectorized pass.
     """
 
     def __init__(self, channels) -> None:
@@ -136,29 +118,26 @@ class MaskBank:
             for key in ch:  # a key that names no parameter is refused, not ignored
                 if key != "kind" and key not in _FIELDS:
                     raise ValueError(f"{kind.value} mask does not take parameter {key}")
-        given = np.array([[f in ch for f in _FIELDS] for ch in channels], dtype=bool)
         values = np.array([[ch.get(f, n) for f, n in zip(_FIELDS, _NEUTRAL)] for ch in channels])
         if values.dtype.kind not in "biuf":
             raise TypeError("mask parameters must be real numbers")
-        kind_index = np.array([_KIND_INDEX[kind] for kind in kinds], dtype=np.intp)
-        self._setup(kinds, kind_index, given.T, values.T.astype(float))
+        values = values.astype(float)
+        for kind, ch, row in zip(kinds, channels, values.tolist()):
+            rule = RULES[kind]
+            params = {f: v for f, v in zip(_FIELDS, row) if f in ch}
+            if tuple(params) != rule.takes:  # the first missing or extra parameter, in field order
+                f = next(f for f in _FIELDS if (f in ch) != (f in rule.takes))
+                verb = "does not take" if f in ch else "requires"
+                raise ValueError(f"{kind.value} mask {verb} parameter {f}")
+            if rule.refuses(**params):
+                raise ValueError(rule.message)
+        given = np.array([[f in ch for f in _FIELDS] for ch in channels], dtype=bool)
+        self._bind(kinds, given.T, values.T)
 
-    @classmethod
-    def _from_columns(cls, kind: MaskKind, columns: dict) -> "MaskBank":
-        """A bank of one kind from one float array per parameter it takes."""
-        d = len(next(iter(columns.values())))
-        given = np.array([np.full(d, f in columns) for f in _FIELDS])
-        values = np.array([columns.get(f, np.full(d, n)) for f, n in zip(_FIELDS, _NEUTRAL)])
-        bank = cls.__new__(cls)
-        bank._setup((kind,) * d, np.full(d, _KIND_INDEX[kind]), given, values)
-        return bank
-
-    def _setup(self, kinds: tuple, kind_index, given: np.ndarray, values: np.ndarray) -> None:
-        """Validate and bind the channels' kinds, their indices into _KINDS,
-        and (field, channel) arrays of set flags and values."""
+    def _bind(self, kinds: tuple, given: np.ndarray, values: np.ndarray) -> None:
+        """Bind the channels' kinds and (field, channel) arrays of set flags and values."""
         if not kinds:
             raise ValueError("mask bank needs at least one channel")
-        _validate(kind_index, given, values)
         self.kinds: tuple = kinds
         self._given = given
         self._values = values
@@ -186,9 +165,15 @@ class MaskBank:
         x0 for a t=0 gap of at least 2 * privacy_level: the factor 2 keeps
         rho > privacy_level safe in floating point, and where the gap depends
         on the state, the offset sign follows the channel's own x0_i so that
-        the terms cannot cancel."""
+        the terms cannot cancel. Every parameter is drawn inside its kind's
+        rules, so the bank is bound without a second check."""
         columns = _draw_params(kind, privacy_level, x0, np.random.default_rng(seed), rate_range)
-        return cls._from_columns(kind, columns)
+        d = len(columns["delta"])
+        given = np.array([np.full(d, f in columns) for f in _FIELDS])
+        values = np.array([columns.get(f, np.full(d, n)) for f, n in zip(_FIELDS, _NEUTRAL)])
+        bank = cls.__new__(cls)
+        bank._bind((kind,) * d, given, values)
+        return bank
 
     def factors(self, times, out=None):
         """Gain c(1 + phi e^{-sigma t}) and offset gamma e^{-delta t} per channel.
@@ -272,9 +257,11 @@ def _draw_params(kind: MaskKind, privacy_level: float, x0, rng, rate_range) -> d
         raise ValueError(f"privacy level {privacy_level!r} draws offsets past the float range")
     if kind not in PRIVACY_KINDS:
         raise ValueError(f"{kind.value} is not a privacy mask")
+    lo, hi = rate_range
+    if not 0 < lo <= hi < math.inf:  # so every rate drawn is positive and finite
+        raise ValueError(f"rate range must be 0 < lo <= hi < inf, got {rate_range}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     u = rng.random((x0.size, _DRAWS[kind]))
-    lo, hi = rate_range
     drawn = {"delta": lo + (hi - lo) * u[:, 0]}
     gamma_mag = (2.0 + (4.0 - 2.0) * u[:, 1]) * privacy_level
     if kind is MaskKind.ADDITIVE:
@@ -298,7 +285,7 @@ def axiom_grid(bank: MaskBank) -> tuple:
     axioms: 121 times from 0 over 50 time constants of the bank's slowest
     decay (over [0, 1] for a static bank), and eleven scalar probe states,
     symmetric around 0 and holding 0. The horizon is capped at 1e300, so
-    that every rate the validator accepts, down to the smallest subnormal,
+    that every rate that RULES accepts, down to the smallest subnormal,
     gives finite times."""
     rate = bank.min_decay_rate()
     horizon = min(50.0 / rate, 1e300) if math.isfinite(rate) else 1.0

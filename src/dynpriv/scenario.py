@@ -448,46 +448,23 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc
 
 
-def _seed_tree(schema):
-    """The compiled schema cut down to the branches that can hold a SEED key,
-    or None if it holds none: a section keeps only such keys and a ByKind
-    only such kinds. A tuple keeps all its alternatives, so that _unseeded
-    picks the one that _walk picks."""
+def _unseeded(value, schema):
+    """A copy of a JSON value without the keys that its compiled schema
+    types SEED; it follows the schema as _walk does. A key or kind the
+    schema does not know, and a value of the wrong shape, are kept as they
+    are, for the walk to reject what it must."""
     if isinstance(schema, tuple):
-        alternatives = [_seed_tree(s) for s in schema]
-        if any(a is not None for a in alternatives):
-            return tuple(s if a is None else a for s, a in zip(schema, alternatives))
-    elif isinstance(schema, list):
-        item = _seed_tree(schema[0])
-        return None if item is None else [item]
-    elif isinstance(schema, dict):
-        keys = {k: _seed_tree(sub) for k, sub in schema.items()}
-        keys = {k: sub for k, sub in keys.items() if sub is not None}
-        return (ByKind if isinstance(schema, ByKind) else dict)(keys) if keys else None
-    return SEED if schema == SEED else None
-
-
-#: _SCHEMA along its paths to a SEED key, the only paths that --seed copies.
-_SEEDS = _seed_tree(_SCHEMA)
-
-
-def _unseeded(value, tree):
-    """A copy of a JSON value without the keys that its seed tree types SEED,
-    made along that tree alone; it follows the tree as _walk follows the
-    schema. A key or kind the tree does not know, and a value of the wrong
-    shape, are kept as they are, for the walk to reject what it must."""
-    if isinstance(tree, tuple):
-        tree = next((s for s in tree if _shape(s)[1](value)), None)
-    if isinstance(tree, list) and isinstance(value, list):
-        return [_unseeded(item, tree[0]) for item in value]
-    if isinstance(tree, ByKind) and isinstance(value, dict):
+        schema = next((s for s in schema if _shape(s)[1](value)), None)
+    if isinstance(schema, list) and isinstance(value, list):
+        return [_unseeded(item, schema[0]) for item in value]
+    if isinstance(schema, ByKind) and isinstance(value, dict):
         kind = value.get("kind")
-        tree = tree[kind] if isinstance(kind, str) and kind in tree else None
-    if isinstance(tree, dict) and isinstance(value, dict):
+        schema = schema[kind] if isinstance(kind, str) and kind in schema else None
+    if isinstance(schema, dict) and isinstance(value, dict):
         return {
-            key: _unseeded(item, tree[key]) if key in tree else item
+            key: _unseeded(item, schema[key]) if key in schema else item
             for key, item in value.items()
-            if tree.get(key) != SEED
+            if schema.get(key) != SEED
         }
     return value
 
@@ -495,13 +472,12 @@ def _unseeded(value, tree):
 def override_seed(config, seed):
     """A copy of config whose top-level seed is seed and which holds none of
     the nested seed keys that the schema types SEED, so that every
-    randomized element re-derives its own from the new one. Only the
-    sections along a seed path are copied; the others are config's own. A
-    seed where the schema takes none stays, for the walk to reject. A config
-    that is not an object is returned as it is, for the walk to reject too."""
+    randomized element re-derives its own from the new one. A seed where
+    the schema takes none stays, for the walk to reject. A config that is
+    not an object is returned as it is, for the walk to reject too."""
     if not isinstance(config, dict):
         return config
-    return {**_unseeded(config, _SEEDS), "seed": seed}
+    return {**_unseeded(config, _SCHEMA), "seed": seed}
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -553,26 +529,32 @@ def covering_violations(sc: Scenario):
 
 def run_mask_check(sc: Scenario) -> dict:
     """The mask axioms decided on masks.axiom_grid, no integration. They
-    are ok when every axiom holds, vanishing only where every kind should
-    vanish; an identity bank is the unmasked baseline, always ok."""
+    are ok when every axiom holds, vanishing only where the gap of every
+    kind in the bank vanishes by masks.RULES; an identity bank is the
+    unmasked baseline, always ok."""
     axioms, _ = check_mask_axioms(sc.bank, *masks.axiom_grid(sc.bank))
     kinds = set(sc.bank.kinds)
     if kinds <= {MaskKind.IDENTITY}:
         return {"axioms": axioms, "identity_baseline": True, "ok": True}
-    expect_vanishing = kinds <= {MaskKind.ADDITIVE, MaskKind.VANISHING_AFFINE, MaskKind.IDENTITY}
+    expect_vanishing = all(masks.RULES[kind].vanishes for kind in kinds)
     ok = all(holds or (axiom == "vanishing" and not expect_vanishing) for axiom, holds in axioms.items())
     return {"axioms": axioms, "expected_vanishing": expect_vanishing, "ok": ok}
+
+
+#: Values of joint state per window of a run (see windows).
+CHUNK = 8192
 
 
 def windows(sc: Scenario):
     """The scenario's masked run as (trajectory, masked outputs y) windows,
     y formed by one MaskBank.eval_series call: as many whole record strides
-    as masks.CHUNK values of joint state hold (at least one), each stepped
-    by one integrate call from the last row of the window before, which it
-    records again and which is dropped. So no (n_rec, d) table is formed."""
+    as CHUNK values of joint state hold (at least one), each stepped by one
+    integrate call from the last row of the window before, which it records
+    again and which is dropped. So no (n_rec, d) table is formed, and y and
+    the series rows are formed a window at a time."""
     system, cfg = MaskedSystem(sc.system, sc.bank), sc.integrator
     width = sc.x0.size + (0 if sc.s0 is None else sc.s0.size)
-    span = cfg.record_stride * max(1, masks.CHUNK // width)
+    span = cfg.record_stride * max(1, CHUNK // width)
     x0, s0 = sc.x0, sc.s0
     for start in range(0, cfg.n_steps, span):
         traj = integrate(system, x0, cfg, s0=s0, start=start, stop=min(start + span, cfg.n_steps))

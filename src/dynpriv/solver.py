@@ -28,8 +28,6 @@ sample depends on its length or on where a span starts.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +36,6 @@ import numpy as np
 from .dynamics import MaskedSystem, compile_stage, exosystem_field, field_masked
 # bench/tracing.py wraps solver.field_unmasked, so the name must resolve here
 from .dynamics import field_unmasked  # noqa: F401
-from .masks import CHUNK
 
 BLOWUP_LIMIT = 1e12
 #: Most steps a time grid may take.
@@ -110,57 +107,55 @@ class Trajectory:
     x: np.ndarray
     s: Optional[np.ndarray] = None
 
-    def to_csv(self, dest, y: np.ndarray, header: bool = True) -> None:
+    def to_csv(self, fh, y: np.ndarray, header: bool = True) -> None:
         """Full-precision CSV: t, x_0.., y_0..[, s_0..], 17 significant digits,
-        with y the masked outputs of the recorded rows.
-
-        dest is a path or an open binary file; header=False appends the rows
-        alone, as a run streamed window by window does after its first."""
+        with y the masked outputs of the recorded rows, appended to the open
+        binary file fh; header=False appends the rows alone, as a run
+        streamed window by window does after its first."""
         d = self.x.shape[1]
         names = ["t"] + [f"x_{i}" for i in range(d)] + [f"y_{i}" for i in range(d)]
         blocks = (self.times[:, None], self.x, y)
         if self.s is not None:
             names += [f"s_{i}" for i in range(self.s.shape[1])]
             blocks += (self.s,)
-        write_csv(dest, names if header else [], blocks)
+        write_csv(fh, names if header else [], blocks)
 
 
-def write_csv(dest, header, data) -> None:
-    """One header line (none if header is empty), then one line per row of
-    data, each value exactly as '%.17g' % value formats it (17 significant
-    digits round-trip every double): the bytes of np.savetxt(dest, data,
-    fmt="%.17g", delimiter=",", header=",".join(header), comments="").
-    dest is a path, or an open binary file that the lines are appended to.
+def write_csv(fh, header, blocks: tuple) -> None:
+    """One header line (none if header is empty), then one line per row,
+    each value exactly as '%.17g' % value formats it (17 significant digits
+    round-trip every double), appended to the open binary file fh: the
+    bytes of np.savetxt(fh, np.hstack(blocks), fmt="%.17g", delimiter=",",
+    header=",".join(header), comments="").
 
-    data is a 2-D array, or a tuple of 2-D column blocks with one row count,
-    written side by side. Rows are stacked and encoded by g17.G17Encoder
-    masks.CHUNK values at a time, so the whole table is never copied.
+    blocks is a tuple of 2-D column blocks with one row count, written side
+    by side. Rows are stacked g17.BATCH // n_cols at a time (at least one)
+    and encoded by g17.G17Encoder, so the whole table is never copied.
     """
-    blocks = [np.asarray(b, dtype=float) for b in (data if isinstance(data, tuple) else (data,))]
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
     if any(b.ndim != 2 for b in blocks) or len({b.shape[0] for b in blocks}) != 1:
-        raise ValueError("write_csv needs 2-D data, or 2-D column blocks with one row count")
+        raise ValueError("write_csv needs 2-D column blocks with one row count")
     n_rows = blocks[0].shape[0]
     n_cols = sum(b.shape[1] for b in blocks)
     if n_cols == 0:
         raise ValueError("write_csv needs at least one column")
     from . import g17  # imported on the first write: the check path never loads it
 
-    rows = max(1, CHUNK // n_cols)
+    rows = max(1, g17.BATCH // n_cols)
     chunk = np.empty((rows, n_cols))
     encode = g17.G17Encoder(min(g17.BATCH, rows * n_cols), n_cols)
     header = ",".join(header)
-    with open(dest, "wb") if isinstance(dest, (str, os.PathLike)) else nullcontext(dest) as fh:
-        if header:
-            fh.write((header + "\n").encode("latin1"))
-        for r0 in range(0, n_rows, rows):
-            m = min(rows, n_rows - r0)
-            c0 = 0
-            for b in blocks:
-                chunk[:m, c0 : c0 + b.shape[1]] = b[r0 : r0 + m]
-                c0 += b.shape[1]
-            values = chunk[:m].reshape(-1)
-            for i in range(0, values.size, encode.size):
-                fh.write(encode(values[i : i + encode.size]))
+    if header:
+        fh.write((header + "\n").encode("latin1"))
+    for r0 in range(0, n_rows, rows):
+        m = min(rows, n_rows - r0)
+        c0 = 0
+        for b in blocks:
+            chunk[:m, c0 : c0 + b.shape[1]] = b[r0 : r0 + m]
+            c0 += b.shape[1]
+        values = chunk[:m].reshape(-1)
+        for i in range(0, values.size, encode.size):  # more than one call: a row wider than g17.BATCH
+            fh.write(encode(values[i : i + encode.size]))
 
 
 def _march(

@@ -11,7 +11,7 @@ import numpy as np
 
 from dynpriv import scenario
 from dynpriv.dynamics import MaskedSystem
-from dynpriv.masks import _REQUIRED, MaskBank, MaskKind
+from dynpriv.masks import RULES, MaskBank, MaskKind
 
 #: Per mask kind, the verdicts that check_mask_axioms gives its banks on
 #: masks.axiom_grid: every axiom holds except the ones listed.
@@ -86,7 +86,7 @@ def mixed_bank(dim, rng):
     for i, values in enumerate(drawn.tolist()):
         kind = kinds[(start + i) % len(kinds)]
         params = dict(zip(_RANGES, values))
-        channels.append({"kind": kind.value, **{f: params[f] for f in _REQUIRED[kind]}})
+        channels.append({"kind": kind.value, **{f: params[f] for f in RULES[kind].takes}})
     return MaskBank(channels)
 
 

@@ -25,8 +25,9 @@ from dynpriv.dynamics import (
     SaturatedNet,
     TanhDrift,
 )
-from dynpriv.masks import CHUNK, MaskBank, MaskKind
+from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
+from dynpriv.scenario import CHUNK
 from dynpriv.solver import IntegratorConfig, Trajectory, integrate, write_csv
 
 
@@ -203,7 +204,7 @@ def _chunk_case(case, nu, draw_int):
 
 def _assert_chunked_outputs(rows, n, nu, rng, with_s, out):
     # a run forms y, its series rows, its CSV rows and its column summaries
-    # one window of rows at a time, as many rows as masks.CHUNK values hold;
+    # one window of rows at a time, as many rows as scenario.CHUNK values hold;
     # each must give the bytes of the same formula on the whole tables
     d = n * nu
     times = np.sort(rng.uniform(0.0, 60.0, rows))
@@ -249,7 +250,8 @@ def _assert_chunked_outputs(rows, n, nu, rng, with_s, out):
             assert [got.min, got.max] == [column.min(), column.max()], name
         got = (out / "windows.csv").read_bytes()
         blocks = (times[:, None], x, y) + (() if sync is None else (sync,))
-        write_csv(out / "whole.csv", got.split(b"\n", 1)[0].decode().split(","), blocks)
+        with open(out / "whole.csv", "wb") as fh:
+            write_csv(fh, got.split(b"\n", 1)[0].decode().split(","), blocks)
         assert got == (out / "whole.csv").read_bytes()
 
 

@@ -18,12 +18,19 @@ from dynpriv import scenario as scn
 from dynpriv.cli import main
 from dynpriv.dynamics import MaskedSystem
 from dynpriv.g17 import G17Encoder
-from dynpriv.masks import CHUNK
+from dynpriv.scenario import CHUNK
 from dynpriv.solver import integrate, write_csv
 
 
 def _oracle(path, header, table):
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+def _written(path, header, blocks):
+    """The bytes write_csv gives the column blocks in a new file at path."""
+    with open(path, "wb") as fh:
+        write_csv(fh, header, blocks)
     return path.read_bytes()
 
 
@@ -121,8 +128,7 @@ def test_write_csv_matches_savetxt_across_chunk_shapes(tmp_path, n_cols):
     table = rng.standard_normal((max(1, 3 * CHUNK // n_cols), n_cols)) * 10.0 ** rng.integers(-6, 8)
     table[0, 0] = 0.0
     header = [f"c{i}" for i in range(n_cols)]
-    write_csv(tmp_path / "got.csv", header, table)
-    assert (tmp_path / "got.csv").read_bytes() == _oracle(tmp_path / "want.csv", header, table)
+    assert _written(tmp_path / "got.csv", header, (table,)) == _oracle(tmp_path / "want.csv", header, table)
 
 
 def _mixed_table(seed, n_rows, n_cols):
@@ -145,12 +151,11 @@ def test_write_csv_bytes_do_not_depend_on_the_encoder_batch(tmp_path_factory, n_
     path = tmp_path_factory.mktemp("batch")
     table = _mixed_table(seed, n_rows, n_cols)
     header = [f"c{i}" for i in range(n_cols)]
-    write_csv(path / "whole.csv", header, table)
+    whole = _written(path / "whole.csv", header, (table,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(g17, "BATCH", batch)
-        write_csv(path / "split.csv", header, table)
-    assert (path / "split.csv").read_bytes() == (path / "whole.csv").read_bytes()
-    assert (path / "whole.csv").read_bytes() == _oracle(path / "want.csv", header, table)
+        assert _written(path / "split.csv", header, (table,)) == whole
+    assert whole == _oracle(path / "want.csv", header, table)
 
 
 @pytest.mark.parametrize("batch", [1, 7, 200, 202, 403, g17.BATCH + 1])
@@ -158,10 +163,9 @@ def test_write_csv_trajectory_width_bytes_do_not_depend_on_the_encoder_batch(tmp
     # the n=100 trajectory's 201 columns, split where no row ends
     table = _mixed_table(batch, 45, 201)
     header = [f"c{i}" for i in range(201)]
-    write_csv(tmp_path / "whole.csv", header, table)
+    whole = _written(tmp_path / "whole.csv", header, (table,))
     monkeypatch.setattr(g17, "BATCH", batch)
-    write_csv(tmp_path / "split.csv", header, table)
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert _written(tmp_path / "split.csv", header, (table,)) == whole
 
 
 def test_encoder_scratch_stays_under_0_6_mib_a_call():
@@ -203,29 +207,29 @@ def test_trajectory_csv_matches_savetxt_on_bundled_runs(tmp_path, name, t_final,
 def test_write_csv_column_blocks_equal_the_stacked_table(tmp_path):
     rng = np.random.default_rng(3)
     blocks = (rng.standard_normal((50, 1)), rng.standard_normal((50, 4)), rng.standard_normal((50, 2)))
-    write_csv(tmp_path / "blocks.csv", ["a"] * 7, blocks)
-    write_csv(tmp_path / "table.csv", ["a"] * 7, np.hstack(blocks))
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+    got = _written(tmp_path / "blocks.csv", ["a"] * 7, blocks)
+    assert got == _written(tmp_path / "table.csv", ["a"] * 7, (np.hstack(blocks),))
+    assert got == _oracle(tmp_path / "want.csv", ["a"] * 7, np.hstack(blocks))
 
 
 def test_write_csv_writes_the_header_alone_for_no_rows(tmp_path):
-    write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
-    assert (tmp_path / "empty.csv").read_bytes() == _oracle(tmp_path / "want.csv", ["a", "b"], np.empty((0, 2)))
+    got = _written(tmp_path / "empty.csv", ["a", "b"], (np.empty((0, 2)),))
+    assert got == _oracle(tmp_path / "want.csv", ["a", "b"], np.empty((0, 2)))
 
 
 @pytest.mark.parametrize(
-    "data",
+    "blocks",
     [
-        np.arange(3.0),
-        np.zeros((2, 2, 2)),
-        np.array(1.0),
+        (np.arange(3.0),),
+        (np.zeros((2, 2, 2)),),
+        (np.array(1.0),),
         (np.zeros((3, 1)), np.zeros((4, 1))),
         (np.zeros((3, 1)), np.zeros(3)),
-        np.empty((3, 0)),
+        (np.empty((3, 0)),),
     ],
     ids=["1-d", "3-d", "0-d", "row-counts-differ", "1-d-block", "no-columns"],
 )
-def test_write_csv_rejects_what_is_not_a_table(tmp_path, data):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ["a"], data)
-    assert not (tmp_path / "bad.csv").exists()
+def test_write_csv_rejects_what_is_not_a_table(tmp_path, blocks):
+    with open(tmp_path / "bad.csv", "wb") as fh, pytest.raises(ValueError):
+        write_csv(fh, ["a"], blocks)
+    assert (tmp_path / "bad.csv").read_bytes() == b""  # not even the header

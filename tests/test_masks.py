@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,14 @@ from common import AXIOM_PATTERNS, random_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
+from dynpriv.masks import (
+    PRIVACY_KINDS,
+    MaskBank,
+    MaskKind,
+    axiom_grid,
+    check_mask_axioms,
+    privacy_metric,
+)
 
 FIELDS = ("phi", "sigma", "gamma", "delta", "c")
 #: Largest |x - h^{-1}(t, h(t, x))| that a round trip may leave.
@@ -180,6 +188,44 @@ def test_auto_bank_equals_per_channel_scalar_draws(kind, lam, x0, seed, rate_ran
 def test_auto_bank_rejects_non_privacy_kinds(kind):
     with pytest.raises(ValueError, match="not a privacy mask"):
         MaskBank.auto(kind, 1.0, np.zeros(1), seed=0)
+
+
+DOUBLE_MAX = sys.float_info.max
+#: Rate ranges at the edges of what MaskBank.auto takes: lo = hi (subnormal
+#: ones among them), a subnormal lo, and hi near the double maximum.
+EDGE_RATE_RANGES = st.one_of(
+    st.floats(5e-324, DOUBLE_MAX).map(lambda r: (r, r)),
+    st.floats(5e-324, 2.2e-308).map(lambda r: (r, r)),
+    st.tuples(st.floats(5e-324, 2.2e-308), st.floats(1.0, DOUBLE_MAX)),
+    st.tuples(st.floats(5e-324, 1.0), st.floats(DOUBLE_MAX / 2, DOUBLE_MAX)),
+)
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(PRIVACY_KINDS),
+    # from the smallest subnormal up to the largest level whose 4 * lam is finite
+    lam=st.floats(5e-324, DOUBLE_MAX / 4),
+    x0=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    rate_range=EDGE_RATE_RANGES,
+)
+def test_auto_bank_draws_every_channel_inside_the_rules_of_its_kind(kind, lam, x0, seed, rate_range):
+    # auto binds its draws unchecked; the validator of config channels, which
+    # reads masks.RULES, must accept each channel and bind the same arrays
+    bank = MaskBank.auto(kind, lam, np.array(x0), seed=seed, rate_range=rate_range)
+    checked = MaskBank(_channels(bank))
+    assert checked.kinds == bank.kinds
+    assert np.array_equal(checked._given, bank._given)
+    assert np.array_equal(checked._values, bank._values)
+
+
+@pytest.mark.parametrize(
+    "rate_range", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)]
+)
+def test_auto_bank_refuses_a_rate_range_it_cannot_draw_positive_finite_rates_from(rate_range):
+    with pytest.raises(ValueError, match="rate range must be 0 < lo <= hi < inf"):
+        MaskBank.auto(MaskKind.ADDITIVE, 1.0, np.zeros(3), seed=0, rate_range=rate_range)
 
 
 def _assert_axiom_verdicts(kind, seed, dim):

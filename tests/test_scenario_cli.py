@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from common import simulated
+from common import AXIOM_PATTERNS, simulated
 from config_patch import DELETE, key_paths, patched
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,8 +20,9 @@ import dynpriv.g17  # noqa: F401  loaded here, so that no tracemalloc window cou
 from dynpriv import cli, netgraph, scenario
 from dynpriv.cli import main
 from dynpriv.dynamics import DRIFTS, SEED, SYSTEMS, ByKind
-from dynpriv.masks import CHUNK, MaskBank, MaskKind, axiom_grid, check_mask_axioms
+from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms
 from dynpriv.scenario import (
+    CHUNK,
     ScenarioError,
     build_scenario,
     bundled_names,
@@ -159,6 +160,19 @@ def test_graph_checks_and_mask_check():
     mask_check = run_mask_check(sc)
     assert mask_check["ok"]
     assert mask_check["expected_vanishing"]
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("linear",), ("additive",), ("affine",), ("vanishing_affine",), ("linear", "additive")],
+    ids="+".join,
+)
+def test_expected_vanishing_is_the_vanishing_pattern_of_every_kind_in_the_bank(kinds):
+    # an all-identity bank is the unmasked baseline and carries no expectation
+    by_kind = {channel["kind"]: channel for channel in EXPLICIT_CHANNELS}
+    channels = [by_kind[kinds[i % len(kinds)]] for i in range(5)]
+    mask_check = run_mask_check(build_scenario(_explicit_config(channels)))
+    assert mask_check["expected_vanishing"] == all(AXIOM_PATTERNS[MaskKind(k)]["vanishing"] for k in kinds)
 
 
 def test_bundled_scenarios_all_build_and_pass_check():
@@ -309,7 +323,7 @@ def test_cli_simulate_writes_artifacts(tmp_path):
 )
 def test_simulate_holds_no_table_beyond_x(name, horizons, tmp_path):
     # x, y, the series rows and the CSV rows are held one window of
-    # masks.CHUNK values at a time (81 rows on consensus, 53 on pinning), the
+    # scenario.CHUNK values at a time (81 rows on consensus, 53 on pinning), the
     # CSV encoder holds 0.45 MiB of scratch, the mask-factor table at most
     # solver.TABLE_BYTES, and the verdicts read running column summaries; so
     # a run peaks at the same bytes at 1,001 as at 4,001 rows (501 and 2,001)
@@ -333,7 +347,7 @@ def test_simulate_holds_no_table_beyond_x(name, horizons, tmp_path):
 
 def test_simulate_forms_outputs_one_chunk_at_a_time(tmp_path, monkeypatch):
     # no reader on the simulate path asks the bank for more rows than a
-    # window holds (the strides that masks.CHUNK values hold, and the row it
+    # window holds (the strides that scenario.CHUNK values hold, and the row it
     # starts from), so no whole-record y table is allocated; and each
     # recorded row of y is formed once, by its window's one eval_series
     # call, for trajectory.csv, series.csv and the verdicts
@@ -476,7 +490,7 @@ def test_failed_simulate_leaves_an_earlier_run_as_it_was(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scenario, "integrate", recorded)
     assert main(argv["bad"]) == cli.EXIT_NUMERIC
-    # two windows of 248 = masks.CHUNK // 33 rows of the 10 x 3 + 3 joint state returned
+    # two windows of 248 = scenario.CHUNK // 33 rows of the 10 x 3 + 3 joint state returned
     assert windows == [(0, 248), (248, 496)]
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
     assert sorted(p.name for p in out.rglob("*")) == [name, "report.json", "series.csv", "trajectory.csv"]
@@ -768,23 +782,6 @@ def test_override_seed_removes_every_seed_key_of_the_schema(path):
 def test_seed_paths_reach_the_vector_sections_of_a_system():
     names = {".".join(key for key, _kind in path) for path in SEED_PATHS}
     assert {"x0.seed", "system.theta.seed", "system.s0.seed", "graph.seed"} <= names
-
-
-def test_override_seed_copies_only_along_the_seed_paths():
-    # sections that can hold no seed are passed through, not walked and copied
-    s0 = {"kind": "uniform", "low": -1.0, "high": 1.0, "seed": 8}
-    config = patched(load_bundled("example4_pinning_n10"), {"system.s0": s0})
-    reseeded = override_seed(config, 5)
-    assert reseeded["integrator"] is config["integrator"]
-    assert reseeded["checks"] is config["checks"]
-    assert reseeded["system"]["drift"] is config["system"]["drift"]
-    assert reseeded["system"]["r"] is config["system"]["r"]
-    for section in (reseeded["x0"], reseeded["system"]["s0"], reseeded["sync_condition"]):
-        assert "seed" not in section
-    assert config["system"]["s0"]["seed"] == 8  # the input is left as it was
-    # an inline vector has no seed path, so its values are not walked either
-    config = patched(config, {"x0": {"kind": "inline", "values": [0.5] * 30}})
-    assert override_seed(config, 5)["x0"] is config["x0"]
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])

@@ -650,7 +650,8 @@ def test_csv_export_format(tmp_path):
     traj = integrate(ms, np.array([1.0]), cfg)
     y = bank.eval_series(traj.times, traj.x)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path, y)
+    with open(path, "wb") as fh:
+        traj.to_csv(fh, y)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x_0,y_0"
     parsed = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -662,7 +663,8 @@ def test_csv_export_format(tmp_path):
     columns = series_table(traj, y)
     header, table = list(columns), np.column_stack(list(columns.values()))
     series = tmp_path / "series.csv"
-    write_csv(series, header, table)
+    with open(series, "wb") as fh:
+        write_csv(fh, header, (table,))
     lines = series.read_text().splitlines()
     assert lines[0] == "t,mean_x,mean_y,spread_x,gap_min,gap_max"
     assert len(lines) == 1 + len(traj.times)
@@ -670,7 +672,8 @@ def test_csv_export_format(tmp_path):
     assert np.array_equal(np.loadtxt(series, delimiter=",", skiprows=1), table)
     # doubles that need all 17 digits survive the round trip
     exact = tmp_path / "exact.csv"
-    write_csv(exact, ["a", "b"], np.array([[0.1 + 0.2, 1.0 / 3.0]]))
+    with open(exact, "wb") as fh:
+        write_csv(fh, ["a", "b"], (np.array([[0.1 + 0.2, 1.0 / 3.0]]),))
     assert exact.read_text() == "a,b\n0.30000000000000004,0.33333333333333331\n"
     assert np.array_equal(np.loadtxt(exact, delimiter=",", skiprows=1), [0.1 + 0.2, 1.0 / 3.0])
 
@@ -687,7 +690,8 @@ def test_csv_includes_exosystem_columns(tmp_path):
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
     traj = integrate(unmasked(spec), np.zeros(6), cfg, s0=np.array([0.5, -0.5]))
     path = tmp_path / "traj.csv"
-    traj.to_csv(path, MaskBank.identity(6).eval_series(traj.times, traj.x))
+    with open(path, "wb") as fh:
+        traj.to_csv(fh, MaskBank.identity(6).eval_series(traj.times, traj.x))
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["t"] + [f"x_{i}" for i in range(6)] + [f"y_{i}" for i in range(6)] + ["s_0", "s_1"]
 

@@ -9,6 +9,10 @@ as a name or an attribute, and a method or property wherever it appears as
 an attribute, so a method is kept alive by any use of that attribute name.
 Each exception below gives its reason.
 
+Outside masks, no module in src/ names a mask kind other than identity:
+what each kind takes, refuses and whether its gap vanishes is stated once,
+in masks.RULES, and read from there.
+
 In tests/, a module-level function, class or constant is defined in one
 module only: what two test modules share lives in tests/common.py, and each
 public name there is imported by at least two test modules.
@@ -19,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 import dynpriv
+from dynpriv.masks import MaskKind
 
 SRC = Path(dynpriv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -82,6 +87,20 @@ def test_every_public_definition_has_a_caller_in_src():
 def test_every_allowlisted_name_is_still_defined_and_still_unreferenced():
     # an exception that gained a caller, or lost its definition, leaves the list
     assert sorted(_unreferenced()) == sorted(ALLOWED)
+
+
+def test_no_module_but_masks_names_a_mask_kind_other_than_identity():
+    members = {kind.name for kind in MaskKind} - {"IDENTITY"}
+    named = [
+        f"{path.name}:{node.lineno} MaskKind.{node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "masks.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in members
+        and "MaskKind" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    ]
+    assert named == []
 
 
 def _module_level_names(tree):
