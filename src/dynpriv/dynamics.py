@@ -20,14 +20,18 @@ the scenario's one tolerance sc.tol_conv, and the `checks` they decide; and the
 eavesdropper's `attack_row`, where one is modelled. A drift owns `kind`,
 `keys` (its constructor's arguments), its rowwise value `rows` and
 `stage_rows(block, out, prod)`. SYSTEMS and DRIFTS are the only maps from a
-kind to its class.
+kind to its class, read only where the schema walk has vetted the kind, so
+nothing downstream re-checks the class of a system or drift.
 
-field_unmasked, field_masked and exosystem_field are the readable reference;
-compile_stage binds one run's joint field once, by stage_body(bank), as the
-solver's stage f(row, z, o), equal to the reference bit for bit. A stage
-owns its scratch and writes only the slot o it is given. A run is always a
-MaskedSystem, so every stage_body masks its input; the bare system runs as
-the masked one under MaskBank.identity, its limit system. Consensus and
+field_unmasked, field_masked and exosystem_field are the readable reference.
+A run's joint field (the agents, then a pinned system's exosystem) is the
+stage f(row, z, o) that stage_body(bank) binds once: row is the bank's
+(scale, offset) pair at the stage time, and f writes dz/dt at z into the
+caller's slot o, keeping no reference to it. A stage masks its input with
+its own scratch and 0-d gains, and equals field_masked with
+exosystem_field appended bit for bit: every element is formed by the same
+operations in the same order. A run is always a MaskedSystem; the bare
+system runs under MaskBank.identity, its limit system. Consensus and
 Friedkin-Johnsen bind -L once, in stage and reference alike: (-L) @ y is
 one gemv, equal to -(L @ y) except in the sign of an exactly zero value.
 A pinned system decides once whether R is exactly I, and then stage and
@@ -75,13 +79,6 @@ VECTOR = ByKind(
     uniform={"low": Required(FINITE), "high": Required(FINITE), "seed": SEED},
     gaussian={"mean": FINITE, "std": Required(FINITE), "seed": SEED},
 )
-
-
-def _registered(obj, registry: dict, what: str):
-    """obj, if its class is registered; else a TypeError naming the class."""
-    if not isinstance(obj, tuple(registry.values())):
-        raise TypeError(f"unknown {what} {type(obj).__name__}")
-    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +180,7 @@ DRIFTS = {cls.kind: cls for cls in (TanhDrift, LorenzDrift)}
 
 def exosystem_field(drift: DriftKind, s: np.ndarray) -> np.ndarray:
     """Drift value ds/dt at one (nu,) state, or rowwise on an (n, nu) block."""
-    return _registered(drift, DRIFTS, "drift").rows(np.asarray(s, dtype=float))
+    return drift.rows(np.asarray(s, dtype=float))
 
 
 class SystemSpec:
@@ -403,10 +400,8 @@ class AverageConsensus(SystemSpec):
         lap = np.asarray(self.laplacian, dtype=float)
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError("Laplacian must be square")
-        if (
-            np.max(np.abs(lap.sum(axis=1))) > netgraph.BALANCE_TOL
-            or np.max(np.abs(lap.sum(axis=0))) > netgraph.BALANCE_TOL
-        ):
+        # column sums of L, then of L^T, its row sums
+        if not (netgraph.is_weight_balanced(lap) and netgraph.is_weight_balanced(lap.T)):
             raise ValueError("consensus needs a weight-balanced Laplacian")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "neg_laplacian", -lap)
@@ -522,7 +517,7 @@ class PinnedSync(SystemSpec):
             raise ValueError("inner coupling matrix must be positive definite")
         if np.any(p < 0):
             raise ValueError("pinning gains must be nonnegative")
-        if _registered(self.drift, DRIFTS, "drift").dim != self.nu:
+        if self.drift.dim != self.nu:
             raise ValueError("drift dimension must match nu")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "r", r)
@@ -634,7 +629,6 @@ def field_unmasked(
     spec: SystemSpec, t: float, x: np.ndarray, s: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Vector field of the bare system; s is required iff the system is pinned."""
-    _registered(spec, SYSTEMS, "system")
     if spec.drift is None:
         if s is not None:
             raise ValueError("exosystem state only applies to pinned synchronization")
@@ -659,18 +653,11 @@ class MaskedSystem:
 
 
 def field_masked(
-    ms: MaskedSystem,
-    t: float,
-    x: np.ndarray,
-    s: Optional[np.ndarray] = None,
-    factors: Optional[tuple] = None,
+    ms: MaskedSystem, t: float, x: np.ndarray, s: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Masked vector field: the base field evaluated on y = h(t, x).
-
-    factors is the bank's (scale, offset) pair at t, as the solver's table
-    holds it; without it the pair is computed from t.
-    """
-    scale, offset = ms.bank.factors(t) if factors is None else factors
+    """Masked vector field: the base field evaluated on y = h(t, x), with
+    the bank's (scale, offset) factors formed at t."""
+    scale, offset = ms.bank.factors(t)
     y = scale * (np.asarray(x, dtype=float) + offset)
     return field_unmasked(ms.base.through_mask(ms.bank, scale, offset), t, y, s)
 
@@ -682,29 +669,6 @@ def field_masked(
 _add, _sub, _mul, _tanh, _dot, _copyto = (
     np.add, np.subtract, np.multiply, np.tanh, np.dot, np.copyto
 )
-
-
-def compile_stage(system: MaskedSystem):
-    """The joint field of a run as one stage function f(row, z, o).
-
-    z is the joint state: the agents' states, then the exosystem's for a
-    pinned system. row is the bank's (scale, offset) pair at the stage time,
-    as the solver's factor table holds it by position. f writes dz/dt into
-    the slot o, an array of z's shape that the caller owns, returns
-    nothing and keeps no reference to o. The system's stage_body(bank) binds
-    everything its field needs once, with its own preallocated scratch and
-    0-d gains, and masks the input itself, so a stage of an unpinned system
-    is one Python call into bound ufuncs and np.dot (the same BLAS call as
-    np.matmul) with out passed positionally.
-    The slot then equals field_masked with exosystem_field appended, bit for
-    bit: every element is formed by the same operations in the same order.
-    """
-    if not isinstance(system, MaskedSystem):
-        raise TypeError(
-            f"a run takes a MaskedSystem, got {type(system).__name__}; "
-            "an unmasked run is MaskedSystem(spec, MaskBank.identity(spec.dim))"
-        )
-    return _registered(system.base, SYSTEMS, "system").stage_body(system.bank)
 
 
 def estimate_lipschitz_q(

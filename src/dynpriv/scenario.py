@@ -373,9 +373,12 @@ def build_scenario(config: dict) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"integrator: {exc}") from exc
         spec = config["system"]
-        _check_footprint(config["graph"]["n"], spec.get("nu", 1), integrator, "adversary" in config)
+        nu = spec.get("nu", 1)  # only a kind of vector agents takes nu
+        if nu < 1:
+            raise ScenarioError(f"system.nu must be at least 1, got {nu}")
+        _check_footprint(config["graph"]["n"], nu, integrator, "adversary" in config)
         graph = _build_graph(config, config["graph"])
-        dim = graph.n * spec.get("nu", 1)  # only a kind of vector agents takes nu
+        dim = graph.n * nu
         vector = functools.partial(_sample_vector, config)
         x0 = vector(config["x0"], dim, "x0")
         system = SYSTEMS[spec["kind"]].from_config(spec, graph, x0, vector)
@@ -515,11 +518,8 @@ def load_bundled(name: str) -> dict:
 def run_graph_checks(sc: Scenario) -> dict:
     """Structural validations; keys are the graph check names."""
     report = sc.graph.assumptions
-    results = {
-        "irreducible": report.irreducible,
-        "weight_balanced": report.weight_balanced,
-        "no_covering": report.no_covering_holds,
-    }
+    values = (report.irreducible, report.weight_balanced, report.no_covering_holds)
+    results = dict(zip(GRAPH_CHECKS, values))
     return {k: results[k] for k in sc.checks if k in results} or results
 
 

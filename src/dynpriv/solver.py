@@ -11,15 +11,15 @@ system under the identity bank. It reads no system kind, only the base's
 dim, nu and drift (None without an exosystem). It steps any span [start,
 stop) of the config's grid from the state at step start, so a run can be
 taken window by window: every step k is the same global step, with stage
-times k*dt + shift, whichever window holds it. It compiles the joint field
-(agents, then the exosystem) once per call with dynamics.compile_stage,
+times k*dt + shift, whichever window holds it. It binds the joint field
+(agents, then the exosystem) once per call, as the base's stage_body(bank),
 checks it bit for bit against the reference fields at the span's first
-state with the bank's factors at its time, and only then steps it with
-_march, the one stepper of 1-d states. The mask's factors depend on time
-alone, so for each block of block_steps(width) steps the march forms the
-block's (n, 3) RK4 stage times (t, t + dt/2, t + dt) by the expressions it
-steps with, and integrate refills one preallocated table from them with a
-single MaskBank.factors call. Each stage gets its (scale, offset) row by
+state, and only then steps it with _march, the one stepper of 1-d states.
+The mask's factors depend on time alone, so for each block of
+block_steps(width) steps the march forms the block's (n, 3) RK4 stage
+times (t, t + dt/2, t + dt) by the expressions it steps with, and
+integrate refills one preallocated table from them with a single
+MaskBank.factors call. Each stage gets its (scale, offset) row by
 position, and writes its slope into one of the march's four slots k1..k4.
 The block is sized so the table stays within TABLE_BYTES; no recorded
 sample depends on its length or on where a span starts.
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import MaskedSystem, compile_stage, exosystem_field, field_masked
+from .dynamics import MaskedSystem, exosystem_field, field_masked
 # bench/tracing.py wraps solver.field_unmasked, so the name must resolve here
 from .dynamics import field_unmasked  # noqa: F401
 
@@ -269,8 +269,13 @@ def integrate(
     samples are bit-identical across runs, and across any split of the grid
     into spans that each start from the row the span before recorded last.
     """
-    stage = compile_stage(system)
+    if not isinstance(system, MaskedSystem):
+        raise TypeError(
+            f"a run takes a MaskedSystem, got {type(system).__name__}; "
+            "an unmasked run is MaskedSystem(spec, MaskBank.identity(spec.dim))"
+        )
     base, bank = system.base, system.bank
+    stage = base.stage_body(bank)
     d = base.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,):
@@ -291,19 +296,18 @@ def integrate(
         z = x0
 
     # The compiled stage must reproduce the reference fields bit for bit.
-    # Checked once, at the span's first state, with the bank's factors at
-    # its time start * dt (at start 0 every exponential is exp(-0.0)). A
-    # field that overflows there is left, as in the march, to the blow-up
-    # check of the first block.
+    # Checked once, at the span's first state and its time start * dt (at
+    # start 0 every exponential is exp(-0.0)), each side with the bank's
+    # factors formed there. A field that overflows there is left, as in the
+    # march, to the blow-up check of the first block.
     t0 = start * cfg.dt
-    row = bank.factors(t0)
     x, s = z[:d], (z[d:] if pinned else None)
     got = np.empty_like(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = field_masked(system, t0, x, s, row)
+        want = field_masked(system, t0, x, s)
         if pinned:
             want = np.concatenate([want, exosystem_field(base.drift, s)])
-        stage(row, z, got)
+        stage(bank.factors(t0), z, got)
     if got.tobytes() != want.tobytes():
         i = int(np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0])
         raise RuntimeError(

@@ -16,7 +16,6 @@ from dynpriv.dynamics import (
     PinnedSync,
     SaturatedNet,
     TanhDrift,
-    compile_stage,
     estimate_lipschitz_q,
     exosystem_field,
     field_masked,
@@ -245,8 +244,14 @@ def test_consensus_requires_balance():
     unbalanced = laplacian(cycle_graph(3))
     unbalanced[0, 1] -= 0.5  # break a column sum
     unbalanced[0, 0] += 0.5  # keep the row sum
-    with pytest.raises(ValueError, match="weight-balanced"):
-        AverageConsensus(laplacian=unbalanced)
+    row_sums_off = laplacian(cycle_graph(3))
+    row_sums_off[0, 0] += 0.5  # break two row sums
+    row_sums_off[1, 0] -= 0.5  # keep the column sum
+    not_a_number = laplacian(cycle_graph(3))
+    not_a_number[0, 1] = np.nan  # a NaN sum passes no tolerance
+    for lap in (unbalanced, row_sums_off, not_a_number):
+        with pytest.raises(ValueError, match="weight-balanced"):
+            AverageConsensus(laplacian=lap)
 
 
 def test_pinned_validation():
@@ -309,12 +314,12 @@ def _stage_case(kind, bank, n, nu, rng, r="spd"):
     return MaskedSystem(base=spec, bank=bank), z
 
 
-def _reference_stage(system, t, z, row):
+def _reference_stage(system, t, z):
     """field_masked on the agents, then exosystem_field."""
     spec = system.base
     d = spec.dim
     s = z[d:] if isinstance(spec, PinnedSync) else None
-    f = field_masked(system, t, z[:d], s, row)
+    f = field_masked(system, t, z[:d], s)
     return f if s is None else np.concatenate([f, exosystem_field(spec.drift, s)])
 
 
@@ -335,14 +340,14 @@ def test_compiled_stage_equals_reference_fields(kind, bank, tabulated, n, nu, r,
     # a factor row from a table over all the times, as the solver holds
     # them, or from the bank at one time
     table = system.bank.factors(times) if tabulated else None
-    stage = compile_stage(system)
+    stage = system.base.stage_body(system.bank)
     o = np.empty_like(z)
     for k, t in enumerate(times):
         z = z + rng.uniform(-1.0, 1.0, z.size)
         row = (table[0][k], table[1][k]) if tabulated else system.bank.factors(t)
         stage(row, z, o)
         # bytes, so that the sign of a zero counts as integrate's check counts it
-        assert o.tobytes() == _reference_stage(system, t, z, row).tobytes()
+        assert o.tobytes() == _reference_stage(system, t, z).tobytes()
 
 
 @settings(deadline=None, max_examples=100)
@@ -367,7 +372,7 @@ def test_identity_stage_equals_the_products_by_i_up_to_the_sign_of_zero(
     t = rng.uniform(0.0, 20.0)
     row = system.bank.factors(t)
     o = np.empty_like(z)
-    compile_stage(system)(row, z, o)
+    system.base.stage_body(system.bank)(row, z, o)
     scale, offset = row
     states, s, eye = (scale * (z[:d] + offset)).reshape(n, spec.nu), z[d:], np.eye(spec.nu)
     agents = (
@@ -398,17 +403,17 @@ def test_pinned_stage_skips_the_products_by_r_only_at_the_identity(r, dots, monk
 
     for name in ("_add", "_sub", "_mul", "_tanh", "_dot", "_copyto"):
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
-    stage, o = compile_stage(system), np.empty_like(z)
+    stage, o = system.base.stage_body(system.bank), np.empty_like(z)
     stage(system.bank.factors(0.5), z, o)
     assert calls["_dot"] == dots
     assert sum(calls.values()) == 16 + dots
-    assert o.tobytes() == _reference_stage(system, 0.5, z, system.bank.factors(0.5)).tobytes()
+    assert o.tobytes() == _reference_stage(system, 0.5, z).tobytes()
 
 
 def test_compiled_stage_writes_only_the_slot_it_is_passed():
     rng = np.random.default_rng(4)
     system, z = _stage_case("pinned_lorenz", "mixed", 4, 3, rng)
-    stage = compile_stage(system)
+    stage = system.base.stage_body(system.bank)
     slots = [np.full_like(z, np.nan) for _ in range(4)]
     states = [z + k for k in range(len(slots))]
     rows = [system.bank.factors(0.1 * k) for k in range(len(slots))]
@@ -416,7 +421,7 @@ def test_compiled_stage_writes_only_the_slot_it_is_passed():
         assert stage(rows[k], states[k], slot) is None
         # the slots written so far keep their values; the others are untouched
         for j, done in enumerate(slots):
-            want = _reference_stage(system, 0.1 * j, states[j], rows[j]) if j <= k else None
+            want = _reference_stage(system, 0.1 * j, states[j]) if j <= k else None
             assert np.all(np.isnan(done)) if want is None else done.tobytes() == want.tobytes()
     # a slot passed again is overwritten in place, and no other slot moves
     before = [s.copy() for s in slots]
@@ -429,31 +434,14 @@ def test_compiled_stage_writes_only_the_slot_it_is_passed():
 def test_compiled_stage_writes_fresh_slots_and_keeps_none(kind):
     rng = np.random.default_rng(11)
     system, z = _stage_case(kind, "mixed", 5, 3, rng)
-    stage = compile_stage(system)
+    stage = system.base.stage_body(system.bank)
     for k in range(4):
         t, state = 0.1 * k, z + k
         row = system.bank.factors(t)
         slot = np.empty_like(z)
         stage(row, state, slot)
-        assert slot.tobytes() == _reference_stage(system, t, state, row).tobytes()
+        assert slot.tobytes() == _reference_stage(system, t, state).tobytes()
         # once the caller drops its slot, the stage holds no reference to it
         held = weakref.ref(slot)
         del slot
         assert held() is None
-
-
-def test_compile_stage_rejects_unknown_kinds():
-    class Unknown:
-        dim = 2
-
-    with pytest.raises(TypeError, match="unknown system"):
-        compile_stage(MaskedSystem(base=Unknown(), bank=MaskBank.identity(2)))
-    spec = PinnedSync(
-        laplacian=_cycle_lap(), r=np.eye(3), pin_gains=np.ones(3), drift=_tanh_drift(), nu=3
-    )
-    # a run takes a MaskedSystem: a bare system is refused by name
-    with pytest.raises(TypeError, match="MaskedSystem"):
-        compile_stage(spec)
-    # an unknown drift is refused where the system is built
-    with pytest.raises(TypeError, match="unknown drift object"):
-        PinnedSync(laplacian=_cycle_lap(), r=np.eye(3), pin_gains=np.ones(3), drift=object(), nu=3)

@@ -1164,6 +1164,9 @@ CONTRACT = [
     # -1 would pin 9 of the 10 agents through gains[:-1]
     *(Row(f"pinned_count_{count}", "example4_pinning_n10", {"system.pinned_count": count}, BOTH,
           f"system.pinned_count must be in [0, 10], got {count}") for count in (-1, 11)),
+    # refused before the footprint check and the state dimension that nu feeds
+    *(Row(f"nu_{nu}", "example4_pinning_n10", {"system.nu": nu}, BOTH,
+          f"system.nu must be at least 1, got {nu}") for nu in (0, -1)),
     Row("unknown_bundled_name", "no_such_scenario", {}, CHECK, "no_such_scenario.json"),
     # suite builds every row before it runs any, so a bad name leaves nothing written
     Row("suite_unknown_name_after_a_known_one", None, {}, ("suite",), "no_such_scenario.json",

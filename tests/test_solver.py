@@ -17,7 +17,6 @@ from dynpriv.dynamics import (
     PinnedSync,
     SaturatedNet,
     TanhDrift,
-    compile_stage,
     exosystem_field,
     field_unmasked,
 )
@@ -260,9 +259,10 @@ def test_masked_integrate_fills_one_factor_table_per_block(monkeypatch):
         ms, x0, _ = _masked_case("consensus", n, np.random.default_rng(5))
         n_steps = 3 * block_steps(n) + 1
         integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=n_steps * 0.01))
-        # no per-stage eval: one factors call per block and one for the t=0
-        # check of the compiled stage; the outputs are not tabulated at all
-        assert calls == {"eval": 0, "factors": 4 + 1}
+        # no per-stage eval: one factors call per block, and two for the t=0
+        # check of the compiled stage, one for the stage's row and one that
+        # the reference forms itself; the outputs are not tabulated at all
+        assert calls == {"eval": 0, "factors": 4 + 2}
 
 
 def _balanced_digraph(n, rng):
@@ -501,8 +501,10 @@ def test_no_recorded_byte_or_blowup_witness_depends_on_the_block_length(
     def slope(t, z, o):
         o[:] = np.inf if t > onset else -z
 
-    def failing_stage(system):
-        stage, calls = compile_stage(system), itertools.count()
+    stage_body = type(ms.base).stage_body
+
+    def failing_body(base, bank):
+        stage, calls = stage_body(base, bank), itertools.count()
 
         def f(row, z, o):  # call 0 is integrate's t=0 check, then four a step
             stage(row, z, o)
@@ -513,7 +515,7 @@ def test_no_recorded_byte_or_blowup_witness_depends_on_the_block_length(
 
     def masked_run():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "compile_stage", failing_stage)
+            mp.setattr(type(ms.base), "stage_body", failing_body)
             traj = integrate(ms, x0, cfg)
         return traj.times, traj.x
 
@@ -715,10 +717,11 @@ def test_pinned_s0_required_and_shape_checked():
 
 
 def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
-    from dynpriv import solver
+    ms, x0, s0 = _masked_case("pinned", 3, np.random.default_rng(2))
+    stage_body = type(ms.base).stage_body
 
-    def off_by_one_ulp(system):
-        stage = compile_stage(system)
+    def off_by_one_ulp(base, bank):
+        stage = stage_body(base, bank)
 
         def shifted(row, z, o):
             stage(row, z, o)
@@ -726,8 +729,7 @@ def test_integrate_rejects_a_stage_that_differs_from_the_reference(monkeypatch):
 
         return shifted
 
-    monkeypatch.setattr(solver, "compile_stage", off_by_one_ulp)
-    ms, x0, s0 = _masked_case("pinned", 3, np.random.default_rng(2))
+    monkeypatch.setattr(type(ms.base), "stage_body", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="compiled stage differs"):
         integrate(ms, x0, IntegratorConfig(dt=0.01, t_final=0.1), s0=s0)
     # the message names the first differing component and both its values

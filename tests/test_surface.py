@@ -11,7 +11,10 @@ Each exception below gives its reason.
 
 Outside masks, no module in src/ names a mask kind other than identity:
 what each kind takes, refuses and whether its gap vanishes is stated once,
-in masks.RULES, and read from there.
+in masks.RULES, and read from there. Likewise SYSTEMS is read only in
+scenario, where a config's system kind is looked up, and DRIFTS only in
+dynamics, where a pinned system's drift kind is: every other module takes
+the objects they build as they are.
 
 In tests/, a module-level function, class or constant is defined in one
 module only: what two test modules share lives in tests/common.py, and each
@@ -21,6 +24,8 @@ public name there is imported by at least two test modules.
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import dynpriv
 from dynpriv.masks import MaskKind
@@ -101,6 +106,21 @@ def test_no_module_but_masks_names_a_mask_kind_other_than_identity():
         and "MaskKind" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
     ]
     assert named == []
+
+
+@pytest.mark.parametrize("registry,reader", [("SYSTEMS", "scenario"), ("DRIFTS", "dynamics")])
+def test_each_kind_registry_is_read_in_one_module(registry, reader):
+    # a read is a loaded name, an attribute or an import; the definition stores
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != reader
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == registry and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == registry)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == registry for a in node.names))
+    ]
+    assert readers == []
 
 
 def _module_level_names(tree):
