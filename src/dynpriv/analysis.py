@@ -1,70 +1,22 @@
 """Run-level diagnostics of masked-system runs: series_table, the one
 reduction of a run's recorded rows into the per-time series of series.csv;
 Summary, the running reduction of each series column that the report and
-every verdict read; the DiagnosticsReport they fill; the stationarity
-residual of a candidate rest point; and jacobi_eigenvalues.
+every verdict read; the DiagnosticsReport they fill; and the stationarity
+residual of a candidate rest point.
 
 What varies by system kind (attractors, the consensus spread rise and the
-pinning margin) belongs to the system classes in dynamics. The pinning
-margin's lambda_max still comes from the cyclic Jacobi sweep here:
-np.linalg.eigvalsh rounds the last bits of the bundled pinning margin
-differently, and the golden report digests pin them.
+pinning condition) belongs to the system classes in dynamics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # dynamics imports this module, and solver imports dynamics
-    from .solver import Trajectory
-
-
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below tol times the
-    matrix scale (absolute for unit-scale matrices). Returns the eigenvalues
-    sorted ascending.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix must be symmetric")
-    m = 0.5 * (a + a.T)
-    n = m.shape[0]
-    if n == 1:
-        return m[0].copy()
-    scale = max(1.0, float(np.linalg.norm(m)))
-    for _ in range(max_sweeps):
-        off_sq = np.sum(np.square(m)) - np.sum(np.square(np.diag(m)))
-        if off_sq <= (tol * scale) ** 2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                # rotations for negligible entries overflow tau and gain nothing
-                if abs(apq) <= 1e-15 * tol * scale:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * m[:, p] - s * m[:, q]
-                rot_q = s * m[:, p] + c * m[:, q]
-                m[:, p], m[:, q] = rot_p, rot_q
-                m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
-                m[p, q] = m[q, p] = 0.0
-    return np.sort(np.diag(m).copy())
+from .solver import Trajectory
 
 
 @dataclass

@@ -14,7 +14,8 @@ schema `keys` (each key's JSON type) and builder `from_config`; `nu` (1 for
 scalar agents), `drift` (None without an exosystem) and default `tol_conv`;
 its reference `field` and `through_mask` (the system that the masked outputs
 drive); its compiled `stage_body`; its `attractor` (and a pinned
-system's `pinning_margin`), its `verdicts(sc, traj, series, report)`,
+system's pinning condition: `sync_condition`, which forms xi and q at
+build, and `pinning_margin`), its `verdicts(sc, traj, series, report)`,
 which read the final state, the analysis.Summary of each series column and
 the scenario's one tolerance sc.tol_conv, and the `checks` they decide; and the
 eavesdropper's `attack_row`, where one is modelled. A drift owns `kind`,
@@ -37,22 +38,30 @@ one gemv, equal to -(L @ y) except in the sign of an exactly zero value.
 A pinned system decides once whether R is exactly I, and then stage and
 reference alike skip both products by R: Y @ I equals Y except in the sign
 of an exactly zero value too.
+
+The pinning margin's lambda_max comes from the cyclic Jacobi sweep
+jacobi_eigenvalues: np.linalg.eigvalsh rounds the last bits of the bundled
+pinning margin differently, and the golden report digests pin them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from . import analysis, netgraph
+from . import netgraph
 from .masks import MaskBank
 
 #: Thresholds of the consensus verdicts.
 CONSERVATION_TOL = 1e-8
 OUTPUT_MEAN_FLOOR = 1e-3
 VMM_RISE_FLOOR = 1e-6
+#: Bytes that one dense n x n graph array, the eavesdropper's columns or the
+#: Lipschitz samples may take; a config above it exits 2 before they exist.
+FOOTPRINT_CAP = 2**30
 
 
 class ScenarioError(ValueError):
@@ -192,6 +201,7 @@ class SystemSpec:
     drift = None  # the exosystem's drift, if the system has one
     tol_conv = 1e-3
     attack_row = None  # the eavesdropper's model of one agent's integrand, if any
+    sync_condition = None  # the build of a sufficient condition for synchronization, if any
 
     def through_mask(self, bank: MaskBank, scale, offset):
         return self
@@ -595,6 +605,32 @@ class PinnedSync(SystemSpec):
 
         return body
 
+    def sync_condition(self, spec: dict, seed) -> dict:
+        """The pinning condition's xi, the positive left null vector of L, and
+        q, the drift's one-sided Lipschitz constant sampled over the box of
+        the sync_condition block spec, seeded by seed(spec, role)."""
+        box, samples = spec["box"], spec.get("samples", 4000)
+        if not -math.inf < box[0] < box[1] < math.inf:
+            raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
+        if samples < 2:  # estimate_lipschitz_q's floor
+            raise ScenarioError(f"sync_condition.samples must be >= 2, got {samples}")
+        if 48 * samples * self.nu > FOOTPRINT_CAP:  # six (samples, nu) arrays
+            raise ScenarioError(
+                f"sync_condition.samples = {samples} needs {48 * samples * self.nu} "
+                f"bytes of samples, above the cap of {FOOTPRINT_CAP}"
+            )
+        seed = seed(spec, "sync_condition")
+        try:
+            xi = netgraph.left_null_vector(self.laplacian)
+        except ValueError as exc:
+            raise ScenarioError(f"sync_condition needs an irreducible graph: {exc}") from exc
+        bounds = tuple(np.full(self.nu, float(bound)) for bound in box)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = estimate_lipschitz_q(self.drift, self.r, bounds, samples, seed)
+        if not math.isfinite(q):
+            raise ScenarioError(f"sync_condition.box: the drift is not finite over {box}")
+        return {"xi": xi, "q": q}
+
     def pinning_margin(self, xi: np.ndarray, q: float) -> float:
         """Feasibility margin of the synchronization condition q*Xi (x) R -
         (0.5*(Xi L + L^T Xi) + Xi P) (x) R < 0, for the positive left null
@@ -606,7 +642,7 @@ class PinnedSync(SystemSpec):
         the margin, is negative. The Jacobi sweep symmetrises M."""
         xi_mat, lap = np.diag(xi), self.laplacian
         m = q * xi_mat - 0.5 * (xi_mat @ lap + lap.T @ xi_mat) - xi_mat @ np.diag(self.pin_gains)
-        return float(np.max(analysis.jacobi_eigenvalues(m)))
+        return float(np.max(jacobi_eigenvalues(m)))
 
     checks = {"converged": None, "lmi_margin_negative": "sync_condition"}
 
@@ -616,7 +652,7 @@ class PinnedSync(SystemSpec):
         report.sync_error_final = float(series["sync_err_max"].last)
         verdicts = {"converged": report.sync_error_final < sc.tol_conv}
         cond = sc.sync_condition
-        if cond is not None:  # xi and q were formed at build, where they are checked
+        if cond is not None:  # xi and q were formed at build, by sync_condition
             report.lmi_margin = self.pinning_margin(cond["xi"], cond["q"])
             verdicts["lmi_margin_negative"] = report.lmi_margin < 0
         return verdicts
@@ -671,13 +707,7 @@ _add, _sub, _mul, _tanh, _dot, _copyto = (
 )
 
 
-def estimate_lipschitz_q(
-    drift: DriftKind,
-    r: np.ndarray,
-    box: tuple,
-    samples: int,
-    seed,
-) -> float:
+def estimate_lipschitz_q(drift: DriftKind, r: np.ndarray, box: tuple, samples: int, seed) -> float:
     """Sampled one-sided Lipschitz constant of the drift relative to R.
 
     Maximizes (x-z)^T (f(x)-f(z)) / ((x-z)^T R (x-z)) over random pairs in the
@@ -689,19 +719,15 @@ def estimate_lipschitz_q(
     """
     if samples < 2:
         raise ValueError("need at least 2 sample pairs")
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
+    lo, hi = (np.asarray(bound, dtype=float) for bound in box)
     rng = np.random.default_rng(seed)
     nu = drift.dim
     m = int(samples)
     x = rng.uniform(lo, hi, size=(m, nu))
     z = rng.uniform(lo, hi, size=(m, nu))
     near = rng.integers(0, 2, size=m).astype(bool)
-    z[near] = np.clip(
-        x[near] + 1e-4 * rng.standard_normal((int(near.sum()), nu)), lo, hi
-    )
-    fx = exosystem_field(drift, x)
-    fz = exosystem_field(drift, z)
+    z[near] = np.clip(x[near] + 1e-4 * rng.standard_normal((int(near.sum()), nu)), lo, hi)
+    fx, fz = exosystem_field(drift, x), exosystem_field(drift, z)
     d = x - z
     num = np.einsum("ij,ij->i", d, fx - fz)
     den = np.einsum("ij,ij->i", d @ np.asarray(r, dtype=float), d)
@@ -710,3 +736,47 @@ def estimate_lipschitz_q(
         raise ValueError("all sampled pairs are degenerate")
     q = float(np.max(num[keep] / den[keep]))
     return q * 1.2 if q >= 0 else q / 1.2
+
+
+def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps until the off-diagonal Frobenius norm drops below tol times the
+    matrix scale (absolute for unit-scale matrices). Returns the eigenvalues
+    sorted ascending.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+        raise ValueError("matrix must be symmetric")
+    m = 0.5 * (a + a.T)
+    n = m.shape[0]
+    if n == 1:
+        return m[0].copy()
+    scale = max(1.0, float(np.linalg.norm(m)))
+    for _ in range(max_sweeps):
+        off_sq = np.sum(np.square(m)) - np.sum(np.square(np.diag(m)))
+        if off_sq <= (tol * scale) ** 2:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                # rotations for negligible entries overflow tau and gain nothing
+                if abs(apq) <= 1e-15 * tol * scale:
+                    continue
+                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
+                if abs(tau) > 1e150:
+                    t = 1.0 / (2.0 * tau)
+                elif tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * m[:, p] - s * m[:, q]
+                rot_q = s * m[:, p] + c * m[:, q]
+                m[:, p], m[:, q] = rot_p, rot_q
+                m[p, :], m[q, :] = c * m[p, :] - s * m[q, :], s * m[p, :] + c * m[q, :]
+                m[p, q] = m[q, p] = 0.0
+    return np.sort(np.diag(m).copy())

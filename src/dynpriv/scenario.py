@@ -14,11 +14,12 @@ section's keys to the constructor that owns them and their defaults.
 
 Nothing here depends on the system kind: the system section is checked
 against, built by and judged by the class that dynamics.SYSTEMS names for
-its kind (its keys, from_config, verdicts and checks); the checks common to
-every run (privacy, mask gap, boundedness, graph) are decided here. A build
-rejects any requested check that the scenario cannot decide, and a graph,
-or an eavesdropper's columns, above FOOTPRINT_CAP before either is
-allocated. simulate and adversary both step a run through windows.
+its kind (its keys, from_config, sync_condition, verdicts and checks); of
+a system, only what SystemSpec gives every kind is read here. The checks
+common to every run (privacy, mask gap, boundedness, graph) are decided
+here. A build rejects any requested check that the scenario cannot decide,
+and a graph, or an eavesdropper's columns, above FOOTPRINT_CAP before
+either is allocated. simulate and adversary both step a run through windows.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from . import adversary as adv
 from . import analysis, masks, netgraph
 from .dynamics import (
     FINITE,
+    FOOTPRINT_CAP,
     SEED,
     SYSTEMS,
     VECTOR,
@@ -45,7 +47,6 @@ from .dynamics import (
     MaskedSystem,
     Required,
     ScenarioError,
-    estimate_lipschitz_q,
 )
 from .masks import MaskBank, MaskKind, check_mask_axioms, privacy_metric
 from .netgraph import Digraph
@@ -65,9 +66,6 @@ KNOWN_CHECKS = GRAPH_CHECKS + RUN_CHECKS
 
 MASK_GAP_TAIL = 1e-6
 BOUNDED_LIMIT = 1e3
-#: Bytes that one dense n x n graph array, or the eavesdropper's columns,
-#: may take; a config above it exits 2 before anything of its size exists.
-FOOTPRINT_CAP = 2**30
 
 
 POSITIVE = "finite and positive"  # a bound that inf, nan, 0 or -1 would make meaningless
@@ -251,7 +249,7 @@ class Scenario:
     checks: tuple
     privacy_level: Optional[float]
     tol_conv: float
-    sync_condition: Optional[dict]  # a pinned system's block with defaults and seed, xi and q
+    sync_condition: Optional[dict]  # the pinning condition's xi and q, from system.sync_condition
     adversary: Optional[dict]  # the adversary block, its defaults filled in
 
 
@@ -390,31 +388,10 @@ def build_scenario(config: dict) -> Scenario:
             if chk not in KNOWN_CHECKS:
                 raise ScenarioError(f"unknown check {chk!r}")
         cond = config.get("sync_condition")
-        if cond is not None:  # the Lipschitz sampling box, and estimate_lipschitz_q's floor
-            if system.drift is None:  # the condition bounds the pull towards an exosystem
+        if cond is not None:
+            if system.sync_condition is None:  # the condition bounds the pull towards an exosystem
                 raise ScenarioError(f"sync_condition: system kind {system.kind!r} has no exosystem")
-            box, samples = cond["box"], cond.get("samples", 4000)
-            if not -math.inf < box[0] < box[1] < math.inf:
-                raise ScenarioError(f"sync_condition.box must be finite lo < hi, got {box}")
-            if samples < 2:
-                raise ScenarioError(f"sync_condition.samples must be >= 2, got {samples}")
-            if 48 * samples * system.nu > FOOTPRINT_CAP:  # six (samples, nu) arrays
-                raise ScenarioError(
-                    f"sync_condition.samples = {samples} needs {48 * samples * system.nu} "
-                    f"bytes of samples, above the cap of {FOOTPRINT_CAP}"
-                )
-            seed = _element_seed(config, cond, "sync_condition")
-            cond = {"box": box, "samples": samples, "seed": seed}
-            try:  # the pinning condition's xi and Lipschitz constant
-                cond["xi"] = netgraph.left_null_vector(system.laplacian)
-            except ValueError as exc:
-                raise ScenarioError(f"sync_condition needs an irreducible graph: {exc}") from exc
-            bounds = tuple(np.full(system.nu, float(bound)) for bound in box)
-            with np.errstate(over="ignore", invalid="ignore"):
-                q = estimate_lipschitz_q(system.drift, system.r, bounds, samples, seed)
-            if not math.isfinite(q):
-                raise ScenarioError(f"sync_condition.box: the drift is not finite over {box}")
-            cond["q"] = q
+            cond = system.sync_condition(cond, functools.partial(_element_seed, config))
         adversary = config.get("adversary")
         if adversary is not None:
             if system.attack_row is None:  # the eavesdropper would attack a wrong model

@@ -14,7 +14,6 @@ import pytest
 from common import AXIOM_PATTERNS, random_bank, simulated, unmasked
 
 from dynpriv.adversary import SUBSTITUTION_POLICIES, EavesdropperView, reconstruct_initial
-from dynpriv.analysis import jacobi_eigenvalues
 from dynpriv.cli import main
 from dynpriv.dynamics import (
     AverageConsensus,
@@ -25,6 +24,7 @@ from dynpriv.dynamics import (
     TanhDrift,
     estimate_lipschitz_q,
     field_unmasked,
+    jacobi_eigenvalues,
 )
 from dynpriv.masks import MaskBank, MaskKind, axiom_grid, check_mask_axioms, privacy_metric
 from dynpriv.netgraph import erdos_renyi, laplacian, left_null_vector, spectral_radius

@@ -11,7 +11,6 @@ from dynpriv import scenario
 from dynpriv.analysis import (
     DiagnosticsReport,
     Summary,
-    jacobi_eigenvalues,
     series_table,
     stationarity_residual,
 )
@@ -24,6 +23,7 @@ from dynpriv.dynamics import (
     PinnedSync,
     SaturatedNet,
     TanhDrift,
+    jacobi_eigenvalues,
 )
 from dynpriv.masks import MaskBank, MaskKind
 from dynpriv.netgraph import cycle_graph, erdos_renyi, laplacian, left_null_vector
@@ -372,6 +372,14 @@ def test_pinning_condition_sign_cases():
     p0 = np.zeros(4)
     assert _margin(lap, np.eye(2), p0, xi, q=-0.5) < 0
     assert _margin(lap, np.eye(2), p0, xi, q=100.0) > 0
+
+
+def test_bundled_pinning_margin_keeps_its_bits():
+    # the margin of the one bundled sync_condition, from a build alone; its
+    # report digest pins the same bits, but only through a whole run
+    sc = scenario.build_scenario(scenario.load_bundled("example4_pinning_n10"))
+    cond = sc.sync_condition
+    assert sc.system.pinning_margin(cond["xi"], cond["q"]) == -0.007534568041490155
 
 
 @pytest.mark.parametrize("skew,ok", [(0.5 * R_SYMMETRY_TOL, True), (2.0 * R_SYMMETRY_TOL, False)])

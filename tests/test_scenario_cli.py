@@ -1314,6 +1314,20 @@ CONTRACT = [
         {"integrator.t_final": 1.0, "x0.low": -5000.0, "x0.high": 5000.0}, SIMULATE,
         frozenset({"bounded_states", "converged", "mask_gap_closes", "vmm_non_monotone"}),
         code=cli.EXIT_VERDICT),
+    # masks that do not converge to the true state: a static gain c > 1
+    # never decays, and slow rates leave the gap open at T; at T = 40 the
+    # scenario as bundled passes every verdict (gap 3.6e-9), where at T = 1
+    # it fails these two as well
+    *(Row(id, "example3_consensus_n20", {"integrator.t_final": 40.0, **patch}, SIMULATE,
+          frozenset({"converged", "mask_gap_closes"}), code=cli.EXIT_VERDICT)
+      for id, patch in (("static_affine_mask", {"mask.mask_kind": "affine"}),
+                        ("slow_mask_rates", {"mask.rate_range": [0.01, 0.02]}))),
+    # a pin gain too low for the pinning condition (margin +0.0191), at the
+    # shortest whole horizon at which the run still synchronises and its
+    # masks close (sync error 3.5e-3, gap 7.2e-7)
+    Row("pin_gain_below_the_condition", "example4_pinning_n10",
+        {"system.pin_gain": 1.0, "integrator.t_final": 28.0}, SIMULATE,
+        frozenset({"lmi_margin_negative"}), code=cli.EXIT_VERDICT),
 ]
 
 

@@ -23,11 +23,13 @@ public name there is imported by at least two test modules.
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dynpriv
+from dynpriv.dynamics import SYSTEMS, SystemSpec
 from dynpriv.masks import MaskKind
 
 SRC = Path(dynpriv.__file__).resolve().parent
@@ -155,3 +157,21 @@ def test_every_shared_name_is_imported_by_two_test_modules():
         for alias in node.names
     )
     assert sorted(name for name in shared if imported[name] < 2) == []
+
+
+#: The modules that take a system as SystemSpec gives it to every kind.
+KIND_BLIND = ("scenario", "cli", "solver", "analysis", "adversary")
+
+
+def test_kind_blind_modules_read_no_field_of_a_system_class():
+    # a dataclass field of one system class (SystemSpec's own attributes,
+    # such as drift and nu, answer for every kind) is read only in dynamics,
+    # where its class owns what it means
+    own = {f.name for cls in SYSTEMS.values() for f in fields(cls)} - set(dir(SystemSpec))
+    reads = [
+        f"{stem}.py:{node.lineno} .{node.attr}"
+        for stem in KIND_BLIND
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in own
+    ]
+    assert reads == []
